@@ -50,11 +50,12 @@
 //!   serving overhead relative to the offline workload build.
 //! * `serve_reactor_10k_idle` — the PR8 scheduling scenario: park ~10k
 //!   idle connections (capped by `RLIMIT_NOFILE`: client and server fds
-//!   share one process here), then push 2 000 active reads, under the
-//!   thread-per-connection and the poll-reactor frontends. Records the
-//!   process thread count and `VmRSS` with the idle fleet parked plus
-//!   the active run's p99, in a dedicated `serve_reactor_10k_idle`
-//!   JSON section (`--out BENCH_PR8.json` is the convention for it).
+//!   share one process here), then push 2 000 active reads around them.
+//!   Records the process thread count and `VmRSS` with the idle fleet
+//!   parked plus the active run's p99, in a dedicated
+//!   `serve_reactor_10k_idle` JSON section (the committed
+//!   BENCH_PR8.json also carries the retired thread-per-connection
+//!   frontend's entry).
 //! * `serve_adaptive` — the PR9 adaptive-batching proof: a bursty
 //!   (Poisson bursts of short reads) and a bimodal (short + 2 000 bp)
 //!   mix, each through a static `(max_batch, max_wait)` grid and
@@ -527,12 +528,13 @@ fn main() {
     }
 
     // --- serve_reactor_10k_idle ---------------------------------------
-    // The scheduling contrast behind the reactor: a thread-per-connection
-    // frontend pays one OS thread per parked socket; the poll reactor
-    // pays one pollfd. Park as close to 10k idle connections as
-    // RLIMIT_NOFILE allows (each costs two fds in this single process),
-    // then measure thread count + VmRSS with the fleet parked and the
-    // p99 of 2 000 active reads pushed around it.
+    // What an idle connection costs: the poll reactor pays one pollfd per
+    // parked socket, not a thread (BENCH_PR8.json keeps the retired
+    // thread-per-connection frontend's side of this contrast). Park as
+    // close to 10k idle connections as RLIMIT_NOFILE allows (each costs
+    // two fds in this single process), then measure thread count + VmRSS
+    // with the fleet parked and the p99 of 2 000 active reads pushed
+    // around it.
     struct FrontendStat {
         frontend: &'static str,
         idle_conns: usize,
@@ -544,7 +546,7 @@ fn main() {
     let mut frontend_stats: Vec<FrontendStat> = Vec::new();
     if want("serve_reactor_10k_idle") && cfg!(unix) {
         use nvwa_serve::loadgen::{run as loadgen_run, ArrivalMode, LoadgenConfig};
-        use nvwa_serve::{raise_nofile_limit, Frontend, Server, ServerConfig};
+        use nvwa_serve::{raise_nofile_limit, Server, ServerConfig};
         let proc_field = |key: &str| -> Option<u64> {
             let status = std::fs::read_to_string("/proc/self/status").ok()?;
             status
@@ -561,94 +563,69 @@ fn main() {
             .iter()
             .map(|r| r.seq.codes().to_vec())
             .collect();
-        let shared = std::sync::Arc::new(ReferenceIndex::build(&genome, 32));
-        for (tag, frontend) in [
-            ("threads", Frontend::Threads),
-            ("reactor", Frontend::Reactor),
-        ] {
-            // The threaded frontend pays one OS thread per parked socket
-            // and connect() degrades severely past a few thousand threads
-            // on a small host — cap its fleet so the scenario terminates.
-            // Growth is linear in connections either way; the recorded
-            // `idle_conns` makes the asymmetric fleets explicit.
-            let frontend_target = match frontend {
-                Frontend::Threads => idle_target.min(2_000),
-                Frontend::Reactor => idle_target,
-            };
-            if frontend_target < idle_target {
-                eprintln!(
-                    "serve_reactor_10k_idle: capping {tag} fleet at {frontend_target} \
-                     of {idle_target} idle connections (thread-per-connection cost)"
-                );
-            }
-            let server = Server::start(
-                std::sync::Arc::clone(&shared),
-                ServerConfig {
-                    workers: 2,
-                    frontend,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("idle scenario: server start");
-            let addr = server.local_addr().to_string();
-            let mut idle = Vec::with_capacity(frontend_target);
-            for i in 0..frontend_target {
-                match std::net::TcpStream::connect(&addr) {
-                    Ok(s) => idle.push(s),
-                    Err(e) => {
-                        eprintln!("serve_reactor_10k_idle: {tag}: connect {i} failed: {e}");
-                        break;
-                    }
+        let server = Server::start(
+            std::sync::Arc::new(ReferenceIndex::build(&genome, 32)),
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("idle scenario: server start");
+        let addr = server.local_addr().to_string();
+        let mut idle = Vec::with_capacity(idle_target);
+        for i in 0..idle_target {
+            match std::net::TcpStream::connect(&addr) {
+                Ok(s) => idle.push(s),
+                Err(e) => {
+                    eprintln!("serve_reactor_10k_idle: connect {i} failed: {e}");
+                    break;
                 }
             }
-            // Let the frontend finish accepting/registering the fleet.
-            std::thread::sleep(std::time::Duration::from_millis(500));
-            let threads_with_idle = proc_field("Threads:").unwrap_or(0) as usize;
-            let vm_rss_kb_with_idle = proc_field("VmRSS:").unwrap_or(0);
-            let start = Instant::now();
-            let report = loadgen_run(
-                &addr,
-                &active_reads,
-                &LoadgenConfig {
-                    connections: 8,
-                    mode: ArrivalMode::Closed { window: 32 },
-                    ..LoadgenConfig::default()
-                },
-            )
-            .expect("idle scenario: loadgen");
-            let active_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert!(
-                report.is_lossless() && report.ok == active_reads.len() as u64,
-                "idle scenario ({tag}) must stay lossless around the parked fleet"
-            );
-            eprintln!(
-                "serve_reactor_10k_idle/{tag:8} idle={} threads={} rss_kb={} p99_ms={:.1}",
-                idle.len(),
-                threads_with_idle,
-                vm_rss_kb_with_idle,
-                report.latency.p99.unwrap_or(0.0) / 1e3
-            );
-            frontend_stats.push(FrontendStat {
-                frontend: tag,
-                idle_conns: idle.len(),
-                threads_with_idle,
-                vm_rss_kb_with_idle,
-                active_p99_ms: report.latency.p99.unwrap_or(0.0) / 1e3,
-                active_wall_ms,
-            });
-            // The active phase also lands in the ordinary scenario table
-            // (single run — the parked fleet is the expensive fixture).
-            records.push(Record {
-                name: match frontend {
-                    Frontend::Threads => "serve_idle_active_threads",
-                    Frontend::Reactor => "serve_idle_active_reactor",
-                },
-                threads: 2,
-                median_wall_ms: active_wall_ms,
-            });
-            drop(idle);
-            server.shutdown();
         }
+        // Let the reactor finish accepting/registering the fleet.
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        let threads_with_idle = proc_field("Threads:").unwrap_or(0) as usize;
+        let vm_rss_kb_with_idle = proc_field("VmRSS:").unwrap_or(0);
+        let start = Instant::now();
+        let report = loadgen_run(
+            &addr,
+            &active_reads,
+            &LoadgenConfig {
+                connections: 8,
+                mode: ArrivalMode::Closed { window: 32 },
+                ..LoadgenConfig::default()
+            },
+        )
+        .expect("idle scenario: loadgen");
+        let active_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(
+            report.is_lossless() && report.ok == active_reads.len() as u64,
+            "idle scenario must stay lossless around the parked fleet"
+        );
+        eprintln!(
+            "serve_reactor_10k_idle idle={} threads={} rss_kb={} p99_ms={:.1}",
+            idle.len(),
+            threads_with_idle,
+            vm_rss_kb_with_idle,
+            report.latency.p99.unwrap_or(0.0) / 1e3
+        );
+        frontend_stats.push(FrontendStat {
+            frontend: "reactor",
+            idle_conns: idle.len(),
+            threads_with_idle,
+            vm_rss_kb_with_idle,
+            active_p99_ms: report.latency.p99.unwrap_or(0.0) / 1e3,
+            active_wall_ms,
+        });
+        // The active phase also lands in the ordinary scenario table
+        // (single run — the parked fleet is the expensive fixture).
+        records.push(Record {
+            name: "serve_idle_active_reactor",
+            threads: 2,
+            median_wall_ms: active_wall_ms,
+        });
+        drop(idle);
+        server.shutdown();
     }
 
     // --- serve_adaptive ------------------------------------------------
@@ -924,7 +901,7 @@ fn main() {
     // Each speedup is `slow / fast` of two recorded scenarios; pairs whose
     // scenarios were filtered out by --only are simply omitted.
     type SpeedupPair = (&'static str, (&'static str, usize), (&'static str, usize));
-    let pairs: [SpeedupPair; 10] = [
+    let pairs: [SpeedupPair; 9] = [
         (
             "workload_build_10k_8t_vs_1t",
             ("workload_build_10k", 1),
@@ -964,14 +941,6 @@ fn main() {
             "e2e_align_fast_vs_baseline_1t",
             ("e2e_align_baseline", 1),
             ("e2e_align", 1),
-        ),
-        // The reactor scenario's active-phase wall clocks — without this
-        // pair a `--only serve_reactor_10k_idle` run used to ship an
-        // empty `speedups` object (the BENCH_PR8 bug).
-        (
-            "serve_idle_active_threads_vs_reactor",
-            ("serve_idle_active_threads", 2),
-            ("serve_idle_active_reactor", 2),
         ),
         // The long-read fill contrast (PR 10): chain-bounded GACT tiling
         // vs the single-anchor full-matrix baseline.

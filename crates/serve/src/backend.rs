@@ -48,28 +48,13 @@ pub struct BatchOutcome {
     pub sim_cycles: Option<u64>,
 }
 
-/// Executes one batch of `(request id, read codes)` pairs.
+/// Executes one batch of `(request id, read codes)` pairs over the
+/// caller's (per-worker) scratch, so a long-lived worker allocates nothing
+/// per read at steady state.
 ///
 /// Reads inside a batch run sequentially — parallelism lives in the
 /// worker pool, one batch per worker — and each read is aligned exactly
 /// as the offline pipeline would align it.
-pub fn execute_batch(
-    index: &ReferenceIndex,
-    aligner_config: &AlignerConfig,
-    backend: &BackendKind,
-    items: &[(u64, Vec<u8>)],
-) -> BatchOutcome {
-    execute_batch_with(
-        index,
-        aligner_config,
-        backend,
-        items,
-        &mut AlignScratch::new(),
-    )
-}
-
-/// [`execute_batch`] with a caller-provided (per-worker) scratch, so a
-/// long-lived worker allocates nothing per read at steady state.
 ///
 /// The software backend takes the fast path (k-mer prefix LUT + occ-block
 /// cache, no trace) — responses carry no seeding trace, so recording one
@@ -131,7 +116,8 @@ mod tests {
             .map(|r| (r.id, r.seq.codes().to_vec()))
             .collect();
         let config = AlignerConfig::default();
-        let outcome = execute_batch(&index, &config, &BackendKind::Software, &items);
+        let scratch = &mut AlignScratch::new();
+        let outcome = execute_batch_with(&index, &config, &BackendKind::Software, &items, scratch);
         assert!(outcome.sim_cycles.is_none());
         let offline = SoftwareAligner::new(&index, config);
         for (read, (id, alignment)) in reads.iter().zip(&outcome.results) {
@@ -150,8 +136,15 @@ mod tests {
             .map(|r| (r.id, r.seq.codes().to_vec()))
             .collect();
         let config = AlignerConfig::default();
-        let sw = execute_batch(&index, &config, &BackendKind::Software, &items);
-        let hil = execute_batch(&index, &config, &BackendKind::hil_default(), &items);
+        let scratch = &mut AlignScratch::new();
+        let sw = execute_batch_with(&index, &config, &BackendKind::Software, &items, scratch);
+        let hil = execute_batch_with(
+            &index,
+            &config,
+            &BackendKind::hil_default(),
+            &items,
+            scratch,
+        );
         assert_eq!(sw.results, hil.results, "HIL must not perturb results");
         assert!(hil.sim_cycles.unwrap() > 0);
     }

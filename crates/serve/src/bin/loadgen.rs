@@ -396,6 +396,9 @@ fn main() -> ExitCode {
             report.stats_snapshots.len(),
             report.scrape_failures
         );
+        if let Some(e) = &report.scrape_last_error {
+            println!("first scrape failure: {e}");
+        }
     }
     for check in &report.slo {
         let actual = check

@@ -171,7 +171,9 @@ impl FlightRecorder {
     }
 
     /// The summary section embedded in `stats` responses
-    /// (`validate_flight_summary` checks it).
+    /// (`validate_flight_summary` checks it). The events are collected
+    /// *before* `recorded` is read, so `retained ≤ min(recorded, cap)`
+    /// holds even while other threads are recording.
     pub fn summary_json(&self) -> JsonValue {
         let events = self.events();
         let counts = Self::kind_counts(&events);
@@ -247,7 +249,9 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvwa_telemetry::snapshot::{validate_flight_dump, validate_flight_summary};
+    use nvwa_telemetry::snapshot::{
+        validate_flight_dump, validate_flight_summary, validate_flight_summary_quiescent,
+    };
 
     #[test]
     fn ring_keeps_the_newest_cap_events() {
@@ -262,7 +266,7 @@ mod tests {
             events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
-        validate_flight_summary(&rec.summary_json()).unwrap();
+        validate_flight_summary_quiescent(&rec.summary_json()).unwrap();
     }
 
     #[test]
@@ -281,7 +285,7 @@ mod tests {
         assert_eq!(panics.len(), 1);
         // Dump bookkeeping shows up in the next summary.
         let summary = rec.summary_json();
-        validate_flight_summary(&summary).unwrap();
+        validate_flight_summary_quiescent(&summary).unwrap();
         assert_eq!(summary.get("dumps").unwrap().as_num(), Some(1.0));
         assert_eq!(
             summary.get("last_dump_reason").unwrap().as_str(),
@@ -329,5 +333,38 @@ mod tests {
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
         assert!(seqs.iter().all(|&s| s >= 400 - 64));
         validate_flight_dump(&rec.dump_json("explicit")).unwrap();
+    }
+
+    #[test]
+    fn live_summaries_validate_while_four_threads_record() {
+        // A live scrape scans the ring while `record` runs: a record that
+        // lands behind the scan (or sits between claiming its sequence
+        // number and writing its slot) is counted in `recorded` but not
+        // retained. The large ring never fills (4 × 384 < 2048), so every
+        // missed record shows as `retained < recorded`; the small one
+        // wraps continuously.
+        for cap in [2048usize, 64].repeat(32) {
+            let rec = FlightRecorder::new(cap);
+            let writers_done = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (rec, writers_done) = (&rec, &writers_done);
+                    scope.spawn(move || {
+                        for i in 0..384u64 {
+                            rec.record(0.0, FlightEventKind::ALL[(i % 7) as usize], i, t, 0);
+                        }
+                        writers_done.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                loop {
+                    validate_flight_summary(&rec.summary_json()).unwrap();
+                    if writers_done.load(Ordering::SeqCst) == 4 {
+                        break;
+                    }
+                }
+            });
+            assert_eq!(rec.recorded(), 4 * 384);
+            validate_flight_summary_quiescent(&rec.summary_json()).unwrap();
+        }
     }
 }

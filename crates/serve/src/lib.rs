@@ -6,7 +6,9 @@
 //! engine busy when requests arrive one at a time, with deadlines, from
 //! many clients?** The design mirrors the paper's Coordinator:
 //!
-//! * a TCP front end speaking length-prefixed JSON ([`protocol`]),
+//! * one TCP front door speaking length-prefixed JSON ([`protocol`]): a
+//!   single `poll(2)` reactor thread owns every socket, so 10k+ idle
+//!   connections cost no threads ([`reactor`]),
 //! * a bounded admission queue with explicit load-shedding ([`queue`]) —
 //!   backpressure is a protocol answer (`shed`), never unbounded memory,
 //! * a length-binned fill-or-timeout batcher ([`batcher`]) so short reads
@@ -21,9 +23,6 @@
 //!   accelerator model ([`backend`]),
 //! * graceful drain on shutdown — every admitted request is answered
 //!   ([`server`]),
-//! * a second, event-driven connection frontend: one `poll(2)` reactor
-//!   thread for every socket, so 10k+ idle connections cost no reader
-//!   threads and responses stay bit-identical ([`reactor`]),
 //! * a multi-tenant index registry — the six species references loaded
 //!   side by side under a memory budget with LRU eviction, deterministic
 //!   shard routing and per-tenant admission quotas ([`registry`]),
@@ -64,4 +63,4 @@ pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantS
 #[cfg(unix)]
 pub use reactor::raise_nofile_limit;
 pub use registry::{IndexRegistry, RegistryError, TenantSpec};
-pub use server::{Frontend, Server, ServerConfig, TenantServeSpec};
+pub use server::{Server, ServerConfig, TenantServeSpec};

@@ -364,6 +364,9 @@ pub struct LoadReport {
     pub stats_snapshots: Vec<JsonValue>,
     /// Scrapes that failed to connect, decode, or validate.
     pub scrape_failures: u64,
+    /// Why the first counted scrape failure failed (`None` when none
+    /// did) — `scrapes.last_error` in the report document.
+    pub scrape_last_error: Option<String>,
     /// Graded SLO targets (empty when none were configured).
     pub slo: Vec<SloCheck>,
     /// The loadgen's own metrics registry (counters, latency histogram),
@@ -407,6 +410,13 @@ impl LoadReport {
                         JsonValue::Num(self.stats_snapshots.len() as f64),
                     ),
                     ("failures", JsonValue::Num(self.scrape_failures as f64)),
+                    (
+                        "last_error",
+                        match &self.scrape_last_error {
+                            Some(e) => JsonValue::Str(e.clone()),
+                            None => JsonValue::Null,
+                        },
+                    ),
                 ]),
             ),
             (
@@ -797,16 +807,22 @@ impl ConnTally {
     }
 }
 
+/// What the scraper thread hands back: validated snapshots, the failure
+/// count, and the first counted failure's reason.
+type Scrapes = (Vec<JsonValue>, u64, Option<String>);
+
 /// Handle to the mid-run stats scraper thread.
 struct Scraper {
     stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<(Vec<JsonValue>, u64)>,
+    handle: std::thread::JoinHandle<Scrapes>,
 }
 
 impl Scraper {
-    fn stop_and_join(self) -> (Vec<JsonValue>, u64) {
+    fn stop_and_join(self) -> Scrapes {
         self.stop.store(true, Ordering::SeqCst);
-        self.handle.join().unwrap_or((Vec::new(), 1))
+        self.handle
+            .join()
+            .unwrap_or_else(|_| (Vec::new(), 1, Some("scraper thread panicked".to_string())))
     }
 }
 
@@ -829,36 +845,34 @@ fn spawn_scraper(addr: String, every: Duration) -> Scraper {
     let handle = std::thread::spawn(move || {
         let mut snapshots = Vec::new();
         let mut failures = 0u64;
+        let mut first_error = None;
         let warmup_deadline = Instant::now() + SCRAPE_WARMUP;
         let mut backoff = Duration::from_millis(10);
         loop {
-            let ok = match fetch_stats(&addr) {
-                Ok(doc) => match validate_stats_response(&doc) {
-                    Ok(()) => {
-                        snapshots.push(doc);
-                        true
+            let scraped = fetch_stats(&addr)
+                .map_err(|e| format!("fetch: {e}"))
+                .and_then(|doc| validate_stats_response(&doc).map(|()| doc));
+            match scraped {
+                Ok(doc) => snapshots.push(doc),
+                Err(e) => {
+                    if snapshots.is_empty() && Instant::now() < warmup_deadline {
+                        // Still warming up: retry the first scrape instead
+                        // of counting it, unless the run is already over.
+                        if flag.load(Ordering::Relaxed) {
+                            return (snapshots, failures, first_error);
+                        }
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(Duration::from_millis(250));
+                        continue;
                     }
-                    Err(_) => false,
-                },
-                Err(_) => false,
-            };
-            if !ok {
-                if snapshots.is_empty() && Instant::now() < warmup_deadline {
-                    // Still warming up: retry the first scrape instead of
-                    // counting it, unless the run is already over.
-                    if flag.load(Ordering::Relaxed) {
-                        return (snapshots, failures);
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(250));
-                    continue;
+                    failures += 1;
+                    first_error.get_or_insert(e);
                 }
-                failures += 1;
             }
             let until = Instant::now() + every;
             while Instant::now() < until {
                 if flag.load(Ordering::Relaxed) {
-                    return (snapshots, failures);
+                    return (snapshots, failures, first_error);
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -1215,9 +1229,9 @@ fn run_impl(
     }
     // The scraper must be down before the drain starts: a scrape racing
     // shutdown would count a refused connection as a failure.
-    let (stats_snapshots, scrape_failures) = match scraper {
+    let (stats_snapshots, scrape_failures, scrape_last_error) = match scraper {
         Some(s) => s.stop_and_join(),
-        None => (Vec::new(), 0),
+        None => (Vec::new(), 0, None),
     };
     if config.shutdown_after {
         let _ = send_shutdown(addr);
@@ -1296,6 +1310,7 @@ fn run_impl(
         responses: merged.responses,
         stats_snapshots,
         scrape_failures,
+        scrape_last_error,
         slo: Vec::new(),
         metrics,
     };
@@ -1426,6 +1441,7 @@ mod tests {
             responses: HashMap::new(),
             stats_snapshots: Vec::new(),
             scrape_failures: 0,
+            scrape_last_error: None,
             slo: Vec::new(),
             metrics: MetricsRegistry::new(),
         }

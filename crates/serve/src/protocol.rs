@@ -111,6 +111,35 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<JsonValue>> {
     Ok(Some(doc))
 }
 
+/// The largest integer a JSON number (an `f64`) carries exactly, 2^53 —
+/// the bound on every integer request field.
+const MAX_WIRE_INT: f64 = 9_007_199_254_740_992.0;
+
+/// An integer request field: `None` when absent; when present it must be
+/// an integer in `0..=2^53` (negative, fractional, huge and non-numeric
+/// values are the client's error, not a value to clamp or ignore).
+fn wire_uint(doc: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    v.as_num()
+        .filter(|n| (0.0..=MAX_WIRE_INT).contains(n) && n.fract() == 0.0)
+        .map(|n| Some(n as u64))
+        .ok_or_else(|| format!("\"{key}\" must be an integer in 0..=2^53"))
+}
+
+/// A string request field: `None` when absent; when present it must be
+/// a non-empty string.
+fn wire_str<'a>(doc: &'a JsonValue, key: &str) -> Result<Option<&'a str>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    v.as_str()
+        .filter(|s| !s.is_empty())
+        .map(Some)
+        .ok_or_else(|| format!("\"{key}\" must be a non-empty string"))
+}
+
 /// The processing pipeline a request asks for. The wire default is
 /// [`Mode::Short`], so documents from pre-mode clients decode unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -178,60 +207,28 @@ impl Request {
     ///
     /// Returns a client-facing message naming the violated constraint.
     pub fn decode(doc: &JsonValue) -> Result<Request, String> {
-        let kind = doc
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("align");
-        match kind {
+        // A field that is present must be well-typed: a malformed value is
+        // the client's bug to hear about, never a silent default.
+        match wire_str(doc, "kind")?.unwrap_or("align") {
             "align" => {
-                let id = doc
-                    .get("id")
-                    .and_then(JsonValue::as_num)
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or("align request needs a non-negative integer \"id\"")?
-                    as u64;
-                let seq = doc
-                    .get("seq")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("align request needs a \"seq\" string")?;
-                if seq.is_empty() {
-                    return Err("\"seq\" must be non-empty".to_string());
-                }
+                let id = wire_uint(doc, "id")?.ok_or("align request needs an \"id\"")?;
+                let seq = wire_str(doc, "seq")?.ok_or("align request needs a \"seq\"")?;
                 let codes = seq
                     .parse::<nvwa_genome::DnaSeq>()
                     .map_err(|e| e.to_string())?
                     .codes()
                     .to_vec();
-                let deadline_ms = doc
-                    .get("deadline_ms")
-                    .and_then(JsonValue::as_num)
-                    .filter(|n| *n >= 0.0)
-                    .map(|n| n as u64);
-                let tenant = doc
-                    .get("tenant")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string);
-                if matches!(&tenant, Some(t) if t.is_empty()) {
-                    return Err("\"tenant\" must be non-empty when present".to_string());
-                }
-                let region = doc
-                    .get("region")
-                    .and_then(JsonValue::as_num)
-                    .filter(|n| *n >= 0.0)
-                    .map(|n| n as u64);
-                let mode = match doc.get("mode") {
+                let mode = match wire_str(doc, "mode")? {
                     None => Mode::Short,
-                    Some(v) => v
-                        .as_str()
-                        .and_then(Mode::from_wire)
+                    Some(m) => Mode::from_wire(m)
                         .ok_or("\"mode\" must be \"short\", \"long\" or \"classify\"")?,
                 };
                 Ok(Request::Align {
                     id,
                     codes,
-                    deadline_ms,
-                    tenant,
-                    region,
+                    deadline_ms: wire_uint(doc, "deadline_ms")?,
+                    tenant: wire_str(doc, "tenant")?.map(str::to_string),
+                    region: wire_uint(doc, "region")?,
                     mode,
                 })
             }
@@ -494,60 +491,48 @@ impl WireAlignment {
 }
 
 impl AlignResponse {
-    /// An `ok` response from an optional alignment.
-    pub fn ok(id: u64, alignment: Option<&Alignment>, batch_size: u64) -> AlignResponse {
+    /// A response to a request that was executed (`ok` / `unmapped`).
+    fn completed(
+        id: u64,
+        status: Status,
+        alignment: Option<WireAlignment>,
+        classify: Option<ClassifyResult>,
+        batch_size: u64,
+    ) -> AlignResponse {
         AlignResponse {
             id,
-            status: Status::Ok,
+            status,
             error: None,
-            alignment: alignment.map(WireAlignment::from_alignment),
+            alignment,
             batch_size: Some(batch_size),
             sim_cycles: None,
-            classify: None,
+            classify,
         }
+    }
+
+    /// An `ok` response from an optional alignment.
+    pub fn ok(id: u64, alignment: Option<&Alignment>, batch_size: u64) -> AlignResponse {
+        let alignment = alignment.map(WireAlignment::from_alignment);
+        Self::completed(id, Status::Ok, alignment, None, batch_size)
     }
 
     /// An `ok` response carrying an already-projected wire alignment
     /// (the long-read path, whose alignment type differs from the
     /// short-read [`Alignment`]).
     pub fn ok_wire(id: u64, alignment: WireAlignment, batch_size: u64) -> AlignResponse {
-        AlignResponse {
-            id,
-            status: Status::Ok,
-            error: None,
-            alignment: Some(alignment),
-            batch_size: Some(batch_size),
-            sim_cycles: None,
-            classify: None,
-        }
+        Self::completed(id, Status::Ok, Some(alignment), None, batch_size)
     }
 
     /// An `unmapped` response: the long-read pipeline ran to completion
     /// but no chain placed the read.
     pub fn unmapped(id: u64, batch_size: u64) -> AlignResponse {
-        AlignResponse {
-            id,
-            status: Status::Unmapped,
-            error: None,
-            alignment: None,
-            batch_size: Some(batch_size),
-            sim_cycles: None,
-            classify: None,
-        }
+        Self::completed(id, Status::Unmapped, None, None, batch_size)
     }
 
     /// An `ok` classify-mode response carrying the per-tenant score
     /// table.
     pub fn classified(id: u64, result: ClassifyResult, batch_size: u64) -> AlignResponse {
-        AlignResponse {
-            id,
-            status: Status::Ok,
-            error: None,
-            alignment: None,
-            batch_size: Some(batch_size),
-            sim_cycles: None,
-            classify: Some(result),
-        }
+        Self::completed(id, Status::Ok, None, Some(result), batch_size)
     }
 
     /// A terminal failure response (`shed` / `deadline` / `error`).
@@ -852,6 +837,39 @@ mod tests {
         assert!(Request::decode(&bad_seq).is_err());
         let unknown = JsonValue::obj(vec![("kind", JsonValue::Str("nope".to_string()))]);
         assert!(Request::decode(&unknown).unwrap_err().contains("nope"));
+    }
+
+    #[test]
+    fn present_but_malformed_fields_are_rejected_not_defaulted() {
+        let with = |key: &'static str, value: JsonValue| {
+            let mut pairs = vec![
+                ("id", JsonValue::Num(1.0)),
+                ("seq", JsonValue::Str("ACGT".to_string())),
+            ];
+            pairs.retain(|(k, _)| *k != key);
+            pairs.push((key, value));
+            Request::decode(&JsonValue::obj(pairs))
+        };
+        let text = |s: &str| JsonValue::Str(s.to_string());
+        for (key, value) in [
+            ("kind", JsonValue::Num(7.0)),
+            ("id", text("1")),
+            ("id", JsonValue::Num(-1.0)),
+            ("id", JsonValue::Num(1.5)),
+            ("id", JsonValue::Num(1e300)),
+            ("id", JsonValue::Num(f64::NAN)),
+            ("deadline_ms", text("soon")),
+            ("deadline_ms", JsonValue::Null),
+            ("region", JsonValue::Bool(true)),
+            ("tenant", JsonValue::Num(3.0)),
+            ("mode", JsonValue::Num(3.0)),
+            ("seq", JsonValue::Arr(Vec::new())),
+        ] {
+            let err = with(key, value.clone()).expect_err(key);
+            assert!(err.contains(key), "{key} = {value}: {err}");
+        }
+        // The bound itself is still a valid id.
+        assert!(with("id", JsonValue::Num(MAX_WIRE_INT)).is_ok());
     }
 
     #[test]

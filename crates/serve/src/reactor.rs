@@ -1,27 +1,30 @@
-//! Event-driven connection frontend: one thread, `poll(2)`, 10k+ sockets.
+//! The connection frontend: one thread, `poll(2)`, 10k+ sockets.
 //!
-//! The thread-per-connection frontend (`server.rs`) is simple and fast at
-//! hundreds of clients, but a million-user deployment holds most
-//! connections *idle* — and an idle connection must not cost a thread.
-//! This module replaces the acceptor + reader threads with a single
-//! **readiness reactor**:
+//! A million-user deployment holds most connections *idle*, and an idle
+//! connection must not cost a thread. So the server has exactly one door,
+//! a single **readiness reactor** thread that owns the listener and every
+//! client socket:
 //!
 //! * every client socket is nonblocking and registered with `poll(2)`
 //!   (declared directly against libc, the same std-only shim pattern as
 //!   `signal.rs` — std already links libc on Unix);
 //! * a per-connection state machine reassembles length-prefixed frames
-//!   from partial reads and drains buffered responses on writability;
+//!   from partial reads, hands each complete frame to
+//!   [`dispatch_request`] inline (decode, admission, shed and `stats`
+//!   answers all run on this thread) and drains buffered responses on
+//!   writability;
 //! * workers never touch sockets: they enqueue the encoded response on
 //!   the connection's output buffer ([`ReactorConn`]) and tickle the
 //!   reactor through a self-pipe waker, so the poll loop wakes and
 //!   flushes.
 //!
-//! Requests flow into exactly the same admission queue → batcher → worker
-//! pipeline as the threaded frontend (`dispatch_request` is shared code),
-//! so responses are bit-identical — the conformance suite pins the two
-//! frontends against each other. What changes is the cost model: N idle
-//! connections cost one thread and one `pollfd` each, not N parked reader
-//! threads.
+//! N idle connections cost one `pollfd` each, not N parked threads
+//! (BENCH_PR8.json: 9.5k idle sockets at 5 threads / 31 MB, against 2k
+//! sockets at 2 005 threads / 45 MB for the thread-per-connection
+//! frontend this replaced). Being the only door also makes this thread a
+//! single point of failure, so nothing here may panic on wire-derived
+//! bytes: frames are bounded before they are buffered, and every decode
+//! failure is an `error` answer, never an `unwrap`.
 //!
 //! ```text
 //!            ┌────────────────── reactor thread ──────────────────┐
@@ -42,7 +45,7 @@ use std::time::{Duration, Instant};
 use nvwa_telemetry::JsonValue;
 
 use crate::protocol::{write_frame, AlignResponse, Status, MAX_FRAME_BYTES};
-use crate::server::{dispatch_request, ResponseSink, Shared};
+use crate::server::{dispatch_request, Shared};
 
 // ---------------------------------------------------------------------------
 // poll(2) shim — std exposes no readiness API; declare the symbol directly.
@@ -149,8 +152,9 @@ impl Waker {
 
 /// Output side of one reactor connection: workers (and the dispatch path)
 /// enqueue encoded frames here; the reactor thread flushes them when the
-/// socket is writable. This is the reactor's [`ResponseSink`].
+/// socket is writable.
 pub(crate) struct ReactorConn {
+    /// Accept-order connection id (span-chain and flight-event operand).
     id: u64,
     out: Mutex<OutBuf>,
     /// Requests dispatched minus responses enqueued — the connection is
@@ -166,8 +170,9 @@ struct OutBuf {
     dead: bool,
 }
 
-impl ResponseSink for ReactorConn {
-    fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
+impl ReactorConn {
+    /// Enqueues one response frame and wakes the reactor to flush it.
+    pub(crate) fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
         let mut out = self.out.lock().unwrap();
         // One response per dispatched request, success or not.
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -183,7 +188,7 @@ impl ResponseSink for ReactorConn {
         Ok(())
     }
 
-    fn conn_id(&self) -> u64 {
+    pub(crate) fn conn_id(&self) -> u64 {
         self.id
     }
 }
@@ -244,7 +249,7 @@ impl Conn {
 }
 
 /// How long the poll loop sleeps when nothing is ready (also the shutdown
-/// observation latency, matching the threaded frontend's tick).
+/// observation latency).
 const POLL_TIMEOUT_MS: i32 = 20;
 
 /// Hard ceiling on the post-shutdown flush (a stuck client must not wedge
@@ -433,14 +438,12 @@ fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
         };
         // One request in flight; its response (through the sink) settles it.
         conn.sink.in_flight.fetch_add(1, Ordering::AcqRel);
-        let sink: Arc<dyn ResponseSink> = Arc::clone(&conn.sink) as Arc<dyn ResponseSink>;
-        dispatch_request(shared, &sink, &doc);
+        dispatch_request(shared, &conn.sink, &doc);
     }
 }
 
 /// Frame-level failure: answer `error` and close once it is flushed —
-/// framing may be lost, exactly like the threaded frontend dropping the
-/// connection.
+/// framing may be lost, so nothing after it on this connection is read.
 fn protocol_failure(conn: &mut Conn, shared: &Arc<Shared>, msg: &str) {
     shared.metrics.protocol_error();
     let resp = AlignResponse::failure(0, Status::Error, msg);

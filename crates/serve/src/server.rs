@@ -6,15 +6,14 @@
 //! frontend ──▶ route (tenant, shard) ──▶ admission queue ──▶ batcher ──▶ batch
 //!     ▲          try_admit / try_push        (bounded)     fill-or-timeout queue
 //!     │                                                       (per engine)  │
-//!     └───────────────── responses (per-conn sink) ◀────── workers (pool) ◀─┘
+//!     └──────────────── responses (per-conn buffer) ◀───── workers (pool) ◀─┘
 //! ```
 //!
-//! * **Two frontends, one pipeline**: the thread-per-connection frontend
-//!   (an acceptor plus one reader thread per socket) and the poll-based
-//!   reactor (`reactor.rs`, one thread for every socket) feed the same
-//!   `dispatch_request` → admission → batcher → worker path through the
-//!   [`ResponseSink`] trait, so responses are bit-identical across
-//!   frontends — only the idle-connection cost model differs.
+//! * **One door**: the poll-based reactor (`reactor.rs`, one thread for
+//!   every socket) is the only connection frontend. It reassembles frames
+//!   and calls `dispatch_request` inline; workers answer by enqueueing on
+//!   the connection's `ReactorConn` output buffer, which the reactor
+//!   thread flushes — no other thread touches a client socket.
 //! * **Multi-tenant engines**: each (tenant, shard) pair owns an *engine*
 //!   — its own admission queue, batcher and worker pool over a cheap
 //!   `Arc<ReferenceIndex>` clone from the [`crate::registry`]. Requests
@@ -35,8 +34,7 @@
 //!   formed batches, answers everything, then joins all threads — an
 //!   admitted request is never dropped.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,10 +52,11 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::flight::FlightEventKind;
 use crate::metrics::{ObservabilityConfig, ServeMetrics};
 use crate::protocol::{
-    write_frame, AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore, WireAlignment,
-    MAX_FRAME_BYTES,
+    AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore, WireAlignment,
 };
 use crate::queue::{BoundedQueue, Popped, PushError};
+#[cfg(unix)]
+use crate::reactor::ReactorConn;
 use crate::registry::{
     region_hash, route_shard, try_admit_counted, AdmitGuard, IndexRegistry, TenantSpec,
     DEFAULT_SA_RATE,
@@ -66,24 +65,19 @@ use crate::registry::{
 /// How often blocked loops re-check the shutdown flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Which connection frontend accepts and reads client sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// One reader thread per connection (simple; fine up to ~hundreds).
-    Threads,
-    /// One poll-based reactor thread for every connection
-    /// (`reactor.rs`; 10k+ idle connections cost no extra threads).
-    Reactor,
-}
+/// Off unix there is no `poll(2)`: [`Server::start`] refuses to launch, so
+/// no connection — and no value of this type — ever exists.
+#[cfg(not(unix))]
+pub(crate) enum ReactorConn {}
 
-impl Frontend {
-    /// Parses the CLI name.
-    pub fn parse(s: &str) -> Option<Frontend> {
-        match s {
-            "threads" => Some(Frontend::Threads),
-            "reactor" => Some(Frontend::Reactor),
-            _ => None,
-        }
+#[cfg(not(unix))]
+impl ReactorConn {
+    fn send(&self, _doc: &JsonValue) -> std::io::Result<()> {
+        match *self {}
+    }
+
+    fn conn_id(&self) -> u64 {
+        match *self {}
     }
 }
 
@@ -120,8 +114,6 @@ impl TenantServeSpec {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Connection frontend.
-    pub frontend: Frontend,
     /// Admission-queue capacity per engine — the backpressure bound.
     pub queue_capacity: usize,
     /// Worker threads per engine executing batches.
@@ -175,7 +167,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            frontend: Frontend::Threads,
             queue_capacity: 1024,
             workers: nvwa_sim::par::current_threads(),
             batch: BatcherConfig::default(),
@@ -195,21 +186,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The write half of a connection, shared by whatever threads answer on
-/// it. Implemented by the threaded frontend's [`ConnWriter`] (a mutexed
-/// socket) and the reactor's `ReactorConn` (a buffered sink the poll loop
-/// flushes) — the pipeline never knows which.
-pub(crate) trait ResponseSink: Send + Sync {
-    /// Writes one response frame.
-    fn send(&self, doc: &JsonValue) -> std::io::Result<()>;
-    /// Accept-order connection id (span-chain and flight-event operand).
-    fn conn_id(&self) -> u64;
-}
-
 /// A request travelling through the queues: the decoded read plus the
 /// connection to answer on and its tracing identity.
 struct PendingRead {
-    conn: Arc<dyn ResponseSink>,
+    conn: Arc<ReactorConn>,
     id: u64,
     codes: Vec<u8>,
     /// Trace id minted at admission (unique per admitted request).
@@ -222,25 +202,6 @@ struct PendingRead {
     picked_at: Option<Instant>,
     /// Quota slot held until the response is written (RAII, panic-safe).
     _guard: Option<AdmitGuard>,
-}
-
-/// The threaded frontend's [`ResponseSink`]: frames are written under the
-/// mutex so responses never interleave.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    /// Accept-order connection id.
-    id: u64,
-}
-
-impl ResponseSink for ConnWriter {
-    fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
-        let mut stream = self.stream.lock().unwrap();
-        write_frame(&mut *stream, doc)
-    }
-
-    fn conn_id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// One (tenant, shard) execution pipeline: admission queue → batcher →
@@ -298,9 +259,9 @@ pub(crate) struct Shared {
     trace_seq: AtomicU64,
     /// Accept-order connection id mint.
     pub(crate) conn_seq: AtomicU64,
-    /// Stop admitting: frontends shed, the acceptor exits.
+    /// Stop admitting: the reactor sheds and stops accepting.
     pub(crate) draining: AtomicBool,
-    /// Everything drained: frontends exit.
+    /// Everything drained: the reactor flushes and exits.
     pub(crate) closed: AtomicBool,
     /// A client sent `shutdown`; the owner should call [`Server::shutdown`].
     shutdown_requested: AtomicBool,
@@ -311,11 +272,10 @@ pub(crate) struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    /// The acceptor (threaded frontend) or the reactor thread.
+    /// The reactor thread.
     frontend: Option<std::thread::JoinHandle<()>>,
     batchers: Vec<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     controller: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -334,7 +294,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error.
+    /// Returns the bind error, and `Unsupported` off unix (the reactor
+    /// needs `poll(2)`).
     pub fn start(index: Arc<ReferenceIndex>, config: ServerConfig) -> std::io::Result<Server> {
         let tenants = vec![TenantInit {
             name: "default".to_string(),
@@ -342,7 +303,7 @@ impl Server {
             shards: 1,
             quota: None,
         }];
-        Server::launch(config, tenants, None, false)
+        Server::launch(config, tenants, None)
     }
 
     /// Binds and starts a multi-tenant server: every
@@ -382,14 +343,26 @@ impl Server {
                 quota: spec.quota,
             });
         }
-        Server::launch(config, tenants, Some(registry), true)
+        Server::launch(config, tenants, Some(registry))
     }
 
+    #[cfg(not(unix))]
+    fn launch(
+        _config: ServerConfig,
+        _tenants: Vec<TenantInit>,
+        _registry: Option<IndexRegistry>,
+    ) -> std::io::Result<Server> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the reactor frontend needs poll(2)",
+        ))
+    }
+
+    #[cfg(unix)]
     fn launch(
         mut config: ServerConfig,
         tenants: Vec<TenantInit>,
         registry: Option<IndexRegistry>,
-        tenant_stats: bool,
     ) -> std::io::Result<Server> {
         // Every serving deployment accepts all three request modes: give
         // long-read and classify traffic their dedicated bins (and class
@@ -415,7 +388,8 @@ impl Server {
         let mut engines = Vec::with_capacity(engine_count);
         let mut routes = Vec::with_capacity(tenants.len());
         for (t, init) in tenants.into_iter().enumerate() {
-            if tenant_stats {
+            // Per-tenant stats sections exist only on registry servers.
+            if registry.is_some() {
                 metrics.register_tenant(&init.name, init.shards);
             }
             // One minimizer index per tenant, shared by its shards: the
@@ -449,7 +423,6 @@ impl Server {
                 in_flight: Arc::new(AtomicU64::new(0)),
             });
         }
-        let frontend_kind = config.frontend;
         let controller = config
             .adaptive
             .clone()
@@ -476,29 +449,9 @@ impl Server {
             closed: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
         });
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let frontend = match frontend_kind {
-            Frontend::Threads => {
-                let shared = Arc::clone(&shared);
-                let readers = Arc::clone(&readers);
-                std::thread::spawn(move || accept_loop(listener, shared, readers))
-            }
-            Frontend::Reactor => {
-                #[cfg(unix)]
-                {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || crate::reactor::reactor_loop(listener, shared))
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "the reactor frontend needs poll(2)",
-                    ));
-                }
-            }
+        let frontend = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || crate::reactor::reactor_loop(listener, shared))
         };
         let batchers = (0..shared.engines.len())
             .map(|e| {
@@ -528,7 +481,6 @@ impl Server {
             frontend: Some(frontend),
             batchers,
             workers: worker_handles,
-            readers,
             controller: controller_thread,
         })
     }
@@ -607,144 +559,28 @@ impl Server {
         if let Some(h) = self.frontend.take() {
             let _ = h.join();
         }
-        let readers = std::mem::take(&mut *self.readers.lock().unwrap());
-        for h in readers {
-            let _ = h.join();
-        }
         // The hub outlives the server so callers can snapshot post-drain.
         Arc::clone(&self.shared.metrics)
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.draining.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                let writer: Arc<dyn ResponseSink> = match stream.try_clone() {
-                    Ok(w) => Arc::new(ConnWriter {
-                        stream: Mutex::new(w),
-                        id: shared.conn_seq.fetch_add(1, Ordering::Relaxed),
-                    }),
-                    Err(_) => continue,
-                };
-                shared.metrics.connection_accepted();
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || reader_loop(shared, stream, writer));
-                readers.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
+/// Enqueues one response; a connection that already died is a counted write error.
+fn answer(shared: &Shared, sink: &ReactorConn, doc: &JsonValue) {
+    if sink.send(doc).is_err() {
+        shared.metrics.write_error();
     }
 }
 
-/// Reads `buf` fully, riding out read-timeout ticks (they exist so the
-/// loop can observe shutdown). Returns `false` on EOF before any byte of
-/// this frame, errors on EOF mid-frame.
-fn read_patient(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    allow_eof: bool,
-) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.closed.load(Ordering::Relaxed) {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if allow_eof && filled == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-fn read_request_frame(
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> std::io::Result<Option<JsonValue>> {
-    let mut len_buf = [0u8; 4];
-    if !read_patient(stream, &mut len_buf, shared, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    if !read_patient(stream, &mut body, shared, false)? {
-        return Ok(None);
-    }
-    let text = String::from_utf8(body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    JsonValue::parse(&text)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<dyn ResponseSink>) {
-    loop {
-        let doc = match read_request_frame(&mut stream, &shared) {
-            Ok(Some(doc)) => doc,
-            Ok(None) => return,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                shared.metrics.protocol_error();
-                let resp = AlignResponse::failure(0, Status::Error, &e.to_string());
-                let _ = writer.send(&resp.encode());
-                return; // framing may be lost — drop the connection
-            }
-            Err(_) => return,
-        };
-        dispatch_request(&shared, &writer, &doc);
-    }
-}
-
-/// Decodes and executes one request document — the single entry point
-/// shared by both frontends, so their observable behavior cannot diverge.
-pub(crate) fn dispatch_request(
-    shared: &Arc<Shared>,
-    sink: &Arc<dyn ResponseSink>,
-    doc: &JsonValue,
-) {
+/// Decodes and executes one request document (called by the reactor
+/// thread for every complete frame).
+pub(crate) fn dispatch_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, doc: &JsonValue) {
     let request = match Request::decode(doc) {
         Ok(r) => r,
         Err(msg) => {
             shared.metrics.protocol_error();
             let id = doc.get("id").and_then(JsonValue::as_num).unwrap_or(0.0) as u64;
             let resp = AlignResponse::failure(id, Status::Error, &msg);
-            if sink.send(&resp.encode()).is_err() {
-                shared.metrics.write_error();
-            }
+            answer(shared, sink, &resp.encode());
             return;
         }
     };
@@ -769,26 +605,20 @@ pub(crate) fn dispatch_request(
         Request::Stats => {
             let meta = SnapshotMeta::collect(nvwa_sim::par::current_threads());
             let mut stats = shared.metrics.stats_response(&meta);
-            if let Some(registry) = &shared.registry {
-                if let JsonValue::Obj(pairs) = &mut stats {
+            if let JsonValue::Obj(pairs) = &mut stats {
+                if let Some(registry) = &shared.registry {
                     pairs.push(("registry".to_string(), registry.summary_json()));
                 }
-            }
-            if let Some(controller) = &shared.controller {
-                let snap = controller.lock().unwrap().snapshot_json();
-                if let JsonValue::Obj(pairs) = &mut stats {
+                if let Some(controller) = &shared.controller {
+                    let snap = controller.lock().unwrap().snapshot_json();
                     pairs.push(("controller".to_string(), snap));
                 }
             }
-            if sink.send(&stats).is_err() {
-                shared.metrics.write_error();
-            }
+            answer(shared, sink, &stats);
         }
         Request::Flight => {
             let dump = dump_flight(shared, "explicit");
-            if sink.send(&dump).is_err() {
-                shared.metrics.write_error();
-            }
+            answer(shared, sink, &dump);
         }
         Request::Shutdown => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
@@ -796,9 +626,7 @@ pub(crate) fn dispatch_request(
                 ("kind", JsonValue::Str("shutdown".to_string())),
                 ("ok", JsonValue::Bool(true)),
             ]);
-            if sink.send(&ack).is_err() {
-                shared.metrics.write_error();
-            }
+            answer(shared, sink, &ack);
         }
     }
 }
@@ -806,7 +634,7 @@ pub(crate) fn dispatch_request(
 #[allow(clippy::too_many_arguments)]
 fn handle_align(
     shared: &Arc<Shared>,
-    sink: &Arc<dyn ResponseSink>,
+    sink: &Arc<ReactorConn>,
     id: u64,
     codes: Vec<u8>,
     mode: Mode,
@@ -828,9 +656,7 @@ fn handle_align(
                 shared.metrics.protocol_error();
                 let resp =
                     AlignResponse::failure(id, Status::Error, &format!("unknown tenant {name:?}"));
-                if sink.send(&resp.encode()).is_err() {
-                    shared.metrics.write_error();
-                }
+                answer(shared, sink, &resp.encode());
                 return;
             }
         },
@@ -857,9 +683,7 @@ fn handle_align(
                 route.quota.unwrap_or(0)
             ),
         );
-        if sink.send(&resp.encode()).is_err() {
-            shared.metrics.write_error();
-        }
+        answer(shared, sink, &resp.encode());
         return;
     };
     // Deterministic shard routing: the client's region hint (or the read
@@ -887,20 +711,17 @@ fn handle_align(
     // Per-mode default deadlines: a long-read GACT fill or a registry-wide
     // classify screen gets its own budget when configured.
     let mode_default = match mode {
-        Mode::Short => shared.config.default_deadline,
-        Mode::Long => shared
-            .config
-            .long_deadline
-            .or(shared.config.default_deadline),
-        Mode::Classify => shared
-            .config
-            .classify_deadline
-            .or(shared.config.default_deadline),
-    };
+        Mode::Short => None,
+        Mode::Long => shared.config.long_deadline,
+        Mode::Classify => shared.config.classify_deadline,
+    }
+    .or(shared.config.default_deadline);
+    // `Instant + Duration` panics on overflow and `deadline_ms` is the
+    // client's number: a deadline too far off to represent never expires.
     let deadline = deadline_ms
         .map(Duration::from_millis)
         .or(mode_default)
-        .map(|d| now + d);
+        .and_then(|d| now.checked_add(d));
     let len = codes.len();
     let item = BatchItem {
         payload: PendingRead {
@@ -955,7 +776,7 @@ fn handle_align(
 
 fn shed(
     shared: &Shared,
-    sink: &Arc<dyn ResponseSink>,
+    sink: &ReactorConn,
     id: u64,
     why: &str,
     tenant_shard: Option<(usize, Option<usize>)>,
@@ -972,9 +793,7 @@ fn shed(
         dump_flight(shared, "shed_storm");
     }
     let resp = AlignResponse::failure(id, Status::Shed, why);
-    if sink.send(&resp.encode()).is_err() {
-        shared.metrics.write_error();
-    }
+    answer(shared, sink, &resp.encode());
 }
 
 /// Dumps the flight recorder, writing `flight_<reason>.json` when the
@@ -1089,33 +908,19 @@ fn ship(shared: &Shared, engine: &Engine, batch: Batch<PendingRead>) {
             0,
         );
         for item in &batch.expired {
-            let fill_end = Instant::now();
             let resp = AlignResponse::failure(
                 item.payload.id,
                 Status::Deadline,
                 "deadline expired while queued",
             );
-            if item.payload.conn.send(&resp.encode()).is_err() {
-                shared.metrics.write_error();
-            }
-            let written = Instant::now();
-            let picked = item.payload.picked_at.unwrap_or(item.admitted_at);
-            record_done(
+            respond_and_trace(
                 shared,
                 engine,
-                RequestSpans::chain(
-                    item.payload.trace_id,
-                    item.payload.conn.conn_id(),
-                    item.payload.id,
-                    batch.bin,
-                    Outcome::Deadline,
-                    item.payload.t0_ns,
-                    &[
-                        (Stage::Queue, ns_between(item.admitted_at, picked)),
-                        (Stage::Fill, ns_between(picked, fill_end)),
-                        (Stage::Write, ns_between(fill_end, written)),
-                    ],
-                ),
+                item,
+                batch.bin,
+                Outcome::Deadline,
+                None,
+                &resp,
             );
         }
     }
@@ -1145,7 +950,7 @@ fn worker_loop(shared: Arc<Shared>, engine_id: usize, worker: usize) {
             Popped::Closed => return,
             Popped::TimedOut => continue,
         };
-        execute_and_respond(&shared, engine, worker, batch, &mut scratch);
+        execute_batch(&shared, engine, worker, batch, &mut scratch);
         let (hits, lookups) = scratch.seed_cache_stats();
         shared.metrics.seed_cache(hits, lookups);
         scratch.reset_seed_cache_stats();
@@ -1172,26 +977,25 @@ fn record_done(shared: &Shared, engine: &Engine, chain: RequestSpans) {
 /// are integer nanoseconds between consecutive timestamps of one
 /// monotonic sequence (admitted → picked → exec start → exec done →
 /// written), so the chain is contiguous and sums exactly to the
-/// end-to-end latency by construction.
-#[allow(clippy::too_many_arguments)]
+/// end-to-end latency by construction. `exec` is the batch's execution
+/// interval; `None` (deadline expiry: answered at batch formation, never
+/// executed) leaves the align stage out of the chain.
 fn respond_and_trace(
     shared: &Shared,
     engine: &Engine,
     item: &BatchItem<PendingRead>,
     bin: usize,
     outcome: Outcome,
-    exec_start: Instant,
-    exec_done: Instant,
+    exec: Option<(Instant, Instant)>,
     resp: &AlignResponse,
 ) {
-    if item.payload.conn.send(&resp.encode()).is_err() {
-        shared.metrics.write_error();
-    }
+    let write_start = exec.map_or_else(Instant::now, |(_, done)| done);
+    answer(shared, &item.payload.conn, &resp.encode());
     let written = Instant::now();
     let picked = item.payload.picked_at.unwrap_or(item.admitted_at);
-    record_done(
-        shared,
-        engine,
+    let queue = (Stage::Queue, ns_between(item.admitted_at, picked));
+    let write = (Stage::Write, ns_between(write_start, written));
+    let chain = |stages: &[(Stage, u64)]| {
         RequestSpans::chain(
             item.payload.trace_id,
             item.payload.conn.conn_id(),
@@ -1199,68 +1003,28 @@ fn respond_and_trace(
             bin,
             outcome,
             item.payload.t0_ns,
-            &[
-                (Stage::Queue, ns_between(item.admitted_at, picked)),
-                (Stage::Fill, ns_between(picked, exec_start)),
-                (Stage::Align, ns_between(exec_start, exec_done)),
-                (Stage::Write, ns_between(exec_done, written)),
-            ],
-        ),
-    );
+            stages,
+        )
+    };
+    let chain = match exec {
+        Some((start, done)) => chain(&[
+            queue,
+            (Stage::Fill, ns_between(picked, start)),
+            (Stage::Align, ns_between(start, done)),
+            write,
+        ]),
+        None => chain(&[queue, (Stage::Fill, ns_between(picked, write_start)), write]),
+    };
+    record_done(shared, engine, chain);
 }
 
-fn execute_and_respond(
-    shared: &Shared,
-    engine: &Engine,
-    worker: usize,
-    batch: Batch<PendingRead>,
-    scratch: &mut AlignScratch,
-) {
-    // Batches are mode-homogeneous by construction (`bin_for` separates
-    // modes before lengths), so the execution path is a per-batch choice.
-    match batch.mode {
-        Mode::Short => execute_short(shared, engine, worker, batch, scratch),
-        Mode::Long => execute_long(shared, engine, worker, batch),
-        Mode::Classify => execute_classify(shared, engine, worker, batch),
-    }
-}
-
-/// Answers every item of a panicked batch `error` and freezes the
-/// lead-up in a flight dump (shared by all three execution paths).
-fn answer_batch_panic(
-    shared: &Shared,
-    engine: &Engine,
-    batch: &Batch<PendingRead>,
-    seq: u64,
-    worker: usize,
-    start: Instant,
-) {
-    let exec_done = Instant::now();
-    shared.metrics.worker_panic();
-    shared
-        .metrics
-        .flight_event(FlightEventKind::Panic, seq, worker as u64, 0);
-    for item in &batch.items {
-        let resp = AlignResponse::failure(
-            item.payload.id,
-            Status::Error,
-            "internal error: batch execution panicked",
-        );
-        respond_and_trace(
-            shared,
-            engine,
-            item,
-            batch.bin,
-            Outcome::Error,
-            start,
-            exec_done,
-            &resp,
-        );
-    }
-    dump_flight(shared, "worker_panic");
-}
-
-fn execute_short(
+/// Executes one batch and answers every item: the one skeleton all three
+/// request modes share. Batches are mode-homogeneous by construction
+/// (`bin_for` separates modes before lengths), so the per-mode work is a
+/// plain per-batch `match`; everything observable around it — timing,
+/// flight events, panic containment, span chains, the Chrome-trace span —
+/// lives here once.
+fn execute_batch(
     shared: &Shared,
     engine: &Engine,
     worker: usize,
@@ -1272,11 +1036,6 @@ fn execute_short(
     if let Some(delay) = shared.config.worker_delay {
         std::thread::sleep(delay);
     }
-    let pairs: Vec<(u64, Vec<u8>)> = batch
-        .items
-        .iter()
-        .map(|item| (item.payload.id, item.payload.codes.clone()))
-        .collect();
     let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
     let batch_size = batch.items.len() as u64;
     shared.metrics.flight_event(
@@ -1286,111 +1045,111 @@ fn execute_short(
         batch_size,
     );
     // A panicking batch must never take a worker (or an admitted request)
-    // with it: catch it, answer every item `error`, replace the scratch —
-    // its buffers may be mid-update — and keep serving.
+    // with it: catch it, answer every item `error` and keep serving.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if shared.config.worker_panic_at_batch == Some(seq) {
             panic!("injected fault: worker panic at batch {seq}");
         }
-        execute_batch_with(
-            &engine.index,
-            &shared.config.aligner,
-            &shared.config.backend,
-            &pairs,
-            scratch,
-        )
-    }));
-    let outcome = match result {
-        Ok(outcome) => outcome,
-        Err(_) => {
-            // The scratch's buffers may be mid-update — replace it before
-            // answering (the panic is exactly the incident the flight
-            // recorder exists for).
-            *scratch = AlignScratch::new();
-            answer_batch_panic(shared, engine, &batch, seq, worker, start);
-            return;
+        match batch.mode {
+            Mode::Short => run_short(shared, engine, &batch.items, scratch),
+            Mode::Long => (run_long(engine, &batch.items), None),
+            Mode::Classify => (run_classify(shared, engine, &batch.items), None),
         }
-    };
+    }));
     let exec_done = Instant::now();
-    // Recorded before the responses go out: a client that has seen every
-    // response (quiescence) is then guaranteed a ring with no dangling
-    // batch_start except a panicked batch's.
-    shared.metrics.flight_event(
-        FlightEventKind::BatchDone,
-        seq,
-        batch.bin as u64,
-        batch_size,
-    );
-    for (item, (id, alignment)) in batch.items.iter().zip(&outcome.results) {
-        debug_assert_eq!(item.payload.id, *id);
-        let mut resp = AlignResponse::ok(*id, alignment.as_ref(), batch_size);
-        resp.sim_cycles = outcome.sim_cycles;
-        respond_and_trace(
-            shared,
-            engine,
-            item,
-            batch.bin,
-            Outcome::Ok,
-            start,
-            exec_done,
-            &resp,
+    let panicked = result.is_err();
+    let (answers, sim_cycles) = result.unwrap_or_else(|_| {
+        // The scratch's buffers may be mid-update — replace it before
+        // answering (the panic is exactly the incident the flight
+        // recorder exists for).
+        *scratch = AlignScratch::new();
+        shared.metrics.worker_panic();
+        shared
+            .metrics
+            .flight_event(FlightEventKind::Panic, seq, worker as u64, 0);
+        let why = "internal error: batch execution panicked";
+        let error = |item: &BatchItem<PendingRead>| {
+            let resp = AlignResponse::failure(item.payload.id, Status::Error, why);
+            (resp, Outcome::Error)
+        };
+        (batch.items.iter().map(error).collect(), None)
+    });
+    if !panicked {
+        // Recorded before the responses go out: a client that has seen
+        // every response (quiescence) is then guaranteed a ring with no
+        // dangling batch_start except a panicked batch's.
+        shared.metrics.flight_event(
+            FlightEventKind::BatchDone,
+            seq,
+            batch.bin as u64,
+            batch_size,
         );
     }
+    let exec = Some((start, exec_done));
+    for (item, (resp, outcome)) in batch.items.iter().zip(&answers) {
+        debug_assert_eq!(item.payload.id, resp.id);
+        respond_and_trace(shared, engine, item, batch.bin, *outcome, exec, resp);
+    }
+    if panicked {
+        dump_flight(shared, "worker_panic");
+        return;
+    }
+    let label = match batch.mode {
+        Mode::Short => "",
+        Mode::Long => "long ",
+        Mode::Classify => "classify ",
+    };
     let dur_us = exec_done.duration_since(start).as_secs_f64() * 1e6;
     shared.metrics.batch_executed(
         worker,
-        &format!("batch bin{} n{}", batch.bin, batch_size),
+        &format!("batch {label}bin{} n{}", batch.bin, batch_size),
         start_us,
         dur_us,
-        outcome.sim_cycles,
+        sim_cycles,
     );
 }
 
-/// The long-read execution path: minimizer seeding → chaining → GACT
-/// tile fill over the tenant's minimizer index. A read whose chains all
-/// die is answered with the explicit `unmapped` status — completed work,
-/// not a rejection.
-fn execute_long(shared: &Shared, engine: &Engine, worker: usize, batch: Batch<PendingRead>) {
-    let start = Instant::now();
-    let start_us = shared.metrics.now_us();
-    if let Some(delay) = shared.config.worker_delay {
-        std::thread::sleep(delay);
-    }
-    let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    let batch_size = batch.items.len() as u64;
-    shared.metrics.flight_event(
-        FlightEventKind::BatchStart,
-        seq,
-        batch.bin as u64,
-        batch_size,
+/// The short-read path: the offline seed-and-extend aligner over the
+/// engine's FM-index (plus the accelerator replay under
+/// hardware-in-the-loop, whose cycle count every response carries).
+fn run_short(
+    shared: &Shared,
+    engine: &Engine,
+    items: &[BatchItem<PendingRead>],
+    scratch: &mut AlignScratch,
+) -> (Vec<(AlignResponse, Outcome)>, Option<u64>) {
+    let pairs: Vec<(u64, Vec<u8>)> = items
+        .iter()
+        .map(|item| (item.payload.id, item.payload.codes.clone()))
+        .collect();
+    let outcome = execute_batch_with(
+        &engine.index,
+        &shared.config.aligner,
+        &shared.config.backend,
+        &pairs,
+        scratch,
     );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if shared.config.worker_panic_at_batch == Some(seq) {
-            panic!("injected fault: worker panic at batch {seq}");
-        }
-        let aligner = LongReadAligner::new(&engine.long, LongReadConfig::default());
-        batch
-            .items
-            .iter()
-            .map(|item| aligner.align(&item.payload.codes))
-            .collect::<Vec<_>>()
-    }));
-    let alignments = match result {
-        Ok(a) => a,
-        Err(_) => {
-            answer_batch_panic(shared, engine, &batch, seq, worker, start);
-            return;
-        }
-    };
-    let exec_done = Instant::now();
-    shared.metrics.flight_event(
-        FlightEventKind::BatchDone,
-        seq,
-        batch.bin as u64,
-        batch_size,
-    );
-    for (item, alignment) in batch.items.iter().zip(&alignments) {
-        let (resp, outcome) = match alignment {
+    let answers = outcome
+        .results
+        .iter()
+        .map(|(id, alignment)| {
+            let mut resp = AlignResponse::ok(*id, alignment.as_ref(), items.len() as u64);
+            resp.sim_cycles = outcome.sim_cycles;
+            (resp, Outcome::Ok)
+        })
+        .collect();
+    (answers, outcome.sim_cycles)
+}
+
+/// The long-read path: minimizer seeding → chaining → GACT tile fill over
+/// the tenant's minimizer index. A read whose chains all die is answered
+/// with the explicit `unmapped` status — completed work, not a rejection.
+fn run_long(engine: &Engine, items: &[BatchItem<PendingRead>]) -> Vec<(AlignResponse, Outcome)> {
+    let aligner = LongReadAligner::new(&engine.long, LongReadConfig::default());
+    let batch_size = items.len() as u64;
+    items
+        .iter()
+        .map(|item| match aligner.align(&item.payload.codes) {
             Some(a) => (
                 AlignResponse::ok_wire(
                     item.payload.id,
@@ -1411,19 +1170,26 @@ fn execute_long(shared: &Shared, engine: &Engine, worker: usize, batch: Batch<Pe
                 AlignResponse::unmapped(item.payload.id, batch_size),
                 Outcome::Unmapped,
             ),
-        };
-        respond_and_trace(
-            shared, engine, item, batch.bin, outcome, start, exec_done, &resp,
-        );
-    }
-    let dur_us = exec_done.duration_since(start).as_secs_f64() * 1e6;
-    shared.metrics.batch_executed(
-        worker,
-        &format!("batch long bin{} n{}", batch.bin, batch_size),
-        start_us,
-        dur_us,
-        None,
-    );
+        })
+        .collect()
+}
+
+/// The metagenomic classify path: per-tenant minimizer hit scores across
+/// the whole registry, answered as an `ok` response with a `classify`
+/// section.
+fn run_classify(
+    shared: &Shared,
+    engine: &Engine,
+    items: &[BatchItem<PendingRead>],
+) -> Vec<(AlignResponse, Outcome)> {
+    items
+        .iter()
+        .map(|item| {
+            let result = classify_read(shared, engine, &item.payload.codes);
+            let resp = AlignResponse::classified(item.payload.id, result, items.len() as u64);
+            (resp, Outcome::Ok)
+        })
+        .collect()
 }
 
 /// Screens one read's minimizers across every tenant's index. Tenants
@@ -1466,68 +1232,4 @@ fn classify_read(shared: &Shared, engine: &Engine, codes: &[u8]) -> ClassifyResu
         missing,
         partial,
     }
-}
-
-/// The metagenomic classify path: per-tenant minimizer hit scores across
-/// the whole registry, answered as an `ok` response with a `classify`
-/// section.
-fn execute_classify(shared: &Shared, engine: &Engine, worker: usize, batch: Batch<PendingRead>) {
-    let start = Instant::now();
-    let start_us = shared.metrics.now_us();
-    if let Some(delay) = shared.config.worker_delay {
-        std::thread::sleep(delay);
-    }
-    let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    let batch_size = batch.items.len() as u64;
-    shared.metrics.flight_event(
-        FlightEventKind::BatchStart,
-        seq,
-        batch.bin as u64,
-        batch_size,
-    );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if shared.config.worker_panic_at_batch == Some(seq) {
-            panic!("injected fault: worker panic at batch {seq}");
-        }
-        batch
-            .items
-            .iter()
-            .map(|item| classify_read(shared, engine, &item.payload.codes))
-            .collect::<Vec<_>>()
-    }));
-    let results = match result {
-        Ok(r) => r,
-        Err(_) => {
-            answer_batch_panic(shared, engine, &batch, seq, worker, start);
-            return;
-        }
-    };
-    let exec_done = Instant::now();
-    shared.metrics.flight_event(
-        FlightEventKind::BatchDone,
-        seq,
-        batch.bin as u64,
-        batch_size,
-    );
-    for (item, classify) in batch.items.iter().zip(results) {
-        let resp = AlignResponse::classified(item.payload.id, classify, batch_size);
-        respond_and_trace(
-            shared,
-            engine,
-            item,
-            batch.bin,
-            Outcome::Ok,
-            start,
-            exec_done,
-            &resp,
-        );
-    }
-    let dur_us = exec_done.duration_since(start).as_secs_f64() * 1e6;
-    shared.metrics.batch_executed(
-        worker,
-        &format!("batch classify bin{} n{}", batch.bin, batch_size),
-        start_us,
-        dur_us,
-        None,
-    );
 }

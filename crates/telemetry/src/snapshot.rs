@@ -551,12 +551,33 @@ pub const FLIGHT_EVENT_KINDS: &[&str] = &[
 ];
 
 /// Validates a flight-recorder summary (the `flight` section of a `stats`
-/// response): ring occupancy identities and per-kind counts.
+/// response): the ring occupancy bound and per-kind counts. These are the
+/// identities that hold at *every* instant, so a live scrape may check
+/// them: the recorder claims a sequence number (bumping `recorded`)
+/// before the slot's payload is written, and a summary scans the ring
+/// while records keep landing behind the scan, so mid-run `retained` may
+/// trail `min(recorded, cap)` — it can never exceed it.
+/// [`validate_flight_summary_quiescent`] adds the equality.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first violated constraint.
 pub fn validate_flight_summary(doc: &JsonValue) -> Result<(), String> {
+    flight_summary(doc, false)
+}
+
+/// [`validate_flight_summary`] plus the *quiescent-only* identity
+/// `retained == min(recorded, cap)`: with no `record` call in flight (after
+/// `Server::shutdown`, or single-threaded) every claimed slot is written.
+///
+/// # Errors
+///
+/// Returns a message naming the first violated constraint.
+pub fn validate_flight_summary_quiescent(doc: &JsonValue) -> Result<(), String> {
+    flight_summary(doc, true)
+}
+
+fn flight_summary(doc: &JsonValue, quiescent: bool) -> Result<(), String> {
     let what = "flight summary";
     let cap = require_count(doc, "cap", what)?;
     if cap < 1.0 {
@@ -564,9 +585,11 @@ pub fn validate_flight_summary(doc: &JsonValue) -> Result<(), String> {
     }
     let recorded = require_count(doc, "recorded", what)?;
     let retained = require_count(doc, "retained", what)?;
-    if retained != recorded.min(cap) {
+    let bound = recorded.min(cap);
+    if retained > bound || (quiescent && retained != bound) {
+        let must = if quiescent { "must be" } else { "exceeds" };
         return Err(format!(
-            "{what}: retained ({retained}) must be min(recorded {recorded}, cap {cap})"
+            "{what}: retained ({retained}) {must} min(recorded {recorded}, cap {cap})"
         ));
     }
     require_count(doc, "dumps", what)?;
@@ -1419,9 +1442,17 @@ mod tests {
             "last_dump_reason": "worker_panic",
             "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
         }"#;
-        validate_flight_summary(&JsonValue::parse(summary).unwrap()).unwrap();
+        validate_flight_summary_quiescent(&JsonValue::parse(summary).unwrap()).unwrap();
         let bad = summary.replace("\"retained\": 4", "\"retained\": 5");
         assert!(validate_flight_summary(&JsonValue::parse(&bad).unwrap()).is_err());
+        // A live scrape may catch writers between claim and write: fewer
+        // retained than claimed is valid mid-run, not at quiescence.
+        let midrun = summary
+            .replace("\"retained\": 4", "\"retained\": 3")
+            .replace("\"admit\": 2", "\"admit\": 1");
+        let midrun = JsonValue::parse(&midrun).unwrap();
+        validate_flight_summary(&midrun).unwrap();
+        assert!(validate_flight_summary_quiescent(&midrun).is_err());
 
         let dump = r#"{
             "kind": "nvwa-flight", "schema_version": 1,

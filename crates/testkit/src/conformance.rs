@@ -34,9 +34,6 @@ pub enum Family {
     /// per-tenant bit-identity vs the offline aligners, unknown-tenant
     /// rejection ([`crate::tenancy`]).
     Registry,
-    /// Poll-reactor frontend differential vs the threaded frontend
-    /// ([`crate::tenancy`]).
-    Reactor,
     /// Adaptive batching controller: sharded-telemetry replay determinism
     /// and the stuck-window backoff ([`crate::controller`]).
     Controller,
@@ -48,13 +45,12 @@ pub enum Family {
 
 impl Family {
     /// All families, in report order.
-    pub const ALL: [Family; 8] = [
+    pub const ALL: [Family; 7] = [
         Family::Diff,
         Family::Extension,
         Family::Invariants,
         Family::Faults,
         Family::Registry,
-        Family::Reactor,
         Family::Controller,
         Family::LongRead,
     ];
@@ -67,7 +63,6 @@ impl Family {
             Family::Invariants => "invariants",
             Family::Faults => "faults",
             Family::Registry => "registry",
-            Family::Reactor => "reactor",
             Family::Controller => "controller",
             Family::LongRead => "long_read",
         }
@@ -81,7 +76,6 @@ impl Family {
             "invariants" => Some(Family::Invariants),
             "faults" => Some(Family::Faults),
             "registry" => Some(Family::Registry),
-            "reactor" => Some(Family::Reactor),
             "controller" => Some(Family::Controller),
             "long_read" => Some(Family::LongRead),
             _ => None,
@@ -234,7 +228,6 @@ pub fn run(config: &ConformanceConfig) -> ConformanceReport {
                 Family::Registry => {
                     vec![tenancy::run_registry_family(seed, config.serve_reads / 2)]
                 }
-                Family::Reactor => vec![tenancy::run_reactor_family(seed, config.serve_reads)],
                 Family::Controller => vec![controller::run_controller_family(seed)],
                 Family::LongRead => {
                     vec![long_read::run_long_read_family(seed, config.cases, repro)

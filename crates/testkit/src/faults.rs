@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the serving subsystem.
 //!
 //! Each [`FaultPlan`] attacks one seam of the server — the wire framing,
-//! the admission queue, or the worker pool — while a well-behaved
+//! the request decoder, the admission queue, or the worker pool — while a
+//! well-behaved
 //! closed-loop client runs alongside. The invariant under *every* plan is
 //! the same (DESIGN.md §11):
 //!
@@ -10,7 +11,7 @@
 //!    `duplicates == 0`) and the statuses conserve
 //!    (`received == ok + unmapped + shed + deadline + errors`).
 //! 2. **Clean drain** — [`Server::shutdown`] returns (every thread
-//!    joins); no attack may wedge a reader, the batcher or a worker.
+//!    joins); no attack may wedge the reactor, the batcher or a worker.
 //!
 //! Plans are seeded and self-contained; nothing here sleeps for
 //! correctness (the queue-storm plan uses the server's own
@@ -18,7 +19,7 @@
 //! generous read timeouts purely as fail-fast guards against hangs).
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +47,7 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Length header promising more bytes than are ever sent, then
-    /// disconnect: the reader must drop the connection silently (the
+    /// disconnect: the reactor must drop the connection silently (the
     /// request was never accepted, so exactly-once is unaffected).
     TruncatedFrame,
     /// Length header above `MAX_FRAME_BYTES`: the server must answer one
@@ -65,6 +66,12 @@ pub enum FaultKind {
     /// Tiny admission queue + slow workers + a large closed-loop window:
     /// the edge must shed explicitly and conservation must still hold.
     QueueStorm,
+    /// Structure-aware fuzzing of the only door: seeded mutations of
+    /// *valid* request frames ([`frame_mutants`]). Every mutant is
+    /// answered `error` or dropped, never served and never a panic on the
+    /// reactor thread, and a fresh well-formed request after each one is
+    /// still answered `ok`.
+    FrameFuzz,
 }
 
 impl FaultKind {
@@ -77,6 +84,7 @@ impl FaultKind {
             FaultKind::SlowLoris => "slow_loris",
             FaultKind::WorkerPanic => "worker_panic",
             FaultKind::QueueStorm => "queue_storm",
+            FaultKind::FrameFuzz => "frame_fuzz",
         }
     }
 }
@@ -100,6 +108,7 @@ pub fn fault_plans(seed: u64) -> Vec<FaultPlan> {
         FaultKind::SlowLoris,
         FaultKind::WorkerPanic,
         FaultKind::QueueStorm,
+        FaultKind::FrameFuzz,
     ]
     .into_iter()
     .map(|kind| FaultPlan { kind, seed })
@@ -113,6 +122,18 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
         .map_err(|e| format!("set timeout: {e}"))?;
     let _ = stream.set_nodelay(true);
     Ok(stream)
+}
+
+/// A plain short-mode align request (no deadline, tenant or region).
+fn short_align(id: u64, codes: Vec<u8>) -> Request {
+    Request::Align {
+        id,
+        codes,
+        deadline_ms: None,
+        tenant: None,
+        region: None,
+        mode: Mode::Short,
+    }
 }
 
 /// Header lies about the body length; `sent` bytes follow, then the
@@ -151,15 +172,7 @@ fn send_oversized(addr: &str) -> Result<(), String> {
 /// A single valid align request, written one byte per syscall.
 fn send_slow_loris(addr: &str, id: u64, codes: &[u8]) -> Result<(), String> {
     let mut s = connect(addr)?;
-    let req = Request::Align {
-        id,
-        codes: codes.to_vec(),
-        deadline_ms: None,
-        tenant: None,
-        region: None,
-        mode: Mode::Short,
-    };
-    let body = req.encode().to_string_compact();
+    let body = short_align(id, codes.to_vec()).encode().to_string_compact();
     let mut frame = (body.len() as u32).to_be_bytes().to_vec();
     frame.extend_from_slice(body.as_bytes());
     for byte in frame {
@@ -177,6 +190,168 @@ fn send_slow_loris(addr: &str, id: u64, codes: &[u8]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// What the server owes one fuzzed connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// The bytes are well-formed after all: this many `ok` answers.
+    Ok(usize),
+    /// Exactly one `error` answer (and one `serve.protocol_errors` tick).
+    Error,
+    /// Nothing: the frame never completes, so the server waits for the
+    /// rest and drops the connection when the client hangs up.
+    Silence,
+}
+
+/// One fuzzed connection: a stable name, the client's writes in order,
+/// and what the server owes in return.
+type Mutant = (&'static str, Vec<Vec<u8>>, Owed);
+
+/// `body` behind a length prefix claiming `len` bytes.
+fn framed(len: usize, body: &[u8]) -> Vec<u8> {
+    let mut frame = (len as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// `doc` with `key` replaced (or added).
+fn with_field(doc: JsonValue, key: &str, value: JsonValue) -> JsonValue {
+    let JsonValue::Obj(mut pairs) = doc else {
+        unreachable!("requests encode as objects");
+    };
+    pairs.retain(|(k, _)| k != key);
+    pairs.push((key.to_string(), value));
+    JsonValue::Obj(pairs)
+}
+
+/// The fuzz corpus: every mutation class once, each applied to a freshly
+/// drawn valid align request (seeded id, read and cut points) — mutating
+/// valid frames reaches the decoder's field checks, which random bytes
+/// would never get past the JSON parser to find.
+fn frame_mutants(prng: &mut Prng) -> Vec<Mutant> {
+    fn valid(prng: &mut Prng) -> JsonValue {
+        let len = 40 + prng.below(80) as usize;
+        short_align(prng.below(1 << 20), prng.codes(len)).encode()
+    }
+    let bytes = |doc: JsonValue| doc.to_string_compact().into_bytes();
+    let text = |s: &str| JsonValue::Str(s.to_string());
+    let mut out: Vec<Mutant> = Vec::new();
+
+    // One field of a valid document made wrong: type, range or vocabulary.
+    for (name, key, value) in [
+        ("kind_wrong_type", "kind", JsonValue::Num(7.0)),
+        ("kind_unknown", "kind", text("realign")),
+        ("id_wrong_type", "id", text("7")),
+        ("id_negative", "id", JsonValue::Num(-1.0)),
+        ("id_fractional", "id", JsonValue::Num(7.5)),
+        ("id_huge", "id", JsonValue::Num(1e300)),
+        ("seq_wrong_type", "seq", JsonValue::Num(5.0)),
+        ("deadline_wrong_type", "deadline_ms", text("soon")),
+        ("deadline_negative", "deadline_ms", JsonValue::Num(-5.0)),
+        ("deadline_fractional", "deadline_ms", JsonValue::Num(0.5)),
+        ("deadline_huge", "deadline_ms", JsonValue::Num(1e300)),
+        ("tenant_wrong_type", "tenant", JsonValue::Num(3.0)),
+        ("region_wrong_type", "region", text("chr1")),
+        ("mode_wrong_type", "mode", JsonValue::Num(1.0)),
+        ("mode_unknown", "mode", text("medium")),
+    ] {
+        let body = bytes(with_field(valid(prng), key, value));
+        out.push((name, vec![framed(body.len(), &body)], Owed::Error));
+    }
+    // A base code outside 0..=3 (it encodes as `N`, which no read may hold).
+    let mut codes = prng.codes(60);
+    codes[prng.below(60) as usize] = 4 + prng.below(252) as u8;
+    let body = bytes(short_align(1, codes).encode());
+    out.push((
+        "codes_out_of_range",
+        vec![framed(body.len(), &body)],
+        Owed::Error,
+    ));
+
+    // A valid body behind a lying length prefix. Too short cuts the JSON;
+    // too long never completes.
+    let body = bytes(valid(prng));
+    let len = body.len();
+    for (name, claimed, owed) in [
+        ("len_minus_1", len - 1, Owed::Error),
+        ("len_plus_1", len + 1, Owed::Silence),
+        ("len_minus_body", 0, Owed::Error),
+        ("len_plus_body", 2 * len, Owed::Silence),
+    ] {
+        out.push((name, vec![framed(claimed, &body)], owed));
+    }
+    // The prefix ends the frame between the two bytes of `é`.
+    let body = bytes(with_field(valid(prng), "tenant", text("é")));
+    let cut = body
+        .iter()
+        .position(|&b| b == 0xC3)
+        .expect("é is 0xC3 0xA9")
+        + 1;
+    out.push(("cut_mid_utf8", vec![framed(cut, &body)], Owed::Error));
+
+    // Well-formed bytes, unusual packetization: both must be served.
+    let (a, b) = (bytes(valid(prng)), bytes(valid(prng)));
+    let mut two = framed(a.len(), &a);
+    two.extend(framed(b.len(), &b));
+    out.push(("two_frames_coalesced", vec![two], Owed::Ok(2)));
+    let whole = framed(a.len(), &a);
+    let at = 1 + prng.below(whole.len() as u64 - 1) as usize;
+    out.push((
+        "one_frame_split",
+        vec![whole[..at].to_vec(), whole[at..].to_vec()],
+        Owed::Ok(1),
+    ));
+    out
+}
+
+/// Plays `writes` on a fresh connection, hangs up the write half and
+/// returns every response up to the server's close.
+fn exchange(addr: &str, writes: &[Vec<u8>]) -> Result<Vec<AlignResponse>, String> {
+    let mut s = connect(addr)?;
+    for bytes in writes {
+        s.write_all(bytes).map_err(|e| format!("write: {e}"))?;
+        s.flush().map_err(|e| format!("flush: {e}"))?;
+    }
+    s.shutdown(Shutdown::Write)
+        .map_err(|e| format!("half-close: {e}"))?;
+    let mut responses = Vec::new();
+    while let Some(doc) = read_frame(&mut s).map_err(|e| format!("read: {e}"))? {
+        responses.push(AlignResponse::decode(&doc)?);
+    }
+    Ok(responses)
+}
+
+/// Runs the fuzz corpus, probing with a well-formed request on a fresh
+/// connection after every mutant. Returns how many `error` answers (=
+/// protocol errors) the corpus owes.
+fn run_frame_fuzz(addr: &str, prng: &mut Prng) -> Result<u64, String> {
+    let mut errors_owed = 0;
+    for (name, writes, owed) in frame_mutants(prng) {
+        let got = exchange(addr, &writes).map_err(|e| format!("frame_fuzz[{name}]: {e}"))?;
+        let statuses: Vec<Status> = got.iter().map(|r| r.status).collect();
+        let want = match owed {
+            Owed::Ok(n) => vec![Status::Ok; n],
+            Owed::Error => vec![Status::Error],
+            Owed::Silence => Vec::new(),
+        };
+        if statuses != want {
+            return Err(format!(
+                "frame_fuzz[{name}]: answered {statuses:?}, want {want:?}"
+            ));
+        }
+        errors_owed += u64::from(owed == Owed::Error);
+        let probe = short_align(9_000, prng.codes(60));
+        let body = probe.encode().to_string_compact().into_bytes();
+        let after = exchange(addr, &[framed(body.len(), &body)])
+            .map_err(|e| format!("frame_fuzz[{name}]: probe: {e}"))?;
+        if after.len() != 1 || after[0].id != 9_000 || after[0].status != Status::Ok {
+            return Err(format!(
+                "frame_fuzz[{name}]: well-formed request afterwards answered {after:?}, want one ok"
+            ));
+        }
+    }
+    Ok(errors_owed)
 }
 
 /// Runs one plan end to end. `Ok` carries a deterministic one-line
@@ -212,10 +387,21 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 ..LoadgenConfig::default()
             },
         ),
+        // Overflow by arithmetic, not by thread race: the one worker holds
+        // a batch for 5 ms while the pipeline can absorb at most
+        // (1 executing + 2 in the batch queue + 1 the blocked batcher
+        // holds) × max_batch 4 + queue_capacity 2 = 18 reads, and the
+        // client puts all 240 in flight at once (4 connections × window 64
+        // = 256 ≥ 240 never waits for a response) — so the single reactor
+        // thread, admitting serially, must shed.
         FaultKind::QueueStorm => (
             ServerConfig {
                 workers: 1,
                 queue_capacity: 2,
+                batch: BatcherConfig {
+                    max_batch: 4,
+                    ..BatcherConfig::default()
+                },
                 worker_delay: Some(Duration::from_millis(5)),
                 ..ServerConfig::default()
             },
@@ -246,6 +432,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
 
     // The attack, before (and for frame faults: seeded-size variants of)
     // the well-behaved traffic.
+    let mut fuzz_errors_owed = 0;
     match plan.kind {
         FaultKind::TruncatedFrame => {
             for _ in 0..4 {
@@ -257,15 +444,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
         FaultKind::MidFrameDisconnect => {
             // Valid header, body cut at a seeded offset.
             for _ in 0..4 {
-                let req = Request::Align {
-                    id: 7,
-                    codes: prng.codes(80),
-                    deadline_ms: None,
-                    tenant: None,
-                    region: None,
-                    mode: Mode::Short,
-                };
-                let body = req.encode().to_string_compact();
+                let body = short_align(7, prng.codes(80)).encode().to_string_compact();
                 let cut = 1 + prng.below(body.len() as u64 - 1) as usize;
                 let mut s = connect(&addr)?;
                 s.write_all(&(body.len() as u32).to_be_bytes())
@@ -286,6 +465,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 send_slow_loris(&addr, 1000 + i, &prng.codes(60))?;
             }
         }
+        FaultKind::FrameFuzz => fuzz_errors_owed = run_frame_fuzz(&addr, &mut prng)?,
         FaultKind::WorkerPanic | FaultKind::QueueStorm => {}
     }
 
@@ -382,6 +562,15 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 return Err(format!(
                     "oversized_frame: {} protocol errors recorded, want ≥ 3",
                     metrics.counter("serve.protocol_errors")
+                ));
+            }
+        }
+        FaultKind::FrameFuzz => {
+            let counted = metrics.counter("serve.protocol_errors");
+            if counted != fuzz_errors_owed {
+                return Err(format!(
+                    "frame_fuzz: {counted} protocol errors recorded, the corpus owes \
+                     {fuzz_errors_owed}"
                 ));
             }
         }
@@ -720,6 +909,16 @@ mod tests {
             let summary = run_fault_plan(&FaultPlan { kind, seed: 5 }).expect("plan holds");
             assert!(summary.contains("exactly-once held"), "{summary}");
         }
+    }
+
+    #[test]
+    fn frame_fuzz_corpus_is_rejected_or_served_and_never_wedges() {
+        let summary = run_fault_plan(&FaultPlan {
+            kind: FaultKind::FrameFuzz,
+            seed: 5,
+        })
+        .expect("plan holds");
+        assert!(summary.contains("frame_fuzz"), "{summary}");
     }
 
     #[test]

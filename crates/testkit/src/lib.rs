@@ -22,13 +22,13 @@
 //! * [`faults`] — **deterministic fault injection for serve**: seeded
 //!   [`faults::FaultPlan`]s (truncated/oversized frames, mid-frame
 //!   disconnects, slow-loris dribble, worker panic at batch N,
-//!   queue-full storms) with the invariant that every accepted request
-//!   is answered exactly once and the server drains cleanly.
-//! * [`tenancy`] — **multi-tenant and reactor conformance**: shard-routing
+//!   queue-full storms, a structure-aware request-frame fuzzer) with the
+//!   invariant that every accepted request is answered exactly once and
+//!   the server drains cleanly.
+//! * [`tenancy`] — **multi-tenant conformance**: shard-routing
 //!   determinism, two-tenant serving bit-identical to per-species offline
-//!   aligners, unknown-tenant rejection, and the threaded-vs-reactor
-//!   frontend differential (the shard-kill degradation plan lives in
-//!   [`faults`]).
+//!   aligners and unknown-tenant rejection (the shard-kill degradation
+//!   plan lives in [`faults`]).
 //! * [`controller`] — **adaptive-batching controller conformance**: the
 //!   same telemetry stream replayed at 1/2/8 shards must produce a
 //!   bit-identical decision log (DESIGN.md §15), and a stuck window

@@ -1,32 +1,20 @@
-//! Multi-tenant registry and reactor conformance families (DESIGN.md §14).
-//!
-//! * **registry** — deterministic shard routing, a two-tenant serve run
-//!   whose responses are bit-identical to per-species offline aligners,
-//!   per-tenant conservation identities over the wire, and
-//!   unknown-tenant rejection.
-//! * **reactor** — the frontend differential: the same reads through a
-//!   thread-per-connection server and a poll-reactor server must produce
-//!   identical alignment payloads. Batch sizes are *scheduling* and may
-//!   differ; alignment answers are *results* and may not.
+//! The multi-tenant registry conformance family (DESIGN.md §14):
+//! deterministic shard routing, a two-tenant serve run whose responses are
+//! bit-identical to per-species offline aligners, per-tenant conservation
+//! identities over the wire, and unknown-tenant rejection.
 
-use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
 use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa_genome::species::Species;
-use nvwa_genome::ReferenceGenome;
-use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
+use nvwa_serve::loadgen::{self, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::{read_frame, write_frame, Mode};
 use nvwa_serve::registry::{region_hash, route_shard};
-use nvwa_serve::{AlignResponse, Frontend, Request, Server, ServerConfig, Status, TenantServeSpec};
+use nvwa_serve::{AlignResponse, Request, Server, ServerConfig, Status, TenantServeSpec};
 
 use crate::diff::wire_matches;
 use crate::Prng;
-
-/// Reference length for the reactor differential (shared-index servers).
-const REACTOR_REF_LEN: usize = 20_000;
 
 /// The two tenants of the registry family: the largest and the smallest
 /// species profile, so the cross-tenant differential exercises distinct
@@ -237,86 +225,6 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     ))
 }
 
-/// One loadgen round against a server with the given frontend, returning
-/// the decoded responses by id.
-fn frontend_round(
-    index: &Arc<ReferenceIndex>,
-    frontend: Frontend,
-    reads: &[Vec<u8>],
-) -> Result<HashMap<u64, AlignResponse>, String> {
-    let server = Server::start(
-        Arc::clone(index),
-        ServerConfig {
-            workers: 2,
-            frontend,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("start ({frontend:?}): {e}"))?;
-    let addr = server.local_addr().to_string();
-    let report = loadgen::run(
-        &addr,
-        reads,
-        &LoadgenConfig {
-            connections: 4,
-            mode: ArrivalMode::Closed { window: 16 },
-            collect_responses: true,
-            ..LoadgenConfig::default()
-        },
-    )
-    .map_err(|e| format!("loadgen ({frontend:?}): {e}"))?;
-    server.shutdown();
-    if !report.is_lossless() || report.ok != reads.len() as u64 {
-        return Err(format!(
-            "{frontend:?}: transport not clean: sent {} ok {} lost {} duplicates {}",
-            report.sent, report.ok, report.lost, report.duplicates
-        ));
-    }
-    Ok(report.responses)
-}
-
-/// The reactor family: the poll-based frontend must answer bit-identically
-/// to the thread-per-connection frontend on the same reads and index.
-///
-/// # Errors
-///
-/// Names the first diverging read (or the transport failure).
-pub fn run_reactor_family(seed: u64, reads: usize) -> Result<String, String> {
-    #[cfg(not(unix))]
-    {
-        let _ = (seed, reads);
-        return Ok("reactor: skipped (no poll reactor on this platform)".to_string());
-    }
-    #[cfg(unix)]
-    {
-        let params = ref_params(REACTOR_REF_LEN);
-        let genome = ReferenceGenome::synthesize(&params, seed);
-        let index = Arc::new(ReferenceIndex::build(&genome, 32));
-        let read_list = loadgen::generate_reads(&params, seed, seed ^ 0x52EA_0C70, reads);
-        let threaded = frontend_round(&index, Frontend::Threads, &read_list)?;
-        let reactor = frontend_round(&index, Frontend::Reactor, &read_list)?;
-        for id in 0..read_list.len() as u64 {
-            let a = threaded
-                .get(&id)
-                .ok_or_else(|| format!("threaded response {id} missing"))?;
-            let b = reactor
-                .get(&id)
-                .ok_or_else(|| format!("reactor response {id} missing"))?;
-            // Compare the *answer*: status and alignment payload. The
-            // batch a request landed in is scheduling, not output.
-            if a.status != b.status || a.alignment != b.alignment {
-                return Err(format!(
-                    "read {id}: threaded {:?}/{:?} vs reactor {:?}/{:?}",
-                    a.status, a.alignment, b.status, b.alignment
-                ));
-            }
-        }
-        Ok(format!(
-            "reactor: {reads} reads bit-identical across threaded and reactor frontends"
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,12 +232,6 @@ mod tests {
     #[test]
     fn routing_checks_hold() {
         check_routing(3).expect("routing laws hold");
-    }
-
-    #[test]
-    fn reactor_family_is_bit_identical_on_a_small_run() {
-        let summary = run_reactor_family(11, 24).expect("frontends agree");
-        assert!(summary.contains("reactor"), "{summary}");
     }
 
     #[test]

@@ -136,9 +136,8 @@ if [ "$scrapes" -lt 2 ]; then
 fi
 echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes"
 
-# Multi-tenant serve smoke (PR 8): two species tenants (one sharded)
-# behind the poll-reactor frontend, >= 100k requests open-loop in a 3:1
-# weighted mix. Asserts exactly-once accounting globally and per tenant
+# Multi-tenant serve smoke (PR 8): two species tenants (one sharded),
+# >= 100k requests open-loop in a 3:1 weighted mix. Asserts exactly-once accounting globally and per tenant
 # (nvwa-loadgen exits non-zero on any lost/duplicated response or
 # violated SLO), then schema-validates the SLO report — including the
 # per-tenant conservation sections — and the server's stats snapshot.
@@ -147,7 +146,7 @@ echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes
 rm -f "$artifacts_dir/serve_mt_addr"
 cargo run --release --quiet --bin nvwa -- serve \
     --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_mt_addr" \
-    --frontend reactor --workers 2 --tenant-scale 0.0 \
+    --workers 2 --tenant-scale 0.0 \
     --tenant homo_sapiens:2 --tenant caenorhabditis_elegans \
     --metrics-out "$artifacts_dir/serve_mt_metrics.json" &
 serve_mt_pid=$!
@@ -220,9 +219,9 @@ echo "serving-modes smoke: short/long/classify mix conserved end to end"
 
 # Conformance: differential oracles (sw/smem/pipeline/serve-vs-offline
 # plus the bit-parallel extension-kernel family), simulator invariants,
-# the fault-injection matrix (shard-kill degradation included), the
-# multi-tenant registry family, the threaded-vs-reactor frontend
-# differential and the adaptive-controller replay family (bit-identical
+# the fault-injection matrix (shard-kill degradation and the request-frame
+# fuzzer included), the multi-tenant registry family and the
+# adaptive-controller replay family (bit-identical
 # decisions at 1/2/8 telemetry shards, stuck-window backoff), and the
 # long-read family (GACT-tiled fill vs a wide-banded SW oracle on the
 # committed window, pinned to the (tiles−1)·overlap·match seam bound),

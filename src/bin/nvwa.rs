@@ -13,10 +13,10 @@
 //!                 [--batch-ceil N] [--batch-wait-floor-us U] [--batch-wait-ceil-us U]
 //!                 [--controller-log-out c.json] [--deadline-ms D]
 //!                 [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]
-//!                 [--frontend threads|reactor] [--tenant KEY[:SHARDS[:QUOTA]]]...
+//!                 [--tenant KEY[:SHARDS[:QUOTA]]]...
 //!                 [--tenant-scale F] [--registry-budget BYTES]
 //! nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]
-//!                 [--families diff,extension,invariants,faults,registry,reactor,controller]
+//!                 [--families diff,extension,invariants,faults,registry,controller,long_read]
 //!                 [--family NAME] [--repro-dir DIR] [--threads N]
 //! ```
 //!
@@ -97,11 +97,11 @@ fn usage() -> ExitCode {
     eprintln!("                   [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]");
     eprintln!("                   [--span-log-out s.json] [--flight-dump DIR] [--flight-cap N]");
     eprintln!("                   [--slo-window-ms W] [--slo-step-ms S] [--shed-storm N]");
-    eprintln!("                   [--frontend threads|reactor] [--tenant KEY[:SHARDS[:QUOTA]]]...");
+    eprintln!("                   [--tenant KEY[:SHARDS[:QUOTA]]]...");
     eprintln!("                   [--tenant-scale F] [--registry-budget BYTES]");
     eprintln!("  nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]");
     eprintln!("                   [--families diff,extension,invariants,faults,registry,");
-    eprintln!("                    reactor,controller]");
+    eprintln!("                    controller,long_read]");
     eprintln!("                   [--family NAME] [--repro-dir DIR]");
     ExitCode::FAILURE
 }
@@ -317,7 +317,7 @@ fn conformance(args: &[String]) -> ExitCode {
                 None => {
                     eprintln!(
                         "nvwa: unknown family {item:?} (want diff, extension, invariants, \
-                         faults, registry, reactor, controller, long_read)"
+                         faults, registry, controller, long_read)"
                     );
                     return usage();
                 }
@@ -330,7 +330,7 @@ fn conformance(args: &[String]) -> ExitCode {
             None => {
                 eprintln!(
                     "nvwa: --family wants diff, extension, invariants, faults, registry, \
-                     reactor, controller or long_read"
+                     controller or long_read"
                 );
                 return usage();
             }
@@ -412,22 +412,19 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
 fn serve(args: &[String]) -> ExitCode {
     use nvwa::serve::loadgen::ref_params;
     use nvwa::serve::{
-        signal, BackendKind, BatcherConfig, ControllerConfig, Frontend, ObservabilityConfig,
-        Server, ServerConfig,
+        signal, BackendKind, BatcherConfig, ControllerConfig, ObservabilityConfig, Server,
+        ServerConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
 
-    let frontend = match flag_value(args, "--frontend").as_deref() {
-        None => Frontend::Threads,
-        Some(name) => match Frontend::parse(name) {
-            Some(f) => f,
-            None => {
-                eprintln!("nvwa: unknown frontend {name:?} (want threads or reactor)");
-                return usage();
-            }
-        },
-    };
+    // The reactor is the only frontend. Scripts written when there were
+    // two still pass `--frontend reactor`; anything else must not
+    // silently get the reactor.
+    if let Some(name) = flag_value(args, "--frontend").filter(|name| name != "reactor") {
+        eprintln!("nvwa: --frontend {name:?}: the threaded frontend was removed");
+        return usage();
+    }
     // `--tenant KEY[:SHARDS[:QUOTA]]` (repeatable) switches to the
     // multi-tenant registry: each tenant's reference is synthesized from
     // its species profile at `--tenant-scale` and `--ref*` flags are
@@ -507,7 +504,6 @@ fn serve(args: &[String]) -> ExitCode {
     };
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        frontend,
         tenants: tenants.clone(),
         registry_budget: flag_value(args, "--registry-budget").and_then(|v| v.parse().ok()),
         queue_capacity: flag_u64(args, "--queue-cap", 1024) as usize,

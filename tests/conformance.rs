@@ -52,8 +52,8 @@ fn healthy_tree_passes_every_family() {
         report.text()
     );
     // Every family contributed: 4 diff checks + extension + invariants
-    // + faults + registry + reactor + controller + long_read.
-    assert_eq!(report.checks, 11, "{}", report.text());
+    // + faults + registry + controller + long_read.
+    assert_eq!(report.checks, 10, "{}", report.text());
     let text = report.text();
     for needle in [
         "sw:",
@@ -64,7 +64,6 @@ fn healthy_tree_passes_every_family() {
         "invariants:",
         "faults:",
         "registry:",
-        "reactor:",
         "controller:",
         "long_read:",
     ] {

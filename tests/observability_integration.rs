@@ -14,7 +14,9 @@ use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa::serve::{BatcherConfig, Server, ServerConfig};
-use nvwa::telemetry::snapshot::{validate_span_log, validate_stats_response};
+use nvwa::telemetry::snapshot::{
+    validate_flight_summary_quiescent, validate_span_log, validate_stats_response,
+};
 use nvwa::telemetry::{JsonValue, Outcome, RequestSpans};
 
 const REF_LEN: usize = 60_000;
@@ -128,9 +130,17 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
         },
     )
     .expect("loadgen");
-    server.shutdown();
+    let metrics = server.shutdown();
     assert!(report.is_lossless());
-    assert_eq!(report.scrape_failures, 0, "every scrape validated");
+    assert_eq!(
+        report.scrape_failures, 0,
+        "every scrape validated; first failure: {:?}",
+        report.scrape_last_error
+    );
+    // Live scrapes check the always-identities; with every thread joined
+    // the ring must also satisfy the quiescent equality.
+    validate_flight_summary_quiescent(&metrics.flight().summary_json())
+        .expect("quiescent flight summary");
     assert!(
         report.stats_snapshots.len() >= 2,
         "want ≥2 mid-run snapshots, got {}",

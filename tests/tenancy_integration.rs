@@ -2,8 +2,8 @@
 //! frontend over real sockets (ISSUE PR8).
 //!
 //! The acceptance bar: the reactor answers a ≥10k-read closed-loop run
-//! bit-identically to the thread-per-connection frontend; hundreds of
-//! idle connections do not grow the thread count; a tenant's admission
+//! bit-identically to the offline aligner; hundreds of idle connections
+//! do not grow the thread count; a tenant's admission
 //! quota sheds with the distinct `quota` status at exactly the limit,
 //! with exactly-once accounting that survives the storm; and killing a
 //! shard degrades only the tenant that owned it.
@@ -11,12 +11,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nvwa::align::pipeline::ReferenceIndex;
+use nvwa::align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa::genome::species::Species;
 use nvwa::genome::ReferenceGenome;
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::protocol::Mode;
-use nvwa::serve::{Frontend, Server, ServerConfig, TenantServeSpec};
+use nvwa::serve::protocol::WireAlignment;
+use nvwa::serve::{Server, ServerConfig, Status, TenantServeSpec};
 use nvwa::telemetry::snapshot::validate_loadgen_report;
 
 const REF_LEN: usize = 20_000;
@@ -27,53 +28,50 @@ fn shared_index() -> Arc<ReferenceIndex> {
     Arc::new(ReferenceIndex::build(&genome, 32))
 }
 
-/// The tentpole differential at acceptance scale: 10k reads closed-loop
-/// through both frontends; every (status, alignment) pair must match.
+/// The differential at acceptance scale: 10k reads closed-loop over 8
+/// connections × window 32, every response checked read by read against
+/// `SoftwareAligner::align_codes_fast` run offline on the same index.
 /// Batch sizes are scheduling and deliberately excluded.
 #[test]
-fn reactor_answers_10k_reads_bit_identically_to_threads() {
-    if !cfg!(unix) {
-        return; // the poll reactor is unix-only
-    }
+fn reactor_answers_10k_reads_bit_identically_to_offline() {
     let index = shared_index();
     let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 23, 10_000);
-    let mut rounds = Vec::new();
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let server = Server::start(
-            Arc::clone(&index),
-            ServerConfig {
-                workers: 2,
-                frontend,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server start");
-        let addr = server.local_addr().to_string();
-        let report = loadgen::run(
-            &addr,
-            &reads,
-            &LoadgenConfig {
-                connections: 8,
-                mode: ArrivalMode::Closed { window: 32 },
-                collect_responses: true,
-                ..LoadgenConfig::default()
-            },
-        )
-        .expect("loadgen");
-        server.shutdown();
-        assert!(
-            report.is_lossless(),
-            "{frontend:?} lost/duplicated responses"
+    let server = Server::start(
+        Arc::clone(&index),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server start");
+    let addr = server.local_addr().to_string();
+    let report = loadgen::run(
+        &addr,
+        &reads,
+        &LoadgenConfig {
+            connections: 8,
+            mode: ArrivalMode::Closed { window: 32 },
+            collect_responses: true,
+            ..LoadgenConfig::default()
+        },
+    )
+    .expect("loadgen");
+    server.shutdown();
+    assert!(report.is_lossless(), "lost/duplicated responses");
+    assert_eq!(report.ok, reads.len() as u64, "not all ok");
+
+    let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
+    let mut scratch = AlignScratch::new();
+    for (id, codes) in reads.iter().enumerate() {
+        let id = id as u64;
+        let served = report.responses.get(&id).expect("response");
+        let offline = aligner.align_codes_fast(id, codes, &mut scratch).alignment;
+        assert_eq!(served.status, Status::Ok, "read {id} status");
+        assert_eq!(
+            served.alignment,
+            offline.as_ref().map(WireAlignment::from_alignment),
+            "read {id} alignment"
         );
-        assert_eq!(report.ok, reads.len() as u64, "{frontend:?} not all ok");
-        rounds.push(report.responses);
-    }
-    let (threaded, reactor) = (&rounds[0], &rounds[1]);
-    for id in 0..reads.len() as u64 {
-        let a = threaded.get(&id).expect("threaded response");
-        let b = reactor.get(&id).expect("reactor response");
-        assert_eq!(a.status, b.status, "read {id} status");
-        assert_eq!(a.alignment, b.alignment, "read {id} alignment");
     }
 }
 
@@ -102,7 +100,6 @@ fn reactor_parks_idle_connections_without_thread_growth() {
         Arc::clone(&index),
         ServerConfig {
             workers: 2,
-            frontend: Frontend::Reactor,
             ..ServerConfig::default()
         },
     )
