@@ -22,7 +22,7 @@ use crate::sw::{global_align_with, DpScratch, ExtensionAlignment};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
     /// Always the banded affine Smith-Waterman unit (the pre-kernel-swap
-    /// behaviour; also the perf baseline).
+    /// behaviour; kept as the differential reference).
     BandedSw,
     /// Always the bit-parallel banded edit kernel (with per-task SW
     /// fallback when a task's edit distance exceeds the band).

@@ -14,34 +14,15 @@
 
 use std::time::Instant;
 
-use nvwa_bench::{scale_from_args, threads_from_args, EXPERIMENTS};
-use nvwa_core::experiments::{fig11, fig12, fig13, fig14, fig2, fig5, fig7, fig9, tables, Scale};
+use nvwa_bench::{scale_from_args, EXPERIMENTS};
 use nvwa_telemetry::{MetricsRegistry, SnapshotMeta};
-
-fn run_one(name: &str, scale: Scale) {
-    println!("================================================================");
-    match name {
-        "fig2" => print!("{}", fig2::run(scale)),
-        "fig5" => print!("{}", fig5::run()),
-        "fig7" => print!("{}", fig7::run()),
-        "fig9" => print!("{}", fig9::run()),
-        "fig11" => print!("{}", fig11::run(scale)),
-        "fig12" => print!("{}", fig12::run(scale)),
-        "fig13" => print!("{}", fig13::run(scale)),
-        "fig14" => print!("{}", fig14::run(scale)),
-        "table1" => print!("{}", tables::table1()),
-        "table2" => print!("{}", tables::table2()),
-        "table3" => print!("{}", tables::table3()),
-        "headline" => print!("{}", tables::headline()),
-        other => eprintln!("unknown experiment {other:?}; known: {EXPERIMENTS:?}"),
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = scale_from_args(&args);
-    if let Some(n) = threads_from_args(&args) {
-        nvwa_sim::par::set_default_threads(n);
+    if let Err(e) = nvwa_sim::par::configure_threads_from_args(&args) {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
     }
     let metrics_out = args
         .iter()
@@ -59,17 +40,29 @@ fn main() {
         .filter(|(i, a)| a.as_str() != "--full" && !consumed.contains(i))
         .map(|(_, a)| a.as_str())
         .collect();
-    let to_run: Vec<&str> = if requested.is_empty() {
-        EXPERIMENTS.to_vec()
-    } else {
-        requested
-    };
+    // Resolve every name before running anything: a typo is an error,
+    // not an experiment that "ran".
+    let mut to_run = Vec::new();
+    for name in requested {
+        match EXPERIMENTS.iter().find(|(known, _)| *known == name) {
+            Some(experiment) => to_run.push(*experiment),
+            None => {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+                eprintln!("repro: unknown experiment {name:?}; known: {known:?}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if to_run.is_empty() {
+        to_run = EXPERIMENTS.to_vec();
+    }
     println!("NvWa reproduction — experiment suite ({scale:?} scale)");
     let mut metrics = MetricsRegistry::new();
     let ran = metrics.counter("repro.experiments_run");
-    for name in to_run {
+    for (name, run) in to_run {
         let start = Instant::now();
-        run_one(name, scale);
+        println!("================================================================");
+        print!("{}", run(scale));
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         metrics.inc(ran, 1);
         let id = metrics.gauge(&format!("repro.{name}.wall_ms"));

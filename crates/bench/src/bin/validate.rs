@@ -11,10 +11,9 @@
 //! included), flight-recorder dumps (`"kind": "nvwa-flight"`), span logs
 //! (`"kind": "nvwa-spanlog"`), adaptive-controller decision logs
 //! (`"kind": "nvwa-controller"`, written by `nvwa serve
-//! --controller-log-out`), bench reports (`"scenarios"` /
-//! `"speedups"`, the `BENCH_*.json` format) and Chrome traces
-//! (`"traceEvents"`). Exits non-zero on the first failure, so CI can
-//! gate on it (see `scripts/check.sh`).
+//! --controller-log-out`) and Chrome traces (`"traceEvents"`). Exits
+//! non-zero on the first failure, so CI can gate on it (see
+//! `scripts/check.sh`).
 //!
 //! ```text
 //! cargo run -p nvwa-bench --bin validate -- --converged <controller-log>
@@ -39,57 +38,50 @@
 use std::process::ExitCode;
 
 use nvwa_telemetry::snapshot::{
-    controller_converged, is_serve_snapshot, validate_bench_report, validate_chrome_trace,
-    validate_controller_log, validate_flight_dump, validate_loadgen_report,
-    validate_metrics_snapshot, validate_serve_snapshot, validate_span_log,
+    controller_converged, is_serve_snapshot, validate_chrome_trace, validate_controller_log,
+    validate_flight_dump, validate_loadgen_report, validate_metrics_snapshot,
+    validate_serve_snapshot, validate_span_log,
 };
 use nvwa_telemetry::JsonValue;
 
-fn kind_of(doc: &JsonValue) -> Option<&'static str> {
-    let kind = doc.get("kind").and_then(|k| k.as_str());
-    if kind == Some("nvwa-metrics") {
-        if is_serve_snapshot(doc) {
-            Some("serve metrics snapshot")
-        } else {
-            Some("metrics snapshot")
-        }
-    } else if kind == Some("nvwa-loadgen") {
-        Some("loadgen report")
-    } else if kind == Some("nvwa-flight") {
-        Some("flight dump")
-    } else if kind == Some("nvwa-spanlog") {
-        Some("span log")
-    } else if kind == Some("nvwa-controller") {
-        Some("controller log")
-    } else if doc.get("traceEvents").is_some() {
-        Some("chrome trace")
-    } else if doc.get("scenarios").is_some() && doc.get("speedups").is_some() {
-        Some("bench report")
-    } else {
-        None
-    }
+type Validator = fn(&JsonValue) -> Result<(), String>;
+/// One accepted document shape: the label printed on success, the test
+/// that recognises the shape, its validator.
+type Kind = (&'static str, fn(&JsonValue) -> bool, Validator);
+
+fn has_kind(doc: &JsonValue, kind: &str) -> bool {
+    doc.get("kind").and_then(|k| k.as_str()) == Some(kind)
+}
+
+/// Every document shape `validate` accepts; the first match wins.
+#[rustfmt::skip] // one row per shape
+const KINDS: &[Kind] = &[
+    ("serve metrics snapshot", |d| has_kind(d, "nvwa-metrics") && is_serve_snapshot(d),
+        validate_serve_snapshot),
+    ("metrics snapshot", |d| has_kind(d, "nvwa-metrics"), validate_metrics_snapshot),
+    ("loadgen report", |d| has_kind(d, "nvwa-loadgen"), validate_loadgen_report),
+    ("flight dump", |d| has_kind(d, "nvwa-flight"), validate_flight_dump),
+    ("span log", |d| has_kind(d, "nvwa-spanlog"), validate_span_log),
+    ("controller log", |d| has_kind(d, "nvwa-controller"), validate_controller_log),
+    ("chrome trace", |d| d.get("traceEvents").is_some(), validate_chrome_trace),
+];
+
+fn kind_of(doc: &JsonValue) -> Result<&'static Kind, String> {
+    KINDS.iter().find(|kind| (kind.1)(doc)).ok_or_else(|| {
+        let labels: Vec<&str> = KINDS.iter().map(|kind| kind.0).collect();
+        format!(
+            "unrecognized document shape (expected one of: {})",
+            labels.join(", ")
+        )
+    })
 }
 
 fn validate_file(path: &str) -> Result<&'static str, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let doc = JsonValue::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let kind = kind_of(&doc).ok_or_else(|| {
-        "unrecognized document shape (expected a metrics snapshot, loadgen report, \
-         bench report or Chrome trace)"
-            .to_string()
-    })?;
-    match kind {
-        "metrics snapshot" => validate_metrics_snapshot(&doc)?,
-        "serve metrics snapshot" => validate_serve_snapshot(&doc)?,
-        "loadgen report" => validate_loadgen_report(&doc)?,
-        "flight dump" => validate_flight_dump(&doc)?,
-        "span log" => validate_span_log(&doc)?,
-        "controller log" => validate_controller_log(&doc)?,
-        "chrome trace" => validate_chrome_trace(&doc)?,
-        "bench report" => validate_bench_report(&doc)?,
-        _ => unreachable!(),
-    }
-    Ok(kind)
+    let &(label, _, validate) = kind_of(&doc)?;
+    validate(&doc)?;
+    Ok(label)
 }
 
 /// `--golden <golden> <candidate>`: byte-exact comparison with the
@@ -173,4 +165,30 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_emitted_kind_resolves_and_the_bench_report_shape_no_longer_does() {
+        let label_of = |text: &str| kind_of(&JsonValue::parse(text).unwrap()).map(|kind| kind.0);
+        for (text, label) in [
+            (r#"{"kind": "nvwa-metrics"}"#, "metrics snapshot"),
+            (
+                r#"{"kind": "nvwa-metrics", "counters": {"serve.requests_admitted": 1}}"#,
+                "serve metrics snapshot",
+            ),
+            (r#"{"kind": "nvwa-loadgen"}"#, "loadgen report"),
+            (r#"{"kind": "nvwa-flight"}"#, "flight dump"),
+            (r#"{"kind": "nvwa-spanlog"}"#, "span log"),
+            (r#"{"kind": "nvwa-controller"}"#, "controller log"),
+            (r#"{"traceEvents": []}"#, "chrome trace"),
+        ] {
+            assert_eq!(label_of(text), Ok(label), "{text}");
+        }
+        let err = label_of(r#"{"scenarios": [], "speedups": {}}"#).unwrap_err();
+        assert!(KINDS.iter().all(|kind| err.contains(kind.0)), "{err}");
+    }
 }

@@ -1,17 +1,15 @@
-//! Benchmark harness for the NvWa reproduction.
-//!
-//! Two entry points:
+//! Paper-reproduction and artifact-checking binaries.
 //!
 //! * the [`repro`](../repro/index.html) binary (`cargo run --release -p
 //!   nvwa-bench --bin repro [-- <experiment> [--full]]`) prints every table
 //!   and figure of the paper as text;
-//! * the Criterion benches (`cargo bench -p nvwa-bench`) time each
-//!   experiment driver and print the same series, one bench per
-//!   table/figure (see `benches/`).
+//! * the `validate` binary schema-checks the repo's JSON artifacts.
 //!
-//! This library crate only hosts small shared helpers.
+//! Nothing here times anything: measurement lives in `benchmark/` (see
+//! `BENCHMARK.json`). This library crate only hosts what `repro` shares
+//! with its tests.
 
-use nvwa_core::experiments::Scale;
+use nvwa_core::experiments::{fig11, fig12, fig13, fig14, fig2, fig5, fig7, fig9, tables, Scale};
 
 /// Parses `--full` from a CLI argument list into a [`Scale`].
 pub fn scale_from_args(args: &[String]) -> Scale {
@@ -22,16 +20,23 @@ pub fn scale_from_args(args: &[String]) -> Scale {
     }
 }
 
-/// Parses `--threads N` from a CLI argument list. Forwards to the
-/// canonical helper in `nvwa-sim::par` (one parser for every binary).
-pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    nvwa_sim::par::threads_from_args(args)
-}
+/// One `repro` experiment: its name and the driver rendering it as text.
+pub type Experiment = (&'static str, fn(Scale) -> String);
 
-/// The experiment names the `repro` binary understands.
-pub const EXPERIMENTS: &[&str] = &[
-    "fig2", "fig5", "fig7", "fig9", "fig11", "fig12", "fig13", "fig14", "table1", "table2",
-    "table3", "headline",
+/// The experiments the `repro` binary understands, in print order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig2", |scale| fig2::run(scale).to_string()),
+    ("fig5", |_| fig5::run().to_string()),
+    ("fig7", |_| fig7::run().to_string()),
+    ("fig9", |_| fig9::run().to_string()),
+    ("fig11", |scale| fig11::run(scale).to_string()),
+    ("fig12", |scale| fig12::run(scale).to_string()),
+    ("fig13", |scale| fig13::run(scale).to_string()),
+    ("fig14", |scale| fig14::run(scale).to_string()),
+    ("table1", |_| tables::table1().to_string()),
+    ("table2", |_| tables::table2().to_string()),
+    ("table3", |_| tables::table3()),
+    ("headline", |_| tables::headline()),
 ];
 
 #[cfg(test)]
@@ -47,7 +52,7 @@ mod tests {
     #[test]
     fn experiment_list_covers_all_figures() {
         for name in ["fig2", "fig11", "fig14", "table2", "headline"] {
-            assert!(EXPERIMENTS.contains(&name));
+            assert!(EXPERIMENTS.iter().any(|(known, _)| *known == name));
         }
     }
 }

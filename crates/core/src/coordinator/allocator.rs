@@ -8,7 +8,7 @@
 //!
 //! The two "basic resource allocation methods" the paper analyses and
 //! rejects (Sec. IV-D) are available as [`AllocPolicy::StrictPerClass`] and
-//! [`AllocPolicy::FullyShared`] for the ablation benches.
+//! [`AllocPolicy::FullyShared`] for the ablation property tests.
 
 use crate::config::EuClass;
 use crate::extension::systolic::matrix_fill_latency;

@@ -2,9 +2,9 @@
 //!
 //! Each driver reruns the corresponding experiment on this reproduction's
 //! substrates and returns a printable result whose rows/series mirror what
-//! the paper plots. The `nvwa-bench` crate wraps every driver in a
-//! Criterion bench and in the `repro` binary; `EXPERIMENTS.md` records the
-//! measured-vs-paper comparison.
+//! the paper plots. The `nvwa-bench` crate's `repro` binary prints every
+//! driver's result; `EXPERIMENTS.md` records the measured-vs-paper
+//! comparison.
 //!
 //! | Driver | Paper artifact |
 //! |---|---|
@@ -33,7 +33,7 @@ pub mod tables;
 pub enum Scale {
     /// Seconds-scale runs for tests and CI.
     Quick,
-    /// The full evaluation used by the `repro` binary and benches.
+    /// The full evaluation used by the `repro` binary (`--full`).
     Full,
 }
 

@@ -24,8 +24,8 @@
 //! * [`baselines`] — the CPU cost model and the reported comparison points
 //!   (GASAL2, ERT+SeedEx, GenAx, GenCache), following the paper's own
 //!   reported-data methodology.
-//! * [`experiments`] — one driver per table/figure, used by the bench
-//!   harness and the `repro` binary.
+//! * [`experiments`] — one driver per table/figure, used by the `repro`
+//!   binary and the repository benchmark.
 
 pub mod baselines;
 pub mod config;

@@ -70,7 +70,7 @@ impl ReferenceParams {
         }
     }
 
-    /// The default evaluation-scale configuration used by the benches
+    /// The default evaluation-scale configuration
     /// (a scaled-down stand-in for GRCh38; 8 Mbp, 24 chromosomes).
     pub fn evaluation() -> ReferenceParams {
         ReferenceParams {

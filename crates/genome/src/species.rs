@@ -80,7 +80,7 @@ impl Species {
     }
 
     /// Synthesis profile scaled for simulation (`scale` multiplies the base
-    /// genome length; use 1.0 for tests, larger for benches).
+    /// genome length; use 1.0 for tests, larger for evaluation runs).
     ///
     /// The relative genome sizes, GC contents and repeat fractions follow the
     /// real assemblies' broad statistics so the six datasets stress the

@@ -147,8 +147,8 @@ impl FmdIndex {
     }
 
     /// The scalar occ4 oracle: four independent [`FmIndex::occ`] scans merged
-    /// to one recorded access. Retained (like `sw::naive`) so tests and the
-    /// perf baseline can compare the single-pass kernel against it.
+    /// to one recorded access. Retained (like `sw::naive`) so tests can
+    /// compare the single-pass kernel against it.
     fn occ4_scalar<T: TraceSink>(&self, i: u64, trace: &mut T) -> [u64; 4] {
         let mut first = TraceOnce {
             inner: trace,
@@ -197,8 +197,8 @@ impl FmdIndex {
     }
 
     /// [`FmdIndex::backward_ext_all`] computed with the scalar occ oracle
-    /// (8 block scans instead of 2). Bit-identical results; kept for tests
-    /// and the `seed_*_baseline` perf scenarios.
+    /// (8 block scans instead of 2). Bit-identical results; kept for the
+    /// differential tests ([`crate::smem::oracle`]).
     pub fn backward_ext_all_scalar<T: TraceSink>(
         &self,
         ik: BiInterval,

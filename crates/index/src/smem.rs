@@ -331,8 +331,8 @@ pub fn collect_smems_into<T: TraceSink>(
     out.dedup();
 }
 
-/// The pre-optimization seeding path, retained verbatim as the test oracle
-/// and perf baseline (the `sw::naive` pattern): scalar occ (four block scans
+/// The pre-optimization seeding path, retained verbatim as the test
+/// oracle (the `sw::naive` pattern): scalar occ (four block scans
 /// per position through [`FmdIndex::backward_ext_all_scalar`]), fresh
 /// allocations per call, no cache, no LUT. Bit-identical output to the hot
 /// path — that equality is what the property tests pin down.

@@ -49,10 +49,13 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `name V` parsed as a `T` (`None` when absent); a missing or
+/// unparsable value is a usage error, not a silent default.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    nvwa_sim::par::flag(args, name).unwrap_or_else(|e| {
+        eprintln!("nvwa-loadgen: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn usage() -> ExitCode {
@@ -107,30 +110,27 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return usage();
     }
-    nvwa_sim::par::configure_threads_from_args(&args);
-    let addr = match resolve_addr(&args) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
+    if let Err(e) = nvwa_sim::par::configure_threads_from_args(&args) {
+        eprintln!("nvwa-loadgen: {e}");
+        return ExitCode::from(2);
+    }
     let mode = match flag_value(&args, "--mode").as_deref().unwrap_or("closed") {
         "closed" => ArrivalMode::Closed {
-            window: flag_u64(&args, "--window", 32) as usize,
+            window: flag(&args, "--window").unwrap_or(32),
         },
         "open" => ArrivalMode::Open {
-            rate_rps: flag_value(&args, "--rate")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(500.0),
-            burst: flag_u64(&args, "--burst", 1) as usize,
+            rate_rps: flag(&args, "--rate").unwrap_or(500.0),
+            burst: flag(&args, "--burst").unwrap_or(1),
         },
         other => {
             eprintln!("nvwa-loadgen: unknown mode {other:?}");
             return usage();
         }
     };
-    let reads_n = flag_u64(&args, "--reads", 1_000) as usize;
-    let ref_len = flag_u64(&args, "--ref-len", 100_000) as usize;
-    let ref_seed = flag_u64(&args, "--ref-seed", 5);
-    let read_seed = flag_u64(&args, "--read-seed", 11);
+    let reads_n = flag(&args, "--reads").unwrap_or(1_000);
+    let ref_len = flag(&args, "--ref-len").unwrap_or(100_000);
+    let ref_seed = flag(&args, "--ref-seed").unwrap_or(5);
+    let read_seed = flag(&args, "--read-seed").unwrap_or(11);
     let slo = {
         let mut targets = Vec::new();
         for spec in flag_values(&args, "--slo") {
@@ -158,18 +158,16 @@ fn main() -> ExitCode {
         },
     };
     let config = LoadgenConfig {
-        connections: flag_u64(&args, "--connections", 2) as usize,
+        connections: flag(&args, "--connections").unwrap_or(2),
         mode,
         request_mode: request_mode.unwrap_or(Mode::Short),
-        deadline_ms: flag_value(&args, "--deadline-ms").and_then(|v| v.parse().ok()),
+        deadline_ms: flag(&args, "--deadline-ms"),
         arrival_seed: read_seed,
         collect_responses: false,
         shutdown_after: args.iter().any(|a| a == "--shutdown"),
-        scrape_every: flag_value(&args, "--scrape-ms")
-            .and_then(|v| v.parse().ok())
-            .map(|ms: u64| Duration::from_millis(ms.max(1))),
+        scrape_every: flag(&args, "--scrape-ms").map(|ms: u64| Duration::from_millis(ms.max(1))),
         slo,
-        split_len: flag_value(&args, "--split-len").and_then(|v| v.parse().ok()),
+        split_len: flag(&args, "--split-len"),
     };
 
     // Multi-tenant mix: `--tenant KEY[:WEIGHT]` (repeatable). Weighted
@@ -198,20 +196,24 @@ fn main() -> ExitCode {
     // `--long-frac F` mixes `--long-len`-bp long reads into the stream at
     // deterministic evenly-spaced positions (bimodal length mix for the
     // batcher's length bins and the adaptive controller's re-splitter).
-    let long_frac = flag_value(&args, "--long-frac")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0f64);
+    let long_frac = flag(&args, "--long-frac").unwrap_or(0.0f64);
     if !(0.0..=1.0).contains(&long_frac) {
         eprintln!("nvwa-loadgen: --long-frac wants a fraction in [0, 1]");
         return usage();
     }
-    let long_len = flag_u64(&args, "--long-len", 2_000) as usize;
+    let long_len = flag(&args, "--long-len").unwrap_or(2_000);
+    let tenant_scale = flag(&args, "--tenant-scale").unwrap_or(0.05f64);
 
     if !tenants.is_empty() && request_mode != Some(Mode::Short) {
         eprintln!("nvwa-loadgen: --tenant mixes are short-read only");
         return usage();
     }
 
+    // Every flag is parsed by now; only then wait for the server's address.
+    let addr = match resolve_addr(&args) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
     let run_result = if tenants.is_empty() {
         let params = loadgen::ref_params(ref_len);
         let reads = match request_mode {
@@ -284,9 +286,6 @@ fn main() -> ExitCode {
             loadgen::run_tenants(&addr, &mixed, &config)
         }
     } else {
-        let tenant_scale = flag_value(&args, "--tenant-scale")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.05f64);
         let cycle: Vec<usize> = tenants
             .iter()
             .enumerate()

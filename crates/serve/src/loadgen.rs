@@ -1,5 +1,5 @@
 //! Load generation against a running server, as a library (the
-//! `nvwa-loadgen` binary and the perf harness both call [`run`]).
+//! `nvwa-loadgen` binary and the integration tests both call [`run`]).
 //!
 //! Two arrival disciplines:
 //!

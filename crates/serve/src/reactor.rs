@@ -19,9 +19,9 @@
 //!   flushes.
 //!
 //! N idle connections cost one `pollfd` each, not N parked threads
-//! (BENCH_PR8.json: 9.5k idle sockets at 5 threads / 31 MB, against 2k
-//! sockets at 2 005 threads / 45 MB for the thread-per-connection
-//! frontend this replaced). Being the only door also makes this thread a
+//! (measured in PR 8, record cited in DESIGN.md §14: 9.5k idle sockets at
+//! 5 threads / 31 MB, against 2k sockets at 2 005 threads / 45 MB for the
+//! thread-per-connection frontend this replaced). Being the only door also makes this thread a
 //! single point of failure, so nothing here may panic on wire-derived
 //! bytes: frames are bounded before they are buffered, and every decode
 //! failure is an `error` answer, never an `unwrap`.

@@ -43,25 +43,36 @@ pub fn set_default_threads(threads: usize) {
     DEFAULT_THREADS.store(threads, Ordering::Relaxed);
 }
 
-/// Parses `--threads N` from a CLI argument list; `None` leaves the
+/// Parses the value of `name V` from a CLI argument list as a `T`:
+/// `Ok(None)` when the flag is absent, an error naming the flag when its
+/// value is missing or does not parse — a typo never becomes a default.
+/// The one flag parser of every binary (`nvwa`, `repro`, `nvwa-loadgen`).
+pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let raw = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name}: missing value"))?;
+    match raw.parse() {
+        Ok(value) => Ok(Some(value)),
+        Err(_) => Err(format!("{name}: cannot parse {raw:?}")),
+    }
+}
+
+/// Parses `--threads N`; `None` (flag absent, or `0` = auto) leaves the
 /// default resolution (`NVWA_THREADS`, then hardware parallelism).
-/// Shared by every binary that exposes the flag (`nvwa`, `repro`,
-/// `perf`, `nvwa-loadgen`).
-pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
+pub fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {
+    Ok(flag(args, "--threads")?.filter(|&n| n > 0))
 }
 
 /// Applies `--threads N` from `args` to the process-wide default (no-op
 /// when absent) and returns the resolved thread count either way.
-pub fn configure_threads_from_args(args: &[String]) -> usize {
-    if let Some(n) = threads_from_args(args) {
+pub fn configure_threads_from_args(args: &[String]) -> Result<usize, String> {
+    if let Some(n) = threads_from_args(args)? {
         set_default_threads(n);
     }
-    current_threads()
+    Ok(current_threads())
 }
 
 /// The thread count [`par_map`] will use, after applying the full
@@ -303,15 +314,18 @@ mod tests {
     #[test]
     fn threads_flag_parsing() {
         let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&args(&["--threads", "4"])), Some(4));
+        assert_eq!(threads_from_args(&args(&["--threads", "4"])), Ok(Some(4)));
         assert_eq!(
             threads_from_args(&args(&["x", "--threads", "2", "y"])),
-            Some(2)
+            Ok(Some(2))
         );
-        assert_eq!(threads_from_args(&args(&["--threads"])), None);
-        assert_eq!(threads_from_args(&args(&["--threads", "zero"])), None);
-        assert_eq!(threads_from_args(&args(&["--threads", "0"])), None);
-        assert_eq!(threads_from_args(&args(&[])), None);
+        let missing = Err("--threads: missing value".to_string());
+        assert_eq!(threads_from_args(&args(&["--threads"])), missing);
+        let garbage = Err("--threads: cannot parse \"zero\"".to_string());
+        assert_eq!(threads_from_args(&args(&["--threads", "zero"])), garbage);
+        assert_eq!(threads_from_args(&args(&["--threads", "0"])), Ok(None));
+        assert_eq!(threads_from_args(&args(&[])), Ok(None));
+        assert_eq!(flag(&args(&["--frac", "0.5"]), "--frac"), Ok(Some(0.5f64)));
     }
 
     #[test]

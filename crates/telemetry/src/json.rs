@@ -2,7 +2,7 @@
 //!
 //! The workspace is offline (DESIGN.md §7 bans serde), but telemetry needs
 //! to *emit* snapshots and traces, *parse* them back for golden-file
-//! round-trip tests, and *validate* repo artifacts like `BENCH_*.json`.
+//! round-trip tests, and *validate* repo artifacts like loadgen reports.
 //! Objects preserve insertion order, numbers serialize via Rust's
 //! shortest-round-trip `f64` formatting, and integral values print without
 //! a decimal point — so `parse(serialize(v)) == v` is stable.

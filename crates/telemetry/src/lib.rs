@@ -24,7 +24,7 @@
 //!   a parser, used for snapshots, golden tests and schema validation.
 //! * [`snapshot`] — the versioned metrics-snapshot file format
 //!   (`schema_version` 1) and validators for the repo's JSON artifacts
-//!   (metrics snapshots, `BENCH_*.json`, Chrome traces).
+//!   (metrics snapshots, loadgen reports, Chrome traces).
 //! * [`window`] — windowed aggregation: ring-buffered rolling histograms
 //!   and rate counters over explicit timestamps, packaged as the
 //!   [`window::SloWindow`] the serve path exposes live.

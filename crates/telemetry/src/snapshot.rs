@@ -5,7 +5,6 @@
 //!
 //! * **metrics snapshots** (`--metrics-out`): the versioned document built
 //!   by [`crate::MetricsRegistry::snapshot`];
-//! * **bench reports** (`BENCH_*.json` from the `perf` binary);
 //! * **Chrome traces** (`--trace-out`);
 //! * **live observability documents**: the windowed [`crate::SloView`]
 //!   and flight-recorder summary embedded in serve `stats` responses,
@@ -517,7 +516,7 @@ pub fn validate_controller_log(doc: &JsonValue) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the failed criterion.
+/// Returns a message naming the condition that failed.
 pub fn controller_converged(doc: &JsonValue) -> Result<(), String> {
     let what = "controller convergence";
     let ticks = require_count(doc, "ticks", what)?;
@@ -912,130 +911,6 @@ pub fn validate_loadgen_report(doc: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `BENCH_*.json` perf report (the `perf` binary's format).
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_bench_report(doc: &JsonValue) -> Result<(), String> {
-    let what = "bench report";
-    let parallelism = require_num(doc, "host_parallelism", what)?;
-    if parallelism < 1.0 {
-        return Err(format!("{what}: host_parallelism must be ≥ 1"));
-    }
-    let samples = require_num(doc, "samples_per_scenario", what)?;
-    if samples < 1.0 {
-        return Err(format!("{what}: samples_per_scenario must be ≥ 1"));
-    }
-    let scenarios = require(doc, "scenarios", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: scenarios must be an array"))?;
-    if scenarios.is_empty() {
-        return Err(format!("{what}: scenarios must be non-empty"));
-    }
-    for (i, s) in scenarios.iter().enumerate() {
-        if require(s, "name", what)?.as_str().is_none() {
-            return Err(format!("{what}: scenarios[{i}].name must be a string"));
-        }
-        let threads =
-            require_num(s, "threads", what).map_err(|e| format!("{e} (scenarios[{i}])"))?;
-        if threads < 1.0 {
-            return Err(format!("{what}: scenarios[{i}].threads must be ≥ 1"));
-        }
-        let ms =
-            require_num(s, "median_wall_ms", what).map_err(|e| format!("{e} (scenarios[{i}])"))?;
-        if ms.is_nan() || ms <= 0.0 {
-            return Err(format!("{what}: scenarios[{i}].median_wall_ms must be > 0"));
-        }
-    }
-    require_numeric_object(doc, "speedups", what)?;
-    // Optional PR8 section: the idle-fleet frontend comparison. Each
-    // entry records one frontend's parked-fleet cost and active p99.
-    if let Some(section) = doc.get("serve_reactor_10k_idle") {
-        let entries = section
-            .as_arr()
-            .ok_or_else(|| format!("{what}: serve_reactor_10k_idle must be an array"))?;
-        if entries.is_empty() {
-            return Err(format!("{what}: serve_reactor_10k_idle must be non-empty"));
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if require(e, "frontend", what)?.as_str().is_none() {
-                return Err(format!(
-                    "{what}: serve_reactor_10k_idle[{i}].frontend must be a string"
-                ));
-            }
-            for key in [
-                "idle_conns",
-                "threads_with_idle",
-                "vm_rss_kb_with_idle",
-                "active_p99_ms",
-                "active_wall_ms",
-            ] {
-                let v = require_num(e, key, what)
-                    .map_err(|err| format!("{err} (serve_reactor_10k_idle[{i}])"))?;
-                if v < 0.0 || v.is_nan() {
-                    return Err(format!(
-                        "{what}: serve_reactor_10k_idle[{i}].{key} must be ≥ 0"
-                    ));
-                }
-            }
-        }
-    }
-    // Optional PR9 section: the adaptive-batching comparison. Each entry
-    // records one (scenario, config) run's tail latency and shed outcome
-    // plus the controller's decision counters.
-    if let Some(section) = doc.get("adaptive_batching") {
-        let entries = section
-            .as_arr()
-            .ok_or_else(|| format!("{what}: adaptive_batching must be an array"))?;
-        if entries.is_empty() {
-            return Err(format!("{what}: adaptive_batching must be non-empty"));
-        }
-        for (i, e) in entries.iter().enumerate() {
-            for key in ["scenario", "config"] {
-                if require(e, key, what)?.as_str().is_none() {
-                    return Err(format!(
-                        "{what}: adaptive_batching[{i}].{key} must be a string"
-                    ));
-                }
-            }
-            let adaptive = match require(e, "adaptive", what)? {
-                JsonValue::Bool(b) => *b,
-                other => {
-                    return Err(format!(
-                        "{what}: adaptive_batching[{i}].adaptive must be a bool, got {other}"
-                    ))
-                }
-            };
-            for key in ["p99_ms", "shed_rate", "ok", "shed"] {
-                let v = require_num(e, key, what)
-                    .map_err(|err| format!("{err} (adaptive_batching[{i}])"))?;
-                if v < 0.0 || v.is_nan() {
-                    return Err(format!("{what}: adaptive_batching[{i}].{key} must be ≥ 0"));
-                }
-            }
-            let changes = require_count(e, "controller_changes", what)
-                .map_err(|err| format!("{err} (adaptive_batching[{i}])"))?;
-            require_count(e, "controller_resplits", what)
-                .map_err(|err| format!("{err} (adaptive_batching[{i}])"))?;
-            // A static run has no controller; an adaptive run that never
-            // decided anything did not close the loop.
-            if !adaptive && changes > 0.0 {
-                return Err(format!(
-                    "{what}: adaptive_batching[{i}] is static but reports controller changes"
-                ));
-            }
-            if adaptive && changes < 1.0 {
-                return Err(format!(
-                    "{what}: adaptive_batching[{i}] is adaptive but the controller never \
-                     changed a knob"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Validates a Chrome trace document: a `traceEvents` array whose entries
 /// all carry `ph`/`pid`/`tid`/`name`, with `ts`/`dur` on spans.
 ///
@@ -1114,46 +989,6 @@ mod tests {
             pairs.retain(|(k, _)| k != "host_threads");
         }
         assert!(validate_metrics_snapshot(&bad).is_err());
-    }
-
-    #[test]
-    fn bench_report_shape_is_enforced() {
-        let good = r#"{
-            "host_parallelism": 1, "samples_per_scenario": 3,
-            "scenarios": [{"name": "a", "threads": 1, "median_wall_ms": 10.5}],
-            "speedups": {"x": 1.4}
-        }"#;
-        validate_bench_report(&JsonValue::parse(good).unwrap()).unwrap();
-        let bad = r#"{"host_parallelism": 1, "samples_per_scenario": 3,
-                      "scenarios": [], "speedups": {}}"#;
-        assert!(validate_bench_report(&JsonValue::parse(bad).unwrap()).is_err());
-    }
-
-    #[test]
-    fn bench_report_adaptive_batching_section_is_enforced() {
-        let entry = |adaptive: bool, changes: u64| {
-            format!(
-                r#"{{"scenario": "serve_bursty", "config": "b8_w1ms", "adaptive": {adaptive},
-                     "p99_ms": 62.3, "shed_rate": 0.0, "ok": 3000, "shed": 0,
-                     "controller_changes": {changes}, "controller_resplits": 0}}"#
-            )
-        };
-        let report = |entries: &str| {
-            format!(
-                r#"{{"host_parallelism": 1, "samples_per_scenario": 1,
-                     "scenarios": [{{"name": "a", "threads": 1, "median_wall_ms": 10.5}}],
-                     "speedups": {{"x": 1.4}}, "adaptive_batching": [{entries}]}}"#
-            )
-        };
-        let good = report(&format!("{}, {}", entry(false, 0), entry(true, 40)));
-        validate_bench_report(&JsonValue::parse(&good).unwrap()).unwrap();
-        // An adaptive run whose controller never decided anything did not
-        // close the loop; a static run must not report controller changes.
-        for bad_entry in [entry(true, 0), entry(false, 3)] {
-            let bad = report(&bad_entry);
-            assert!(validate_bench_report(&JsonValue::parse(&bad).unwrap()).is_err());
-        }
-        assert!(validate_bench_report(&JsonValue::parse(&report("")).unwrap()).is_err());
     }
 
     #[test]

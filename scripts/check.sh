@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the tier-1 build+test suite, the
-# telemetry artifact checks, the serve smoke test and the conformance
-# sweep. Run from the repository root: ./scripts/check.sh
+# telemetry artifact checks, the benchmark smoke run, the serve smoke
+# tests and the conformance sweep. Run from the repository root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -26,76 +26,19 @@ else
 fi
 
 # Generate fresh telemetry artifacts with the release binary and validate
-# them — plus the committed perf records — against their schemas.
+# them against their schemas.
 cargo run --release --quiet --bin nvwa -- sim --reads 500 \
     --trace-out "$artifacts_dir/trace.json" \
     --metrics-out "$artifacts_dir/metrics.json"
 cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    BENCH_PR1.json BENCH_PR3.json BENCH_PR4.json BENCH_PR6.json \
-    BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json \
     "$artifacts_dir/trace.json" "$artifacts_dir/metrics.json"
 
-# Seeding fast-path perf gate: re-measure the seed scenarios and require
-# the hot path (occ4 + occ-block cache + prefix LUT + scratch reuse) to
-# beat the frozen pre-optimization oracle. The committed BENCH_PR4.json
-# records the full reference run; this gate uses a conservative threshold
-# so scheduler noise on shared CI runners does not flake the build.
-cargo run --release --quiet -p nvwa-bench --bin perf -- \
-    --only seed --samples 3 \
-    --min-speedup seed_short_fast_vs_baseline_1t:1.3 \
-    --min-speedup seed_long_fast_vs_baseline_1t:1.3 \
-    --out "$artifacts_dir/bench_seed.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    "$artifacts_dir/bench_seed.json"
-
-# Extension-kernel perf gates (PR 6): the bit-parallel banded edit kernel
-# vs the banded SW unit on the same flank workloads, then the end-to-end
-# pipeline vs a baseline aligner pinned to KernelPolicy::BandedSw (the
-# pre-PR-6 default). The committed BENCH_PR6.json records the full
-# reference run (~8x / ~14x / ~2.2x); the floors are conservative so
-# scheduler noise on shared CI runners does not flake the build.
-cargo run --release --quiet -p nvwa-bench --bin perf -- \
-    --only extend --samples 3 \
-    --min-speedup extend_short_bitparallel_vs_banded_1t:2.0 \
-    --min-speedup extend_long_bitparallel_vs_banded_1t:2.0 \
-    --out "$artifacts_dir/bench_extend.json"
-cargo run --release --quiet -p nvwa-bench --bin perf -- \
-    --only e2e_align --samples 3 \
-    --min-speedup e2e_align_fast_vs_baseline_1t:1.5 \
-    --out "$artifacts_dir/bench_e2e.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    "$artifacts_dir/bench_extend.json" "$artifacts_dir/bench_e2e.json"
-
-# Adaptive-batching perf gate (PR 9): the online controller vs the best
-# static (max_batch, max_wait) grid point, on a bursty Poisson mix and a
-# bimodal short+long length mix, both against a server paying a large
-# fixed per-batch dispatch cost. The committed BENCH_PR9.json records the
-# full reference run (~54x / ~14.5x p99, shed 0.84/0.57 -> 0.00); the
-# floors are conservative so scheduler noise on shared CI runners does
-# not flake the build.
-cargo run --release --quiet -p nvwa-bench --bin perf -- \
-    --only serve_adaptive --samples 1 \
-    --min-speedup adaptive_vs_best_static_bursty_p99:1.15 \
-    --min-speedup adaptive_vs_best_static_bursty_shed:2.0 \
-    --min-speedup adaptive_vs_best_static_bimodal_p99:1.15 \
-    --min-speedup adaptive_vs_best_static_bimodal_shed:2.0 \
-    --out "$artifacts_dir/bench_adaptive.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    "$artifacts_dir/bench_adaptive.json"
-
-# Long-read perf gate (PR 10): the seed-chain-fill long-read pipeline
-# (minimizer seeding -> anchor chaining -> GACT tiled fill) vs a
-# no-chaining baseline that full-SWs the whole read at its first
-# minimizer hit, plus the served long/classify mode scenarios (lossless
-# by assertion inside the harness). The committed BENCH_PR10.json
-# records the full reference run (~6.4x); the 1.3x floor is conservative
-# so scheduler noise on shared CI runners does not flake the build.
-cargo run --release --quiet -p nvwa-bench --bin perf -- \
-    --only long_read,serve_classify --samples 3 \
-    --min-speedup long_read_gact_vs_fullsw_1t:1.3 \
-    --out "$artifacts_dir/bench_long_read.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    "$artifacts_dir/bench_long_read.json"
+# The repository benchmark at 1/50 size (all five workloads plus its own
+# metric-table self-check), then the harness's unit tests: a crate-API
+# change that breaks benchmark/src/adapter.rs fails here, not first in the
+# pipeline that judges parent vs change.
+bash benchmark/run.sh --smoke
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Serve smoke test: start the server in the background on an ephemeral
 # port, push 2 000 reads closed-loop while scraping the in-band `stats`

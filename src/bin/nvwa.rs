@@ -72,10 +72,13 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `name V` parsed as a `T` (`None` when absent); a missing or
+/// unparsable value is a usage error, not a silent default.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    nvwa::sim::par::flag(args, name).unwrap_or_else(|e| {
+        eprintln!("nvwa: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn usage() -> ExitCode {
@@ -108,7 +111,10 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    nvwa::sim::par::configure_threads_from_args(&args);
+    if let Err(e) = nvwa::sim::par::configure_threads_from_args(&args) {
+        eprintln!("nvwa: {e}");
+        return ExitCode::from(2);
+    }
     match args.first().map(String::as_str) {
         Some("synth-ref") => synth_ref(&args[1..]),
         Some("synth-reads") => synth_reads(&args[1..]),
@@ -202,8 +208,8 @@ fn print_report(report: &nvwa::core::SimReport) {
 /// The default scenario: the paper-scale accelerator on the calibrated
 /// synthetic workload (no input files needed).
 fn sim(args: &[String]) -> ExitCode {
-    let reads = flag_u64(args, "--reads", 2_000) as usize;
-    let seed = flag_u64(args, "--seed", 42);
+    let reads = flag(args, "--reads").unwrap_or(2_000);
+    let seed = flag(args, "--seed").unwrap_or(42);
     let mut phases = HostPhases::new();
     let works = phases.run("workload build", || {
         SyntheticWorkloadParams {
@@ -230,11 +236,11 @@ fn synth_ref(args: &[String]) -> ExitCode {
         return usage();
     };
     let params = ReferenceParams {
-        total_len: flag_u64(args, "--len", 500_000) as usize,
-        chromosomes: flag_u64(args, "--chromosomes", 4) as usize,
+        total_len: flag(args, "--len").unwrap_or(500_000),
+        chromosomes: flag(args, "--chromosomes").unwrap_or(4),
         ..ReferenceParams::default()
     };
-    let genome = ReferenceGenome::synthesize(&params, flag_u64(args, "--seed", 1));
+    let genome = ReferenceGenome::synthesize(&params, flag(args, "--seed").unwrap_or(1));
     if let Err(e) = fs::write(out, fasta::to_fasta(&genome, 80)) {
         eprintln!("nvwa: cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -268,11 +274,11 @@ fn synth_reads(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let params = ReadSimParams {
-        read_len: flag_u64(args, "--len", 101) as usize,
+        read_len: flag(args, "--len").unwrap_or(101),
         ..ReadSimParams::illumina_101()
     };
-    let mut sim = ReadSimulator::new(&genome, params, flag_u64(args, "--seed", 2));
-    let reads = sim.simulate_reads(flag_u64(args, "--count", 1_000) as usize);
+    let mut sim = ReadSimulator::new(&genome, params, flag(args, "--seed").unwrap_or(2));
+    let reads = sim.simulate_reads(flag(args, "--count").unwrap_or(1_000));
     if let Err(e) = fs::write(out, fasta::reads_to_fastq(&reads)) {
         eprintln!("nvwa: cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -286,10 +292,8 @@ fn synth_reads(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The serving front end: builds (or loads) a reference, starts the
-/// batched TCP server and runs until SIGINT/SIGTERM or a protocol
-/// `shutdown` request, then drains gracefully and optionally writes the
-/// serve metrics snapshot and Chrome trace.
+/// Runs the selected conformance families over the seed list and prints
+/// the report; non-zero exit on any divergence.
 fn conformance(args: &[String]) -> ExitCode {
     use nvwa::testkit::conformance::{run, ConformanceConfig, Family};
     use std::path::PathBuf;
@@ -299,8 +303,7 @@ fn conformance(args: &[String]) -> ExitCode {
         .iter()
         .enumerate()
         .filter(|(_, a)| *a == "--seed")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .filter_map(|v| v.parse().ok())
+        .filter_map(|(i, _)| flag(&args[i..], "--seed"))
         .collect();
     let seeds = if seeds.is_empty() {
         vec![1, 2, 3]
@@ -354,8 +357,8 @@ fn conformance(args: &[String]) -> ExitCode {
     } else {
         vec![(
             "default",
-            flag_u64(args, "--cases", 24) as usize,
-            flag_u64(args, "--serve-reads", 48) as usize,
+            flag(args, "--cases").unwrap_or(24),
+            flag(args, "--serve-reads").unwrap_or(48),
         )]
     };
 
@@ -409,6 +412,10 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
     Ok(tenant)
 }
 
+/// The serving front end: builds (or loads) a reference, starts the
+/// batched TCP server and runs until SIGINT/SIGTERM or a protocol
+/// `shutdown` request, then drains gracefully and optionally writes the
+/// serve metrics snapshot and Chrome trace.
 fn serve(args: &[String]) -> ExitCode {
     use nvwa::serve::loadgen::ref_params;
     use nvwa::serve::{
@@ -429,9 +436,7 @@ fn serve(args: &[String]) -> ExitCode {
     // multi-tenant registry: each tenant's reference is synthesized from
     // its species profile at `--tenant-scale` and `--ref*` flags are
     // ignored.
-    let tenant_scale = flag_value(args, "--tenant-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05f64);
+    let tenant_scale = flag(args, "--tenant-scale").unwrap_or(0.05f64);
     let mut tenants = Vec::new();
     let tenant_flags: Vec<usize> = args
         .iter()
@@ -492,11 +497,11 @@ fn serve(args: &[String]) -> ExitCode {
     let adaptive = if args.iter().any(|a| a == "--batch-adaptive") {
         let defaults = ControllerConfig::default();
         Some(ControllerConfig {
-            tick_us: flag_u64(args, "--control-tick-ms", defaults.tick_us / 1_000) * 1_000,
-            batch_floor: flag_u64(args, "--batch-floor", defaults.batch_floor as u64) as usize,
-            batch_ceil: flag_u64(args, "--batch-ceil", defaults.batch_ceil as u64) as usize,
-            wait_floor_us: flag_u64(args, "--batch-wait-floor-us", defaults.wait_floor_us),
-            wait_ceil_us: flag_u64(args, "--batch-wait-ceil-us", defaults.wait_ceil_us),
+            tick_us: flag(args, "--control-tick-ms").unwrap_or(defaults.tick_us / 1_000) * 1_000,
+            batch_floor: flag(args, "--batch-floor").unwrap_or(defaults.batch_floor),
+            batch_ceil: flag(args, "--batch-ceil").unwrap_or(defaults.batch_ceil),
+            wait_floor_us: flag(args, "--batch-wait-floor-us").unwrap_or(defaults.wait_floor_us),
+            wait_ceil_us: flag(args, "--batch-wait-ceil-us").unwrap_or(defaults.wait_ceil_us),
             ..defaults
         })
     } else {
@@ -505,47 +510,37 @@ fn serve(args: &[String]) -> ExitCode {
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
         tenants: tenants.clone(),
-        registry_budget: flag_value(args, "--registry-budget").and_then(|v| v.parse().ok()),
-        queue_capacity: flag_u64(args, "--queue-cap", 1024) as usize,
-        workers: flag_value(args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(nvwa::sim::par::current_threads),
+        registry_budget: flag(args, "--registry-budget"),
+        queue_capacity: flag(args, "--queue-cap").unwrap_or(1024),
+        workers: flag(args, "--workers").unwrap_or_else(nvwa::sim::par::current_threads),
         batch: BatcherConfig {
             bin_bounds,
-            max_batch: flag_u64(args, "--batch-max", 64) as usize,
-            max_wait: std::time::Duration::from_micros(flag_u64(args, "--batch-wait-us", 2_000)),
+            max_batch: flag(args, "--batch-max").unwrap_or(64),
+            max_wait: std::time::Duration::from_micros(
+                flag(args, "--batch-wait-us").unwrap_or(2_000),
+            ),
             ..BatcherConfig::default()
         },
         adaptive,
         backend,
         aligner: AlignerConfig::default(),
-        default_deadline: flag_value(args, "--deadline-ms")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis),
-        long_deadline: flag_value(args, "--long-deadline-ms")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis),
-        classify_deadline: flag_value(args, "--classify-deadline-ms")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis),
+        default_deadline: flag(args, "--deadline-ms").map(Duration::from_millis),
+        long_deadline: flag(args, "--long-deadline-ms").map(Duration::from_millis),
+        classify_deadline: flag(args, "--classify-deadline-ms").map(Duration::from_millis),
         trace: flag_value(args, "--trace-out").is_some(),
         obs: {
             let defaults = ObservabilityConfig::default();
             ObservabilityConfig {
-                slo_window_ms: flag_u64(args, "--slo-window-ms", defaults.slo_window_ms),
-                slo_step_ms: flag_u64(args, "--slo-step-ms", defaults.slo_step_ms),
-                span_log_cap: flag_u64(args, "--span-log-cap", defaults.span_log_cap as u64)
-                    as usize,
-                flight_cap: flag_u64(args, "--flight-cap", defaults.flight_cap as u64) as usize,
+                slo_window_ms: flag(args, "--slo-window-ms").unwrap_or(defaults.slo_window_ms),
+                slo_step_ms: flag(args, "--slo-step-ms").unwrap_or(defaults.slo_step_ms),
+                span_log_cap: flag(args, "--span-log-cap").unwrap_or(defaults.span_log_cap),
+                flight_cap: flag(args, "--flight-cap").unwrap_or(defaults.flight_cap),
                 flight_dump: flag_value(args, "--flight-dump").map(std::path::PathBuf::from),
-                shed_storm_threshold: flag_value(args, "--shed-storm").and_then(|v| v.parse().ok()),
+                shed_storm_threshold: flag(args, "--shed-storm"),
             }
         },
-        worker_delay: flag_value(args, "--debug-worker-delay-us")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_micros),
-        worker_panic_at_batch: flag_value(args, "--debug-worker-panic-at-batch")
-            .and_then(|v| v.parse().ok()),
+        worker_delay: flag(args, "--debug-worker-delay-us").map(Duration::from_micros),
+        worker_panic_at_batch: flag(args, "--debug-worker-panic-at-batch"),
     };
     signal::install();
     let started = if tenants.is_empty() {
@@ -557,8 +552,8 @@ fn serve(args: &[String]) -> ExitCode {
                 Err(code) => return code,
             }
         } else {
-            let len = flag_u64(args, "--ref-len", 100_000) as usize;
-            let seed = flag_u64(args, "--ref-seed", 5);
+            let len = flag(args, "--ref-len").unwrap_or(100_000);
+            let seed = flag(args, "--ref-seed").unwrap_or(5);
             eprintln!("synthesizing {len} bp reference (seed {seed}) ...");
             ReferenceGenome::synthesize(&ref_params(len), seed)
         };

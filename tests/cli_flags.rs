@@ -1,0 +1,25 @@
+//! A numeric flag the CLI cannot parse is a usage error (exit 2, the flag
+//! named on stderr) before any work — never a silent default.
+
+#[test]
+fn unparsable_flag_values_exit_2_naming_the_flag() {
+    for (args, message) in [
+        (
+            "serve --deadline-ms 5s",
+            "nvwa: --deadline-ms: cannot parse",
+        ),
+        ("sim --threads x", "nvwa: --threads: cannot parse"),
+        (
+            "conformance --seed-from-ci --seed",
+            "nvwa: --seed: missing value",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvwa"))
+            .args(args.split(' '))
+            .output()
+            .expect("nvwa runs");
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with(message));
+        assert!(out.stdout.is_empty(), "{args}: did work before refusing");
+    }
+}

@@ -5,7 +5,7 @@
 //!   event-boundary endpoints).
 //! * Per-cause stall cycles sum exactly to each pool's idle cycles, and
 //!   busy + idle covers the whole pool-time rectangle.
-//! * Metrics snapshots and `BENCH_PR1.json` pass their schema validators.
+//! * Metrics snapshots pass their schema validator.
 //! * The trace for a tiny 2-SU/2-EU run is byte-stable against a golden
 //!   file (regenerate with `NVWA_BLESS=1 cargo test -q --test
 //!   telemetry_integration`).
@@ -13,9 +13,7 @@
 use nvwa::core::config::{EuClass, NvwaConfig};
 use nvwa::core::system::{simulate_instrumented, SimOptions, SimRun};
 use nvwa::core::units::workload::SyntheticWorkloadParams;
-use nvwa::telemetry::snapshot::{
-    validate_bench_report, validate_chrome_trace, validate_metrics_snapshot,
-};
+use nvwa::telemetry::snapshot::{validate_chrome_trace, validate_metrics_snapshot};
 use nvwa::telemetry::{cycles_to_us, JsonValue, SnapshotMeta, StallCause, PID_ACCELERATOR};
 
 fn instrumented_run() -> SimRun {
@@ -92,14 +90,6 @@ fn metrics_snapshot_passes_schema_validation() {
     let text = run.metrics.snapshot_json(&meta);
     let doc = JsonValue::parse(&text).expect("snapshot parses");
     validate_metrics_snapshot(&doc).expect("snapshot validates");
-}
-
-#[test]
-fn checked_in_bench_report_passes_schema_validation() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR1.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_PR1.json readable");
-    let doc = JsonValue::parse(&text).expect("BENCH_PR1.json parses");
-    validate_bench_report(&doc).expect("BENCH_PR1.json validates");
 }
 
 /// A 2-SU/2-EU system small enough for a human-readable golden trace.
