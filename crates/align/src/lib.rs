@@ -16,8 +16,6 @@
 //! * [`pipeline`] — the end-to-end software aligner; it also emits the
 //!   per-read *workload profile* (memory-access trace + extension tasks)
 //!   that drives the execution-driven hardware simulation.
-//! * [`seeding`] — the pluggable seeding abstraction behind the paper's
-//!   unified interface: FMD/SMEM and hash-based k-mer seeding.
 //! * [`myers`] — Myers bit-parallel edit distance (the GenASM/Bitap
 //!   algorithm family), single-word and multi-word banded variants with
 //!   traceback — the extension unit the short-read hot path uses.
@@ -38,7 +36,6 @@ pub mod myers;
 pub mod pipeline;
 pub mod sam;
 pub mod scoring;
-pub mod seeding;
 pub mod sw;
 
 pub use cigar::{Cigar, CigarOp};

@@ -9,20 +9,9 @@
 //! stricter serve-family schema when the snapshot came from `nvwa serve`),
 //! loadgen reports (`"kind": "nvwa-loadgen"`, conservation identities
 //! included), flight-recorder dumps (`"kind": "nvwa-flight"`), span logs
-//! (`"kind": "nvwa-spanlog"`), adaptive-controller decision logs
-//! (`"kind": "nvwa-controller"`, written by `nvwa serve
-//! --controller-log-out`) and Chrome traces (`"traceEvents"`). Exits
+//! (`"kind": "nvwa-spanlog"`) and Chrome traces (`"traceEvents"`). Exits
 //! non-zero on the first failure, so CI can gate on it (see
 //! `scripts/check.sh`).
-//!
-//! ```text
-//! cargo run -p nvwa-bench --bin validate -- --converged <controller-log>
-//! ```
-//!
-//! Converged mode additionally grades a controller log for convergence:
-//! the controller must have changed at least one knob and then held the
-//! final configuration for the trailing stable window. This is the
-//! check.sh smoke gate for `--batch-adaptive`.
 //!
 //! ```text
 //! cargo run -p nvwa-bench --bin validate -- --golden <golden> <candidate>
@@ -38,9 +27,8 @@
 use std::process::ExitCode;
 
 use nvwa_telemetry::snapshot::{
-    controller_converged, is_serve_snapshot, validate_chrome_trace, validate_controller_log,
-    validate_flight_dump, validate_loadgen_report, validate_metrics_snapshot,
-    validate_serve_snapshot, validate_span_log,
+    is_serve_snapshot, validate_chrome_trace, validate_flight_dump, validate_loadgen_report,
+    validate_metrics_snapshot, validate_serve_snapshot, validate_span_log,
 };
 use nvwa_telemetry::JsonValue;
 
@@ -62,7 +50,6 @@ const KINDS: &[Kind] = &[
     ("loadgen report", |d| has_kind(d, "nvwa-loadgen"), validate_loadgen_report),
     ("flight dump", |d| has_kind(d, "nvwa-flight"), validate_flight_dump),
     ("span log", |d| has_kind(d, "nvwa-spanlog"), validate_span_log),
-    ("controller log", |d| has_kind(d, "nvwa-controller"), validate_controller_log),
     ("chrome trace", |d| d.get("traceEvents").is_some(), validate_chrome_trace),
 ];
 
@@ -112,27 +99,6 @@ fn golden_mode(golden: &str, candidate: &str) -> ExitCode {
     }
 }
 
-/// `--converged <controller-log>`: schema-validate, then grade for
-/// convergence (≥1 knob change, stable trailing window).
-fn converged_mode(path: &str) -> ExitCode {
-    let check = || -> Result<(), String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-        let doc = JsonValue::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-        validate_controller_log(&doc)?;
-        controller_converged(&doc)
-    };
-    match check() {
-        Ok(()) => {
-            println!("{path}: controller log converged");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--golden") {
@@ -142,16 +108,8 @@ fn main() -> ExitCode {
         }
         return golden_mode(&args[1], &args[2]);
     }
-    if args.first().map(String::as_str) == Some("--converged") {
-        if args.len() != 2 {
-            eprintln!("usage: validate --converged <controller-log.json>");
-            return ExitCode::FAILURE;
-        }
-        return converged_mode(&args[1]);
-    }
     if args.is_empty() {
         eprintln!("usage: validate <file.json> [<file.json> ...]");
-        eprintln!("       validate --converged <controller-log.json>");
         eprintln!("       validate --golden <golden.json> <candidate.json>");
         return ExitCode::FAILURE;
     }
@@ -183,7 +141,6 @@ mod tests {
             (r#"{"kind": "nvwa-loadgen"}"#, "loadgen report"),
             (r#"{"kind": "nvwa-flight"}"#, "flight dump"),
             (r#"{"kind": "nvwa-spanlog"}"#, "span log"),
-            (r#"{"kind": "nvwa-controller"}"#, "controller log"),
             (r#"{"traceEvents": []}"#, "chrome trace"),
         ] {
             assert_eq!(label_of(text), Ok(label), "{text}");

@@ -1,9 +1,8 @@
 //! Index substrates for the NvWa reproduction.
 //!
 //! The paper's seeding units (SUs) implement a *bitwise, vectorized FM-index
-//! search* (the LFMapBit design of Wang et al., checkpoint interval 128) and
-//! its discussion covers hash-based seeding (Darwin) as the main alternative.
-//! This crate provides both, built from scratch:
+//! search* (the LFMapBit design of Wang et al., checkpoint interval 128).
+//! This crate provides it, built from scratch:
 //!
 //! * [`suffix_array`] — O(n log n) prefix-doubling suffix array construction.
 //! * [`bwt`] — Burrows-Wheeler transform derived from the suffix array.
@@ -16,8 +15,6 @@
 //!   BWA-MEM's greedy forward/backward algorithm.
 //! * [`sampled_sa`] — sampled suffix array for locating hits (each locate
 //!   walk contributes the paper's "2 + P" style memory accesses).
-//! * [`kmer_index`] — Darwin-style k-mer hash index (pointer table +
-//!   position table) exercising the loosely coupled seeding interface.
 //! * [`minimizer`] — minimap2-style `(w, k)` minimizer sampling and index
 //!   for the long-read *seed-and-chain-then-fill* pipeline (paper Sec. VI).
 //! * [`trace`] — memory-access trace sinks that the execution-driven timing
@@ -26,7 +23,6 @@
 pub mod bwt;
 pub mod fm_index;
 pub mod fmd_index;
-pub mod kmer_index;
 pub mod minimizer;
 pub mod sampled_sa;
 pub mod smem;

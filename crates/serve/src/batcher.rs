@@ -61,14 +61,6 @@ pub struct BatcherConfig {
     pub classify_max_batch: usize,
     /// Wait bound for the classify bin.
     pub classify_max_wait: Duration,
-    /// Per-bin `max_batch` overrides, indexed by bin. Empty means every
-    /// bin uses its class default; otherwise the vector must have
-    /// exactly [`bins`](BatcherConfig::bins) entries, all positive. The
-    /// adaptive controller publishes fully-populated overrides.
-    pub bin_max_batch: Vec<usize>,
-    /// Per-bin `max_wait` overrides; same empty-or-full contract as
-    /// `bin_max_batch`.
-    pub bin_max_wait: Vec<Duration>,
 }
 
 impl Default for BatcherConfig {
@@ -83,8 +75,6 @@ impl Default for BatcherConfig {
             classify_bin: false,
             classify_max_batch: 16,
             classify_max_wait: Duration::from_millis(2),
-            bin_max_batch: Vec::new(),
-            bin_max_wait: Vec::new(),
         }
     }
 }
@@ -98,10 +88,6 @@ impl BatcherConfig {
     /// configure them explicitly. The server calls this at launch so
     /// every serving deployment can accept all three request modes.
     pub fn ensure_mode_bins(&mut self) {
-        assert!(
-            self.bin_max_batch.is_empty() && self.bin_max_wait.is_empty(),
-            "enable mode bins before populating per-bin overrides"
-        );
         if self.long_bin_bounds.is_empty() {
             self.long_bin_bounds = Self::DEFAULT_LONG_BIN_BOUNDS.to_vec();
         }
@@ -172,8 +158,7 @@ impl BatcherConfig {
         }
     }
 
-    /// The class-default fill threshold for `bin`, ignoring per-bin
-    /// overrides (what the controller seeds its overrides from).
+    /// The fill threshold for `bin`: its traffic class's knob.
     pub fn class_max_batch(&self, bin: usize) -> usize {
         match self.class_of_bin(bin) {
             Mode::Short => self.max_batch,
@@ -182,30 +167,13 @@ impl BatcherConfig {
         }
     }
 
-    /// The class-default wait bound for `bin`, ignoring per-bin
-    /// overrides.
+    /// The wait bound for `bin`: its traffic class's knob.
     pub fn class_max_wait(&self, bin: usize) -> Duration {
         match self.class_of_bin(bin) {
             Mode::Short => self.max_wait,
             Mode::Long => self.long_max_wait,
             Mode::Classify => self.classify_max_wait,
         }
-    }
-
-    /// The fill threshold for `bin` (override, else the class default).
-    pub fn max_batch_for(&self, bin: usize) -> usize {
-        self.bin_max_batch
-            .get(bin)
-            .copied()
-            .unwrap_or_else(|| self.class_max_batch(bin))
-    }
-
-    /// The wait bound for `bin` (override, else the class default).
-    pub fn max_wait_for(&self, bin: usize) -> Duration {
-        self.bin_max_wait
-            .get(bin)
-            .copied()
-            .unwrap_or_else(|| self.class_max_wait(bin))
     }
 
     /// Asserts the invariants [`Batcher::new`] promises.
@@ -222,18 +190,6 @@ impl BatcherConfig {
         assert!(
             self.long_bin_bounds.windows(2).all(|w| w[0] < w[1]),
             "long bin bounds must be strictly increasing"
-        );
-        assert!(
-            self.bin_max_batch.is_empty() || self.bin_max_batch.len() == self.bins(),
-            "bin_max_batch must be empty or have one entry per bin"
-        );
-        assert!(
-            self.bin_max_batch.iter().all(|&n| n > 0),
-            "per-bin max_batch overrides must be positive"
-        );
-        assert!(
-            self.bin_max_wait.is_empty() || self.bin_max_wait.len() == self.bins(),
-            "bin_max_wait must be empty or have one entry per bin"
         );
     }
 }
@@ -316,7 +272,7 @@ impl<T> Batcher<T> {
     pub fn offer(&mut self, item: BatchItem<T>, now: Instant) -> Option<Batch<T>> {
         let bin = self.config.bin_for(item.mode, item.len);
         self.bins[bin].push(item);
-        if self.bins[bin].len() >= self.config.max_batch_for(bin) {
+        if self.bins[bin].len() >= self.config.class_max_batch(bin) {
             Some(self.flush_bin(bin, FlushReason::Fill, now))
         } else {
             None
@@ -329,7 +285,7 @@ impl<T> Batcher<T> {
         let due: Vec<usize> = (0..self.bins.len())
             .filter(|&b| {
                 self.bins[b].first().is_some_and(|item| {
-                    now.duration_since(item.admitted_at) >= self.config.max_wait_for(b)
+                    now.duration_since(item.admitted_at) >= self.config.class_max_wait(b)
                 })
             })
             .collect();
@@ -346,54 +302,9 @@ impl<T> Batcher<T> {
             .enumerate()
             .filter_map(|(b, bin)| {
                 bin.first()
-                    .map(|item| item.admitted_at + self.config.max_wait_for(b))
+                    .map(|item| item.admitted_at + self.config.class_max_wait(b))
             })
             .min()
-    }
-
-    /// Replaces the policy live, preserving every pending request. When
-    /// the bin bounds changed, pending items are re-binned under the new
-    /// bounds (admission order preserved per bin). Any bin that the new
-    /// knobs make overdue ships immediately: full bins flush as `Fill`
-    /// batches (chunked to the new `max_batch`), and [`Batcher::poll`] at
-    /// `now` catches bins whose oldest wait already exceeds a tightened
-    /// `max_wait`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` violates the [`Batcher::new`] invariants.
-    pub fn apply_config(&mut self, config: BatcherConfig, now: Instant) -> Vec<Batch<T>> {
-        config.validate();
-        let same_geometry = config.bin_bounds == self.config.bin_bounds
-            && config.long_bin_bounds == self.config.long_bin_bounds
-            && config.classify_bin == self.config.classify_bin;
-        if same_geometry {
-            self.config = config;
-        } else {
-            let mut items: Vec<BatchItem<T>> = Vec::with_capacity(self.pending());
-            for bin in &mut self.bins {
-                items.append(bin);
-            }
-            self.config = config;
-            self.bins = (0..self.config.bins()).map(|_| Vec::new()).collect();
-            // Stable sort: re-binned items keep admission order per bin.
-            items.sort_by_key(|item| item.admitted_at);
-            for item in items {
-                let bin = self.config.bin_for(item.mode, item.len);
-                self.bins[bin].push(item);
-            }
-        }
-        let mut out = Vec::new();
-        for b in 0..self.bins.len() {
-            let cap = self.config.max_batch_for(b);
-            while self.bins[b].len() >= cap {
-                let rest = self.bins[b].split_off(cap);
-                let head = std::mem::replace(&mut self.bins[b], rest);
-                out.push(self.form_batch(b, FlushReason::Fill, head, now));
-            }
-        }
-        out.extend(self.poll(now));
-        out
     }
 
     /// Flushes everything (shutdown drain), oldest bins first.
@@ -407,18 +318,7 @@ impl<T> Batcher<T> {
     }
 
     fn flush_bin(&mut self, bin: usize, reason: FlushReason, now: Instant) -> Batch<T> {
-        let drained = std::mem::take(&mut self.bins[bin]);
-        self.form_batch(bin, reason, drained, now)
-    }
-
-    fn form_batch(
-        &self,
-        bin: usize,
-        reason: FlushReason,
-        drained: Vec<BatchItem<T>>,
-        now: Instant,
-    ) -> Batch<T> {
-        let (expired, items): (Vec<_>, Vec<_>) = drained
+        let (expired, items): (Vec<_>, Vec<_>) = std::mem::take(&mut self.bins[bin])
             .into_iter()
             .partition(|item| item.deadline.is_some_and(|d| d <= now));
         Batch {
@@ -533,86 +433,6 @@ mod tests {
         assert_eq!(batches[0].expired[0].payload, 1);
     }
 
-    #[test]
-    fn per_bin_overrides_beat_the_global_knobs() {
-        let mut c = config(64, 1000);
-        c.bin_max_batch = vec![2, 64, 64];
-        c.bin_max_wait = vec![
-            Duration::from_millis(1000),
-            Duration::from_millis(1),
-            Duration::from_millis(1000),
-        ];
-        let mut b = Batcher::new(c);
-        let t0 = Instant::now();
-        // Bin 0 fills at its override of 2, not the global 64.
-        assert!(b.offer(item(100, t0), t0).is_none());
-        let batch = b.offer(item(100, t0), t0).expect("override fill");
-        assert_eq!(batch.bin, 0);
-        assert_eq!(batch.items.len(), 2);
-        // Bin 1 times out at its 1 ms override.
-        b.offer(item(500, t0), t0);
-        assert_eq!(b.next_flush_at(), Some(t0 + Duration::from_millis(1)));
-        let batches = b.poll(t0 + Duration::from_millis(2));
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].bin, 1);
-    }
-
-    #[test]
-    fn apply_config_rebins_pending_and_flushes_overdue() {
-        let mut b = Batcher::new(config(64, 1000));
-        let t0 = Instant::now();
-        b.offer(item(100, t0), t0);
-        b.offer(item(500, t0), t0);
-        b.offer(item(700, t0), t0);
-        // New bounds put everything under 600 in bin 0 and tighten the
-        // fill threshold to 2: the re-binned bin 0 is overdue at once.
-        let batches = b.apply_config(
-            BatcherConfig {
-                bin_bounds: vec![600],
-                max_batch: 2,
-                max_wait: Duration::from_millis(1000),
-                ..BatcherConfig::default()
-            },
-            t0,
-        );
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].bin, 0);
-        assert_eq!(batches[0].reason, FlushReason::Fill);
-        assert_eq!(batches[0].items.len(), 2);
-        assert_eq!(
-            batches[0].items.iter().map(|i| i.len).collect::<Vec<_>>(),
-            vec![100, 500],
-            "admission order survives the re-bin"
-        );
-        assert_eq!(b.pending(), 1, "the 700 bp read waits in the overflow bin");
-    }
-
-    #[test]
-    fn apply_config_with_tighter_wait_flushes_by_timeout() {
-        let mut b = Batcher::new(config(64, 1000));
-        let t0 = Instant::now();
-        b.offer(item(100, t0), t0);
-        let later = t0 + Duration::from_millis(10);
-        let batches = b.apply_config(
-            BatcherConfig {
-                max_wait: Duration::from_millis(5),
-                ..config(64, 1000)
-            },
-            later,
-        );
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].reason, FlushReason::Timeout);
-        assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per bin")]
-    fn misshapen_per_bin_overrides_are_rejected() {
-        let mut c = config(8, 10);
-        c.bin_max_batch = vec![1, 2]; // 3 bins
-        let _b: Batcher<u64> = Batcher::new(c);
-    }
-
     /// A config with every traffic class enabled (what the server runs
     /// after `ensure_mode_bins`).
     fn mode_config(max_batch: usize, wait_ms: u64) -> BatcherConfig {
@@ -678,35 +498,13 @@ mod tests {
     fn long_and_classify_bins_use_their_class_knobs() {
         let c = mode_config(64, 2);
         // Fill thresholds come from the class defaults...
-        assert_eq!(c.max_batch_for(0), 64);
-        assert_eq!(c.max_batch_for(3), c.long_max_batch);
-        assert_eq!(c.max_batch_for(5), c.classify_max_batch);
+        assert_eq!(c.class_max_batch(0), 64);
+        assert_eq!(c.class_max_batch(3), c.long_max_batch);
+        assert_eq!(c.class_max_batch(5), c.classify_max_batch);
         // ...and so do wait bounds.
-        assert_eq!(c.max_wait_for(0), Duration::from_millis(2));
-        assert_eq!(c.max_wait_for(3), c.long_max_wait);
-        assert_eq!(c.max_wait_for(5), c.classify_max_wait);
-        // Per-bin overrides still beat the class defaults.
-        let mut o = c.clone();
-        o.bin_max_batch = vec![9; o.bins()];
-        assert_eq!(o.max_batch_for(3), 9);
-    }
-
-    #[test]
-    fn apply_config_rebins_across_mode_groups() {
-        let mut b = Batcher::new(config(64, 1000));
-        let t0 = Instant::now();
-        // A long-mode request on a server without long bins falls back
-        // to the short length bins...
-        b.offer(moded(Mode::Long, 5000, t0), t0);
-        assert_eq!(b.pending(), 1);
-        // ...and migrates into the dedicated long bin when mode bins
-        // are enabled live.
-        let batches = b.apply_config(mode_config(64, 1000), t0);
-        assert!(batches.is_empty());
-        let flushed = b.drain(t0);
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].bin, 3, "long read landed in the long bin");
-        assert_eq!(flushed[0].mode, Mode::Long);
+        assert_eq!(c.class_max_wait(0), Duration::from_millis(2));
+        assert_eq!(c.class_max_wait(3), c.long_max_wait);
+        assert_eq!(c.class_max_wait(5), c.classify_max_wait);
     }
 
     #[test]

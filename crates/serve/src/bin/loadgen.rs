@@ -5,7 +5,7 @@
 //!              [--mode closed|open] [--window W] [--rate RPS] [--burst B]
 //!              [--request-mode short|long|classify|mixed]
 //!              [--deadline-ms D] [--ref-len N] [--ref-seed S] [--read-seed S]
-//!              [--long-frac F] [--long-len N]
+//!              [--long-len N]
 //!              [--tenant KEY[:WEIGHT]]... [--tenant-scale F]
 //!              [--out report.json] [--metrics-out snap.json]
 //!              [--stats-out scrapes.json] [--scrape-ms MS] [--slo key=value]...
@@ -64,7 +64,7 @@ fn usage() -> ExitCode {
     eprintln!("                    [--request-mode short|long|classify|mixed]");
     eprintln!("                    [--rate RPS] [--burst B] [--deadline-ms D]");
     eprintln!("                    [--ref-len N] [--ref-seed S] [--read-seed S]");
-    eprintln!("                    [--long-frac F] [--long-len N] [--split-len N]");
+    eprintln!("                    [--long-len N]");
     eprintln!("                    [--tenant KEY[:WEIGHT]]... [--tenant-scale F]");
     eprintln!("                    [--out report.json] [--metrics-out snap.json]");
     eprintln!("                    [--stats-out scrapes.json] [--scrape-ms MS]");
@@ -167,7 +167,6 @@ fn main() -> ExitCode {
         shutdown_after: args.iter().any(|a| a == "--shutdown"),
         scrape_every: flag(&args, "--scrape-ms").map(|ms: u64| Duration::from_millis(ms.max(1))),
         slo,
-        split_len: flag(&args, "--split-len"),
     };
 
     // Multi-tenant mix: `--tenant KEY[:WEIGHT]` (repeatable). Weighted
@@ -193,14 +192,6 @@ fn main() -> ExitCode {
         tenants.push((species, weight));
     }
 
-    // `--long-frac F` mixes `--long-len`-bp long reads into the stream at
-    // deterministic evenly-spaced positions (bimodal length mix for the
-    // batcher's length bins and the adaptive controller's re-splitter).
-    let long_frac = flag(&args, "--long-frac").unwrap_or(0.0f64);
-    if !(0.0..=1.0).contains(&long_frac) {
-        eprintln!("nvwa-loadgen: --long-frac wants a fraction in [0, 1]");
-        return usage();
-    }
     let long_len = flag(&args, "--long-len").unwrap_or(2_000);
     let tenant_scale = flag(&args, "--tenant-scale").unwrap_or(0.05f64);
 
@@ -217,16 +208,6 @@ fn main() -> ExitCode {
     let run_result = if tenants.is_empty() {
         let params = loadgen::ref_params(ref_len);
         let reads = match request_mode {
-            Some(Mode::Short) if long_frac > 0.0 => {
-                eprintln!(
-                    "synthesizing {reads_n} reads (ref {ref_len} bp, seed {ref_seed}), \
-                     {:.0}% long reads of {long_len} bp ...",
-                    long_frac * 100.0
-                );
-                loadgen::generate_mixed_reads(
-                    &params, ref_seed, read_seed, reads_n, long_frac, long_len,
-                )
-            }
             Some(Mode::Short) => {
                 eprintln!("synthesizing {reads_n} reads (ref {ref_len} bp, seed {ref_seed}) ...");
                 loadgen::generate_reads(&params, ref_seed, read_seed, reads_n)
@@ -378,17 +359,6 @@ fn main() -> ExitCode {
         fmt_us(report.latency.p99),
         fmt_us(report.latency.max)
     );
-    if let (Some(short), Some(long)) = (&report.latency_short, &report.latency_long) {
-        println!(
-            "split latency ms: short (n {}) p50 {} p99 {} | long (n {}) p50 {} p99 {}",
-            short.count,
-            fmt_us(short.p50),
-            fmt_us(short.p99),
-            long.count,
-            fmt_us(long.p50),
-            fmt_us(long.p99)
-        );
-    }
     if config.scrape_every.is_some() {
         println!(
             "scraped {} stats snapshots ({} failures)",

@@ -15,7 +15,7 @@
 //!   never convoy behind long ones,
 //! * three request modes sharing that wire protocol: seed-and-extend
 //!   short reads, minimizer-chain-GACT long reads in dedicated bins with
-//!   their own deadlines and controller knobs, and metagenomic
+//!   their own deadlines and batching knobs, and metagenomic
 //!   classification screening a read across every registry tenant
 //!   ([`protocol::Mode`]),
 //! * a worker pool executing batches bit-identically to the offline
@@ -41,7 +41,6 @@
 
 pub mod backend;
 pub mod batcher;
-pub mod controller;
 pub mod flight;
 pub mod loadgen;
 pub mod metrics;
@@ -55,7 +54,6 @@ pub mod signal;
 
 pub use backend::BackendKind;
 pub use batcher::BatcherConfig;
-pub use controller::{Controller, ControllerConfig, Decision};
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig, TenantRead, TenantReport};
 pub use metrics::{ObservabilityConfig, ServeMetrics};

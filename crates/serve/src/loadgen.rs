@@ -93,12 +93,6 @@ pub struct LoadgenConfig {
     pub scrape_every: Option<Duration>,
     /// SLO targets graded against the final report; see [`SloTarget`].
     pub slo: Vec<SloTarget>,
-    /// Split the latency summary by read length: reads shorter than this
-    /// land in [`LoadReport::latency_short`], the rest in
-    /// [`LoadReport::latency_long`]. The bimodal-mix scenarios use it to
-    /// grade the short-read (interactive) tail separately from the long
-    /// reads that legitimately take longer.
-    pub split_len: Option<usize>,
 }
 
 impl Default for LoadgenConfig {
@@ -113,7 +107,6 @@ impl Default for LoadgenConfig {
             shutdown_after: false,
             scrape_every: None,
             slo: Vec::new(),
-            split_len: None,
         }
     }
 }
@@ -350,12 +343,6 @@ pub struct LoadReport {
     /// Client-observed end-to-end latency (send → response) of completed
     /// requests (`ok` and `unmapped`).
     pub latency: LatencySummary,
-    /// Latency of completed responses for reads shorter than
-    /// [`LoadgenConfig::split_len`] (`None` when no split is configured).
-    pub latency_short: Option<LatencySummary>,
-    /// Latency of completed responses for reads at or above the split
-    /// length.
-    pub latency_long: Option<LatencySummary>,
     /// Per-tenant slices of the run (empty for unlabelled [`run`] loads).
     pub tenants: Vec<TenantReport>,
     /// Decoded responses by request id (when `collect_responses`).
@@ -378,7 +365,7 @@ impl LoadReport {
     /// The report document (`validate` checks it against the
     /// `nvwa-loadgen` schema, conservation identities included).
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
+        JsonValue::obj(vec![
             ("kind", JsonValue::Str("nvwa-loadgen".to_string())),
             ("schema_version", JsonValue::Num(1.0)),
             ("mode", JsonValue::Str(self.mode.to_string())),
@@ -429,14 +416,7 @@ impl LoadReport {
                     ),
                 ]),
             ),
-        ];
-        if let Some(short) = &self.latency_short {
-            fields.push(("latency_short_us", short.to_json()));
-        }
-        if let Some(long) = &self.latency_long {
-            fields.push(("latency_long_us", long.to_json()));
-        }
-        JsonValue::obj(fields)
+        ])
     }
 
     /// `lost == 0 && duplicates == 0` — the healthy-run invariant.
@@ -549,46 +529,6 @@ pub fn generate_reads(
         .collect()
 }
 
-/// Synthesizes a bimodal-length read set against the server's reference:
-/// a `long_frac` fraction of the reads are `long_len` bp long-read
-/// simulations, the rest the standard Illumina 101 bp profile. Long
-/// reads are interleaved at deterministic evenly-spaced positions (not
-/// random), so a run's length mix is identical at any seed — the point
-/// is to stress the batcher's length bins, and the controller's bound
-/// re-splitting, with a stable mixture.
-pub fn generate_mixed_reads(
-    params: &ReferenceParams,
-    ref_seed: u64,
-    read_seed: u64,
-    n: usize,
-    long_frac: f64,
-    long_len: usize,
-) -> Vec<Vec<u8>> {
-    let genome = ReferenceGenome::synthesize(params, ref_seed);
-    let n_long = ((n as f64) * long_frac.clamp(0.0, 1.0)).round() as usize;
-    let mut short_sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), read_seed);
-    let mut long_sim = ReadSimulator::new(
-        &genome,
-        ReadSimParams::long_read(long_len),
-        read_seed ^ 0x1096_2ead,
-    );
-    let mut shorts = short_sim.simulate_reads(n - n_long).into_iter();
-    let mut longs = long_sim.simulate_reads(n_long).into_iter();
-    (0..n)
-        .map(|i| {
-            // Position i is long iff the rounded-down long count advances
-            // across it: exactly n_long evenly-spaced long positions.
-            let is_long = (i + 1) * n_long / n != i * n_long / n;
-            let read = if is_long {
-                longs.next().expect("long read count matches interleave")
-            } else {
-                shorts.next().expect("short read count matches interleave")
-            };
-            read.seq.codes().to_vec()
-        })
-        .collect()
-}
-
 /// Synthesizes a pure long-read set against the server's reference: every
 /// read is a `long_len` bp long-read simulation. The `long`/`classify`
 /// serving modes consume these (the minimizer-seeded pipeline needs reads
@@ -674,10 +614,9 @@ struct TenantTally {
     latencies_us: Vec<f64>,
 }
 
-/// In-flight requests: `id → (send instant, tenant index, read length)`.
-/// The tenant index keeps the per-tenant identities exact; the length
-/// routes the latency sample to the short/long split when one is set.
-type PendingSends = HashMap<u64, (Instant, u32, u32)>;
+/// In-flight requests: `id → (send instant, tenant index)`. The tenant
+/// index keeps the per-tenant identities exact.
+type PendingSends = HashMap<u64, (Instant, u32)>;
 
 /// Per-connection tally, merged into the final report.
 struct ConnTally {
@@ -693,17 +632,12 @@ struct ConnTally {
     errors: u64,
     mapped: u64,
     latencies_us: Vec<f64>,
-    latencies_short_us: Vec<f64>,
-    latencies_long_us: Vec<f64>,
-    /// When set, `ok` latencies additionally land in the short/long
-    /// vectors split by read length (see [`LoadgenConfig::split_len`]).
-    split_len: Option<u32>,
     responses: HashMap<u64, AlignResponse>,
     tenants: Vec<TenantTally>,
 }
 
 impl ConnTally {
-    fn new(n_tenants: usize, split_len: Option<u32>) -> ConnTally {
+    fn new(n_tenants: usize) -> ConnTally {
         ConnTally {
             sent: 0,
             received: 0,
@@ -717,9 +651,6 @@ impl ConnTally {
             errors: 0,
             mapped: 0,
             latencies_us: Vec::new(),
-            latencies_short_us: Vec::new(),
-            latencies_long_us: Vec::new(),
-            split_len,
             responses: HashMap::new(),
             tenants: vec![TenantTally::default(); n_tenants.max(1)],
         }
@@ -732,7 +663,7 @@ impl ConnTally {
 
     fn note_lost(&mut self, pending: &PendingSends) {
         self.lost += pending.len() as u64;
-        for (_, tenant_idx, _) in pending.values() {
+        for (_, tenant_idx) in pending.values() {
             self.tenants[*tenant_idx as usize].lost += 1;
         }
     }
@@ -741,7 +672,7 @@ impl ConnTally {
         let Ok(resp) = AlignResponse::decode(doc) else {
             return; // undecodable frame; the request will surface as lost
         };
-        let Some((at, tenant_idx, len)) = sent_at.remove(&resp.id) else {
+        let Some((at, tenant_idx)) = sent_at.remove(&resp.id) else {
             self.duplicates += 1;
             return;
         };
@@ -758,13 +689,6 @@ impl ConnTally {
                 }
                 let us = at.elapsed().as_secs_f64() * 1e6;
                 self.latencies_us.push(us);
-                if let Some(split) = self.split_len {
-                    if len < split {
-                        self.latencies_short_us.push(us);
-                    } else {
-                        self.latencies_long_us.push(us);
-                    }
-                }
                 t.latencies_us.push(us);
             }
             Status::Unmapped => {
@@ -775,13 +699,6 @@ impl ConnTally {
                 t.unmapped += 1;
                 let us = at.elapsed().as_secs_f64() * 1e6;
                 self.latencies_us.push(us);
-                if let Some(split) = self.split_len {
-                    if len < split {
-                        self.latencies_short_us.push(us);
-                    } else {
-                        self.latencies_long_us.push(us);
-                    }
-                }
                 t.latencies_us.push(us);
             }
             Status::Shed => {
@@ -915,10 +832,9 @@ fn closed_conn(
     window: usize,
     deadline_ms: Option<u64>,
     collect: bool,
-    split_len: Option<u32>,
 ) -> std::io::Result<ConnTally> {
     let mut stream = connect(addr)?;
-    let mut tally = ConnTally::new(n_tenants, split_len);
+    let mut tally = ConnTally::new(n_tenants);
     let mut sent_at: PendingSends = HashMap::new();
     let mut next = 0usize;
     let window = window.max(1);
@@ -929,7 +845,7 @@ fn closed_conn(
                 &mut stream,
                 &align_request(r.id, r.codes, deadline_ms, r.tenant, r.region, r.mode),
             )?;
-            sent_at.insert(r.id, (Instant::now(), r.tenant_idx, r.codes.len() as u32));
+            sent_at.insert(r.id, (Instant::now(), r.tenant_idx));
             tally.note_sent(r.tenant_idx);
             next += 1;
         }
@@ -951,7 +867,6 @@ struct OpenLoop {
     deadline_ms: Option<u64>,
     seed: u64,
     collect: bool,
-    split_len: Option<u32>,
 }
 
 /// The sender thread's owned copy of one wire read (it outlives the
@@ -979,7 +894,6 @@ fn open_conn(
         deadline_ms,
         seed,
         collect,
-        split_len,
     } = opts;
     let stream = connect(addr)?;
     let mut read_half = stream.try_clone()?;
@@ -1018,7 +932,7 @@ fn open_conn(
                     sent_at
                         .lock()
                         .unwrap()
-                        .insert(r.id, (Instant::now(), r.tenant_idx, r.codes.len() as u32));
+                        .insert(r.id, (Instant::now(), r.tenant_idx));
                     let doc = align_request(
                         r.id,
                         &r.codes,
@@ -1040,7 +954,7 @@ fn open_conn(
             sent
         })
     };
-    let mut tally = ConnTally::new(n_tenants, split_len);
+    let mut tally = ConnTally::new(n_tenants);
     loop {
         if sender_done.load(Ordering::Relaxed) && sent_at.lock().unwrap().is_empty() {
             break;
@@ -1151,7 +1065,6 @@ fn run_impl(
                 let mode = config.mode;
                 let deadline_ms = config.deadline_ms;
                 let collect = config.collect_responses;
-                let split_len = config.split_len.map(|l| l as u32);
                 let seed = config.arrival_seed.wrapping_add(c as u64);
                 scope.spawn(move || {
                     let part: Vec<WireRead<'_>> = part
@@ -1166,15 +1079,9 @@ fn run_impl(
                         })
                         .collect();
                     match mode {
-                        ArrivalMode::Closed { window } => closed_conn(
-                            addr,
-                            &part,
-                            n_tenants,
-                            window,
-                            deadline_ms,
-                            collect,
-                            split_len,
-                        ),
+                        ArrivalMode::Closed { window } => {
+                            closed_conn(addr, &part, n_tenants, window, deadline_ms, collect)
+                        }
                         ArrivalMode::Open { rate_rps, burst } => open_conn(
                             addr,
                             &part,
@@ -1185,7 +1092,6 @@ fn run_impl(
                                 deadline_ms,
                                 seed,
                                 collect,
-                                split_len,
                             },
                         ),
                     }
@@ -1195,7 +1101,7 @@ fn run_impl(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall_ms = (start.elapsed().as_secs_f64() * 1e3).max(0.001);
-    let mut merged = ConnTally::new(n_tenants, config.split_len.map(|l| l as u32));
+    let mut merged = ConnTally::new(n_tenants);
     for tally in tallies {
         let tally = tally?;
         merged.sent += tally.sent;
@@ -1210,8 +1116,6 @@ fn run_impl(
         merged.errors += tally.errors;
         merged.mapped += tally.mapped;
         merged.latencies_us.extend(tally.latencies_us);
-        merged.latencies_short_us.extend(tally.latencies_short_us);
-        merged.latencies_long_us.extend(tally.latencies_long_us);
         merged.responses.extend(tally.responses);
         for (into, from) in merged.tenants.iter_mut().zip(tally.tenants) {
             into.sent += from.sent;
@@ -1300,12 +1204,6 @@ fn run_impl(
         wall_ms,
         throughput_rps,
         latency: LatencySummary::from_us(merged.latencies_us),
-        latency_short: config
-            .split_len
-            .map(|_| LatencySummary::from_us(merged.latencies_short_us)),
-        latency_long: config
-            .split_len
-            .map(|_| LatencySummary::from_us(merged.latencies_long_us)),
         tenants,
         responses: merged.responses,
         stats_snapshots,
@@ -1385,29 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_reads_interleave_deterministically() {
-        let params = ref_params(20_000);
-        let reads = generate_mixed_reads(&params, 5, 9, 10, 0.3, 1500);
-        assert_eq!(reads.len(), 10);
-        let long_positions: Vec<usize> = reads
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.len() > 1000)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(long_positions.len(), 3, "30% of 10 reads are long");
-        assert_eq!(
-            reads,
-            generate_mixed_reads(&params, 5, 9, 10, 0.3, 1500),
-            "same seeds, same mix"
-        );
-        let all_short = generate_mixed_reads(&params, 5, 9, 10, 0.0, 1500);
-        assert!(all_short.iter().all(|r| r.len() == 101));
-        let all_long = generate_mixed_reads(&params, 5, 9, 10, 1.0, 1500);
-        assert!(all_long.iter().all(|r| r.len() == 1500));
-    }
-
-    #[test]
     fn prng_exponential_is_positive_and_finite() {
         let mut p = Prng(42);
         for _ in 0..1000 {
@@ -1435,8 +1310,6 @@ mod tests {
             wall_ms: 1.0,
             throughput_rps: 0.0,
             latency: LatencySummary::from_us(Vec::new()),
-            latency_short: None,
-            latency_long: None,
             tenants: Vec::new(),
             responses: HashMap::new(),
             stats_snapshots: Vec::new(),
@@ -1482,18 +1355,6 @@ mod tests {
         validate_loadgen_report(&report.to_json()).unwrap();
         assert!(report.is_lossless());
         assert!(report.slo_pass());
-    }
-
-    #[test]
-    fn split_latency_sections_serialize_and_validate() {
-        let mut report = empty_report();
-        report.latency_short = Some(LatencySummary::from_us(vec![10.0, 20.0]));
-        report.latency_long = Some(LatencySummary::from_us(vec![900.0]));
-        let doc = report.to_json();
-        let text = doc.to_string_compact();
-        assert!(text.contains("latency_short_us"), "{text}");
-        assert!(text.contains("latency_long_us"), "{text}");
-        validate_loadgen_report(&doc).unwrap();
     }
 
     #[test]

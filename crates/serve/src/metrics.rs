@@ -42,9 +42,6 @@ pub const LONG_REQUEST_TRACKS: u32 = 4;
 /// Span tracks dedicated to classify request chains.
 pub const CLASSIFY_REQUEST_TRACKS: u32 = 2;
 
-/// Chrome-trace track id of the adaptive controller's decision stream.
-pub const CONTROLLER_TRACK: u32 = 80;
-
 /// Knobs for the live observability plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObservabilityConfig {
@@ -143,10 +140,6 @@ struct Inner {
     batch_drain: CounterId,
     write_errors: CounterId,
     worker_panics: CounterId,
-    controller_ticks: CounterId,
-    controller_changes: CounterId,
-    controller_backoffs: CounterId,
-    controller_resplits: CounterId,
     sim_cycles: CounterId,
     seed_cache_hits: CounterId,
     seed_cache_lookups: CounterId,
@@ -206,12 +199,6 @@ impl ServeMetrics {
         let batch_drain = registry.counter("serve.batch_flush_drain");
         let write_errors = registry.counter("serve.write_errors");
         let worker_panics = registry.counter("serve.worker_panics");
-        // Adaptive-controller counters (zero and inert without
-        // --batch-adaptive; schema-required so snapshots are uniform).
-        let controller_ticks = registry.counter("serve.controller_ticks");
-        let controller_changes = registry.counter("serve.controller_changes");
-        let controller_backoffs = registry.counter("serve.controller_backoffs");
-        let controller_resplits = registry.counter("serve.controller_resplits");
         // Multi-tenant extras (zero and inert on single-tenant servers).
         let quota = registry.counter("serve.requests_quota");
         let shards_killed = registry.counter("serve.shards_killed");
@@ -266,10 +253,6 @@ impl ServeMetrics {
                 batch_drain,
                 write_errors,
                 worker_panics,
-                controller_ticks,
-                controller_changes,
-                controller_backoffs,
-                controller_resplits,
                 sim_cycles,
                 seed_cache_hits,
                 seed_cache_lookups,
@@ -312,8 +295,7 @@ impl ServeMetrics {
 
     /// Publishes the batcher's per-bin request modes so span chains land
     /// on per-mode trace tracks; also names the extra tracks when any
-    /// long/classify bins exist. Call once at server start (and again
-    /// after a live re-bin that changes the geometry).
+    /// long/classify bins exist. Call once at server start.
     pub fn set_bin_modes(&self, modes: Vec<Mode>) {
         self.with(|m| {
             if let Some(trace) = m.trace.as_mut() {
@@ -335,10 +317,8 @@ impl ServeMetrics {
     }
 
     /// One request admitted; `depth` is the queue depth just after,
-    /// `bin`/`len` the batcher's length bin and the read length (the
-    /// adaptive controller's arrival-distribution signal). `mode` feeds
-    /// the per-mode request counters.
-    pub fn admitted(&self, depth: usize, bin: usize, len: usize, mode: Mode) {
+    /// `mode` feeds the per-mode request counters.
+    pub fn admitted(&self, depth: usize, mode: Mode) {
         let t = self.now_us() as u64;
         self.with(|m| {
             m.registry.inc(m.admitted, 1);
@@ -348,7 +328,6 @@ impl ServeMetrics {
                 Mode::Classify => m.registry.inc(m.requests_classify, 1),
             }
             m.slo.record_admitted(t, depth);
-            m.slo.record_arrival(t, bin, len as u64);
             let (q, qm) = (m.queue_depth, m.queue_depth_max);
             m.registry.set_gauge(q, depth as f64);
             m.registry.set_gauge_max(qm, depth as f64);
@@ -687,52 +666,6 @@ impl ServeMetrics {
         self.inner.lock().unwrap().slo.view(now)
     }
 
-    /// The windowed SLO view at an explicit timestamp — the adaptive
-    /// controller samples on its own aligned tick clock so the decision
-    /// stream replays deterministically.
-    pub fn slo_view_at(&self, now_us: u64) -> SloView {
-        self.inner.lock().unwrap().slo.view(now_us)
-    }
-
-    /// Names the controller's Chrome-trace decision track (called once
-    /// when the control loop starts; no-op when tracing is off).
-    pub fn name_controller_track(&self) {
-        self.with(|m| {
-            if let Some(trace) = m.trace.as_mut() {
-                trace.name_thread(PID_SERVE, CONTROLLER_TRACK, "controller");
-            }
-        });
-    }
-
-    /// One control tick happened; `decisions` is the tick's decision
-    /// delta (empty on a no-op tick). Feeds the `serve.controller_*`
-    /// counters and drops an instant per decision onto the controller
-    /// trace track.
-    pub fn controller_tick(&self, decisions: &[crate::controller::Decision]) {
-        self.with(|m| {
-            m.registry.inc(m.controller_ticks, 1);
-            for d in decisions {
-                match d.action {
-                    "batch" | "wait_us" => m.registry.inc(m.controller_changes, 1),
-                    "resplit" => {
-                        m.registry.inc(m.controller_changes, 1);
-                        m.registry.inc(m.controller_resplits, 1);
-                    }
-                    "backoff" => m.registry.inc(m.controller_backoffs, 1),
-                    _ => {}
-                }
-                if let Some(trace) = m.trace.as_mut() {
-                    let label = if d.bin < 0 {
-                        format!("controller {}", d.action)
-                    } else {
-                        format!("controller {} bin{} {}->{}", d.action, d.bin, d.from, d.to)
-                    };
-                    trace.instant(PID_SERVE, CONTROLLER_TRACK, &label, d.now as f64);
-                }
-            }
-        });
-    }
-
     /// The `stats` response: the registry snapshot with the live `slo`
     /// view and `flight` summary appended
     /// (`validate_stats_response` checks it).
@@ -812,8 +745,8 @@ mod tests {
     #[test]
     fn events_land_in_the_registry_and_trace() {
         let metrics = hub(true, &ObservabilityConfig::default());
-        metrics.admitted(3, 0, 101, Mode::Short);
-        metrics.admitted(5, 1, 900, Mode::Short);
+        metrics.admitted(3, Mode::Short);
+        metrics.admitted(5, Mode::Short);
         metrics.shed();
         metrics.batch_formed(FlushReason::Fill, 4, 1);
         metrics.request_done(RequestSpans::chain(
@@ -872,9 +805,9 @@ mod tests {
         // Bins: [short, short, long, classify] — as the server would set
         // them on a mode-binned batcher.
         metrics.set_bin_modes(vec![Mode::Short, Mode::Short, Mode::Long, Mode::Classify]);
-        metrics.admitted(1, 0, 120, Mode::Short);
-        metrics.admitted(2, 2, 20_000, Mode::Long);
-        metrics.admitted(3, 3, 20_000, Mode::Classify);
+        metrics.admitted(1, Mode::Short);
+        metrics.admitted(2, Mode::Long);
+        metrics.admitted(3, Mode::Classify);
         assert_eq!(metrics.counter("serve.requests_admitted"), 3);
         assert_eq!(metrics.counter("serve.requests_long"), 1);
         assert_eq!(metrics.counter("serve.requests_classify"), 1);

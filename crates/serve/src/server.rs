@@ -36,7 +36,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nvwa_align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
@@ -48,7 +48,6 @@ use nvwa_telemetry::{JsonValue, Outcome, RequestSpans, SnapshotMeta, Stage};
 
 use crate::backend::{execute_batch_with, BackendKind};
 use crate::batcher::{Batch, BatchItem, Batcher, BatcherConfig};
-use crate::controller::{Controller, ControllerConfig};
 use crate::flight::FlightEventKind;
 use crate::metrics::{ObservabilityConfig, ServeMetrics};
 use crate::protocol::{
@@ -118,15 +117,8 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Worker threads per engine executing batches.
     pub workers: usize,
-    /// Batching policy (the static starting point; with
-    /// [`adaptive`](ServerConfig::adaptive) set, the controller takes it
-    /// from here).
+    /// Batching policy, fixed at launch.
     pub batch: BatcherConfig,
-    /// Adaptive batching: run the online controller
-    /// ([`crate::controller`]) on this tick/bounds configuration,
-    /// live-updating the batching policy from windowed telemetry.
-    /// `None` keeps the knobs static.
-    pub adaptive: Option<ControllerConfig>,
     /// Batch execution backend.
     pub backend: BackendKind,
     /// Software-aligner parameters (shared with the offline pipeline).
@@ -170,7 +162,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             workers: nvwa_sim::par::current_threads(),
             batch: BatcherConfig::default(),
-            adaptive: None,
             backend: BackendKind::Software,
             aligner: AlignerConfig::default(),
             default_deadline: None,
@@ -240,16 +231,6 @@ pub(crate) struct Shared {
     registry: Option<IndexRegistry>,
     pub(crate) metrics: Arc<ServeMetrics>,
     config: ServerConfig,
-    /// The batching policy the batcher loops actually run. Static servers
-    /// never touch it after launch; with `--batch-adaptive`, the
-    /// controller thread replaces it and bumps `batch_version`, and each
-    /// batcher loop re-bins its pending items on the next iteration.
-    batch_live: Mutex<BatcherConfig>,
-    /// Bumped (Release) after every `batch_live` update; batcher loops
-    /// poll it (Acquire) to pick up new configs without holding the lock.
-    batch_version: AtomicU64,
-    /// The adaptive controller, when enabled.
-    controller: Option<Arc<Mutex<Controller>>>,
     /// Global batch sequence number, drawn by workers as they start a
     /// batch (the trigger coordinate of `worker_panic_at_batch`).
     batch_seq: AtomicU64,
@@ -276,7 +257,6 @@ pub struct Server {
     frontend: Option<std::thread::JoinHandle<()>>,
     batchers: Vec<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    controller: Option<std::thread::JoinHandle<()>>,
 }
 
 /// What `launch` needs per tenant, after the indexes exist.
@@ -423,25 +403,12 @@ impl Server {
                 in_flight: Arc::new(AtomicU64::new(0)),
             });
         }
-        let controller = config
-            .adaptive
-            .clone()
-            .map(|cc| Arc::new(Mutex::new(Controller::new(config.batch.clone(), cc))));
-        // The live policy starts as the controller's seeded config (per-bin
-        // overrides fully populated) or the static knobs verbatim.
-        let batch_live = match &controller {
-            Some(c) => c.lock().unwrap().current().clone(),
-            None => config.batch.clone(),
-        };
         let shared = Arc::new(Shared {
             engines,
             tenants: routes,
             registry,
             metrics,
             config,
-            batch_live: Mutex::new(batch_live),
-            batch_version: AtomicU64::new(0),
-            controller,
             batch_seq: AtomicU64::new(0),
             trace_seq: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
@@ -470,18 +437,12 @@ impl Server {
                 worker_id += 1;
             }
         }
-        let controller_thread = shared.controller.as_ref().map(|c| {
-            let shared = Arc::clone(&shared);
-            let controller = Arc::clone(c);
-            std::thread::spawn(move || controller_loop(shared, controller))
-        });
         Ok(Server {
             shared,
             local_addr,
             frontend: Some(frontend),
             batchers,
             workers: worker_handles,
-            controller: controller_thread,
         })
     }
 
@@ -503,13 +464,6 @@ impl Server {
     /// Whether a client requested shutdown via the protocol.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_requested.load(Ordering::Relaxed)
-    }
-
-    /// The adaptive controller, when the server runs one. Keep the handle
-    /// across [`Server::shutdown`] to serialize the final decision log
-    /// (the control thread is joined by then, so the log is complete).
-    pub fn controller(&self) -> Option<Arc<Mutex<Controller>>> {
-        self.shared.controller.as_ref().map(Arc::clone)
     }
 
     /// Kills one shard of a tenant (fault injection): its admission queue
@@ -543,9 +497,6 @@ impl Server {
     /// every formed batch, join all threads. Returns the metrics hub.
     pub fn shutdown(mut self) -> Arc<ServeMetrics> {
         self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.controller.take() {
-            let _ = h.join();
-        }
         for engine in &self.shared.engines {
             engine.admission.close();
         }
@@ -608,10 +559,6 @@ pub(crate) fn dispatch_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, do
             if let JsonValue::Obj(pairs) = &mut stats {
                 if let Some(registry) = &shared.registry {
                     pairs.push(("registry".to_string(), registry.summary_json()));
-                }
-                if let Some(controller) = &shared.controller {
-                    let snap = controller.lock().unwrap().snapshot_json();
-                    pairs.push(("controller".to_string(), snap));
                 }
             }
             answer(shared, sink, &stats);
@@ -738,14 +685,10 @@ fn handle_align(
         admitted_at: now,
         deadline,
     };
-    // The arrival's bin under the *live* policy (re-splits move short
-    // bounds at runtime; mode bins are fixed) — the controller's
-    // length-distribution signal.
-    let bin = shared.batch_live.lock().unwrap().bin_for(mode, len);
     match engine.admission.try_push(item) {
         Ok(()) => {
             let depth = engine.admission.depth();
-            shared.metrics.admitted(depth, bin, len, mode);
+            shared.metrics.admitted(depth, mode);
             shared.metrics.tenant_admitted(tenant_idx, shard);
             shared.metrics.flight_event(
                 FlightEventKind::Admit,
@@ -815,57 +758,10 @@ fn ns_between(a: Instant, b: Instant) -> u64 {
     b.saturating_duration_since(a).as_nanos() as u64
 }
 
-/// The adaptive control loop: on every tick boundary of the metrics-epoch
-/// clock, sample a windowed SLO view, run the (pure) controller over it,
-/// publish any new policy to `batch_live` and feed the decision delta to
-/// metrics/trace. The controller itself never reads a clock — all
-/// wall-clock coupling lives here, so conformance can replay the same
-/// view sequence and get the same decisions.
-fn controller_loop(shared: Arc<Shared>, controller: Arc<Mutex<Controller>>) {
-    shared.metrics.name_controller_track();
-    let tick_us = controller.lock().unwrap().tick_us();
-    let mut next = tick_us;
-    loop {
-        if shared.draining.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = shared.metrics.now_us() as u64;
-        if now < next {
-            let nap = Duration::from_micros(next - now).min(POLL_INTERVAL);
-            std::thread::sleep(nap);
-            continue;
-        }
-        let view = shared.metrics.slo_view_at(next);
-        let mut ctl = controller.lock().unwrap();
-        let seq_before = ctl.log_seq();
-        let new_config = ctl.on_tick(next, &view).cloned();
-        let fresh = (ctl.log_seq() - seq_before) as usize;
-        let delta = ctl.decisions()[ctl.decisions().len() - fresh..].to_vec();
-        drop(ctl);
-        shared.metrics.controller_tick(&delta);
-        if let Some(config) = new_config {
-            *shared.batch_live.lock().unwrap() = config;
-            shared.batch_version.fetch_add(1, Ordering::Release);
-        }
-        next += tick_us;
-    }
-}
-
 fn batcher_loop(shared: Arc<Shared>, engine_id: usize) {
     let engine = &shared.engines[engine_id];
-    let mut batcher: Batcher<PendingRead> = Batcher::new(shared.batch_live.lock().unwrap().clone());
-    let mut config_version = shared.batch_version.load(Ordering::Acquire);
+    let mut batcher: Batcher<PendingRead> = Batcher::new(shared.config.batch.clone());
     loop {
-        let version = shared.batch_version.load(Ordering::Acquire);
-        if version != config_version {
-            config_version = version;
-            let config = shared.batch_live.lock().unwrap().clone();
-            // Re-binning can flush bins that are over the new caps or
-            // past the new deadlines; ship them like any other batch.
-            for batch in batcher.apply_config(config, Instant::now()) {
-                ship(&shared, engine, batch);
-            }
-        }
         let now = Instant::now();
         let wait = batcher
             .next_flush_at()

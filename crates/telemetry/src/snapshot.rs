@@ -191,10 +191,6 @@ pub const SERVE_REQUIRED_COUNTERS: &[&str] = &[
     "serve.protocol_errors",
     "serve.batches_formed",
     "serve.connections_accepted",
-    "serve.controller_ticks",
-    "serve.controller_changes",
-    "serve.controller_backoffs",
-    "serve.controller_resplits",
 ];
 
 /// Gauge names every serve metrics snapshot must carry.
@@ -338,205 +334,9 @@ pub fn validate_slo_view(doc: &JsonValue) -> Result<(), String> {
                 }
             }
         }
-        let len_count =
-            require_count(bin, "len_count", what).map_err(|e| format!("{e} (per_bin[{i}])"))?;
-        for key in ["len_p25", "len_p50", "len_p75"] {
-            match require(bin, key, what).map_err(|e| format!("{e} (per_bin[{i}])"))? {
-                JsonValue::Null if len_count == 0.0 => {}
-                JsonValue::Num(_) if len_count > 0.0 => {}
-                other => {
-                    return Err(format!(
-                        "{what}: per_bin[{i}].{key} inconsistent with len_count {len_count}: \
-                         {other}"
-                    ))
-                }
-            }
-        }
     }
     Ok(())
 }
-
-/// Actions an adaptive-controller decision may carry.
-pub const CONTROLLER_ACTIONS: &[&str] = &["batch", "wait_us", "resplit", "backoff", "resume"];
-
-/// Validates an adaptive-controller decision log (`kind:
-/// "nvwa-controller"`, written by `nvwa serve --controller-log-out`):
-/// counter consistency, ordered well-formed decisions, and a coherent
-/// final configuration.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_controller_log(doc: &JsonValue) -> Result<(), String> {
-    let what = "controller log";
-    match doc.get("kind").and_then(|k| k.as_str()) {
-        Some("nvwa-controller") => {}
-        other => {
-            return Err(format!(
-                "{what}: kind must be \"nvwa-controller\", got {other:?}"
-            ))
-        }
-    }
-    require_count(doc, "schema_version", what)?;
-    let ticks = require_count(doc, "ticks", what)?;
-    let changes = require_count(doc, "changes", what)?;
-    let backoffs = require_count(doc, "backoffs", what)?;
-    let resplits = require_count(doc, "resplits", what)?;
-    let last_change = require_count(doc, "last_change_tick", what)?;
-    let dropped = require_count(doc, "log_dropped", what)?;
-    if last_change > ticks {
-        return Err(format!(
-            "{what}: last_change_tick ({last_change}) exceeds ticks ({ticks})"
-        ));
-    }
-    let decisions = require(doc, "decisions", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: decisions must be an array"))?;
-    let mut prev_tick = 0.0f64;
-    let mut by_action = [0.0f64; 5];
-    for (i, d) in decisions.iter().enumerate() {
-        let at = |e: String| format!("{e} (decisions[{i}])");
-        let tick = require_count(d, "tick", what).map_err(at)?;
-        if tick < prev_tick || tick < 1.0 || tick > ticks {
-            return Err(format!(
-                "{what}: decisions[{i}] tick {tick} out of order or range"
-            ));
-        }
-        prev_tick = tick;
-        require_count(d, "now", what).map_err(at)?;
-        let bin = require_num(d, "bin", what).map_err(at)?;
-        if bin < -1.0 || bin.fract() != 0.0 {
-            return Err(format!(
-                "{what}: decisions[{i}] bin must be an integer ≥ -1"
-            ));
-        }
-        let action = d
-            .get("action")
-            .and_then(|a| a.as_str())
-            .ok_or_else(|| format!("{what}: decisions[{i}] missing action"))?;
-        let slot = CONTROLLER_ACTIONS
-            .iter()
-            .position(|a| *a == action)
-            .ok_or_else(|| format!("{what}: decisions[{i}] unknown action {action:?}"))?;
-        by_action[slot] += 1.0;
-        let from = require_count(d, "from", what).map_err(at)?;
-        let to = require_count(d, "to", what).map_err(at)?;
-        if matches!(action, "batch" | "wait_us" | "resplit") && from == to {
-            return Err(format!(
-                "{what}: decisions[{i}] is a no-op {action} decision"
-            ));
-        }
-        if matches!(action, "batch" | "wait_us" | "resplit") && bin < 0.0 {
-            return Err(format!(
-                "{what}: decisions[{i}] knob decision without a bin"
-            ));
-        }
-    }
-    // With a complete log the decision counts must reproduce the
-    // counters exactly; once the ring dropped entries only bounds hold.
-    let knob_decisions = by_action[0] + by_action[1] + by_action[2];
-    if dropped == 0.0 {
-        if knob_decisions != changes {
-            return Err(format!(
-                "{what}: changes is {changes} but the log holds {knob_decisions} knob decisions"
-            ));
-        }
-        if by_action[3] != backoffs || by_action[2] != resplits {
-            return Err(format!(
-                "{what}: backoff/resplit counters disagree with the decision log"
-            ));
-        }
-    } else if knob_decisions > changes || by_action[3] > backoffs {
-        return Err(format!(
-            "{what}: log holds more decisions than the counters admit"
-        ));
-    }
-    let config = require(doc, "config", what)?;
-    let arr = |key: &str| -> Result<Vec<f64>, String> {
-        require(config, key, what)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: config.{key} must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_num()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or_else(|| format!("{what}: config.{key} entries must be counts"))
-            })
-            .collect()
-    };
-    let bounds = arr("bin_bounds")?;
-    if !bounds.windows(2).all(|w| w[0] < w[1]) {
-        return Err(format!(
-            "{what}: config.bin_bounds must be strictly increasing"
-        ));
-    }
-    // Mode-class bins (long-read length bins and the classify bin) were
-    // added with the long-read serving modes; older logs omit both keys
-    // and describe a short-only geometry.
-    let long_bounds = match config.get("long_bin_bounds") {
-        None => Vec::new(),
-        Some(_) => arr("long_bin_bounds")?,
-    };
-    if !long_bounds.windows(2).all(|w| w[0] < w[1]) {
-        return Err(format!(
-            "{what}: config.long_bin_bounds must be strictly increasing"
-        ));
-    }
-    let classify_bins = match config.get("classify_bins") {
-        None => 0.0,
-        Some(v) => v
-            .as_num()
-            .filter(|n| *n == 0.0 || *n == 1.0)
-            .ok_or_else(|| format!("{what}: config.classify_bins must be 0 or 1"))?,
-    };
-    let long_bins = if long_bounds.is_empty() {
-        0
-    } else {
-        long_bounds.len() + 1
-    };
-    let total_bins = bounds.len() + 1 + long_bins + classify_bins as usize;
-    for key in ["bin_max_batch", "bin_max_wait_us"] {
-        let knobs = arr(key)?;
-        if knobs.len() != total_bins {
-            return Err(format!(
-                "{what}: config.{key} must have one entry per bin ({} != {total_bins})",
-                knobs.len(),
-            ));
-        }
-        if key == "bin_max_batch" && knobs.iter().any(|&k| k < 1.0) {
-            return Err(format!("{what}: config.bin_max_batch entries must be ≥ 1"));
-        }
-    }
-    Ok(())
-}
-
-/// Grades a (valid) controller log for convergence: at least one knob
-/// change happened, and the last
-/// [`CONTROLLER_CONVERGED_STABLE_TICKS`] control ticks changed nothing.
-///
-/// # Errors
-///
-/// Returns a message naming the condition that failed.
-pub fn controller_converged(doc: &JsonValue) -> Result<(), String> {
-    let what = "controller convergence";
-    let ticks = require_count(doc, "ticks", what)?;
-    let changes = require_count(doc, "changes", what)?;
-    let last_change = require_count(doc, "last_change_tick", what)?;
-    if changes < 1.0 {
-        return Err(format!("{what}: no knob changes — the loop never closed"));
-    }
-    let stable = ticks - last_change;
-    if stable < CONTROLLER_CONVERGED_STABLE_TICKS {
-        return Err(format!(
-            "{what}: only {stable} stable ticks after the last change (need ≥ \
-             {CONTROLLER_CONVERGED_STABLE_TICKS})"
-        ));
-    }
-    Ok(())
-}
-
-/// Stable trailing ticks [`controller_converged`] requires.
-pub const CONTROLLER_CONVERGED_STABLE_TICKS: f64 = 3.0;
 
 /// Event kinds a flight-recorder document may carry.
 pub const FLIGHT_EVENT_KINDS: &[&str] = &[
@@ -1188,58 +988,12 @@ mod tests {
     }
 
     #[test]
-    fn controller_config_accepts_mode_bin_geometry() {
-        // 2 short bins + 2 long bins + 1 classify bin → 5 knob entries.
-        let good = r#"{
-            "kind": "nvwa-controller", "schema_version": 1, "ticks": 10,
-            "changes": 0, "backoffs": 0, "resplits": 0,
-            "last_change_tick": 0, "log_dropped": 0, "decisions": [],
-            "config": {"bin_bounds": [8192],
-                       "long_bin_bounds": [16384],
-                       "classify_bins": 1,
-                       "bin_max_batch": [8, 8, 4, 4, 16],
-                       "bin_max_wait_us": [1000, 1000, 5000, 5000, 2000]}
-        }"#;
-        validate_controller_log(&JsonValue::parse(good).unwrap()).unwrap();
-
-        // A knob vector sized for short-only geometry no longer matches.
-        let short = good.replace(
-            "\"bin_max_batch\": [8, 8, 4, 4, 16]",
-            "\"bin_max_batch\": [8, 8]",
-        );
-        let err = validate_controller_log(&JsonValue::parse(&short).unwrap()).unwrap_err();
-        assert!(err.contains("one entry per bin"), "{err}");
-
-        // Long bounds must be strictly increasing like the short ones.
-        let bad = good.replace(
-            "\"long_bin_bounds\": [16384]",
-            "\"long_bin_bounds\": [16384, 16384]",
-        );
-        assert!(validate_controller_log(&JsonValue::parse(&bad).unwrap()).is_err());
-
-        // Pre-mode logs (no long/classify keys) keep the old contract.
-        let legacy = good
-            .replace("\"long_bin_bounds\": [16384],\n                       \"classify_bins\": 1,\n                       ", "")
-            .replace(
-                "\"bin_max_batch\": [8, 8, 4, 4, 16]",
-                "\"bin_max_batch\": [8, 8]",
-            )
-            .replace(
-                "\"bin_max_wait_us\": [1000, 1000, 5000, 5000, 2000]",
-                "\"bin_max_wait_us\": [1000, 1000]",
-            );
-        validate_controller_log(&JsonValue::parse(&legacy).unwrap()).unwrap();
-    }
-
-    #[test]
     fn slo_view_validation_checks_rates_and_bins() {
         let good = r#"{
             "now": 5000000, "window": 1000000, "step": 100000,
             "per_bin": [
-                {"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null,
-                 "len_count": 0, "len_p25": null, "len_p50": null, "len_p75": null},
-                {"bin": 1, "count": 4, "p50": 800, "p90": 1500, "p99": 1500,
-                 "len_count": 6, "len_p25": 101, "len_p50": 101, "len_p75": 2000}
+                {"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null},
+                {"bin": 1, "count": 4, "p50": 800, "p90": 1500, "p99": 1500}
             ],
             "queue_depth": 3, "admitted": 8, "shed": 2,
             "deadline_missed": 1, "completed": 4,
@@ -1258,16 +1012,6 @@ mod tests {
             "{\"bin\": 0, \"count\": 0, \"p50\": 7",
         );
         assert!(validate_slo_view(&JsonValue::parse(&bad_bin).unwrap()).is_err());
-
-        // Same null-iff-empty rule for the arrival-length quantiles.
-        let bad_len = good.replace(
-            "\"len_count\": 0, \"len_p25\": null",
-            "\"len_count\": 0, \"len_p25\": 55",
-        );
-        let err = validate_slo_view(&JsonValue::parse(&bad_len).unwrap()).unwrap_err();
-        assert!(err.contains("len_p25"), "{err}");
-        let missing_len = good.replace("\"len_count\": 6, ", "");
-        assert!(validate_slo_view(&JsonValue::parse(&missing_len).unwrap()).is_err());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! ring of fixed-width time steps.
 //!
 //! Cumulative counters answer "what happened since boot"; the serving
-//! layer (and the planned adaptive batcher, ROADMAP item 3) needs "what is
-//! happening *right now*". A [`RollingHistogram`] / [`RollingCounter`]
-//! keeps the last `window / step` step-buckets in a ring; samples land in
-//! the bucket of their timestamp, buckets older than the window are
-//! cleared lazily as time advances, and a view merges the live buckets.
+//! layer needs "what is happening *right now*". A [`RollingHistogram`] /
+//! [`RollingCounter`] keeps the last `window / step` step-buckets in a
+//! ring; samples land in the bucket of their timestamp, buckets older than
+//! the window are cleared lazily as time advances, and a view merges the
+//! live buckets.
 //!
 //! Like the batcher, everything here is a pure state machine over
 //! **explicit timestamps** (`u64` ticks — microseconds on the wall clock,
@@ -18,8 +18,8 @@
 //!
 //! [`SloWindow`] packages the serve-path signal set — per-length-bin
 //! latency histograms plus admitted/shed/deadline rate counters — and
-//! exports it as a [`SloView`]: the feedback document the `stats` endpoint
-//! returns and the adaptive batcher will read.
+//! exports it as a [`SloView`]: the live document the `stats` endpoint
+//! returns.
 
 use crate::histogram::Histogram;
 use crate::json::JsonValue;
@@ -236,7 +236,6 @@ impl RollingCounter {
 pub struct SloWindow {
     config: WindowConfig,
     per_bin: Vec<RollingHistogram>,
-    lengths: Vec<RollingHistogram>,
     admitted: RollingCounter,
     shed: RollingCounter,
     deadline_missed: RollingCounter,
@@ -250,7 +249,6 @@ impl SloWindow {
         SloWindow {
             config,
             per_bin: vec![RollingHistogram::new(config); bins.max(1)],
-            lengths: vec![RollingHistogram::new(config); bins.max(1)],
             admitted: RollingCounter::new(config),
             shed: RollingCounter::new(config),
             deadline_missed: RollingCounter::new(config),
@@ -263,16 +261,6 @@ impl SloWindow {
     pub fn record_admitted(&mut self, t: u64, depth: usize) {
         self.admitted.inc(t, 1);
         self.queue_depth = depth as f64;
-    }
-
-    /// One arrival of a `len`-base read into length bin `bin` at `t` —
-    /// the per-bin length distribution the adaptive controller watches
-    /// for bimodality (quantile-based bound re-splitting). Kept separate
-    /// from [`record_admitted`](SloWindow::record_admitted) so callers
-    /// without binning context (per-tenant windows) skip it.
-    pub fn record_arrival(&mut self, t: u64, bin: usize, len: u64) {
-        let bin = bin.min(self.lengths.len() - 1);
-        self.lengths[bin].observe(t, len);
     }
 
     /// One request shed at `t`.
@@ -305,24 +293,18 @@ impl SloWindow {
 
     /// The view of the window ending at `now`.
     pub fn view(&mut self, now: u64) -> SloView {
-        let lengths = &mut self.lengths;
         let per_bin = self
             .per_bin
             .iter_mut()
             .enumerate()
             .map(|(bin, roll)| {
                 let h = roll.view(now);
-                let lens = lengths[bin].view(now);
                 BinSlo {
                     bin,
                     count: h.count(),
                     p50: h.p50(),
                     p90: h.p90(),
                     p99: h.p99(),
-                    len_count: lens.count(),
-                    len_p25: lens.percentile(0.25),
-                    len_p50: lens.percentile(0.50),
-                    len_p75: lens.percentile(0.75),
                 }
             })
             .collect();
@@ -368,9 +350,6 @@ impl SloWindow {
         for (dst, src) in self.per_bin.iter_mut().zip(&other.per_bin) {
             dst.merge_from(src);
         }
-        for (dst, src) in self.lengths.iter_mut().zip(&other.lengths) {
-            dst.merge_from(src);
-        }
         self.admitted.merge_from(&other.admitted);
         self.shed.merge_from(&other.shed);
         self.deadline_missed.merge_from(&other.deadline_missed);
@@ -392,19 +371,10 @@ pub struct BinSlo {
     pub p90: Option<u64>,
     /// 99th percentile.
     pub p99: Option<u64>,
-    /// Arrivals recorded in the window (the bin's offered rate numerator).
-    pub len_count: u64,
-    /// 25th percentile of arriving read lengths, `None` when none arrived.
-    pub len_p25: Option<u64>,
-    /// Median arriving read length.
-    pub len_p50: Option<u64>,
-    /// 75th percentile of arriving read lengths. A `len_p75 ≫ len_p25`
-    /// spread is the controller's bimodality signal.
-    pub len_p75: Option<u64>,
 }
 
-/// A point-in-time view of the [`SloWindow`] — the live feedback signal
-/// the `stats` endpoint serves and the adaptive batcher reads.
+/// A point-in-time view of the [`SloWindow`] — the live signal the
+/// `stats` endpoint serves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloView {
     /// View timestamp (ticks).
@@ -446,10 +416,6 @@ impl SloView {
                     ("p50", opt(b.p50)),
                     ("p90", opt(b.p90)),
                     ("p99", opt(b.p99)),
-                    ("len_count", JsonValue::Num(b.len_count as f64)),
-                    ("len_p25", opt(b.len_p25)),
-                    ("len_p50", opt(b.len_p50)),
-                    ("len_p75", opt(b.len_p75)),
                 ])
             })
             .collect();
@@ -578,15 +544,12 @@ mod tests {
     fn slo_view_rates_and_json_shape() {
         let mut w = SloWindow::new(cfg(), 3);
         w.record_admitted(10, 4);
-        w.record_arrival(10, 0, 101);
         w.record_admitted(11, 5);
-        w.record_arrival(11, 0, 1000);
         w.record_shed(12);
         w.record_deadline_missed(13, 1);
         w.record_completed(20, 1, 800);
         w.record_completed(21, 1, 1600);
         w.record_completed(22, 9, 50); // out-of-range bin clamps to last
-        w.record_arrival(22, 9, 5000); // arrivals clamp too
         let v = w.view(30);
         assert_eq!(v.admitted, 2);
         assert_eq!(v.shed, 1);
@@ -598,13 +561,6 @@ mod tests {
         assert_eq!(v.per_bin[0].p50, None);
         assert_eq!(v.per_bin[1].count, 2);
         assert_eq!(v.per_bin[2].count, 1);
-        // Length signal: two arrivals in bin 0, a clamped one in bin 2.
-        assert_eq!(v.per_bin[0].len_count, 2);
-        assert!(v.per_bin[0].len_p25.is_some());
-        assert!(v.per_bin[0].len_p75.unwrap() >= v.per_bin[0].len_p25.unwrap());
-        assert_eq!(v.per_bin[1].len_count, 0);
-        assert_eq!(v.per_bin[1].len_p50, None);
-        assert_eq!(v.per_bin[2].len_count, 1);
         assert_eq!(v.queue_depth, 5.0);
         crate::snapshot::validate_slo_view(&v.to_json()).unwrap();
     }
@@ -617,10 +573,7 @@ mod tests {
             for &t in &events {
                 let s = &mut shards[(t as usize) % k];
                 match t % 5 {
-                    0 => {
-                        s.record_admitted(t, 3);
-                        s.record_arrival(t, (t % 2) as usize, 100 + t * 13 % 2000);
-                    }
+                    0 => s.record_admitted(t, 3),
                     1 => s.record_shed(t),
                     2 => s.record_deadline_missed(t, 1),
                     _ => s.record_completed(t, (t % 2) as usize, t * 11 % 900),

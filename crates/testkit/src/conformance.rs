@@ -16,7 +16,7 @@ use nvwa_core::config::NvwaConfig;
 use nvwa_core::system::SimOptions;
 use nvwa_core::units::workload::SyntheticWorkloadParams;
 
-use crate::{controller, diff, faults, invariants, long_read, tenancy};
+use crate::{diff, faults, invariants, long_read, tenancy};
 
 /// Which check family to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +34,6 @@ pub enum Family {
     /// per-tenant bit-identity vs the offline aligners, unknown-tenant
     /// rejection ([`crate::tenancy`]).
     Registry,
-    /// Adaptive batching controller: sharded-telemetry replay determinism
-    /// and the stuck-window backoff ([`crate::controller`]).
-    Controller,
     /// Seed-chain-fill long-read pipeline vs a wide-banded SW oracle on
     /// the committed window, inside the tile-overlap bound
     /// ([`crate::long_read`]).
@@ -45,13 +42,12 @@ pub enum Family {
 
 impl Family {
     /// All families, in report order.
-    pub const ALL: [Family; 7] = [
+    pub const ALL: [Family; 6] = [
         Family::Diff,
         Family::Extension,
         Family::Invariants,
         Family::Faults,
         Family::Registry,
-        Family::Controller,
         Family::LongRead,
     ];
 
@@ -63,7 +59,6 @@ impl Family {
             Family::Invariants => "invariants",
             Family::Faults => "faults",
             Family::Registry => "registry",
-            Family::Controller => "controller",
             Family::LongRead => "long_read",
         }
     }
@@ -76,7 +71,6 @@ impl Family {
             "invariants" => Some(Family::Invariants),
             "faults" => Some(Family::Faults),
             "registry" => Some(Family::Registry),
-            "controller" => Some(Family::Controller),
             "long_read" => Some(Family::LongRead),
             _ => None,
         }
@@ -228,7 +222,6 @@ pub fn run(config: &ConformanceConfig) -> ConformanceReport {
                 Family::Registry => {
                     vec![tenancy::run_registry_family(seed, config.serve_reads / 2)]
                 }
-                Family::Controller => vec![controller::run_controller_family(seed)],
                 Family::LongRead => {
                     vec![long_read::run_long_read_family(seed, config.cases, repro)
                         .map_err(|d| d.to_string())]

@@ -29,16 +29,11 @@
 //!   determinism, two-tenant serving bit-identical to per-species offline
 //!   aligners and unknown-tenant rejection (the shard-kill degradation
 //!   plan lives in [`faults`]).
-//! * [`controller`] — **adaptive-batching controller conformance**: the
-//!   same telemetry stream replayed at 1/2/8 shards must produce a
-//!   bit-identical decision log (DESIGN.md §15), and a stuck window
-//!   (admissions, zero completions) must trigger exactly one backoff to
-//!   the static defaults instead of oscillating.
 //! * [`long_read`] — **long-read differential conformance**: the
 //!   seed-chain-fill pipeline's GACT-tiled committed score vs a
 //!   wide-banded SW oracle over the exact committed window, inside the
 //!   documented `(tiles − 1) · overlap · match` seam bound (DESIGN.md
-//!   §16), with check-pinned ddmin + shrinking.
+//!   §15), with check-pinned ddmin + shrinking.
 //! * [`golden`] — the single `NVWA_BLESS=1` blessing flag shared by
 //!   trace, snapshot and reproducer files, with a diff summary on
 //!   unblessed drift.
@@ -49,7 +44,6 @@
 //! Everything is std-only (DESIGN.md §7).
 
 pub mod conformance;
-pub mod controller;
 pub mod diff;
 pub mod faults;
 pub mod golden;

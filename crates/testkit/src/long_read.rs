@@ -1,4 +1,4 @@
-//! The long-read conformance family (ISSUE 10, DESIGN.md §16): the
+//! The long-read conformance family (ISSUE 10, DESIGN.md §15): the
 //! seed-chain-fill pipeline ([`nvwa_align::long_read`]) is checked
 //! differentially against a wide-banded Smith-Waterman oracle run over
 //! the *exact window the GACT-tiled fill committed* — same oriented read

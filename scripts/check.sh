@@ -106,35 +106,6 @@ cargo run --release --quiet -p nvwa-bench --bin validate -- \
     "$artifacts_dir/serve_mt_metrics.json"
 echo "multi-tenant smoke: 100k open-loop requests, per-tenant conservation holds"
 
-# Adaptive-batching smoke (PR 9): a single-worker server paying a 10 ms
-# per-batch dispatch cost, started on a deliberately tiny static base
-# (batch 4, wait 500 µs) under an overloaded bimodal open-loop mix. The
-# controller must close the telemetry loop — grow the per-bin knobs away
-# from the base — and then hold the final configuration; `validate
-# --converged` checks the decision-log schema plus both criteria. Shed
-# is expected while overloaded (no shed SLO), but every request must be
-# answered exactly once.
-rm -f "$artifacts_dir/serve_ad_addr"
-cargo run --release --quiet --bin nvwa -- serve \
-    --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_ad_addr" \
-    --ref-len 60000 --workers 1 --debug-worker-delay-us 10000 \
-    --batch-max 4 --batch-wait-us 500 --bin-bounds 400 \
-    --batch-adaptive --control-tick-ms 10 --batch-ceil 64 \
-    --controller-log-out "$artifacts_dir/controller_log.json" &
-serve_ad_pid=$!
-cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
-    --addr-file "$artifacts_dir/serve_ad_addr" \
-    --reads 6000 --connections 1 --mode open --rate 2200 --burst 32 \
-    --ref-len 60000 --long-frac 0.3 --long-len 700 --split-len 400 \
-    --slo lost=0 --slo error_rate=0 \
-    --out "$artifacts_dir/loadgen_adaptive.json" --shutdown
-wait "$serve_ad_pid"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    "$artifacts_dir/loadgen_adaptive.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
-    --converged "$artifacts_dir/controller_log.json"
-echo "adaptive smoke: controller converged away from the static base under overload"
-
 # Serving-modes smoke (PR 10): one server fielding all three request
 # modes at once — a deterministic 2:1:1 short/long/classify interleave
 # pushed closed-loop. The per-mode bins batch the modes apart; the
@@ -164,8 +135,6 @@ echo "serving-modes smoke: short/long/classify mix conserved end to end"
 # plus the bit-parallel extension-kernel family), simulator invariants,
 # the fault-injection matrix (shard-kill degradation and the request-frame
 # fuzzer included), the multi-tenant registry family and the
-# adaptive-controller replay family (bit-identical
-# decisions at 1/2/8 telemetry shards, stuck-window backoff), and the
 # long-read family (GACT-tiled fill vs a wide-banded SW oracle on the
 # committed window, pinned to the (tiles−1)·overlap·match seam bound),
 # over the CI seed list in both the short and long read profiles. Divergence reproducers land in the artifacts dir (uploaded

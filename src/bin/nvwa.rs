@@ -8,24 +8,17 @@
 //!                 [--trace-out t.json] [--metrics-out m.json] [--threads N]
 //! nvwa serve      [--addr H:P] [--addr-file PATH] [--ref ref.fa]
 //!                 [--ref-len N] [--ref-seed S] [--queue-cap N] [--workers N]
-//!                 [--batch-max N] [--batch-wait-us U] [--bin-bounds L1,L2,...]
-//!                 [--batch-adaptive] [--control-tick-ms T] [--batch-floor N]
-//!                 [--batch-ceil N] [--batch-wait-floor-us U] [--batch-wait-ceil-us U]
-//!                 [--controller-log-out c.json] [--deadline-ms D]
+//!                 [--batch-max N] [--batch-wait-us U] [--deadline-ms D]
 //!                 [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]
 //!                 [--tenant KEY[:SHARDS[:QUOTA]]]...
 //!                 [--tenant-scale F] [--registry-budget BYTES]
 //! nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]
-//!                 [--families diff,extension,invariants,faults,registry,controller,long_read]
+//!                 [--families diff,extension,invariants,faults,registry,long_read]
 //!                 [--family NAME] [--repro-dir DIR] [--threads N]
 //! ```
 //!
-//! `serve --batch-adaptive` starts the online batching controller
-//! (DESIGN.md §15): on every `--control-tick-ms` it reads the windowed
-//! SLO view and hill-climbs each length bin's `max_batch`/`max_wait`
-//! inside the floor/ceiling flags, re-splitting `--bin-bounds` when a
-//! bin's length distribution turns bimodal. `--controller-log-out`
-//! writes the decision log as a `nvwa-controller` JSON document.
+//! An unrecognised `--flag` is a usage error (exit 2, the flag named on
+//! stderr) before any work: a typo or a removed flag never runs defaults.
 //!
 //! `conformance` runs the repo's cross-layer correctness checks
 //! (differential oracles, simulator conservation laws, serve fault
@@ -81,6 +74,32 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
+type Run = fn(&[String]) -> ExitCode;
+
+/// Every subcommand with the flags it accepts; anything else starting
+/// with `--` is refused before the subcommand runs. Keep in step with
+/// `usage`.
+#[rustfmt::skip] // one row per subcommand, flags in usage order
+const SUBCOMMANDS: &[(&str, Run, &[&str])] = &[
+    ("sim", sim, &["--reads", "--seed", "--trace-out", "--metrics-out", "--threads"]),
+    ("synth-ref", synth_ref, &["--len", "--chromosomes", "--seed"]),
+    ("synth-reads", synth_reads, &["--count", "--len", "--seed"]),
+    ("align", align, &["--sam", "--simulate", "--trace-out", "--metrics-out", "--threads"]),
+    ("serve", serve, &[
+        "--addr", "--addr-file", "--ref", "--ref-len", "--ref-seed", "--queue-cap", "--workers",
+        "--batch-max", "--batch-wait-us", "--deadline-ms", "--long-deadline-ms",
+        "--classify-deadline-ms", "--backend", "--frontend", "--metrics-out", "--trace-out",
+        "--span-log-out", "--span-log-cap", "--flight-dump", "--flight-cap",
+        "--slo-window-ms", "--slo-step-ms", "--shed-storm",
+        "--tenant", "--tenant-scale", "--registry-budget",
+        "--debug-worker-delay-us", "--debug-worker-panic-at-batch", "--threads",
+    ]),
+    ("conformance", conformance, &[
+        "--seed", "--seed-from-ci", "--cases", "--serve-reads", "--families", "--family",
+        "--repro-dir", "--threads",
+    ]),
+];
+
 fn usage() -> ExitCode {
     eprintln!("usage:");
     eprintln!(
@@ -92,11 +111,7 @@ fn usage() -> ExitCode {
     eprintln!("                   [--trace-out t.json] [--metrics-out m.json] [--threads N]");
     eprintln!("  nvwa serve       [--addr H:P] [--addr-file PATH] [--ref ref.fa]");
     eprintln!("                   [--ref-len N] [--ref-seed S] [--queue-cap N] [--workers N]");
-    eprintln!("                   [--batch-max N] [--batch-wait-us U] [--bin-bounds L1,L2,...]");
-    eprintln!("                   [--batch-adaptive] [--control-tick-ms T]");
-    eprintln!("                   [--batch-floor N] [--batch-ceil N]");
-    eprintln!("                   [--batch-wait-floor-us U] [--batch-wait-ceil-us U]");
-    eprintln!("                   [--controller-log-out c.json] [--deadline-ms D]");
+    eprintln!("                   [--batch-max N] [--batch-wait-us U] [--deadline-ms D]");
     eprintln!("                   [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]");
     eprintln!("                   [--span-log-out s.json] [--flight-dump DIR] [--flight-cap N]");
     eprintln!("                   [--slo-window-ms W] [--slo-step-ms S] [--shed-storm N]");
@@ -104,7 +119,7 @@ fn usage() -> ExitCode {
     eprintln!("                   [--tenant-scale F] [--registry-budget BYTES]");
     eprintln!("  nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]");
     eprintln!("                   [--families diff,extension,invariants,faults,registry,");
-    eprintln!("                    controller,long_read]");
+    eprintln!("                    long_read]");
     eprintln!("                   [--family NAME] [--repro-dir DIR]");
     ExitCode::FAILURE
 }
@@ -115,18 +130,23 @@ fn main() -> ExitCode {
         eprintln!("nvwa: {e}");
         return ExitCode::from(2);
     }
-    match args.first().map(String::as_str) {
-        Some("synth-ref") => synth_ref(&args[1..]),
-        Some("synth-reads") => synth_reads(&args[1..]),
-        Some("align") => align(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("conformance") => conformance(&args[1..]),
-        Some("sim") => sim(&args[1..]),
+    let (sub, rest) = match args.first().map(String::as_str) {
         // Bare invocation (possibly with flags only): the default scenario.
-        None => sim(&args),
-        Some(first) if first.starts_with("--") => sim(&args),
-        _ => usage(),
+        None => ("sim", &args[..]),
+        Some(first) if first.starts_with("--") => ("sim", &args[..]),
+        Some(name) => (name, &args[1..]),
+    };
+    let Some(&(_, run, known)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == sub) else {
+        return usage();
+    };
+    if let Some(unknown) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        eprintln!("nvwa: {unknown}: unknown flag");
+        return ExitCode::from(2);
     }
+    run(rest)
 }
 
 /// Wall-clock phase spans for the host track of the trace (and the
@@ -320,7 +340,7 @@ fn conformance(args: &[String]) -> ExitCode {
                 None => {
                     eprintln!(
                         "nvwa: unknown family {item:?} (want diff, extension, invariants, \
-                         faults, registry, controller, long_read)"
+                         faults, registry, long_read)"
                     );
                     return usage();
                 }
@@ -332,8 +352,8 @@ fn conformance(args: &[String]) -> ExitCode {
             Some(f) => families.push(f),
             None => {
                 eprintln!(
-                    "nvwa: --family wants diff, extension, invariants, faults, registry, \
-                     controller or long_read"
+                    "nvwa: --family wants diff, extension, invariants, faults, registry \
+                     or long_read"
                 );
                 return usage();
             }
@@ -419,8 +439,7 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
 fn serve(args: &[String]) -> ExitCode {
     use nvwa::serve::loadgen::ref_params;
     use nvwa::serve::{
-        signal, BackendKind, BatcherConfig, ControllerConfig, ObservabilityConfig, Server,
-        ServerConfig,
+        signal, BackendKind, BatcherConfig, ObservabilityConfig, Server, ServerConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -466,47 +485,6 @@ fn serve(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    // `--bin-bounds L1,L2,...` replaces the default batcher length bins;
-    // the list must be strictly increasing so `bin_of` stays well-defined.
-    let bin_bounds = match flag_value(args, "--bin-bounds") {
-        None => BatcherConfig::default().bin_bounds,
-        Some(list) => {
-            let mut bounds: Vec<usize> = Vec::new();
-            for item in list.split(',') {
-                match item.trim().parse::<usize>() {
-                    Ok(b) if b > 0 && bounds.last().is_none_or(|&last| b > last) => bounds.push(b),
-                    _ => {
-                        eprintln!(
-                            "nvwa: --bin-bounds wants a strictly increasing comma list of \
-                             positive lengths, got {list:?}"
-                        );
-                        return usage();
-                    }
-                }
-            }
-            if bounds.is_empty() {
-                eprintln!("nvwa: --bin-bounds wants at least one length bound");
-                return usage();
-            }
-            bounds
-        }
-    };
-    // `--batch-adaptive` closes the telemetry → batcher loop: a
-    // controller thread reads windowed SLO views on a fixed tick and
-    // retunes the per-bin batching knobs within the floor/ceiling flags.
-    let adaptive = if args.iter().any(|a| a == "--batch-adaptive") {
-        let defaults = ControllerConfig::default();
-        Some(ControllerConfig {
-            tick_us: flag(args, "--control-tick-ms").unwrap_or(defaults.tick_us / 1_000) * 1_000,
-            batch_floor: flag(args, "--batch-floor").unwrap_or(defaults.batch_floor),
-            batch_ceil: flag(args, "--batch-ceil").unwrap_or(defaults.batch_ceil),
-            wait_floor_us: flag(args, "--batch-wait-floor-us").unwrap_or(defaults.wait_floor_us),
-            wait_ceil_us: flag(args, "--batch-wait-ceil-us").unwrap_or(defaults.wait_ceil_us),
-            ..defaults
-        })
-    } else {
-        None
-    };
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
         tenants: tenants.clone(),
@@ -514,14 +492,12 @@ fn serve(args: &[String]) -> ExitCode {
         queue_capacity: flag(args, "--queue-cap").unwrap_or(1024),
         workers: flag(args, "--workers").unwrap_or_else(nvwa::sim::par::current_threads),
         batch: BatcherConfig {
-            bin_bounds,
             max_batch: flag(args, "--batch-max").unwrap_or(64),
             max_wait: std::time::Duration::from_micros(
                 flag(args, "--batch-wait-us").unwrap_or(2_000),
             ),
             ..BatcherConfig::default()
         },
-        adaptive,
         backend,
         aligner: AlignerConfig::default(),
         default_deadline: flag(args, "--deadline-ms").map(Duration::from_millis),
@@ -586,18 +562,7 @@ fn serve(args: &[String]) -> ExitCode {
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("draining ...");
-    let controller = server.controller();
     let metrics = server.shutdown();
-    if let Some(ctl) = &controller {
-        let ctl = ctl.lock().unwrap();
-        println!(
-            "controller: {} ticks, {} knob changes, {} re-splits, {} backoffs",
-            ctl.ticks(),
-            ctl.changes(),
-            ctl.resplits(),
-            ctl.backoffs(),
-        );
-    }
     println!(
         "served {} ok / {} shed / {} deadline across {} batches ({} connections)",
         metrics.counter("serve.responses_ok"),
@@ -618,33 +583,10 @@ fn serve(args: &[String]) -> ExitCode {
         let meta = SnapshotMeta::collect(nvwa::sim::par::current_threads());
         // The stats-response document: registry snapshot + live SLO view
         // + flight-recorder summary, same shape the in-band `stats`
-        // request answers with (plus the controller section when
-        // adaptive batching ran).
-        let mut doc = metrics.stats_response(&meta);
-        if let Some(ctl) = &controller {
-            if let nvwa::telemetry::JsonValue::Obj(fields) = &mut doc {
-                fields.push((
-                    "controller".to_string(),
-                    ctl.lock().unwrap().snapshot_json(),
-                ));
-            }
-        }
+        // request answers with.
+        let doc = metrics.stats_response(&meta);
         if let Err(code) = write(&path, &doc.to_string_pretty()) {
             return code;
-        }
-    }
-    if let Some(path) = flag_value(args, "--controller-log-out") {
-        match &controller {
-            Some(ctl) => {
-                let doc = ctl.lock().unwrap().log_json().to_string_pretty();
-                if let Err(code) = write(&path, &doc) {
-                    return code;
-                }
-            }
-            None => {
-                eprintln!("nvwa: --controller-log-out needs --batch-adaptive");
-                return ExitCode::FAILURE;
-            }
         }
     }
     if let Some(path) = flag_value(args, "--span-log-out") {

@@ -1,5 +1,6 @@
-//! A numeric flag the CLI cannot parse is a usage error (exit 2, the flag
-//! named on stderr) before any work — never a silent default.
+//! A numeric flag the CLI cannot parse, or a flag it does not know, is a
+//! usage error (exit 2, the flag named on stderr) before any work — never
+//! a silent default.
 
 #[test]
 fn unparsable_flag_values_exit_2_naming_the_flag() {
@@ -12,6 +13,15 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
         (
             "conformance --seed-from-ci --seed",
             "nvwa: --seed: missing value",
+        ),
+        // A removed flag and a typo: refused, not served with defaults.
+        (
+            "serve --batch-adaptive",
+            "nvwa: --batch-adaptive: unknown flag",
+        ),
+        (
+            "serve --batch-wait-su 500",
+            "nvwa: --batch-wait-su: unknown flag",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvwa"))

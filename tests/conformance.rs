@@ -52,8 +52,8 @@ fn healthy_tree_passes_every_family() {
         report.text()
     );
     // Every family contributed: 4 diff checks + extension + invariants
-    // + faults + registry + controller + long_read.
-    assert_eq!(report.checks, 10, "{}", report.text());
+    // + faults + registry + long_read.
+    assert_eq!(report.checks, 9, "{}", report.text());
     let text = report.text();
     for needle in [
         "sw:",
@@ -64,7 +64,6 @@ fn healthy_tree_passes_every_family() {
         "invariants:",
         "faults:",
         "registry:",
-        "controller:",
         "long_read:",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
