@@ -18,39 +18,27 @@ use crate::myers::{banded_edit_extend, banded_edit_global, MyersScratch};
 use crate::scoring::Scoring;
 use crate::sw::{global_align_with, DpScratch, ExtensionAlignment};
 
-/// Which extension kernel the pipeline uses for a read's hit tasks.
+/// Which extension kernel the pipeline uses for a read's hit tasks:
+/// selected per read length, bit-parallel up to `bitparallel_max` symbols
+/// and banded SW beyond (long reads accumulate enough edits that the
+/// unit-cost band no longer covers them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPolicy {
-    /// Always the banded affine Smith-Waterman unit (the pre-kernel-swap
-    /// behaviour; kept as the differential reference).
-    BandedSw,
-    /// Always the bit-parallel banded edit kernel (with per-task SW
-    /// fallback when a task's edit distance exceeds the band).
-    BitParallel,
-    /// Select per read length: bit-parallel up to `bitparallel_max`
-    /// symbols, banded SW beyond (long reads accumulate enough edits that
-    /// the unit-cost band no longer covers them).
-    ByReadLength {
-        /// Longest read the bit-parallel kernel handles.
-        bitparallel_max: usize,
-    },
+pub struct KernelPolicy {
+    /// Longest read the bit-parallel kernel handles.
+    pub bitparallel_max: usize,
 }
 
 impl KernelPolicy {
     /// `true` when a read of `read_len` symbols should extend with the
     /// bit-parallel kernel.
     pub fn use_bitparallel(self, read_len: usize) -> bool {
-        match self {
-            KernelPolicy::BandedSw => false,
-            KernelPolicy::BitParallel => true,
-            KernelPolicy::ByReadLength { bitparallel_max } => read_len <= bitparallel_max,
-        }
+        read_len <= self.bitparallel_max
     }
 }
 
 impl Default for KernelPolicy {
     fn default() -> KernelPolicy {
-        KernelPolicy::ByReadLength {
+        KernelPolicy {
             bitparallel_max: 400,
         }
     }
@@ -206,8 +194,6 @@ mod tests {
 
     #[test]
     fn policy_selects_by_read_length() {
-        assert!(!KernelPolicy::BandedSw.use_bitparallel(10));
-        assert!(KernelPolicy::BitParallel.use_bitparallel(100_000));
         let p = KernelPolicy::default();
         assert!(p.use_bitparallel(101));
         assert!(p.use_bitparallel(400));

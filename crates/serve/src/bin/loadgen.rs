@@ -24,11 +24,11 @@
 //! `--request-mode` picks the server-side execution path stamped on every
 //! request: `short` (default, seed-and-extend), `long` (minimizer-chain-
 //! GACT over `--long-len`-bp reads), `classify` (metagenomic screening
-//! across every registry tenant), or `mixed` (a deterministic 2:1:1
+//! across every tenant of the server), or `mixed` (a deterministic 2:1:1
 //! short/long/classify interleave exercising all three paths at once).
 //!
 //! `--tenant KEY[:WEIGHT]` (repeatable) switches to multi-tenant mode
-//! against a registry server (`nvwa serve --tenant ...`): reads are
+//! against a species-tenant server (`nvwa serve --tenant ...`): reads are
 //! synthesized per species at `--tenant-scale` (must match the server's),
 //! tagged with the tenant name and interleaved by integer weight, and
 //! the report grows per-tenant accounting sections. Tenant mixes are
@@ -57,6 +57,16 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
         std::process::exit(2)
     })
 }
+
+/// Every flag `usage` prints; anything else starting with `--` is
+/// refused before any work. Keep in step with `usage`.
+#[rustfmt::skip] // flags in usage order
+const KNOWN_FLAGS: &[&str] = &[
+    "--addr", "--addr-file", "--reads", "--connections", "--mode", "--window",
+    "--request-mode", "--rate", "--burst", "--deadline-ms", "--ref-len", "--ref-seed",
+    "--read-seed", "--long-len", "--tenant", "--tenant-scale", "--out", "--metrics-out",
+    "--stats-out", "--scrape-ms", "--slo", "--shutdown", "--threads",
+];
 
 fn usage() -> ExitCode {
     eprintln!("usage: nvwa-loadgen [--addr H:P | --addr-file PATH] [--reads N]");
@@ -110,7 +120,9 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return usage();
     }
-    if let Err(e) = nvwa_sim::par::configure_threads_from_args(&args) {
+    if let Err(e) = nvwa_sim::par::reject_unknown_flags(&args, KNOWN_FLAGS)
+        .and_then(|()| nvwa_sim::par::configure_threads_from_args(&args))
+    {
         eprintln!("nvwa-loadgen: {e}");
         return ExitCode::from(2);
     }

@@ -16,16 +16,17 @@
 //! * three request modes sharing that wire protocol: seed-and-extend
 //!   short reads, minimizer-chain-GACT long reads in dedicated bins with
 //!   their own deadlines and batching knobs, and metagenomic
-//!   classification screening a read across every registry tenant
+//!   classification screening a read across every tenant
 //!   ([`protocol::Mode`]),
 //! * a worker pool executing batches bit-identically to the offline
 //!   aligner, optionally replaying each batch through the cycle-accurate
 //!   accelerator model ([`backend`]),
 //! * graceful drain on shutdown — every admitted request is answered
 //!   ([`server`]),
-//! * a multi-tenant index registry — the six species references loaded
-//!   side by side under a memory budget with LRU eviction, deterministic
-//!   shard routing and per-tenant admission quotas ([`registry`]),
+//! * one tenant table — named reference indexes served side by side
+//!   (a single-index server is one tenant named `default`), a launch-time
+//!   memory budget, deterministic shard routing and per-tenant admission
+//!   quotas ([`registry`]),
 //! * full telemetry: queue-depth gauges, batch/latency histograms,
 //!   shed/deadline counters, Chrome-trace spans per batch plus a
 //!   per-request span chain for every admitted request ([`metrics`]),
@@ -60,5 +61,5 @@ pub use metrics::{ObservabilityConfig, ServeMetrics};
 pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore};
 #[cfg(unix)]
 pub use reactor::raise_nofile_limit;
-pub use registry::{IndexRegistry, RegistryError, TenantSpec};
-pub use server::{Server, ServerConfig, TenantServeSpec};
+pub use registry::Tenant;
+pub use server::{Server, ServerConfig};

@@ -240,7 +240,7 @@ fn evaluate_slo(report: &LoadReport, targets: &[SloTarget]) -> Vec<SloCheck> {
 }
 
 /// Exact latency summary (microseconds) from the full sample vector.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,
@@ -262,15 +262,7 @@ impl LatencySummary {
     /// Summarizes a sample vector (consumed; sorted internally).
     pub fn from_us(mut samples: Vec<f64>) -> LatencySummary {
         if samples.is_empty() {
-            return LatencySummary {
-                count: 0,
-                mean: None,
-                p50: None,
-                p90: None,
-                p99: None,
-                min: None,
-                max: None,
-            };
+            return LatencySummary::default();
         }
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = samples.len();
@@ -362,6 +354,44 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// The report of a run's merged `total`. What a run collects on the
+    /// side (duplicates, tenant slices, responses, scrapes, SLO grades,
+    /// its metrics registry) starts empty.
+    fn from_tally(
+        mode: &'static str,
+        connections: u64,
+        reads: u64,
+        wall_ms: f64,
+        total: Tally,
+    ) -> LoadReport {
+        LoadReport {
+            mode,
+            sent: total.sent,
+            received: total.received,
+            lost: total.lost,
+            duplicates: 0,
+            ok: total.ok,
+            unmapped: total.unmapped,
+            shed: total.shed,
+            quota: total.quota,
+            deadline: total.deadline,
+            errors: total.errors,
+            mapped: total.mapped,
+            connections,
+            reads,
+            wall_ms,
+            throughput_rps: total.received as f64 / (wall_ms / 1e3),
+            latency: LatencySummary::from_us(total.latencies_us),
+            tenants: Vec::new(),
+            responses: HashMap::new(),
+            stats_snapshots: Vec::new(),
+            scrape_failures: 0,
+            scrape_last_error: None,
+            slo: Vec::new(),
+            metrics: MetricsRegistry::new(),
+        }
+    }
+
     /// The report document (`validate` checks it against the
     /// `nvwa-loadgen` schema, conservation identities included).
     pub fn to_json(&self) -> JsonValue {
@@ -469,6 +499,23 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
+    fn from_tally(name: &str, t: Tally) -> TenantReport {
+        TenantReport {
+            name: name.to_string(),
+            sent: t.sent,
+            received: t.received,
+            lost: t.lost,
+            ok: t.ok,
+            unmapped: t.unmapped,
+            shed: t.shed,
+            quota: t.quota,
+            deadline: t.deadline,
+            errors: t.errors,
+            mapped: t.mapped,
+            latency: LatencySummary::from_us(t.latencies_us),
+        }
+    }
+
     fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
             ("name", JsonValue::Str(self.name.clone())),
@@ -549,8 +596,8 @@ pub fn generate_long_reads(
         .collect()
 }
 
-/// Synthesizes reads against a registry tenant's species reference (the
-/// server loads the same `Species::synthesize` genome, so reads map).
+/// Synthesizes reads against a species tenant's reference (the
+/// server builds the same `Species::synthesize` genome, so reads map).
 pub fn generate_species_reads(
     species: nvwa_genome::species::Species,
     scale: f64,
@@ -589,6 +636,7 @@ impl Prng {
 }
 
 /// One read as sent on the wire: global id plus tenant routing labels.
+#[derive(Clone, Copy)]
 struct WireRead<'a> {
     id: u64,
     tenant_idx: u32,
@@ -598,9 +646,10 @@ struct WireRead<'a> {
     mode: Mode,
 }
 
-/// Per-tenant slice of a connection tally.
+/// Outcome counters and completed-request latencies of one slice of a
+/// run: a connection's total, or one tenant's share of it.
 #[derive(Default, Clone)]
-struct TenantTally {
+struct Tally {
     sent: u64,
     received: u64,
     lost: u64,
@@ -612,6 +661,46 @@ struct TenantTally {
     errors: u64,
     mapped: u64,
     latencies_us: Vec<f64>,
+}
+
+impl Tally {
+    /// One unique response: `mapped` is whether it carried an alignment,
+    /// `latency_us` its send → response time (kept for completed work).
+    fn record(&mut self, status: Status, mapped: bool, latency_us: f64) {
+        self.received += 1;
+        match status {
+            Status::Ok => {
+                self.ok += 1;
+                self.mapped += u64::from(mapped);
+                self.latencies_us.push(latency_us);
+            }
+            // A completed alignment attempt that found no placement:
+            // latency counts toward the completion SLO, `mapped` does
+            // not move.
+            Status::Unmapped => {
+                self.unmapped += 1;
+                self.latencies_us.push(latency_us);
+            }
+            Status::Shed => self.shed += 1,
+            Status::Quota => self.quota += 1,
+            Status::Deadline => self.deadline += 1,
+            Status::Error => self.errors += 1,
+        }
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.sent += other.sent;
+        self.received += other.received;
+        self.lost += other.lost;
+        self.ok += other.ok;
+        self.unmapped += other.unmapped;
+        self.shed += other.shed;
+        self.quota += other.quota;
+        self.deadline += other.deadline;
+        self.errors += other.errors;
+        self.mapped += other.mapped;
+        self.latencies_us.extend(other.latencies_us);
+    }
 }
 
 /// In-flight requests: `id → (send instant, tenant index)`. The tenant
@@ -620,49 +709,29 @@ type PendingSends = HashMap<u64, (Instant, u32)>;
 
 /// Per-connection tally, merged into the final report.
 struct ConnTally {
-    sent: u64,
-    received: u64,
-    lost: u64,
+    total: Tally,
     duplicates: u64,
-    ok: u64,
-    unmapped: u64,
-    shed: u64,
-    quota: u64,
-    deadline: u64,
-    errors: u64,
-    mapped: u64,
-    latencies_us: Vec<f64>,
     responses: HashMap<u64, AlignResponse>,
-    tenants: Vec<TenantTally>,
+    tenants: Vec<Tally>,
 }
 
 impl ConnTally {
     fn new(n_tenants: usize) -> ConnTally {
         ConnTally {
-            sent: 0,
-            received: 0,
-            lost: 0,
+            total: Tally::default(),
             duplicates: 0,
-            ok: 0,
-            unmapped: 0,
-            shed: 0,
-            quota: 0,
-            deadline: 0,
-            errors: 0,
-            mapped: 0,
-            latencies_us: Vec::new(),
             responses: HashMap::new(),
-            tenants: vec![TenantTally::default(); n_tenants.max(1)],
+            tenants: vec![Tally::default(); n_tenants.max(1)],
         }
     }
 
-    fn note_sent(&mut self, tenant_idx: u32) {
-        self.sent += 1;
-        self.tenants[tenant_idx as usize].sent += 1;
+    fn note_sent(&mut self, tenant_idx: u32, n: u64) {
+        self.total.sent += n;
+        self.tenants[tenant_idx as usize].sent += n;
     }
 
     fn note_lost(&mut self, pending: &PendingSends) {
-        self.lost += pending.len() as u64;
+        self.total.lost += pending.len() as u64;
         for (_, tenant_idx) in pending.values() {
             self.tenants[*tenant_idx as usize].lost += 1;
         }
@@ -676,50 +745,21 @@ impl ConnTally {
             self.duplicates += 1;
             return;
         };
-        self.received += 1;
-        let t = &mut self.tenants[tenant_idx as usize];
-        t.received += 1;
-        match resp.status {
-            Status::Ok => {
-                self.ok += 1;
-                t.ok += 1;
-                if resp.alignment.is_some() {
-                    self.mapped += 1;
-                    t.mapped += 1;
-                }
-                let us = at.elapsed().as_secs_f64() * 1e6;
-                self.latencies_us.push(us);
-                t.latencies_us.push(us);
-            }
-            Status::Unmapped => {
-                // A completed alignment attempt that found no placement:
-                // latency counts toward the completion SLO, `mapped` does
-                // not move.
-                self.unmapped += 1;
-                t.unmapped += 1;
-                let us = at.elapsed().as_secs_f64() * 1e6;
-                self.latencies_us.push(us);
-                t.latencies_us.push(us);
-            }
-            Status::Shed => {
-                self.shed += 1;
-                t.shed += 1;
-            }
-            Status::Quota => {
-                self.quota += 1;
-                t.quota += 1;
-            }
-            Status::Deadline => {
-                self.deadline += 1;
-                t.deadline += 1;
-            }
-            Status::Error => {
-                self.errors += 1;
-                t.errors += 1;
-            }
-        }
+        let us = at.elapsed().as_secs_f64() * 1e6;
+        let mapped = resp.alignment.is_some();
+        self.total.record(resp.status, mapped, us);
+        self.tenants[tenant_idx as usize].record(resp.status, mapped, us);
         if collect {
             self.responses.insert(resp.id, resp);
+        }
+    }
+
+    fn merge(&mut self, other: ConnTally) {
+        self.total.merge(other.total);
+        self.duplicates += other.duplicates;
+        self.responses.extend(other.responses);
+        for (into, from) in self.tenants.iter_mut().zip(other.tenants) {
+            into.merge(from);
         }
     }
 }
@@ -805,21 +845,14 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn align_request(
-    id: u64,
-    codes: &[u8],
-    deadline_ms: Option<u64>,
-    tenant: Option<&str>,
-    region: Option<u64>,
-    mode: Mode,
-) -> JsonValue {
+fn align_request(r: &WireRead<'_>, deadline_ms: Option<u64>) -> JsonValue {
     Request::Align {
-        id,
-        codes: codes.to_vec(),
+        id: r.id,
+        codes: r.codes.to_vec(),
         deadline_ms,
-        tenant: tenant.map(str::to_string),
-        region,
-        mode,
+        tenant: r.tenant.map(str::to_string),
+        region: r.region,
+        mode: r.mode,
     }
     .encode()
 }
@@ -841,12 +874,9 @@ fn closed_conn(
     while next < reads.len() || !sent_at.is_empty() {
         while next < reads.len() && sent_at.len() < window {
             let r = &reads[next];
-            write_frame(
-                &mut stream,
-                &align_request(r.id, r.codes, deadline_ms, r.tenant, r.region, r.mode),
-            )?;
+            write_frame(&mut stream, &align_request(r, deadline_ms))?;
             sent_at.insert(r.id, (Instant::now(), r.tenant_idx));
-            tally.note_sent(r.tenant_idx);
+            tally.note_sent(r.tenant_idx, 1);
             next += 1;
         }
         match read_frame(&mut stream) {
@@ -869,17 +899,6 @@ struct OpenLoop {
     collect: bool,
 }
 
-/// The sender thread's owned copy of one wire read (it outlives the
-/// borrowed `WireRead`s).
-struct OwnedRead {
-    id: u64,
-    tenant_idx: u32,
-    tenant: Option<String>,
-    region: Option<u64>,
-    codes: Vec<u8>,
-    mode: Mode,
-}
-
 /// One open-loop connection: a sender thread injects on schedule while
 /// this thread drains responses.
 fn open_conn(
@@ -895,33 +914,21 @@ fn open_conn(
         seed,
         collect,
     } = opts;
-    let stream = connect(addr)?;
-    let mut read_half = stream.try_clone()?;
-    let sent_at: Arc<Mutex<PendingSends>> = Arc::new(Mutex::new(HashMap::new()));
-    let sender_done = Arc::new(AtomicBool::new(false));
-    let owned: Vec<OwnedRead> = reads
-        .iter()
-        .map(|r| OwnedRead {
-            id: r.id,
-            tenant_idx: r.tenant_idx,
-            tenant: r.tenant.map(str::to_string),
-            region: r.region,
-            codes: r.codes.to_vec(),
-            mode: r.mode,
-        })
-        .collect();
-    let sender = {
-        let sent_at = Arc::clone(&sent_at);
-        let done = Arc::clone(&sender_done);
-        let mut write_half = stream;
-        std::thread::spawn(move || -> Vec<u64> {
+    let mut write_half = connect(addr)?;
+    let mut read_half = write_half.try_clone()?;
+    let sent_at: Mutex<PendingSends> = Mutex::new(HashMap::new());
+    let sender_done = AtomicBool::new(false);
+    let mut tally = ConnTally::new(n_tenants);
+    std::thread::scope(|scope| {
+        let (pending, done) = (&sent_at, &sender_done);
+        let sender = scope.spawn(move || -> Vec<u64> {
             let mut prng = Prng(seed ^ 0xda7a_5eed);
             let burst = burst.max(1);
             let epoch_rate = (rate_rps / burst as f64).max(1e-6);
             let start = Instant::now();
             let mut at = 0.0f64;
             let mut sent = vec![0u64; n_tenants.max(1)];
-            for chunk in owned.chunks(burst) {
+            for chunk in reads.chunks(burst) {
                 at += prng.next_exp(epoch_rate);
                 let due = start + Duration::from_secs_f64(at);
                 let now = Instant::now();
@@ -929,20 +936,12 @@ fn open_conn(
                     std::thread::sleep(due - now);
                 }
                 for r in chunk {
-                    sent_at
+                    pending
                         .lock()
                         .unwrap()
                         .insert(r.id, (Instant::now(), r.tenant_idx));
-                    let doc = align_request(
-                        r.id,
-                        &r.codes,
-                        deadline_ms,
-                        r.tenant.as_deref(),
-                        r.region,
-                        r.mode,
-                    );
-                    if write_frame(&mut write_half, &doc).is_err() {
-                        sent_at.lock().unwrap().remove(&r.id);
+                    if write_frame(&mut write_half, &align_request(r, deadline_ms)).is_err() {
+                        pending.lock().unwrap().remove(&r.id);
                         done.store(true, Ordering::SeqCst);
                         return sent;
                     }
@@ -952,29 +951,25 @@ fn open_conn(
             let _ = write_half.flush();
             done.store(true, Ordering::SeqCst);
             sent
-        })
-    };
-    let mut tally = ConnTally::new(n_tenants);
-    loop {
-        if sender_done.load(Ordering::Relaxed) && sent_at.lock().unwrap().is_empty() {
-            break;
-        }
-        match read_frame(&mut read_half) {
-            Ok(Some(doc)) => {
-                let mut pending = sent_at.lock().unwrap();
-                tally.record(&doc, &mut pending, collect);
+        });
+        loop {
+            if sender_done.load(Ordering::Relaxed) && sent_at.lock().unwrap().is_empty() {
+                break;
             }
-            Ok(None) => break,
-            Err(_) => break, // timeout — remainder is lost
+            match read_frame(&mut read_half) {
+                Ok(Some(doc)) => {
+                    let mut pending = sent_at.lock().unwrap();
+                    tally.record(&doc, &mut pending, collect);
+                }
+                Ok(None) => break,
+                Err(_) => break, // timeout — remainder is lost
+            }
         }
-    }
-    let sent_per_tenant = sender.join().unwrap_or_default();
-    for (i, n) in sent_per_tenant.iter().enumerate() {
-        tally.sent += n;
-        if let Some(t) = tally.tenants.get_mut(i) {
-            t.sent += n;
+        let sent_per_tenant = sender.join().unwrap_or_default();
+        for (i, n) in sent_per_tenant.iter().enumerate() {
+            tally.note_sent(i as u32, *n);
         }
-    }
+    });
     tally.note_lost(&sent_at.lock().unwrap());
     Ok(tally)
 }
@@ -1050,8 +1045,8 @@ fn run_impl(
     let connections = config.connections.max(1);
     let n_tenants = labels.len().max(1);
     // Round-robin partition, global ids preserved.
-    let partitions: Vec<Vec<&WireRead<'_>>> = (0..connections)
-        .map(|c| wire.iter().skip(c).step_by(connections).collect())
+    let partitions: Vec<Vec<WireRead<'_>>> = (0..connections)
+        .map(|c| wire.iter().skip(c).step_by(connections).copied().collect())
         .collect();
     let scraper = config
         .scrape_every
@@ -1066,35 +1061,22 @@ fn run_impl(
                 let deadline_ms = config.deadline_ms;
                 let collect = config.collect_responses;
                 let seed = config.arrival_seed.wrapping_add(c as u64);
-                scope.spawn(move || {
-                    let part: Vec<WireRead<'_>> = part
-                        .iter()
-                        .map(|r| WireRead {
-                            id: r.id,
-                            tenant_idx: r.tenant_idx,
-                            tenant: r.tenant,
-                            region: r.region,
-                            codes: r.codes,
-                            mode: r.mode,
-                        })
-                        .collect();
-                    match mode {
-                        ArrivalMode::Closed { window } => {
-                            closed_conn(addr, &part, n_tenants, window, deadline_ms, collect)
-                        }
-                        ArrivalMode::Open { rate_rps, burst } => open_conn(
-                            addr,
-                            &part,
-                            n_tenants,
-                            OpenLoop {
-                                rate_rps,
-                                burst,
-                                deadline_ms,
-                                seed,
-                                collect,
-                            },
-                        ),
+                scope.spawn(move || match mode {
+                    ArrivalMode::Closed { window } => {
+                        closed_conn(addr, part, n_tenants, window, deadline_ms, collect)
                     }
+                    ArrivalMode::Open { rate_rps, burst } => open_conn(
+                        addr,
+                        part,
+                        n_tenants,
+                        OpenLoop {
+                            rate_rps,
+                            burst,
+                            deadline_ms,
+                            seed,
+                            collect,
+                        },
+                    ),
                 })
             })
             .collect();
@@ -1103,33 +1085,7 @@ fn run_impl(
     let wall_ms = (start.elapsed().as_secs_f64() * 1e3).max(0.001);
     let mut merged = ConnTally::new(n_tenants);
     for tally in tallies {
-        let tally = tally?;
-        merged.sent += tally.sent;
-        merged.received += tally.received;
-        merged.lost += tally.lost;
-        merged.duplicates += tally.duplicates;
-        merged.ok += tally.ok;
-        merged.unmapped += tally.unmapped;
-        merged.shed += tally.shed;
-        merged.quota += tally.quota;
-        merged.deadline += tally.deadline;
-        merged.errors += tally.errors;
-        merged.mapped += tally.mapped;
-        merged.latencies_us.extend(tally.latencies_us);
-        merged.responses.extend(tally.responses);
-        for (into, from) in merged.tenants.iter_mut().zip(tally.tenants) {
-            into.sent += from.sent;
-            into.received += from.received;
-            into.lost += from.lost;
-            into.ok += from.ok;
-            into.unmapped += from.unmapped;
-            into.shed += from.shed;
-            into.quota += from.quota;
-            into.deadline += from.deadline;
-            into.errors += from.errors;
-            into.mapped += from.mapped;
-            into.latencies_us.extend(from.latencies_us);
-        }
+        merged.merge(tally?);
     }
     // The scraper must be down before the drain starts: a scrape racing
     // shutdown would count a refused connection as a failure.
@@ -1141,77 +1097,55 @@ fn run_impl(
         let _ = send_shutdown(addr);
     }
     let mut metrics = MetricsRegistry::new();
-    for (name, v) in [
-        ("loadgen.sent", merged.sent),
-        ("loadgen.received", merged.received),
-        ("loadgen.lost", merged.lost),
-        ("loadgen.duplicates", merged.duplicates),
-        ("loadgen.responses_ok", merged.ok),
-        ("loadgen.unmapped", merged.unmapped),
-        ("loadgen.shed", merged.shed),
-        ("loadgen.quota", merged.quota),
-        ("loadgen.deadline", merged.deadline),
-        ("loadgen.errors", merged.errors),
-        ("loadgen.mapped", merged.mapped),
-        ("loadgen.scrape_snapshots", stats_snapshots.len() as u64),
-        ("loadgen.scrape_failures", scrape_failures),
-    ] {
-        let id = metrics.counter(name);
-        metrics.inc(id, v);
-    }
-    let throughput_rps = merged.received as f64 / (wall_ms / 1e3);
-    let gauge = metrics.gauge("loadgen.throughput_rps");
-    metrics.set_gauge(gauge, throughput_rps);
-    let gauge = metrics.gauge("loadgen.connections");
-    metrics.set_gauge(gauge, connections as f64);
     let lat = metrics.histogram("loadgen.latency_us");
-    for v in &merged.latencies_us {
+    for v in &merged.total.latencies_us {
         metrics.observe(lat, *v as u64);
     }
-    let tenants: Vec<TenantReport> = labels
-        .iter()
-        .zip(merged.tenants.iter_mut())
-        .map(|(name, t)| TenantReport {
-            name: name.clone(),
-            sent: t.sent,
-            received: t.received,
-            lost: t.lost,
-            ok: t.ok,
-            unmapped: t.unmapped,
-            shed: t.shed,
-            quota: t.quota,
-            deadline: t.deadline,
-            errors: t.errors,
-            mapped: t.mapped,
-            latency: LatencySummary::from_us(std::mem::take(&mut t.latencies_us)),
-        })
-        .collect();
     let mut report = LoadReport {
-        mode: config.mode.as_str(),
-        sent: merged.sent,
-        received: merged.received,
-        lost: merged.lost,
         duplicates: merged.duplicates,
-        ok: merged.ok,
-        unmapped: merged.unmapped,
-        shed: merged.shed,
-        quota: merged.quota,
-        deadline: merged.deadline,
-        errors: merged.errors,
-        mapped: merged.mapped,
-        connections: connections as u64,
-        reads: wire.len() as u64,
-        wall_ms,
-        throughput_rps,
-        latency: LatencySummary::from_us(merged.latencies_us),
-        tenants,
+        tenants: labels
+            .iter()
+            .zip(merged.tenants)
+            .map(|(name, t)| TenantReport::from_tally(name, t))
+            .collect(),
         responses: merged.responses,
         stats_snapshots,
         scrape_failures,
         scrape_last_error,
-        slo: Vec::new(),
         metrics,
+        ..LoadReport::from_tally(
+            config.mode.as_str(),
+            connections as u64,
+            wire.len() as u64,
+            wall_ms,
+            merged.total,
+        )
     };
+    for (name, v) in [
+        ("loadgen.sent", report.sent),
+        ("loadgen.received", report.received),
+        ("loadgen.lost", report.lost),
+        ("loadgen.duplicates", report.duplicates),
+        ("loadgen.responses_ok", report.ok),
+        ("loadgen.unmapped", report.unmapped),
+        ("loadgen.shed", report.shed),
+        ("loadgen.quota", report.quota),
+        ("loadgen.deadline", report.deadline),
+        ("loadgen.errors", report.errors),
+        ("loadgen.mapped", report.mapped),
+        (
+            "loadgen.scrape_snapshots",
+            report.stats_snapshots.len() as u64,
+        ),
+        ("loadgen.scrape_failures", report.scrape_failures),
+    ] {
+        let id = report.metrics.counter(name);
+        report.metrics.inc(id, v);
+    }
+    let gauge = report.metrics.gauge("loadgen.throughput_rps");
+    report.metrics.set_gauge(gauge, report.throughput_rps);
+    let gauge = report.metrics.gauge("loadgen.connections");
+    report.metrics.set_gauge(gauge, connections as f64);
     report.slo = evaluate_slo(&report, &config.slo);
     Ok(report)
 }
@@ -1228,6 +1162,18 @@ pub fn send_shutdown(addr: &str) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Sends one control request on a fresh connection and returns the reply.
+fn fetch(addr: &str, request: &Request, what: &str) -> std::io::Result<JsonValue> {
+    let mut stream = connect(addr)?;
+    write_frame(&mut stream, &request.encode())?;
+    read_frame(&mut stream)?.ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("server closed before answering {what}"),
+        )
+    })
+}
+
 /// Fetches the server's metrics snapshot on a fresh connection.
 ///
 /// # Errors
@@ -1235,14 +1181,7 @@ pub fn send_shutdown(addr: &str) -> std::io::Result<()> {
 /// Returns connection errors, or `InvalidData` if the server closed
 /// without answering.
 pub fn fetch_stats(addr: &str) -> std::io::Result<JsonValue> {
-    let mut stream = connect(addr)?;
-    write_frame(&mut stream, &Request::Stats.encode())?;
-    read_frame(&mut stream)?.ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "server closed before answering stats",
-        )
-    })
+    fetch(addr, &Request::Stats, "stats")
 }
 
 /// Fetches the server's flight-recorder dump on a fresh connection.
@@ -1252,14 +1191,7 @@ pub fn fetch_stats(addr: &str) -> std::io::Result<JsonValue> {
 /// Returns connection errors, or `InvalidData` if the server closed
 /// without answering.
 pub fn fetch_flight(addr: &str) -> std::io::Result<JsonValue> {
-    let mut stream = connect(addr)?;
-    write_frame(&mut stream, &Request::Flight.encode())?;
-    read_frame(&mut stream)?.ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "server closed before answering flight",
-        )
-    })
+    fetch(addr, &Request::Flight, "flight")
 }
 
 #[cfg(test)]
@@ -1292,32 +1224,7 @@ mod tests {
     }
 
     fn empty_report() -> LoadReport {
-        LoadReport {
-            mode: "closed",
-            sent: 0,
-            received: 0,
-            lost: 0,
-            duplicates: 0,
-            ok: 0,
-            unmapped: 0,
-            shed: 0,
-            quota: 0,
-            deadline: 0,
-            errors: 0,
-            mapped: 0,
-            connections: 1,
-            reads: 0,
-            wall_ms: 1.0,
-            throughput_rps: 0.0,
-            latency: LatencySummary::from_us(Vec::new()),
-            tenants: Vec::new(),
-            responses: HashMap::new(),
-            stats_snapshots: Vec::new(),
-            scrape_failures: 0,
-            scrape_last_error: None,
-            slo: Vec::new(),
-            metrics: MetricsRegistry::new(),
-        }
+        LoadReport::from_tally("closed", 1, 0, 1.0, Tally::default())
     }
 
     #[test]
@@ -1330,20 +1237,19 @@ mod tests {
         report.shed = 2;
         report.mapped = 6;
         report.latency = LatencySummary::from_us(vec![10.0; 8]);
-        report.tenants = vec![TenantReport {
-            name: "default".to_string(),
-            sent: 10,
-            received: 10,
-            lost: 0,
-            ok: 6,
-            unmapped: 2,
-            shed: 2,
-            quota: 0,
-            deadline: 0,
-            errors: 0,
-            mapped: 6,
-            latency: LatencySummary::from_us(vec![10.0; 8]),
-        }];
+        report.tenants = vec![TenantReport::from_tally(
+            "default",
+            Tally {
+                sent: 10,
+                received: 10,
+                ok: 6,
+                unmapped: 2,
+                shed: 2,
+                mapped: 6,
+                latencies_us: vec![10.0; 8],
+                ..Tally::default()
+            },
+        )];
         let doc = report.to_json();
         validate_loadgen_report(&doc).unwrap();
         assert!(doc.to_string_compact().contains("\"unmapped\":2"));
@@ -1406,34 +1312,29 @@ mod tests {
         report.quota = 20;
         report.mapped = 80;
         report.tenants = vec![
-            TenantReport {
-                name: "homo_sapiens".to_string(),
-                sent: 50,
-                received: 50,
-                lost: 0,
-                ok: 30,
-                unmapped: 0,
-                shed: 0,
-                quota: 20,
-                deadline: 0,
-                errors: 0,
-                mapped: 30,
-                latency: LatencySummary::from_us(vec![5.0, 7.0]),
-            },
-            TenantReport {
-                name: "mus_musculus".to_string(),
-                sent: 50,
-                received: 50,
-                lost: 0,
-                ok: 50,
-                unmapped: 0,
-                shed: 0,
-                quota: 0,
-                deadline: 0,
-                errors: 0,
-                mapped: 50,
-                latency: LatencySummary::from_us(vec![4.0]),
-            },
+            TenantReport::from_tally(
+                "homo_sapiens",
+                Tally {
+                    sent: 50,
+                    received: 50,
+                    ok: 30,
+                    quota: 20,
+                    mapped: 30,
+                    latencies_us: vec![5.0, 7.0],
+                    ..Tally::default()
+                },
+            ),
+            TenantReport::from_tally(
+                "mus_musculus",
+                Tally {
+                    sent: 50,
+                    received: 50,
+                    ok: 50,
+                    mapped: 50,
+                    latencies_us: vec![4.0],
+                    ..Tally::default()
+                },
+            ),
         ];
         let targets = vec![
             SloTarget::parse("quota_rate=0.25").unwrap(),

@@ -110,6 +110,28 @@ struct TenantStats {
     slo: SloWindow,
 }
 
+impl TenantStats {
+    /// One request finished on `shard` with `outcome`; `done_us`/`e2e_us`
+    /// feed the tenant's rolling SLO window.
+    fn done(&mut self, shard: usize, outcome: Outcome, done_us: u64, e2e_us: u64) {
+        if let Some(s) = self.shards.get_mut(shard) {
+            match outcome {
+                Outcome::Ok => s.ok += 1,
+                Outcome::Unmapped => s.unmapped += 1,
+                Outcome::Deadline => s.deadline += 1,
+                Outcome::Error => s.errors += 1,
+            }
+        }
+        match outcome {
+            // Unmapped ran to completion and found nothing — served work,
+            // so it still counts as a completion in the SLO window.
+            Outcome::Ok | Outcome::Unmapped => self.slo.record_completed(done_us, 0, e2e_us),
+            Outcome::Deadline => self.slo.record_deadline_missed(done_us, 1),
+            Outcome::Error => {}
+        }
+    }
+}
+
 struct Inner {
     registry: MetricsRegistry,
     trace: Option<TraceRecorder>,
@@ -149,6 +171,42 @@ struct Inner {
     e2e_latency_us: HistogramId,
     queue_wait_us: HistogramId,
     batch_exec_us: HistogramId,
+}
+
+impl Inner {
+    /// The per-tenant/per-shard rollup (the `tenants` section of a
+    /// `stats` reply), in the server's tenant order.
+    fn tenants_json(&mut self, now: u64) -> JsonValue {
+        let docs = self
+            .tenants
+            .iter_mut()
+            .map(|slot| {
+                let shards: Vec<JsonValue> = slot
+                    .shards
+                    .iter()
+                    .map(|s| {
+                        JsonValue::obj(vec![
+                            ("admitted", JsonValue::Num(s.admitted as f64)),
+                            ("ok", JsonValue::Num(s.ok as f64)),
+                            ("unmapped", JsonValue::Num(s.unmapped as f64)),
+                            ("shed", JsonValue::Num(s.shed as f64)),
+                            ("deadline", JsonValue::Num(s.deadline as f64)),
+                            ("errors", JsonValue::Num(s.errors as f64)),
+                            ("dead", JsonValue::Bool(s.dead)),
+                        ])
+                    })
+                    .collect();
+                JsonValue::obj(vec![
+                    ("name", JsonValue::Str(slot.name.clone())),
+                    ("quota_shed", JsonValue::Num(slot.quota_shed as f64)),
+                    ("shed_unrouted", JsonValue::Num(slot.shed_unrouted as f64)),
+                    ("shards", JsonValue::Arr(shards)),
+                    ("slo", slot.slo.view(now).to_json()),
+                ])
+            })
+            .collect();
+        JsonValue::Arr(docs)
+    }
 }
 
 /// Thread-safe serve metrics hub.
@@ -199,7 +257,7 @@ impl ServeMetrics {
         let batch_drain = registry.counter("serve.batch_flush_drain");
         let write_errors = registry.counter("serve.write_errors");
         let worker_panics = registry.counter("serve.worker_panics");
-        // Multi-tenant extras (zero and inert on single-tenant servers).
+        // Tenant extras (zero while no tenant has a quota or loses a shard).
         let quota = registry.counter("serve.requests_quota");
         let shards_killed = registry.counter("serve.shards_killed");
         let sim_cycles = registry.counter("serve.sim_cycles_total");
@@ -316,12 +374,18 @@ impl ServeMetrics {
         });
     }
 
-    /// One request admitted; `depth` is the queue depth just after,
-    /// `mode` feeds the per-mode request counters.
-    pub fn admitted(&self, depth: usize, mode: Mode) {
+    /// One request admitted for `(tenant, shard)`; `depth` is the queue
+    /// depth just after, `mode` feeds the per-mode request counters.
+    pub fn admitted(&self, depth: usize, mode: Mode, tenant: usize, shard: usize) {
         let t = self.now_us() as u64;
         self.with(|m| {
             m.registry.inc(m.admitted, 1);
+            if let Some(slot) = m.tenants.get_mut(tenant) {
+                if let Some(s) = slot.shards.get_mut(shard) {
+                    s.admitted += 1;
+                }
+                slot.slo.record_admitted(t, 0);
+            }
             match mode {
                 Mode::Short => {}
                 Mode::Long => m.registry.inc(m.requests_long, 1),
@@ -334,16 +398,27 @@ impl ServeMetrics {
         });
     }
 
-    /// One request shed by backpressure. Returns `true` exactly once per
-    /// server run, when the shed count within one SLO window first
-    /// reaches the configured storm threshold — the caller dumps the
-    /// flight recorder.
-    pub fn shed(&self) -> bool {
+    /// One request shed by backpressure: `tenant` once one was resolved
+    /// (with its shard once routing had picked one; `None` for
+    /// no-live-shard sheds), `None` for sheds while draining. Returns
+    /// `true` exactly once per server run, when the shed count within
+    /// one SLO window first reaches the configured storm threshold — the
+    /// caller dumps the flight recorder.
+    pub fn shed(&self, tenant: Option<(usize, Option<usize>)>) -> bool {
         let t = self.now_us() as u64;
         let mut storm = false;
         self.with(|m| {
             m.registry.inc(m.shed, 1);
             m.slo.record_shed(t);
+            if let Some((tenant, shard)) = tenant {
+                if let Some(slot) = m.tenants.get_mut(tenant) {
+                    match shard.and_then(|s| slot.shards.get_mut(s)) {
+                        Some(s) => s.shed += 1,
+                        None => slot.shed_unrouted += 1,
+                    }
+                    slot.slo.record_shed(t);
+                }
+            }
             if let Some(threshold) = m.shed_storm_threshold {
                 if !m.storm_fired && m.slo.shed_in_window(t) >= threshold {
                     m.storm_fired = true;
@@ -383,10 +458,10 @@ impl ServeMetrics {
         self.with(|m| m.registry.inc(m.worker_panics, 1));
     }
 
-    /// Registers a tenant rollup slot (multi-tenant servers only; the
-    /// slot index is the server's tenant index). Single-tenant servers
-    /// never register, so their stats documents are unchanged.
-    pub fn register_tenant(&self, name: &str, shards: usize) -> usize {
+    /// Registers the next tenant rollup slot; slot indices are the
+    /// server's tenant indices. Every server registers its tenants at
+    /// launch (a single-index server is one tenant named `default`).
+    pub fn register_tenant(&self, name: &str, shards: usize) {
         let mut inner = self.inner.lock().unwrap();
         let window = inner.window;
         inner.tenants.push(TenantStats {
@@ -395,35 +470,6 @@ impl ServeMetrics {
             quota_shed: 0,
             shed_unrouted: 0,
             slo: SloWindow::new(window, 1),
-        });
-        inner.tenants.len() - 1
-    }
-
-    /// One request admitted for `(tenant, shard)`.
-    pub fn tenant_admitted(&self, tenant: usize, shard: usize) {
-        let t = self.now_us() as u64;
-        self.with(|m| {
-            if let Some(slot) = m.tenants.get_mut(tenant) {
-                if let Some(s) = slot.shards.get_mut(shard) {
-                    s.admitted += 1;
-                }
-                slot.slo.record_admitted(t, 0);
-            }
-        });
-    }
-
-    /// One request shed for a tenant (`shard` when routing had resolved
-    /// one; `None` for draining / no-live-shard sheds).
-    pub fn tenant_shed(&self, tenant: usize, shard: Option<usize>) {
-        let t = self.now_us() as u64;
-        self.with(|m| {
-            if let Some(slot) = m.tenants.get_mut(tenant) {
-                match shard.and_then(|s| slot.shards.get_mut(s)) {
-                    Some(s) => s.shed += 1,
-                    None => slot.shed_unrouted += 1,
-                }
-                slot.slo.record_shed(t);
-            }
         });
     }
 
@@ -434,51 +480,6 @@ impl ServeMetrics {
             m.registry.inc(m.quota, 1);
             if let Some(slot) = m.tenants.get_mut(tenant) {
                 slot.quota_shed += 1;
-            }
-        });
-    }
-
-    /// One request finished on `(tenant, shard)` with `outcome`;
-    /// `done_us`/`e2e_us` feed the tenant's rolling SLO window.
-    pub fn tenant_done(
-        &self,
-        tenant: usize,
-        shard: usize,
-        outcome: Outcome,
-        done_us: u64,
-        e2e_us: u64,
-    ) {
-        self.with(|m| {
-            let Some(slot) = m.tenants.get_mut(tenant) else {
-                return;
-            };
-            match outcome {
-                Outcome::Ok => {
-                    if let Some(s) = slot.shards.get_mut(shard) {
-                        s.ok += 1;
-                    }
-                    slot.slo.record_completed(done_us, 0, e2e_us);
-                }
-                Outcome::Unmapped => {
-                    // The alignment ran to completion and found nothing —
-                    // served work, so it still counts as a completion in
-                    // the tenant's SLO window.
-                    if let Some(s) = slot.shards.get_mut(shard) {
-                        s.unmapped += 1;
-                    }
-                    slot.slo.record_completed(done_us, 0, e2e_us);
-                }
-                Outcome::Deadline => {
-                    if let Some(s) = slot.shards.get_mut(shard) {
-                        s.deadline += 1;
-                    }
-                    slot.slo.record_deadline_missed(done_us, 1);
-                }
-                Outcome::Error => {
-                    if let Some(s) = slot.shards.get_mut(shard) {
-                        s.errors += 1;
-                    }
-                }
             }
         });
     }
@@ -496,45 +497,6 @@ impl ServeMetrics {
                 s.dead = true;
             }
         });
-    }
-
-    /// The per-tenant/per-shard rollup document, or `None` when no
-    /// tenants are registered (single-tenant servers).
-    pub fn tenants_json(&self) -> Option<JsonValue> {
-        let now = self.now_us() as u64;
-        let mut inner = self.inner.lock().unwrap();
-        if inner.tenants.is_empty() {
-            return None;
-        }
-        let docs: Vec<JsonValue> = inner
-            .tenants
-            .iter_mut()
-            .map(|slot| {
-                let shards: Vec<JsonValue> = slot
-                    .shards
-                    .iter()
-                    .map(|s| {
-                        JsonValue::obj(vec![
-                            ("admitted", JsonValue::Num(s.admitted as f64)),
-                            ("ok", JsonValue::Num(s.ok as f64)),
-                            ("unmapped", JsonValue::Num(s.unmapped as f64)),
-                            ("shed", JsonValue::Num(s.shed as f64)),
-                            ("deadline", JsonValue::Num(s.deadline as f64)),
-                            ("errors", JsonValue::Num(s.errors as f64)),
-                            ("dead", JsonValue::Bool(s.dead)),
-                        ])
-                    })
-                    .collect();
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(slot.name.clone())),
-                    ("quota_shed", JsonValue::Num(slot.quota_shed as f64)),
-                    ("shed_unrouted", JsonValue::Num(slot.shed_unrouted as f64)),
-                    ("shards", JsonValue::Arr(shards)),
-                    ("slo", slot.slo.view(now).to_json()),
-                ])
-            })
-            .collect();
-        Some(JsonValue::Arr(docs))
     }
 
     /// A batch shipped from the batcher; `depth` is the admission-queue
@@ -555,13 +517,19 @@ impl ServeMetrics {
         });
     }
 
-    /// One request finished (any outcome): records the span chain into
-    /// the span log and Chrome trace, and — for `ok` responses — the
+    /// One request finished on `(tenant, shard)` (any outcome): records
+    /// the span chain into the span log and Chrome trace, the tenant's
+    /// outcome counters and SLO window, and — for `ok` responses — the
     /// latency histograms and windowed SLO sample. The chain's stage
     /// durations sum exactly to the end-to-end latency by construction
     /// (see `nvwa_telemetry::spans`).
-    pub fn request_done(&self, chain: RequestSpans) {
+    pub fn request_done(&self, chain: RequestSpans, tenant: usize, shard: usize) {
+        let e2e_us = chain.e2e_ns() / 1_000;
+        let done_us = (chain.t0_ns + chain.e2e_ns()) / 1_000;
         self.with(|m| {
+            if let Some(slot) = m.tenants.get_mut(tenant) {
+                slot.done(shard, chain.outcome, done_us, e2e_us);
+            }
             if chain.outcome == Outcome::Ok || chain.outcome == Outcome::Unmapped {
                 // Unmapped responses did the full alignment work and
                 // answered the client; they count in the latency
@@ -573,7 +541,6 @@ impl ServeMetrics {
                     m.responses_unmapped
                 };
                 m.registry.inc(counter, 1);
-                let e2e_us = chain.e2e_ns() / 1_000;
                 let wait_ns: u64 = chain
                     .spans
                     .iter()
@@ -583,7 +550,6 @@ impl ServeMetrics {
                 let (e, w) = (m.e2e_latency_us, m.queue_wait_us);
                 m.registry.observe(e, e2e_us);
                 m.registry.observe(w, wait_ns / 1_000);
-                let done_us = (chain.t0_ns + chain.e2e_ns()) / 1_000;
                 m.slo.record_completed(done_us, chain.bin, e2e_us);
             }
             if let Some(trace) = m.trace.as_mut() {
@@ -667,20 +633,21 @@ impl ServeMetrics {
     }
 
     /// The `stats` response: the registry snapshot with the live `slo`
-    /// view and `flight` summary appended
-    /// (`validate_stats_response` checks it).
+    /// view, `flight` summary and per-tenant rollup appended
+    /// (`validate_stats_response` checks it). Counters and tenant rows
+    /// are read under one lock acquisition, so the identities between
+    /// them are exact in every scrape.
     pub fn stats_response(&self, meta: &SnapshotMeta) -> JsonValue {
         let now = self.now_us() as u64;
         let mut inner = self.inner.lock().unwrap();
         let mut doc = inner.registry.snapshot(meta);
         let slo = inner.slo.view(now).to_json();
+        let tenants = inner.tenants_json(now);
         drop(inner);
         if let JsonValue::Obj(pairs) = &mut doc {
             pairs.push(("slo".to_string(), slo));
             pairs.push(("flight".to_string(), self.flight.summary_json()));
-            if let Some(tenants) = self.tenants_json() {
-                pairs.push(("tenants".to_string(), tenants));
-            }
+            pairs.push(("tenants".to_string(), tenants));
         }
         doc
     }
@@ -725,8 +692,11 @@ mod tests {
         validate_serve_snapshot, validate_span_log, validate_stats_response,
     };
 
+    /// A hub as a single-index server launches it: one `default` tenant.
     fn hub(trace: bool, obs: &ObservabilityConfig) -> ServeMetrics {
-        ServeMetrics::new(8, 1, 4, trace, obs)
+        let metrics = ServeMetrics::new(8, 1, 4, trace, obs);
+        metrics.register_tenant("default", 1);
+        metrics
     }
 
     #[test]
@@ -745,11 +715,11 @@ mod tests {
     #[test]
     fn events_land_in_the_registry_and_trace() {
         let metrics = hub(true, &ObservabilityConfig::default());
-        metrics.admitted(3, Mode::Short);
-        metrics.admitted(5, Mode::Short);
-        metrics.shed();
+        metrics.admitted(3, Mode::Short, 0, 0);
+        metrics.admitted(5, Mode::Short, 0, 0);
+        metrics.shed(None);
         metrics.batch_formed(FlushReason::Fill, 4, 1);
-        metrics.request_done(RequestSpans::chain(
+        let chain = RequestSpans::chain(
             0,
             0,
             7,
@@ -762,7 +732,8 @@ mod tests {
                 (Stage::Align, 1_150_000),
                 (Stage::Write, 50_000),
             ],
-        ));
+        );
+        metrics.request_done(chain, 0, 0);
         metrics.batch_executed(0, "batch b0 n4", 10.0, 250.0, Some(777));
         let meta = SnapshotMeta {
             host_threads: 1,
@@ -805,15 +776,15 @@ mod tests {
         // Bins: [short, short, long, classify] — as the server would set
         // them on a mode-binned batcher.
         metrics.set_bin_modes(vec![Mode::Short, Mode::Short, Mode::Long, Mode::Classify]);
-        metrics.admitted(1, Mode::Short);
-        metrics.admitted(2, Mode::Long);
-        metrics.admitted(3, Mode::Classify);
+        metrics.admitted(1, Mode::Short, 0, 0);
+        metrics.admitted(2, Mode::Long, 0, 0);
+        metrics.admitted(3, Mode::Classify, 0, 0);
         assert_eq!(metrics.counter("serve.requests_admitted"), 3);
         assert_eq!(metrics.counter("serve.requests_long"), 1);
         assert_eq!(metrics.counter("serve.requests_classify"), 1);
 
         // An unmapped long read: counted, latency-sampled, own counter.
-        metrics.request_done(RequestSpans::chain(
+        let chain = RequestSpans::chain(
             0,
             2,
             1,
@@ -825,7 +796,8 @@ mod tests {
                 (Stage::Align, 90_000),
                 (Stage::Write, 1_000),
             ],
-        ));
+        );
+        metrics.request_done(chain, 0, 0);
         assert_eq!(metrics.counter("serve.responses_unmapped"), 1);
         assert_eq!(metrics.counter("serve.responses_ok"), 0);
         let meta = SnapshotMeta {
@@ -857,10 +829,10 @@ mod tests {
             ..ObservabilityConfig::default()
         };
         let metrics = hub(false, &obs);
-        assert!(!metrics.shed());
-        assert!(!metrics.shed());
-        assert!(metrics.shed(), "third shed crosses the threshold");
-        assert!(!metrics.shed(), "storm fires at most once");
+        assert!(!metrics.shed(None));
+        assert!(!metrics.shed(None));
+        assert!(metrics.shed(None), "third shed crosses the threshold");
+        assert!(!metrics.shed(None), "storm fires at most once");
     }
 
     #[test]
@@ -871,7 +843,7 @@ mod tests {
         };
         let metrics = hub(false, &obs);
         for id in 0..5u64 {
-            metrics.request_done(RequestSpans::chain(
+            let chain = RequestSpans::chain(
                 id,
                 0,
                 id,
@@ -879,7 +851,8 @@ mod tests {
                 Outcome::Ok,
                 1_000 * id,
                 &[(Stage::Queue, 10), (Stage::Align, 20), (Stage::Write, 5)],
-            ));
+            );
+            metrics.request_done(chain, 0, 0);
         }
         let (retained, dropped) = metrics.span_chain_counts();
         assert_eq!(retained, 2);

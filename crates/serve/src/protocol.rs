@@ -355,8 +355,8 @@ pub struct AlignResponse {
 /// The score table a classify-mode request returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassifyResult {
-    /// One entry per tenant that was actually screened, in registry
-    /// (sorted-name) order — deterministic across runs.
+    /// One entry per tenant that was actually screened, in the server's
+    /// tenant order — deterministic across runs.
     pub tenants: Vec<TenantScore>,
     /// Tenants that could not be screened (every shard dead). Present so
     /// a shard failure mid-classify is an explicit partial result, never

@@ -14,13 +14,16 @@
 //!   and calls `dispatch_request` inline; workers answer by enqueueing on
 //!   the connection's `ReactorConn` output buffer, which the reactor
 //!   thread flushes — no other thread touches a client socket.
-//! * **Multi-tenant engines**: each (tenant, shard) pair owns an *engine*
-//!   — its own admission queue, batcher and worker pool over a cheap
-//!   `Arc<ReferenceIndex>` clone from the [`crate::registry`]. Requests
-//!   route deterministically by tenant name and region hash; a tenant's
-//!   quota sheds with a distinct `quota` status before any queue is
-//!   touched, and a killed shard degrades only its own traffic (routing
-//!   probes past dead shards).
+//! * **One tenant table**: [`Server::start`] takes the server's
+//!   [`Tenant`]s (a single-index server is one tenant named `default`)
+//!   and every request, `stats` reply and `kill_shard` resolves against
+//!   the table built from them. Each (tenant, shard) pair owns an
+//!   *engine* — its own admission queue, batcher and worker pool over a
+//!   cheap clone of the tenant's `Arc<ReferenceIndex>`. Requests route
+//!   deterministically by tenant name and region hash; a tenant's quota
+//!   sheds with a distinct `quota` status before any queue is touched,
+//!   and a killed shard degrades only its own traffic (routing probes
+//!   past dead shards).
 //! * **Backpressure is explicit and bounded**: every admission queue has
 //!   a hard capacity; when full, the frontend answers immediately with a
 //!   `shed` response instead of buffering — memory use is bounded by
@@ -41,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use nvwa_align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
 use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex};
-use nvwa_genome::species::Species;
 use nvwa_index::minimizer::{minimizers, MinimizerParams};
 use nvwa_index::trace::NullTrace;
 use nvwa_telemetry::{JsonValue, Outcome, RequestSpans, SnapshotMeta, Stage};
@@ -56,10 +58,7 @@ use crate::protocol::{
 use crate::queue::{BoundedQueue, Popped, PushError};
 #[cfg(unix)]
 use crate::reactor::ReactorConn;
-use crate::registry::{
-    region_hash, route_shard, try_admit_counted, AdmitGuard, IndexRegistry, TenantSpec,
-    DEFAULT_SA_RATE,
-};
+use crate::registry::{region_hash, route_shard, try_admit_counted, AdmitGuard, Tenant};
 
 /// How often blocked loops re-check the shutdown flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -77,34 +76,6 @@ impl ReactorConn {
 
     fn conn_id(&self) -> u64 {
         match *self {}
-    }
-}
-
-/// One tenant of a multi-tenant server (see [`Server::start_multi_tenant`]).
-#[derive(Debug, Clone)]
-pub struct TenantServeSpec {
-    /// Registry/wire name; defaults to [`Species::key`].
-    pub name: String,
-    /// Species profile the reference is synthesized from.
-    pub species: Species,
-    /// Genome scale factor.
-    pub scale: f64,
-    /// Traffic shards (each gets its own engine).
-    pub shards: usize,
-    /// Max concurrently admitted requests; `None` = unlimited.
-    pub quota: Option<u64>,
-}
-
-impl TenantServeSpec {
-    /// A single-shard, unlimited-quota tenant named by the species key.
-    pub fn new(species: Species, scale: f64) -> TenantServeSpec {
-        TenantServeSpec {
-            name: species.key().to_string(),
-            species,
-            scale,
-            shards: 1,
-            quota: None,
-        }
     }
 }
 
@@ -132,11 +103,9 @@ pub struct ServerConfig {
     /// Default deadline for `mode: "classify"` requests without their
     /// own; `None` falls back to `default_deadline`.
     pub classify_deadline: Option<Duration>,
-    /// Tenants for [`Server::start_multi_tenant`] (ignored by
-    /// [`Server::start`]).
-    pub tenants: Vec<TenantServeSpec>,
-    /// Registry memory budget in bytes for multi-tenant serving;
-    /// `None` = unbounded.
+    /// Bound in bytes on the tenants' summed
+    /// [`ReferenceIndex::heap_bytes`]; [`Server::start`] refuses a tenant
+    /// set over it. `None` = unbounded.
     pub registry_budget: Option<usize>,
     /// Record a Chrome trace of batch execution and per-request stage
     /// spans.
@@ -167,7 +136,6 @@ impl Default for ServerConfig {
             default_deadline: None,
             long_deadline: None,
             classify_deadline: None,
-            tenants: Vec::new(),
             registry_budget: None,
             trace: false,
             obs: ObservabilityConfig::default(),
@@ -212,8 +180,8 @@ pub(crate) struct Engine {
     dead: AtomicBool,
 }
 
-/// Per-tenant routing state, resolved once per request without touching
-/// the registry lock.
+/// One row of the tenant table: what routing, admission and the `stats`
+/// reply know about a tenant.
 struct TenantRoute {
     name: String,
     /// Engine indices, one per shard.
@@ -225,10 +193,8 @@ struct TenantRoute {
 
 pub(crate) struct Shared {
     engines: Vec<Engine>,
+    /// The tenant table; index 0 is the default route.
     tenants: Vec<TenantRoute>,
-    /// Present on multi-tenant servers (stats `registry` section,
-    /// eviction control).
-    registry: Option<IndexRegistry>,
     pub(crate) metrics: Arc<ServeMetrics>,
     config: ServerConfig,
     /// Global batch sequence number, drawn by workers as they start a
@@ -259,79 +225,42 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// What `launch` needs per tenant, after the indexes exist.
-struct TenantInit {
-    name: String,
-    index: Arc<ReferenceIndex>,
-    shards: usize,
-    quota: Option<u64>,
-}
-
 impl Server {
-    /// Binds and starts a single-tenant server over a prebuilt index
-    /// (tenant name `"default"`; requests without a `tenant` field route
-    /// here, so pre-tenant clients see the exact pre-tenant behavior).
+    /// Binds and starts a server over `tenants`, each getting `shards`
+    /// engines. The first tenant is the default route: requests without
+    /// a `tenant` field go there, so a [`Tenant::single`] server behaves
+    /// exactly as a pre-tenant one.
     ///
     /// # Errors
     ///
-    /// Returns the bind error, and `Unsupported` off unix (the reactor
-    /// needs `poll(2)`).
-    pub fn start(index: Arc<ReferenceIndex>, config: ServerConfig) -> std::io::Result<Server> {
-        let tenants = vec![TenantInit {
-            name: "default".to_string(),
-            index,
-            shards: 1,
-            quota: None,
-        }];
-        Server::launch(config, tenants, None)
-    }
-
-    /// Binds and starts a multi-tenant server: every
-    /// [`ServerConfig::tenants`] entry is loaded into an
-    /// [`IndexRegistry`] under [`ServerConfig::registry_budget`] and gets
-    /// `shards` engines. The first tenant is the default route for
-    /// requests without a `tenant` field.
-    ///
-    /// # Errors
-    ///
-    /// Returns bind errors, and `InvalidInput` for an empty tenant list
-    /// or a registry refusal (duplicate tenant, budget too small).
-    pub fn start_multi_tenant(config: ServerConfig) -> std::io::Result<Server> {
-        if config.tenants.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "multi-tenant server needs at least one tenant",
+    /// Returns the bind error; `InvalidInput` for an empty tenant list, a
+    /// duplicate tenant name, or indexes that together exceed
+    /// [`ServerConfig::registry_budget`]; `Unsupported` off unix (the
+    /// reactor needs `poll(2)`).
+    pub fn start(tenants: Vec<Tenant>, config: ServerConfig) -> std::io::Result<Server> {
+        let refuse = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        if tenants.is_empty() {
+            return refuse("server needs at least one tenant".to_string());
+        }
+        for (i, tenant) in tenants.iter().enumerate() {
+            if tenants[..i].iter().any(|t| t.name == tenant.name) {
+                return refuse(format!("tenant {:?} already registered", tenant.name));
+            }
+        }
+        // Engines pin their index for the life of the server, so the
+        // budget can only mean something here, before anything is bound.
+        let need: usize = tenants.iter().map(|t| t.index.heap_bytes()).sum();
+        if let Some(budget) = config.registry_budget.filter(|&budget| need > budget) {
+            return refuse(format!(
+                "{} tenant(s) need {need} index bytes but the registry budget is {budget} bytes",
+                tenants.len()
             ));
         }
-        let registry = IndexRegistry::new(config.registry_budget);
-        let mut tenants = Vec::with_capacity(config.tenants.len());
-        for spec in &config.tenants {
-            let index = registry
-                .load(TenantSpec {
-                    name: spec.name.clone(),
-                    species: spec.species,
-                    scale: spec.scale,
-                    shards: spec.shards.max(1),
-                    quota: spec.quota,
-                    sa_rate: DEFAULT_SA_RATE,
-                })
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            tenants.push(TenantInit {
-                name: spec.name.clone(),
-                index,
-                shards: spec.shards.max(1),
-                quota: spec.quota,
-            });
-        }
-        Server::launch(config, tenants, Some(registry))
+        Server::launch(config, tenants)
     }
 
     #[cfg(not(unix))]
-    fn launch(
-        _config: ServerConfig,
-        _tenants: Vec<TenantInit>,
-        _registry: Option<IndexRegistry>,
-    ) -> std::io::Result<Server> {
+    fn launch(_config: ServerConfig, _tenants: Vec<Tenant>) -> std::io::Result<Server> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "the reactor frontend needs poll(2)",
@@ -339,11 +268,7 @@ impl Server {
     }
 
     #[cfg(unix)]
-    fn launch(
-        mut config: ServerConfig,
-        tenants: Vec<TenantInit>,
-        registry: Option<IndexRegistry>,
-    ) -> std::io::Result<Server> {
+    fn launch(mut config: ServerConfig, tenants: Vec<Tenant>) -> std::io::Result<Server> {
         // Every serving deployment accepts all three request modes: give
         // long-read and classify traffic their dedicated bins (and class
         // knobs) before anything derives the bin geometry.
@@ -352,7 +277,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let workers_per_engine = config.workers.max(1);
-        let engine_count: usize = tenants.iter().map(|t| t.shards).sum();
+        let engine_count: usize = tenants.iter().map(|t| t.shards.max(1)).sum();
         let metrics = Arc::new(ServeMetrics::new(
             config.queue_capacity,
             workers_per_engine * engine_count,
@@ -368,10 +293,8 @@ impl Server {
         let mut engines = Vec::with_capacity(engine_count);
         let mut routes = Vec::with_capacity(tenants.len());
         for (t, init) in tenants.into_iter().enumerate() {
-            // Per-tenant stats sections exist only on registry servers.
-            if registry.is_some() {
-                metrics.register_tenant(&init.name, init.shards);
-            }
+            let shards = init.shards.max(1);
+            metrics.register_tenant(&init.name, shards);
             // One minimizer index per tenant, shared by its shards: the
             // long-read fill and classify screening run over the same
             // reference the short path uses.
@@ -379,8 +302,8 @@ impl Server {
                 init.index.flat().to_vec(),
                 MinimizerParams::default(),
             ));
-            let mut engine_ids = Vec::with_capacity(init.shards);
-            for shard in 0..init.shards {
+            let mut engine_ids = Vec::with_capacity(shards);
+            for shard in 0..shards {
                 engine_ids.push(engines.len());
                 engines.push(Engine {
                     tenant: t,
@@ -406,7 +329,6 @@ impl Server {
         let shared = Arc::new(Shared {
             engines,
             tenants: routes,
-            registry,
             metrics,
             config,
             batch_seq: AtomicU64::new(0),
@@ -454,11 +376,6 @@ impl Server {
     /// The metrics hub (live; snapshot any time).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.shared.metrics
-    }
-
-    /// The index registry, on multi-tenant servers.
-    pub fn registry(&self) -> Option<&IndexRegistry> {
-        self.shared.registry.as_ref()
     }
 
     /// Whether a client requested shutdown via the protocol.
@@ -557,9 +474,7 @@ pub(crate) fn dispatch_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, do
             let meta = SnapshotMeta::collect(nvwa_sim::par::current_threads());
             let mut stats = shared.metrics.stats_response(&meta);
             if let JsonValue::Obj(pairs) = &mut stats {
-                if let Some(registry) = &shared.registry {
-                    pairs.push(("registry".to_string(), registry.summary_json()));
-                }
+                pairs.push(("registry".to_string(), registry_json(shared)));
             }
             answer(shared, sink, &stats);
         }
@@ -576,6 +491,38 @@ pub(crate) fn dispatch_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, do
             answer(shared, sink, &ack);
         }
     }
+}
+
+/// The `registry` section of a `stats` reply, read from the tenant table
+/// routing uses: per tenant its shards, quota, live in-flight count and
+/// the heap bytes of the index its engines hold.
+fn registry_json(shared: &Shared) -> JsonValue {
+    let num = |n: u64| JsonValue::Num(n as f64);
+    let mut used = 0u64;
+    let tenants = shared
+        .tenants
+        .iter()
+        .map(|route| {
+            let mem = shared.engines[route.engines[0]].index.heap_bytes() as u64;
+            used += mem;
+            JsonValue::obj(vec![
+                ("name", JsonValue::Str(route.name.clone())),
+                ("shards", num(route.engines.len() as u64)),
+                ("mem_bytes", num(mem)),
+                ("in_flight", num(route.in_flight.load(Ordering::Acquire))),
+                ("quota", route.quota.map_or(JsonValue::Null, num)),
+            ])
+        })
+        .collect();
+    let budget = shared.config.registry_budget;
+    JsonValue::obj(vec![
+        ("mem_used_bytes", num(used)),
+        (
+            "mem_budget_bytes",
+            budget.map_or(JsonValue::Null, |b| num(b as u64)),
+        ),
+        ("tenants", JsonValue::Arr(tenants)),
+    ])
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -655,7 +602,7 @@ fn handle_align(
     let now = Instant::now();
     let t0_ns = shared.metrics.now_ns();
     let trace_id = shared.trace_seq.fetch_add(1, Ordering::Relaxed);
-    // Per-mode default deadlines: a long-read GACT fill or a registry-wide
+    // Per-mode default deadlines: a long-read GACT fill or an all-tenant
     // classify screen gets its own budget when configured.
     let mode_default = match mode {
         Mode::Short => None,
@@ -688,8 +635,9 @@ fn handle_align(
     match engine.admission.try_push(item) {
         Ok(()) => {
             let depth = engine.admission.depth();
-            shared.metrics.admitted(depth, mode);
-            shared.metrics.tenant_admitted(tenant_idx, shard);
+            // The reactor thread both admits and answers `stats`, so no
+            // in-band scrape lands between the push and this count.
+            shared.metrics.admitted(depth, mode, tenant_idx, shard);
             shared.metrics.flight_event(
                 FlightEventKind::Admit,
                 trace_id,
@@ -727,10 +675,7 @@ fn shed(
     shared
         .metrics
         .flight_event(FlightEventKind::Shed, id, sink.conn_id(), 0);
-    if let Some((tenant, shard)) = tenant_shard {
-        shared.metrics.tenant_shed(tenant, shard);
-    }
-    if shared.metrics.shed() {
+    if shared.metrics.shed(tenant_shard) {
         // The windowed shed count crossed the storm threshold: freeze the
         // lead-up by dumping the flight recorder (once per server run).
         dump_flight(shared, "shed_storm");
@@ -853,22 +798,6 @@ fn worker_loop(shared: Arc<Shared>, engine_id: usize, worker: usize) {
     }
 }
 
-/// Records one finished request: the global span chain plus the owning
-/// tenant/shard rollup (SLO window and outcome counters).
-fn record_done(shared: &Shared, engine: &Engine, chain: RequestSpans) {
-    let e2e_ns = chain.e2e_ns();
-    let done_us = (chain.t0_ns + e2e_ns) / 1_000;
-    let outcome = chain.outcome;
-    shared.metrics.request_done(chain);
-    shared.metrics.tenant_done(
-        engine.tenant,
-        engine.shard,
-        outcome,
-        done_us,
-        e2e_ns / 1_000,
-    );
-}
-
 /// Answers one item and records its complete span chain. Stage durations
 /// are integer nanoseconds between consecutive timestamps of one
 /// monotonic sequence (admitted → picked → exec start → exec done →
@@ -911,7 +840,9 @@ fn respond_and_trace(
         ]),
         None => chain(&[queue, (Stage::Fill, ns_between(picked, write_start)), write]),
     };
-    record_done(shared, engine, chain);
+    shared
+        .metrics
+        .request_done(chain, engine.tenant, engine.shard);
 }
 
 /// Executes one batch and answers every item: the one skeleton all three
@@ -1071,7 +1002,7 @@ fn run_long(engine: &Engine, items: &[BatchItem<PendingRead>]) -> Vec<(AlignResp
 }
 
 /// The metagenomic classify path: per-tenant minimizer hit scores across
-/// the whole registry, answered as an `ok` response with a `classify`
+/// the whole tenant table, answered as an `ok` response with a `classify`
 /// section.
 fn run_classify(
     shared: &Shared,

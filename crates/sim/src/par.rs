@@ -60,6 +60,18 @@ pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<
     }
 }
 
+/// Refuses the first `--flag` in `args` that is not in `known`, naming it
+/// — a typo or a removed flag never silently runs defaults.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!("{unknown}: unknown flag")),
+        None => Ok(()),
+    }
+}
+
 /// Parses `--threads N`; `None` (flag absent, or `0` = auto) leaves the
 /// default resolution (`NVWA_THREADS`, then hardware parallelism).
 pub fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {

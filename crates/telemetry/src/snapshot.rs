@@ -219,7 +219,8 @@ pub fn is_serve_snapshot(doc: &JsonValue) -> bool {
 /// Validates a serve metrics snapshot: the base schema of
 /// [`validate_metrics_snapshot`] plus the serve metric family
 /// ([`SERVE_REQUIRED_COUNTERS`], [`SERVE_REQUIRED_GAUGES`],
-/// [`SERVE_REQUIRED_HISTOGRAMS`]).
+/// [`SERVE_REQUIRED_HISTOGRAMS`]) and, when present, the `slo`, `flight`,
+/// `tenants` and `registry` sections of a `stats` reply.
 ///
 /// # Errors
 ///
@@ -242,14 +243,80 @@ pub fn validate_serve_snapshot(doc: &JsonValue) -> Result<(), String> {
     }
     // Live-observability sections are optional (a bare registry snapshot
     // is still a valid serve snapshot) but validated when present — the
-    // `stats` endpoint always includes both.
+    // `stats` endpoint always includes all four.
     if let Some(slo) = doc.get("slo") {
         validate_slo_view(slo).map_err(|e| format!("{what}: {e}"))?;
     }
     if let Some(flight) = doc.get("flight") {
         validate_flight_summary(flight).map_err(|e| format!("{what}: {e}"))?;
     }
+    // The tenant sections carry identities that hold in every scrape: the
+    // server moves a global and a per-tenant count under one lock and
+    // reads counters and tenant rows under one acquisition.
+    if doc.get("tenants").is_some() {
+        let what = "serve tenants";
+        let (mut admitted_sum, mut quota_sum) = (0.0, 0.0);
+        for (t, row) in require_arr(doc, "tenants", what)?.iter().enumerate() {
+            quota_sum += require_count(row, "quota_shed", what)?;
+            for (i, shard) in require_arr(row, "shards", what)?.iter().enumerate() {
+                let admitted = require_count(shard, "admitted", what)?;
+                let mut answered = 0.0;
+                for key in ["ok", "unmapped", "deadline", "errors"] {
+                    answered += require_count(shard, key, what)?;
+                }
+                // A request is answered after it is admitted, never before.
+                if answered > admitted {
+                    return Err(format!(
+                        "{what}: [{t}].shards[{i}] answered {answered}, admitted {admitted}"
+                    ));
+                }
+                admitted_sum += admitted;
+            }
+            validate_slo_view(require(row, "slo", what)?)
+                .map_err(|e| format!("{what}: [{t}]: {e}"))?;
+        }
+        let counters = require(doc, "counters", what)?;
+        for (sum, counter) in [
+            (admitted_sum, "serve.requests_admitted"),
+            (quota_sum, "serve.requests_quota"),
+        ] {
+            let global = require_num(counters, counter, what)?;
+            if sum != global {
+                return Err(format!(
+                    "{what}: rows sum to {sum}, counter {counter} is {global}"
+                ));
+            }
+        }
+    }
+    if let Some(registry) = doc.get("registry") {
+        let what = "serve registry";
+        let mut mem_sum = 0.0;
+        for row in require_arr(registry, "tenants", what)? {
+            mem_sum += require_count(row, "mem_bytes", what)?;
+        }
+        let used = require_count(registry, "mem_used_bytes", what)?;
+        if mem_sum != used {
+            return Err(format!(
+                "{what}: mem_bytes sum to {mem_sum}, mem_used_bytes is {used}"
+            ));
+        }
+        match require(registry, "mem_budget_bytes", what)? {
+            JsonValue::Null => {}
+            JsonValue::Num(budget) if used <= *budget => {}
+            other => {
+                return Err(format!(
+                    "{what}: mem_used_bytes {used} exceeds mem_budget_bytes {other}"
+                ));
+            }
+        }
+    }
     Ok(())
+}
+
+fn require_arr<'a>(doc: &'a JsonValue, key: &str, what: &str) -> Result<&'a [JsonValue], String> {
+    require(doc, key, what)?
+        .as_arr()
+        .ok_or_else(|| format!("{what}: {key:?} must be an array"))
 }
 
 /// Validates a serve `stats` response: a serve snapshot that must also
@@ -803,8 +870,8 @@ mod tests {
         assert!(validate_chrome_trace(&JsonValue::parse(bad).unwrap()).is_err());
     }
 
-    #[test]
-    fn serve_snapshot_requires_the_metric_family() {
+    /// A registry carrying the whole required serve metric family.
+    fn serve_registry() -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for name in SERVE_REQUIRED_COUNTERS {
             reg.counter(name);
@@ -815,11 +882,16 @@ mod tests {
         for name in SERVE_REQUIRED_HISTOGRAMS {
             reg.histogram(name);
         }
+        reg
+    }
+
+    #[test]
+    fn serve_snapshot_requires_the_metric_family() {
         let meta = SnapshotMeta {
             host_threads: 1,
             git_rev: None,
         };
-        let doc = reg.snapshot(&meta);
+        let doc = serve_registry().snapshot(&meta);
         assert!(is_serve_snapshot(&doc));
         validate_serve_snapshot(&doc).unwrap();
 
@@ -836,6 +908,74 @@ mod tests {
         validate_metrics_snapshot(&doc).unwrap();
         let err = validate_serve_snapshot(&doc).unwrap_err();
         assert!(err.contains("serve.batch_size"), "{err}");
+    }
+
+    #[test]
+    fn tenant_and_registry_identities_are_enforced() {
+        let mut reg = serve_registry();
+        let admitted = reg.counter("serve.requests_admitted");
+        reg.inc(admitted, 12);
+        let quota = reg.counter("serve.requests_quota");
+        reg.inc(quota, 3);
+        let JsonValue::Obj(base) = reg.snapshot(&SnapshotMeta {
+            host_threads: 1,
+            git_rev: None,
+        }) else {
+            panic!("snapshot is an object");
+        };
+        let slo = r#"{"now": 5, "window": 10, "step": 5, "queue_depth": 0,
+            "per_bin": [{"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null}],
+            "admitted": 0, "shed": 0, "deadline_missed": 0, "completed": 0,
+            "shed_rate": 0, "deadline_miss_rate": 0}"#;
+        let sections = format!(
+            r#"{{"tenants": [
+                {{"name": "a", "quota_shed": 3, "shed_unrouted": 0, "slo": {slo}, "shards": [
+                    {{"admitted": 5, "ok": 2, "unmapped": 1, "shed": 4, "deadline": 1,
+                      "errors": 1, "dead": false}},
+                    {{"admitted": 3, "ok": 0, "unmapped": 0, "shed": 0, "deadline": 0,
+                      "errors": 0, "dead": true}}]}},
+                {{"name": "b", "quota_shed": 0, "shed_unrouted": 1, "slo": {slo}, "shards": [
+                    {{"admitted": 4, "ok": 4, "unmapped": 0, "shed": 0, "deadline": 0,
+                      "errors": 0, "dead": false}}]}}],
+            "registry": {{"mem_used_bytes": 300, "mem_budget_bytes": 400, "tenants": [
+                {{"name": "a", "shards": 2, "mem_bytes": 100, "in_flight": 3, "quota": 8}},
+                {{"name": "b", "shards": 1, "mem_bytes": 200, "in_flight": 0, "quota": null}}]}}}}"#
+        );
+        let check = |sections: &str| {
+            let JsonValue::Obj(extra) = JsonValue::parse(sections).unwrap() else {
+                panic!("sections is an object");
+            };
+            validate_serve_snapshot(&JsonValue::Obj([base.clone(), extra].concat()))
+        };
+        check(&sections).unwrap();
+        // One mutation per identity, each refused by name: a shard answers
+        // more than it admitted; rows out of step with the global admitted
+        // counter, and with the quota counter; a tenant's SLO view checked
+        // like the global one; the registry's bytes must add up, and stay
+        // under the budget the server launched with.
+        for (from, to, want) in [
+            (r#""ok": 2"#, r#""ok": 3"#, "admitted 5"),
+            (r#""admitted": 4"#, r#""admitted": 5"#, "requests_admitted"),
+            (r#""quota_shed": 3"#, r#""quota_shed": 2"#, "requests_quota"),
+            (r#""shed_rate": 0,"#, r#""shed_rate": 0.5,"#, "shed_rate"),
+            (
+                r#""mem_bytes": 100"#,
+                r#""mem_bytes": 150"#,
+                "mem_used_bytes",
+            ),
+            (
+                r#""mem_budget_bytes": 400"#,
+                r#""mem_budget_bytes": 299"#,
+                "exceeds",
+            ),
+        ] {
+            assert!(sections.contains(from), "{from}");
+            let err = check(&sections.replace(from, to)).unwrap_err();
+            assert!(err.contains(want), "{from} -> {to}: {err}");
+        }
+        // No budget bounds nothing.
+        check(&sections.replace("\"mem_budget_bytes\": 400", "\"mem_budget_bytes\": null"))
+            .unwrap();
     }
 
     #[test]

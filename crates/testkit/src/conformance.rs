@@ -30,7 +30,7 @@ pub enum Family {
     Invariants,
     /// Serve fault-injection plans.
     Faults,
-    /// Multi-tenant index registry: deterministic shard routing,
+    /// Multi-tenant serving: deterministic shard routing,
     /// per-tenant bit-identity vs the offline aligners, unknown-tenant
     /// rejection ([`crate::tenancy`]).
     Registry,

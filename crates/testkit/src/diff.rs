@@ -49,7 +49,7 @@ use nvwa_index::smem::{collect_smems_into, oracle, Smem, SmemConfig, SmemScratch
 use nvwa_index::{NullTrace, VecTrace};
 use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa_serve::protocol::WireAlignment;
-use nvwa_serve::{Server, ServerConfig};
+use nvwa_serve::{Server, ServerConfig, Tenant};
 use nvwa_telemetry::JsonValue;
 
 use crate::minimize::{minimize_set, shrink_read};
@@ -987,7 +987,7 @@ fn serve_round(
     reads: &[Vec<u8>],
 ) -> Result<Option<(u64, String)>, String> {
     let server = Server::start(
-        Arc::clone(index),
+        vec![Tenant::single(Arc::clone(index))],
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()

@@ -28,7 +28,9 @@ use nvwa_align::pipeline::ReferenceIndex;
 use nvwa_genome::ReferenceGenome;
 use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa_serve::protocol::{read_frame, AlignResponse, Mode, Request, MAX_FRAME_BYTES};
-use nvwa_serve::{BatcherConfig, ObservabilityConfig, ServeMetrics, Server, ServerConfig, Status};
+use nvwa_serve::{
+    BatcherConfig, ObservabilityConfig, ServeMetrics, Server, ServerConfig, Status, Tenant,
+};
 use nvwa_telemetry::snapshot::{validate_flight_dump, validate_span_log};
 use nvwa_telemetry::JsonValue;
 
@@ -427,7 +429,8 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
     };
     let read_list = loadgen::generate_reads(&params, plan.seed, plan.seed ^ 0x5EAD_0006, reads);
 
-    let server = Server::start(Arc::clone(&index), config).map_err(|e| format!("start: {e}"))?;
+    let server = Server::start(vec![Tenant::single(Arc::clone(&index))], config)
+        .map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
     // The attack, before (and for frame faults: seeded-size variants of)
@@ -637,7 +640,8 @@ pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, S
         ..ServerConfig::default()
     };
     let reads = loadgen::generate_reads(&params, seed, seed ^ 0x5EAD_0006, 120);
-    let server = Server::start(index, config).map_err(|e| format!("start: {e}"))?;
+    let server =
+        Server::start(vec![Tenant::single(index)], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
     let load = LoadgenConfig {
         connections: 2,
@@ -732,22 +736,20 @@ pub fn worker_panic_digest_matrix(seed: u64) -> Result<String, String> {
 pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     use nvwa_genome::species::Species;
     use nvwa_serve::loadgen::TenantRead;
-    use nvwa_serve::TenantServeSpec;
 
     const SPECIES_A: Species = Species::HomoSapiens;
     const SPECIES_B: Species = Species::CaenorhabditisElegans;
-    let mut spec_a = TenantServeSpec::new(SPECIES_A, 0.0);
+    let mut spec_a = Tenant::species(SPECIES_A, 0.0);
     spec_a.shards = 2;
-    let spec_b = TenantServeSpec::new(SPECIES_B, 0.0);
+    let spec_b = Tenant::species(SPECIES_B, 0.0);
     let config = ServerConfig {
         workers: 2,
-        tenants: vec![spec_a, spec_b],
         // A small per-batch delay keeps requests in flight across the
         // mid-run kill without slowing the plan meaningfully.
         worker_delay: Some(Duration::from_micros(500)),
         ..ServerConfig::default()
     };
-    let server = Server::start_multi_tenant(config).map_err(|e| format!("start: {e}"))?;
+    let server = Server::start(vec![spec_a, spec_b], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
     let mix = |salt: u64, per_tenant: usize| -> Vec<TenantRead> {

@@ -1,4 +1,4 @@
-//! The multi-tenant registry conformance family (DESIGN.md §14):
+//! The `registry` (multi-tenant serving) conformance family (DESIGN.md §14):
 //! deterministic shard routing, a two-tenant serve run whose responses are
 //! bit-identical to per-species offline aligners, per-tenant conservation
 //! identities over the wire, and unknown-tenant rejection.
@@ -11,7 +11,7 @@ use nvwa_genome::species::Species;
 use nvwa_serve::loadgen::{self, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::{read_frame, write_frame, Mode};
 use nvwa_serve::registry::{region_hash, route_shard};
-use nvwa_serve::{AlignResponse, Request, Server, ServerConfig, Status, TenantServeSpec};
+use nvwa_serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
 
 use crate::diff::wire_matches;
 use crate::Prng;
@@ -87,15 +87,15 @@ fn check_routing(seed: u64) -> Result<(), String> {
 pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String, String> {
     check_routing(seed)?;
 
-    let mut tenant_a = TenantServeSpec::new(TENANT_A, 0.0);
+    let mut tenant_a = Tenant::species(TENANT_A, 0.0);
     tenant_a.shards = 2;
-    let tenant_b = TenantServeSpec::new(TENANT_B, 0.0);
+    let tenant_b = Tenant::species(TENANT_B, 0.0);
     let config = ServerConfig {
         workers: 2,
-        tenants: vec![tenant_a, tenant_b],
         ..ServerConfig::default()
     };
-    let server = Server::start_multi_tenant(config).map_err(|e| format!("start: {e}"))?;
+    let server =
+        Server::start(vec![tenant_a, tenant_b], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
     // Interleave the two tenants' reads so every connection carries both.

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the tier-1 build+test suite, the
 # telemetry artifact checks, the benchmark smoke run, the serve smoke
-# tests and the conformance sweep. Run from the repository root: ./scripts/check.sh
+# tests, the conformance sweep and the per-crate line count. Run from the
+# repository root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -85,11 +86,13 @@ echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes
 # violated SLO), then schema-validates the SLO report — including the
 # per-tenant conservation sections — and the server's stats snapshot.
 # The shard-kill degradation plan runs in the conformance faults and
-# registry families below.
+# registry families below. --registry-budget runs the launch-time check
+# (the two 40 kb-floor indexes need ~4.4 MB; the server refuses to start
+# over budget).
 rm -f "$artifacts_dir/serve_mt_addr"
 cargo run --release --quiet --bin nvwa -- serve \
     --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_mt_addr" \
-    --workers 2 --tenant-scale 0.0 \
+    --workers 2 --tenant-scale 0.0 --registry-budget 64000000 \
     --tenant homo_sapiens:2 --tenant caenorhabditis_elegans \
     --metrics-out "$artifacts_dir/serve_mt_metrics.json" &
 serve_mt_pid=$!
@@ -144,3 +147,8 @@ NVWA_FLIGHT_DIR="$artifacts_dir/flight" \
     cargo run --release --quiet --bin nvwa -- conformance \
     --seed-from-ci --repro-dir "$artifacts_dir/repro"
 echo "conformance: all families pass"
+
+# Rust lines per crate, kept with the artifacts so the trajectory of
+# ROADMAP aim 2 ("net lines per crate is tracked") can be read off CI.
+sh scripts/loc.sh > "$artifacts_dir/loc.txt"
+cat "$artifacts_dir/loc.txt"

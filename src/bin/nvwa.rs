@@ -139,11 +139,8 @@ fn main() -> ExitCode {
     let Some(&(_, run, known)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == sub) else {
         return usage();
     };
-    if let Some(unknown) = rest
-        .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        eprintln!("nvwa: {unknown}: unknown flag");
+    if let Err(e) = nvwa::sim::par::reject_unknown_flags(rest, known) {
+        eprintln!("nvwa: {e}");
         return ExitCode::from(2);
     }
     run(rest)
@@ -403,8 +400,10 @@ fn conformance(args: &[String]) -> ExitCode {
 }
 
 /// Parses a `--tenant` spec: `species_key[:shards[:quota]]`, e.g.
-/// `homo_sapiens:4:256`.
-fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeSpec, String> {
+/// `homo_sapiens:4:256`, into `(species, shards, quota)`.
+fn parse_tenant_spec(
+    spec: &str,
+) -> Result<(nvwa::genome::species::Species, usize, Option<u64>), String> {
     use nvwa::genome::species::{Species, ALL_SPECIES};
     let mut parts = spec.split(':');
     let key = parts.next().unwrap_or("");
@@ -414,22 +413,21 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
             ALL_SPECIES.map(Species::key).join(", ")
         )
     })?;
-    let mut tenant = nvwa::serve::TenantServeSpec::new(species, scale);
-    if let Some(shards) = parts.next() {
-        tenant.shards = shards
+    let (mut shards, mut quota) = (1, None);
+    if let Some(n) = parts.next() {
+        shards = n
             .parse()
             .ok()
             .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad shard count {shards:?} in {spec:?}"))?;
+            .ok_or_else(|| format!("bad shard count {n:?} in {spec:?}"))?;
     }
-    if let Some(quota) = parts.next() {
-        tenant.quota = Some(
-            quota
-                .parse()
-                .map_err(|_| format!("bad quota {quota:?} in {spec:?}"))?,
+    if let Some(q) = parts.next() {
+        quota = Some(
+            q.parse()
+                .map_err(|_| format!("bad quota {q:?} in {spec:?}"))?,
         );
     }
-    Ok(tenant)
+    Ok((species, shards, quota))
 }
 
 /// The serving front end: builds (or loads) a reference, starts the
@@ -439,7 +437,7 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
 fn serve(args: &[String]) -> ExitCode {
     use nvwa::serve::loadgen::ref_params;
     use nvwa::serve::{
-        signal, BackendKind, BatcherConfig, ObservabilityConfig, Server, ServerConfig,
+        signal, BackendKind, BatcherConfig, ObservabilityConfig, Server, ServerConfig, Tenant,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -451,12 +449,12 @@ fn serve(args: &[String]) -> ExitCode {
         eprintln!("nvwa: --frontend {name:?}: the threaded frontend was removed");
         return usage();
     }
-    // `--tenant KEY[:SHARDS[:QUOTA]]` (repeatable) switches to the
-    // multi-tenant registry: each tenant's reference is synthesized from
-    // its species profile at `--tenant-scale` and `--ref*` flags are
-    // ignored.
+    // `--tenant KEY[:SHARDS[:QUOTA]]` (repeatable) serves species tenants,
+    // each reference synthesized from its profile at `--tenant-scale`;
+    // without one the server has the single `--ref*` tenant. The two do
+    // not mix.
     let tenant_scale = flag(args, "--tenant-scale").unwrap_or(0.05f64);
-    let mut tenants = Vec::new();
+    let mut specs = Vec::new();
     let tenant_flags: Vec<usize> = args
         .iter()
         .enumerate()
@@ -468,12 +466,18 @@ fn serve(args: &[String]) -> ExitCode {
             eprintln!("nvwa: --tenant wants species_key[:shards[:quota]]");
             return usage();
         };
-        match parse_tenant_spec(spec, tenant_scale) {
-            Ok(t) => tenants.push(t),
+        match parse_tenant_spec(spec) {
+            Ok(t) => specs.push(t),
             Err(e) => {
                 eprintln!("nvwa: {e}");
                 return usage();
             }
+        }
+    }
+    for name in ["--ref", "--ref-len", "--ref-seed"] {
+        if !specs.is_empty() && args.iter().any(|a| a == name) {
+            eprintln!("nvwa: {name}: not valid with --tenant");
+            return ExitCode::from(2);
         }
     }
 
@@ -487,7 +491,6 @@ fn serve(args: &[String]) -> ExitCode {
     };
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        tenants: tenants.clone(),
         registry_budget: flag(args, "--registry-budget"),
         queue_capacity: flag(args, "--queue-cap").unwrap_or(1024),
         workers: flag(args, "--workers").unwrap_or_else(nvwa::sim::par::current_threads),
@@ -519,9 +522,7 @@ fn serve(args: &[String]) -> ExitCode {
         worker_panic_at_batch: flag(args, "--debug-worker-panic-at-batch"),
     };
     signal::install();
-    let started = if tenants.is_empty() {
-        // Single-tenant: one reference (from --ref or synthesized), one
-        // engine pool.
+    let tenants = if specs.is_empty() {
         let genome = if let Some(ref_path) = flag_value(args, "--ref") {
             match load_genome(&ref_path) {
                 Ok(g) => g,
@@ -534,16 +535,22 @@ fn serve(args: &[String]) -> ExitCode {
             ReferenceGenome::synthesize(&ref_params(len), seed)
         };
         eprintln!("indexing {} bp ...", genome.total_len());
-        let index = Arc::new(ReferenceIndex::build(&genome, 32));
-        Server::start(index, config)
+        vec![Tenant::single(Arc::new(ReferenceIndex::build(&genome, 32)))]
     } else {
         eprintln!(
-            "loading {} tenant(s) at scale {tenant_scale} into the index registry ...",
-            tenants.len()
+            "indexing {} tenant(s) at scale {tenant_scale} ...",
+            specs.len()
         );
-        Server::start_multi_tenant(config)
+        specs
+            .into_iter()
+            .map(|(species, shards, quota)| Tenant {
+                shards,
+                quota,
+                ..Tenant::species(species, tenant_scale)
+            })
+            .collect()
     };
-    let server = match started {
+    let server = match Server::start(tenants, config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("nvwa: cannot start server: {e}");

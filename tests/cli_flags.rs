@@ -23,6 +23,11 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
             "serve --batch-wait-su 500",
             "nvwa: --batch-wait-su: unknown flag",
         ),
+        // A flag another flag would make inert: refused, not ignored.
+        (
+            "serve --tenant homo_sapiens --ref-len 5000",
+            "nvwa: --ref-len: not valid with --tenant",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvwa"))
             .args(args.split(' '))

@@ -13,7 +13,7 @@ use std::time::Duration;
 use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
-use nvwa::serve::{BatcherConfig, Server, ServerConfig};
+use nvwa::serve::{BatcherConfig, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{
     validate_flight_summary_quiescent, validate_span_log, validate_stats_response,
 };
@@ -45,7 +45,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn start(config: ServerConfig) -> Server {
-    Server::start(Arc::clone(&fixture().index), config).expect("server start")
+    Server::start(vec![Tenant::single(Arc::clone(&fixture().index))], config).expect("server start")
 }
 
 #[test]

@@ -15,7 +15,7 @@ use std::time::Duration;
 use nvwa::align::pipeline::{AlignerConfig, Alignment, ReferenceIndex, SoftwareAligner};
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
-use nvwa::serve::{BackendKind, BatcherConfig, Server, ServerConfig};
+use nvwa::serve::{BackendKind, BatcherConfig, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{validate_loadgen_report, validate_serve_snapshot};
 
 const REF_LEN: usize = 60_000;
@@ -57,7 +57,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn start(config: ServerConfig) -> Server {
-    Server::start(Arc::clone(&fixture().index), config).expect("server start")
+    Server::start(vec![Tenant::single(Arc::clone(&fixture().index))], config).expect("server start")
 }
 
 /// Asserts every collected `ok` response matches the offline aligner

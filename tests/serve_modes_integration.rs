@@ -26,7 +26,7 @@ use nvwa::genome::species::Species;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::index::minimizer::{minimizers, MinimizerParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
-use nvwa::serve::{Mode, Server, ServerConfig, TenantServeSpec};
+use nvwa::serve::{Mode, Server, ServerConfig, Tenant};
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -68,7 +68,7 @@ fn long_mode_is_lossless_and_bit_identical_to_offline() {
     reads.extend(garbage_reads(8, 1_500, 0xdead_beef));
 
     let server = Server::start(
-        Arc::clone(&index),
+        vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -132,14 +132,16 @@ fn long_mode_is_lossless_and_bit_identical_to_offline() {
 
 #[test]
 fn classify_screens_every_tenant_and_scores_the_origin_tenant_highest() {
-    let server = Server::start_multi_tenant(ServerConfig {
-        workers: 2,
-        tenants: vec![
-            TenantServeSpec::new(Species::HomoSapiens, 0.0),
-            TenantServeSpec::new(Species::CaenorhabditisElegans, 0.0),
+    let server = Server::start(
+        vec![
+            Tenant::species(Species::HomoSapiens, 0.0),
+            Tenant::species(Species::CaenorhabditisElegans, 0.0),
         ],
-        ..ServerConfig::default()
-    })
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
     .expect("server start");
     let addr = server.local_addr().to_string();
 
@@ -245,7 +247,7 @@ fn mixed_modes_coexist_on_one_server() {
     }
 
     let server = Server::start(
-        Arc::clone(&index),
+        vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()

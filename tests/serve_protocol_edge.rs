@@ -18,7 +18,7 @@ use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::serve::protocol::{
     read_frame, write_frame, AlignResponse, Mode, Request, Status, MAX_FRAME_BYTES,
 };
-use nvwa::serve::{Server, ServerConfig};
+use nvwa::serve::{Server, ServerConfig, Tenant};
 use nvwa::testkit::{codes_to_dna, Prng};
 
 const REF_LEN: usize = 4_000;
@@ -31,7 +31,7 @@ fn start_server() -> Server {
         workers: 2,
         ..ServerConfig::default()
     };
-    Server::start(index, config).expect("server start")
+    Server::start(vec![Tenant::single(index)], config).expect("server start")
 }
 
 fn connect(server: &Server) -> TcpStream {

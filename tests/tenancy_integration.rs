@@ -1,12 +1,14 @@
-//! End-to-end tests of the multi-tenant registry and the poll-reactor
-//! frontend over real sockets (ISSUE PR8).
+//! End-to-end tests of the tenant table and the poll-reactor frontend
+//! over real sockets.
 //!
 //! The acceptance bar: the reactor answers a ≥10k-read closed-loop run
 //! bit-identically to the offline aligner; hundreds of idle connections
 //! do not grow the thread count; a tenant's admission
 //! quota sheds with the distinct `quota` status at exactly the limit,
-//! with exactly-once accounting that survives the storm; and killing a
-//! shard degrades only the tenant that owned it.
+//! with exactly-once accounting that survives the storm; killing a
+//! shard degrades only the tenant that owned it; `Server::start` refuses
+//! a tenant set it cannot hold; and the `stats` reply reports the table
+//! requests are actually routed by.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,10 +17,11 @@ use nvwa::align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, Softwar
 use nvwa::genome::species::Species;
 use nvwa::genome::ReferenceGenome;
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
-use nvwa::serve::protocol::Mode;
 use nvwa::serve::protocol::WireAlignment;
-use nvwa::serve::{Server, ServerConfig, Status, TenantServeSpec};
-use nvwa::telemetry::snapshot::validate_loadgen_report;
+use nvwa::serve::protocol::{read_frame, write_frame, Mode};
+use nvwa::serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
+use nvwa::telemetry::snapshot::{validate_loadgen_report, validate_stats_response};
+use nvwa::telemetry::{JsonValue, SnapshotMeta};
 
 const REF_LEN: usize = 20_000;
 const REF_SEED: u64 = 5;
@@ -37,7 +40,7 @@ fn reactor_answers_10k_reads_bit_identically_to_offline() {
     let index = shared_index();
     let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 23, 10_000);
     let server = Server::start(
-        Arc::clone(&index),
+        vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -97,7 +100,7 @@ fn reactor_parks_idle_connections_without_thread_growth() {
     };
     let index = shared_index();
     let server = Server::start(
-        Arc::clone(&index),
+        vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -150,16 +153,18 @@ fn reactor_parks_idle_connections_without_thread_growth() {
 #[test]
 fn quota_storm_sheds_with_quota_status_and_exactly_once_accounting() {
     let species = Species::CaenorhabditisElegans;
-    let mut tenant = TenantServeSpec::new(species, 0.0);
+    let mut tenant = Tenant::species(species, 0.0);
     tenant.quota = Some(2);
-    let server = Server::start_multi_tenant(ServerConfig {
-        workers: 2,
-        tenants: vec![tenant],
-        // Each batch holds its admission guards for 2 ms, so an open-loop
-        // storm overruns a quota of 2 by construction.
-        worker_delay: Some(Duration::from_millis(2)),
-        ..ServerConfig::default()
-    })
+    let server = Server::start(
+        vec![tenant],
+        ServerConfig {
+            workers: 2,
+            // Each batch holds its admission guards for 2 ms, so an
+            // open-loop storm overruns a quota of 2 by construction.
+            worker_delay: Some(Duration::from_millis(2)),
+            ..ServerConfig::default()
+        },
+    )
     .expect("server start");
     let addr = server.local_addr().to_string();
 
@@ -231,14 +236,16 @@ fn quota_storm_sheds_with_quota_status_and_exactly_once_accounting() {
 fn shard_kill_degrades_only_the_killed_shard() {
     let wounded = Species::HomoSapiens;
     let healthy = Species::ZapusHudsonius;
-    let mut spec_a = TenantServeSpec::new(wounded, 0.0);
+    let mut spec_a = Tenant::species(wounded, 0.0);
     spec_a.shards = 2;
-    let spec_b = TenantServeSpec::new(healthy, 0.0);
-    let server = Server::start_multi_tenant(ServerConfig {
-        workers: 2,
-        tenants: vec![spec_a, spec_b],
-        ..ServerConfig::default()
-    })
+    let spec_b = Tenant::species(healthy, 0.0);
+    let server = Server::start(
+        vec![spec_a, spec_b],
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
     .expect("server start");
     let addr = server.local_addr().to_string();
 
@@ -337,16 +344,18 @@ fn assert_classify_complete(report: &loadgen::LoadReport, n_tenants: usize) {
 fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
     let victim = Species::HomoSapiens;
     let neighbor = Species::CaenorhabditisElegans;
-    let mut spec_a = TenantServeSpec::new(victim, 0.0);
+    let mut spec_a = Tenant::species(victim, 0.0);
     spec_a.shards = 2;
-    let spec_b = TenantServeSpec::new(neighbor, 0.0);
-    let server = Server::start_multi_tenant(ServerConfig {
-        workers: 2,
-        tenants: vec![spec_a, spec_b],
-        // Keep classify batches in flight across the mid-run kill.
-        worker_delay: Some(Duration::from_micros(500)),
-        ..ServerConfig::default()
-    })
+    let spec_b = Tenant::species(neighbor, 0.0);
+    let server = Server::start(
+        vec![spec_a, spec_b],
+        ServerConfig {
+            workers: 2,
+            // Keep classify batches in flight across the mid-run kill.
+            worker_delay: Some(Duration::from_micros(500)),
+            ..ServerConfig::default()
+        },
+    )
     .expect("server start");
     let addr = server.local_addr().to_string();
 
@@ -428,4 +437,167 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
     }
     let metrics = server.shutdown();
     assert_eq!(metrics.counter("serve.shards_killed"), 2);
+}
+
+/// `Server::start` refuses, before it binds, a tenant set it cannot
+/// serve: none at all, two under one name, or indexes that together
+/// exceed the budget — the only thing `registry_budget` can bound while
+/// every engine pins its index.
+#[test]
+fn start_refuses_an_empty_duplicate_or_over_budget_tenant_set() {
+    let a = Tenant::species(Species::CaenorhabditisElegans, 0.0);
+    let b = Tenant::species(Species::HomoSapiens, 0.0);
+    let need = a.index.heap_bytes() + b.index.heap_bytes();
+    let config = |registry_budget| ServerConfig {
+        workers: 1,
+        registry_budget,
+        ..ServerConfig::default()
+    };
+    // A budget that fits either index but not both: need and budget named.
+    let (both, budget) = (vec![a.clone(), b.clone()], need - 1);
+    for (tenants, budget, want) in [
+        (Vec::new(), None, "at least one tenant".to_string()),
+        (vec![a.clone(), a.clone()], None, a.name.clone()),
+        (both.clone(), Some(budget), format!("need {need} ")),
+        (both.clone(), Some(budget), format!(" is {budget} ")),
+    ] {
+        let err = Server::start(tenants, config(budget))
+            .err()
+            .expect("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(&want), "{err}: wants {want:?}");
+    }
+    // Exactly enough is enough.
+    let server = Server::start(both, config(Some(need))).expect("fits the budget");
+    server.shutdown();
+}
+
+fn rows<'a>(doc: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    doc.get(key).and_then(JsonValue::as_arr).expect("an array")
+}
+
+fn num(doc: &JsonValue, key: &str) -> f64 {
+    doc.get(key).and_then(JsonValue::as_num).expect("a number")
+}
+
+/// The `registry` section of a `stats` reply is read from the table
+/// routing uses: a tenant with requests held in flight shows them, and
+/// every tenant shows the bytes of the index its engines hold.
+#[test]
+fn stats_registry_reports_live_in_flight_and_resident_index_bytes() {
+    const HELD: usize = 8;
+    let species = Species::CaenorhabditisElegans;
+    let busy = Tenant::species(species, 0.0);
+    let idle = Tenant::species(Species::HomoSapiens, 0.0);
+    let bytes = [busy.index.heap_bytes(), idle.index.heap_bytes()];
+    let config = ServerConfig {
+        workers: 1,
+        // A batch holds its requests (and their admission guards) this
+        // long before it executes.
+        worker_delay: Some(Duration::from_millis(300)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(vec![busy, idle], config).expect("server start");
+
+    // One connection, frames handled in order: when the reactor reaches
+    // the `stats` frame it has admitted the `HELD` requests in front of
+    // it, and the worker is still sitting out the first delay.
+    let mut frames = Vec::new();
+    for (id, codes) in (0..).zip(loadgen::generate_species_reads(species, 0.0, 59, HELD)) {
+        let request = Request::Align {
+            id,
+            codes,
+            deadline_ms: None,
+            tenant: Some(species.key().to_string()),
+            region: None,
+            mode: Mode::Short,
+        };
+        write_frame(&mut frames, &request.encode()).expect("encode");
+    }
+    write_frame(&mut frames, &Request::Stats.encode()).expect("encode");
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let patience = Some(Duration::from_secs(30));
+    conn.set_read_timeout(patience).expect("read timeout");
+    std::io::Write::write_all(&mut conn, &frames).expect("send");
+    let replies: Vec<JsonValue> = (0..=HELD)
+        .map(|_| read_frame(&mut conn).expect("read").expect("open"))
+        .collect();
+    server.shutdown();
+
+    let (stats, answers): (Vec<_>, Vec<_>) = replies
+        .iter()
+        .partition(|doc| doc.get("kind").and_then(JsonValue::as_str) == Some("nvwa-metrics"));
+    for doc in answers {
+        assert_eq!(
+            AlignResponse::decode(doc).expect("response").status,
+            Status::Ok
+        );
+    }
+    validate_stats_response(stats[0]).expect("stats reply validates");
+    let registry = stats[0].get("registry").expect("registry section");
+    let tenants = rows(registry, "tenants");
+    assert_eq!(
+        num(&tenants[0], "in_flight"),
+        HELD as f64,
+        "held requests show"
+    );
+    assert_eq!(num(&tenants[1], "in_flight"), 0.0);
+    assert!(bytes[0] > 0 && bytes[1] > 0);
+    assert_eq!(num(&tenants[0], "mem_bytes"), bytes[0] as f64);
+    assert_eq!(num(&tenants[1], "mem_bytes"), bytes[1] as f64);
+    assert_eq!(
+        num(registry, "mem_used_bytes"),
+        (bytes[0] + bytes[1]) as f64
+    );
+}
+
+/// A single-index server is one tenant named `default`: its `stats`
+/// reply has the same `tenants` / `registry` shape as any other server's,
+/// and once drained every admitted request is accounted for by outcome.
+#[test]
+fn single_index_server_reports_one_default_tenant() {
+    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 61, 200);
+    let server = Server::start(
+        vec![Tenant::single(shared_index())],
+        ServerConfig::default(),
+    )
+    .expect("server start");
+    let addr = server.local_addr().to_string();
+    let report = loadgen::run(&addr, &reads, &LoadgenConfig::default()).expect("loadgen");
+    assert_eq!(report.ok, 200);
+
+    let names = |doc: &JsonValue| -> Vec<String> {
+        let name = |row: &JsonValue| {
+            row.get("name")
+                .and_then(JsonValue::as_str)
+                .map(String::from)
+        };
+        rows(doc, "tenants")
+            .iter()
+            .map(|row| name(row).expect("name"))
+            .collect()
+    };
+    let live = loadgen::fetch_stats(&addr).expect("stats");
+    validate_stats_response(&live).expect("stats reply validates");
+    assert_eq!(names(&live), ["default"]);
+    assert_eq!(
+        names(live.get("registry").expect("registry section")),
+        ["default"]
+    );
+
+    let meta = SnapshotMeta {
+        host_threads: 1,
+        git_rev: None,
+    };
+    let drained = server.shutdown().stats_response(&meta);
+    validate_stats_response(&drained).expect("drained snapshot validates");
+    assert_eq!(names(&drained), ["default"]);
+    let shards = rows(&rows(&drained, "tenants")[0], "shards");
+    assert_eq!(shards.len(), 1);
+    let count = |key| num(&shards[0], key);
+    assert_eq!(count("admitted"), 200.0);
+    assert_eq!(
+        count("admitted"),
+        count("ok") + count("unmapped") + count("deadline") + count("errors")
+    );
 }
