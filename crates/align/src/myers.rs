@@ -3,21 +3,19 @@
 //! GenASM (and the Bitap lineage the paper cites for the seed-extension
 //! phase) accelerate extension with *edit-distance* automata rather than
 //! scored dynamic programming. This module implements Myers' 1999
-//! bit-vector algorithm — the software equivalent of those units — in two
-//! tiers:
+//! bit-vector algorithm — the software equivalent of those units — as one
+//! multi-word, block-based kernel (Hyyrö's tiling, as used by Edlib) for
+//! unbounded pattern lengths, with a diagonal band that discards entries
+//! Scrooge-style: only the `u64` blocks overlapping the window
+//! `|i - j| <= band` are computed per text column.
 //!
-//! * a single-word fast path for patterns up to 64 symbols (the original
-//!   recurrence), and
-//! * a multi-word, block-based kernel (Hyyrö's tiling, as used by Edlib)
-//!   for unbounded pattern lengths, with an optional diagonal band that
-//!   discards entries Scrooge-style: only the `u64` blocks overlapping the
-//!   window `|i - j| <= band` are computed per text column.
-//!
-//! The banded kernel also stores the per-column `PV`/`MV` words it computed
-//! so a traceback walk can recover the edit script; [`banded_edit_global`]
-//! and [`banded_edit_extend`] return a [`Cigar`] on that path, which is how
+//! The kernel stores the per-column `PV`/`MV` words it computed so a
+//! traceback walk can recover the edit script; [`banded_edit_global`] and
+//! [`banded_edit_extend`] return a [`Cigar`] on that path, which is how
 //! the alignment pipeline swaps this kernel in for the banded
 //! Smith-Waterman extension unit (see `crate::kernel`).
+//! [`edit_distance_naive`] is the O(mn) DP oracle the kernel is tested
+//! against.
 //!
 //! # Band semantics
 //!
@@ -31,15 +29,6 @@
 //! distance is `<= band`, and in that case the two are equal.
 
 use crate::cigar::{Cigar, CigarOp};
-
-/// Result of a Myers semi-global search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EditMatch {
-    /// Edit distance of the best match.
-    pub distance: u32,
-    /// Exclusive end position of the best match in the target.
-    pub target_end: usize,
-}
 
 /// Result of a banded edit alignment ([`banded_edit_global`] /
 /// [`banded_edit_extend`]).
@@ -443,168 +432,6 @@ pub fn banded_edit_extend(
     banded_edit(pattern, text, band, s, Mode::Extend)
 }
 
-/// Computes the edit distance between `pattern` and `text` (global, both
-/// consumed) with Myers' bit-parallel recurrence. Patterns up to 64
-/// symbols use the single-word fast path; longer patterns tile into
-/// 64-row blocks (Hyyrö's multi-word recurrence) transparently.
-///
-/// # Panics
-///
-/// Panics if `pattern` is empty.
-pub fn edit_distance(pattern: &[u8], text: &[u8]) -> u32 {
-    assert!(!pattern.is_empty(), "pattern must be non-empty");
-    if pattern.len() <= WORD {
-        let (mut state, eq) = init(pattern);
-        let mut score = pattern.len() as u32;
-        for &c in text {
-            score = state.step(eq[c as usize], score);
-        }
-        return score;
-    }
-    if text.is_empty() {
-        return pattern.len() as u32;
-    }
-    // Full-coverage band: every block computed, result always exact.
-    let mut s = MyersScratch::new();
-    fill_banded(
-        pattern,
-        text,
-        pattern.len() + text.len(),
-        &mut s,
-        Mode::Global,
-        false,
-    )
-    .0
-}
-
-/// Semi-global search: the whole `pattern` against any substring of `text`
-/// ending anywhere (free leading/trailing text). Returns the best match.
-/// Patterns longer than 64 symbols use the multi-word recurrence.
-///
-/// # Panics
-///
-/// Panics if `pattern` is empty.
-pub fn best_match(pattern: &[u8], text: &[u8]) -> EditMatch {
-    assert!(!pattern.is_empty(), "pattern must be non-empty");
-    let m = pattern.len();
-    if m <= WORD {
-        let (mut state, eq) = init(pattern);
-        let mut score = m as u32;
-        let mut best = EditMatch {
-            distance: score,
-            target_end: 0,
-        };
-        for (j, &c) in text.iter().enumerate() {
-            score = state.step_semiglobal(eq[c as usize], score);
-            if score < best.distance {
-                best = EditMatch {
-                    distance: score,
-                    target_end: j + 1,
-                };
-            }
-        }
-        return best;
-    }
-    // Multi-word semi-global: free leading text means a zero carry into
-    // the top block; every block runs every column (no diagonal band —
-    // the match may start anywhere).
-    let nb = m.div_ceil(WORD);
-    let mut s = MyersScratch::new();
-    build_peq(pattern, nb, &mut s.peq);
-    s.pv.resize(nb, u64::MAX);
-    s.mv.resize(nb, 0);
-    let bit = (m - 1) % WORD;
-    let mut score = m as u32;
-    let mut best = EditMatch {
-        distance: score,
-        target_end: 0,
-    };
-    for (j, &c) in text.iter().enumerate() {
-        let c = c as usize;
-        assert!(c < 4, "codes must be in 0..4");
-        let mut hin: i32 = 0;
-        for b in 0..nb - 1 {
-            let (ph, mh) = step_block(&mut s.pv[b], &mut s.mv[b], s.peq[c * nb + b], hin);
-            hin = ((ph >> 63) & 1) as i32 - ((mh >> 63) & 1) as i32;
-        }
-        let (ph, mh) = step_block(
-            &mut s.pv[nb - 1],
-            &mut s.mv[nb - 1],
-            s.peq[c * nb + nb - 1],
-            hin,
-        );
-        score = score
-            .wrapping_add(((ph >> bit) & 1) as u32)
-            .wrapping_sub(((mh >> bit) & 1) as u32);
-        if score < best.distance {
-            best = EditMatch {
-                distance: score,
-                target_end: j + 1,
-            };
-        }
-    }
-    best
-}
-
-/// The two bit-vectors of Myers' algorithm (single-word fast path).
-struct MyersState {
-    pv: u64,
-    mv: u64,
-    high_bit: u64,
-}
-
-fn init(pattern: &[u8]) -> (MyersState, [u64; 4]) {
-    assert!(!pattern.is_empty(), "pattern must be non-empty");
-    assert!(pattern.len() <= 64, "pattern longer than one word");
-    let mut eq = [0u64; 4];
-    for (i, &c) in pattern.iter().enumerate() {
-        assert!(c < 4, "codes must be in 0..4");
-        eq[c as usize] |= 1 << i;
-    }
-    (
-        MyersState {
-            pv: u64::MAX,
-            mv: 0,
-            high_bit: 1 << (pattern.len() - 1),
-        },
-        eq,
-    )
-}
-
-impl MyersState {
-    /// One column step with the global (column-anchored) recurrence.
-    fn step(&mut self, eq: u64, score: u32) -> u32 {
-        self.advance(eq, score, true)
-    }
-
-    /// One column step with free leading gaps in the text.
-    fn step_semiglobal(&mut self, eq: u64, score: u32) -> u32 {
-        self.advance(eq, score, false)
-    }
-
-    fn advance(&mut self, eq: u64, mut score: u32, carry_in: bool) -> u32 {
-        let xv = eq | self.mv;
-        let xh = (((eq & self.pv).wrapping_add(self.pv)) ^ self.pv) | eq;
-        let ph = self.mv | !(xh | self.pv);
-        let mh = self.pv & xh;
-        if ph & self.high_bit != 0 {
-            score += 1;
-        }
-        if mh & self.high_bit != 0 {
-            score -= 1;
-        }
-        let mut ph_shift = ph << 1;
-        let mh_shift = mh << 1;
-        if carry_in {
-            // Global alignment charges the text-consuming gap in row 0.
-            ph_shift |= 1;
-        }
-        self.pv = mh_shift | !(xv | ph_shift);
-        self.mv = ph_shift & xv;
-        score
-    }
-}
-
 /// Naive O(mn) edit distance for validation.
 pub fn edit_distance_naive(pattern: &[u8], text: &[u8]) -> u32 {
     let m = pattern.len();
@@ -662,105 +489,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn identical_strings_have_zero_distance() {
-        let s = rand_codes(40, 1);
-        assert_eq!(edit_distance(&s, &s), 0);
-    }
-
-    #[test]
-    fn matches_naive_on_random_pairs() {
-        for seed in 0..20u64 {
-            let m = 1 + (seed as usize * 7) % 60;
-            let n = 1 + (seed as usize * 11) % 70;
-            let p = rand_codes(m, seed);
-            let t = rand_codes(n, seed ^ 0xff);
-            assert_eq!(
-                edit_distance(&p, &t),
-                edit_distance_naive(&p, &t),
-                "seed {seed} m {m} n {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn multiword_matches_naive_across_word_boundaries() {
-        for m in [63usize, 64, 65, 100, 127, 128, 129, 200] {
-            for seed in 0..4u64 {
-                let p = rand_codes(m, seed.wrapping_add(m as u64));
-                let n = m + (seed as usize * 13) % 40;
-                let t = rand_codes(n, seed ^ 0xabc);
-                assert_eq!(
-                    edit_distance(&p, &t),
-                    edit_distance_naive(&p, &t),
-                    "m {m} seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_edit_cases() {
-        // Substitution.
-        assert_eq!(edit_distance(&[0, 1, 2, 3], &[0, 1, 3, 3]), 1);
-        // Insertion in text.
-        assert_eq!(edit_distance(&[0, 1, 2], &[0, 1, 3, 2]), 1);
-        // Deletion from text.
-        assert_eq!(edit_distance(&[0, 1, 2, 3], &[0, 1, 3]), 1);
-    }
-
-    #[test]
-    fn semiglobal_finds_embedded_pattern() {
-        let pattern = rand_codes(24, 9);
-        let mut text = rand_codes(50, 3);
-        text.extend_from_slice(&pattern);
-        text.extend(rand_codes(30, 5));
-        let m = best_match(&pattern, &text);
-        assert_eq!(m.distance, 0);
-        assert_eq!(m.target_end, 50 + 24);
-    }
-
-    #[test]
-    fn semiglobal_multiword_finds_embedded_pattern() {
-        let pattern = rand_codes(130, 9);
-        let mut text = rand_codes(70, 3);
-        text.extend_from_slice(&pattern);
-        text.extend(rand_codes(30, 5));
-        let m = best_match(&pattern, &text);
-        assert_eq!(m.distance, 0);
-        assert_eq!(m.target_end, 70 + 130);
-    }
-
-    #[test]
-    fn semiglobal_tolerates_edits() {
-        let pattern = rand_codes(30, 21);
-        let mut noisy = pattern.clone();
-        noisy[10] = (noisy[10] + 1) % 4; // one substitution
-        noisy.remove(20); // one deletion
-        let mut text = rand_codes(40, 7);
-        let expect_end = text.len() + noisy.len();
-        text.extend_from_slice(&noisy);
-        text.extend(rand_codes(40, 11));
-        let m = best_match(&pattern, &text);
-        assert!(m.distance <= 2, "distance {}", m.distance);
-        assert!((m.target_end as i64 - expect_end as i64).abs() <= 2);
-    }
-
-    #[test]
-    fn oversized_patterns_tile_into_blocks() {
-        // The one-word limit is lifted: 65+ symbols go multi-word.
-        let p = rand_codes(65, 5);
-        assert_eq!(edit_distance(&p, &p), 0);
-        let t = rand_codes(80, 6);
-        assert_eq!(edit_distance(&p, &t), edit_distance_naive(&p, &t));
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern must be non-empty")]
-    fn empty_pattern_panics() {
-        let _ = edit_distance(&[], &[0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! via a packed traceback matrix, like Darwin's GACT tiles do in SRAM.
 //!
 //! The forward fill is the aligner's hot kernel (it dominates workload
-//! construction). The shared [`fill`] keeps a single rolling H row with
+//! construction). The shared `fill_into` keeps a single rolling H row with
 //! the left/diagonal cells in registers, hoists the gap constants out of
 //! the inner loop, and replaces the per-cell substitution branch with a
 //! 4×n score profile selected by the row's query base. Tie-breaking is
@@ -410,7 +410,7 @@ pub(crate) fn traceback(
 
 /// Reference implementations: the original two-row fills with a per-cell
 /// scoring call. Not used by the pipeline — kept as the differential-
-/// testing oracle for the optimized [`fill`] (unit tests here and the
+/// testing oracle for the optimized `fill_into` (unit tests here and the
 /// property tests in `tests/proptests.rs` compare against them).
 pub mod naive {
     use super::*;

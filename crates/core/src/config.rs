@@ -163,14 +163,6 @@ impl NvwaConfig {
         }
     }
 
-    /// The SUs+EUs baseline: the paper config with all scheduling off.
-    pub fn sus_eus_baseline() -> NvwaConfig {
-        NvwaConfig {
-            scheduling: SchedulingConfig::baseline(),
-            ..NvwaConfig::paper()
-        }
-    }
-
     /// Total number of extension units under the hybrid strategy.
     pub fn total_eus(&self) -> u32 {
         self.eu_classes.iter().map(|c| c.count).sum()

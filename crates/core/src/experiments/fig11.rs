@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::baselines::{reported_baselines, CpuCostModel, PlatformPoint};
+use crate::baselines::{reported_baselines, CpuCostModel};
 use crate::config::{NvwaConfig, SchedulingConfig};
 use crate::system::{simulate, SimReport};
 use crate::units::workload::{ReadWork, SyntheticWorkloadParams};
@@ -178,11 +178,6 @@ pub fn run(scale: Scale) -> Fig11 {
     }
     .generate(0xf1611);
     run_on_workload(&works)
-}
-
-/// The reported platform points, re-exported for the headline summary.
-pub fn platform_points() -> Vec<PlatformPoint> {
-    reported_baselines()
 }
 
 #[cfg(test)]

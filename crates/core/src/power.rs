@@ -9,7 +9,7 @@
 //! buffers grow the Coordinator SRAM — which is what the Fig. 13(b) power
 //! curve needs.
 
-use nvwa_sim::power::{AreaPower, LogicBlock, SramMacro};
+use nvwa_sim::power::LogicBlock;
 
 use crate::config::NvwaConfig;
 
@@ -196,22 +196,6 @@ pub fn total_with_hbm_w(breakdown: &PowerBreakdown, hbm_power_w: f64) -> f64 {
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Convenience: an [`SramMacro`] for the SU table SRAM of a pool (used by
-/// footprint reports).
-pub fn su_table_sram(su_count: u32) -> SramMacro {
-    SramMacro::new(
-        (su_count as u64) * (512 * 1024 / 128),
-        cal::SU_SRAM_MM2_PER_MIB,
-        cal::SU_SRAM_W_PER_MIB,
-    )
-}
-
-/// Convenience roll-up of the whole chip.
-pub fn chip_area_power(config: &NvwaConfig) -> AreaPower {
-    let b = PowerBreakdown::for_config(config);
-    AreaPower::new(b.total_area_mm2(), b.total_power_w())
 }
 
 #[cfg(test)]

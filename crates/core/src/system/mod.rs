@@ -25,7 +25,6 @@ pub use simulator::{simulate, simulate_instrumented, SimOptions, SimRun};
 #[derive(Debug)]
 pub struct NvwaSystem {
     index: ReferenceIndex,
-    aligner_config: AlignerConfig,
     config: NvwaConfig,
 }
 
@@ -35,15 +34,8 @@ impl NvwaSystem {
         config.validate();
         NvwaSystem {
             index: ReferenceIndex::build(genome, 32),
-            aligner_config: AlignerConfig::default(),
             config: config.clone(),
         }
-    }
-
-    /// Overrides the software-aligner configuration.
-    pub fn with_aligner_config(mut self, aligner_config: AlignerConfig) -> NvwaSystem {
-        self.aligner_config = aligner_config;
-        self
     }
 
     /// The reference index (exposed for functional cross-checks).
@@ -68,7 +60,7 @@ impl NvwaSystem {
     ///
     /// [`run`]: NvwaSystem::run
     pub fn run_detailed(&self, reads: &[Read]) -> (SimReport, Vec<Option<Alignment>>) {
-        let aligner = SoftwareAligner::new(&self.index, self.aligner_config);
+        let aligner = SoftwareAligner::new(&self.index, AlignerConfig::default());
         // Per-read alignment in parallel, read order preserved; the timing
         // simulation itself stays single-threaded (cycle-accuracy).
         let outcomes = nvwa_sim::par::par_map(reads, |read| {
@@ -84,14 +76,9 @@ impl NvwaSystem {
         (simulate(&self.config, &works), alignments)
     }
 
-    /// Simulates a precomputed workload (no software pass).
-    pub fn run_workload(&self, works: &[ReadWork]) -> SimReport {
-        simulate(&self.config, works)
-    }
-
     /// Builds the per-read hardware workload without simulating.
     pub fn workload(&self, reads: &[Read]) -> Vec<ReadWork> {
-        let aligner = SoftwareAligner::new(&self.index, self.aligner_config);
+        let aligner = SoftwareAligner::new(&self.index, AlignerConfig::default());
         build_workload(&aligner, reads)
     }
 }

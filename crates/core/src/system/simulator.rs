@@ -394,13 +394,6 @@ impl SimState<'_> {
             self.su_read[su] = Some(read_idx as usize);
             self.su_issued_at[su] = self.now;
             self.metrics.inc(self.ids.reads_issued, 1);
-            if std::env::var("NVWA_DEBUG").is_ok() {
-                eprintln!(
-                    "su={su} read={read_idx} now={} start={start} done={done} lat={}",
-                    self.now,
-                    done - self.now
-                );
-            }
             self.events.push(done, Event::SuDone { su });
         }
     }

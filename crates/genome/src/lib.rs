@@ -7,7 +7,7 @@
 //! statistically equivalent inputs:
 //!
 //! * [`base`] / [`sequence`] — the DNA alphabet and 2-bit packed sequences.
-//! * [`reference`] — synthetic reference genomes with repeat families and GC
+//! * [`mod@reference`] — synthetic reference genomes with repeat families and GC
 //!   bias, so that seeding produces the multi-hit, variable-length seed
 //!   structure that drives the paper's *diversity problem*.
 //! * [`species`] — profiles for the six genomes of Fig. 14.

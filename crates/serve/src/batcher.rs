@@ -128,8 +128,9 @@ impl BatcherConfig {
 
     /// The bin for a request: mode first, length second. Long requests
     /// fall back to the short bins when long bins are disabled (a
-    /// server that never called [`ensure_mode_bins`]
-    /// (BatcherConfig::ensure_mode_bins)); classify likewise.
+    /// server that never called
+    /// [`ensure_mode_bins`](BatcherConfig::ensure_mode_bins)); classify
+    /// likewise.
     pub fn bin_for(&self, mode: Mode, len: usize) -> usize {
         match mode {
             Mode::Short => self.bin_of(len),

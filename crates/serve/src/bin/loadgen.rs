@@ -1,16 +1,7 @@
 //! `nvwa-loadgen` — drive a running `nvwa serve` instance.
 //!
-//! ```text
-//! nvwa-loadgen [--addr H:P | --addr-file PATH] [--reads N] [--connections C]
-//!              [--mode closed|open] [--window W] [--rate RPS] [--burst B]
-//!              [--request-mode short|long|classify|mixed]
-//!              [--deadline-ms D] [--ref-len N] [--ref-seed S] [--read-seed S]
-//!              [--long-len N]
-//!              [--tenant KEY[:WEIGHT]]... [--tenant-scale F]
-//!              [--out report.json] [--metrics-out snap.json]
-//!              [--stats-out scrapes.json] [--scrape-ms MS] [--slo key=value]...
-//!              [--shutdown] [--threads N]
-//! ```
+//! `nvwa-loadgen --help` prints every flag (from `KNOWN_FLAGS`, the one
+//! place they are listed).
 //!
 //! Synthesizes `--reads` reads against the same synthetic reference the
 //! server built (`--ref-len`/`--ref-seed` must match), pushes them using
@@ -40,6 +31,7 @@ use std::time::{Duration, Instant};
 use nvwa_genome::species::Species;
 use nvwa_serve::loadgen::{self, ArrivalMode, LoadgenConfig, SloTarget, TenantRead};
 use nvwa_serve::Mode;
+use nvwa_sim::par::{usage_synopsis, FlagSpec};
 use nvwa_telemetry::{JsonValue, SnapshotMeta};
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -58,27 +50,22 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// Every flag `usage` prints; anything else starting with `--` is
-/// refused before any work. Keep in step with `usage`.
-#[rustfmt::skip] // flags in usage order
-const KNOWN_FLAGS: &[&str] = &[
-    "--addr", "--addr-file", "--reads", "--connections", "--mode", "--window",
-    "--request-mode", "--rate", "--burst", "--deadline-ms", "--ref-len", "--ref-seed",
-    "--read-seed", "--long-len", "--tenant", "--tenant-scale", "--out", "--metrics-out",
-    "--stats-out", "--scrape-ms", "--slo", "--shutdown", "--threads",
+/// Every flag with its value placeholder; anything else starting with
+/// `--` is refused before any work, and `usage` prints this table — a
+/// flag is listed here and nowhere else.
+#[rustfmt::skip]
+const KNOWN_FLAGS: &[FlagSpec] = &[
+    ("--addr", "H:P"), ("--addr-file", "PATH"), ("--reads", "N"), ("--connections", "C"),
+    ("--mode", "closed|open"), ("--window", "W"),
+    ("--request-mode", "short|long|classify|mixed"), ("--rate", "RPS"), ("--burst", "B"),
+    ("--deadline-ms", "D"), ("--ref-len", "N"), ("--ref-seed", "S"), ("--read-seed", "S"),
+    ("--long-len", "N"), ("--tenant", "KEY[:WEIGHT]..."), ("--tenant-scale", "F"),
+    ("--out", "report.json"), ("--metrics-out", "snap.json"), ("--stats-out", "scrapes.json"),
+    ("--scrape-ms", "MS"), ("--slo", "key=value..."), ("--shutdown", ""), ("--threads", "N"),
 ];
 
 fn usage() -> ExitCode {
-    eprintln!("usage: nvwa-loadgen [--addr H:P | --addr-file PATH] [--reads N]");
-    eprintln!("                    [--connections C] [--mode closed|open] [--window W]");
-    eprintln!("                    [--request-mode short|long|classify|mixed]");
-    eprintln!("                    [--rate RPS] [--burst B] [--deadline-ms D]");
-    eprintln!("                    [--ref-len N] [--ref-seed S] [--read-seed S]");
-    eprintln!("                    [--long-len N]");
-    eprintln!("                    [--tenant KEY[:WEIGHT]]... [--tenant-scale F]");
-    eprintln!("                    [--out report.json] [--metrics-out snap.json]");
-    eprintln!("                    [--stats-out scrapes.json] [--scrape-ms MS]");
-    eprintln!("                    [--slo key=value]... [--shutdown] [--threads N]");
+    eprintln!("{}", usage_synopsis("usage: nvwa-loadgen", KNOWN_FLAGS));
     ExitCode::FAILURE
 }
 

@@ -6,18 +6,17 @@
 //! at the moment of the trigger. It is the post-incident half of the
 //! observability plane (the `stats` endpoint is the live half).
 //!
-//! Recording is designed for the hot path: a slot is claimed with one
-//! atomic `fetch_add` (lock-free, totally ordered sequence numbers) and
-//! written under a *per-slot* mutex that only contends when the ring has
-//! wrapped all the way around to a slot another thread is still writing —
-//! with a ring of hundreds of slots and per-request events, effectively
-//! never. A stale claim that loses the race to a wrapped newer one is
-//! discarded by comparing sequence numbers, so the ring always converges
-//! to the newest event per slot.
+//! The ring, the count of events ever recorded and the dump bookkeeping
+//! sit behind one mutex: `record` pushes at the back and evicts at the
+//! front under it, and a scrape or dump reads all of them under one
+//! acquisition. So `retained == min(recorded, cap)` holds in every
+//! summary and every dump, live or quiescent, and the events come out in
+//! sequence order without a sort. One uncontended lock per event is noise
+//! next to the metrics mutex the same request already takes.
 //!
 //! Determinism boundary (see DESIGN.md §13): sequence numbers order
-//! events by *claim time*, which under the wall clock depends on thread
-//! interleaving. What IS invariant across worker counts is the event
+//! events by *lock acquisition*, which under the wall clock depends on
+//! thread interleaving. What IS invariant across worker counts is the event
 //! *multiset* projected onto scheduling-independent facts — how many
 //! admissions, which batch sequence numbers panicked, how many sheds.
 //! [`FlightRecorder::dump_json`] therefore embeds a `digest` of exactly
@@ -25,11 +24,13 @@
 //! 1/2/8 workers; full-byte determinism is exercised in unit tests where
 //! the caller controls the interleaving.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use nvwa_telemetry::snapshot::FLIGHT_EVENT_KINDS;
 use nvwa_telemetry::JsonValue;
+
+use crate::lock;
 
 /// What happened (the wire names live in
 /// [`nvwa_telemetry::snapshot::FLIGHT_EVENT_KINDS`]).
@@ -101,103 +102,106 @@ impl FlightEvent {
     }
 }
 
+/// What the recorder's one mutex guards.
+struct Ring {
+    /// The newest `cap` events, oldest first.
+    events: VecDeque<FlightEvent>,
+    recorded: u64,
+    dumps: u64,
+    last_dump_reason: Option<String>,
+}
+
 /// The fixed-capacity event ring.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<FlightEvent>>>,
-    next_seq: AtomicU64,
-    dumps: AtomicU64,
-    last_dump_reason: Mutex<Option<String>>,
+    cap: usize,
+    ring: Mutex<Ring>,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `cap` events (`cap` is clamped to
     /// ≥ 1).
     pub fn new(cap: usize) -> FlightRecorder {
+        let cap = cap.max(1);
         FlightRecorder {
-            slots: (0..cap.max(1)).map(|_| Mutex::new(None)).collect(),
-            next_seq: AtomicU64::new(0),
-            dumps: AtomicU64::new(0),
-            last_dump_reason: Mutex::new(None),
+            cap,
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(cap),
+                recorded: 0,
+                dumps: 0,
+                last_dump_reason: None,
+            }),
         }
     }
 
     /// Ring capacity.
     pub fn cap(&self) -> usize {
-        self.slots.len()
+        self.cap
     }
 
     /// Events ever recorded (including ones the ring has since evicted).
     pub fn recorded(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        lock(&self.ring).recorded
     }
 
-    /// Records one event. Lock-free slot claim; the per-slot write only
-    /// keeps the newest sequence number on a full wraparound race.
+    /// Records one event, evicting the oldest when the ring is full.
     pub fn record(&self, t_us: f64, kind: FlightEventKind, a: u64, b: u64, c: u64) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let mut guard = slot.lock().unwrap();
-        if guard.is_none_or(|prev| prev.seq < seq) {
-            *guard = Some(FlightEvent {
-                seq,
-                t_us,
-                kind,
-                a,
-                b,
-                c,
-            });
+        let mut ring = lock(&self.ring);
+        let seq = ring.recorded;
+        ring.recorded += 1;
+        if ring.events.len() == self.cap {
+            ring.events.pop_front();
         }
+        ring.events.push_back(FlightEvent {
+            seq,
+            t_us,
+            kind,
+            a,
+            b,
+            c,
+        });
     }
 
-    /// The retained events, oldest first (sorted by sequence number).
+    /// The retained events, oldest first (increasing sequence number).
     pub fn events(&self) -> Vec<FlightEvent> {
-        let mut events: Vec<FlightEvent> = self
-            .slots
-            .iter()
-            .filter_map(|s| *s.lock().unwrap())
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        events
+        lock(&self.ring).events.iter().copied().collect()
     }
 
-    /// Per-kind counts over `events`, index-aligned with
+    /// Per-kind counts over `events` as JSON members, index-aligned with
     /// [`FLIGHT_EVENT_KINDS`].
-    fn kind_counts(events: &[FlightEvent]) -> [u64; FlightEventKind::ALL.len()] {
+    fn kind_counts<'a>(
+        events: impl Iterator<Item = &'a FlightEvent>,
+    ) -> Vec<(&'static str, JsonValue)> {
         let mut counts = [0u64; FlightEventKind::ALL.len()];
         for e in events {
             counts[e.kind as usize] += 1;
         }
-        counts
-    }
-
-    /// The summary section embedded in `stats` responses
-    /// (`validate_flight_summary` checks it). The events are collected
-    /// *before* `recorded` is read, so `retained ≤ min(recorded, cap)`
-    /// holds even while other threads are recording.
-    pub fn summary_json(&self) -> JsonValue {
-        let events = self.events();
-        let counts = Self::kind_counts(&events);
-        let by_kind = FLIGHT_EVENT_KINDS
+        FLIGHT_EVENT_KINDS
             .iter()
             .zip(counts)
             .map(|(kind, n)| (*kind, JsonValue::Num(n as f64)))
-            .collect();
+            .collect()
+    }
+
+    /// The summary section embedded in `stats` responses
+    /// (`validate_flight_summary` checks it). Every field is read under
+    /// one lock acquisition, so `retained == min(recorded, cap)` holds
+    /// even while other threads are recording.
+    pub fn summary_json(&self) -> JsonValue {
+        let ring = lock(&self.ring);
+        let reason = ring.last_dump_reason.clone();
         JsonValue::obj(vec![
-            ("cap", JsonValue::Num(self.cap() as f64)),
-            ("recorded", JsonValue::Num(self.recorded() as f64)),
-            ("retained", JsonValue::Num(events.len() as f64)),
-            (
-                "dumps",
-                JsonValue::Num(self.dumps.load(Ordering::Relaxed) as f64),
-            ),
+            ("cap", JsonValue::Num(self.cap as f64)),
+            ("recorded", JsonValue::Num(ring.recorded as f64)),
+            ("retained", JsonValue::Num(ring.events.len() as f64)),
+            ("dumps", JsonValue::Num(ring.dumps as f64)),
             (
                 "last_dump_reason",
-                match self.last_dump_reason.lock().unwrap().as_ref() {
-                    Some(reason) => JsonValue::Str(reason.clone()),
-                    None => JsonValue::Null,
-                },
+                reason.map_or(JsonValue::Null, JsonValue::Str),
             ),
-            ("by_kind", JsonValue::obj(by_kind)),
+            (
+                "by_kind",
+                JsonValue::obj(Self::kind_counts(ring.events.iter())),
+            ),
         ])
     }
 
@@ -207,21 +211,19 @@ impl FlightRecorder {
     /// sequence numbers that panicked — which the testkit pins across
     /// 1/2/8 workers.
     pub fn dump_json(&self, reason: &str) -> JsonValue {
-        self.dumps.fetch_add(1, Ordering::Relaxed);
-        *self.last_dump_reason.lock().unwrap() = Some(reason.to_string());
-        let events = self.events();
-        let counts = Self::kind_counts(&events);
+        let (events, recorded): (Vec<FlightEvent>, u64) = {
+            let mut ring = lock(&self.ring);
+            ring.dumps += 1;
+            ring.last_dump_reason = Some(reason.to_string());
+            (ring.events.iter().copied().collect(), ring.recorded)
+        };
         let mut panic_batches: Vec<u64> = events
             .iter()
             .filter(|e| e.kind == FlightEventKind::Panic)
             .map(|e| e.a)
             .collect();
         panic_batches.sort_unstable();
-        let mut digest: Vec<(&str, JsonValue)> = FLIGHT_EVENT_KINDS
-            .iter()
-            .zip(counts)
-            .map(|(kind, n)| (*kind, JsonValue::Num(n as f64)))
-            .collect();
+        let mut digest = Self::kind_counts(events.iter());
         digest.push((
             "panic_batches",
             JsonValue::Arr(
@@ -235,8 +237,8 @@ impl FlightRecorder {
             ("kind", JsonValue::Str("nvwa-flight".to_string())),
             ("schema_version", JsonValue::Num(1.0)),
             ("reason", JsonValue::Str(reason.to_string())),
-            ("cap", JsonValue::Num(self.cap() as f64)),
-            ("recorded", JsonValue::Num(self.recorded() as f64)),
+            ("cap", JsonValue::Num(self.cap as f64)),
+            ("recorded", JsonValue::Num(recorded as f64)),
             (
                 "events",
                 JsonValue::Arr(events.into_iter().map(FlightEvent::to_json).collect()),
@@ -249,9 +251,8 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvwa_telemetry::snapshot::{
-        validate_flight_dump, validate_flight_summary, validate_flight_summary_quiescent,
-    };
+    use nvwa_telemetry::snapshot::{validate_flight_dump, validate_flight_summary};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn ring_keeps_the_newest_cap_events() {
@@ -266,7 +267,7 @@ mod tests {
             events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
-        validate_flight_summary_quiescent(&rec.summary_json()).unwrap();
+        validate_flight_summary(&rec.summary_json()).unwrap();
     }
 
     #[test]
@@ -285,7 +286,7 @@ mod tests {
         assert_eq!(panics.len(), 1);
         // Dump bookkeeping shows up in the next summary.
         let summary = rec.summary_json();
-        validate_flight_summary_quiescent(&summary).unwrap();
+        validate_flight_summary(&summary).unwrap();
         assert_eq!(summary.get("dumps").unwrap().as_num(), Some(1.0));
         assert_eq!(
             summary.get("last_dump_reason").unwrap().as_str(),
@@ -337,12 +338,12 @@ mod tests {
 
     #[test]
     fn live_summaries_validate_while_four_threads_record() {
-        // A live scrape scans the ring while `record` runs: a record that
-        // lands behind the scan (or sits between claiming its sequence
-        // number and writing its slot) is counted in `recorded` but not
-        // retained. The large ring never fills (4 × 384 < 2048), so every
-        // missed record shows as `retained < recorded`; the small one
-        // wraps continuously.
+        // A live scrape reads the ring and `recorded` under the lock that
+        // `record` writes them under, so `retained == min(recorded, cap)`
+        // (which `validate_flight_summary` checks) holds in every scrape
+        // taken *while* four threads record, and so does the dump's
+        // `events.len() == min(recorded, cap)`. The large ring never fills
+        // (4 × 384 < 2048); the small one wraps continuously.
         for cap in [2048usize, 64].repeat(32) {
             let rec = FlightRecorder::new(cap);
             let writers_done = AtomicU64::new(0);
@@ -358,13 +359,14 @@ mod tests {
                 }
                 loop {
                     validate_flight_summary(&rec.summary_json()).unwrap();
+                    validate_flight_dump(&rec.dump_json("explicit")).unwrap();
                     if writers_done.load(Ordering::SeqCst) == 4 {
                         break;
                     }
                 }
             });
             assert_eq!(rec.recorded(), 4 * 384);
-            validate_flight_summary_quiescent(&rec.summary_json()).unwrap();
+            validate_flight_summary(&rec.summary_json()).unwrap();
         }
     }
 }

@@ -30,9 +30,8 @@
 //! * full telemetry: queue-depth gauges, batch/latency histograms,
 //!   shed/deadline counters, Chrome-trace spans per batch plus a
 //!   per-request span chain for every admitted request ([`metrics`]),
-//! * a fixed-capacity lock-free flight recorder of recent request and
-//!   batch events, dumped on worker panic, shed storms, or demand
-//!   ([`flight`]),
+//! * a fixed-capacity flight recorder of recent request and batch
+//!   events, dumped on worker panic, shed storms, or demand ([`flight`]),
 //! * and a calibrated open/closed-loop load generator that can scrape
 //!   live `stats` snapshots mid-run and grade them against SLO targets
 //!   ([`loadgen`]).
@@ -63,3 +62,18 @@ pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantS
 pub use reactor::raise_nofile_limit;
 pub use registry::Tenant;
 pub use server::{Server, ServerConfig};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The guard out of a `Mutex::lock` / `Condvar::wait*` result, poisoned
+/// or not. Every server-side mutex guards counters, queues or byte
+/// buffers, and the reactor thread every connection shares takes them on
+/// each admission: serving on after one torn update beats not serving.
+pub(crate) fn recover<G>(result: Result<G, PoisonError<G>>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Locks `m`, recovering the guard if a thread panicked while holding it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    recover(m.lock())
+}

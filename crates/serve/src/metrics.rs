@@ -7,8 +7,9 @@
 //! a snapshot taken before the first request is already schema-complete.
 //! The registry, SLO window and span log sit behind one mutex — serving
 //! events are coarse (per request / per batch), so contention is
-//! negligible next to an alignment. The flight recorder is lock-free and
-//! lives outside the mutex (see `flight.rs`).
+//! negligible next to an alignment. The flight recorder keeps its ring
+//! behind a mutex of its own (see `flight.rs`); both are taken through
+//! `crate::lock`, so a panic under either cannot stop the reactor thread.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -16,13 +17,14 @@ use std::time::Instant;
 
 use crate::batcher::FlushReason;
 use crate::flight::{FlightEventKind, FlightRecorder};
+use crate::lock;
 use crate::protocol::Mode;
 use nvwa_telemetry::snapshot::{
     SERVE_REQUIRED_COUNTERS, SERVE_REQUIRED_GAUGES, SERVE_REQUIRED_HISTOGRAMS,
 };
 use nvwa_telemetry::{
-    CounterId, GaugeId, HistogramId, JsonValue, MetricsRegistry, Outcome, RequestSpans, SloView,
-    SloWindow, SnapshotMeta, SpanLog, Stage, TraceRecorder, WindowConfig,
+    CounterId, GaugeId, HistogramId, JsonValue, MetricsRegistry, Outcome, RequestSpans, SloWindow,
+    SnapshotMeta, SpanLog, Stage, TraceRecorder, WindowConfig,
 };
 
 /// Trace process id for the serving layer (the simulator uses 0 and 1).
@@ -337,7 +339,7 @@ impl ServeMetrics {
         d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
     }
 
-    /// The flight recorder (lock-free; record from any thread).
+    /// The flight recorder (record from any thread).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
@@ -348,7 +350,7 @@ impl ServeMetrics {
     }
 
     fn with(&self, f: impl FnOnce(&mut Inner)) {
-        f(&mut self.inner.lock().unwrap());
+        f(&mut lock(&self.inner));
     }
 
     /// Publishes the batcher's per-bin request modes so span chains land
@@ -462,7 +464,7 @@ impl ServeMetrics {
     /// server's tenant indices. Every server registers its tenants at
     /// launch (a single-index server is one tenant named `default`).
     pub fn register_tenant(&self, name: &str, shards: usize) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let window = inner.window;
         inner.tenants.push(TenantStats {
             name: name.to_string(),
@@ -623,13 +625,7 @@ impl ServeMetrics {
 
     /// The registry snapshot document (always serve-schema-complete).
     pub fn snapshot(&self, meta: &SnapshotMeta) -> JsonValue {
-        self.inner.lock().unwrap().registry.snapshot(meta)
-    }
-
-    /// The windowed SLO view as of now.
-    pub fn slo_view(&self) -> SloView {
-        let now = self.now_us() as u64;
-        self.inner.lock().unwrap().slo.view(now)
+        lock(&self.inner).registry.snapshot(meta)
     }
 
     /// The `stats` response: the registry snapshot with the live `slo`
@@ -639,7 +635,7 @@ impl ServeMetrics {
     /// them are exact in every scrape.
     pub fn stats_response(&self, meta: &SnapshotMeta) -> JsonValue {
         let now = self.now_us() as u64;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let mut doc = inner.registry.snapshot(meta);
         let slo = inner.slo.view(now).to_json();
         let tenants = inner.tenants_json(now);
@@ -654,34 +650,24 @@ impl ServeMetrics {
 
     /// The span-log document (`"kind": "nvwa-spanlog"`).
     pub fn span_log_doc(&self) -> JsonValue {
-        self.inner.lock().unwrap().span_log.to_json()
+        lock(&self.inner).span_log.to_json()
     }
 
     /// Number of span chains retained plus chains dropped at capacity —
     /// together the exactly-once accounting total.
     pub fn span_chain_counts(&self) -> (usize, u64) {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         (inner.span_log.chains().len(), inner.span_log.dropped())
     }
 
     /// The Chrome trace JSON, when tracing was enabled.
     pub fn trace_json(&self) -> Option<String> {
-        self.inner
-            .lock()
-            .unwrap()
-            .trace
-            .as_ref()
-            .map(TraceRecorder::to_json)
+        lock(&self.inner).trace.as_ref().map(TraceRecorder::to_json)
     }
 
     /// Value of a counter by name (tests and the CLI summary).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .registry
-            .counter_value(name)
-            .unwrap_or(0)
+        lock(&self.inner).registry.counter_value(name).unwrap_or(0)
     }
 }
 
@@ -710,6 +696,28 @@ mod tests {
         validate_stats_response(&metrics.stats_response(&meta)).unwrap();
         validate_span_log(&metrics.span_log_doc()).unwrap();
         assert!(metrics.trace_json().is_none());
+    }
+
+    #[test]
+    fn a_panic_under_the_metrics_lock_does_not_stop_the_hub() {
+        // `respond_and_trace` runs outside `execute_batch`'s
+        // `catch_unwind`, so a worker can die inside `with`; the reactor
+        // thread takes the same mutex on every admission.
+        let metrics = hub(false, &ObservabilityConfig::default());
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| metrics.with(|_| panic!("injected: worker died under the metrics lock")))
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(metrics.inner.is_poisoned());
+        metrics.protocol_error();
+        assert_eq!(metrics.counter("serve.protocol_errors"), 1);
+        let meta = SnapshotMeta {
+            host_threads: 1,
+            git_rev: None,
+        };
+        validate_stats_response(&metrics.stats_response(&meta)).unwrap();
     }
 
     #[test]

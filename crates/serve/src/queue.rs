@@ -10,6 +10,8 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use crate::{lock, recover};
+
 /// Why a non-blocking push was refused.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -69,12 +71,7 @@ impl<T> BoundedQueue<T> {
 
     /// Current occupancy.
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        lock(&self.inner).items.len()
     }
 
     /// Pushes without blocking.
@@ -84,7 +81,7 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Full`] at capacity (the backpressure signal) and
     /// [`PushError::Closed`] after close; both return the item.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(PushError::Closed(item));
         }
@@ -103,7 +100,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// Returns the item if the queue is (or becomes) closed.
     pub fn push_wait(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if inner.closed {
                 return Err(item);
@@ -114,7 +111,7 @@ impl<T> BoundedQueue<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            inner = self.not_full.wait(inner).unwrap();
+            inner = recover(self.not_full.wait(inner));
         }
     }
 
@@ -123,7 +120,7 @@ impl<T> BoundedQueue<T> {
     /// Items remaining after a close are still delivered; [`Popped::Closed`]
     /// means closed **and** empty, so a consumer loop drains naturally.
     pub fn pop_wait(&self, timeout: Option<Duration>) -> Popped<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
                 drop(inner);
@@ -135,13 +132,13 @@ impl<T> BoundedQueue<T> {
             }
             match timeout {
                 Some(t) => {
-                    let (guard, result) = self.not_empty.wait_timeout(inner, t).unwrap();
+                    let (guard, result) = recover(self.not_empty.wait_timeout(inner, t));
                     inner = guard;
                     if result.timed_out() && inner.items.is_empty() && !inner.closed {
                         return Popped::TimedOut;
                     }
                 }
-                None => inner = self.not_empty.wait(inner).unwrap(),
+                None => inner = recover(self.not_empty.wait(inner)),
             }
         }
     }
@@ -149,7 +146,7 @@ impl<T> BoundedQueue<T> {
     /// Closes the queue: future pushes fail, consumers drain the remainder
     /// and then observe [`Popped::Closed`]. Idempotent.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();

@@ -10,11 +10,11 @@
 //!   `signal.rs` — std already links libc on Unix);
 //! * a per-connection state machine reassembles length-prefixed frames
 //!   from partial reads, hands each complete frame to
-//!   [`dispatch_request`] inline (decode, admission, shed and `stats`
+//!   `dispatch_request` inline (decode, admission, shed and `stats`
 //!   answers all run on this thread) and drains buffered responses on
 //!   writability;
 //! * workers never touch sockets: they enqueue the encoded response on
-//!   the connection's output buffer ([`ReactorConn`]) and tickle the
+//!   the connection's output buffer (`ReactorConn`) and tickle the
 //!   reactor through a self-pipe waker, so the poll loop wakes and
 //!   flushes.
 //!
@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use nvwa_telemetry::JsonValue;
 
+use crate::lock;
 use crate::protocol::{write_frame, AlignResponse, Status, MAX_FRAME_BYTES};
 use crate::server::{dispatch_request, Shared};
 
@@ -173,7 +174,7 @@ struct OutBuf {
 impl ReactorConn {
     /// Enqueues one response frame and wakes the reactor to flush it.
     pub(crate) fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
-        let mut out = self.out.lock().unwrap();
+        let mut out = lock(&self.out);
         // One response per dispatched request, success or not.
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
         if out.dead {
@@ -209,7 +210,7 @@ struct Conn {
 
 impl Conn {
     fn pending_out(&self) -> bool {
-        let out = self.sink.out.lock().unwrap();
+        let out = lock(&self.sink.out);
         !out.buf.is_empty()
     }
 
@@ -219,7 +220,7 @@ impl Conn {
 
     /// Writes as much buffered output as the socket accepts right now.
     fn flush(&mut self, metrics: &crate::metrics::ServeMetrics) {
-        let mut out = self.sink.out.lock().unwrap();
+        let mut out = lock(&self.sink.out);
         while !out.buf.is_empty() {
             match self.stream.write(&out.buf) {
                 Ok(0) => break,
@@ -329,7 +330,7 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
         for (conn, &ev) in conns.iter_mut().zip(&revents) {
             if ev & (POLLERR | POLLNVAL) != 0 {
                 conn.dead = true;
-                let mut out = conn.sink.out.lock().unwrap();
+                let mut out = lock(&conn.sink.out);
                 if !out.buf.is_empty() {
                     shared.metrics.write_error();
                 }

@@ -157,15 +157,6 @@ impl Hbm {
         self.bytes_transferred() as f64 * 8.0 * self.config.energy_pj_per_bit * 1e-12
     }
 
-    /// Average power in watts over `total_cycles` at 1 GHz.
-    pub fn average_power_w(&self, total_cycles: Cycle) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            self.energy_joules() / (total_cycles as f64 * 1e-9)
-        }
-    }
-
     /// Bandwidth utilization over `total_cycles` (0.0–1.0).
     pub fn bandwidth_utilization(&self, total_cycles: Cycle) -> f64 {
         if total_cycles == 0 {

@@ -17,8 +17,6 @@
 //!   fan-out) around the single-threaded simulator core.
 //! * [`spm`] — a scratchpad (SPM) model with FIFO residency, used for the
 //!   Read SPM prefetcher.
-//! * [`stats`] — counters, time-weighted utilization tracking and bucketed
-//!   time series (Fig. 12's utilization traces).
 //! * [`power`] — analytic SRAM/logic area-power primitives (the CACTI/
 //!   Design-Compiler substitute; constants are calibrated in `nvwa-core`).
 
@@ -27,7 +25,6 @@ pub mod hbm;
 pub mod par;
 pub mod power;
 pub mod spm;
-pub mod stats;
 
 /// Simulation time in clock cycles (the accelerator runs at 1 GHz, so one
 /// cycle is 1 ns).
@@ -36,4 +33,3 @@ pub type Cycle = u64;
 pub use event::EventQueue;
 pub use hbm::{Hbm, HbmConfig};
 pub use spm::Scratchpad;
-pub use stats::{TimeSeries, UtilizationTracker};

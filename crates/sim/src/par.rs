@@ -60,16 +60,39 @@ pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<
     }
 }
 
+/// One accepted flag: its name and value placeholder (`""` for a switch).
+/// A binary lists its flags once, in a table of these; the unknown-flag
+/// check and the usage text both read that table.
+pub type FlagSpec = (&'static str, &'static str);
+
 /// Refuses the first `--flag` in `args` that is not in `known`, naming it
 /// — a typo or a removed flag never silently runs defaults.
-pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+pub fn reject_unknown_flags(args: &[String], known: &[FlagSpec]) -> Result<(), String> {
     match args
         .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+        .find(|a| a.starts_with("--") && !known.iter().any(|(name, _)| name == a))
     {
         Some(unknown) => Err(format!("{unknown}: unknown flag")),
         None => Ok(()),
     }
+}
+
+/// The usage synopsis of one command: `head`, then every flag of `known`
+/// as `[--flag VALUE]`, wrapped at 80 columns.
+pub fn usage_synopsis(head: &str, known: &[FlagSpec]) -> String {
+    let mut text = head.to_string();
+    let mut width = text.len();
+    for (name, value) in known {
+        let sep = if value.is_empty() { "" } else { " " };
+        let item = format!(" [{name}{sep}{value}]");
+        if width + item.len() > 80 {
+            text += "\n       ";
+            width = 7;
+        }
+        text += &item;
+        width += item.len();
+    }
+    text
 }
 
 /// Parses `--threads N`; `None` (flag absent, or `0` = auto) leaves the

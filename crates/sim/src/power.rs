@@ -77,46 +77,6 @@ impl LogicBlock {
     }
 }
 
-/// An (area, power) pair for roll-ups.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AreaPower {
-    /// Area in mm².
-    pub area_mm2: f64,
-    /// Power in watts.
-    pub power_w: f64,
-}
-
-impl AreaPower {
-    /// Creates a pair.
-    pub fn new(area_mm2: f64, power_w: f64) -> AreaPower {
-        AreaPower { area_mm2, power_w }
-    }
-
-    /// From an SRAM macro.
-    pub fn from_sram(s: &SramMacro) -> AreaPower {
-        AreaPower::new(s.area_mm2(), s.power_w())
-    }
-
-    /// From a logic block.
-    pub fn from_logic(l: &LogicBlock) -> AreaPower {
-        AreaPower::new(l.area_mm2(), l.power_w())
-    }
-}
-
-impl std::ops::Add for AreaPower {
-    type Output = AreaPower;
-
-    fn add(self, rhs: AreaPower) -> AreaPower {
-        AreaPower::new(self.area_mm2 + rhs.area_mm2, self.power_w + rhs.power_w)
-    }
-}
-
-impl std::iter::Sum for AreaPower {
-    fn sum<I: Iterator<Item = AreaPower>>(iter: I) -> AreaPower {
-        iter.fold(AreaPower::default(), |a, b| a + b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +95,5 @@ mod tests {
         let l = LogicBlock::new(128, 0.01, 0.002);
         assert!((l.area_mm2() - 1.28).abs() < 1e-12);
         assert!((l.power_w() - 0.256).abs() < 1e-12);
-    }
-
-    #[test]
-    fn area_power_sums() {
-        let parts = [AreaPower::new(1.0, 0.1), AreaPower::new(2.0, 0.2)];
-        let total: AreaPower = parts.into_iter().sum();
-        assert!((total.area_mm2 - 3.0).abs() < 1e-12);
-        assert!((total.power_w - 0.3).abs() < 1e-12);
     }
 }

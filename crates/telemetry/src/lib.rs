@@ -11,8 +11,7 @@
 //!   into integer handles, so the hot path is a `Vec` index plus an add —
 //!   cheap enough to stay enabled in release builds.
 //! * [`series`] — bucketed time series accumulating a value's time
-//!   integral (the Fig. 12 utilization traces; previously in
-//!   `nvwa-sim::stats`, re-exported from there for compatibility).
+//!   integral (the Fig. 12 utilization traces).
 //! * [`stall`] — per-unit-pool *stall attribution*: every idle
 //!   unit-cycle is tagged with a [`stall::StallCause`], integrated into
 //!   per-cause totals and per-cause time series. By construction the

@@ -132,11 +132,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Series by name, if stored.
-    pub fn series_value(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-
     /// Merges `other` into `self` by metric name: counters and gauges add,
     /// histograms and series merge pointwise. Deterministic — merging the
     /// same registries in the same order always yields the same result,

@@ -417,33 +417,15 @@ pub const FLIGHT_EVENT_KINDS: &[&str] = &[
 ];
 
 /// Validates a flight-recorder summary (the `flight` section of a `stats`
-/// response): the ring occupancy bound and per-kind counts. These are the
-/// identities that hold at *every* instant, so a live scrape may check
-/// them: the recorder claims a sequence number (bumping `recorded`)
-/// before the slot's payload is written, and a summary scans the ring
-/// while records keep landing behind the scan, so mid-run `retained` may
-/// trail `min(recorded, cap)` — it can never exceed it.
-/// [`validate_flight_summary_quiescent`] adds the equality.
+/// response): ring occupancy and per-kind counts. The recorder keeps the
+/// ring and `recorded` under one lock and a summary reads both under one
+/// acquisition, so `retained == min(recorded, cap)` holds in every scrape,
+/// live or quiescent.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first violated constraint.
 pub fn validate_flight_summary(doc: &JsonValue) -> Result<(), String> {
-    flight_summary(doc, false)
-}
-
-/// [`validate_flight_summary`] plus the *quiescent-only* identity
-/// `retained == min(recorded, cap)`: with no `record` call in flight (after
-/// `Server::shutdown`, or single-threaded) every claimed slot is written.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_flight_summary_quiescent(doc: &JsonValue) -> Result<(), String> {
-    flight_summary(doc, true)
-}
-
-fn flight_summary(doc: &JsonValue, quiescent: bool) -> Result<(), String> {
     let what = "flight summary";
     let cap = require_count(doc, "cap", what)?;
     if cap < 1.0 {
@@ -451,11 +433,9 @@ fn flight_summary(doc: &JsonValue, quiescent: bool) -> Result<(), String> {
     }
     let recorded = require_count(doc, "recorded", what)?;
     let retained = require_count(doc, "retained", what)?;
-    let bound = recorded.min(cap);
-    if retained > bound || (quiescent && retained != bound) {
-        let must = if quiescent { "must be" } else { "exceeds" };
+    if retained != recorded.min(cap) {
         return Err(format!(
-            "{what}: retained ({retained}) {must} min(recorded {recorded}, cap {cap})"
+            "{what}: retained ({retained}) must be min(recorded {recorded}, cap {cap})"
         ));
     }
     require_count(doc, "dumps", what)?;
@@ -518,14 +498,11 @@ pub fn validate_flight_dump(doc: &JsonValue) -> Result<(), String> {
     let events = require(doc, "events", what)?
         .as_arr()
         .ok_or_else(|| format!("{what}: events must be an array"))?;
-    // A slot's sequence number is claimed (bumping `recorded`) before its
-    // payload write completes, so a dump frozen mid-run — e.g. at the
-    // moment of a worker panic, while connections keep admitting — may
-    // retain fewer events than `recorded` even below `cap`. It can never
-    // retain more than either bound.
-    if events.len() as f64 > recorded.min(cap) {
+    // The same occupancy identity as the summary: a dump snapshots the
+    // ring and `recorded` under the recorder's one lock.
+    if events.len() as f64 != recorded.min(cap) {
         return Err(format!(
-            "{what}: {} events exceeds min(recorded {recorded}, cap {cap})",
+            "{what}: {} events must be min(recorded {recorded}, cap {cap})",
             events.len()
         ));
     }
@@ -619,9 +596,7 @@ pub fn validate_span_log(doc: &JsonValue) -> Result<(), String> {
 
 /// Validates a loadgen report (`"kind": "nvwa-loadgen"`, schema version 1):
 /// the accounting identities (`sent = received + lost`,
-/// `received = ok + unmapped + shed + quota + deadline + errors`;
-/// `quota` defaults to 0 in reports predating multi-tenant serving and
-/// `unmapped` defaults to 0 in reports predating long-read serving) and
+/// `received = ok + unmapped + shed + quota + deadline + errors`) and
 /// the latency summary, whose percentiles are null exactly when no
 /// latency was sampled. When a `tenants` array is present, the same
 /// identities are checked per tenant and the per-tenant counts must sum
@@ -659,18 +634,8 @@ pub fn validate_loadgen_report(doc: &JsonValue) -> Result<(), String> {
     let received = count_of("received")?;
     let ok = count_of("ok")?;
     let shed = count_of("shed")?;
-    // `quota` was added with multi-tenant serving; older reports omit it.
-    let quota = if doc.get("quota").is_some() {
-        count_of("quota")?
-    } else {
-        0.0
-    };
-    // `unmapped` was added with long-read serving; older reports omit it.
-    let unmapped = if doc.get("unmapped").is_some() {
-        count_of("unmapped")?
-    } else {
-        0.0
-    };
+    let quota = count_of("quota")?;
+    let unmapped = count_of("unmapped")?;
     let deadline = count_of("deadline")?;
     let errors = count_of("errors")?;
     let lost = count_of("lost")?;
@@ -712,11 +677,7 @@ pub fn validate_loadgen_report(doc: &JsonValue) -> Result<(), String> {
             let t_ok = tcount("ok")?;
             let t_shed = tcount("shed")?;
             let t_quota = tcount("quota")?;
-            let t_unmapped = if t.get("unmapped").is_some() {
-                tcount("unmapped")?
-            } else {
-                0.0
-            };
+            let t_unmapped = tcount("unmapped")?;
             let t_deadline = tcount("deadline")?;
             let t_errors = tcount("errors")?;
             tcount("mapped")?;
@@ -983,7 +944,8 @@ mod tests {
         let good = r#"{
             "kind": "nvwa-loadgen", "schema_version": 1, "mode": "closed",
             "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 95, "mapped": 90, "shed": 5, "deadline": 0, "errors": 0,
+            "ok": 95, "unmapped": 0, "mapped": 90, "shed": 5, "quota": 0,
+            "deadline": 0, "errors": 0,
             "lost": 0, "duplicates": 0, "wall_ms": 12.5,
             "throughput_rps": 8000.0,
             "latency_us": {"count": 95, "mean": 900.0, "p50": 800.0,
@@ -1003,7 +965,8 @@ mod tests {
         let empty = r#"{
             "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
             "connections": 1, "reads": 0, "sent": 0, "received": 0,
-            "ok": 0, "mapped": 0, "shed": 0, "deadline": 0, "errors": 0,
+            "ok": 0, "unmapped": 0, "mapped": 0, "shed": 0, "quota": 0,
+            "deadline": 0, "errors": 0,
             "lost": 0, "duplicates": 0, "wall_ms": 1.0,
             "throughput_rps": 0,
             "latency_us": {"count": 0, "mean": null, "p50": null,
@@ -1017,7 +980,8 @@ mod tests {
         let good = r#"{
             "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
             "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 80, "mapped": 80, "shed": 0, "quota": 20, "deadline": 0,
+            "ok": 80, "unmapped": 0, "mapped": 80,
+            "shed": 0, "quota": 20, "deadline": 0,
             "errors": 0, "lost": 0, "duplicates": 0, "wall_ms": 12.5,
             "throughput_rps": 8000.0,
             "latency_us": {"count": 80, "mean": 900.0, "p50": 800.0,
@@ -1026,13 +990,13 @@ mod tests {
             "tenants": [
                 {"name": "homo_sapiens", "sent": 60, "received": 60,
                  "lost": 0, "ok": 40, "shed": 0, "quota": 20,
-                 "deadline": 0, "errors": 0, "mapped": 40,
+                 "deadline": 0, "errors": 0, "mapped": 40, "unmapped": 0,
                  "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
                                 "p90": 1.0, "p99": 1.0, "min": 1.0,
                                 "max": 1.0}},
                 {"name": "mus_musculus", "sent": 40, "received": 40,
                  "lost": 0, "ok": 40, "shed": 0, "quota": 0,
-                 "deadline": 0, "errors": 0, "mapped": 40,
+                 "deadline": 0, "errors": 0, "mapped": 40, "unmapped": 0,
                  "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
                                 "p90": 1.0, "p99": 1.0, "min": 1.0,
                                 "max": 1.0}}
@@ -1063,14 +1027,13 @@ mod tests {
         let err = validate_loadgen_report(&JsonValue::parse(&short).unwrap()).unwrap_err();
         assert!(err.contains("sums to"), "{err}");
 
-        // Quota without the top-level key: totals treat it as 0, so a
-        // quota-bearing tenant cannot balance.
+        // `quota` is required at the top level, like every other count.
         let no_quota = good.replace(
             "\"shed\": 0, \"quota\": 20, \"deadline\": 0,\n            \"errors\": 0",
             "\"shed\": 0, \"deadline\": 0,\n            \"errors\": 0",
         );
-        let parsed = JsonValue::parse(&no_quota).unwrap();
-        assert!(validate_loadgen_report(&parsed).is_err());
+        let err = validate_loadgen_report(&JsonValue::parse(&no_quota).unwrap()).unwrap_err();
+        assert!(err.contains("quota"), "{err}");
     }
 
     #[test]
@@ -1080,7 +1043,7 @@ mod tests {
         let good = r#"{
             "kind": "nvwa-loadgen", "schema_version": 1, "mode": "closed",
             "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 90, "unmapped": 7, "mapped": 90, "shed": 3,
+            "ok": 90, "unmapped": 7, "mapped": 90, "shed": 3, "quota": 0,
             "deadline": 0, "errors": 0, "lost": 0, "duplicates": 0,
             "wall_ms": 12.5, "throughput_rps": 8000.0,
             "latency_us": {"count": 97, "mean": 900.0, "p50": 800.0,
@@ -1089,15 +1052,13 @@ mod tests {
         }"#;
         validate_loadgen_report(&JsonValue::parse(good).unwrap()).unwrap();
 
-        // Dropping the key treats it as 0 and the identity breaks.
-        let missing = good.replace("\"unmapped\": 7, ", "");
-        assert!(validate_loadgen_report(&JsonValue::parse(&missing).unwrap()).is_err());
-
-        // A pre-long-read report (no unmapped anywhere) still passes.
-        let legacy = good
+        // The key is required: dropping it is a missing-key error even
+        // when the remaining counts balance without it.
+        let missing = good
             .replace("\"unmapped\": 7, ", "")
             .replace("\"ok\": 90", "\"ok\": 97");
-        validate_loadgen_report(&JsonValue::parse(&legacy).unwrap()).unwrap();
+        let err = validate_loadgen_report(&JsonValue::parse(&missing).unwrap()).unwrap_err();
+        assert!(err.contains("unmapped"), "{err}");
 
         // Per-tenant unmapped participates in both the tenant identity
         // and the cross-tenant sum.
@@ -1161,17 +1122,16 @@ mod tests {
             "last_dump_reason": "worker_panic",
             "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
         }"#;
-        validate_flight_summary_quiescent(&JsonValue::parse(summary).unwrap()).unwrap();
-        let bad = summary.replace("\"retained\": 4", "\"retained\": 5");
-        assert!(validate_flight_summary(&JsonValue::parse(&bad).unwrap()).is_err());
-        // A live scrape may catch writers between claim and write: fewer
-        // retained than claimed is valid mid-run, not at quiescence.
-        let midrun = summary
+        validate_flight_summary(&JsonValue::parse(summary).unwrap()).unwrap();
+        // `retained` is min(recorded, cap) exactly: neither more nor —
+        // with `by_kind` adjusted to agree — fewer.
+        let more = summary.replace("\"retained\": 4", "\"retained\": 5");
+        assert!(validate_flight_summary(&JsonValue::parse(&more).unwrap()).is_err());
+        let fewer = summary
             .replace("\"retained\": 4", "\"retained\": 3")
             .replace("\"admit\": 2", "\"admit\": 1");
-        let midrun = JsonValue::parse(&midrun).unwrap();
-        validate_flight_summary(&midrun).unwrap();
-        assert!(validate_flight_summary_quiescent(&midrun).is_err());
+        let err = validate_flight_summary(&JsonValue::parse(&fewer).unwrap()).unwrap_err();
+        assert!(err.contains("must be min"), "{err}");
 
         let dump = r#"{
             "kind": "nvwa-flight", "schema_version": 1,
@@ -1186,13 +1146,13 @@ mod tests {
                        "quota": 0}
         }"#;
         validate_flight_dump(&JsonValue::parse(dump).unwrap()).unwrap();
-        // A mid-run dump may retain fewer events than `recorded` (slots
-        // claimed but not yet written at snapshot time) — never more.
-        let midrun = dump.replace("\"recorded\": 3", "\"recorded\": 5");
-        validate_flight_dump(&JsonValue::parse(&midrun).unwrap()).unwrap();
-        let inflated = dump.replace("\"recorded\": 3", "\"recorded\": 2");
-        let err = validate_flight_dump(&JsonValue::parse(&inflated).unwrap()).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        // The event list is min(recorded, cap) long, neither shorter nor
+        // longer.
+        for recorded in ["5", "2"] {
+            let off = dump.replace("\"recorded\": 3", &format!("\"recorded\": {recorded}"));
+            let err = validate_flight_dump(&JsonValue::parse(&off).unwrap()).unwrap_err();
+            assert!(err.contains("must be min"), "{err}");
+        }
         // Digest must agree with the event list.
         let lying = dump.replace("\"panic\": 1", "\"panic\": 2");
         let err = validate_flight_dump(&JsonValue::parse(&lying).unwrap()).unwrap_err();

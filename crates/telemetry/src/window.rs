@@ -11,10 +11,7 @@
 //! Like the batcher, everything here is a pure state machine over
 //! **explicit timestamps** (`u64` ticks — microseconds on the wall clock,
 //! cycles under the sim clock): nothing reads a clock, so the same sample
-//! sequence always produces the same state, and shards feeding the same
-//! timestamps merge bit-identically at any thread count (`merge_from`
-//! aligns buckets by absolute step index, exactly like
-//! [`Histogram::merge`] aligns buckets by edge).
+//! sequence always produces the same state.
 //!
 //! [`SloWindow`] packages the serve-path signal set — per-length-bin
 //! latency histograms plus admitted/shed/deadline rate counters — and
@@ -141,26 +138,6 @@ impl RollingHistogram {
         }
         merged
     }
-
-    /// Merges `other`'s buckets into `self`, aligned by absolute step
-    /// index. Deterministic: shards that saw the same timestamps merge to
-    /// the same state regardless of how samples were partitioned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn merge_from(&mut self, other: &RollingHistogram) {
-        assert_eq!(self.config, other.config, "window geometry mismatch");
-        let n = self.slots.len() as u64;
-        advance(&mut self.slots, &mut self.latest, other.latest);
-        for s in live_range(other.latest, n) {
-            if live_range(self.latest, n).contains(&s) {
-                let src = &other.slots[(s % n) as usize];
-                self.slots[(s % n) as usize].merge(src);
-            }
-        }
-        self.dropped_late += other.dropped_late;
-    }
 }
 
 /// A counter over the trailing window: a ring of per-step counts.
@@ -209,23 +186,6 @@ impl RollingCounter {
         live_range(self.latest, n)
             .map(|s| self.slots[(s % n) as usize])
             .sum()
-    }
-
-    /// Merges `other` bucket-wise by absolute step index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn merge_from(&mut self, other: &RollingCounter) {
-        assert_eq!(self.config, other.config, "window geometry mismatch");
-        let n = self.slots.len() as u64;
-        advance(&mut self.slots, &mut self.latest, other.latest);
-        for s in live_range(other.latest, n) {
-            if live_range(self.latest, n).contains(&s) {
-                self.slots[(s % n) as usize] += other.slots[(s % n) as usize];
-            }
-        }
-        self.dropped_late += other.dropped_late;
     }
 }
 
@@ -333,28 +293,6 @@ impl SloWindow {
             shed_rate: rate(shed, offered),
             deadline_miss_rate: rate(deadline_missed, admitted),
         }
-    }
-
-    /// Merges a shard's window (bucket-aligned; the gauge takes the max —
-    /// commutative, so shard order does not matter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometry or bin count differ.
-    pub fn merge_from(&mut self, other: &SloWindow) {
-        assert_eq!(
-            self.per_bin.len(),
-            other.per_bin.len(),
-            "bin count mismatch"
-        );
-        for (dst, src) in self.per_bin.iter_mut().zip(&other.per_bin) {
-            dst.merge_from(src);
-        }
-        self.admitted.merge_from(&other.admitted);
-        self.shed.merge_from(&other.shed);
-        self.deadline_missed.merge_from(&other.deadline_missed);
-        self.completed.merge_from(&other.completed);
-        self.queue_depth = self.queue_depth.max(other.queue_depth);
     }
 }
 
@@ -513,34 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_is_bit_identical_at_1_2_8_threads() {
-        // The same sample stream, partitioned round-robin over k shards,
-        // must merge to the reference state bit-for-bit for k ∈ {1, 2, 8}.
-        let samples: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 3, (i * 7) % 257)).collect();
-        let mut reference = RollingHistogram::new(cfg());
-        for &(t, v) in &samples {
-            reference.observe(t, v);
-        }
-        for k in [1usize, 2, 8] {
-            let mut shards: Vec<RollingHistogram> =
-                (0..k).map(|_| RollingHistogram::new(cfg())).collect();
-            for (i, &(t, v)) in samples.iter().enumerate() {
-                shards[i % k].observe(t, v);
-            }
-            let mut merged = shards.remove(0);
-            for shard in &shards {
-                merged.merge_from(shard);
-            }
-            assert_eq!(merged, reference, "k = {k}");
-            assert_eq!(
-                merged.view(1500).buckets(),
-                reference.clone().view(1500).buckets(),
-                "k = {k}"
-            );
-        }
-    }
-
-    #[test]
     fn slo_view_rates_and_json_shape() {
         let mut w = SloWindow::new(cfg(), 3);
         w.record_admitted(10, 4);
@@ -563,46 +473,6 @@ mod tests {
         assert_eq!(v.per_bin[2].count, 1);
         assert_eq!(v.queue_depth, 5.0);
         crate::snapshot::validate_slo_view(&v.to_json()).unwrap();
-    }
-
-    #[test]
-    fn slo_window_sharded_merge_is_deterministic() {
-        let events: Vec<u64> = (0..300).collect();
-        let run = |k: usize| -> SloWindow {
-            let mut shards: Vec<SloWindow> = (0..k).map(|_| SloWindow::new(cfg(), 2)).collect();
-            for &t in &events {
-                let s = &mut shards[(t as usize) % k];
-                match t % 5 {
-                    0 => s.record_admitted(t, 3),
-                    1 => s.record_shed(t),
-                    2 => s.record_deadline_missed(t, 1),
-                    _ => s.record_completed(t, (t % 2) as usize, t * 11 % 900),
-                }
-            }
-            let mut merged = shards.remove(0);
-            for shard in &shards {
-                merged.merge_from(shard);
-            }
-            merged
-        };
-        let reference = run(1);
-        for k in [2usize, 8] {
-            let merged = run(k);
-            assert_eq!(merged, reference, "k = {k}");
-            assert_eq!(
-                merged.clone().view(299).to_json().to_string_compact(),
-                reference.clone().view(299).to_json().to_string_compact(),
-                "k = {k}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window geometry mismatch")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = RollingCounter::new(WindowConfig::new(100, 10));
-        let b = RollingCounter::new(WindowConfig::new(100, 20));
-        a.merge_from(&b);
     }
 
     #[test]
@@ -640,37 +510,6 @@ mod tests {
         let h = r.view(150);
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), Some(2));
-    }
-
-    #[test]
-    fn merge_with_misaligned_now() {
-        // Shards advance independently; merge aligns by absolute slot.
-        // A is at slot 15 (live 6..=15), B stopped at slot 12 with one
-        // sample inside A's window (slot 12) and one already outside it
-        // (slot 4). Merging B into A keeps only the overlap.
-        let mut a = RollingHistogram::new(cfg());
-        a.observe(150, 1);
-        let mut b = RollingHistogram::new(cfg());
-        b.observe(45, 2); // slot 4 — stale from A's perspective
-        b.observe(125, 3); // slot 12 — live in both
-        let mut ab = a.clone();
-        ab.merge_from(&b);
-        let h = ab.view(150);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), Some(3)); // slot-4 sample silently aged out
-                                      // Merging the other way advances B to A's later `now` first, so
-                                      // B's own stale bucket expires and the result is identical.
-        let mut ba = b.clone();
-        ba.merge_from(&a);
-        assert_eq!(ba.view(150).buckets(), ab.view(150).buckets());
-        // A shard so far behind that none of its buckets overlap
-        // contributes nothing but its late-drop count.
-        let mut far = RollingHistogram::new(cfg());
-        far.observe(40, 9); // latest = 4, live 0..=4: no overlap with 6..=15
-        far.observe(1, 9);
-        let mut af = a.clone();
-        af.merge_from(&far);
-        assert_eq!(af.view(150).count(), 1); // only A's own sample survives
     }
 
     proptest::proptest! {

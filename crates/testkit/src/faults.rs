@@ -69,7 +69,7 @@ pub enum FaultKind {
     /// the edge must shed explicitly and conservation must still hold.
     QueueStorm,
     /// Structure-aware fuzzing of the only door: seeded mutations of
-    /// *valid* request frames ([`frame_mutants`]). Every mutant is
+    /// *valid* request frames (`frame_mutants`). Every mutant is
     /// answered `error` or dropped, never served and never a panic on the
     /// reactor thread, and a fresh well-formed request after each one is
     /// still answered `ok`.

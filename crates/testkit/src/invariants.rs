@@ -16,9 +16,9 @@
 //! 4. **Monotonic, bounded time** — every trace span starts at or after
 //!    cycle 0 and ends at or before the run's total time; utilizations
 //!    are in `(0, 1]`.
-//! 5. **Report/registry agreement** — the [`SimReport`] view matches the
-//!    registry counters and gauges it claims to summarize, and the
-//!    latency histograms saw every read and every dispatched hit.
+//! 5. **Report/registry agreement** — the [`nvwa_core::SimReport`] view
+//!    matches the registry counters and gauges it claims to summarize, and
+//!    the latency histograms saw every read and every dispatched hit.
 
 use nvwa_core::config::NvwaConfig;
 use nvwa_core::system::{simulate_instrumented, SimOptions, SimRun};

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints, the tier-1 build+test suite, the
-# telemetry artifact checks, the benchmark smoke run, the serve smoke
-# tests, the conformance sweep and the per-crate line count. Run from the
-# repository root: ./scripts/check.sh
+# Repo gate: formatting, lints, rustdoc links, the tier-1 build+test
+# suite, the telemetry artifact checks, the benchmark smoke run, the serve
+# smoke tests, the conformance sweep and the per-crate line count. Run
+# from the repository root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -11,6 +11,9 @@ set -eu
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# A doc link to something renamed, deleted or private is an error: a
+# deletion that leaves a dangling reference fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release
 cargo test -q
 

@@ -1,21 +1,8 @@
 //! `nvwa` — command-line front end to the reproduction.
 //!
-//! ```text
-//! nvwa [sim] [--reads N] [--seed S] [--trace-out t.json] [--metrics-out m.json]
-//! nvwa synth-ref  <out.fa> [--len N] [--chromosomes N] [--seed S]
-//! nvwa synth-reads <ref.fa> <out.fq> [--count N] [--len N] [--seed S]
-//! nvwa align      <ref.fa> <reads.fq> [--sam out.sam] [--simulate]
-//!                 [--trace-out t.json] [--metrics-out m.json] [--threads N]
-//! nvwa serve      [--addr H:P] [--addr-file PATH] [--ref ref.fa]
-//!                 [--ref-len N] [--ref-seed S] [--queue-cap N] [--workers N]
-//!                 [--batch-max N] [--batch-wait-us U] [--deadline-ms D]
-//!                 [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]
-//!                 [--tenant KEY[:SHARDS[:QUOTA]]]...
-//!                 [--tenant-scale F] [--registry-budget BYTES]
-//! nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]
-//!                 [--families diff,extension,invariants,faults,registry,long_read]
-//!                 [--family NAME] [--repro-dir DIR] [--threads N]
-//! ```
+//! Six subcommands — `sim` (the default), `synth-ref`, `synth-reads`,
+//! `align`, `serve`, `conformance`; an unknown subcommand prints each
+//! one's synopsis from the one table (`SUBCOMMANDS`) that lists its flags.
 //!
 //! An unrecognised `--flag` is a usage error (exit 2, the flag named on
 //! stderr) before any work: a typo or a removed flag never runs defaults.
@@ -56,6 +43,7 @@ use nvwa::core::system::{simulate_instrumented, SimOptions, SimRun};
 use nvwa::core::units::workload::{ReadWork, SyntheticWorkloadParams};
 use nvwa::genome::fasta;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
+use nvwa::sim::par::{usage_synopsis, FlagSpec};
 use nvwa::telemetry::{cycles_to_us, SnapshotMeta, PID_HOST};
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -76,51 +64,50 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 
 type Run = fn(&[String]) -> ExitCode;
 
-/// Every subcommand with the flags it accepts; anything else starting
-/// with `--` is refused before the subcommand runs. Keep in step with
-/// `usage`.
-#[rustfmt::skip] // one row per subcommand, flags in usage order
-const SUBCOMMANDS: &[(&str, Run, &[&str])] = &[
-    ("sim", sim, &["--reads", "--seed", "--trace-out", "--metrics-out", "--threads"]),
-    ("synth-ref", synth_ref, &["--len", "--chromosomes", "--seed"]),
-    ("synth-reads", synth_reads, &["--count", "--len", "--seed"]),
-    ("align", align, &["--sam", "--simulate", "--trace-out", "--metrics-out", "--threads"]),
-    ("serve", serve, &[
-        "--addr", "--addr-file", "--ref", "--ref-len", "--ref-seed", "--queue-cap", "--workers",
-        "--batch-max", "--batch-wait-us", "--deadline-ms", "--long-deadline-ms",
-        "--classify-deadline-ms", "--backend", "--frontend", "--metrics-out", "--trace-out",
-        "--span-log-out", "--span-log-cap", "--flight-dump", "--flight-cap",
-        "--slo-window-ms", "--slo-step-ms", "--shed-storm",
-        "--tenant", "--tenant-scale", "--registry-budget",
-        "--debug-worker-delay-us", "--debug-worker-panic-at-batch", "--threads",
+/// Every subcommand: name, entry point, positional synopsis, and the flags
+/// it accepts with their value placeholders. Anything else starting with
+/// `--` is refused before the subcommand runs, and `usage` prints this
+/// table — a flag is listed here and nowhere else.
+#[rustfmt::skip] // one row per subcommand
+const SUBCOMMANDS: &[(&str, Run, &str, &[FlagSpec])] = &[
+    ("sim", sim, "[sim]", &[
+        ("--reads", "N"), ("--seed", "S"), ("--trace-out", "t.json"),
+        ("--metrics-out", "m.json"), ("--threads", "N"),
     ]),
-    ("conformance", conformance, &[
-        "--seed", "--seed-from-ci", "--cases", "--serve-reads", "--families", "--family",
-        "--repro-dir", "--threads",
+    ("synth-ref", synth_ref, "synth-ref <out.fa>", &[
+        ("--len", "N"), ("--chromosomes", "N"), ("--seed", "S"),
+    ]),
+    ("synth-reads", synth_reads, "synth-reads <ref.fa> <out.fq>", &[
+        ("--count", "N"), ("--len", "N"), ("--seed", "S"),
+    ]),
+    ("align", align, "align <ref.fa> <reads.fq>", &[
+        ("--sam", "out.sam"), ("--simulate", ""), ("--trace-out", "t.json"),
+        ("--metrics-out", "m.json"), ("--threads", "N"),
+    ]),
+    ("serve", serve, "serve", &[
+        ("--addr", "H:P"), ("--addr-file", "PATH"), ("--ref", "ref.fa"), ("--ref-len", "N"),
+        ("--ref-seed", "S"), ("--queue-cap", "N"), ("--workers", "N"), ("--batch-max", "N"),
+        ("--batch-wait-us", "U"), ("--deadline-ms", "D"), ("--long-deadline-ms", "D"),
+        ("--classify-deadline-ms", "D"), ("--backend", "sw|hil"), ("--frontend", "reactor"),
+        ("--metrics-out", "m.json"), ("--trace-out", "t.json"), ("--span-log-out", "s.json"),
+        ("--span-log-cap", "N"), ("--flight-dump", "DIR"), ("--flight-cap", "N"),
+        ("--slo-window-ms", "W"), ("--slo-step-ms", "S"), ("--shed-storm", "N"),
+        ("--tenant", "KEY[:SHARDS[:QUOTA]]..."), ("--tenant-scale", "F"),
+        ("--registry-budget", "BYTES"), ("--debug-worker-delay-us", "U"),
+        ("--debug-worker-panic-at-batch", "N"), ("--threads", "N"),
+    ]),
+    ("conformance", conformance, "conformance", &[
+        ("--seed", "S..."), ("--seed-from-ci", ""), ("--cases", "N"), ("--serve-reads", "N"),
+        ("--families", "diff,extension,invariants,faults,registry,long_read"),
+        ("--family", "NAME..."), ("--repro-dir", "DIR"), ("--threads", "N"),
     ]),
 ];
 
 fn usage() -> ExitCode {
     eprintln!("usage:");
-    eprintln!(
-        "  nvwa [sim]       [--reads N] [--seed S] [--trace-out t.json] [--metrics-out m.json]"
-    );
-    eprintln!("  nvwa synth-ref   <out.fa> [--len N] [--chromosomes N] [--seed S]");
-    eprintln!("  nvwa synth-reads <ref.fa> <out.fq> [--count N] [--len N] [--seed S]");
-    eprintln!("  nvwa align       <ref.fa> <reads.fq> [--sam out.sam] [--simulate]");
-    eprintln!("                   [--trace-out t.json] [--metrics-out m.json] [--threads N]");
-    eprintln!("  nvwa serve       [--addr H:P] [--addr-file PATH] [--ref ref.fa]");
-    eprintln!("                   [--ref-len N] [--ref-seed S] [--queue-cap N] [--workers N]");
-    eprintln!("                   [--batch-max N] [--batch-wait-us U] [--deadline-ms D]");
-    eprintln!("                   [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]");
-    eprintln!("                   [--span-log-out s.json] [--flight-dump DIR] [--flight-cap N]");
-    eprintln!("                   [--slo-window-ms W] [--slo-step-ms S] [--shed-storm N]");
-    eprintln!("                   [--tenant KEY[:SHARDS[:QUOTA]]]...");
-    eprintln!("                   [--tenant-scale F] [--registry-budget BYTES]");
-    eprintln!("  nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]");
-    eprintln!("                   [--families diff,extension,invariants,faults,registry,");
-    eprintln!("                    long_read]");
-    eprintln!("                   [--family NAME] [--repro-dir DIR]");
+    for (_, _, positional, flags) in SUBCOMMANDS {
+        eprintln!("{}", usage_synopsis(&format!("  nvwa {positional}"), flags));
+    }
     ExitCode::FAILURE
 }
 
@@ -136,7 +123,7 @@ fn main() -> ExitCode {
         Some(first) if first.starts_with("--") => ("sim", &args[..]),
         Some(name) => (name, &args[1..]),
     };
-    let Some(&(_, run, known)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == sub) else {
+    let Some(&(_, run, _, known)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == sub) else {
         return usage();
     };
     if let Err(e) = nvwa::sim::par::reject_unknown_flags(rest, known) {

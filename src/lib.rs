@@ -3,9 +3,9 @@
 //! Facade crate re-exporting the full NvWa reproduction workspace:
 //!
 //! * [`genome`] — synthetic references + read simulation (GRCh38/NA12878/DWGSIM substitute).
-//! * [`index`] — suffix array, BWT, FM/FMD-index, SMEM search, k-mer hash index.
+//! * [`index`] — suffix array, BWT, FM/FMD-index, SMEM search, minimizers.
 //! * [`align`] — affine-gap Smith-Waterman, chaining, GACT, software aligner.
-//! * [`sim`] — cycle-accurate event kernel, HBM model, statistics.
+//! * [`sim`] — cycle-accurate event kernel, HBM model, the parallel map.
 //! * [`telemetry`] — metrics registry, stall attribution, Chrome-trace
 //!   export and the snapshot/validation tooling (DESIGN.md §8).
 //! * [`core`] — the NvWa accelerator itself: Seeding Scheduler (One-Cycle Read

@@ -1,6 +1,7 @@
 //! A numeric flag the CLI cannot parse, or a flag it does not know, is a
 //! usage error (exit 2, the flag named on stderr) before any work — never
-//! a silent default.
+//! a silent default. The usage text is printed from the table that check
+//! reads, so it lists every flag the binary accepts.
 
 #[test]
 fn unparsable_flag_values_exit_2_naming_the_flag() {
@@ -36,5 +37,27 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
         assert_eq!(out.status.code(), Some(2), "{args}");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with(message));
         assert!(out.stdout.is_empty(), "{args}: did work before refusing");
+    }
+}
+
+#[test]
+fn an_unknown_subcommand_prints_every_flag_of_every_subcommand() {
+    let src = include_str!("../src/bin/nvwa.rs");
+    let table = src.split_once("const SUBCOMMANDS").expect("table exists").1;
+    let table = table.split_once("\n];").expect("table ends").0;
+    let flags: Vec<&str> = table.split('"').filter(|s| s.starts_with("--")).collect();
+    assert!(flags.len() >= 50, "table not found: {flags:?}");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvwa"))
+        .arg("nosuchcommand")
+        .output()
+        .expect("nvwa runs");
+    assert!(!out.status.success());
+    let usage = String::from_utf8_lossy(&out.stderr);
+    for flag in flags {
+        let listed = [format!("[{flag} "), format!("[{flag}]")];
+        assert!(
+            listed.iter().any(|l| usage.contains(l)),
+            "usage omits {flag}"
+        );
     }
 }

@@ -15,7 +15,7 @@ use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa::serve::{BatcherConfig, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{
-    validate_flight_summary_quiescent, validate_span_log, validate_stats_response,
+    validate_flight_summary, validate_span_log, validate_stats_response,
 };
 use nvwa::telemetry::{JsonValue, Outcome, RequestSpans};
 
@@ -137,10 +137,9 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
         "every scrape validated; first failure: {:?}",
         report.scrape_last_error
     );
-    // Live scrapes check the always-identities; with every thread joined
-    // the ring must also satisfy the quiescent equality.
-    validate_flight_summary_quiescent(&metrics.flight().summary_json())
-        .expect("quiescent flight summary");
+    // Live scrapes checked the ring identities mid-run; with every thread
+    // joined the final summary must satisfy them too.
+    validate_flight_summary(&metrics.flight().summary_json()).expect("quiescent flight summary");
     assert!(
         report.stats_snapshots.len() >= 2,
         "want ≥2 mid-run snapshots, got {}",

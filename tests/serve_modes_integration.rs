@@ -16,9 +16,13 @@
 //!   denominator equal to the read's actual minimizer count;
 //! * the three modes coexist on one server and one connection — the
 //!   per-mode bins batch them separately but the conservation law
-//!   (`ok + unmapped == received == sent`) holds across the mix.
+//!   (`ok + unmapped == received == sent`) holds across the mix;
+//! * the server's per-mode default deadlines (`long_deadline`,
+//!   `classify_deadline`) apply to their mode only, fall back to
+//!   `default_deadline`, and lose to a request's own `deadline_ms`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
 use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
@@ -26,7 +30,7 @@ use nvwa::genome::species::Species;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::index::minimizer::{minimizers, MinimizerParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
-use nvwa::serve::{Mode, Server, ServerConfig, Tenant};
+use nvwa::serve::{BatcherConfig, Mode, Server, ServerConfig, Status, Tenant};
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -315,5 +319,100 @@ fn mixed_modes_coexist_on_one_server() {
                 assert!(resp.alignment.is_none(), "read {id}: no alignment fields");
             }
         }
+    }
+}
+
+/// Expiry is decided when a request's bin flushes. One request in flight
+/// at a time (closed loop, window 1) never fills a bin, so every bin
+/// flushes on its 10 ms timer: a request under a 1 ms server default has
+/// always expired by then and one carrying its own 60 s `deadline_ms`
+/// never has — no assertion depends on how fast the worker is.
+#[test]
+fn per_mode_default_deadlines_apply_and_fall_back() {
+    let params = ref_params(REF_LEN);
+    let genome = ReferenceGenome::synthesize(&params, REF_SEED);
+    let index = Arc::new(ReferenceIndex::build(&genome, 32));
+    let mut short_sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 11);
+    let mut shorts = short_sim.simulate_reads(8).into_iter();
+    let mut short = || shorts.next().expect("8 shorts").seq.codes().to_vec();
+    let longs = loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 4, LONG_LEN);
+    let mut reads: Vec<TenantRead> = Vec::new();
+    for long in longs {
+        for (codes, mode) in [
+            (short(), Mode::Short),
+            (short(), Mode::Classify),
+            (long, Mode::Long),
+        ] {
+            reads.push(TenantRead {
+                tenant: None,
+                codes,
+                region: None,
+                mode,
+            });
+        }
+    }
+
+    let tick = Some(Duration::from_millis(1));
+    let flush = Duration::from_millis(10);
+    for (long_deadline, classify_deadline, default_deadline, expiring) in [
+        // Per-mode defaults bind their own mode and leave short alone.
+        (tick, tick, None, &[Mode::Long, Mode::Classify][..]),
+        // With none set, every mode falls back to the general default.
+        (
+            None,
+            None,
+            tick,
+            &[Mode::Short, Mode::Long, Mode::Classify][..],
+        ),
+    ] {
+        let server = Server::start(
+            vec![Tenant::single(Arc::clone(&index))],
+            ServerConfig {
+                workers: 1,
+                batch: BatcherConfig {
+                    max_wait: flush,
+                    long_max_wait: flush,
+                    classify_max_wait: flush,
+                    ..BatcherConfig::default()
+                },
+                long_deadline,
+                classify_deadline,
+                default_deadline,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server start");
+        let addr = server.local_addr().to_string();
+        let run = |deadline_ms| {
+            let config = LoadgenConfig {
+                connections: 1,
+                mode: ArrivalMode::Closed { window: 1 },
+                deadline_ms,
+                collect_responses: true,
+                ..LoadgenConfig::default()
+            };
+            let report = loadgen::run_tenants(&addr, &reads, &config).expect("loadgen run");
+            assert_eq!((report.lost, report.duplicates), (0, 0), "{report:?}");
+            assert_eq!(report.received, reads.len() as u64, "{report:?}");
+            report
+        };
+        let server_defaults = run(None);
+        let own_deadline = run(Some(60_000));
+        server.shutdown();
+
+        for (id, read) in reads.iter().enumerate() {
+            let status = server_defaults.responses[&(id as u64)].status;
+            if expiring.contains(&read.mode) {
+                assert_eq!(status, Status::Deadline, "read {id} ({:?})", read.mode);
+            } else {
+                assert_eq!(status, Status::Ok, "read {id} ({:?})", read.mode);
+            }
+        }
+        assert_eq!(own_deadline.deadline, 0, "{own_deadline:?}");
+        assert_eq!(
+            own_deadline.ok + own_deadline.unmapped,
+            own_deadline.received,
+            "a request's own deadline_ms beats the server default: {own_deadline:?}"
+        );
     }
 }
