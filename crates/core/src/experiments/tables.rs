@@ -104,8 +104,8 @@ pub fn table2() -> Table2 {
     }
 }
 
-/// Table III — the unified interface, rendered from the actual Rust types
-/// so documentation and implementation cannot drift.
+/// Table III — the unified interface as fixed text, each row naming the
+/// `interface` type that implements it (nothing checks the two agree).
 pub fn table3() -> String {
     let mut out = String::new();
     out.push_str("Table III — unified interface definitions\n");

@@ -15,7 +15,7 @@ pub enum UnitStatus {
     Idle,
     /// Executing.
     Busy,
-    /// Halted (drained / end of input).
+    /// Suspended on a full hits buffer (Fig. 13a): holds work it cannot hand on.
     Stop,
 }
 

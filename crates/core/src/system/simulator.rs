@@ -6,6 +6,14 @@
 //! bits change — so the cycle-level scheduling semantics of the paper are
 //! preserved without stepping empty cycles.
 //!
+//! Each unit's state is held once: its Table III [`UnitStatus`] together
+//! with what that status owns (`SuState`, `EuState::running`). It changes
+//! only in `set_su` / `set_eu`, which move the per-status counts with it, so
+//! whole-pool questions (seeding finished? every active SU suspended? idle
+//! EUs?) read a count. A pool is walked only where index order is part of
+//! the statistics: the status bits the read scheduler sees, a round's
+//! idle-EU list, the FIFO head's unit search, the retry of suspended SUs.
+//!
 //! Statistics flow through `nvwa-telemetry`: counters and histograms live
 //! in a [`MetricsRegistry`], per-pool busy/idle-by-cause integrals in two
 //! [`StallTracker`]s (synchronized once per event, which is the only time
@@ -28,7 +36,7 @@ use crate::config::{EuClass, NvwaConfig};
 use crate::coordinator::allocator::{AllocPolicy, AllocateJudger, HitsAllocator, IdleEu};
 use crate::coordinator::hits_buffer::HitsBuffer;
 use crate::extension::trigger::AllocateTrigger;
-use crate::interface::Hit;
+use crate::interface::{Hit, UnitStatus};
 use crate::seeding::batch::BatchScheduler;
 use crate::seeding::ocra::OneCycleReadAllocator;
 use crate::seeding::read_spm::ReadSpm;
@@ -69,11 +77,41 @@ enum Event {
     AllocDone,
 }
 
+/// A seeding unit's status with what that status owns, so "busy without a
+/// read" or "suspended without a start cycle" cannot be written down.
+#[derive(Debug, Clone, Copy)]
+enum SuState {
+    Idle,
+    /// Seeding `read` since cycle `issued`.
+    Busy {
+        read: usize,
+        issued: Cycle,
+    },
+    /// Suspended on a full buffer since cycle `since` (the blocking state
+    /// of Fig. 13a): `read`'s hits from index `next` on are not yet pushed.
+    Stop {
+        read: usize,
+        next: usize,
+        since: Cycle,
+    },
+}
+
+impl SuState {
+    fn status(&self) -> UnitStatus {
+        match self {
+            SuState::Idle => UnitStatus::Idle,
+            SuState::Busy { .. } => UnitStatus::Busy,
+            SuState::Stop { .. } => UnitStatus::Stop,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct EuState {
     pes: u32,
     class_idx: usize,
-    busy: bool,
+    /// Issue cycle and hit length of the running task; `None` when idle.
+    running: Option<(Cycle, u32)>,
 }
 
 enum HitPath {
@@ -136,9 +174,9 @@ struct SimState<'w> {
     now: Cycle,
     events: EventQueue<Event>,
     // Seeding side.
-    su_busy: Vec<bool>,
-    su_read: Vec<Option<usize>>,
-    su_stalled: Vec<Option<Vec<Hit>>>,
+    sus: Vec<SuState>,
+    /// SUs per status, indexed by `UnitStatus as usize`; moved by `set_su`.
+    su_counts: [u32; 3],
     next_read: u64,
     ocra: OneCycleReadAllocator,
     batch: BatchScheduler,
@@ -147,7 +185,8 @@ struct SimState<'w> {
     hbm: Hbm,
     // Extension side.
     eus: Vec<EuState>,
-    traceback: Cycle,
+    /// EUs with a running task; moved by `set_eu`.
+    eu_busy: u32,
     path: HitPath,
     // Telemetry.
     metrics: MetricsRegistry,
@@ -155,9 +194,6 @@ struct SimState<'w> {
     su_stall: StallTracker,
     eu_stall: StallTracker,
     trace: Option<TraceRecorder>,
-    su_issued_at: Vec<Cycle>,
-    su_stall_since: Vec<Option<Cycle>>,
-    eu_issued: Vec<Option<(Cycle, u32)>>,
     matrix: Vec<Vec<u64>>,
 }
 
@@ -192,7 +228,7 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
             eus.push(EuState {
                 pes: c.pes,
                 class_idx,
-                busy: false,
+                running: None,
             });
         }
     }
@@ -231,9 +267,8 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         works,
         now: 0,
         events: EventQueue::new(),
-        su_busy: vec![false; config.su_count as usize],
-        su_read: vec![None; config.su_count as usize],
-        su_stalled: vec![None; config.su_count as usize],
+        sus: vec![SuState::Idle; config.su_count as usize],
+        su_counts: [config.su_count, 0, 0],
         next_read: 0,
         ocra: OneCycleReadAllocator::new(config.su_count as usize),
         batch: BatchScheduler::new(config.su_count as usize),
@@ -241,16 +276,13 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         read_spm: ReadSpm::for_su_pool(config.su_count),
         hbm: Hbm::new(config.hbm),
         eus,
-        traceback: config.traceback_cycles,
+        eu_busy: 0,
         path,
         metrics,
         ids,
         su_stall: StallTracker::new(config.su_count, config.stats_bucket),
         eu_stall: StallTracker::new(total_eus, config.stats_bucket),
         trace,
-        su_issued_at: vec![0; config.su_count as usize],
-        su_stall_since: vec![None; config.su_count as usize],
-        eu_issued: vec![None; total_eus as usize],
         matrix: vec![vec![0; eu_classes.len()]; HIT_INTERVALS.len()],
         config: config.clone(),
     };
@@ -281,19 +313,27 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
 }
 
 impl SimState<'_> {
-    /// SUs actively seeding (busy and not suspended on a full buffer).
-    fn running_su_count(&self) -> u32 {
-        self.su_busy
-            .iter()
-            .zip(&self.su_stalled)
-            .filter(|(&b, s)| b && s.is_none())
-            .count() as u32
+    /// The only place an SU changes status: the counts move with it.
+    fn set_su(&mut self, su: usize, next: SuState) {
+        self.su_counts[self.sus[su].status() as usize] -= 1;
+        self.su_counts[next.status() as usize] += 1;
+        self.sus[su] = next;
+    }
+
+    /// The only place an EU changes status: the busy count moves with it.
+    fn set_eu(&mut self, eu: usize, running: Option<(Cycle, u32)>) {
+        self.eu_busy -= self.eus[eu].running.is_some() as u32;
+        self.eu_busy += running.is_some() as u32;
+        self.eus[eu].running = running;
+    }
+
+    fn su_count(&self, status: UnitStatus) -> u32 {
+        self.su_counts[status as usize]
     }
 
     fn seeding_finished(&self) -> bool {
         self.next_read as usize >= self.works.len()
-            && self.su_busy.iter().all(|&b| !b)
-            && self.su_stalled.iter().all(|s| s.is_none())
+            && self.su_count(UnitStatus::Idle) == self.config.su_count
     }
 
     /// Why every currently idle EU is idle: hits waiting but undispatched
@@ -329,9 +369,14 @@ impl SimState<'_> {
     /// status only changes at event boundaries, so intra-event states are
     /// zero-length and integrating the post-event state is exact.
     fn sync_stats(&mut self) {
-        let running = self.running_su_count();
-        let suspended = self.su_stalled.iter().filter(|s| s.is_some()).count() as u32;
-        let idle = self.config.su_count - running - suspended;
+        debug_assert!(
+            [UnitStatus::Idle, UnitStatus::Busy, UnitStatus::Stop]
+                .iter()
+                .all(|&st| self.sus.iter().filter(|s| s.status() == st).count()
+                    == self.su_count(st) as usize)
+                && self.eus.iter().filter(|e| e.running.is_some()).count() == self.eu_busy as usize,
+            "a unit changed status outside set_su / set_eu"
+        );
         let idle_cause = if (self.next_read as usize) < self.works.len() {
             // Reads remain but the scheduler has not issued one: the
             // Read-in-Batch barrier (OCRA refills every idle SU, so this
@@ -342,17 +387,16 @@ impl SimState<'_> {
         };
         self.su_stall.set_state(
             self.now,
-            PoolState::all_busy(running)
-                .with_idle(StallCause::StoreBufferFull, suspended)
-                .with_idle(idle_cause, idle),
+            PoolState::all_busy(self.su_count(UnitStatus::Busy))
+                .with_idle(StallCause::StoreBufferFull, self.su_count(UnitStatus::Stop))
+                .with_idle(idle_cause, self.su_count(UnitStatus::Idle)),
         );
 
-        let eu_busy = self.eus.iter().filter(|e| e.busy).count() as u32;
-        let eu_idle = self.eus.len() as u32 - eu_busy;
+        let eu_idle = self.eus.len() as u32 - self.eu_busy;
         let eu_cause = self.eu_idle_cause();
         self.eu_stall.set_state(
             self.now,
-            PoolState::all_busy(eu_busy).with_idle(eu_cause, eu_idle),
+            PoolState::all_busy(self.eu_busy).with_idle(eu_cause, eu_idle),
         );
     }
 
@@ -366,12 +410,11 @@ impl SimState<'_> {
         if remaining == 0 {
             return;
         }
-        // A stalled SU is not schedulable: report it busy.
+        // A suspended SU is not schedulable: report it busy.
         let busy: Vec<bool> = self
-            .su_busy
+            .sus
             .iter()
-            .zip(&self.su_stalled)
-            .map(|(&b, s)| b || s.is_some())
+            .map(|s| s.status() != UnitStatus::Idle)
             .collect();
         let (assigned, new_next) = if self.config.scheduling.ocra {
             self.ocra.allocate(&busy, self.next_read, remaining)
@@ -382,7 +425,8 @@ impl SimState<'_> {
         self.next_read = new_next;
         for (su, read) in assigned.into_iter().enumerate() {
             let Some(read_idx) = read else { continue };
-            let work = &self.works[read_idx as usize];
+            let read = read_idx as usize;
+            let work = &self.works[read];
             // One cycle for the allocator itself, then the read load.
             let load = self.read_spm.load_latency(read_idx, offset_before);
             let start = self.now + 1 + load;
@@ -390,37 +434,38 @@ impl SimState<'_> {
                 .su_model
                 .seeding_latency(start, work, &mut self.hbm)
                 .max(self.now + 1);
-            self.su_busy[su] = true;
-            self.su_read[su] = Some(read_idx as usize);
-            self.su_issued_at[su] = self.now;
+            let issued = self.now;
+            self.set_su(su, SuState::Busy { read, issued });
             self.metrics.inc(self.ids.reads_issued, 1);
             self.events.push(done, Event::SuDone { su });
         }
     }
 
     fn on_su_done(&mut self, su: usize) {
-        let read_idx = self.su_read[su].expect("SU completion without a read");
+        let SuState::Busy { read, issued } = self.sus[su] else {
+            unreachable!("SuDone only fires for a seeding SU");
+        };
         self.metrics
-            .observe(self.ids.read_cycles, self.now - self.su_issued_at[su]);
+            .observe(self.ids.read_cycles, self.now - issued);
         if let Some(rec) = &mut self.trace {
             rec.complete_with_args(
                 PID_ACCELERATOR,
                 su as u32,
-                &format!("read {read_idx}"),
-                nvwa_telemetry::cycles_to_us(self.su_issued_at[su]),
-                nvwa_telemetry::cycles_to_us(self.now - self.su_issued_at[su]),
-                &[("read", read_idx as f64)],
+                &format!("read {read}"),
+                nvwa_telemetry::cycles_to_us(issued),
+                nvwa_telemetry::cycles_to_us(self.now - issued),
+                &[("read", read as f64)],
             );
         }
-        let hits: Vec<Hit> = self.works[read_idx].hits.clone();
-        self.finish_or_stall(su, hits);
+        self.finish_or_stall(su, read, 0, None);
     }
 
-    /// Pushes a SU's hits toward the extension side; suspends the SU when
-    /// the buffer is full (the blocking state of Fig. 13a).
-    fn finish_or_stall(&mut self, su: usize, hits: Vec<Hit>) {
-        let mut pending = hits;
-        while let Some(hit) = pending.first().copied() {
+    /// Pushes `read`'s hits from index `next` on toward the extension side;
+    /// suspends the SU when the buffer is full (the blocking state of
+    /// Fig. 13a). `since` is `Some` when this retries a suspended SU.
+    fn finish_or_stall(&mut self, su: usize, read: usize, mut next: usize, since: Option<Cycle>) {
+        let hits = &self.works[read].hits;
+        while let Some(&hit) = hits.get(next) {
             let accepted = match &mut self.path {
                 HitPath::Coordinator { buffer, .. } => buffer.push(hit).is_ok(),
                 HitPath::Fifo {
@@ -434,14 +479,13 @@ impl SimState<'_> {
                     }
                 }
             };
-            if accepted {
-                pending.remove(0);
-            } else {
+            if !accepted {
                 break;
             }
+            next += 1;
         }
-        if pending.is_empty() {
-            if let Some(since) = self.su_stall_since[su].take() {
+        if next == hits.len() {
+            if let Some(since) = since {
                 if let Some(rec) = &mut self.trace {
                     rec.complete(
                         PID_ACCELERATOR,
@@ -452,36 +496,33 @@ impl SimState<'_> {
                     );
                 }
             }
-            self.su_stalled[su] = None;
-            self.su_busy[su] = false;
-            self.su_read[su] = None;
+            self.set_su(su, SuState::Idle);
             self.schedule_reads();
         } else {
-            if self.su_stalled[su].is_none() {
+            if since.is_none() {
                 self.metrics.inc(self.ids.stall_events, 1);
-                self.su_stall_since[su] = Some(self.now);
             }
+            let since = since.unwrap_or(self.now);
             // A suspended SU holds its read but is not doing useful work:
             // it counts as unutilized (the paper's Fig. 13a "suspending
             // state").
-            self.su_stalled[su] = Some(pending);
+            self.set_su(su, SuState::Stop { read, next, since });
         }
     }
 
     fn on_eu_done(&mut self, eu: usize) {
-        self.eus[eu].busy = false;
-        if let Some((issued, hit_len)) = self.eu_issued[eu].take() {
-            self.metrics.observe(self.ids.hit_cycles, self.now - issued);
-            if let Some(rec) = &mut self.trace {
-                rec.complete_with_args(
-                    PID_ACCELERATOR,
-                    self.config.su_count + eu as u32,
-                    "hit",
-                    nvwa_telemetry::cycles_to_us(issued),
-                    nvwa_telemetry::cycles_to_us(self.now - issued),
-                    &[("hit_len", hit_len as f64)],
-                );
-            }
+        let (issued, hit_len) = self.eus[eu].running.expect("EU completion without a task");
+        self.set_eu(eu, None);
+        self.metrics.observe(self.ids.hit_cycles, self.now - issued);
+        if let Some(rec) = &mut self.trace {
+            rec.complete_with_args(
+                PID_ACCELERATOR,
+                self.config.su_count + eu as u32,
+                "hit",
+                nvwa_telemetry::cycles_to_us(issued),
+                nvwa_telemetry::cycles_to_us(self.now - issued),
+                &[("hit_len", hit_len as f64)],
+            );
         }
         if let HitPath::Coordinator { blocked, .. } = &mut self.path {
             *blocked = false;
@@ -504,7 +545,7 @@ impl SimState<'_> {
             .eus
             .iter()
             .enumerate()
-            .filter(|(_, e)| !e.busy)
+            .filter(|(_, e)| e.running.is_none())
             .map(|(unit_idx, e)| IdleEu {
                 unit_idx,
                 pes: e.pes,
@@ -547,19 +588,21 @@ impl SimState<'_> {
 
     /// Occupies EU `unit_idx` with `hit` and records the assignment.
     fn dispatch(&mut self, unit_idx: usize, hit: &Hit) {
-        let eu = &mut self.eus[unit_idx];
-        debug_assert!(!eu.busy, "dispatch to a busy EU");
-        eu.busy = true;
-        let model = EuModel::with_algorithm(eu.pes, self.traceback, self.config.eu_algorithm);
+        let eu = self.eus[unit_idx];
+        debug_assert!(eu.running.is_none(), "dispatch to a busy EU");
+        let model = EuModel::with_algorithm(
+            eu.pes,
+            self.config.traceback_cycles,
+            self.config.eu_algorithm,
+        );
         let done = self.now + model.task_latency(hit);
-        let class_idx = eu.class_idx;
         self.events.push(done, Event::EuDone { eu: unit_idx });
-        self.eu_issued[unit_idx] = Some((self.now, hit.hit_len()));
+        self.set_eu(unit_idx, Some((self.now, hit.hit_len())));
         let interval = HIT_INTERVALS
             .iter()
             .position(|&b| hit.hit_len() as usize <= b)
             .unwrap_or(HIT_INTERVALS.len() - 1);
-        self.matrix[interval][class_idx] += 1;
+        self.matrix[interval][eu.class_idx] += 1;
         self.metrics.inc(self.ids.hits_dispatched, 1);
     }
 
@@ -571,7 +614,7 @@ impl SimState<'_> {
             let mut progressed = self.try_switch(draining);
             progressed |= self.try_trigger(draining);
             progressed |= self.try_fifo_dispatch();
-            progressed |= self.resume_stalled();
+            progressed |= self.su_count(UnitStatus::Stop) > 0 && self.resume_stalled();
             if !progressed {
                 break;
             }
@@ -581,13 +624,9 @@ impl SimState<'_> {
     /// Buffer switch: threshold reached, or forced when the producers are
     /// done (or every active SU is suspended on a full Store Buffer).
     fn try_switch(&mut self, draining: bool) -> bool {
-        let all_stalled = self.su_stalled.iter().any(|s| s.is_some())
-            && self
-                .su_stalled
-                .iter()
-                .zip(&self.su_busy)
-                .all(|(s, &b)| s.is_some() || !b);
-        let coordinator_tid = self.config.su_count + self.eus.len() as u32;
+        let all_stalled =
+            self.su_count(UnitStatus::Stop) > 0 && self.su_count(UnitStatus::Busy) == 0;
+        let coordinator_tid = self.coordinator_tid();
         let HitPath::Coordinator {
             buffer, blocked, ..
         } = &mut self.path
@@ -613,8 +652,8 @@ impl SimState<'_> {
 
     /// Allocate Trigger → Judger → scheduled round.
     fn try_trigger(&mut self, draining: bool) -> bool {
-        let idle = self.eus.iter().filter(|e| !e.busy).count();
         let total = self.eus.len();
+        let idle = total - self.eu_busy as usize;
         let HitPath::Coordinator {
             buffer,
             judger,
@@ -662,9 +701,11 @@ impl SimState<'_> {
                     .filter(|&p| hit.hit_len() <= p)
                     .min()
                     .unwrap_or_else(|| self.eus.iter().map(|e| e.pes).max().expect("EUs exist"));
-                self.eus.iter().position(|e| !e.busy && e.pes == wanted)
+                self.eus
+                    .iter()
+                    .position(|e| e.running.is_none() && e.pes == wanted)
             } else {
-                self.eus.iter().position(|e| !e.busy)
+                self.eus.iter().position(|e| e.running.is_none())
             };
             match choice {
                 Some(u) => (hit, u),
@@ -678,18 +719,14 @@ impl SimState<'_> {
         true
     }
 
-    /// Resumes suspended SUs whose buffer space opened up.
+    /// Resumes suspended SUs whose buffer space opened up, in index order
+    /// (the first to push wins the freed space).
     fn resume_stalled(&mut self) -> bool {
         let mut progressed = false;
-        for su in 0..self.su_stalled.len() {
-            if let Some(pending) = self.su_stalled[su].take() {
-                // Re-install before retrying so finish_or_stall does not
-                // count a fresh stall event.
-                self.su_stalled[su] = Some(pending.clone());
-                self.finish_or_stall(su, pending);
-                if self.su_stalled[su].is_none() {
-                    progressed = true;
-                }
+        for su in 0..self.sus.len() {
+            if let SuState::Stop { read, next, since } = self.sus[su] {
+                self.finish_or_stall(su, read, next, Some(since));
+                progressed |= !matches!(self.sus[su], SuState::Stop { .. });
             }
         }
         progressed
@@ -873,21 +910,21 @@ mod tests {
         let run = simulate_instrumented(&cfg, &works, &SimOptions { trace: true });
         let trace = run.trace.expect("trace requested");
         let total_us = nvwa_telemetry::cycles_to_us(run.report.total_cycles);
-        let su_busy_us: f64 = (0..cfg.su_count)
+        let su_span_us: f64 = (0..cfg.su_count)
             .map(|su| trace.track_busy_us(PID_ACCELERATOR, su, "read"))
             .sum();
         let expected = run.report.su_utilization * cfg.su_count as f64 * total_us;
         assert!(
-            (su_busy_us - expected).abs() <= expected * 0.01,
-            "SU spans {su_busy_us} vs utilization integral {expected}"
+            (su_span_us - expected).abs() <= expected * 0.01,
+            "SU spans {su_span_us} vs utilization integral {expected}"
         );
-        let eu_busy_us: f64 = (0..7)
+        let eu_span_us: f64 = (0..7)
             .map(|eu| trace.track_busy_us(PID_ACCELERATOR, cfg.su_count + eu, "hit"))
             .sum();
         let expected = run.report.eu_utilization * 7.0 * total_us;
         assert!(
-            (eu_busy_us - expected).abs() <= expected * 0.01,
-            "EU spans {eu_busy_us} vs utilization integral {expected}"
+            (eu_span_us - expected).abs() <= expected * 0.01,
+            "EU spans {eu_span_us} vs utilization integral {expected}"
         );
     }
 

@@ -177,21 +177,22 @@ impl BatcherConfig {
         }
     }
 
-    /// Asserts the invariants [`Batcher::new`] promises.
-    fn validate(&self) {
-        assert!(self.max_batch > 0, "max_batch must be positive");
-        assert!(
-            self.long_max_batch > 0 && self.classify_max_batch > 0,
-            "class max_batch knobs must be positive"
-        );
-        assert!(
-            self.bin_bounds.windows(2).all(|w| w[0] < w[1]),
-            "bin bounds must be strictly increasing"
-        );
-        assert!(
-            self.long_bin_bounds.windows(2).all(|w| w[0] < w[1]),
-            "long bin bounds must be strictly increasing"
-        );
+    /// Checks the invariants [`Batcher::new`] promises; the server refuses
+    /// to start on an `Err` rather than let its batcher thread panic.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if self.max_batch == 0 {
+            return Err("max_batch must be positive");
+        }
+        if self.long_max_batch == 0 || self.classify_max_batch == 0 {
+            return Err("class max_batch knobs must be positive");
+        }
+        if !self.bin_bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err("bin bounds must be strictly increasing");
+        }
+        if !self.long_bin_bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err("long bin bounds must be strictly increasing");
+        }
+        Ok(())
     }
 }
 
@@ -254,7 +255,7 @@ impl<T> Batcher<T> {
     /// Panics if `max_batch == 0` or the bin bounds are not strictly
     /// increasing.
     pub fn new(config: BatcherConfig) -> Batcher<T> {
-        config.validate();
+        config.validate().unwrap_or_else(|why| panic!("{why}"));
         let bins = (0..config.bins()).map(|_| Vec::new()).collect();
         Batcher { config, bins }
     }

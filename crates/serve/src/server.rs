@@ -234,11 +234,22 @@ impl Server {
     /// # Errors
     ///
     /// Returns the bind error; `InvalidInput` for an empty tenant list, a
-    /// duplicate tenant name, or indexes that together exceed
-    /// [`ServerConfig::registry_budget`]; `Unsupported` off unix (the
-    /// reactor needs `poll(2)`).
+    /// duplicate tenant name, indexes that together exceed
+    /// [`ServerConfig::registry_budget`], a zero
+    /// [`ServerConfig::queue_capacity`] or a [`ServerConfig::batch`] that
+    /// [`Batcher::new`](crate::batcher::Batcher::new) would panic on;
+    /// `Unsupported` off unix (the reactor needs `poll(2)`).
     pub fn start(tenants: Vec<Tenant>, config: ServerConfig) -> std::io::Result<Server> {
         let refuse = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        // Values the constructors in `launch` panic on — the queue after
+        // the bind, the batcher on its own thread, which leaves a listener
+        // that accepts connections and answers nothing.
+        if config.queue_capacity == 0 {
+            return refuse("queue capacity must be positive".to_string());
+        }
+        if let Err(why) = config.batch.validate() {
+            return refuse(format!("batch config: {why}"));
+        }
         if tenants.is_empty() {
             return refuse("server needs at least one tenant".to_string());
         }

@@ -17,7 +17,7 @@
 //!   fan-out) around the single-threaded simulator core.
 //! * [`spm`] — a scratchpad (SPM) model with FIFO residency, used for the
 //!   Read SPM prefetcher.
-//! * [`power`] — analytic SRAM/logic area-power primitives (the CACTI/
+//! * [`power`] — the analytic logic area-power primitive (the CACTI/
 //!   Design-Compiler substitute; constants are calibrated in `nvwa-core`).
 
 pub mod event;

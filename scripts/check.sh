@@ -17,9 +17,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release
 cargo test -q
 
-# Golden Chrome-trace test (also part of the suite above; run named so a
-# drift fails loudly here even if the suite is filtered).
-cargo test -q --test telemetry_integration tiny_trace_round_trips_and_matches_golden_file
+# The two simulator goldens — the tiny Chrome trace and the simulated
+# statistics (also part of the suite above; run by name filter so a drift
+# fails loudly here even if the suite is filtered).
+cargo test -q --test telemetry_integration golden_file
 
 if [ -n "${ARTIFACTS_DIR:-}" ]; then
     artifacts_dir="$ARTIFACTS_DIR"

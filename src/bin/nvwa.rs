@@ -62,6 +62,17 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
+/// [`flag`] for a count the program cannot run with at zero: a parsable
+/// `0` is a usage error too, not a panic further in.
+fn positive_flag(args: &[String], name: &str) -> Option<usize> {
+    let value = flag(args, name);
+    if value == Some(0) {
+        eprintln!("nvwa: {name}: must be at least 1");
+        std::process::exit(2)
+    }
+    value
+}
+
 type Run = fn(&[String]) -> ExitCode;
 
 /// Every subcommand: name, entry point, positional synopsis, and the flags
@@ -212,7 +223,7 @@ fn print_report(report: &nvwa::core::SimReport) {
 /// The default scenario: the paper-scale accelerator on the calibrated
 /// synthetic workload (no input files needed).
 fn sim(args: &[String]) -> ExitCode {
-    let reads = flag(args, "--reads").unwrap_or(2_000);
+    let reads = positive_flag(args, "--reads").unwrap_or(2_000);
     let seed = flag(args, "--seed").unwrap_or(42);
     let mut phases = HostPhases::new();
     let works = phases.run("workload build", || {
@@ -240,8 +251,8 @@ fn synth_ref(args: &[String]) -> ExitCode {
         return usage();
     };
     let params = ReferenceParams {
-        total_len: flag(args, "--len").unwrap_or(500_000),
-        chromosomes: flag(args, "--chromosomes").unwrap_or(4),
+        total_len: positive_flag(args, "--len").unwrap_or(500_000),
+        chromosomes: positive_flag(args, "--chromosomes").unwrap_or(4),
         ..ReferenceParams::default()
     };
     let genome = ReferenceGenome::synthesize(&params, flag(args, "--seed").unwrap_or(1));
@@ -479,10 +490,10 @@ fn serve(args: &[String]) -> ExitCode {
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
         registry_budget: flag(args, "--registry-budget"),
-        queue_capacity: flag(args, "--queue-cap").unwrap_or(1024),
+        queue_capacity: positive_flag(args, "--queue-cap").unwrap_or(1024),
         workers: flag(args, "--workers").unwrap_or_else(nvwa::sim::par::current_threads),
         batch: BatcherConfig {
-            max_batch: flag(args, "--batch-max").unwrap_or(64),
+            max_batch: positive_flag(args, "--batch-max").unwrap_or(64),
             max_wait: std::time::Duration::from_micros(
                 flag(args, "--batch-wait-us").unwrap_or(2_000),
             ),
@@ -516,7 +527,7 @@ fn serve(args: &[String]) -> ExitCode {
                 Err(code) => return code,
             }
         } else {
-            let len = flag(args, "--ref-len").unwrap_or(100_000);
+            let len = positive_flag(args, "--ref-len").unwrap_or(100_000);
             let seed = flag(args, "--ref-seed").unwrap_or(5);
             eprintln!("synthesizing {len} bp reference (seed {seed}) ...");
             ReferenceGenome::synthesize(&ref_params(len), seed)

@@ -29,6 +29,26 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
             "serve --tenant homo_sapiens --ref-len 5000",
             "nvwa: --ref-len: not valid with --tenant",
         ),
+        // A parsable zero the program cannot run with: refused like
+        // garbage, not a panic (or a server that answers nothing) later.
+        ("sim --reads 0", "nvwa: --reads: must be at least 1"),
+        (
+            "synth-ref /dev/null --len 0",
+            "nvwa: --len: must be at least 1",
+        ),
+        (
+            "synth-ref /dev/null --chromosomes 0",
+            "nvwa: --chromosomes: must be at least 1",
+        ),
+        ("serve --ref-len 0", "nvwa: --ref-len: must be at least 1"),
+        (
+            "serve --queue-cap 0",
+            "nvwa: --queue-cap: must be at least 1",
+        ),
+        (
+            "serve --batch-max 0",
+            "nvwa: --batch-max: must be at least 1",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvwa"))
             .args(args.split(' '))

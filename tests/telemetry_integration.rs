@@ -9,8 +9,13 @@
 //! * The trace for a tiny 2-SU/2-EU run is byte-stable against a golden
 //!   file (regenerate with `NVWA_BLESS=1 cargo test -q --test
 //!   telemetry_integration`).
+//! * Every simulated statistic of the four Fig. 11 variants on two
+//!   configurations is byte-stable against `tests/golden/sim_stats.json`
+//!   (same `NVWA_BLESS=1` contract): a simulator change that moves a
+//!   scheduling decision, an event order or a tie-break fails here.
 
 use nvwa::core::config::{EuClass, NvwaConfig};
+use nvwa::core::experiments::fig11;
 use nvwa::core::system::{simulate_instrumented, SimOptions, SimRun};
 use nvwa::core::units::workload::SyntheticWorkloadParams;
 use nvwa::telemetry::snapshot::{validate_chrome_trace, validate_metrics_snapshot};
@@ -122,6 +127,62 @@ fn tiny_trace_round_trips_and_matches_golden_file() {
     assert_eq!(doc.to_string_pretty(), text, "round trip is byte-stable");
 
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_tiny.json");
+    match nvwa::testkit::golden::compare_or_bless(std::path::Path::new(golden), &text) {
+        nvwa::testkit::golden::Outcome::Matched | nvwa::testkit::golden::Outcome::Blessed => {}
+        nvwa::testkit::golden::Outcome::Drifted(summary) => panic!("{summary}"),
+    }
+}
+
+/// Both `HitPath`s, strict and first-idle FIFO dispatch, the Read-in-Batch
+/// barrier and stall / resume on each path: the four ablation variants at
+/// paper scale and on a stall-heavy small system (Store Buffer of 8).
+#[test]
+fn simulated_statistics_match_golden_file() {
+    let shapes = [
+        ("paper", NvwaConfig::paper(), 600),
+        (
+            "stall_heavy",
+            NvwaConfig {
+                hits_buffer_depth: 8,
+                alloc_batch_size: 4,
+                ..NvwaConfig::small_test()
+            },
+            300,
+        ),
+    ];
+    let mut runs = Vec::new();
+    for (shape, base, reads) in shapes {
+        let works = SyntheticWorkloadParams {
+            reads,
+            ..SyntheticWorkloadParams::default()
+        }
+        .generate(0x5EED);
+        for (label, scheduling) in fig11::ablation_variants() {
+            let config = NvwaConfig {
+                scheduling,
+                ..base.clone()
+            };
+            let run = simulate_instrumented(&config, &works, &SimOptions::default());
+            let snapshot = run.metrics.snapshot(&SnapshotMeta::default());
+            // `series` is left out: it would take the file from 21 KB to 258 KB,
+            // and the busy/idle gauges are its exact integrals.
+            let mut stats: Vec<(String, JsonValue)> = ["counters", "gauges", "histograms"]
+                .iter()
+                .map(|&k| (k.to_string(), snapshot.get(k).expect(k).clone()))
+                .collect();
+            let matrix = run
+                .report
+                .assignment_matrix
+                .iter()
+                .map(|row| JsonValue::Arr(row.iter().map(|&n| JsonValue::Num(n as f64)).collect()))
+                .collect();
+            stats.push(("assignment_matrix".to_string(), JsonValue::Arr(matrix)));
+            runs.push((format!("{shape}/{label}"), JsonValue::Obj(stats)));
+        }
+    }
+    let text = JsonValue::Obj(runs).to_string_pretty();
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_stats.json");
     match nvwa::testkit::golden::compare_or_bless(std::path::Path::new(golden), &text) {
         nvwa::testkit::golden::Outcome::Matched | nvwa::testkit::golden::Outcome::Blessed => {}
         nvwa::testkit::golden::Outcome::Drifted(summary) => panic!("{summary}"),

@@ -472,6 +472,24 @@ fn start_refuses_an_empty_duplicate_or_over_budget_tenant_set() {
     server.shutdown();
 }
 
+/// A zero the queue or the batcher would panic on is refused before the
+/// bind — not discovered by a thread of a server that already listens.
+#[test]
+fn start_refuses_a_zero_queue_capacity_or_batch_size() {
+    let zero_queue = ServerConfig {
+        queue_capacity: 0,
+        ..ServerConfig::default()
+    };
+    let mut zero_batch = ServerConfig::default();
+    zero_batch.batch.max_batch = 0;
+    for (config, want) in [(zero_queue, "queue capacity"), (zero_batch, "max_batch")] {
+        let tenant = Tenant::species(Species::CaenorhabditisElegans, 0.0);
+        let err = Server::start(vec![tenant], config).err().expect("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(want), "{err}: wants {want:?}");
+    }
+}
+
 fn rows<'a>(doc: &'a JsonValue, key: &str) -> &'a [JsonValue] {
     doc.get(key).and_then(JsonValue::as_arr).expect("an array")
 }
