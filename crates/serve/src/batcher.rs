@@ -7,16 +7,18 @@
 //! admission queue, and batching them FIFO would let a single long read
 //! stall a batch of short ones. The batcher therefore keeps one
 //! accumulator per read-length *bin* and flushes each bin independently,
-//! **fill-or-timeout**: a bin ships the moment it holds `max_batch`
-//! requests (fill) or when its oldest request has waited `max_wait`
-//! (timeout) — latency is bounded even at low load, and batches stay
-//! length-homogeneous at high load.
+//! **fill-or-idle**: a bin ships the moment it holds `max_batch` requests
+//! (fill), and a worker that comes free takes the bin holding the oldest
+//! request as it stands (idle) — the Allocate Trigger's rule (§IV-A):
+//! nothing waits on a clock, so an idle server adds no latency and a busy
+//! one grows its batches to whatever arrived during the last execution.
 //!
 //! The struct is a pure state machine over explicit timestamps (no clock
 //! reads, no threads), so policy behaviour is unit-testable
-//! deterministically; the server wraps it in a driver thread.
+//! deterministically; the server's dispatcher puts it behind the lock the
+//! reactor admits through and the workers pull from.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::protocol::Mode;
 
@@ -41,8 +43,6 @@ pub struct BatcherConfig {
     pub bin_bounds: Vec<usize>,
     /// Flush a bin as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a bin when its oldest request has waited this long.
-    pub max_wait: Duration,
     /// Upper bounds (exclusive) of the long-read length bins. Empty
     /// disables long-read bins entirely (long requests then fall back to
     /// the short bins); non-empty adds `len + 1` dedicated bins after
@@ -50,17 +50,12 @@ pub struct BatcherConfig {
     pub long_bin_bounds: Vec<usize>,
     /// Fill threshold for long-read bins. Long batches are small: one
     /// 20 kb GACT fill costs ~100× a 100 bp extension, so the fill
-    /// clock must trip earlier to keep bin latency comparable.
+    /// threshold must trip earlier to keep bin latency comparable.
     pub long_max_batch: usize,
-    /// Wait bound for long-read bins (looser than `max_wait` — long
-    /// reads have looser deadlines and benefit more from batching).
-    pub long_max_wait: Duration,
     /// Whether the dedicated classify bin (always the last bin) exists.
     pub classify_bin: bool,
     /// Fill threshold for the classify bin.
     pub classify_max_batch: usize,
-    /// Wait bound for the classify bin.
-    pub classify_max_wait: Duration,
 }
 
 impl Default for BatcherConfig {
@@ -68,13 +63,10 @@ impl Default for BatcherConfig {
         BatcherConfig {
             bin_bounds: vec![256, 1024, 4096],
             max_batch: 64,
-            max_wait: Duration::from_millis(2),
             long_bin_bounds: Vec::new(),
             long_max_batch: 8,
-            long_max_wait: Duration::from_millis(5),
             classify_bin: false,
             classify_max_batch: 16,
-            classify_max_wait: Duration::from_millis(2),
         }
     }
 }
@@ -108,14 +100,9 @@ impl BatcherConfig {
         }
     }
 
-    /// Number of classify bins (0 or 1).
-    pub fn classify_bins(&self) -> usize {
-        usize::from(self.classify_bin)
-    }
-
     /// Total number of bins across all traffic classes.
     pub fn bins(&self) -> usize {
-        self.short_bins() + self.long_bins() + self.classify_bins()
+        self.short_bins() + self.long_bins() + usize::from(self.classify_bin)
     }
 
     /// The short-class bin index for a read of `len` bases.
@@ -168,17 +155,8 @@ impl BatcherConfig {
         }
     }
 
-    /// The wait bound for `bin`: its traffic class's knob.
-    pub fn class_max_wait(&self, bin: usize) -> Duration {
-        match self.class_of_bin(bin) {
-            Mode::Short => self.max_wait,
-            Mode::Long => self.long_max_wait,
-            Mode::Classify => self.classify_max_wait,
-        }
-    }
-
     /// Checks the invariants [`Batcher::new`] promises; the server refuses
-    /// to start on an `Err` rather than let its batcher thread panic.
+    /// to start on an `Err` rather than panic after it has bound.
     pub(crate) fn validate(&self) -> Result<(), &'static str> {
         if self.max_batch == 0 {
             return Err("max_batch must be positive");
@@ -217,8 +195,8 @@ pub struct BatchItem<T> {
 pub enum FlushReason {
     /// The bin reached `max_batch`.
     Fill,
-    /// The bin's oldest request hit `max_wait`.
-    Timeout,
+    /// A free worker took the bin, partially full.
+    Idle,
     /// The server is draining.
     Drain,
 }
@@ -233,11 +211,34 @@ pub struct Batch<T> {
     pub mode: Mode,
     /// Why it shipped.
     pub reason: FlushReason,
+    /// When a worker took the batch (the end of its items' queue stage);
+    /// until one does, when it was formed.
+    pub taken_at: Instant,
     /// Live requests, admission order preserved.
     pub items: Vec<BatchItem<T>>,
     /// Requests whose deadline expired while queued; the caller answers
     /// these with a `deadline` status instead of processing them.
     pub expired: Vec<BatchItem<T>>,
+}
+
+impl<T> Batch<T> {
+    /// Admission time of the oldest request (both lists are in order).
+    pub(crate) fn oldest(&self) -> Option<Instant> {
+        let heads = self.items.first().into_iter().chain(self.expired.first());
+        heads.map(|item| item.admitted_at).min()
+    }
+
+    /// Hands the batch to a worker at `now`: items whose deadline has
+    /// passed move to `expired`.
+    pub(crate) fn take_at(&mut self, now: Instant) {
+        self.taken_at = now;
+        let late = |item: &BatchItem<T>| item.deadline.is_some_and(|d| d <= now);
+        if self.items.iter().any(late) {
+            let (late, live) = std::mem::take(&mut self.items).into_iter().partition(late);
+            self.items = live;
+            self.expired.extend::<Vec<_>>(late);
+        }
+    }
 }
 
 /// The batcher state machine.
@@ -260,16 +261,6 @@ impl<T> Batcher<T> {
         Batcher { config, bins }
     }
 
-    /// The policy parameters.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.config
-    }
-
-    /// Requests currently buffered across all bins.
-    pub fn pending(&self) -> usize {
-        self.bins.iter().map(Vec::len).sum()
-    }
-
     /// Admits one request, returning any batch its arrival completed.
     pub fn offer(&mut self, item: BatchItem<T>, now: Instant) -> Option<Batch<T>> {
         let bin = self.config.bin_for(item.mode, item.len);
@@ -281,35 +272,21 @@ impl<T> Batcher<T> {
         }
     }
 
-    /// Flushes every bin whose oldest request has waited its bin's
-    /// `max_wait`.
-    pub fn poll(&mut self, now: Instant) -> Vec<Batch<T>> {
-        let due: Vec<usize> = (0..self.bins.len())
-            .filter(|&b| {
-                self.bins[b].first().is_some_and(|item| {
-                    now.duration_since(item.admitted_at) >= self.config.class_max_wait(b)
-                })
-            })
-            .collect();
-        due.into_iter()
-            .map(|b| self.flush_bin(b, FlushReason::Timeout, now))
-            .collect()
-    }
-
-    /// The next instant at which [`Batcher::poll`] could flush something,
-    /// or `None` while empty — the driver thread sleeps until then.
-    pub fn next_flush_at(&self) -> Option<Instant> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter_map(|(b, bin)| {
-                bin.first()
-                    .map(|item| item.admitted_at + self.config.class_max_wait(b))
-            })
+    /// The bin holding the oldest buffered request, and when it arrived.
+    pub(crate) fn oldest_bin(&self) -> Option<(Instant, usize)> {
+        let heads = self.bins.iter().enumerate();
+        heads
+            .filter_map(|(b, bin)| bin.first().map(|item| (item.admitted_at, b)))
             .min()
     }
 
-    /// Flushes everything (shutdown drain), oldest bins first.
+    /// What a free worker takes: all of `bin` as it stands (under its fill
+    /// threshold — a full bin already shipped from [`offer`](Batcher::offer)).
+    pub(crate) fn take_bin(&mut self, bin: usize, now: Instant) -> Batch<T> {
+        self.flush_bin(bin, FlushReason::Idle, now)
+    }
+
+    /// Flushes everything (shutdown drain), in bin order.
     pub fn drain(&mut self, now: Instant) -> Vec<Batch<T>> {
         (0..self.bins.len())
             .filter(|&b| !self.bins[b].is_empty())
@@ -320,22 +297,30 @@ impl<T> Batcher<T> {
     }
 
     fn flush_bin(&mut self, bin: usize, reason: FlushReason, now: Instant) -> Batch<T> {
-        let (expired, items): (Vec<_>, Vec<_>) = std::mem::take(&mut self.bins[bin])
-            .into_iter()
-            .partition(|item| item.deadline.is_some_and(|d| d <= now));
-        Batch {
+        let mut batch = Batch {
             bin,
             mode: self.config.class_of_bin(bin),
             reason,
-            items,
-            expired,
-        }
+            taken_at: now,
+            items: std::mem::take(&mut self.bins[bin]),
+            expired: Vec::new(),
+        };
+        batch.take_at(now);
+        batch
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    impl<T> Batcher<T> {
+        /// Requests currently buffered across all bins.
+        fn pending(&self) -> usize {
+            self.bins.iter().map(Vec::len).sum()
+        }
+    }
 
     fn item(len: usize, at: Instant) -> BatchItem<u64> {
         BatchItem {
@@ -354,11 +339,10 @@ mod tests {
         }
     }
 
-    fn config(max_batch: usize, wait_ms: u64) -> BatcherConfig {
+    fn config(max_batch: usize) -> BatcherConfig {
         BatcherConfig {
             bin_bounds: vec![256, 1024],
             max_batch,
-            max_wait: Duration::from_millis(wait_ms),
             ..BatcherConfig::default()
         }
     }
@@ -375,7 +359,7 @@ mod tests {
 
     #[test]
     fn fill_flushes_exactly_at_max_batch() {
-        let mut b = Batcher::new(config(3, 1000));
+        let mut b = Batcher::new(config(3));
         let t0 = Instant::now();
         assert!(b.offer(item(100, t0), t0).is_none());
         assert!(b.offer(item(100, t0), t0).is_none());
@@ -387,7 +371,7 @@ mod tests {
 
     #[test]
     fn short_and_long_reads_do_not_share_batches() {
-        let mut b = Batcher::new(config(2, 1000));
+        let mut b = Batcher::new(config(2));
         let t0 = Instant::now();
         assert!(b.offer(item(100, t0), t0).is_none());
         // A long read lands in another bin: the short bin keeps waiting.
@@ -399,23 +383,30 @@ mod tests {
     }
 
     #[test]
-    fn timeout_flushes_a_partial_bin() {
-        let mut b = Batcher::new(config(64, 5));
+    fn a_free_worker_takes_the_bin_holding_the_oldest_request() {
+        let mut b = Batcher::new(config(64));
         let t0 = Instant::now();
-        b.offer(item(100, t0), t0);
-        assert!(b.poll(t0).is_empty(), "not due yet");
-        assert_eq!(b.next_flush_at(), Some(t0 + Duration::from_millis(5)));
-        let later = t0 + Duration::from_millis(6);
-        let batches = b.poll(later);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].reason, FlushReason::Timeout);
-        assert_eq!(batches[0].items.len(), 1);
-        assert!(b.next_flush_at().is_none());
+        let ms = Duration::from_millis;
+        assert!(b.oldest_bin().is_none(), "nothing buffered");
+        b.offer(item(2000, t0 + ms(1)), t0 + ms(1));
+        b.offer(item(100, t0 + ms(2)), t0 + ms(2));
+        b.offer(item(101, t0 + ms(3)), t0 + ms(3));
+        // The lone long read arrived first: it goes first, whole bin.
+        assert_eq!(b.oldest_bin(), Some((t0 + ms(1), 2)));
+        let batch = b.take_bin(2, t0 + ms(4));
+        assert_eq!((batch.bin, batch.items.len()), (2, 1));
+        assert_eq!(batch.reason, FlushReason::Idle);
+        assert_eq!(batch.taken_at, t0 + ms(4));
+        assert_eq!(b.oldest_bin(), Some((t0 + ms(2), 0)));
+        let batch = b.take_bin(0, t0 + ms(4));
+        let lens: Vec<usize> = batch.items.iter().map(|i| i.len).collect();
+        assert_eq!(lens, [100, 101], "arrival order kept");
+        assert!(b.oldest_bin().is_none());
     }
 
     #[test]
     fn expired_items_are_separated_at_flush() {
-        let mut b = Batcher::new(config(64, 5));
+        let mut b = Batcher::new(config(64));
         let t0 = Instant::now();
         b.offer(
             BatchItem {
@@ -428,25 +419,24 @@ mod tests {
             t0,
         );
         b.offer(item(100, t0), t0);
-        let later = t0 + Duration::from_millis(6);
-        let batches = b.poll(later);
-        assert_eq!(batches[0].items.len(), 1);
-        assert_eq!(batches[0].expired.len(), 1);
-        assert_eq!(batches[0].expired[0].payload, 1);
+        let batch = b.take_bin(0, t0 + Duration::from_millis(6));
+        assert_eq!(batch.items.len(), 1);
+        assert_eq!(batch.expired.len(), 1);
+        assert_eq!(batch.expired[0].payload, 1);
     }
 
     /// A config with every traffic class enabled (what the server runs
     /// after `ensure_mode_bins`).
-    fn mode_config(max_batch: usize, wait_ms: u64) -> BatcherConfig {
-        let mut c = config(max_batch, wait_ms);
+    fn mode_config(max_batch: usize) -> BatcherConfig {
+        let mut c = config(max_batch);
         c.ensure_mode_bins();
         c
     }
 
     #[test]
     fn mode_bins_extend_the_layout_without_moving_short_bins() {
-        let plain = config(64, 1000);
-        let moded = mode_config(64, 1000);
+        let plain = config(64);
+        let moded = mode_config(64);
         // Default geometry is untouched: short deployments see nothing.
         assert_eq!(plain.bins(), 3);
         assert_eq!(plain.bin_for(Mode::Short, 100), plain.bin_of(100));
@@ -454,7 +444,6 @@ mod tests {
         assert_eq!(moded.bins(), 6);
         assert_eq!(moded.short_bins(), 3);
         assert_eq!(moded.long_bins(), 2);
-        assert_eq!(moded.classify_bins(), 1);
         for len in [0, 100, 500, 5000] {
             assert_eq!(moded.bin_for(Mode::Short, len), plain.bin_of(len));
         }
@@ -478,7 +467,7 @@ mod tests {
 
     #[test]
     fn modes_never_share_a_batch() {
-        let mut c = mode_config(2, 1000);
+        let mut c = mode_config(2);
         c.long_max_batch = 2;
         c.classify_max_batch = 2;
         let mut b = Batcher::new(c);
@@ -498,20 +487,15 @@ mod tests {
 
     #[test]
     fn long_and_classify_bins_use_their_class_knobs() {
-        let c = mode_config(64, 2);
-        // Fill thresholds come from the class defaults...
+        let c = mode_config(64);
         assert_eq!(c.class_max_batch(0), 64);
         assert_eq!(c.class_max_batch(3), c.long_max_batch);
         assert_eq!(c.class_max_batch(5), c.classify_max_batch);
-        // ...and so do wait bounds.
-        assert_eq!(c.class_max_wait(0), Duration::from_millis(2));
-        assert_eq!(c.class_max_wait(3), c.long_max_wait);
-        assert_eq!(c.class_max_wait(5), c.classify_max_wait);
     }
 
     #[test]
     fn drain_empties_every_bin() {
-        let mut b = Batcher::new(config(64, 1000));
+        let mut b = Batcher::new(config(64));
         let t0 = Instant::now();
         b.offer(item(100, t0), t0);
         b.offer(item(500, t0), t0);

@@ -9,10 +9,11 @@
 //! * one TCP front door speaking length-prefixed JSON ([`protocol`]): a
 //!   single `poll(2)` reactor thread owns every socket, so 10k+ idle
 //!   connections cost no threads ([`reactor`]),
-//! * a bounded admission queue with explicit load-shedding ([`queue`]) —
-//!   backpressure is a protocol answer (`shed`), never unbounded memory,
-//! * a length-binned fill-or-timeout batcher ([`batcher`]) so short reads
-//!   never convoy behind long ones,
+//! * bounded admission with explicit load-shedding — backpressure is a
+//!   protocol answer (`shed`), never unbounded memory — into a
+//!   length-binned batcher ([`batcher`]) that workers pull from the
+//!   moment they are free, so short reads never convoy behind long ones
+//!   and nothing waits on a timer,
 //! * three request modes sharing that wire protocol: seed-and-extend
 //!   short reads, minimizer-chain-GACT long reads in dedicated bins with
 //!   their own deadlines and batching knobs, and metagenomic
@@ -39,8 +40,10 @@
 //! Everything is std-only (DESIGN.md §7): no async runtime, no
 //! serialization crates — threads, mutexes, condvars and sockets.
 
+mod admission;
 pub mod backend;
 pub mod batcher;
+mod dispatch;
 pub mod flight;
 pub mod loadgen;
 pub mod metrics;
@@ -49,6 +52,7 @@ pub mod queue;
 #[cfg(unix)]
 pub mod reactor;
 pub mod registry;
+mod respond;
 pub mod server;
 pub mod signal;
 

@@ -10,7 +10,7 @@
 //!   `signal.rs` — std already links libc on Unix);
 //! * a per-connection state machine reassembles length-prefixed frames
 //!   from partial reads, hands each complete frame to
-//!   `dispatch_request` inline (decode, admission, shed and `stats`
+//!   `handle_request` inline (decode, admission, shed and `stats`
 //!   answers all run on this thread) and drains buffered responses on
 //!   writability;
 //! * workers never touch sockets: they enqueue the encoded response on
@@ -44,9 +44,10 @@ use std::time::{Duration, Instant};
 
 use nvwa_telemetry::JsonValue;
 
+use crate::admission::handle_request;
 use crate::lock;
 use crate::protocol::{write_frame, AlignResponse, Status, MAX_FRAME_BYTES};
-use crate::server::{dispatch_request, Shared};
+use crate::server::Shared;
 
 // ---------------------------------------------------------------------------
 // poll(2) shim — std exposes no readiness API; declare the symbol directly.
@@ -439,7 +440,7 @@ fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
         };
         // One request in flight; its response (through the sink) settles it.
         conn.sink.in_flight.fetch_add(1, Ordering::AcqRel);
-        dispatch_request(shared, &conn.sink, &doc);
+        handle_request(shared, &conn.sink, &doc);
     }
 }
 

@@ -27,7 +27,7 @@
 //! * [`window`] — windowed aggregation: ring-buffered rolling histograms
 //!   and rate counters over explicit timestamps, packaged as the
 //!   [`window::SloWindow`] the serve path exposes live.
-//! * [`spans`] — per-request span chains (queue → fill → align → write)
+//! * [`spans`] — per-request span chains (queue → align → write)
 //!   whose stage durations sum exactly to the end-to-end latency by
 //!   construction, plus the bounded [`spans::SpanLog`].
 

@@ -1,7 +1,7 @@
 //! Per-request span chains: the distributed-style tracing layer.
 //!
-//! A request admitted by the serve path is followed through four stages —
-//! queue wait, batch fill wait, alignment, response write — and leaves
+//! A request admitted by the serve path is followed through three stages —
+//! queue wait, alignment, response write — and leaves
 //! behind a [`RequestSpans`] chain. Chains are built with
 //! [`RequestSpans::chain`] from one monotonic timestamp sequence, so two
 //! properties hold **by construction**, not by measurement:
@@ -25,12 +25,10 @@ use crate::json::JsonValue;
 /// The serve-path stages, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Admission queue wait: admitted → popped by the batcher.
+    /// Queue wait: admitted → taken by a worker, in its batch.
     Queue,
-    /// Batch fill wait: popped → batch execution starts on a worker.
-    Fill,
-    /// Alignment: batch execution start → done (or the deadline/panic
-    /// verdict for requests that never align).
+    /// Alignment: taken → batch execution done (left out of the chain of
+    /// a request that expired while queued and never aligns).
     Align,
     /// Response write: execution done → response frame handed to the
     /// socket.
@@ -39,13 +37,12 @@ pub enum Stage {
 
 impl Stage {
     /// All stages in pipeline order.
-    pub const ALL: [Stage; 4] = [Stage::Queue, Stage::Fill, Stage::Align, Stage::Write];
+    pub const ALL: [Stage; 3] = [Stage::Queue, Stage::Align, Stage::Write];
 
     /// Wire name (also the Chrome-trace span name prefix).
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Queue => "queue",
-            Stage::Fill => "fill",
             Stage::Align => "align",
             Stage::Write => "write",
         }
@@ -365,8 +362,7 @@ mod tests {
             Outcome::Ok,
             1_000,
             &[
-                (Stage::Queue, 500),
-                (Stage::Fill, 250),
+                (Stage::Queue, 750),
                 (Stage::Align, 2_000),
                 (Stage::Write, 30),
             ],
@@ -378,13 +374,13 @@ mod tests {
         let c = ok_chain(7);
         c.check().unwrap();
         assert_eq!(c.e2e_ns(), 2_780);
-        assert_eq!(c.spans[3].start_ns + c.spans[3].dur_ns, 1_000 + 2_780);
+        assert_eq!(c.spans[2].start_ns + c.spans[2].dur_ns, 1_000 + 2_780);
     }
 
     #[test]
     fn deadline_chain_skips_align() {
         // Expired requests never reach a worker's align stage; the chain
-        // is queue → fill → write and still checks out.
+        // is queue → write and still checks out.
         let c = RequestSpans::chain(
             9,
             0,
@@ -392,11 +388,7 @@ mod tests {
             2,
             Outcome::Deadline,
             0,
-            &[
-                (Stage::Queue, 10_000),
-                (Stage::Fill, 5_000),
-                (Stage::Write, 40),
-            ],
+            &[(Stage::Queue, 15_000), (Stage::Write, 40)],
         );
         c.check().unwrap();
         assert_eq!(c.e2e_ns(), 15_040);
@@ -405,11 +397,11 @@ mod tests {
     #[test]
     fn check_rejects_gaps_overlaps_and_disorder() {
         let mut gap = ok_chain(1);
-        gap.spans[2].start_ns += 1;
+        gap.spans[1].start_ns += 1;
         assert!(gap.check().unwrap_err().contains("align starts at"));
 
         let mut overlap = ok_chain(2);
-        overlap.spans[1].start_ns -= 1;
+        overlap.spans[2].start_ns -= 1;
         assert!(overlap.check().is_err());
 
         let mut disorder = ok_chain(3);

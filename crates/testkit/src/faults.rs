@@ -390,12 +390,11 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
             },
         ),
         // Overflow by arithmetic, not by thread race: the one worker holds
-        // a batch for 5 ms while the pipeline can absorb at most
-        // (1 executing + 2 in the batch queue + 1 the blocked batcher
-        // holds) × max_batch 4 + queue_capacity 2 = 18 reads, and the
-        // client puts all 240 in flight at once (4 connections × window 64
-        // = 256 ≥ 240 never waits for a response) — so the single reactor
-        // thread, admitting serially, must shed.
+        // a batch for 5 ms while the engine can absorb at most
+        // queue_capacity 2 waiting + max_batch 4 executing = 6 reads, and
+        // the client puts all 240 in flight at once (4 connections ×
+        // window 64 = 256 ≥ 240 never waits for a response) — so the
+        // single reactor thread, admitting serially, must shed.
         FaultKind::QueueStorm => (
             ServerConfig {
                 workers: 1,

@@ -52,7 +52,10 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # exits non-zero otherwise), (b) the server drained and exited cleanly,
 # (c) the stats response, span log, trace, loadgen report and loadgen
 # metrics snapshot all pass validation, (d) at least two mid-run stats
-# snapshots were captured (the stats-scrape smoke test).
+# snapshots were captured (the stats-scrape smoke test). First: the batch
+# timer is gone, and asking for it is a usage error, not a silent default.
+[ "$(cargo run --release --quiet --bin nvwa -- serve --batch-wait-us 1 2>&1 || echo "exit $?")" = "nvwa: --batch-wait-us: unknown flag
+exit 2" ]
 rm -f "$artifacts_dir/serve_addr"
 cargo run --release --quiet --bin nvwa -- serve \
     --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_addr" \

@@ -98,8 +98,8 @@ const SUBCOMMANDS: &[(&str, Run, &str, &[FlagSpec])] = &[
     ("serve", serve, "serve", &[
         ("--addr", "H:P"), ("--addr-file", "PATH"), ("--ref", "ref.fa"), ("--ref-len", "N"),
         ("--ref-seed", "S"), ("--queue-cap", "N"), ("--workers", "N"), ("--batch-max", "N"),
-        ("--batch-wait-us", "U"), ("--deadline-ms", "D"), ("--long-deadline-ms", "D"),
-        ("--classify-deadline-ms", "D"), ("--backend", "sw|hil"), ("--frontend", "reactor"),
+        ("--deadline-ms", "D"), ("--long-deadline-ms", "D"), ("--classify-deadline-ms", "D"),
+        ("--backend", "sw|hil"), ("--frontend", "reactor"),
         ("--metrics-out", "m.json"), ("--trace-out", "t.json"), ("--span-log-out", "s.json"),
         ("--span-log-cap", "N"), ("--flight-dump", "DIR"), ("--flight-cap", "N"),
         ("--slo-window-ms", "W"), ("--slo-step-ms", "S"), ("--shed-storm", "N"),
@@ -494,9 +494,6 @@ fn serve(args: &[String]) -> ExitCode {
         workers: flag(args, "--workers").unwrap_or_else(nvwa::sim::par::current_threads),
         batch: BatcherConfig {
             max_batch: positive_flag(args, "--batch-max").unwrap_or(64),
-            max_wait: std::time::Duration::from_micros(
-                flag(args, "--batch-wait-us").unwrap_or(2_000),
-            ),
             ..BatcherConfig::default()
         },
         backend,

@@ -15,15 +15,16 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
             "conformance --seed-from-ci --seed",
             "nvwa: --seed: missing value",
         ),
-        // A removed flag and a typo: refused, not served with defaults.
+        // Two removed flags and a typo: refused, not served with defaults.
         (
             "serve --batch-adaptive",
             "nvwa: --batch-adaptive: unknown flag",
         ),
         (
-            "serve --batch-wait-su 500",
-            "nvwa: --batch-wait-su: unknown flag",
+            "serve --batch-wait-us 1",
+            "nvwa: --batch-wait-us: unknown flag",
         ),
+        ("serve --batch-mxa 8", "nvwa: --batch-mxa: unknown flag"),
         // A flag another flag would make inert: refused, not ignored.
         (
             "serve --tenant homo_sapiens --ref-len 5000",

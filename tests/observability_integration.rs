@@ -86,7 +86,7 @@ fn every_admitted_request_leaves_a_complete_span_chain_summing_to_its_latency() 
     let doc = metrics.span_log_doc();
     validate_span_log(&doc).expect("span log schema");
 
-    // Re-derive the sum property explicitly: the four stages partition
+    // Re-derive the sum property explicitly: the three stages partition
     // the request's lifetime, so their durations sum to its e2e latency.
     let chains = doc.get("chains").and_then(JsonValue::as_arr).unwrap();
     assert_eq!(chains.len(), retained);
@@ -94,7 +94,7 @@ fn every_admitted_request_leaves_a_complete_span_chain_summing_to_its_latency() 
         let chain = RequestSpans::from_json(chain_doc).expect("chain decodes");
         chain.check().expect("chain is contiguous and ordered");
         assert_eq!(chain.outcome, Outcome::Ok);
-        assert_eq!(chain.spans.len(), 4, "queue/fill/align/write");
+        assert_eq!(chain.spans.len(), 3, "queue/align/write");
         let stage_sum: u64 = chain.spans.iter().map(|s| s.dur_ns).sum();
         assert_eq!(stage_sum, chain.e2e_ns(), "stages partition the latency");
         let last = chain.spans.last().unwrap();

@@ -165,9 +165,10 @@ fn results_are_invariant_across_batch_size_and_worker_count() {
 #[test]
 fn overload_sheds_explicitly_and_conserves_responses() {
     let fx = fixture();
-    // A tiny queue and a slow single worker: the admission queue must
-    // fill and the edge must answer `shed` — never buffer unboundedly,
-    // never drop silently.
+    // A tiny queue and a slow single worker: at most queue_capacity 8
+    // requests wait and max_batch 4 execute, so the dispatcher must fill
+    // and the edge must answer `shed` — never buffer unboundedly, never
+    // drop silently.
     let server = start(ServerConfig {
         queue_capacity: 8,
         workers: 1,
@@ -200,7 +201,8 @@ fn overload_sheds_explicitly_and_conserves_responses() {
     assert!(report.shed > 0, "overload must shed ({report:?})");
     assert_eq!(report.ok + report.shed + report.deadline, report.received);
     assert_eq!(metrics.counter("serve.requests_shed"), report.shed);
-    // The queue-depth gauge never exceeded the configured bound.
+    // The gauge is the dispatcher's whole occupancy — everything admitted
+    // that no worker has taken — and never exceeded the configured bound.
     let meta = nvwa::telemetry::SnapshotMeta {
         host_threads: 1,
         git_rev: None,

@@ -21,6 +21,8 @@
 //!   `classify_deadline`) apply to their mode only, fall back to
 //!   `default_deadline`, and lose to a request's own `deadline_ms`.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +32,8 @@ use nvwa::genome::species::Species;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::index::minimizer::{minimizers, MinimizerParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
-use nvwa::serve::{BatcherConfig, Mode, Server, ServerConfig, Status, Tenant};
+use nvwa::serve::protocol::{read_frame, write_frame, AlignResponse, Request};
+use nvwa::serve::{Mode, Server, ServerConfig, Status, Tenant};
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -322,38 +325,25 @@ fn mixed_modes_coexist_on_one_server() {
     }
 }
 
-/// Expiry is decided when a request's bin flushes. One request in flight
-/// at a time (closed loop, window 1) never fills a bin, so every bin
-/// flushes on its 10 ms timer: a request under a 1 ms server default has
-/// always expired by then and one carrying its own 60 s `deadline_ms`
-/// never has — no assertion depends on how fast the worker is.
+/// Expiry is decided when a worker takes a request's batch, so only a
+/// request that waited *behind a running batch* can expire. The one worker
+/// is made busy by structure: a blocker (carrying its own 60 s deadline)
+/// is sent alone, and the probes follow only once the server has counted
+/// the blocker's batch as taken — the worker then holds it for
+/// `worker_delay`, fifty times the 1 ms server default the first probe
+/// lives under. The second probe carries its own 60 s `deadline_ms`, which
+/// must beat the server default in every mode.
 #[test]
 fn per_mode_default_deadlines_apply_and_fall_back() {
     let params = ref_params(REF_LEN);
     let genome = ReferenceGenome::synthesize(&params, REF_SEED);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
     let mut short_sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 11);
-    let mut shorts = short_sim.simulate_reads(8).into_iter();
-    let mut short = || shorts.next().expect("8 shorts").seq.codes().to_vec();
-    let longs = loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 4, LONG_LEN);
-    let mut reads: Vec<TenantRead> = Vec::new();
-    for long in longs {
-        for (codes, mode) in [
-            (short(), Mode::Short),
-            (short(), Mode::Classify),
-            (long, Mode::Long),
-        ] {
-            reads.push(TenantRead {
-                tenant: None,
-                codes,
-                region: None,
-                mode,
-            });
-        }
-    }
+    let short = short_sim.simulate_reads(1).remove(0).seq.codes().to_vec();
+    let long =
+        loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 1, LONG_LEN).remove(0);
 
     let tick = Some(Duration::from_millis(1));
-    let flush = Duration::from_millis(10);
     for (long_deadline, classify_deadline, default_deadline, expiring) in [
         // Per-mode defaults bind their own mode and leave short alone.
         (tick, tick, None, &[Mode::Long, Mode::Classify][..]),
@@ -369,12 +359,7 @@ fn per_mode_default_deadlines_apply_and_fall_back() {
             vec![Tenant::single(Arc::clone(&index))],
             ServerConfig {
                 workers: 1,
-                batch: BatcherConfig {
-                    max_wait: flush,
-                    long_max_wait: flush,
-                    classify_max_wait: flush,
-                    ..BatcherConfig::default()
-                },
+                worker_delay: Some(Duration::from_millis(50)),
                 long_deadline,
                 classify_deadline,
                 default_deadline,
@@ -382,37 +367,52 @@ fn per_mode_default_deadlines_apply_and_fall_back() {
             },
         )
         .expect("server start");
-        let addr = server.local_addr().to_string();
-        let run = |deadline_ms| {
-            let config = LoadgenConfig {
-                connections: 1,
-                mode: ArrivalMode::Closed { window: 1 },
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("set timeout");
+        let request = |id, mode, deadline_ms| {
+            let codes = if mode == Mode::Long { &long } else { &short };
+            Request::Align {
+                id,
+                codes: codes.clone(),
                 deadline_ms,
-                collect_responses: true,
-                ..LoadgenConfig::default()
-            };
-            let report = loadgen::run_tenants(&addr, &reads, &config).expect("loadgen run");
-            assert_eq!((report.lost, report.duplicates), (0, 0), "{report:?}");
-            assert_eq!(report.received, reads.len() as u64, "{report:?}");
-            report
-        };
-        let server_defaults = run(None);
-        let own_deadline = run(Some(60_000));
-        server.shutdown();
-
-        for (id, read) in reads.iter().enumerate() {
-            let status = server_defaults.responses[&(id as u64)].status;
-            if expiring.contains(&read.mode) {
-                assert_eq!(status, Status::Deadline, "read {id} ({:?})", read.mode);
-            } else {
-                assert_eq!(status, Status::Ok, "read {id} ({:?})", read.mode);
+                tenant: None,
+                region: None,
+                mode,
             }
+            .encode()
+        };
+
+        for mode in [Mode::Short, Mode::Long, Mode::Classify] {
+            let taken = server.metrics().counter("serve.batches_formed");
+            write_frame(&mut stream, &request(0, Mode::Short, Some(60_000))).expect("blocker");
+            while server.metrics().counter("serve.batches_formed") == taken {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut probes = Vec::new();
+            write_frame(&mut probes, &request(1, mode, None)).expect("encode");
+            write_frame(&mut probes, &request(2, mode, Some(60_000))).expect("encode");
+            stream.write_all(&probes).expect("probes");
+
+            let mut status = [None; 3];
+            for _ in 0..3 {
+                let doc = read_frame(&mut stream).expect("read").expect("frame");
+                let resp = AlignResponse::decode(&doc).expect("decode");
+                status[resp.id as usize] = Some(resp.status);
+            }
+            let served = |s: Option<Status>| matches!(s, Some(Status::Ok | Status::Unmapped));
+            assert!(served(status[0]), "{mode:?} blocker: {status:?}");
+            if expiring.contains(&mode) {
+                assert_eq!(status[1], Some(Status::Deadline), "{mode:?} under defaults");
+            } else {
+                assert!(served(status[1]), "{mode:?} has no default: {status:?}");
+            }
+            assert!(
+                served(status[2]),
+                "{mode:?}: a request's own deadline_ms beats the server default: {status:?}"
+            );
         }
-        assert_eq!(own_deadline.deadline, 0, "{own_deadline:?}");
-        assert_eq!(
-            own_deadline.ok + own_deadline.unmapped,
-            own_deadline.received,
-            "a request's own deadline_ms beats the server default: {own_deadline:?}"
-        );
+        server.shutdown();
     }
 }
