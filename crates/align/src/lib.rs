@@ -26,6 +26,8 @@
 //!   the paper's Sec. VI (minimizer seeding + chaining + GACT fill).
 //! * [`sam`] — minimal SAM output.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod banded;
 pub mod chain;
 pub mod cigar;

@@ -350,6 +350,35 @@ impl<'r> SoftwareAligner<'r> {
         scratch: &mut AlignScratch,
         trace: &mut T,
     ) -> AlignmentOutcome {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: the CPU reports `popcnt`, checked on the line above.
+            return unsafe { self.align_codes_popcnt(read_id, codes, scratch, trace) };
+        }
+        self.align_codes_portable(read_id, codes, scratch, trace)
+    }
+
+    /// The same body with `popcnt` on; `collect_smems_into` has the inlining rule.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn align_codes_popcnt<T: TraceSink>(
+        &self,
+        read_id: u64,
+        codes: &[u8],
+        scratch: &mut AlignScratch,
+        trace: &mut T,
+    ) -> AlignmentOutcome {
+        self.align_codes_portable(read_id, codes, scratch, trace)
+    }
+
+    #[inline(always)]
+    fn align_codes_portable<T: TraceSink>(
+        &self,
+        read_id: u64,
+        codes: &[u8],
+        scratch: &mut AlignScratch,
+        trace: &mut T,
+    ) -> AlignmentOutcome {
         let mut profile = ReadProfile::default();
         let AlignScratch {
             smem: smem_scratch,
@@ -415,15 +444,12 @@ impl<'r> SoftwareAligner<'r> {
 
         // --- Select the best (Step-❹). ---
         candidates.sort_by_key(|a| std::cmp::Reverse(a.score));
-        let mut best = candidates.first().cloned();
-        if let Some(best) = best.as_mut() {
-            let second = candidates.get(1).map(|a| a.score).unwrap_or(0);
+        let second = candidates.get(1).map_or(0, |a| a.score);
+        let alignment = candidates.drain(..).next().map(|mut best| {
             best.mapq = mapq_estimate(best.score, second);
-        }
-        AlignmentOutcome {
-            alignment: best,
-            profile,
-        }
+            best
+        });
+        AlignmentOutcome { alignment, profile }
     }
 
     /// Extends one chain into a full alignment, recording the extension
@@ -558,17 +584,14 @@ impl<'r> SoftwareAligner<'r> {
         }
 
         // Assemble: reversed left + body + right.
-        let mut cigar = Cigar::new();
-        let mut left_cigar = left.cigar.clone();
-        left_cigar.reverse();
-        cigar.concat(&left_cigar);
+        let mut cigar = left.cigar;
+        cigar.reverse();
         cigar.concat(&body);
         cigar.concat(&right.cigar);
         let score = cigar.score(scoring);
-        let flat_pos = first.ref_pos - left.target_len as u64;
         Some(Alignment {
             read_id,
-            flat_pos,
+            flat_pos: first.ref_pos - left.target_len as u64,
             is_rc: chain.is_rc,
             score,
             cigar,

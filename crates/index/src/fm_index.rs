@@ -39,8 +39,10 @@ impl Interval {
 }
 
 /// One occ checkpoint block: cumulative counts then `OCC_INTERVAL` packed
-/// symbols.
+/// symbols. One cache line, aligned to one: the allocator puts a large
+/// `Vec` 16 bytes past a page, where every block would straddle two.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[repr(C, align(64))]
 struct OccBlock {
     counts: [u64; 4],
     words: [u64; WORDS_PER_BLOCK],
@@ -133,13 +135,13 @@ impl FmIndex {
     /// # Panics
     ///
     /// Panics if `c > 3`.
-    #[inline]
+    #[inline(always)]
     pub fn c_of(&self, c: u8) -> u64 {
         self.c[c as usize]
     }
 
     /// End of the `c`-bucket (== `C[c+1]`, or total length for `c == 3`).
-    #[inline]
+    #[inline(always)]
     pub fn c_end(&self, c: u8) -> u64 {
         self.c[c as usize + 1]
     }
@@ -156,7 +158,7 @@ impl FmIndex {
 
     /// Converts a conceptual rank to a stored-BWT index by skipping the
     /// sentinel slot.
-    #[inline]
+    #[inline(always)]
     fn stored_index(&self, i: u64) -> usize {
         (if i as usize > self.primary { i - 1 } else { i }) as usize
     }
@@ -170,7 +172,7 @@ impl FmIndex {
     /// `(blocks.len() - 1, OCC_INTERVAL)`. Anything else past the end is a
     /// caller bug, so it asserts in debug builds instead of being silently
     /// clamped into the last block.
-    #[inline]
+    #[inline(always)]
     fn block_of(&self, j: usize) -> (usize, usize) {
         let block_idx = j / OCC_INTERVAL;
         if block_idx >= self.blocks.len() {
@@ -197,6 +199,7 @@ impl FmIndex {
     /// # Panics
     ///
     /// Panics if `i > seq_len()` or `c > 3`.
+    #[inline(always)]
     pub fn occ<T: TraceSink>(&self, c: u8, i: u64, trace: &mut T) -> u64 {
         assert!(c < 4, "code out of range");
         assert!(i <= self.seq_len(), "rank out of range");
@@ -243,6 +246,7 @@ impl FmIndex {
     /// # Panics
     ///
     /// Panics if `i > seq_len()`.
+    #[inline(always)]
     pub fn occ4_cached<T: TraceSink>(
         &self,
         i: u64,
@@ -326,6 +330,7 @@ impl FmIndex {
 
     /// LF-mapping of rank `i`: the rank of the suffix one position earlier in
     /// the text. Returns `None` when `i` is the sentinel rank (text start).
+    #[inline(always)]
     pub fn lf<T: TraceSink>(&self, i: u64, trace: &mut T) -> Option<u64> {
         if i as usize == self.primary {
             return None;
@@ -339,6 +344,7 @@ impl FmIndex {
     /// # Panics
     ///
     /// Panics if `i >= seq_len()`.
+    #[inline(always)]
     pub fn bwt_char(&self, i: u64) -> Option<u8> {
         assert!(i < self.seq_len(), "rank out of range");
         if i as usize == self.primary {
@@ -432,7 +438,7 @@ impl OccCache {
 
 /// Counts occurrences of 2-bit code `c` among the first `count` codes packed
 /// in `words`, using the bit-parallel comparison the hardware performs.
-#[inline]
+#[inline(always)]
 fn rank_in_words(words: &[u64; WORDS_PER_BLOCK], c: u8, count: usize) -> u64 {
     debug_assert!(count <= OCC_INTERVAL);
     // Replicate the 2-bit code into all 32 lanes.
@@ -470,7 +476,7 @@ fn rank_in_words(words: &[u64; WORDS_PER_BLOCK], c: u8, count: usize) -> u64 {
 /// codes packed in `words`, touching each word exactly once. Splits every
 /// word into its low/high bit planes and classifies all 32 lanes with three
 /// popcounts; code 0 falls out as `lanes - (c1 + c2 + c3)`.
-#[inline]
+#[inline(always)]
 fn rank4_in_words(words: &[u64], count: usize) -> [u64; 4] {
     debug_assert!(count <= words.len() * 32);
     const LANES: u64 = 0x5555_5555_5555_5555;
@@ -704,6 +710,21 @@ mod tests {
             let int = fm.search(&[c], &mut NullTrace);
             let expected = text.iter().filter(|&&x| x == c).count() as u64;
             assert_eq!(int.map(|i| i.len()).unwrap_or(0), expected);
+        }
+    }
+
+    #[test]
+    fn occ_blocks_are_whole_aligned_cache_lines() {
+        assert_eq!(std::mem::size_of::<OccBlock>(), 64);
+        assert_eq!(std::mem::align_of::<OccBlock>(), 64);
+        for len in [1usize, 128, 5000, 300_000] {
+            let fm = FmIndex::from_text(&rand_codes(len, 2));
+            assert_eq!(fm.blocks.as_ptr() as usize % 64, 0, "len {len}");
+            assert_eq!(
+                fm.clone().blocks.as_ptr() as usize % 64,
+                0,
+                "clone, len {len}"
+            );
         }
     }
 

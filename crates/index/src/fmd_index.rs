@@ -131,7 +131,7 @@ impl FmdIndex {
     }
 
     /// The bi-interval of a single base.
-    #[inline]
+    #[inline(always)]
     pub fn base_interval(&self, c: u8) -> BiInterval {
         BiInterval {
             k: self.fm.c_of(c),
@@ -163,7 +163,7 @@ impl FmdIndex {
 
     /// Assembles the four `cW` bi-intervals from the occ4 counts at the
     /// interval boundaries (shared by the fast, scalar, and cached paths).
-    #[inline]
+    #[inline(always)]
     fn assemble_ext(&self, ik: BiInterval, tk: [u64; 4], tl: [u64; 4]) -> [BiInterval; 4] {
         let mut cnt = [0u64; 4];
         for c in 0..4 {
@@ -212,6 +212,7 @@ impl FmdIndex {
     /// [`FmdIndex::backward_ext_all`] through a per-search [`OccCache`].
     /// Same results, same two recorded block accesses (the cache is
     /// trace-invisible, see [`FmIndex::occ4_cached`]).
+    #[inline(always)]
     pub fn backward_ext_all_cached<T: TraceSink>(
         &self,
         ik: BiInterval,
@@ -228,34 +229,11 @@ impl FmdIndex {
         self.backward_ext_all(ik, trace)[c as usize]
     }
 
-    /// [`FmdIndex::backward_ext`] through a per-search [`OccCache`].
-    pub fn backward_ext_cached<T: TraceSink>(
-        &self,
-        ik: BiInterval,
-        c: u8,
-        cache: &mut OccCache,
-        trace: &mut T,
-    ) -> BiInterval {
-        self.backward_ext_all_cached(ik, cache, trace)[c as usize]
-    }
-
     /// Extends `W` to `Wc` (forward extension by one base), using the FMD
     /// symmetry: forward-extend `W` ⇔ backward-extend `revcomp(W)` by the
     /// complement base.
     pub fn forward_ext<T: TraceSink>(&self, ik: BiInterval, c: u8, trace: &mut T) -> BiInterval {
         self.backward_ext(ik.swapped(), 3 - c, trace).swapped()
-    }
-
-    /// [`FmdIndex::forward_ext`] through a per-search [`OccCache`].
-    pub fn forward_ext_cached<T: TraceSink>(
-        &self,
-        ik: BiInterval,
-        c: u8,
-        cache: &mut OccCache,
-        trace: &mut T,
-    ) -> BiInterval {
-        self.backward_ext_cached(ik.swapped(), 3 - c, cache, trace)
-            .swapped()
     }
 
     /// Searches `pattern` (backward), returning its bi-interval or `None`.
@@ -316,8 +294,7 @@ impl FmdIndex {
 
     /// Precomputes the bi-interval of every string of length `1..=k`
     /// (requested `k` is clamped so the table stays O(text) — see
-    /// [`PrefixLut::clamp_k`]). The paper's default is `k = 10`
-    /// ([`PrefixLut::DEFAULT_K`]).
+    /// [`PrefixLut::clamp_k`]). The pipeline builds [`PrefixLut::DEFAULT_K`].
     ///
     /// The LUT only accelerates the software fast path; extension through an
     /// address-recording sink never consults it.
@@ -379,9 +356,9 @@ pub struct PrefixLut {
 }
 
 impl PrefixLut {
-    /// Default maximum precomputed length (BWA-MEM uses the same order of
-    /// magnitude for its k-mer cache).
-    pub const DEFAULT_K: usize = 10;
+    /// Default maximum precomputed length, by measurement: depth 10 is 16×
+    /// the bytes for no `offline_short` throughput (EXPERIMENTS.md).
+    pub const DEFAULT_K: usize = 8;
 
     /// Clamps a requested `k` so the table (`Σ 4^l, l ≤ k` entries) never
     /// exceeds O(doubled text length): the largest `k` with
@@ -433,13 +410,13 @@ impl PrefixLut {
     }
 
     /// Start of the length-`len` section: `Σ_{j<len} 4^j = (4^len - 4) / 3`.
-    #[inline]
+    #[inline(always)]
     fn offset(len: usize) -> usize {
         (4usize.pow(len as u32) - 4) / 3
     }
 
     /// Effective precomputed depth (after clamping).
-    #[inline]
+    #[inline(always)]
     pub fn k(&self) -> usize {
         self.k
     }
@@ -450,7 +427,7 @@ impl PrefixLut {
     /// # Panics
     ///
     /// Panics if `len` is 0 or exceeds [`PrefixLut::k`], or `idx ≥ 4^len`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, len: usize, idx: usize) -> BiInterval {
         assert!(len >= 1 && len <= self.k, "length outside LUT depth");
         self.table[Self::offset(len) + idx]

@@ -20,6 +20,8 @@
 //! * [`trace`] — memory-access trace sinks that the execution-driven timing
 //!   model consumes.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod bwt;
 pub mod fm_index;
 pub mod fmd_index;
@@ -33,3 +35,13 @@ pub use fm_index::{FmIndex, OccCache};
 pub use fmd_index::{BiInterval, FmdIndex, PrefixLut};
 pub use smem::{Smem, SmemConfig, SmemScratch};
 pub use trace::{CountTrace, MemAddr, NullTrace, TraceSink, VecTrace};
+
+/// The rank kernel the seeding hot path runs on this CPU: `"popcnt"` (the
+/// hardware instruction, detected at run time) or `"portable"`.
+pub fn rank_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        return "popcnt";
+    }
+    "portable"
+}

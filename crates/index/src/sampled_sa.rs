@@ -85,14 +85,14 @@ impl SampledSa {
     }
 
     /// Whether rank `i` is sampled.
-    #[inline]
+    #[inline(always)]
     fn is_marked(&self, i: u64) -> bool {
         let i = i as usize;
         (self.marks[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Index of rank `i`'s sample among all samples (valid when marked).
-    #[inline]
+    #[inline(always)]
     fn sample_slot(&self, i: u64) -> usize {
         let i = i as usize;
         let before =
@@ -108,6 +108,7 @@ impl SampledSa {
     /// # Panics
     ///
     /// Panics if `rank` is out of range for `fm`.
+    #[inline(always)]
     pub fn locate<T: TraceSink>(&self, fm: &FmIndex, rank: u64, trace: &mut T) -> u64 {
         let mut i = rank;
         let mut steps = 0u64;
@@ -128,7 +129,7 @@ impl SampledSa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CountTrace, NullTrace};
+    use crate::trace::{CountTrace, NullTrace, VecTrace};
 
     fn rand_codes(len: usize, mut state: u64) -> Vec<u8> {
         (0..len)
@@ -152,6 +153,43 @@ mod tests {
                 let got = ssa.locate(&fm, rank as u64, &mut NullTrace);
                 assert_eq!(got, value as u64, "rank {rank} rate {rate}");
             }
+        }
+    }
+
+    /// `locate` as the aligner's `popcnt` arm compiles it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn locate_popcnt(ssa: &SampledSa, fm: &FmIndex, rank: u64, trace: &mut VecTrace) -> u64 {
+        ssa.locate(fm, rank, trace)
+    }
+
+    #[test]
+    fn locate_twins_agree_on_adversarial_texts() {
+        let texts = [
+            vec![0u8; 500],                                       // all-A
+            (0..600).map(|i| (i % 2) as u8).collect::<Vec<u8>>(), // period 2
+            vec![0u8, 1, 2, 3, 0, 1],                             // shorter than the LUT depth
+            rand_codes(777, 29),
+        ];
+        for text in &texts {
+            let sa = build_suffix_array(text);
+            let fm = FmIndex::from_text(text);
+            let ssa = SampledSa::from_sa(&sa, 32);
+            for (rank, &value) in sa.iter().enumerate() {
+                let mut addrs = VecTrace::default();
+                assert_eq!(ssa.locate(&fm, rank as u64, &mut addrs), value as u64);
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    let mut twin = VecTrace::default();
+                    // SAFETY: the CPU reports `popcnt`, checked on the line above.
+                    let got = unsafe { locate_popcnt(&ssa, &fm, rank as u64, &mut twin) };
+                    assert_eq!(got, value as u64, "rank {rank}");
+                    assert_eq!(twin.0, addrs.0, "rank {rank}");
+                }
+            }
+        }
+        if crate::rank_kernel() != "popcnt" {
+            eprintln!("note: no popcnt on this host, the popcnt arm is skipped");
         }
     }
 

@@ -146,6 +146,7 @@ pub fn smem_next<T: TraceSink>(
 /// # Panics
 ///
 /// Panics if `x >= query.len()`.
+#[inline(always)]
 pub fn smem_next_with<T: TraceSink>(
     fmd: &FmdIndex,
     query: &[u8],
@@ -192,7 +193,10 @@ pub fn smem_next_with<T: TraceSink>(
                 idx = idx * 4 + query[i] as usize;
                 l.get(depth, idx)
             }
-            _ => fmd.forward_ext_cached(ik, query[i], cache, trace),
+            // Forward-extending `W` is backward-extending `revcomp(W)` by
+            // the complement base.
+            _ => fmd.backward_ext_all_cached(ik.swapped(), cache, trace)[(3 - query[i]) as usize]
+                .swapped(),
         };
         if ok.s != ik.s {
             curr.push((ik, ik_end));
@@ -219,9 +223,12 @@ pub fn smem_next_with<T: TraceSink>(
         let c: Option<u8> = if i < 0 { None } else { Some(query[i as usize]) };
         curr.clear();
         for &(p, end) in prev.iter() {
-            let ok = c.map(|cc| fmd.backward_ext_cached(p, cc, cache, trace));
-            let extendable = ok.map(|o| o.s >= min_intv).unwrap_or(false);
-            if !extendable {
+            // Not a closure: one would be compiled outside the `popcnt` arm.
+            let o = match c {
+                Some(cc) => fmd.backward_ext_all_cached(p, cache, trace)[cc as usize],
+                None => BiInterval { k: 0, l: 0, s: 0 },
+            };
+            if o.s < min_intv {
                 // `p` is left-maximal here. Keep it if no longer match
                 // survives this round and it is not contained in the last
                 // SMEM we emitted.
@@ -239,11 +246,8 @@ pub fn smem_next_with<T: TraceSink>(
                         interval: p,
                     });
                 }
-            } else {
-                let o = ok.expect("extendable implies Some");
-                if curr.last().map(|l| l.0.s != o.s).unwrap_or(true) {
-                    curr.push((o, end));
-                }
+            } else if curr.last().map(|l| l.0.s != o.s).unwrap_or(true) {
+                curr.push((o, end));
             }
         }
         if curr.is_empty() {
@@ -276,8 +280,44 @@ pub fn collect_smems<T: TraceSink>(
 
 /// [`collect_smems`] into caller-provided scratch and output (cleared
 /// first): the zero-allocation form used by the alignment pipeline and the
-/// serve worker pool. Bit-identical results.
+/// serve worker pool. Bit-identical results on either [`crate::rank_kernel`].
 pub fn collect_smems_into<T: TraceSink>(
+    fmd: &FmdIndex,
+    query: &[u8],
+    config: &SmemConfig,
+    scratch: &mut SmemScratch,
+    out: &mut Vec<Smem>,
+    trace: &mut T,
+) {
+    // One dispatch per read, both arms the same body: every helper down to
+    // `rank4_in_words` is `#[inline(always)]`, so its `count_ones()` compiles
+    // inside the feature-enabled function. One left out silently keeps SWAR.
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: the CPU reports `popcnt`, checked on the line above.
+        return unsafe { collect_smems_popcnt(fmd, query, config, scratch, out, trace) };
+    }
+    collect_smems_portable(fmd, query, config, scratch, out, trace)
+}
+
+/// [`collect_smems_portable`] compiled with the `popcnt` instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+pub(crate) fn collect_smems_popcnt<T: TraceSink>(
+    fmd: &FmdIndex,
+    query: &[u8],
+    config: &SmemConfig,
+    scratch: &mut SmemScratch,
+    out: &mut Vec<Smem>,
+    trace: &mut T,
+) {
+    collect_smems_portable(fmd, query, config, scratch, out, trace)
+}
+
+/// [`collect_smems_into`] on the build's baseline instructions: the fallback
+/// on a CPU without `popcnt`, and the test twin of the other arm.
+#[inline(always)]
+pub(crate) fn collect_smems_portable<T: TraceSink>(
     fmd: &FmdIndex,
     query: &[u8],
     config: &SmemConfig,
@@ -462,7 +502,7 @@ pub mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CountTrace, NullTrace};
+    use crate::trace::{CountTrace, NullTrace, VecTrace};
 
     fn rand_codes(len: usize, mut state: u64) -> Vec<u8> {
         (0..len)
@@ -661,7 +701,6 @@ mod tests {
 
     #[test]
     fn scratch_path_trace_is_identical_in_recording_mode() {
-        use crate::trace::VecTrace;
         let forward = rand_codes(500, 8);
         let mut fmd = FmdIndex::from_forward(&forward);
         fmd.build_prefix_lut(crate::fmd_index::PrefixLut::DEFAULT_K);
@@ -681,6 +720,130 @@ mod tests {
         // And the fast path (discarding sink) produces the same SMEMs.
         let fast = collect_smems(&fmd, &query, &config, &mut NullTrace);
         assert_eq!(out, fast);
+    }
+
+    /// The `popcnt` arm of the [`collect_smems_into`] dispatch, called
+    /// directly; `None` on a host without the instruction.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn popcnt_arm<T: TraceSink>(
+        fmd: &FmdIndex,
+        query: &[u8],
+        config: &SmemConfig,
+        scratch: &mut SmemScratch,
+        trace: &mut T,
+    ) -> Option<Vec<Smem>> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            let mut out = Vec::new();
+            // SAFETY: the CPU reports `popcnt`, checked on the line above.
+            unsafe { collect_smems_popcnt(fmd, query, config, scratch, &mut out, trace) };
+            return Some(out);
+        }
+        None
+    }
+
+    /// Both arms against the oracle: the same SMEMs with the LUT off and on,
+    /// and the same recorded address sequence, each arm reusing its own
+    /// scratch across the queries.
+    fn assert_twins_agree(forward: &[u8], queries: &[Vec<u8>], config: &SmemConfig) {
+        let mut fmd = FmdIndex::from_forward(forward);
+        for build_lut in [false, true] {
+            if build_lut {
+                fmd.build_prefix_lut(crate::fmd_index::PrefixLut::DEFAULT_K);
+            }
+            let (mut s_portable, mut s_popcnt) = (SmemScratch::new(), SmemScratch::new());
+            let mut out = Vec::new();
+            for query in queries {
+                let want = oracle::collect_smems(&fmd, query, config);
+                let s = &mut s_portable;
+                collect_smems_portable(&fmd, query, config, s, &mut out, &mut NullTrace);
+                assert_eq!(out, want, "portable, lut {build_lut}");
+                let mut addrs = VecTrace::default();
+                collect_smems_portable(&fmd, query, config, s, &mut out, &mut addrs);
+                assert_eq!(out, want, "portable traced, lut {build_lut}");
+                let s = &mut s_popcnt;
+                let Some(got) = popcnt_arm(&fmd, query, config, s, &mut NullTrace) else {
+                    continue;
+                };
+                assert_eq!(got, want, "popcnt, lut {build_lut}");
+                let mut twin = VecTrace::default();
+                let got = popcnt_arm(&fmd, query, config, s, &mut twin);
+                assert_eq!(got, Some(want), "popcnt traced, lut {build_lut}");
+                assert_eq!(twin.0, addrs.0, "address sequences, lut {build_lut}");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_twins_agree_on_adversarial_genomes() {
+        if crate::rank_kernel() != "popcnt" {
+            eprintln!("note: no popcnt on this host, the popcnt arm is skipped");
+        }
+        let lenient = SmemConfig {
+            min_seed_len: 8,
+            min_intv: 1,
+            split_len: 12,
+            split_width: 10,
+        };
+        let tiny = SmemConfig {
+            min_seed_len: 3,
+            min_intv: 1,
+            split_len: 5,
+            split_width: 10,
+        };
+        // All-A: one saturated symbol, intervals as large as the reference.
+        let all_a = vec![0u8; 500];
+        let mut split_run = vec![0u8; 101];
+        split_run[50] = 1;
+        let queries = [vec![0u8; 101], vec![0u8; 500], vec![1u8; 30], split_run];
+        assert_twins_agree(&all_a, &queries, &SmemConfig::default());
+        assert_twins_agree(&all_a, &queries, &lenient);
+        // Period 2: SMEMs span the reference, re-seeding splits run hot.
+        let period_two: Vec<u8> = (0..600).map(|i| (i % 2) as u8).collect();
+        let mut broken = period_two[200..301].to_vec();
+        broken[50] = 2;
+        let shifted: Vec<u8> = (0..101).map(|i| ((i + 1) % 2) as u8).collect();
+        let queries = [period_two[10..111].to_vec(), shifted, broken];
+        assert_twins_agree(&period_two, &queries, &SmemConfig::default());
+        assert_twins_agree(&period_two, &queries, &lenient);
+        // Shorter than the LUT depth: the clamp path.
+        let short = vec![0u8, 1, 2, 3, 0, 1];
+        assert!(short.len() < crate::fmd_index::PrefixLut::DEFAULT_K);
+        let queries = [
+            short.clone(),
+            short[1..5].to_vec(),
+            vec![3u8; 4],
+            [&short[..], &short[..]].concat(),
+        ];
+        assert_twins_agree(&short, &queries, &tiny);
+        // A random reference with planted and random reads.
+        let forward = rand_codes(3000, 71);
+        let queries: Vec<Vec<u8>> = (0..12)
+            .map(|q| match q % 3 {
+                0 => rand_codes(101, 900 + q),
+                _ => forward[q as usize * 200..q as usize * 200 + 101].to_vec(),
+            })
+            .collect();
+        assert_twins_agree(&forward, &queries, &SmemConfig::default());
+        assert_twins_agree(&forward, &queries, &lenient);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dispatch_twins_agree_on_random_texts(
+            forward in proptest::collection::vec(0u8..4, 8..=300),
+            queries in proptest::collection::vec(proptest::collection::vec(0u8..4, 4..=64), 1..4),
+        ) {
+            let loose = SmemConfig {
+                min_seed_len: 4,
+                min_intv: 1,
+                split_len: 8,
+                split_width: 10,
+            };
+            assert_twins_agree(&forward, &queries, &loose);
+        }
     }
 
     #[test]

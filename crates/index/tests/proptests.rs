@@ -108,6 +108,30 @@ proptest! {
         }
     }
 
+    /// The recorded address sequence depends on neither the LUT (bypassed
+    /// by a recording sink) nor the state a reused scratch carries, on the
+    /// rank kernel this host dispatches to (the two kernels are compared
+    /// with each other in the crate's unit tests, which can name them).
+    #[test]
+    fn traced_addresses_ignore_lut_and_scratch_state(forward in codes(8, 200),
+                                                     queries in proptest::collection::vec(codes(4, 48), 1..4),
+                                                     k in 0usize..6) {
+        let plain = FmdIndex::from_forward(&forward);
+        let mut lut = plain.clone();
+        lut.build_prefix_lut(k);
+        let config = loose_config();
+        let mut scratch = SmemScratch::new();
+        let mut out = Vec::new();
+        for query in &queries {
+            let mut want = VecTrace::default();
+            let fresh = collect_smems(&plain, query, &config, &mut want);
+            let mut got = VecTrace::default();
+            collect_smems_into(&lut, query, &config, &mut scratch, &mut out, &mut got);
+            prop_assert_eq!(&out, &fresh);
+            prop_assert_eq!(&got.0, &want.0);
+        }
+    }
+
     /// Scratch reuse across queries (the pipeline's steady state) never
     /// changes the result: cache state left by one query must not leak
     /// into the next.

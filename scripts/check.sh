@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, rustdoc links, the tier-1 build+test
-# suite, the telemetry artifact checks, the benchmark smoke run, the serve
-# smoke tests, the conformance sweep and the per-crate line count. Run
-# from the repository root: ./scripts/check.sh
+# suite (and a popcnt instruction in the release binary), the telemetry
+# artifact checks, the benchmark smoke run, the serve smoke tests, the
+# conformance sweep and the per-crate line count. Run from the repository
+# root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -15,6 +16,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # deletion that leaves a dangling reference fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release
+# The seeding hot path must carry hardware popcount on the plain build
+# settings: a helper dropped from the `#[inline(always)]` chain under
+# `collect_smems_into` would take its `count_ones()` back to the SWAR
+# sequence without failing any test (DESIGN.md §10).
+if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
+    if [ "$(objdump -d target/release/nvwa | grep -c popcnt)" -eq 0 ]; then
+        echo "release nvwa contains no popcnt instruction" >&2
+        exit 1
+    fi
+fi
 cargo test -q
 
 # The two simulator goldens — the tiny Chrome trace and the simulated

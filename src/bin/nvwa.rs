@@ -529,12 +529,17 @@ fn serve(args: &[String]) -> ExitCode {
             eprintln!("synthesizing {len} bp reference (seed {seed}) ...");
             ReferenceGenome::synthesize(&ref_params(len), seed)
         };
-        eprintln!("indexing {} bp ...", genome.total_len());
+        eprintln!(
+            "indexing {} bp (rank kernel: {}) ...",
+            genome.total_len(),
+            nvwa::index::rank_kernel()
+        );
         vec![Tenant::single(Arc::new(ReferenceIndex::build(&genome, 32)))]
     } else {
         eprintln!(
-            "indexing {} tenant(s) at scale {tenant_scale} ...",
-            specs.len()
+            "indexing {} tenant(s) at scale {tenant_scale} (rank kernel: {}) ...",
+            specs.len(),
+            nvwa::index::rank_kernel()
         );
         specs
             .into_iter()
@@ -631,9 +636,10 @@ fn align(args: &[String]) -> ExitCode {
     };
 
     eprintln!(
-        "indexing {} bp, aligning {} reads ...",
+        "indexing {} bp, aligning {} reads (rank kernel: {}) ...",
         genome.total_len(),
-        reads.len()
+        reads.len(),
+        nvwa::index::rank_kernel()
     );
     let mut phases = HostPhases::new();
     let index = phases.run("index build", || ReferenceIndex::build(&genome, 32));

@@ -1,0 +1,102 @@
+//! Heap-allocation budget of the short-read hot path: a count, not a clock.
+//!
+//! `align_codes_fast` with a warm [`AlignScratch`] still allocates — the
+//! returned profile and cigar, the chains, the cigars of each extension —
+//! and every one of those is a `malloc` on the per-read path. This test
+//! pins how many: it installs a counting `#[global_allocator]` (counting
+//! only the thread that asks, so the test harness's own threads do not
+//! leak in), aligns 2 000 `illumina_101` reads against a 30 kbp reference
+//! after a warm-up pass, and asserts the allocations of that pass stay
+//! within the figure measured when the test was written. The inputs are
+//! seeded, so the count repeats exactly; a change that adds a per-read
+//! `clone()` or a fresh `Vec` fails here instead of showing up as a few
+//! percent of `offline_short`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nvwa::align::pipeline::ReferenceIndex;
+use nvwa::align::{AlignScratch, AlignerConfig, SoftwareAligner};
+use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
+
+thread_local! {
+    /// `(allocations, bytes)` of this thread while counting is on.
+    static COUNTED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// `const`-initialised thread-local `Cell` of plain integers, which neither
+// allocates nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = COUNTED.try_with(|c| {
+            if let Some((n, bytes)) = c.get() {
+                c.set(Some((n + 1, bytes + layout.size() as u64)));
+            }
+        });
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const READS: usize = 2_000;
+
+/// Allocations of one warm pass over the [`READS`] reads (16.381 and 999
+/// bytes per call), measured at the change that moved the best candidate
+/// and the left cigar instead of cloning them; 36 302 (18.151 and 1 055
+/// bytes per call) before it. `realloc` goes through the default `alloc` +
+/// copy + `dealloc`, so a growing `Vec` counts once per growth.
+const ALLOCS_CEILING: u64 = 32_762;
+
+#[test]
+fn warm_short_read_path_stays_within_its_allocation_budget() {
+    let genome = ReferenceGenome::synthesize(
+        &ReferenceParams {
+            total_len: 30_000,
+            chromosomes: 2,
+            repeat_fraction: 0.2,
+            ..ReferenceParams::default()
+        },
+        7,
+    );
+    let index = ReferenceIndex::build(&genome, 32);
+    let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
+    let reads = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 5).simulate_reads(READS);
+    let mut scratch = AlignScratch::new();
+    let pass = |scratch: &mut AlignScratch| {
+        reads
+            .iter()
+            .filter(|r| {
+                aligner
+                    .align_codes_fast(r.id, r.seq.codes(), scratch)
+                    .alignment
+                    .is_some()
+            })
+            .count()
+    };
+    let warm = pass(&mut scratch);
+    COUNTED.with(|c| c.set(Some((0, 0))));
+    let mapped = pass(&mut scratch);
+    let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+    assert_eq!(mapped, warm, "a warm scratch must not change the answers");
+    assert!(mapped * 10 >= reads.len() * 9, "only {mapped} reads mapped");
+    eprintln!(
+        "align_codes_fast: {:.3} allocations, {:.0} bytes per read",
+        allocs as f64 / READS as f64,
+        bytes as f64 / READS as f64
+    );
+    assert!(
+        allocs <= ALLOCS_CEILING,
+        "{allocs} allocations over {READS} reads, budget {ALLOCS_CEILING}"
+    );
+}

@@ -13,11 +13,12 @@
 //!
 //! Each case runs the full mode matrix of `testkit::diff::smem_divergence`:
 //! plain index, LUT index with the LUT engaged (`NullTrace`) and LUT index
-//! with the LUT bypassed (traced), all against the oracle.
+//! with the LUT bypassed (traced), all against the oracle; then compares the
+//! traced address sequences of the two indexes.
 
 use nvwa::index::fmd_index::PrefixLut;
 use nvwa::index::smem::{collect_smems_into, oracle};
-use nvwa::index::{FmdIndex, NullTrace, SmemConfig, SmemScratch};
+use nvwa::index::{FmdIndex, NullTrace, SmemConfig, SmemScratch, VecTrace};
 use nvwa::testkit::diff::smem_divergence;
 use nvwa::testkit::Prng;
 
@@ -59,6 +60,15 @@ fn assert_agree(reference: &[u8], queries: &[Vec<u8>], configs: &[SmemConfig]) {
                     config.min_seed_len
                 );
             }
+            // Hardware-trace mode: the address sequence does not depend on
+            // the LUT being built or on what the scratch served before (on
+            // whichever rank kernel this host dispatches to; the two are
+            // compared directly in `nvwa-index`'s unit tests).
+            let (mut t_plain, mut t_lut) = (VecTrace::default(), VecTrace::default());
+            let mut out = Vec::new();
+            collect_smems_into(&plain, q, config, &mut s_plain, &mut out, &mut t_plain);
+            collect_smems_into(&lut, q, config, &mut s_lut, &mut out, &mut t_lut);
+            assert_eq!(t_plain, t_lut, "query {i}: traced addresses differ");
         }
     }
 }
@@ -111,7 +121,7 @@ fn period_two_repeat_agrees_with_oracle() {
 
 #[test]
 fn reference_shorter_than_lut_k_agrees_with_oracle() {
-    // 6 codes < PrefixLut::DEFAULT_K (10): the LUT must clamp its depth,
+    // 6 codes < PrefixLut::DEFAULT_K (8): the LUT must clamp its depth,
     // not index past the reference.
     let reference = vec![0u8, 1, 2, 3, 0, 1];
     assert!(reference.len() < PrefixLut::DEFAULT_K);
