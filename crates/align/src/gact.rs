@@ -4,13 +4,16 @@
 //! resources by filling fixed-size tiles and committing the traceback prefix
 //! of each tile before sliding the window forward by `tile_size - overlap`.
 //! The paper applies NvWa to long reads "by using the iterative scheme of
-//! GACT" (Sec. V-F); this module is that scheme.
+//! GACT" (Sec. V-F); this module is that scheme. Each tile is one
+//! [`extend_align_with`] call (the anti-diagonal fill, on AVX2 where the CPU
+//! has it: [`crate::tile_kernel`]), all tiles of a [`gact_extend`] in one
+//! [`DpScratch`].
 
 use crate::cigar::Cigar;
 #[cfg(test)]
 use crate::cigar::CigarOp;
 use crate::scoring::Scoring;
-use crate::sw::{extend_align, ExtensionAlignment};
+use crate::sw::{extend_align_with, DpScratch, ExtensionAlignment};
 
 /// GACT tiling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +60,9 @@ pub struct GactStats {
 /// Extends `query` against `target` from the anchored origin using GACT
 /// tiling. Returns the committed alignment and tiling statistics.
 ///
-/// The result approximates [`extend_align`] (exact when each tile's optimal
-/// path stays within the committed prefix — Darwin's empirical observation)
-/// while only ever holding one `tile_size²` matrix.
+/// The result approximates [`crate::sw::extend_align`] (exact when each
+/// tile's optimal path stays within the committed prefix — Darwin's empirical
+/// observation) while only ever holding one tile's traceback matrix.
 pub fn gact_extend(
     query: &[u8],
     target: &[u8],
@@ -69,6 +72,8 @@ pub fn gact_extend(
     config.validate();
     let mut stats = GactStats::default();
     let mut cigar = Cigar::new();
+    // One set of DP buffers for every tile of this extension.
+    let mut dp = DpScratch::new();
     let mut q_pos = 0usize;
     let mut t_pos = 0usize;
 
@@ -78,7 +83,7 @@ pub fn gact_extend(
         if q_tile.is_empty() || t_tile.is_empty() {
             break;
         }
-        let tile = extend_align(q_tile, t_tile, scoring);
+        let tile = extend_align_with(q_tile, t_tile, scoring, &mut dp);
         stats.tiles += 1;
         stats.dp_cells += q_tile.len() as u64 * t_tile.len() as u64;
         if tile.cigar.is_empty() {
@@ -157,6 +162,7 @@ fn cigar_prefix(cigar: &Cigar, max_query: usize) -> (Cigar, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sw::extend_align;
 
     fn rand_codes(len: usize, mut state: u64) -> Vec<u8> {
         (0..len)

@@ -154,17 +154,17 @@ impl<'r> LongReadAligner<'r> {
             .rev()
             .copied()
             .collect();
-        let (left, stats) = gact_extend(&left_q, &left_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, &stats);
-        let mut left_cigar = left.cigar.clone();
-        left_cigar.reverse();
-        cigar.concat(&left_cigar);
+        let (mut left, stats) =
+            gact_extend(&left_q, &left_t, &self.config.scoring, &self.config.gact);
+        accumulate(&mut gact_total, stats);
+        left.cigar.reverse();
+        cigar.concat(&left.cigar);
 
         // Chained body fill.
         let body_q = &oriented[qs..qe];
         let body_t = &reference[rs as usize..(re as usize).min(reference.len())];
         let (body, stats) = gact_extend(body_q, body_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, &stats);
+        accumulate(&mut gact_total, stats);
         cigar.concat(&body.cigar);
 
         // Right flank.
@@ -174,7 +174,7 @@ impl<'r> LongReadAligner<'r> {
             (right_anchor + right_q.len() + self.config.gact.tile_size / 2).min(reference.len());
         let right_t = &reference[right_anchor.min(reference.len())..right_end];
         let (right, stats) = gact_extend(right_q, right_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, &stats);
+        accumulate(&mut gact_total, stats);
         cigar.concat(&right.cigar);
 
         let score = cigar.score(&self.config.scoring);
@@ -191,7 +191,7 @@ impl<'r> LongReadAligner<'r> {
     }
 }
 
-fn accumulate(total: &mut GactStats, stats: &GactStats) {
+fn accumulate(total: &mut GactStats, stats: GactStats) {
     total.tiles += stats.tiles;
     total.dp_cells += stats.dp_cells;
 }

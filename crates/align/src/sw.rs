@@ -1,17 +1,21 @@
 //! Full affine-gap Smith-Waterman with traceback.
 //!
-//! Two variants are provided: [`local_align`] (classic local alignment,
-//! zero-floored) and [`extend_align`] (anchored at the origin, the
-//! seed-extension step of the pipeline). Both produce an exact [`Cigar`]
-//! via a packed traceback matrix, like Darwin's GACT tiles do in SRAM.
+//! Three variants: [`local_align`] (classic local alignment, zero-floored),
+//! [`extend_align`] (anchored at the origin: the GACT tile kernel of the
+//! long-read path) and [`global_align`] (both ends fixed: the glue between
+//! chained seeds). All produce an exact [`Cigar`] via a packed traceback
+//! matrix, like Darwin's GACT tiles do in SRAM.
 //!
-//! The forward fill is the aligner's hot kernel (it dominates workload
-//! construction). The shared `fill_into` keeps a single rolling H row with
-//! the left/diagonal cells in registers, hoists the gap constants out of
-//! the inner loop, and replaces the per-cell substitution branch with a
-//! 4×n score profile selected by the row's query base. Tie-breaking is
-//! bit-identical to the reference implementations retained in [`naive`]
-//! (the differential-testing oracle).
+//! Two forward fills compute the same recurrence. The row fill (`fill_into`)
+//! keeps a single rolling H row with the left/diagonal cells in registers,
+//! hoists the gap constants out of the inner loop, and replaces the per-cell
+//! substitution branch with a 4×n score profile selected by the row's query
+//! base; the local and global variants run on it. The wavefront fill
+//! (`extend_wavefront`) sweeps anti-diagonals, whose cells are independent,
+//! so its inner loop vectorises; [`extend_align_with`] — over 90 % of a long
+//! read — runs on it, compiled with AVX2 where the CPU reports it
+//! ([`tile_kernel`]). Both are bit-identical (ties, best cell, traceback) to
+//! the references retained in [`naive`], the differential-testing oracle.
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::scoring::Scoring;
@@ -77,6 +81,13 @@ pub struct DpScratch {
     pub(crate) f_col: Vec<i32>,
     score_tab: Vec<i32>,
     profile_row: Vec<i32>,
+    /// The wavefront fill's nine row-indexed lane arrays, end to end.
+    lanes: Vec<i32>,
+    /// The wavefront fill's target, reversed.
+    rev_target: Vec<u8>,
+    /// The wavefront fill's traceback layout: cell `(i, j)` is
+    /// `tb[diag_base[i + j] + i]`.
+    diag_base: Vec<usize>,
 }
 
 impl DpScratch {
@@ -272,31 +283,199 @@ pub fn extend_align(query: &[u8], target: &[u8], scoring: &Scoring) -> Extension
     extend_align_with(query, target, scoring, &mut DpScratch::new())
 }
 
-/// [`extend_align`] with caller-provided DP buffers.
+/// [`extend_align`] with caller-provided DP buffers: the GACT tile kernel.
+/// One detect per call picks the wavefront fill's instantiation — AVX2, or
+/// the baseline target's where the CPU has none; the answer is the same bit
+/// for bit. The traceback matrix is `(m+1)·(n+1)` bytes, as the row fill's.
 pub fn extend_align_with(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> ExtensionAlignment {
-    let n = target.len();
-    let (best, _) = fill_into::<false>(query, target, scoring, s);
-    let (score, bi, bj) = best;
-    if bi == 0 && bj == 0 {
-        return ExtensionAlignment {
-            score: 0,
-            query_len: 0,
-            target_len: 0,
-            cigar: Cigar::new(),
-        };
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2`, checked on the line above, is the CPU's own
+        // `avx2` report.
+        return unsafe { extend_wavefront_avx2(query, target, scoring, s) };
     }
-    let (cigar, qi, tj) = traceback(&s.tb, n, bi, bj, query, target, false);
+    extend_wavefront(query, target, scoring, s)
+}
+
+/// The one dispatch condition of [`extend_align_with`].
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The instantiation of the wavefront fill [`extend_align_with`], the GACT
+/// tile kernel, runs on this CPU: `"avx2-wavefront"` (detected at run time)
+/// or `"wavefront"` (the same body compiled for the baseline target).
+pub fn tile_kernel() -> &'static str {
+    if has_avx2() {
+        "avx2-wavefront"
+    } else {
+        "wavefront"
+    }
+}
+
+/// The wavefront arm of [`extend_align_with`], compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn extend_wavefront_avx2(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> ExtensionAlignment {
+    extend_wavefront(query, target, scoring, s)
+}
+
+/// The anchored recurrence filled one anti-diagonal at a time, as the
+/// paper's systolic EU sweeps it (Fig. 7): the cells of diagonal `d = i + j`
+/// read diagonals `d-1` and `d-2` only, so [`wavefront_cells`] vectorises.
+/// Lanes are indexed by query row `i` (three H diagonals, two E, two F, the
+/// per-row best); the target is stored reversed so that row `i`'s base
+/// `target[d-i-1]` is contiguous in `i`. The traceback codes are `fill_into`'s,
+/// diagonal-major with the diagonals end to end (`diag_base`), never cleared:
+/// the walk visits only cells this call wrote. Inlined so that it compiles
+/// inside the AVX2 caller too.
+#[inline(always)]
+fn extend_wavefront(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> ExtensionAlignment {
+    let (m, n, w) = (query.len(), target.len(), query.len() + 1);
+    let (go1, ge) = (scoring.gap_cost(1), scoring.gap_extend);
+    let subst = (scoring.match_score, -scoring.mismatch_penalty);
+    // Diagonal `d` holds rows `d.saturating_sub(n) ..= m.min(d)`; its base is
+    // its offset less its first row, so that a cell is at `base + i`.
+    let mut cells = 0;
+    s.diag_base.clear();
+    s.diag_base.extend((0..=m + n).map(|d| {
+        let (lo, base) = (d.saturating_sub(n), cells);
+        cells += m.min(d) + 1 - lo;
+        base - lo
+    }));
+    if s.tb.len() < cells {
+        s.tb.resize(cells, 0);
+    }
+    s.rev_target.clear();
+    s.rev_target.extend(target.iter().rev());
+    let (tb, rev_target, diag_base) = (&mut s.tb[..], &s.rev_target[..], &s.diag_base[..]);
+    s.lanes.clear();
+    s.lanes.resize(9 * w, 0);
+    let mut lanes = s.lanes.chunks_exact_mut(w);
+    let [mut h2, mut h1, mut h0, mut e1, mut e0, mut f1, mut f0, best, best_d] =
+        std::array::from_fn(|_| lanes.next().expect("nine lanes of m + 1"));
+
+    // Diagonal 0 is the anchor: H(0,0) = 0, already in `h1[0]`.
+    let mut boundary = -go1;
+    for d in 1..=m + n {
+        let base = diag_base[d];
+        // The gap-scored boundary: row 0 comes from E-gaps and never extends
+        // an F, column 0 the other way round.
+        if d <= n {
+            h0[0] = boundary;
+            f0[0] = NEG_INF;
+            tb[base] = H_FROM_E | if d > 1 { E_EXT } else { 0 };
+        }
+        if d <= m {
+            h0[d] = boundary;
+            e0[d] = NEG_INF;
+            tb[base + d] = H_FROM_F | if d > 1 { F_EXT } else { 0 };
+        }
+        boundary -= ge;
+        // Interior rows of this diagonal (none on diagonal 1).
+        let (lo, hi) = (d.saturating_sub(n).max(1), m.min(d - 1) + 1);
+        wavefront_cells(
+            (d as i32, go1, ge, subst),
+            &query[lo - 1..hi - 1],
+            &rev_target[n + lo - d..],
+            &h2[lo - 1..hi - 1],
+            &h1[lo - 1..hi - 1],
+            &h1[lo..hi],
+            &e1[lo..hi],
+            &f1[lo - 1..hi - 1],
+            &mut h0[lo..hi],
+            &mut e0[lo..hi],
+            &mut f0[lo..hi],
+            &mut tb[base + lo..base + hi],
+            &mut best[lo..hi],
+            &mut best_d[lo..hi],
+        );
+        (h2, h1, h0) = (h1, h0, h2);
+        (e1, e0, f1, f0) = (e0, e1, f0, f1);
+    }
+
+    // Each row kept its maximum and the first diagonal reaching it: rows in
+    // order under strict `>` give `fill_into`'s first row-major maximum.
+    let (mut score, mut bi, mut bj) = (0i32, 0usize, 0usize);
+    for i in 1..=m {
+        if best[i] > score {
+            (score, bi, bj) = (best[i], i, best_d[i] as usize - i);
+        }
+    }
+    // (An empty extension, best cell (0, 0), walks to an empty CIGAR.)
+    let at = |i: usize, j: usize| diag_base[i + j] + i;
+    let (cigar, qi, tj) = traceback_by(tb, at, bi, bj, query, target, false);
     debug_assert_eq!((qi, tj), (0, 0), "extension traceback must reach anchor");
     ExtensionAlignment {
         score,
         query_len: bi,
         target_len: bj,
         cigar,
+    }
+}
+
+/// The interior cells of one anti-diagonal, lane `k` being one query row:
+/// `fill_into`'s cell with its strict `>` in diag → E → F order. What makes
+/// LLVM vectorise it: values through `max`, flags through `bool as u8`
+/// arithmetic, no value-producing `if`; every slice a parameter of its own
+/// (pieces cut inline from one buffer, or a tuple of slices, lose the
+/// no-alias facts) and re-sliced to one `len` (no bounds check in the loop).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn wavefront_cells(
+    (d, go1, ge, (match_score, mismatch)): (i32, i32, i32, (i32, i32)),
+    q: &[u8],
+    rt: &[u8],
+    h_diag: &[i32],
+    h_up: &[i32],
+    h_left: &[i32],
+    e_left: &[i32],
+    f_up: &[i32],
+    h: &mut [i32],
+    e: &mut [i32],
+    f: &mut [i32],
+    tb: &mut [u8],
+    best: &mut [i32],
+    best_d: &mut [i32],
+) {
+    let len = tb.len();
+    let (q, rt, h_diag, h_up) = (&q[..len], &rt[..len], &h_diag[..len], &h_up[..len]);
+    let (h_left, e_left, f_up) = (&h_left[..len], &e_left[..len], &f_up[..len]);
+    let (h, e, f) = (&mut h[..len], &mut e[..len], &mut f[..len]);
+    let (best, best_d) = (&mut best[..len], &mut best_d[..len]);
+    for k in 0..len {
+        let (e_open, e_ext) = (h_left[k] - go1, e_left[k] - ge);
+        let (f_open, f_ext) = (h_up[k] - go1, f_up[k] - ge);
+        let (ev, fv) = (e_open.max(e_ext), f_open.max(f_ext));
+        let diag = h_diag[k] + mismatch + (q[k] == rt[k]) as i32 * (match_score - mismatch);
+        let (from_e, hv) = (ev > diag, diag.max(ev));
+        let (from_f, hv) = (fv > hv, hv.max(fv));
+        (h[k], e[k], f[k]) = (hv, ev, fv);
+        // H_DIAG, H_FROM_E or (either overridden) H_FROM_F.
+        tb[k] = ((H_DIAG + from_e as u8) | (H_FROM_F * from_f as u8))
+            | (E_EXT * (e_ext > e_open) as u8)
+            | (F_EXT * (f_ext > f_open) as u8);
+        let better = -((hv > best[k]) as i32);
+        best[k] = best[k].max(hv);
+        best_d[k] = (d & better) | (best_d[k] & !better);
     }
 }
 
@@ -344,12 +523,26 @@ pub fn global_align_with(
     }
 }
 
-/// Walks the packed traceback matrix from `(bi, bj)` back to a stop cell
-/// (local) or the origin (extension). Returns the forward-oriented CIGAR and
-/// the start cell. Shared with the banded aligner.
+/// Walks a row-major `(m+1) × (n+1)` traceback matrix from `(bi, bj)` back to
+/// a stop cell (local) or the origin (extension). Returns the
+/// forward-oriented CIGAR and the start cell. Shared with the banded aligner.
 pub(crate) fn traceback(
     tb: &[u8],
     n: usize,
+    i: usize,
+    j: usize,
+    query: &[u8],
+    target: &[u8],
+    local: bool,
+) -> (Cigar, usize, usize) {
+    traceback_by(tb, |i, j| i * (n + 1) + j, i, j, query, target, local)
+}
+
+/// The one traceback walker: [`traceback`] over any cell layout, cell
+/// `(i, j)` being `tb[at(i, j)]`.
+fn traceback_by(
+    tb: &[u8],
+    at: impl Fn(usize, usize) -> usize,
     mut i: usize,
     mut j: usize,
     query: &[u8],
@@ -363,7 +556,7 @@ pub(crate) fn traceback(
         if i == 0 && j == 0 {
             break;
         }
-        let cell = tb[i * (n + 1) + j];
+        let cell = tb[at(i, j)];
         match state {
             0 => {
                 let src = cell & 0b11;
@@ -916,6 +1109,93 @@ mod tests {
                 naive::global_align(&q, &t, &scoring),
                 "global q={q:?} t={t:?}"
             );
+        }
+    }
+
+    /// The AVX2 arm when the host has it.
+    fn wavefront_avx2(
+        q: &[u8],
+        t: &[u8],
+        scoring: &Scoring,
+        s: &mut DpScratch,
+    ) -> Option<ExtensionAlignment> {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: `has_avx2`, checked on the line above, is the CPU's
+            // own `avx2` report.
+            return Some(unsafe { extend_wavefront_avx2(q, t, scoring, s) });
+        }
+        None
+    }
+
+    #[test]
+    fn tile_kernel_twins_agree_with_the_oracle_at_tile_scale() {
+        if !has_avx2() {
+            eprintln!("note: no avx2 on this host, the avx2 arm is skipped");
+        }
+        let mut state = 0x7_11e5_u64;
+        let mut rand = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let scorings = [
+            Scoring::bwa_mem(),
+            Scoring::new(2, 3, 4, 1),
+            Scoring::new(1, 1, 0, 1),
+            Scoring::new(3, 2, 5, 0),
+        ];
+        // (m, n, alphabet): 1 is the homopolymer (all-match, every maximum
+        // tied), 2 is tie-heavy, 5 and 6 put codes >= 4 on both sides.
+        let mut shapes = vec![
+            (0, 0, 4),
+            (0, 7, 4),
+            (7, 0, 4),
+            (1, 1, 1),
+            (1, 1, 4),
+            (1, 300, 4),
+            (300, 1, 4),
+            (256, 256, 1),
+            (254, 256, 4),
+            (300, 300, 2),
+            (300, 300, 5),
+        ];
+        for _ in 0..60 {
+            shapes.push((1 + rand(300), 1 + rand(300), [1, 2, 4, 4, 4, 6][rand(6)]));
+        }
+        // One scratch per arm for the whole run, its sizes going large ->
+        // small -> large: stale traceback bytes must never be read.
+        let (mut portable, mut avx2) = (DpScratch::new(), DpScratch::new());
+        for (round, &(m, n, alphabet)) in shapes.iter().enumerate() {
+            let scoring = scorings[round % scorings.len()];
+            let q: Vec<u8> = (0..m).map(|_| rand(alphabet) as u8).collect();
+            let mut t: Vec<u8> = (0..n).map(|_| rand(alphabet) as u8).collect();
+            if round % 7 == 3 {
+                // All-mismatch: the target avoids every query code.
+                t.iter_mut().for_each(|c| *c = alphabet as u8);
+            } else if round % 3 == 0 {
+                // A noisy copy, so that long diagonals and gaps both occur.
+                t = q
+                    .iter()
+                    .flat_map(|&c| match rand(20) {
+                        0 => vec![],
+                        1 => vec![c, c],
+                        2 => vec![(c + 1) % alphabet as u8],
+                        _ => vec![c],
+                    })
+                    .chain(std::iter::repeat_n(0, n / 8))
+                    .collect();
+            }
+            let want = naive::extend_align(&q, &t, &scoring);
+            let tag = format!("m={m} n={} alphabet={alphabet} {scoring:?}", t.len());
+            // Called from here the body compiles for the baseline target: the
+            // arm `extend_align_with` takes where the CPU has no AVX2.
+            let twin = extend_wavefront(&q, &t, &scoring, &mut portable);
+            assert_eq!(twin, want, "portable {tag}");
+            if let Some(got) = wavefront_avx2(&q, &t, &scoring, &mut avx2) {
+                assert_eq!(got, want, "avx2 {tag}");
+            }
         }
     }
 }

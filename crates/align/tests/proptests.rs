@@ -9,7 +9,10 @@ use nvwa_align::myers::{
     banded_edit_extend, banded_edit_global, edit_distance_naive, MyersScratch,
 };
 use nvwa_align::scoring::Scoring;
-use nvwa_align::sw::{extend_align, global_align, local_align, naive};
+use nvwa_align::sw::{
+    extend_align, extend_align_with, global_align_with, local_align, local_align_with, naive,
+    DpScratch,
+};
 
 fn codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 1..=max_len)
@@ -131,38 +134,51 @@ proptest! {
         prop_assert!(local_align(&q, &longer, &scoring).score >= base);
     }
 
-    /// The optimized rolling-row kernel is bit-identical to the retained
-    /// reference implementation across all three entry points — scores,
-    /// spans and tracebacks, not just scores.
+    /// The optimized kernels (the rolling-row fill of the local and global
+    /// variants, the wavefront fill of the extension) are bit-identical to
+    /// the retained reference implementations — scores, spans and
+    /// tracebacks, not just scores — at GACT tile scale: m != n, empty
+    /// sides, alphabets of 1 (homopolymer: every maximum tied, which pins
+    /// the first-strict-maximum rule) to 6 (codes >= 4 on both sides), four
+    /// scorings including free gap open and free gap extension, and one
+    /// scratch going large -> small -> large, so a stale traceback byte
+    /// would be read if any could be.
     #[test]
-    fn optimized_kernel_equals_naive(q in codes(40), t in codes(40)) {
-        let scoring = Scoring::bwa_mem();
-        prop_assert_eq!(
-            local_align(&q, &t, &scoring),
-            naive::local_align(&q, &t, &scoring)
-        );
-        prop_assert_eq!(
-            extend_align(&q, &t, &scoring),
-            naive::extend_align(&q, &t, &scoring)
-        );
-        prop_assert_eq!(
-            global_align(&q, &t, &scoring),
-            naive::global_align(&q, &t, &scoring)
-        );
-    }
-
-    /// Same equivalence under a non-default scoring scheme.
-    #[test]
-    fn optimized_kernel_equals_naive_alt_scoring(q in codes(30), t in codes(30)) {
-        let scoring = Scoring::new(2, 3, 4, 1);
-        prop_assert_eq!(
-            local_align(&q, &t, &scoring),
-            naive::local_align(&q, &t, &scoring)
-        );
-        prop_assert_eq!(
-            extend_align(&q, &t, &scoring),
-            naive::extend_align(&q, &t, &scoring)
-        );
+    fn optimized_kernel_equals_naive(
+        q in proptest::collection::vec(0u8..60, 0..=300),
+        t in proptest::collection::vec(0u8..60, 0..=300),
+        alphabet in 1u8..=6,
+        scheme in 0usize..4,
+        related in any::<bool>(),
+    ) {
+        let scoring = [
+            Scoring::bwa_mem(),
+            Scoring::new(2, 3, 4, 1),
+            Scoring::new(1, 1, 0, 1),
+            Scoring::new(3, 2, 5, 0),
+        ][scheme];
+        let q: Vec<u8> = q.iter().map(|c| c % alphabet).collect();
+        // Half the cases align a ~10 % substituted copy, so long paths occur.
+        let t: Vec<u8> = t
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| if related && c >= 6 && k < q.len() { q[k] } else { c % alphabet })
+            .collect();
+        let mut dp = DpScratch::new();
+        for (q, t) in [(&q[..], &t[..]), (&q[..q.len() / 3], &t[..t.len() / 4]), (&q[..], &t[..])] {
+            prop_assert_eq!(
+                extend_align_with(q, t, &scoring, &mut dp),
+                naive::extend_align(q, t, &scoring)
+            );
+            prop_assert_eq!(
+                local_align_with(q, t, &scoring, &mut dp),
+                naive::local_align(q, t, &scoring)
+            );
+            prop_assert_eq!(
+                global_align_with(q, t, &scoring, &mut dp),
+                naive::global_align(q, t, &scoring)
+            );
+        }
     }
 
     /// The traceback's op usage matches the sequences: Match ops only on

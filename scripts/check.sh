@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, rustdoc links, the tier-1 build+test
-# suite (and a popcnt instruction in the release binary), the telemetry
+# suite (and popcnt and AVX2 vpmaxsd in the release binary), the telemetry
 # artifact checks, the benchmark smoke run, the serve smoke tests, the
 # conformance sweep and the per-crate line count. Run from the repository
 # root: ./scripts/check.sh
@@ -23,6 +23,17 @@ cargo build --release
 if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
     if [ "$(objdump -d target/release/nvwa | grep -c popcnt)" -eq 0 ]; then
         echo "release nvwa contains no popcnt instruction" >&2
+        exit 1
+    fi
+    # Likewise the GACT tile kernel: the loop of its AVX2 instantiation must
+    # have vectorised (five `vpmaxsd` on ymm registers, counted inside that
+    # one symbol so that no other vectorised max satisfies the check). A
+    # shape LLVM leaves scalar passes every test and halves `offline_long`
+    # (DESIGN.md §12).
+    if [ "$(objdump -d target/release/nvwa |
+        awk '/^[0-9a-f]+ <.*>:$/ { inside = /extend_wavefront_avx2/ } inside' |
+        grep -c 'vpmaxsd.*ymm')" -eq 0 ]; then
+        echo "extend_wavefront_avx2 has no vpmaxsd on ymm: the wavefront fill did not vectorise" >&2
         exit 1
     fi
 fi

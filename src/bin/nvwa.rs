@@ -530,16 +530,18 @@ fn serve(args: &[String]) -> ExitCode {
             ReferenceGenome::synthesize(&ref_params(len), seed)
         };
         eprintln!(
-            "indexing {} bp (rank kernel: {}) ...",
+            "indexing {} bp (rank kernel: {}, tile kernel: {}) ...",
             genome.total_len(),
-            nvwa::index::rank_kernel()
+            nvwa::index::rank_kernel(),
+            nvwa::align::tile_kernel()
         );
         vec![Tenant::single(Arc::new(ReferenceIndex::build(&genome, 32)))]
     } else {
         eprintln!(
-            "indexing {} tenant(s) at scale {tenant_scale} (rank kernel: {}) ...",
+            "indexing {} tenant(s) at scale {tenant_scale} (rank kernel: {}, tile kernel: {}) ...",
             specs.len(),
-            nvwa::index::rank_kernel()
+            nvwa::index::rank_kernel(),
+            nvwa::align::tile_kernel()
         );
         specs
             .into_iter()
@@ -636,10 +638,11 @@ fn align(args: &[String]) -> ExitCode {
     };
 
     eprintln!(
-        "indexing {} bp, aligning {} reads (rank kernel: {}) ...",
+        "indexing {} bp, aligning {} reads (rank kernel: {}, tile kernel: {}) ...",
         genome.total_len(),
         reads.len(),
-        nvwa::index::rank_kernel()
+        nvwa::index::rank_kernel(),
+        nvwa::align::tile_kernel()
     );
     let mut phases = HostPhases::new();
     let index = phases.run("index build", || ReferenceIndex::build(&genome, 32));

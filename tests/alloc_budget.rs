@@ -1,4 +1,4 @@
-//! Heap-allocation budget of the short-read hot path: a count, not a clock.
+//! Heap-allocation budgets of the two offline hot paths: counts, not clocks.
 //!
 //! `align_codes_fast` with a warm [`AlignScratch`] still allocates — the
 //! returned profile and cigar, the chains, the cigars of each extension —
@@ -10,14 +10,18 @@
 //! within the figure measured when the test was written. The inputs are
 //! seeded, so the count repeats exactly; a change that adds a per-read
 //! `clone()` or a fresh `Vec` fails here instead of showing up as a few
-//! percent of `offline_short`.
+//! percent of `offline_short`. The long-read case does the same for
+//! `LongReadAligner::align` on 50 simulated 5 kbp reads: what it pins is
+//! that a `gact_extend` call owns one `DpScratch` for all of its tiles.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
 use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::align::{AlignScratch, AlignerConfig, SoftwareAligner};
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
+use nvwa::index::minimizer::MinimizerParams;
 
 thread_local! {
     /// `(allocations, bytes)` of this thread while counting is on.
@@ -98,5 +102,55 @@ fn warm_short_read_path_stays_within_its_allocation_budget() {
     assert!(
         allocs <= ALLOCS_CEILING,
         "{allocs} allocations over {READS} reads, budget {ALLOCS_CEILING}"
+    );
+}
+
+const LONG_READS: usize = 50;
+
+/// Allocations and bytes of one pass over the [`LONG_READS`] reads, measured
+/// at the change that gave `gact_extend` one `DpScratch` for all its tiles
+/// and stopped cloning the left flank's cigar: 30 235 allocations (604.7 per
+/// read) and 28 623 593 bytes (572 472), the same on either instantiation of
+/// the tile kernel. Before it, a fresh scratch per tile: 35 276 allocations
+/// (705.5) and 116 203 313 bytes (2 324 066 per read).
+const LONG_ALLOCS_CEILING: u64 = 30_235;
+const LONG_BYTES_CEILING: u64 = 28_623_593;
+
+#[test]
+fn long_read_path_stays_within_its_allocation_budget() {
+    let genome = ReferenceGenome::synthesize(
+        &ReferenceParams {
+            total_len: 200_000,
+            chromosomes: 4,
+            ..ReferenceParams::default()
+        },
+        7,
+    );
+    let index = LongReadIndex::build(genome.flat().codes().to_vec(), MinimizerParams::default());
+    let aligner = LongReadAligner::new(&index, LongReadConfig::default());
+    let reads =
+        ReadSimulator::new(&genome, ReadSimParams::long_read(5_000), 5).simulate_reads(LONG_READS);
+    let pass = || {
+        reads
+            .iter()
+            .filter_map(|r| aligner.align(r.seq.codes()))
+            .map(|a| a.gact.tiles)
+            .sum::<u64>()
+    };
+    let warm = pass();
+    COUNTED.with(|c| c.set(Some((0, 0))));
+    let tiles = pass();
+    let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+    assert_eq!(tiles, warm, "the second pass must repeat the first");
+    assert!(tiles >= 20 * LONG_READS as u64, "only {tiles} tiles filled");
+    eprintln!(
+        "LongReadAligner::align: {:.1} allocations, {:.0} bytes per read",
+        allocs as f64 / LONG_READS as f64,
+        bytes as f64 / LONG_READS as f64
+    );
+    assert!(
+        allocs <= LONG_ALLOCS_CEILING && bytes <= LONG_BYTES_CEILING,
+        "{allocs} allocations, {bytes} bytes over {LONG_READS} reads, \
+         budget {LONG_ALLOCS_CEILING} / {LONG_BYTES_CEILING}"
     );
 }
