@@ -1,0 +1,207 @@
+//! The extension side: EU completion, the Coordinator's allocation rounds
+//! (buffer switch → Allocate Trigger → Judger → Hits Allocator), the
+//! baseline FIFO's head-of-line dispatch, and the occupation of an EU.
+
+use nvwa_telemetry::PID_ACCELERATOR;
+
+use crate::coordinator::allocator::IdleEu;
+use crate::interface::{Hit, UnitStatus};
+use crate::units::eu::EuModel;
+
+use super::{Event, HitPath, SimState, HIT_INTERVALS};
+
+impl SimState<'_> {
+    pub(super) fn on_eu_done(&mut self, eu: usize) {
+        let (issued, hit_len) = self.eus[eu].running.expect("EU completion without a task");
+        self.set_eu(eu, None);
+        self.metrics.observe(self.ids.hit_cycles, self.now - issued);
+        if let Some(rec) = &mut self.trace {
+            rec.complete_with_args(
+                PID_ACCELERATOR,
+                self.config.su_count + eu as u32,
+                "hit",
+                nvwa_telemetry::cycles_to_us(issued),
+                nvwa_telemetry::cycles_to_us(self.now - issued),
+                &[("hit_len", hit_len as f64)],
+            );
+        }
+        if let HitPath::Coordinator { blocked, .. } = &mut self.path {
+            *blocked = false;
+        }
+    }
+
+    pub(super) fn on_alloc_done(&mut self) {
+        let HitPath::Coordinator {
+            buffer,
+            allocator,
+            judger,
+            blocked,
+            ..
+        } = &mut self.path
+        else {
+            unreachable!("AllocDone only fires on the Coordinator path");
+        };
+        let batch = buffer.peek_batch(self.config.alloc_batch_size).to_vec();
+        let mut idle: Vec<IdleEu> = self
+            .eus
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.running.is_none())
+            .map(|(unit_idx, e)| IdleEu {
+                unit_idx,
+                pes: e.pes,
+            })
+            .collect();
+        let (flags, assignments) = allocator.allocate(&batch, &mut idle);
+        let stats = buffer.complete_round(&flags);
+        judger.complete();
+        self.metrics.inc(self.ids.alloc_rounds, 1);
+        self.metrics
+            .inc(self.ids.fragmented, stats.unallocated as u64);
+        self.metrics
+            .observe(self.ids.round_allocated, stats.allocated as u64);
+        if stats.allocated == 0 {
+            *blocked = true;
+        }
+        let coordinator_tid = self.coordinator_tid();
+        if let Some(rec) = &mut self.trace {
+            let started = self.now - self.config.alloc_latency;
+            rec.complete_with_args(
+                PID_ACCELERATOR,
+                coordinator_tid,
+                "alloc round",
+                nvwa_telemetry::cycles_to_us(started),
+                nvwa_telemetry::cycles_to_us(self.config.alloc_latency),
+                &[
+                    ("allocated", stats.allocated as f64),
+                    ("unallocated", stats.unallocated as f64),
+                ],
+            );
+        }
+        let dispatches: Vec<(usize, Hit)> = assignments
+            .iter()
+            .map(|a| (a.unit.unit_idx, batch[a.batch_slot]))
+            .collect();
+        for (unit_idx, hit) in dispatches {
+            self.dispatch(unit_idx, &hit);
+        }
+    }
+
+    /// Occupies EU `unit_idx` with `hit` and records the assignment.
+    pub(super) fn dispatch(&mut self, unit_idx: usize, hit: &Hit) {
+        let eu = self.eus[unit_idx];
+        debug_assert!(eu.running.is_none(), "dispatch to a busy EU");
+        let model = EuModel::with_algorithm(
+            eu.pes,
+            self.config.traceback_cycles,
+            self.config.eu_algorithm,
+        );
+        let done = self.now + model.task_latency(hit);
+        self.events.push(done, Event::EuDone { eu: unit_idx });
+        self.set_eu(unit_idx, Some((self.now, hit.hit_len())));
+        let interval = HIT_INTERVALS
+            .iter()
+            .position(|&b| hit.hit_len() as usize <= b)
+            .unwrap_or(HIT_INTERVALS.len() - 1);
+        self.matrix[interval][eu.class_idx] += 1;
+        self.metrics.inc(self.ids.hits_dispatched, 1);
+    }
+
+    /// Buffer switch: threshold reached, or forced when the producers are
+    /// done (or every active SU is suspended on a full Store Buffer).
+    pub(super) fn try_switch(&mut self, draining: bool) -> bool {
+        let all_stalled =
+            self.su_count(UnitStatus::Stop) > 0 && self.su_count(UnitStatus::Busy) == 0;
+        let coordinator_tid = self.coordinator_tid();
+        let HitPath::Coordinator {
+            buffer, blocked, ..
+        } = &mut self.path
+        else {
+            return false;
+        };
+        if buffer.should_switch(draining || all_stalled) && buffer.switch() {
+            self.metrics.inc(self.ids.switches, 1);
+            if let Some(rec) = &mut self.trace {
+                rec.instant(
+                    PID_ACCELERATOR,
+                    coordinator_tid,
+                    "buffer switch",
+                    nvwa_telemetry::cycles_to_us(self.now),
+                );
+            }
+            *blocked = false;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Allocate Trigger → Judger → scheduled round.
+    pub(super) fn try_trigger(&mut self, draining: bool) -> bool {
+        let total = self.eus.len();
+        let idle = total - self.eu_busy as usize;
+        let HitPath::Coordinator {
+            buffer,
+            judger,
+            trigger,
+            blocked,
+            ..
+        } = &mut self.path
+        else {
+            return false;
+        };
+        let want = buffer.processing_remaining() > 0
+            && idle > 0
+            && !*blocked
+            && (draining || trigger.should_request(idle, total));
+        if want && judger.request() {
+            self.events
+                .push(self.now + self.config.alloc_latency, Event::AllocDone);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Baseline path: head-of-line dispatch to an idle EU.
+    pub(super) fn try_fifo_dispatch(&mut self) -> bool {
+        let (hit, unit_idx) = {
+            let HitPath::Fifo {
+                queue,
+                strict_class,
+                ..
+            } = &self.path
+            else {
+                return false;
+            };
+            let Some(hit) = queue.front().copied() else {
+                return false;
+            };
+            let choice = if *strict_class {
+                // Head-of-line blocking on the hit's own class: the
+                // smallest class whose PE count covers the hit length.
+                let wanted = self
+                    .eus
+                    .iter()
+                    .map(|e| e.pes)
+                    .filter(|&p| hit.hit_len() <= p)
+                    .min()
+                    .unwrap_or_else(|| self.eus.iter().map(|e| e.pes).max().expect("EUs exist"));
+                self.eus
+                    .iter()
+                    .position(|e| e.running.is_none() && e.pes == wanted)
+            } else {
+                self.eus.iter().position(|e| e.running.is_none())
+            };
+            match choice {
+                Some(u) => (hit, u),
+                None => return false,
+            }
+        };
+        if let HitPath::Fifo { queue, .. } = &mut self.path {
+            queue.pop_front();
+        }
+        self.dispatch(unit_idx, &hit);
+        true
+    }
+}
