@@ -10,6 +10,10 @@
 //! rejects (Sec. IV-D) are available as [`AllocPolicy::StrictPerClass`] and
 //! [`AllocPolicy::FullyShared`] for the ablation property tests.
 
+use std::cmp::Reverse;
+
+use nvwa_sim::Cycle;
+
 use crate::config::EuClass;
 use crate::extension::systolic::matrix_fill_latency;
 use crate::interface::Hit;
@@ -52,6 +56,21 @@ pub struct HitsAllocator {
     class_pes: Vec<u32>,
     /// Group id per class (adjacent pairs under `GroupedGreedy`).
     group_of_class: Vec<usize>,
+    /// A round's working set, kept so that a round allocates nothing.
+    round: Round,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Round {
+    /// `(hit length, batch slot)`, longest hit first.
+    order: Vec<(Reverse<u32>, usize)>,
+    /// Class of each unit of the caller's idle list, position for position.
+    idle_class: Vec<usize>,
+    /// Per class: idle units left, and the current hit's Formula-3 latency
+    /// there (`Cycle::MAX` where it may not run or no unit is idle).
+    classes: Vec<(u32, Cycle)>,
+    allocated: Vec<bool>,
+    assignments: Vec<Assignment>,
 }
 
 impl HitsAllocator {
@@ -75,6 +94,7 @@ impl HitsAllocator {
             policy,
             class_pes,
             group_of_class,
+            round: Round::default(),
         }
     }
 
@@ -107,47 +127,70 @@ impl HitsAllocator {
     /// Runs one allocation round: assigns each batch hit to an idle unit
     /// under the policy. Consumed units are removed from `idle`.
     ///
-    /// Returns `(per-slot allocated flags, assignments)`; the flags feed
+    /// Returns `(per-slot allocated flags, assignments)`, valid until the
+    /// next round; the flags feed
     /// [`super::hits_buffer::HitsBuffer::complete_round`].
-    pub fn allocate(&self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (Vec<bool>, Vec<Assignment>) {
+    ///
+    /// Per-class idle counts stand in for the hardware's PopCount tree: a
+    /// hit none of whose permitted classes has an idle unit is passed over
+    /// without a look at the idle list, and Formula 3 is evaluated once per
+    /// (hit, class). The unit taken is the one a scan of `idle` would take —
+    /// the first, in `idle`'s order, of least latency.
+    pub fn allocate(&mut self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (&[bool], &[Assignment]) {
+        let mut round = std::mem::take(&mut self.round);
         // Steps ②–③: compute lengths and sort (longest first, so large
-        // units are claimed by the hits that need them).
-        let mut order: Vec<usize> = (0..batch.len()).collect();
-        order.sort_by(|&a, &b| batch[b].hit_len().cmp(&batch[a].hit_len()));
-
-        let mut allocated = vec![false; batch.len()];
-        let mut assignments = Vec::new();
-        for slot in order {
-            let len = batch[slot].hit_len();
-            let cls = self.class_of_len(len);
-            // Steps ④–⑥: find the best idle unit permitted by the policy.
-            let candidate = idle
-                .iter()
-                .enumerate()
-                .filter(|(_, u)| self.permits(cls, u.pes))
-                .min_by_key(|(_, u)| {
-                    matrix_fill_latency(
-                        batch[slot].ref_len.max(1) as u64,
-                        batch[slot].query_len.max(1) as u64,
-                        u.pes,
-                    )
-                })
-                .map(|(i, _)| i);
-            if let Some(i) = candidate {
-                let unit = idle.swap_remove(i);
-                allocated[slot] = true;
-                assignments.push(Assignment {
-                    batch_slot: slot,
-                    unit,
-                });
-            }
+        // units are claimed by the hits that need them; ties in batch order).
+        round.order.clear();
+        round
+            .order
+            .extend((batch.iter().enumerate()).map(|(slot, hit)| (Reverse(hit.hit_len()), slot)));
+        round.order.sort_unstable();
+        round.idle_class.clear();
+        round
+            .idle_class
+            .extend(idle.iter().map(|u| self.class_of_pes(u.pes)));
+        round.classes.clear();
+        round.classes.resize(self.class_pes.len(), (0, Cycle::MAX));
+        for &c in &round.idle_class {
+            round.classes[c].0 += 1;
         }
-        (allocated, assignments)
+        round.allocated.clear();
+        round.allocated.resize(batch.len(), false);
+        round.assignments.clear();
+        for &(_, slot) in &round.order {
+            let hit = &batch[slot];
+            let cls = self.class_of_len(hit.hit_len());
+            let (r, q) = (hit.ref_len.max(1) as u64, hit.query_len.max(1) as u64);
+            // Steps ④–⑥: the best idle unit permitted by the policy.
+            let mut best = Cycle::MAX;
+            for (c, (left, latency)) in round.classes.iter_mut().enumerate() {
+                let open = *left > 0 && self.permits(cls, c);
+                *latency = if open {
+                    matrix_fill_latency(r, q, self.class_pes[c])
+                } else {
+                    Cycle::MAX
+                };
+                best = best.min(*latency);
+            }
+            if best == Cycle::MAX {
+                continue;
+            }
+            let i = (round.idle_class.iter())
+                .position(|&c| round.classes[c].1 == best)
+                .expect("a class with an idle unit attains the minimum");
+            round.classes[round.idle_class.swap_remove(i)].0 -= 1;
+            round.allocated[slot] = true;
+            round.assignments.push(Assignment {
+                batch_slot: slot,
+                unit: idle.swap_remove(i),
+            });
+        }
+        self.round = round;
+        (&self.round.allocated, &self.round.assignments)
     }
 
-    /// Whether a hit of class `cls` may run on a unit of `pes` PEs.
-    fn permits(&self, cls: usize, pes: u32) -> bool {
-        let unit_cls = self.class_of_pes(pes);
+    /// Whether a hit of class `cls` may run on a unit of class `unit_cls`.
+    fn permits(&self, cls: usize, unit_cls: usize) -> bool {
         match self.policy {
             AllocPolicy::GroupedGreedy => self.group_of_class[cls] == self.group_of_class[unit_cls],
             AllocPolicy::StrictPerClass => cls == unit_cls,
@@ -255,7 +298,7 @@ mod tests {
         // maps to class 64, group {64,128}: with 103 taking 128 and the
         // 64-PE unit free, 40 lands on 64. With the 64-PE unit busy, 40 is
         // the fragmentation survivor.
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
         let batch = vec![hit(7), hit(29), hit(40), hit(103)];
         let mut idle = idle_one_per_class();
         let (allocated, assignments) = a.allocate(&batch, &mut idle);
@@ -279,7 +322,7 @@ mod tests {
     fn fragmentation_when_group_is_busy() {
         // Only the 16-PE unit is idle: hit 40 (class 64, group {64,128})
         // cannot be placed and survives the round.
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
         let batch = vec![hit(40)];
         let mut idle = vec![IdleEu {
             unit_idx: 0,
@@ -294,7 +337,7 @@ mod tests {
     fn grouped_greedy_uses_suboptimal_neighbour() {
         // The 16-PE unit is busy; a short hit may take the 32-PE neighbour
         // (same group) — the "sub-optimal" allocation of the paper.
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
         let batch = vec![hit(10)];
         let mut idle = vec![
             IdleEu {
@@ -313,7 +356,7 @@ mod tests {
 
     #[test]
     fn strict_policy_never_crosses_classes() {
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::StrictPerClass);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::StrictPerClass);
         let batch = vec![hit(10)];
         let mut idle = vec![IdleEu {
             unit_idx: 1,
@@ -325,7 +368,7 @@ mod tests {
 
     #[test]
     fn shared_policy_takes_anything() {
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::FullyShared);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::FullyShared);
         let batch = vec![hit(10)];
         let mut idle = vec![IdleEu {
             unit_idx: 3,
@@ -340,7 +383,7 @@ mod tests {
     fn longest_hits_claim_large_units_first() {
         // Without longest-first ordering, hit 70 would take the 128-PE unit
         // and hit 120 would fragment.
-        let a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
+        let mut a = HitsAllocator::new(&paper_classes(), AllocPolicy::GroupedGreedy);
         let batch = vec![hit(70), hit(120)];
         let mut idle = vec![
             IdleEu {

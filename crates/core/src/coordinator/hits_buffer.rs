@@ -36,7 +36,7 @@ pub struct HitsBuffer<T> {
     switches: u64,
 }
 
-impl<T: Clone> HitsBuffer<T> {
+impl<T> HitsBuffer<T> {
     /// Creates a buffer pair of `depth` entries each, switching when the SB
     /// reaches `switch_threshold` (the paper uses 75 %).
     ///
@@ -147,21 +147,16 @@ impl<T: Clone> HitsBuffer<T> {
     pub fn complete_round(&mut self, allocated: &[bool]) -> RoundStats {
         let end = self.offset + allocated.len();
         assert!(end <= self.processing.len(), "round exceeds batch");
-        let batch = self.processing[self.offset..end].to_vec();
+        // Each allocated hit moves up to the end of the allocated run; the
+        // survivors it passes shift down one place, keeping their order.
         let mut write = self.offset;
-        for (slot, hit) in batch.iter().enumerate() {
-            if allocated[slot] {
-                self.processing[write] = hit.clone();
+        for (read, &taken) in (self.offset..end).zip(allocated) {
+            if taken {
+                self.processing[write..=read].rotate_right(1);
                 write += 1;
             }
         }
         let n_alloc = write - self.offset;
-        for (slot, hit) in batch.iter().enumerate() {
-            if !allocated[slot] {
-                self.processing[write] = hit.clone();
-                write += 1;
-            }
-        }
         self.offset += n_alloc;
         RoundStats {
             allocated: n_alloc,

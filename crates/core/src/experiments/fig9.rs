@@ -91,7 +91,7 @@ pub fn coordinator_walkthrough() -> Vec<String> {
         EuClass::new(64, 1),
         EuClass::new(128, 1),
     ];
-    let allocator = HitsAllocator::new(&classes, AllocPolicy::GroupedGreedy);
+    let mut allocator = HitsAllocator::new(&classes, AllocPolicy::GroupedGreedy);
     let mut buffer: HitsBuffer<Hit> = HitsBuffer::new(8, 0.5);
     for len in [7u32, 29, 40, 103] {
         buffer.push(toy_hit(len)).expect("buffer has room");
@@ -119,14 +119,14 @@ pub fn coordinator_walkthrough() -> Vec<String> {
     let batch = buffer.peek_batch(4).to_vec();
     let (flags, assignments) = allocator.allocate(&batch, &mut idle);
     log.push("④⑤ split at the group threshold; units grouped {16,32} / {64,128}".into());
-    for a in &assignments {
+    for a in assignments {
         log.push(format!(
             "⑥ hit len {} → {}-PE unit",
             batch[a.batch_slot].hit_len(),
             a.unit.pes
         ));
     }
-    let stats = buffer.complete_round(&flags);
+    let stats = buffer.complete_round(flags);
     log.push(format!(
         "⑦⑧⑨ merged and compacted: {} allocated, {} kept; offset advanced to {}",
         stats.allocated, stats.unallocated, stats.allocated
@@ -143,14 +143,14 @@ pub fn coordinator_walkthrough() -> Vec<String> {
         pes: 64,
     }];
     let (flags, assignments) = allocator.allocate(&survivors, &mut idle);
-    for a in &assignments {
+    for a in assignments {
         log.push(format!(
             "⑥ retry: hit len {} → {}-PE unit",
             survivors[a.batch_slot].hit_len(),
             a.unit.pes
         ));
     }
-    let stats = buffer.complete_round(&flags);
+    let stats = buffer.complete_round(flags);
     log.push(format!(
         "PB drained: {} allocated, {} remaining",
         stats.allocated,

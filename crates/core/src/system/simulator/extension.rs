@@ -1,12 +1,10 @@
-//! The extension side: EU completion, the Coordinator's allocation rounds
-//! (buffer switch → Allocate Trigger → Judger → Hits Allocator), the
-//! baseline FIFO's head-of-line dispatch, and the occupation of an EU.
+//! The extension side: EU completion, the Coordinator's allocation rounds,
+//! the baseline FIFO's head-of-line dispatch, and the occupation of an EU.
 
 use nvwa_telemetry::PID_ACCELERATOR;
 
 use crate::coordinator::allocator::IdleEu;
 use crate::interface::{Hit, UnitStatus};
-use crate::units::eu::EuModel;
 
 use super::{Event, HitPath, SimState, HIT_INTERVALS};
 
@@ -31,6 +29,7 @@ impl SimState<'_> {
     }
 
     pub(super) fn on_alloc_done(&mut self) {
+        let coordinator_tid = self.coordinator_tid();
         let HitPath::Coordinator {
             buffer,
             allocator,
@@ -41,19 +40,22 @@ impl SimState<'_> {
         else {
             unreachable!("AllocDone only fires on the Coordinator path");
         };
-        let batch = buffer.peek_batch(self.config.alloc_batch_size).to_vec();
-        let mut idle: Vec<IdleEu> = self
-            .eus
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.running.is_none())
-            .map(|(unit_idx, e)| IdleEu {
-                unit_idx,
-                pes: e.pes,
-            })
-            .collect();
-        let (flags, assignments) = allocator.allocate(&batch, &mut idle);
-        let stats = buffer.complete_round(&flags);
+        let batch = buffer.peek_batch(self.config.alloc_batch_size);
+        self.idle_eus.clear();
+        self.idle_eus.extend(
+            (self.eus.iter().enumerate())
+                .filter(|(_, e)| e.running.is_none())
+                .map(|(unit_idx, e)| IdleEu {
+                    unit_idx,
+                    pes: e.pes,
+                }),
+        );
+        let (flags, assignments) = allocator.allocate(batch, &mut self.idle_eus);
+        // By value: the round's compaction moves the batch before dispatch.
+        self.round_dispatches.clear();
+        self.round_dispatches
+            .extend((assignments.iter()).map(|a| (a.unit.unit_idx, batch[a.batch_slot])));
+        let stats = buffer.complete_round(flags);
         judger.complete();
         self.metrics.inc(self.ids.alloc_rounds, 1);
         self.metrics
@@ -63,7 +65,6 @@ impl SimState<'_> {
         if stats.allocated == 0 {
             *blocked = true;
         }
-        let coordinator_tid = self.coordinator_tid();
         if let Some(rec) = &mut self.trace {
             let started = self.now - self.config.alloc_latency;
             rec.complete_with_args(
@@ -78,11 +79,8 @@ impl SimState<'_> {
                 ],
             );
         }
-        let dispatches: Vec<(usize, Hit)> = assignments
-            .iter()
-            .map(|a| (a.unit.unit_idx, batch[a.batch_slot]))
-            .collect();
-        for (unit_idx, hit) in dispatches {
+        for i in 0..self.round_dispatches.len() {
+            let (unit_idx, hit) = self.round_dispatches[i];
             self.dispatch(unit_idx, &hit);
         }
     }
@@ -91,12 +89,7 @@ impl SimState<'_> {
     pub(super) fn dispatch(&mut self, unit_idx: usize, hit: &Hit) {
         let eu = self.eus[unit_idx];
         debug_assert!(eu.running.is_none(), "dispatch to a busy EU");
-        let model = EuModel::with_algorithm(
-            eu.pes,
-            self.config.traceback_cycles,
-            self.config.eu_algorithm,
-        );
-        let done = self.now + model.task_latency(hit);
+        let done = self.now + self.eu_models[eu.class_idx].task_latency(hit);
         self.events.push(done, Event::EuDone { eu: unit_idx });
         self.set_eu(unit_idx, Some((self.now, hit.hit_len())));
         let interval = HIT_INTERVALS
@@ -177,16 +170,15 @@ impl SimState<'_> {
             let Some(hit) = queue.front().copied() else {
                 return false;
             };
+            if self.eu_busy as usize == self.eus.len() {
+                return false;
+            }
             let choice = if *strict_class {
                 // Head-of-line blocking on the hit's own class: the
                 // smallest class whose PE count covers the hit length.
-                let wanted = self
-                    .eus
-                    .iter()
-                    .map(|e| e.pes)
-                    .filter(|&p| hit.hit_len() <= p)
-                    .min()
-                    .unwrap_or_else(|| self.eus.iter().map(|e| e.pes).max().expect("EUs exist"));
+                let class_pes = self.eu_models.iter().map(|m| m.pes());
+                let wanted = (class_pes.clone().filter(|&p| hit.hit_len() <= p).min())
+                    .unwrap_or_else(|| class_pes.max().expect("EUs exist"));
                 self.eus
                     .iter()
                     .position(|e| e.running.is_none() && e.pes == wanted)

@@ -33,13 +33,14 @@ use nvwa_telemetry::{
 };
 
 use crate::config::NvwaConfig;
-use crate::coordinator::allocator::{AllocPolicy, AllocateJudger, HitsAllocator};
+use crate::coordinator::allocator::{AllocPolicy, AllocateJudger, HitsAllocator, IdleEu};
 use crate::coordinator::hits_buffer::HitsBuffer;
 use crate::extension::trigger::AllocateTrigger;
 use crate::interface::{Hit, UnitStatus};
 use crate::seeding::batch::BatchScheduler;
 use crate::seeding::ocra::OneCycleReadAllocator;
 use crate::seeding::read_spm::ReadSpm;
+use crate::units::eu::EuModel;
 use crate::units::su::SuModel;
 use crate::units::workload::ReadWork;
 
@@ -117,6 +118,7 @@ struct EuState {
     running: Option<(Cycle, u32)>,
 }
 
+#[allow(clippy::large_enum_variant)] // one per run, never moved
 enum HitPath {
     /// The Coordinator path: double buffer + greedy allocator.
     Coordinator {
@@ -190,7 +192,12 @@ struct SimState<'w> {
     eus: Vec<EuState>,
     /// EUs with a running task; moved by `set_eu`.
     eu_busy: u32,
+    /// The timing model of each EU class, indexed by `EuState::class_idx`.
+    eu_models: Vec<EuModel>,
     path: HitPath,
+    /// A round's idle-EU list and its dispatches, reused by every round.
+    idle_eus: Vec<IdleEu>,
+    round_dispatches: Vec<(usize, Hit)>,
     // Telemetry.
     metrics: MetricsRegistry,
     ids: MetricIds,
@@ -280,7 +287,13 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         hbm: Hbm::new(config.hbm),
         eus,
         eu_busy: 0,
+        eu_models: eu_classes
+            .iter()
+            .map(|c| EuModel::with_algorithm(c.pes, config.traceback_cycles, config.eu_algorithm))
+            .collect(),
         path,
+        idle_eus: Vec::new(),
+        round_dispatches: Vec::new(),
         metrics,
         ids,
         su_stall: StallTracker::new(config.su_count, config.stats_bucket),

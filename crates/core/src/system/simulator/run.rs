@@ -1,5 +1,4 @@
-//! The end of a run: the registry's closing gauges and counters and the
-//! [`SimReport`] view over them.
+//! The end of a run: the closing gauges and counters, and the report.
 
 use nvwa_telemetry::{MetricsRegistry, StallCause};
 

@@ -1,6 +1,5 @@
-//! The seeding side: the read scheduler refilling idle SUs, SU completion,
-//! and the push of a read's hits toward the extension side — with the
-//! suspension of the SU when the buffer refuses one (Fig. 13a).
+//! The seeding side: refilling idle SUs, SU completion, and the push of a
+//! read's hits toward the extension side (suspending the SU when refused).
 
 use nvwa_sim::Cycle;
 use nvwa_telemetry::{StallCause, PID_ACCELERATOR};
@@ -13,7 +12,7 @@ impl SimState<'_> {
     /// Refills idle SUs with new reads via the active read scheduler.
     pub(super) fn schedule_reads(&mut self) {
         let remaining = self.works.len() as u64 - self.next_read;
-        if remaining == 0 {
+        if remaining == 0 || self.su_count(UnitStatus::Idle) == 0 {
             return;
         }
         // A suspended SU is not schedulable: report it busy.
@@ -123,13 +122,17 @@ impl SimState<'_> {
     }
 
     /// Resumes suspended SUs whose buffer space opened up, in index order
-    /// (the first to push wins the freed space).
+    /// (the first to push wins the freed space). An SU that stays suspended
+    /// was refused a push: the buffer is full, and the walk ends there.
     pub(super) fn resume_stalled(&mut self) -> bool {
         let mut progressed = false;
         for su in 0..self.sus.len() {
             if let SuState::Stop { read, next, since } = self.sus[su] {
                 self.finish_or_stall(su, read, next, Some(since));
-                progressed |= !matches!(self.sus[su], SuState::Stop { .. });
+                if matches!(self.sus[su], SuState::Stop { .. }) {
+                    break;
+                }
+                progressed = true;
             }
         }
         progressed

@@ -102,7 +102,7 @@ proptest! {
             AllocPolicy::StrictPerClass,
             AllocPolicy::FullyShared,
         ] {
-            let allocator = HitsAllocator::new(&classes, policy);
+            let mut allocator = HitsAllocator::new(&classes, policy);
             let batch: Vec<Hit> = lens.iter().map(|&l| hit(l)).collect();
             let mut idle: Vec<IdleEu> = idle_pattern
                 .iter()
@@ -114,6 +114,7 @@ proptest! {
                 .collect();
             let before = idle.len();
             let (flags, assignments) = allocator.allocate(&batch, &mut idle);
+            let (flags, assignments) = (flags.to_vec(), assignments.to_vec());
             prop_assert_eq!(flags.len(), batch.len());
             let allocated = flags.iter().filter(|&&f| f).count();
             prop_assert_eq!(assignments.len(), allocated);

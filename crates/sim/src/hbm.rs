@@ -5,9 +5,12 @@
 //! (a) a fixed access latency, (b) finite per-channel bandwidth creating
 //! queueing delay under contention, and (c) the 7 pJ/bit access energy used
 //! in the power model. This module models exactly those: each channel is a
-//! FIFO server with a fixed service interval per 64-byte transaction.
+//! calendar of service slots, one 64-byte transaction per slot. It is not a
+//! FIFO: the simulator books a read's whole access chain into the future
+//! when it schedules the read, so a later call may carry an earlier
+//! timestamp and takes the first free slot at or after it all the same.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 use crate::Cycle;
 
@@ -50,17 +53,59 @@ impl HbmConfig {
     }
 }
 
+/// Bookings this many cycles behind the newest one are dropped: replayed
+/// chains span well under 10⁶ cycles, so no request reaches back that far.
+const HORIZON: Cycle = 10_000_000;
+
+/// One channel's reservations as a bitset: bit `s % 64` of word `s / 64`
+/// is set when service slot `s` is booked. `words[0]` is word `base`; the
+/// words before it fell behind the horizon.
+#[derive(Debug, Clone, Default)]
+struct Calendar {
+    base: u64,
+    words: VecDeque<u64>,
+}
+
+impl Calendar {
+    /// Books and returns the first free slot at or after `from`, dropping
+    /// the words before `floor` first. A slot behind the dropped words is
+    /// granted as asked and not recorded.
+    fn book(&mut self, from: u64, floor: u64) -> u64 {
+        if self.base < floor {
+            let gone = (floor - self.base).min(self.words.len() as u64);
+            self.words.drain(..gone as usize);
+            self.base = floor;
+        }
+        let Some(first) = (from / 64).checked_sub(self.base) else {
+            return from;
+        };
+        let mut w = first as usize;
+        let mut candidates = !0u64 << (from % 64);
+        loop {
+            if w >= self.words.len() {
+                self.words.resize(w + 1, 0);
+            }
+            let free = !self.words[w] & candidates;
+            if free != 0 {
+                let bit = free.trailing_zeros();
+                self.words[w] |= 1 << bit;
+                return (self.base + w as u64) * 64 + u64::from(bit);
+            }
+            w += 1;
+            candidates = !0;
+        }
+    }
+}
+
 /// The HBM device state.
 ///
-/// Each channel serves one transaction per `service_interval` cycles; the
-/// schedule is kept as a set of occupied service *slots*, so a request
-/// timestamped in the future never blocks earlier idle slots (requests are
-/// issued by replaying unit access chains, which interleave in wall-clock
-/// order only approximately).
+/// Each channel serves one transaction per `service_interval` cycles and
+/// keeps its schedule as a bitset calendar: one bit per service slot between
+/// the horizon and its newest booking.
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
-    occupied: Vec<HashSet<u64>>,
+    calendars: Vec<Calendar>,
     last_slot_seen: u64,
     requests: u64,
     queue_delay_total: u64,
@@ -79,7 +124,7 @@ impl Hbm {
             "service interval must be positive"
         );
         Hbm {
-            occupied: vec![HashSet::new(); config.channels],
+            calendars: vec![Calendar::default(); config.channels],
             config,
             last_slot_seen: 0,
             requests: 0,
@@ -95,35 +140,21 @@ impl Hbm {
     /// Issues a read of one transaction at block address `addr`, returning
     /// the cycle its data arrives.
     ///
-    /// The channel is selected by address interleaving; a busy channel
-    /// queues the request (FIFO).
+    /// The channel is selected by address interleaving; the request takes
+    /// the channel's first free service slot not before `now`.
     pub fn request(&mut self, now: Cycle, addr: u64) -> Cycle {
         let ch = (addr as usize) % self.config.channels;
         let service = self.config.service_interval;
         // First service slot whose start is not before `now`.
-        let mut slot = now.div_ceil(service);
-        while self.occupied[ch].contains(&slot) {
-            slot += 1;
-        }
-        self.occupied[ch].insert(slot);
-        self.last_slot_seen = self.last_slot_seen.max(slot);
+        let from = now.div_ceil(service);
+        let newest = self.last_slot_seen.max(from);
+        let floor = newest.saturating_sub(HORIZON / service) / 64;
+        let slot = self.calendars[ch].book(from, floor);
+        self.last_slot_seen = newest.max(slot);
         self.requests += 1;
         let start = slot * service;
         self.queue_delay_total += start - now;
-        self.prune(ch);
         start + self.config.latency
-    }
-
-    /// Drops schedule slots far in the past to bound memory. Replayed
-    /// chains span well under 10⁶ cycles, so slots more than ~10⁷ cycles
-    /// behind the newest booking can never be probed again.
-    fn prune(&mut self, ch: usize) {
-        if self.occupied[ch].len() > 1 << 17 {
-            let cutoff = self
-                .last_slot_seen
-                .saturating_sub(10_000_000 / self.config.service_interval.max(1));
-            self.occupied[ch].retain(|&s| s >= cutoff);
-        }
     }
 
     /// Total requests served.
@@ -187,6 +218,32 @@ mod tests {
         assert_eq!(a, 100);
         assert_eq!(b, 102); // waited one service interval
         assert!(hbm.mean_queue_delay() > 0.0);
+    }
+
+    #[test]
+    fn an_earlier_timestamp_books_behind_the_newest_slot() {
+        // Addresses 0 and 8 share channel 0: the second call is not queued
+        // behind the first one's booking at cycle 1000.
+        let mut hbm = Hbm::new(HbmConfig::default());
+        assert_eq!(hbm.request(1000, 0), 1100);
+        assert_eq!(hbm.request(0, 8), 100);
+        assert_eq!(hbm.total_queue_delay(), 0);
+    }
+
+    #[test]
+    fn calendar_words_stay_within_the_horizon() {
+        let mut hbm = Hbm::new(HbmConfig {
+            channels: 1,
+            ..HbmConfig::default()
+        });
+        // 10⁸ cycles of bookings: 781 250 words if none were dropped.
+        for i in 0..1000u64 {
+            assert_eq!(hbm.request(i * 100_000, 0), i * 100_000 + 100);
+        }
+        let service = hbm.config().service_interval;
+        assert!(hbm.calendars[0].words.len() as u64 <= HORIZON / service / 64 + 2);
+        // Slot 0 was booked, but that is behind the horizon now: forgotten.
+        assert_eq!(hbm.request(0, 0), 100);
     }
 
     #[test]

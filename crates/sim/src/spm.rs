@@ -1,11 +1,13 @@
 //! Scratchpad memory (SPM) model.
 //!
-//! The Seeding Scheduler's Read SPM "is used to prefetch the reads that are
-//! to be processed, hiding the access latency of DRAM" (Sec. IV-A). The
-//! model tracks block residency with FIFO replacement; a hit costs a fixed
-//! pipelined latency, a miss must be filled from memory by the caller.
+//! A block-granular on-chip memory with FIFO replacement: a hit costs a
+//! fixed pipelined latency, a miss must be filled from memory by the caller.
+//! Its one user is the SU pool's shared index-table SRAM
+//! (`nvwa_core::units::su`), which probes it once per FM-index access of
+//! every read — so residency is answered without a cryptographic hash, from
+//! a table sized by the capacity, never by the address space.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::Cycle;
 
@@ -26,8 +28,12 @@ use crate::Cycle;
 pub struct Scratchpad {
     capacity_blocks: usize,
     hit_latency: Cycle,
-    resident: HashSet<u64>,
+    /// The resident blocks, oldest fill first.
     order: VecDeque<u64>,
+    /// The same blocks as an open-addressed set: a power-of-two table at
+    /// most a quarter full (probe runs of one or two slots, which the
+    /// branch predictor learns), linear probing from [`Scratchpad::home`].
+    table: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
 }
@@ -44,8 +50,8 @@ impl Scratchpad {
         Scratchpad {
             capacity_blocks,
             hit_latency,
-            resident: HashSet::with_capacity(capacity_blocks),
             order: VecDeque::with_capacity(capacity_blocks),
+            table: vec![None; (4 * capacity_blocks).next_power_of_two()],
             hits: 0,
             misses: 0,
         }
@@ -61,23 +67,53 @@ impl Scratchpad {
         self.hit_latency
     }
 
+    /// The table slot a probe for `block` starts at (Fibonacci hashing).
+    fn home(&self, block: u64) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The table slot holding `block`, or the empty slot its probe ends at.
+    fn probe(&self, block: u64) -> usize {
+        let mut i = self.home(block);
+        while self.table[i].is_some_and(|resident| resident != block) {
+            i = (i + 1) & (self.table.len() - 1);
+        }
+        i
+    }
+
+    /// Empties `block`'s table slot and re-seats the rest of its probe run,
+    /// so no later probe ends early at the gap.
+    fn remove(&mut self, block: u64) {
+        let mut i = self.probe(block);
+        self.table[i] = None;
+        loop {
+            i = (i + 1) & (self.table.len() - 1);
+            let Some(moved) = self.table[i].take() else {
+                break;
+            };
+            let slot = self.probe(moved);
+            self.table[slot] = Some(moved);
+        }
+    }
+
     /// Whether `block` is resident.
     pub fn contains(&self, block: u64) -> bool {
-        self.resident.contains(&block)
+        self.table[self.probe(block)].is_some()
     }
 
     /// Installs `block`, evicting the oldest resident block if full.
     pub fn fill(&mut self, block: u64) {
-        if self.resident.contains(&block) {
+        if self.contains(block) {
             return;
         }
-        if self.resident.len() == self.capacity_blocks {
-            if let Some(old) = self.order.pop_front() {
-                self.resident.remove(&old);
-            }
+        if self.order.len() == self.capacity_blocks {
+            let oldest = self.order.pop_front().expect("capacity is positive");
+            self.remove(oldest);
         }
-        self.resident.insert(block);
         self.order.push_back(block);
+        let slot = self.probe(block);
+        self.table[slot] = Some(block);
     }
 
     /// Performs an access: returns `Some(hit_latency)` on a hit, `None` on a
@@ -85,7 +121,7 @@ impl Scratchpad {
     ///
     /// [`fill`]: Scratchpad::fill
     pub fn access(&mut self, block: u64) -> Option<Cycle> {
-        if self.resident.contains(&block) {
+        if self.contains(block) {
             self.hits += 1;
             Some(self.hit_latency)
         } else {

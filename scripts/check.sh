@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints, rustdoc links, the tier-1 build+test
-# suite (and popcnt and AVX2 vpmaxsd in the release binary), the telemetry
-# artifact checks, the benchmark smoke run, the serve smoke tests, the
-# conformance sweep and the per-crate line count. Run from the repository
-# root: ./scripts/check.sh
+# Repo gate: formatting, no hash set on the simulator's per-access path,
+# lints, rustdoc links, the tier-1 build+test suite (and popcnt and AVX2
+# vpmaxsd in the release binary), the telemetry artifact checks, the
+# benchmark smoke run, the serve smoke tests, the conformance sweep and the
+# per-crate line count. Run from the repository root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -11,6 +11,17 @@
 set -eu
 
 cargo fmt --all -- --check
+# The simulator replays every FM-index access of every read through these
+# three files (about 1 000 probes per real read): a SipHash set or map back
+# on that path passes every test and halves `sim_ablation` (DESIGN.md §16).
+# Reference models in `#[cfg(test)]` code may use them.
+for f in crates/sim/src/hbm.rs crates/sim/src/spm.rs crates/core/src/units/su.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep 'HashSet\|HashMap'; then
+        echo "$f: a hash set or map on the simulator's per-access path" >&2
+        exit 1
+    fi
+done
 cargo clippy --workspace --all-targets -- -D warnings
 # A doc link to something renamed, deleted or private is an error: a
 # deletion that leaves a dangling reference fails here.

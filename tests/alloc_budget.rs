@@ -1,4 +1,5 @@
-//! Heap-allocation budgets of the two offline hot paths: counts, not clocks.
+//! Heap-allocation budgets of the two offline hot paths and of the
+//! simulator: counts, not clocks.
 //!
 //! `align_codes_fast` with a warm [`AlignScratch`] still allocates — the
 //! returned profile and cigar, the chains, the cigars of each extension —
@@ -13,6 +14,9 @@
 //! percent of `offline_short`. The long-read case does the same for
 //! `LongReadAligner::align` on 50 simulated 5 kbp reads: what it pins is
 //! that a `gact_extend` call owns one `DpScratch` for all of its tiles.
+//! The simulator case counts one `simulate` of each Fig. 11 variant: an
+//! allocation round of the Coordinator works from reused scratch, so the
+//! NvWa variant allocates like the three that have no Coordinator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +24,10 @@ use std::cell::Cell;
 use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
 use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::align::{AlignScratch, AlignerConfig, SoftwareAligner};
+use nvwa::core::experiments::fig11;
+use nvwa::core::system::simulate;
+use nvwa::core::units::workload::SyntheticWorkloadParams;
+use nvwa::core::NvwaConfig;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa::index::minimizer::MinimizerParams;
 
@@ -153,4 +161,46 @@ fn long_read_path_stays_within_its_allocation_budget() {
         "{allocs} allocations, {bytes} bytes over {LONG_READS} reads, \
          budget {LONG_ALLOCS_CEILING} / {LONG_BYTES_CEILING}"
     );
+}
+
+/// Allocations and bytes of one `simulate` per Fig. 11 variant (SUs+EUs,
+/// +OCRA, +OCRA+HUS, NvWa) on 1 000 synthetic reads, measured at the change
+/// that gave the allocation round its reused scratch and the HBM calendar
+/// its bitset. Before it: 11 751 / 11 619 / 11 277 / 78 698 allocations and
+/// 4.5 / 4.4 / 4.3 / 27.0 MB — seven fresh `Vec`s per round, 5 522 rounds.
+/// What NvWa still allocates beyond the others is the event queue's bucket
+/// per `AllocDone` cycle.
+const SIM_CEILINGS: [(u64, u64); 4] = [
+    (11_725, 3_851_512),
+    (11_585, 3_657_344),
+    (11_243, 3_624_364),
+    (16_344, 4_267_692),
+];
+
+#[test]
+fn simulator_stays_within_its_allocation_budget() {
+    let works = SyntheticWorkloadParams {
+        reads: 1000,
+        ..SyntheticWorkloadParams::default()
+    }
+    .generate(1);
+    let variants = fig11::ablation_variants();
+    assert_eq!(variants.len(), SIM_CEILINGS.len());
+    for ((label, scheduling), (allocs_ceiling, bytes_ceiling)) in
+        variants.into_iter().zip(SIM_CEILINGS)
+    {
+        let config = NvwaConfig {
+            scheduling,
+            ..NvwaConfig::paper()
+        };
+        COUNTED.with(|c| c.set(Some((0, 0))));
+        let report = simulate(&config, &works);
+        let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+        assert_eq!(report.reads, 1000);
+        eprintln!("simulate {label}: {allocs} allocations, {bytes} bytes");
+        assert!(
+            allocs <= allocs_ceiling && bytes <= bytes_ceiling,
+            "{label}: {allocs} allocations, {bytes} bytes, budget {allocs_ceiling} / {bytes_ceiling}"
+        );
+    }
 }
