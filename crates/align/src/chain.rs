@@ -81,7 +81,9 @@ pub struct ChainConfig {
     pub max_drift: usize,
     /// Minimum chain score to keep.
     pub min_chain_score: i32,
-    /// Keep at most this many chains per strand-sorted candidate list.
+    /// Keep at most this many chains in all: [`chain_seeds`] sorts both
+    /// strands' chains by score (stable, forward strand first on ties) and
+    /// truncates; so no strand contributes more than this many either.
     pub max_chains: usize,
 }
 
@@ -120,13 +122,20 @@ pub fn chain_seeds(seeds: &[Seed], config: &ChainConfig) -> Vec<Chain> {
     chains
 }
 
+/// One strand's chains, `seeds` sorted by `(query_start, ref_pos)`: at most
+/// `max_chains` of them, in non-increasing score — all that `chain_seeds`
+/// can keep of a strand.
 fn chain_one_strand(seeds: &[Seed], config: &ChainConfig, is_rc: bool) -> Vec<Chain> {
     let n = seeds.len();
     // f[i] = best chain score ending at seed i; p[i] = predecessor.
     let mut f: Vec<i32> = seeds.iter().map(|s| s.len() as i32).collect();
     let mut p: Vec<Option<usize>> = vec![None; n];
+    // A seed starting more than `max_gap + max_len` before `b` ends more
+    // than `max_gap` before it: the look-back starts past all such seeds.
+    let reach = config.max_gap + seeds.iter().map(Seed::len).max().unwrap_or(0);
     for i in 0..n {
-        for j in 0..i {
+        let first = seeds[..i].partition_point(|a| a.query_start + reach < seeds[i].query_start);
+        for j in first..i {
             let (a, b) = (&seeds[j], &seeds[i]);
             if b.query_start < a.query_start
                 || b.ref_pos < a.ref_pos
@@ -158,6 +167,9 @@ fn chain_one_strand(seeds: &[Seed], config: &ChainConfig, is_rc: bool) -> Vec<Ch
     let mut used = vec![false; n];
     let mut chains = Vec::new();
     for &tail in &order {
+        if chains.len() == config.max_chains {
+            break; // the rest score no higher and `chain_seeds` drops them
+        }
         if used[tail] || f[tail] < config.min_chain_score {
             continue;
         }

@@ -13,15 +13,79 @@
 //! base; the local and global variants run on it. The wavefront fill
 //! (`extend_wavefront`) sweeps anti-diagonals, whose cells are independent,
 //! so its inner loop vectorises; [`extend_align_with`] — over 90 % of a long
-//! read — runs on it, compiled with AVX2 where the CPU reports it
-//! ([`tile_kernel`]). Both are bit-identical (ties, best cell, traceback) to
-//! the references retained in [`naive`], the differential-testing oracle.
+//! read — runs on it, on `i16` lanes where the call's score range fits and
+//! compiled with AVX2 where the CPU reports it ([`tile_kernel`]). Both are
+//! bit-identical (ties, best cell, traceback) to the references retained in
+//! [`naive`], the differential-testing oracle.
+
+use std::ops::{Add, BitOr, Mul, Sub};
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::scoring::Scoring;
 
 /// Sufficiently negative sentinel that never overflows when added to.
 pub(crate) const NEG_INF: i32 = i32::MIN / 4;
+
+/// The integer type of the wavefront fill's lanes: `i16` doubles the cells
+/// per vector where [`fits_i16`] holds, `i32` takes every other call. One
+/// body, [`extend_wavefront`], serves both.
+trait Lane:
+    Copy
+    + Ord
+    + From<bool>
+    + From<u8>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + BitOr<Output = Self>
+{
+    /// The boundary sentinel, [`NEG_INF`]'s counterpart: a quarter of the
+    /// range, so that `NEG - ge` never wraps.
+    const NEG: Self;
+    /// `v`, which the caller's range bound keeps inside the type.
+    fn of(v: i32) -> Self;
+    /// Back to `i32`.
+    fn int(self) -> i32;
+    /// This width's lane buffer in the scratch.
+    fn lanes(s: &mut DpScratch) -> &mut Vec<Self>;
+}
+
+macro_rules! lane {
+    ($t:ty, $field:ident) => {
+        impl Lane for $t {
+            const NEG: $t = <$t>::MIN / 4;
+            fn of(v: i32) -> $t {
+                debug_assert!(<$t>::try_from(v).is_ok(), "{v} outside the lane range");
+                v as $t
+            }
+            fn int(self) -> i32 {
+                self as i32
+            }
+            fn lanes(s: &mut DpScratch) -> &mut Vec<$t> {
+                &mut s.$field
+            }
+        }
+    };
+}
+lane!(i16, lanes16);
+lane!(i32, lanes);
+
+/// Whether the wavefront fill of an `m × n` call stays inside `i16`. Cell
+/// `(i, j)` has a gap path (across, then down), so every H is at least
+/// `-(2·go + ge·(m+n))`; E and F open one `gap_cost(1)` below it and
+/// their extension tests one `ge` further, diag's partial sum one mismatch
+/// below; the boundary sentinel less one `ge` must stay under all of
+/// those. No H exceeds `match·min(m, n)`, and the diagonal counter reaches
+/// `m + n` (the binding term when `ge = 0`). Every GACT tile under
+/// [`Scoring::bwa_mem`] fits; a multi-kbp full-length call does not.
+fn fits_i16(m: usize, n: usize, scoring: &Scoring) -> bool {
+    let (m, n) = (m as i64, n as i64);
+    let (go, ge) = (scoring.gap_open as i64, scoring.gap_extend as i64);
+    let (hit, miss) = (scoring.match_score as i64, scoring.mismatch_penalty as i64);
+    let low = 2 * go + ge * (m + n) + (go + 2 * ge).max(miss);
+    let high = (hit * m.min(n)).max(m + n).max(hit + miss);
+    i16::NEG as i64 - ge < -low && high <= i16::MAX as i64
+}
 
 // Traceback encoding: bits 0-1 = H source, bit 2 = E extends E,
 // bit 3 = F extends F.
@@ -69,8 +133,9 @@ pub fn dp_cells(query_len: usize, target_len: usize) -> u64 {
 }
 
 /// Reusable DP buffers for the SW and banded kernels: the packed traceback
-/// matrix, rolling H rows, column-local F, and the 4×n score profile. One
-/// instance per worker (inside `AlignScratch`) removes every per-call
+/// matrix, rolling H rows, column-local F, the 4×n score profile, and the
+/// wavefront fill's lanes at each width it runs (`i16` or `i32`, per call).
+/// One instance per worker (inside `AlignScratch`) removes every per-call
 /// allocation of the extension stage; results are bit-identical to the
 /// allocating entry points.
 #[derive(Debug, Clone, Default)]
@@ -81,8 +146,11 @@ pub struct DpScratch {
     pub(crate) f_col: Vec<i32>,
     score_tab: Vec<i32>,
     profile_row: Vec<i32>,
-    /// The wavefront fill's nine row-indexed lane arrays, end to end.
+    /// The wavefront fill's nine row-indexed lane arrays, end to end, for
+    /// calls past the `i16` bound.
     lanes: Vec<i32>,
+    /// The same for calls inside it.
+    lanes16: Vec<i16>,
     /// The wavefront fill's target, reversed.
     rev_target: Vec<u8>,
     /// The wavefront fill's traceback layout: cell `(i, j)` is
@@ -284,10 +352,26 @@ pub fn extend_align(query: &[u8], target: &[u8], scoring: &Scoring) -> Extension
 }
 
 /// [`extend_align`] with caller-provided DP buffers: the GACT tile kernel.
-/// One detect per call picks the wavefront fill's instantiation — AVX2, or
-/// the baseline target's where the CPU has none; the answer is the same bit
-/// for bit. The traceback matrix is `(m+1)·(n+1)` bytes, as the row fill's.
+/// Per call, the score range picks the wavefront fill's lane width (`i16`
+/// inside the `fits_i16` bound, `i32` past it) and one detect its
+/// instantiation — AVX2, or the baseline target's where the CPU has none;
+/// the answer is the same bit for bit. The traceback matrix is
+/// `(m+1)·(n+1)` bytes, as the row fill's.
 pub fn extend_align_with(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> ExtensionAlignment {
+    if fits_i16(query.len(), target.len(), scoring) {
+        extend_lanes::<i16>(query, target, scoring, s)
+    } else {
+        extend_lanes::<i32>(query, target, scoring, s)
+    }
+}
+
+/// [`extend_align_with`] at lane width `L`: the instantiation dispatch.
+fn extend_lanes<L: Lane>(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
@@ -297,9 +381,9 @@ pub fn extend_align_with(
     if has_avx2() {
         // SAFETY: `has_avx2`, checked on the line above, is the CPU's own
         // `avx2` report.
-        return unsafe { extend_wavefront_avx2(query, target, scoring, s) };
+        return unsafe { extend_wavefront_avx2::<L>(query, target, scoring, s) };
     }
-    extend_wavefront(query, target, scoring, s)
+    extend_wavefront::<L>(query, target, scoring, s)
 }
 
 /// The one dispatch condition of [`extend_align_with`].
@@ -312,7 +396,9 @@ fn has_avx2() -> bool {
 
 /// The instantiation of the wavefront fill [`extend_align_with`], the GACT
 /// tile kernel, runs on this CPU: `"avx2-wavefront"` (detected at run time)
-/// or `"wavefront"` (the same body compiled for the baseline target).
+/// or `"wavefront"` (the same body compiled for the baseline target). Either
+/// runs `i16` lanes for every tile whose score range fits (all of them under
+/// [`Scoring::bwa_mem`]) and `i32` lanes otherwise.
 pub fn tile_kernel() -> &'static str {
     if has_avx2() {
         "avx2-wavefront"
@@ -324,13 +410,13 @@ pub fn tile_kernel() -> &'static str {
 /// The wavefront arm of [`extend_align_with`], compiled with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn extend_wavefront_avx2(
+fn extend_wavefront_avx2<L: Lane>(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> ExtensionAlignment {
-    extend_wavefront(query, target, scoring, s)
+    extend_wavefront::<L>(query, target, scoring, s)
 }
 
 /// The anchored recurrence filled one anti-diagonal at a time, as the
@@ -340,18 +426,19 @@ fn extend_wavefront_avx2(
 /// per-row best); the target is stored reversed so that row `i`'s base
 /// `target[d-i-1]` is contiguous in `i`. The traceback codes are `fill_into`'s,
 /// diagonal-major with the diagonals end to end (`diag_base`), never cleared:
-/// the walk visits only cells this call wrote. Inlined so that it compiles
-/// inside the AVX2 caller too.
+/// the walk visits only cells this call wrote. Generic over the lane width
+/// (the caller checks that `L` holds every value) and inlined so that it
+/// compiles inside the AVX2 caller too.
 #[inline(always)]
-fn extend_wavefront(
+fn extend_wavefront<L: Lane>(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> ExtensionAlignment {
     let (m, n, w) = (query.len(), target.len(), query.len() + 1);
-    let (go1, ge) = (scoring.gap_cost(1), scoring.gap_extend);
-    let subst = (scoring.match_score, -scoring.mismatch_penalty);
+    let (go1, ge) = (L::of(scoring.gap_cost(1)), L::of(scoring.gap_extend));
+    let subst = (L::of(scoring.match_score), L::of(-scoring.mismatch_penalty));
     // Diagonal `d` holds rows `d.saturating_sub(n) ..= m.min(d)`; its base is
     // its offset less its first row, so that a cell is at `base + i`.
     let mut cells = 0;
@@ -366,34 +453,36 @@ fn extend_wavefront(
     }
     s.rev_target.clear();
     s.rev_target.extend(target.iter().rev());
+    // This width's lanes leave the scratch for the fill and go back after it.
+    let mut all = std::mem::take(L::lanes(s));
     let (tb, rev_target, diag_base) = (&mut s.tb[..], &s.rev_target[..], &s.diag_base[..]);
-    s.lanes.clear();
-    s.lanes.resize(9 * w, 0);
-    let mut lanes = s.lanes.chunks_exact_mut(w);
+    all.clear();
+    all.resize(9 * w, L::of(0));
+    let mut lanes = all.chunks_exact_mut(w);
     let [mut h2, mut h1, mut h0, mut e1, mut e0, mut f1, mut f0, best, best_d] =
         std::array::from_fn(|_| lanes.next().expect("nine lanes of m + 1"));
 
     // Diagonal 0 is the anchor: H(0,0) = 0, already in `h1[0]`.
-    let mut boundary = -go1;
+    let mut boundary = L::of(-scoring.gap_cost(1));
     for d in 1..=m + n {
         let base = diag_base[d];
         // The gap-scored boundary: row 0 comes from E-gaps and never extends
         // an F, column 0 the other way round.
         if d <= n {
             h0[0] = boundary;
-            f0[0] = NEG_INF;
+            f0[0] = L::NEG;
             tb[base] = H_FROM_E | if d > 1 { E_EXT } else { 0 };
         }
         if d <= m {
             h0[d] = boundary;
-            e0[d] = NEG_INF;
+            e0[d] = L::NEG;
             tb[base + d] = H_FROM_F | if d > 1 { F_EXT } else { 0 };
         }
-        boundary -= ge;
+        boundary = boundary - ge;
         // Interior rows of this diagonal (none on diagonal 1).
         let (lo, hi) = (d.saturating_sub(n).max(1), m.min(d - 1) + 1);
         wavefront_cells(
-            (d as i32, go1, ge, subst),
+            (L::of(d as i32), go1, ge, subst),
             &query[lo - 1..hi - 1],
             &rev_target[n + lo - d..],
             &h2[lo - 1..hi - 1],
@@ -416,11 +505,13 @@ fn extend_wavefront(
     // order under strict `>` give `fill_into`'s first row-major maximum.
     let (mut score, mut bi, mut bj) = (0i32, 0usize, 0usize);
     for i in 1..=m {
-        if best[i] > score {
-            (score, bi, bj) = (best[i], i, best_d[i] as usize - i);
+        if best[i].int() > score {
+            (score, bi, bj) = (best[i].int(), i, best_d[i].int() as usize - i);
         }
     }
+    *L::lanes(s) = all;
     // (An empty extension, best cell (0, 0), walks to an empty CIGAR.)
+    let (tb, diag_base) = (&s.tb[..], &s.diag_base[..]);
     let at = |i: usize, j: usize| diag_base[i + j] + i;
     let (cigar, qi, tj) = traceback_by(tb, at, bi, bj, query, target, false);
     debug_assert_eq!((qi, tj), (0, 0), "extension traceback must reach anchor");
@@ -434,28 +525,32 @@ fn extend_wavefront(
 
 /// The interior cells of one anti-diagonal, lane `k` being one query row:
 /// `fill_into`'s cell with its strict `>` in diag → E → F order. What makes
-/// LLVM vectorise it: values through `max`, flags through `bool as u8`
-/// arithmetic, no value-producing `if`; every slice a parameter of its own
+/// LLVM vectorise it: values through `max`, flags through `bool` → lane
+/// arithmetic with the traceback code built at lane width and narrowed to a
+/// byte once (a code assembled from bytes mixes widths, which kept the `i16`
+/// loop scalar), no value-producing `if`; every slice a parameter of its own
 /// (pieces cut inline from one buffer, or a tuple of slices, lose the
 /// no-alias facts) and re-sliced to one `len` (no bounds check in the loop).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn wavefront_cells(
-    (d, go1, ge, (match_score, mismatch)): (i32, i32, i32, (i32, i32)),
+fn wavefront_cells<L: Lane>(
+    (d, go1, ge, (match_score, mismatch)): (L, L, L, (L, L)),
     q: &[u8],
     rt: &[u8],
-    h_diag: &[i32],
-    h_up: &[i32],
-    h_left: &[i32],
-    e_left: &[i32],
-    f_up: &[i32],
-    h: &mut [i32],
-    e: &mut [i32],
-    f: &mut [i32],
+    h_diag: &[L],
+    h_up: &[L],
+    h_left: &[L],
+    e_left: &[L],
+    f_up: &[L],
+    h: &mut [L],
+    e: &mut [L],
+    f: &mut [L],
     tb: &mut [u8],
-    best: &mut [i32],
-    best_d: &mut [i32],
+    best: &mut [L],
+    best_d: &mut [L],
 ) {
+    let (diag_code, f_code) = (L::from(H_DIAG), L::from(H_FROM_F));
+    let (e_ext_code, f_ext_code) = (L::from(E_EXT), L::from(F_EXT));
     let len = tb.len();
     let (q, rt, h_diag, h_up) = (&q[..len], &rt[..len], &h_diag[..len], &h_up[..len]);
     let (h_left, e_left, f_up) = (&h_left[..len], &e_left[..len], &f_up[..len]);
@@ -465,17 +560,20 @@ fn wavefront_cells(
         let (e_open, e_ext) = (h_left[k] - go1, e_left[k] - ge);
         let (f_open, f_ext) = (h_up[k] - go1, f_up[k] - ge);
         let (ev, fv) = (e_open.max(e_ext), f_open.max(f_ext));
-        let diag = h_diag[k] + mismatch + (q[k] == rt[k]) as i32 * (match_score - mismatch);
+        let diag = h_diag[k] + mismatch + L::from(q[k] == rt[k]) * (match_score - mismatch);
         let (from_e, hv) = (ev > diag, diag.max(ev));
         let (from_f, hv) = (fv > hv, hv.max(fv));
         (h[k], e[k], f[k]) = (hv, ev, fv);
         // H_DIAG, H_FROM_E or (either overridden) H_FROM_F.
-        tb[k] = ((H_DIAG + from_e as u8) | (H_FROM_F * from_f as u8))
-            | (E_EXT * (e_ext > e_open) as u8)
-            | (F_EXT * (f_ext > f_open) as u8);
-        let better = -((hv > best[k]) as i32);
+        let code = (diag_code + L::from(from_e))
+            | (f_code * L::from(from_f))
+            | (e_ext_code * L::from(e_ext > e_open))
+            | (f_ext_code * L::from(f_ext > f_open));
+        tb[k] = code.int() as u8;
+        // `d` exceeds every diagonal stored before it: a strict gain moves
+        // the row's best there, anything else leaves it.
+        best_d[k] = best_d[k].max(L::from(hv > best[k]) * d);
         best[k] = best[k].max(hv);
-        best_d[k] = (d & better) | (best_d[k] & !better);
     }
 }
 
@@ -1112,8 +1210,8 @@ mod tests {
         }
     }
 
-    /// The AVX2 arm when the host has it.
-    fn wavefront_avx2(
+    /// The AVX2 arm at lane width `L` when the host has it.
+    fn wavefront_avx2<L: Lane>(
         q: &[u8],
         t: &[u8],
         scoring: &Scoring,
@@ -1123,9 +1221,40 @@ mod tests {
         if has_avx2() {
             // SAFETY: `has_avx2`, checked on the line above, is the CPU's
             // own `avx2` report.
-            return Some(unsafe { extend_wavefront_avx2(q, t, scoring, s) });
+            return Some(unsafe { extend_wavefront_avx2::<L>(q, t, scoring, s) });
         }
         None
+    }
+
+    /// The dispatching entry point, then each lane width the call admits
+    /// (`i32` always, `i16` inside the bound) in both instantiations, all
+    /// against the oracle and all through the caller's one scratch.
+    fn assert_twins(q: &[u8], t: &[u8], scoring: &Scoring, s: &mut DpScratch, tag: &str) {
+        let want = naive::extend_align(q, t, scoring);
+        assert_eq!(extend_align_with(q, t, scoring, s), want, "dispatch {tag}");
+        // Called from here the body compiles for the baseline target: the
+        // arm `extend_align_with` takes where the CPU has no AVX2.
+        let twin = extend_wavefront::<i32>(q, t, scoring, s);
+        assert_eq!(twin, want, "portable i32 {tag}");
+        if let Some(got) = wavefront_avx2::<i32>(q, t, scoring, s) {
+            assert_eq!(got, want, "avx2 i32 {tag}");
+        }
+        if fits_i16(q.len(), t.len(), scoring) {
+            let twin = extend_wavefront::<i16>(q, t, scoring, s);
+            assert_eq!(twin, want, "portable i16 {tag}");
+            if let Some(got) = wavefront_avx2::<i16>(q, t, scoring, s) {
+                assert_eq!(got, want, "avx2 i16 {tag}");
+            }
+        }
+    }
+
+    fn lcg(mut state: u64) -> impl FnMut(usize) -> usize {
+        move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        }
     }
 
     #[test]
@@ -1133,18 +1262,14 @@ mod tests {
         if !has_avx2() {
             eprintln!("note: no avx2 on this host, the avx2 arm is skipped");
         }
-        let mut state = 0x7_11e5_u64;
-        let mut rand = move |m: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize % m
-        };
+        let mut rand = lcg(0x7_11e5);
         let scorings = [
             Scoring::bwa_mem(),
             Scoring::new(2, 3, 4, 1),
             Scoring::new(1, 1, 0, 1),
             Scoring::new(3, 2, 5, 0),
+            Scoring::new(1, 20, 6, 1),
+            Scoring::new(5, 4, 6, 1),
         ];
         // (m, n, alphabet): 1 is the homopolymer (all-match, every maximum
         // tied), 2 is tie-heavy, 5 and 6 put codes >= 4 on both sides.
@@ -1164,9 +1289,9 @@ mod tests {
         for _ in 0..60 {
             shapes.push((1 + rand(300), 1 + rand(300), [1, 2, 4, 4, 4, 6][rand(6)]));
         }
-        // One scratch per arm for the whole run, its sizes going large ->
-        // small -> large: stale traceback bytes must never be read.
-        let (mut portable, mut avx2) = (DpScratch::new(), DpScratch::new());
+        // One scratch for every width, arm and shape of the run, its sizes
+        // going large -> small -> large: stale bytes must never be read.
+        let mut dp = DpScratch::new();
         for (round, &(m, n, alphabet)) in shapes.iter().enumerate() {
             let scoring = scorings[round % scorings.len()];
             let q: Vec<u8> = (0..m).map(|_| rand(alphabet) as u8).collect();
@@ -1187,15 +1312,88 @@ mod tests {
                     .chain(std::iter::repeat_n(0, n / 8))
                     .collect();
             }
-            let want = naive::extend_align(&q, &t, &scoring);
             let tag = format!("m={m} n={} alphabet={alphabet} {scoring:?}", t.len());
-            // Called from here the body compiles for the baseline target: the
-            // arm `extend_align_with` takes where the CPU has no AVX2.
-            let twin = extend_wavefront(&q, &t, &scoring, &mut portable);
-            assert_eq!(twin, want, "portable {tag}");
-            if let Some(got) = wavefront_avx2(&q, &t, &scoring, &mut avx2) {
-                assert_eq!(got, want, "avx2 {tag}");
+            assert_twins(&q, &t, &scoring, &mut dp, &tag);
+        }
+    }
+
+    /// Shapes exactly at the `i16` bound (the last `n` that fits for a given
+    /// `m`) and one past it, under scorings whose bound is set by each of
+    /// its terms: the gap extension, the match score, the mismatch, and the
+    /// diagonal counter (`ge = 0`). Homopolymers reach the top of the range,
+    /// all-mismatch inputs the bottom; in a debug build any `i16` overflow
+    /// panics, so the bound is checked as well as the answers.
+    #[test]
+    fn tile_kernel_twins_agree_at_the_i16_bound_and_one_past_it() {
+        let mut rand = lcg(0xb0_0d);
+        let cases = [
+            (Scoring::new(1, 4, 6, 60), [1, 60, 133]),
+            (Scoring::new(120, 4, 6, 1), [274, 300, 600]),
+            (Scoring::new(1, 20, 6, 1), [1, 2, 40]),
+            (Scoring::new(2, 3, 4, 0), [1, 2, 3]),
+        ];
+        let mut dp = DpScratch::new();
+        for (scoring, ms) in cases {
+            for m in ms {
+                let edge = (0..)
+                    .position(|n| !fits_i16(m, n, &scoring))
+                    .expect("a bound")
+                    - 1;
+                for n in [edge, edge + 1] {
+                    for (kind, q, t) in [
+                        ("homopolymer", vec![0; m], vec![0; n]),
+                        ("all-mismatch", vec![0; m], vec![1; n]),
+                        (
+                            "random",
+                            (0..m).map(|_| rand(4) as u8).collect(),
+                            (0..n).map(|_| rand(4) as u8).collect(),
+                        ),
+                    ] {
+                        let tag = format!("{kind} m={m} n={n} (edge {edge}) {scoring:?}");
+                        assert_twins(&q, &t, &scoring, &mut dp, &tag);
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn every_gact_tile_takes_i16_and_a_full_length_read_i32() {
+        let (tile, scoring) = (
+            crate::gact::GactConfig::default().tile_size,
+            Scoring::bwa_mem(),
+        );
+        for m in 0..=tile {
+            for n in 0..=tile {
+                assert!(fits_i16(m, n, &scoring), "tile {m} x {n}");
+            }
+        }
+        // `examples/long_read_gact.rs`: a 5 kbp read against its window.
+        assert!(!fits_i16(5_000, 5_200, &scoring));
+    }
+
+    /// A 5 kbp × 5 kbp call, past the `i16` bound, then a tile inside it and
+    /// the large call again, through one scratch.
+    #[test]
+    fn tile_kernel_twins_agree_on_a_5_kbp_call() {
+        let mut rand = lcg(0x5_000);
+        let scoring = Scoring::bwa_mem();
+        let q: Vec<u8> = (0..5_000).map(|_| rand(4) as u8).collect();
+        // A noisy copy: substitutions and indels, so the path wanders.
+        let t: Vec<u8> = q
+            .iter()
+            .flat_map(|&c| match rand(25) {
+                0 => vec![],
+                1 => vec![c, (c + 2) % 4],
+                2 => vec![(c + 1) % 4],
+                _ => vec![c],
+            })
+            .take(5_000)
+            .collect();
+        assert!(!fits_i16(q.len(), t.len(), &scoring));
+        let mut dp = DpScratch::new();
+        assert_twins(&q, &t, &scoring, &mut dp, "5 kbp");
+        assert_twins(&q[..254], &t[..256], &scoring, &mut dp, "tile");
+        assert_twins(&q, &t, &scoring, &mut dp, "5 kbp again");
     }
 }

@@ -179,3 +179,155 @@ fn seeds_are_never_shared_between_chains() {
         }
     }
 }
+
+/// `chain_seeds` before its two exact cuts, kept as the reference model: the
+/// full O(n²) look-back (every earlier seed of the strand) and an uncapped
+/// greedy pass per strand, then the same stable sort and truncate.
+fn full_chain_seeds(seeds: &[Seed], cfg: &ChainConfig) -> Vec<Chain> {
+    let mut chains = Vec::new();
+    for is_rc in [false, true] {
+        let mut strand: Vec<Seed> = seeds
+            .iter()
+            .copied()
+            .filter(|s| s.is_rc == is_rc && !s.is_empty())
+            .collect();
+        strand.sort_by_key(|s| (s.query_start, s.ref_pos));
+        let n = strand.len();
+        let mut f: Vec<i32> = strand.iter().map(|s| s.len() as i32).collect();
+        let mut p: Vec<Option<usize>> = vec![None; n];
+        for i in 0..n {
+            for j in 0..i {
+                let (a, b) = (&strand[j], &strand[i]);
+                if link_ok(a, b, cfg) && f[j] + link_gain(a, b) > f[i] {
+                    f[i] = f[j] + link_gain(a, b);
+                    p[i] = Some(j);
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| f[b].cmp(&f[a]));
+        let mut used = vec![false; n];
+        for &tail in &order {
+            if used[tail] || f[tail] < cfg.min_chain_score {
+                continue;
+            }
+            let mut members = Vec::new();
+            let mut cursor = Some(tail);
+            while let Some(i) = cursor.filter(|&i| !used[i]) {
+                members.push(i);
+                cursor = p[i];
+            }
+            if cursor.is_some() {
+                continue; // shares a prefix with a better chain
+            }
+            for &i in &members {
+                used[i] = true;
+            }
+            chains.push(Chain {
+                seeds: members.iter().rev().map(|&i| strand[i]).collect(),
+                score: f[tail],
+                is_rc,
+            });
+        }
+    }
+    chains.sort_by_key(|c| std::cmp::Reverse(c.score));
+    chains.truncate(cfg.max_chains);
+    chains
+}
+
+/// Seeds of `count` true loci plus noise: each locus a colinear run with
+/// small diagonal drift, the noise scattered hits, on both strands.
+/// `starts` draws a query start (few distinct values make equal starts
+/// common) and `len` a seed length.
+fn clustered_seeds(
+    rng: &mut Prng,
+    count: usize,
+    loci: u64,
+    starts: &mut dyn FnMut(&mut Prng) -> usize,
+    len: &mut dyn FnMut(&mut Prng) -> usize,
+) -> Vec<Seed> {
+    let centres: Vec<u64> = (0..loci).map(|_| 10_000 + rng.below(1_000_000)).collect();
+    (0..count)
+        .map(|_| {
+            let qs = starts(rng);
+            let ref_pos = if rng.below(4) == 0 {
+                rng.below(2_000_000)
+            } else {
+                centres[rng.below(loci) as usize] + qs as u64 + rng.below(40) - 20
+            };
+            Seed {
+                query_start: qs,
+                query_end: qs + len(rng),
+                ref_pos,
+                is_rc: rng.below(3) == 0,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn windowed_capped_chainer_equals_the_full_look_back_on_smem_seeds() {
+    let mut rng = Prng(0x5_3e3);
+    for case in 0..400 {
+        // A short read's SMEMs: lengths 19..=101, starts on a coarse grid.
+        let (count, loci) = (1 + rng.below(40) as usize, 1 + rng.below(3));
+        let seeds = clustered_seeds(
+            &mut rng,
+            count,
+            loci,
+            &mut |r| 4 * r.below(25) as usize,
+            &mut |r| 19 + r.below(83) as usize,
+        );
+        for max_chains in 1..=6 {
+            let cfg = ChainConfig {
+                max_chains,
+                ..ChainConfig::default()
+            };
+            assert_eq!(
+                chain_seeds(&seeds, &cfg),
+                full_chain_seeds(&seeds, &cfg),
+                "case {case} max_chains {max_chains}: {seeds:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn windowed_capped_chainer_equals_the_full_look_back_on_long_read_seeds() {
+    let mut rng = Prng(0x10_4e6);
+    for case in 0..200 {
+        // A 5 kbp read's k = 15 minimizer hits under the long-read limits;
+        // every other case a few seeds whose starts sit `max_gap + k` ± 2
+        // apart, so that the window's edge decides links.
+        let sparse = case % 2 == 0;
+        let count = if sparse {
+            2 + rng.below(8)
+        } else {
+            50 + rng.below(400)
+        };
+        let (count, loci) = (count as usize, 1 + rng.below(4));
+        let seeds = clustered_seeds(
+            &mut rng,
+            count,
+            loci,
+            &mut |r| match sparse {
+                true => (2_015 * r.below(3) + r.below(5)) as usize,
+                false => r.below(5_000) as usize,
+            },
+            &mut |_| 15,
+        );
+        for max_chains in 1..=6 {
+            let cfg = ChainConfig {
+                max_gap: 2_000,
+                max_drift: 500,
+                min_chain_score: 30,
+                max_chains,
+            };
+            assert_eq!(
+                chain_seeds(&seeds, &cfg),
+                full_chain_seeds(&seeds, &cfg),
+                "case {case} max_chains {max_chains}"
+            );
+        }
+    }
+}

@@ -139,8 +139,10 @@ proptest! {
     /// the retained reference implementations — scores, spans and
     /// tracebacks, not just scores — at GACT tile scale: m != n, empty
     /// sides, alphabets of 1 (homopolymer: every maximum tied, which pins
-    /// the first-strict-maximum rule) to 6 (codes >= 4 on both sides), four
-    /// scorings including free gap open and free gap extension, and one
+    /// the first-strict-maximum rule) to 6 (codes >= 4 on both sides), six
+    /// scorings including free gap open and free gap extension and two
+    /// whose `i16` lane bound falls inside these shapes (gap extension 60,
+    /// match 150), so the extension runs at both lane widths, and one
     /// scratch going large -> small -> large, so a stale traceback byte
     /// would be read if any could be.
     #[test]
@@ -148,7 +150,7 @@ proptest! {
         q in proptest::collection::vec(0u8..60, 0..=300),
         t in proptest::collection::vec(0u8..60, 0..=300),
         alphabet in 1u8..=6,
-        scheme in 0usize..4,
+        scheme in 0usize..6,
         related in any::<bool>(),
     ) {
         let scoring = [
@@ -156,6 +158,8 @@ proptest! {
             Scoring::new(2, 3, 4, 1),
             Scoring::new(1, 1, 0, 1),
             Scoring::new(3, 2, 5, 0),
+            Scoring::new(1, 4, 6, 60),
+            Scoring::new(150, 20, 6, 1),
         ][scheme];
         let q: Vec<u8> = q.iter().map(|c| c % alphabet).collect();
         // Half the cases align a ~10 % substituted copy, so long paths occur.

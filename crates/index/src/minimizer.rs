@@ -41,7 +41,11 @@ pub fn hash64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Extracts the minimizers of `seq` (2-bit codes).
+/// Extracts the minimizers of `seq` (2-bit codes): the rightmost minimum of
+/// each window of `w` consecutive k-mers, in position order, a window that
+/// picks the same k-mer as the one before it adding nothing. A sequence of
+/// fewer than `w` k-mers yields its leftmost global minimum; one shorter
+/// than `k`, nothing.
 ///
 /// # Panics
 ///
@@ -64,28 +68,24 @@ pub fn minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
             hashes.push(hash64(key));
         }
     }
-    // Sliding window minima (monotone deque).
+    // Sliding window minima: the current minimum stands until a k-mer at
+    // most as small arrives (`<=` keeps the rightmost) or it leaves the
+    // window, and only then is the window rescanned.
     let mut out: Vec<Minimizer> = Vec::new();
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+    let mut min_idx = 0;
     for i in 0..hashes.len() {
-        while let Some(&back) = deque.back() {
-            if hashes[back] >= hashes[i] {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        if i + 1 >= w {
-            let window_start = i + 1 - w;
-            while let Some(&front) = deque.front() {
-                if front < window_start {
-                    deque.pop_front();
-                } else {
-                    break;
+        let window_start = (i + 1).saturating_sub(w);
+        if hashes[i] <= hashes[min_idx] {
+            min_idx = i;
+        } else if min_idx < window_start {
+            min_idx = window_start;
+            for j in window_start + 1..=i {
+                if hashes[j] <= hashes[min_idx] {
+                    min_idx = j;
                 }
             }
-            let min_idx = *deque.front().expect("window non-empty");
+        }
+        if i + 1 >= w {
             let candidate = Minimizer {
                 pos: min_idx as u32,
                 hash: hashes[min_idx],

@@ -7,8 +7,13 @@
 //!    `w + k - 1` bases is guaranteed a shared seed.
 //! 2. **Density** — random sequences sample about `2/(w+1)` of positions;
 //!    much denser wastes lookups, much sparser breaks sensitivity.
+//!
+//! And one identity: the rescanning window minimum equals the monotone
+//! deque it replaced, kept here as `deque_minimizers`.
 
-use nvwa_index::minimizer::{hash64, minimizers, MinimizerParams};
+use std::collections::VecDeque;
+
+use nvwa_index::minimizer::{hash64, minimizers, Minimizer, MinimizerParams};
 
 /// splitmix64 — deterministic, dependency-free test randomness.
 struct Prng(u64);
@@ -127,5 +132,86 @@ fn short_sequences_fall_back_to_the_global_minimum() {
             .min()
             .expect("at least one k-mer");
         assert_eq!(mins[0].hash, global_min);
+    }
+}
+
+/// The monotone-deque sampler `minimizers` ran before the rescanning window
+/// minimum replaced it, kept as the reference model: the same output,
+/// including the rightmost-minimum tie rule, the dedup and the short
+/// sequence's leftmost global minimum.
+fn deque_minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
+    let (k, w) = (params.k, params.w);
+    if seq.len() < k {
+        return Vec::new();
+    }
+    let hashes: Vec<u64> = (0..=seq.len() - k).map(|p| kmer_hash(seq, p, k)).collect();
+    let mut out: Vec<Minimizer> = Vec::new();
+    let mut deque: VecDeque<usize> = VecDeque::new();
+    for i in 0..hashes.len() {
+        while let Some(&back) = deque.back() {
+            if hashes[back] >= hashes[i] {
+                deque.pop_back();
+            } else {
+                break;
+            }
+        }
+        deque.push_back(i);
+        if i + 1 >= w {
+            let window_start = i + 1 - w;
+            while let Some(&front) = deque.front() {
+                if front < window_start {
+                    deque.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let min_idx = *deque.front().expect("window non-empty");
+            let candidate = Minimizer {
+                pos: min_idx as u32,
+                hash: hashes[min_idx],
+            };
+            if out.last() != Some(&candidate) {
+                out.push(candidate);
+            }
+        }
+    }
+    if out.is_empty() && !hashes.is_empty() {
+        let (min_idx, &h) = hashes
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, h)| h)
+            .expect("non-empty");
+        out.push(Minimizer {
+            pos: min_idx as u32,
+            hash: h,
+        });
+    }
+    out
+}
+
+#[test]
+fn rescanning_window_minimum_equals_the_deque() {
+    let mut rng = Prng(0xde9e);
+    for k in 1..=31 {
+        for w in 1..=16 {
+            // Lengths around `k` (no k-mer, one) and `k + w - 1` (one window
+            // short, exactly one, one more), then a long random run.
+            let lens = [k - 1, k, k + 1, k + w - 2, k + w - 1, k + w, 300];
+            for len in lens {
+                let params = MinimizerParams { k, w };
+                // A random sequence; a homopolymer (every k-mer, so every
+                // hash, tied); and a short-period repeat (ties at a distance).
+                let random = rng.codes(len);
+                let tied = vec![(rng.next() & 0b11) as u8; len];
+                let period: Vec<u8> = (0..len).map(|p| random[p % 3.min(len)]).collect();
+                for seq in [random, tied, period] {
+                    assert_eq!(
+                        minimizers(&seq, &params),
+                        deque_minimizers(&seq, &params),
+                        "k={k} w={w} len={len} seq={seq:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, no hash set on the simulator's per-access path,
 # lints, rustdoc links, the tier-1 build+test suite (and popcnt and AVX2
-# vpmaxsd in the release binary), the telemetry artifact checks, the
+# vpmaxsd / vpmaxsw in the release binary), the telemetry artifact checks, the
 # benchmark smoke run, the serve smoke tests, the conformance sweep and the
 # per-crate line count. Run from the repository root: ./scripts/check.sh
 #
@@ -37,16 +37,19 @@ if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
         exit 1
     fi
     # Likewise the GACT tile kernel: the loop of its AVX2 instantiation must
-    # have vectorised (five `vpmaxsd` on ymm registers, counted inside that
-    # one symbol so that no other vectorised max satisfies the check). A
-    # shape LLVM leaves scalar passes every test and halves `offline_long`
-    # (DESIGN.md §12).
-    if [ "$(objdump -d target/release/nvwa |
-        awk '/^[0-9a-f]+ <.*>:$/ { inside = /extend_wavefront_avx2/ } inside' |
-        grep -c 'vpmaxsd.*ymm')" -eq 0 ]; then
-        echo "extend_wavefront_avx2 has no vpmaxsd on ymm: the wavefront fill did not vectorise" >&2
-        exit 1
-    fi
+    # have vectorised at both lane widths — five `vpmaxsd` (i32 lanes) and
+    # five `vpmaxsw` (i16 lanes, every GACT tile) on ymm registers, counted
+    # inside that symbol's two instances so that no other vectorised max
+    # satisfies the check. A shape LLVM leaves scalar passes every test and
+    # halves `offline_long` (DESIGN.md §12).
+    avx2_fill="$(objdump -d target/release/nvwa |
+        awk '/^[0-9a-f]+ <.*>:$/ { inside = /extend_wavefront_avx2/ } inside')"
+    for max in vpmaxsd vpmaxsw; do
+        if [ "$(echo "$avx2_fill" | grep -c "$max.*ymm")" -eq 0 ]; then
+            echo "extend_wavefront_avx2 has no $max on ymm: the wavefront fill did not vectorise" >&2
+            exit 1
+        fi
+    done
 fi
 cargo test -q
 

@@ -63,12 +63,14 @@ static ALLOCATOR: Counting = Counting;
 
 const READS: usize = 2_000;
 
-/// Allocations of one warm pass over the [`READS`] reads (16.381 and 999
-/// bytes per call), measured at the change that moved the best candidate
-/// and the left cigar instead of cloning them; 36 302 (18.151 and 1 055
-/// bytes per call) before it. `realloc` goes through the default `alloc` +
-/// copy + `dealloc`, so a growing `Vec` counts once per growth.
-const ALLOCS_CEILING: u64 = 32_762;
+/// Allocations of one warm pass over the [`READS`] reads (16.320 and 993
+/// bytes per call), measured at the change that stopped the chainer at
+/// `max_chains` chains per strand (the chains past it were built, then
+/// truncated away); 32 762 (16.381 and 999 bytes) before it, and 36 302
+/// (18.151 and 1 055 bytes) before the best candidate and the left cigar
+/// were moved instead of cloned. `realloc` goes through the default `alloc`
+/// + copy + `dealloc`, so a growing `Vec` counts once per growth.
+const ALLOCS_CEILING: u64 = 32_641;
 
 #[test]
 fn warm_short_read_path_stays_within_its_allocation_budget() {
@@ -116,13 +118,16 @@ fn warm_short_read_path_stays_within_its_allocation_budget() {
 const LONG_READS: usize = 50;
 
 /// Allocations and bytes of one pass over the [`LONG_READS`] reads, measured
-/// at the change that gave `gact_extend` one `DpScratch` for all its tiles
-/// and stopped cloning the left flank's cigar: 30 235 allocations (604.7 per
-/// read) and 28 623 593 bytes (572 472), the same on either instantiation of
-/// the tile kernel. Before it, a fresh scratch per tile: 35 276 allocations
-/// (705.5) and 116 203 313 bytes (2 324 066 per read).
-const LONG_ALLOCS_CEILING: u64 = 30_235;
-const LONG_BYTES_CEILING: u64 = 28_623_593;
+/// at the change that capped the chainer at `max_chains` chains per strand
+/// and replaced the minimizer sampler's `VecDeque` with a rescanning window
+/// minimum: 20 372 allocations (407.4 per read) and 27 243 185 bytes
+/// (544 864), the same on either instantiation and lane width of the tile
+/// kernel. Before it, the unbuilt chains and the deque's growth: 30 235
+/// (604.7) and 28 623 593 bytes (572 472); before `gact_extend` owned one
+/// `DpScratch` for all its tiles, 35 276 (705.5) and 116 203 313 bytes
+/// (2 324 066 per read).
+const LONG_ALLOCS_CEILING: u64 = 20_372;
+const LONG_BYTES_CEILING: u64 = 27_243_185;
 
 #[test]
 fn long_read_path_stays_within_its_allocation_budget() {
