@@ -5,9 +5,9 @@
 //! of each tile before sliding the window forward by `tile_size - overlap`.
 //! The paper applies NvWa to long reads "by using the iterative scheme of
 //! GACT" (Sec. V-F); this module is that scheme. Each tile is one
-//! [`extend_align_with`] call (the anti-diagonal fill, on AVX2 where the CPU
-//! has it: [`crate::tile_kernel`]), all tiles of a [`gact_extend`] in one
-//! [`DpScratch`].
+//! [`extend_align_with`] call (the anti-diagonal fill, at the
+//! [`nvwa_index::Isa::host`] level), all tiles of a [`gact_extend_with`] in
+//! the caller's one [`DpScratch`].
 
 use crate::cigar::Cigar;
 #[cfg(test)]
@@ -69,11 +69,21 @@ pub fn gact_extend(
     scoring: &Scoring,
     config: &GactConfig,
 ) -> (ExtensionAlignment, GactStats) {
+    gact_extend_with(query, target, scoring, config, &mut DpScratch::new())
+}
+
+/// [`gact_extend`] with caller-provided DP buffers, one set for every tile
+/// (bit-identical result).
+pub fn gact_extend_with(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    config: &GactConfig,
+    dp: &mut DpScratch,
+) -> (ExtensionAlignment, GactStats) {
     config.validate();
     let mut stats = GactStats::default();
     let mut cigar = Cigar::new();
-    // One set of DP buffers for every tile of this extension.
-    let mut dp = DpScratch::new();
     let mut q_pos = 0usize;
     let mut t_pos = 0usize;
 
@@ -83,7 +93,7 @@ pub fn gact_extend(
         if q_tile.is_empty() || t_tile.is_empty() {
             break;
         }
-        let tile = extend_align_with(q_tile, t_tile, scoring, &mut dp);
+        let tile = extend_align_with(q_tile, t_tile, scoring, dp);
         stats.tiles += 1;
         stats.dp_cells += q_tile.len() as u64 * t_tile.len() as u64;
         if tile.cigar.is_empty() {

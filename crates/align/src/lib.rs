@@ -44,4 +44,4 @@ pub use cigar::{Cigar, CigarOp};
 pub use kernel::KernelPolicy;
 pub use pipeline::{AlignScratch, AlignerConfig, Alignment, AlignmentOutcome, SoftwareAligner};
 pub use scoring::Scoring;
-pub use sw::{tile_kernel, DpScratch};
+pub use sw::DpScratch;

@@ -13,8 +13,9 @@ use nvwa_index::trace::{MemAddr, VecTrace};
 
 use crate::chain::{chain_seeds, ChainConfig, Seed};
 use crate::cigar::Cigar;
-use crate::gact::{gact_extend, GactConfig, GactStats};
+use crate::gact::{gact_extend_with, GactConfig, GactStats};
 use crate::scoring::Scoring;
+use crate::sw::DpScratch;
 
 /// Long-read aligner parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,9 +141,17 @@ impl<'r> LongReadAligner<'r> {
         let (qs, qe) = chain.query_span();
         let (rs, re) = chain.ref_span();
 
-        // --- Fill: GACT across the chained span plus both flanks. ---
+        // --- Fill: GACT across the chained span plus both flanks, every
+        // tile in one set of DP buffers. ---
         let reference = &self.index.reference;
-        let mut gact_total = GactStats::default();
+        let (mut gact_total, mut dp) = (GactStats::default(), DpScratch::new());
+        let mut fill = |q: &[u8], t: &[u8]| {
+            let (e, stats) =
+                gact_extend_with(q, t, &self.config.scoring, &self.config.gact, &mut dp);
+            gact_total.tiles += stats.tiles;
+            gact_total.dp_cells += stats.dp_cells;
+            e
+        };
         let mut cigar = Cigar::new();
 
         // Left flank (reversed fill toward lower coordinates).
@@ -154,17 +163,14 @@ impl<'r> LongReadAligner<'r> {
             .rev()
             .copied()
             .collect();
-        let (mut left, stats) =
-            gact_extend(&left_q, &left_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, stats);
+        let mut left = fill(&left_q, &left_t);
         left.cigar.reverse();
         cigar.concat(&left.cigar);
 
         // Chained body fill.
         let body_q = &oriented[qs..qe];
         let body_t = &reference[rs as usize..(re as usize).min(reference.len())];
-        let (body, stats) = gact_extend(body_q, body_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, stats);
+        let body = fill(body_q, body_t);
         cigar.concat(&body.cigar);
 
         // Right flank.
@@ -173,8 +179,7 @@ impl<'r> LongReadAligner<'r> {
         let right_end =
             (right_anchor + right_q.len() + self.config.gact.tile_size / 2).min(reference.len());
         let right_t = &reference[right_anchor.min(reference.len())..right_end];
-        let (right, stats) = gact_extend(right_q, right_t, &self.config.scoring, &self.config.gact);
-        accumulate(&mut gact_total, stats);
+        let right = fill(right_q, right_t);
         cigar.concat(&right.cigar);
 
         let score = cigar.score(&self.config.scoring);
@@ -189,11 +194,6 @@ impl<'r> LongReadAligner<'r> {
             seeding_trace: trace.0,
         })
     }
-}
-
-fn accumulate(total: &mut GactStats, stats: GactStats) {
-    total.tiles += stats.tiles;
-    total.dp_cells += stats.dp_cells;
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, no hash set on the simulator's per-access path,
-# lints, rustdoc links, the tier-1 build+test suite (and popcnt and AVX2
-# vpmaxsd / vpmaxsw in the release binary), the telemetry artifact checks, the
-# benchmark smoke run, the serve smoke tests, the conformance sweep and the
-# per-crate line count. Run from the repository root: ./scripts/check.sh
+# lints, rustdoc links, the tier-1 build+test suite (and, in the release
+# binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
+# never on xmm), the telemetry artifact checks, the benchmark smoke run, the
+# serve smoke tests, the conformance sweep and the per-crate line count. Run
+# from the repository root: ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -36,17 +37,27 @@ if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
         echo "release nvwa contains no popcnt instruction" >&2
         exit 1
     fi
-    # Likewise the GACT tile kernel: the loop of its AVX2 instantiation must
-    # have vectorised at both lane widths — five `vpmaxsd` (i32 lanes) and
-    # five `vpmaxsw` (i16 lanes, every GACT tile) on ymm registers, counted
-    # inside that symbol's two instances so that no other vectorised max
-    # satisfies the check. A shape LLVM leaves scalar passes every test and
-    # halves `offline_long` (DESIGN.md §12).
-    avx2_fill="$(objdump -d target/release/nvwa |
-        awk '/^[0-9a-f]+ <.*>:$/ { inside = /extend_wavefront_avx2/ } inside')"
-    for max in vpmaxsd vpmaxsw; do
-        if [ "$(echo "$avx2_fill" | grep -c "$max.*ymm")" -eq 0 ]; then
-            echo "extend_wavefront_avx2 has no $max on ymm: the wavefront fill did not vectorise" >&2
+    # Likewise the GACT tile kernel: each feature-enabled arm's loop must
+    # have vectorised at both lane widths, `vpmaxsd` (i32 lanes) and
+    # `vpmaxsw` (i16 lanes, every GACT tile) on ymm in the AVX2 arm and on
+    # zmm in the AVX-512BW arm, counted inside that symbol's two instances so
+    # that no other vectorised max satisfies the check; and neither arm may
+    # hold one on xmm. Every diagonal runs whole 32-lane chunks, so a narrow
+    # max means a remainder loop is back. A shape LLVM leaves scalar passes
+    # every test and halves `offline_long` (DESIGN.md §12). This reads the
+    # binary, so it holds on a host without AVX-512 too.
+    for arm in avx2:ymm avx512:zmm; do
+        sym="extend_wavefront_${arm%%:*}" reg="${arm#*:}"
+        fill="$(objdump -d target/release/nvwa |
+            awk -v sym="$sym" '/^[0-9a-f]+ <.*>:$/ { inside = index($0, sym) > 0 } inside')"
+        for max in vpmaxsd vpmaxsw; do
+            if [ "$(echo "$fill" | grep -c "$max.*$reg")" -eq 0 ]; then
+                echo "$sym has no $max on $reg: the wavefront fill did not vectorise" >&2
+                exit 1
+            fi
+        done
+        if echo "$fill" | grep -q 'vpmaxs[wd].*xmm'; then
+            echo "$sym has a vpmaxs on xmm: a diagonal's remainder loop is back" >&2
             exit 1
         fi
     done
