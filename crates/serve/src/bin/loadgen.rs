@@ -364,7 +364,7 @@ fn main() -> ExitCode {
             report.stats_snapshots.len(),
             report.scrape_failures
         );
-        if let Some(e) = &report.scrape_last_error {
+        if let Some(e) = &report.scrape_first_error {
             println!("first scrape failure: {e}");
         }
     }

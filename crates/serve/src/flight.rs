@@ -182,10 +182,10 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// The summary section embedded in `stats` responses
-    /// (`validate_flight_summary` checks it). Every field is read under
-    /// one lock acquisition, so `retained == min(recorded, cap)` holds
-    /// even while other threads are recording.
+    /// The summary section embedded in `stats` responses (the `occupancy`
+    /// identity of `Kind::FlightSummary` checks it). Every field is read
+    /// under one lock acquisition, so `retained == min(recorded, cap)`
+    /// holds even while other threads are recording.
     pub fn summary_json(&self) -> JsonValue {
         let ring = lock(&self.ring);
         let reason = ring.last_dump_reason.clone();
@@ -251,7 +251,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvwa_telemetry::snapshot::{validate_flight_dump, validate_flight_summary};
+    use nvwa_telemetry::snapshot::{validate, Kind};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -267,7 +267,7 @@ mod tests {
             events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
-        validate_flight_summary(&rec.summary_json()).unwrap();
+        validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
     }
 
     #[test]
@@ -278,7 +278,7 @@ mod tests {
         rec.record(3.0, FlightEventKind::BatchStart, 0, 1, 2);
         rec.record(4.0, FlightEventKind::Panic, 0, 3, 0);
         let dump = rec.dump_json("worker_panic");
-        validate_flight_dump(&dump).unwrap();
+        validate(Kind::FlightDump, &dump).unwrap();
         let digest = dump.get("digest").unwrap();
         assert_eq!(digest.get("admit").unwrap().as_num(), Some(2.0));
         assert_eq!(digest.get("panic").unwrap().as_num(), Some(1.0));
@@ -286,7 +286,7 @@ mod tests {
         assert_eq!(panics.len(), 1);
         // Dump bookkeeping shows up in the next summary.
         let summary = rec.summary_json();
-        validate_flight_summary(&summary).unwrap();
+        validate(Kind::FlightSummary, &summary).unwrap();
         assert_eq!(summary.get("dumps").unwrap().as_num(), Some(1.0));
         assert_eq!(
             summary.get("last_dump_reason").unwrap().as_str(),
@@ -333,15 +333,15 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
         assert!(seqs.iter().all(|&s| s >= 400 - 64));
-        validate_flight_dump(&rec.dump_json("explicit")).unwrap();
+        validate(Kind::FlightDump, &rec.dump_json("explicit")).unwrap();
     }
 
     #[test]
     fn live_summaries_validate_while_four_threads_record() {
         // A live scrape reads the ring and `recorded` under the lock that
         // `record` writes them under, so `retained == min(recorded, cap)`
-        // (which `validate_flight_summary` checks) holds in every scrape
-        // taken *while* four threads record, and so does the dump's
+        // (the `occupancy` identity) holds in every scrape taken *while*
+        // four threads record, and so does the dump's
         // `events.len() == min(recorded, cap)`. The large ring never fills
         // (4 × 384 < 2048); the small one wraps continuously.
         for cap in [2048usize, 64].repeat(32) {
@@ -358,15 +358,15 @@ mod tests {
                     });
                 }
                 loop {
-                    validate_flight_summary(&rec.summary_json()).unwrap();
-                    validate_flight_dump(&rec.dump_json("explicit")).unwrap();
+                    validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
+                    validate(Kind::FlightDump, &rec.dump_json("explicit")).unwrap();
                     if writers_done.load(Ordering::SeqCst) == 4 {
                         break;
                     }
                 }
             });
             assert_eq!(rec.recorded(), 4 * 384);
-            validate_flight_summary(&rec.summary_json()).unwrap();
+            validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
         }
     }
 }

@@ -30,9 +30,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use nvwa_genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
-use nvwa_telemetry::snapshot::validate_stats_response;
+use nvwa_telemetry::snapshot::{validate, Kind};
 use nvwa_telemetry::{JsonValue, MetricsRegistry, SnapshotMeta};
 
+use crate::lock;
 use crate::protocol::{read_frame, write_frame, AlignResponse, Mode, Request, Status};
 
 /// How long a connection waits for a response before declaring the
@@ -344,8 +345,8 @@ pub struct LoadReport {
     /// Scrapes that failed to connect, decode, or validate.
     pub scrape_failures: u64,
     /// Why the first counted scrape failure failed (`None` when none
-    /// did) — `scrapes.last_error` in the report document.
-    pub scrape_last_error: Option<String>,
+    /// did) — `scrapes.first_error` in the report document.
+    pub scrape_first_error: Option<String>,
     /// Graded SLO targets (empty when none were configured).
     pub slo: Vec<SloCheck>,
     /// The loadgen's own metrics registry (counters, latency histogram),
@@ -386,7 +387,7 @@ impl LoadReport {
             responses: HashMap::new(),
             stats_snapshots: Vec::new(),
             scrape_failures: 0,
-            scrape_last_error: None,
+            scrape_first_error: None,
             slo: Vec::new(),
             metrics: MetricsRegistry::new(),
         }
@@ -428,8 +429,8 @@ impl LoadReport {
                     ),
                     ("failures", JsonValue::Num(self.scrape_failures as f64)),
                     (
-                        "last_error",
-                        match &self.scrape_last_error {
+                        "first_error",
+                        match &self.scrape_first_error {
                             Some(e) => JsonValue::Str(e.clone()),
                             None => JsonValue::Null,
                         },
@@ -808,7 +809,7 @@ fn spawn_scraper(addr: String, every: Duration) -> Scraper {
         loop {
             let scraped = fetch_stats(&addr)
                 .map_err(|e| format!("fetch: {e}"))
-                .and_then(|doc| validate_stats_response(&doc).map(|()| doc));
+                .and_then(|doc| validate(Kind::StatsResponse, &doc).map(|()| doc));
             match scraped {
                 Ok(doc) => snapshots.push(doc),
                 Err(e) => {
@@ -936,12 +937,9 @@ fn open_conn(
                     std::thread::sleep(due - now);
                 }
                 for r in chunk {
-                    pending
-                        .lock()
-                        .unwrap()
-                        .insert(r.id, (Instant::now(), r.tenant_idx));
+                    lock(pending).insert(r.id, (Instant::now(), r.tenant_idx));
                     if write_frame(&mut write_half, &align_request(r, deadline_ms)).is_err() {
-                        pending.lock().unwrap().remove(&r.id);
+                        lock(pending).remove(&r.id);
                         done.store(true, Ordering::SeqCst);
                         return sent;
                     }
@@ -953,12 +951,12 @@ fn open_conn(
             sent
         });
         loop {
-            if sender_done.load(Ordering::Relaxed) && sent_at.lock().unwrap().is_empty() {
+            if sender_done.load(Ordering::Relaxed) && lock(&sent_at).is_empty() {
                 break;
             }
             match read_frame(&mut read_half) {
                 Ok(Some(doc)) => {
-                    let mut pending = sent_at.lock().unwrap();
+                    let mut pending = lock(&sent_at);
                     tally.record(&doc, &mut pending, collect);
                 }
                 Ok(None) => break,
@@ -970,7 +968,7 @@ fn open_conn(
             tally.note_sent(i as u32, *n);
         }
     });
-    tally.note_lost(&sent_at.lock().unwrap());
+    tally.note_lost(&lock(&sent_at));
     Ok(tally)
 }
 
@@ -1089,7 +1087,7 @@ fn run_impl(
     }
     // The scraper must be down before the drain starts: a scrape racing
     // shutdown would count a refused connection as a failure.
-    let (stats_snapshots, scrape_failures, scrape_last_error) = match scraper {
+    let (stats_snapshots, scrape_failures, scrape_first_error) = match scraper {
         Some(s) => s.stop_and_join(),
         None => (Vec::new(), 0, None),
     };
@@ -1111,7 +1109,7 @@ fn run_impl(
         responses: merged.responses,
         stats_snapshots,
         scrape_failures,
-        scrape_last_error,
+        scrape_first_error,
         metrics,
         ..LoadReport::from_tally(
             config.mode.as_str(),
@@ -1197,7 +1195,6 @@ pub fn fetch_flight(addr: &str) -> std::io::Result<JsonValue> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvwa_telemetry::snapshot::validate_loadgen_report;
 
     #[test]
     fn latency_summary_is_exact_on_known_samples() {
@@ -1251,14 +1248,14 @@ mod tests {
             },
         )];
         let doc = report.to_json();
-        validate_loadgen_report(&doc).unwrap();
+        validate(Kind::LoadgenReport, &doc).unwrap();
         assert!(doc.to_string_compact().contains("\"unmapped\":2"));
     }
 
     #[test]
     fn empty_report_passes_the_schema() {
         let report = empty_report();
-        validate_loadgen_report(&report.to_json()).unwrap();
+        validate(Kind::LoadgenReport, &report.to_json()).unwrap();
         assert!(report.is_lossless());
         assert!(report.slo_pass());
     }
@@ -1300,7 +1297,7 @@ mod tests {
         assert!(report.slo[2].pass, "throughput floor: 250 ≥ 200");
         assert!(!report.slo_pass());
         // The report document still validates with the slo/scrapes keys.
-        validate_loadgen_report(&report.to_json()).unwrap();
+        validate(Kind::LoadgenReport, &report.to_json()).unwrap();
     }
 
     #[test]
@@ -1343,7 +1340,7 @@ mod tests {
         let checks = evaluate_slo(&report, &targets);
         assert!(checks[0].pass, "quota rate 0.20 meets the 0.25 bound");
         assert!(!checks[1].pass, "quota rate 0.20 exceeds 0.10");
-        validate_loadgen_report(&report.to_json()).unwrap();
+        validate(Kind::LoadgenReport, &report.to_json()).unwrap();
     }
 
     #[test]
@@ -1357,7 +1354,6 @@ mod tests {
 
     #[test]
     fn loadgen_metrics_snapshot_validates() {
-        use nvwa_telemetry::snapshot::validate_metrics_snapshot;
         let mut report = empty_report();
         let id = report.metrics.counter("loadgen.sent");
         report.metrics.inc(id, 7);
@@ -1366,7 +1362,7 @@ mod tests {
             git_rev: None,
         };
         let snap = report.metrics_snapshot(&meta);
-        validate_metrics_snapshot(&snap).unwrap();
+        validate(Kind::MetricsSnapshot, &snap).unwrap();
         assert_eq!(
             snap.get("counters")
                 .and_then(|c| c.get("loadgen.sent"))

@@ -629,7 +629,7 @@ impl ServeMetrics {
 
     /// The `stats` response: the registry snapshot with the live `slo`
     /// view, `flight` summary and per-tenant rollup appended
-    /// (`validate_stats_response` checks it). Counters and tenant rows
+    /// (`Kind::StatsResponse` checks it). Counters and tenant rows
     /// are read under one lock acquisition, so the identities between
     /// them are exact in every scrape.
     pub fn stats_response(&self, meta: &SnapshotMeta) -> JsonValue {
@@ -673,9 +673,7 @@ impl ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvwa_telemetry::snapshot::{
-        validate_serve_snapshot, validate_span_log, validate_stats_response,
-    };
+    use nvwa_telemetry::snapshot::{validate, Kind};
 
     /// A hub as a single-index server launches it: one `default` tenant.
     fn hub(trace: bool, obs: &ObservabilityConfig) -> ServeMetrics {
@@ -691,9 +689,9 @@ mod tests {
             host_threads: 4,
             git_rev: None,
         };
-        validate_serve_snapshot(&metrics.snapshot(&meta)).unwrap();
-        validate_stats_response(&metrics.stats_response(&meta)).unwrap();
-        validate_span_log(&metrics.span_log_doc()).unwrap();
+        validate(Kind::ServeSnapshot, &metrics.snapshot(&meta)).unwrap();
+        validate(Kind::StatsResponse, &metrics.stats_response(&meta)).unwrap();
+        validate(Kind::SpanLog, &metrics.span_log_doc()).unwrap();
         assert!(metrics.trace_json().is_none());
     }
 
@@ -716,7 +714,7 @@ mod tests {
             host_threads: 1,
             git_rev: None,
         };
-        validate_stats_response(&metrics.stats_response(&meta)).unwrap();
+        validate(Kind::StatsResponse, &metrics.stats_response(&meta)).unwrap();
     }
 
     #[test]
@@ -746,7 +744,7 @@ mod tests {
             git_rev: None,
         };
         let doc = metrics.stats_response(&meta);
-        validate_stats_response(&doc).unwrap();
+        validate(Kind::StatsResponse, &doc).unwrap();
         assert_eq!(metrics.counter("serve.requests_admitted"), 2);
         assert_eq!(metrics.counter("serve.requests_shed"), 1);
         assert_eq!(metrics.counter("serve.responses_ok"), 1);
@@ -772,8 +770,7 @@ mod tests {
         for stage in ["queue", "align", "write"] {
             assert!(trace.contains(&format!("\"{stage}\"")), "{stage}");
         }
-        nvwa_telemetry::snapshot::validate_chrome_trace(&JsonValue::parse(&trace).unwrap())
-            .unwrap();
+        validate(Kind::ChromeTrace, &JsonValue::parse(&trace).unwrap()).unwrap();
     }
 
     #[test]
@@ -811,7 +808,7 @@ mod tests {
             git_rev: None,
         };
         let doc = metrics.stats_response(&meta);
-        validate_stats_response(&doc).unwrap();
+        validate(Kind::StatsResponse, &doc).unwrap();
         let hist = doc.get("histograms").unwrap();
         assert_eq!(
             hist.get("serve.e2e_latency_us")
@@ -863,7 +860,7 @@ mod tests {
         let (retained, dropped) = metrics.span_chain_counts();
         assert_eq!(retained, 2);
         assert_eq!(dropped, 3);
-        validate_span_log(&metrics.span_log_doc()).unwrap();
+        validate(Kind::SpanLog, &metrics.span_log_doc()).unwrap();
         assert_eq!(metrics.counter("serve.responses_ok"), 5);
     }
 }

@@ -1,15 +1,14 @@
 //! Snapshot metadata and schema validation for the repo's JSON artifacts.
 //!
-//! Three file kinds are validated here (all produced or consumed by the
-//! binaries and CI):
-//!
-//! * **metrics snapshots** (`--metrics-out`): the versioned document built
-//!   by [`crate::MetricsRegistry::snapshot`];
-//! * **Chrome traces** (`--trace-out`);
-//! * **live observability documents**: the windowed [`crate::SloView`]
-//!   and flight-recorder summary embedded in serve `stats` responses,
-//!   standalone flight-recorder dumps (`"kind": "nvwa-flight"`), and
-//!   per-request span logs (`"kind": "nvwa-spanlog"`).
+//! Every artifact [`Kind`] — metrics snapshots (`--metrics-out`), serve
+//! snapshots and `stats` replies, the windowed [`crate::SloView`], flight
+//! summaries and dumps, span logs, loadgen reports and Chrome traces — is
+//! described once, as field rows `(path, type)` (numeric types carry their
+//! range) followed by named cross-field identities. One walker,
+//! [`validate`], checks every kind and names the offending JSON path
+//! (`$.tenants[0].shards[1]`, `$.per_bin[2]`, `$.events[7].seq`).
+
+use std::ops::RangeInclusive;
 
 use crate::json::JsonValue;
 use crate::spans::RequestSpans;
@@ -67,119 +66,9 @@ pub fn git_revision() -> Option<String> {
     }
 }
 
-fn require<'a>(doc: &'a JsonValue, key: &str, what: &str) -> Result<&'a JsonValue, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{what}: missing key {key:?}"))
-}
-
-fn require_num(doc: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    require(doc, key, what)?
-        .as_num()
-        .ok_or_else(|| format!("{what}: {key:?} must be a number"))
-}
-
-fn require_numeric_object(doc: &JsonValue, key: &str, what: &str) -> Result<(), String> {
-    let obj = require(doc, key, what)?
-        .as_obj()
-        .ok_or_else(|| format!("{what}: {key:?} must be an object"))?;
-    for (name, value) in obj {
-        if value.as_num().is_none() {
-            return Err(format!("{what}: {key}.{name} must be a number"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a metrics snapshot against schema version 1.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_metrics_snapshot(doc: &JsonValue) -> Result<(), String> {
-    let what = "metrics snapshot";
-    let kind = require(doc, "kind", what)?.as_str();
-    if kind != Some("nvwa-metrics") {
-        return Err(format!(
-            "{what}: kind must be \"nvwa-metrics\", got {kind:?}"
-        ));
-    }
-    let version = require_num(doc, "schema_version", what)?;
-    if version != 1.0 {
-        return Err(format!("{what}: unsupported schema_version {version}"));
-    }
-    match require(doc, "git_rev", what)? {
-        JsonValue::Null | JsonValue::Str(_) => {}
-        other => {
-            return Err(format!(
-                "{what}: git_rev must be string or null, got {other}"
-            ))
-        }
-    }
-    let threads = require_num(doc, "host_threads", what)?;
-    if threads < 1.0 || threads.fract() != 0.0 {
-        return Err(format!("{what}: host_threads must be a positive integer"));
-    }
-    require_numeric_object(doc, "counters", what)?;
-    require_numeric_object(doc, "gauges", what)?;
-    let histograms = require(doc, "histograms", what)?
-        .as_obj()
-        .ok_or_else(|| format!("{what}: histograms must be an object"))?;
-    for (name, hist) in histograms {
-        let count =
-            require_num(hist, "count", what).map_err(|e| format!("{e} (histogram {name})"))?;
-        for key in ["p50", "p90", "p99", "min", "max"] {
-            match require(hist, key, what).map_err(|e| format!("{e} (histogram {name})"))? {
-                JsonValue::Null if count == 0.0 => {}
-                JsonValue::Num(_) if count > 0.0 => {}
-                other => {
-                    return Err(format!(
-                        "{what}: histogram {name}.{key} inconsistent with count {count}: {other}"
-                    ))
-                }
-            }
-        }
-        let buckets = require(hist, "buckets", what)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: histogram {name}.buckets must be an array"))?;
-        let bucket_total: f64 = buckets
-            .iter()
-            .map(|b| {
-                b.as_arr()
-                    .and_then(|p| p.get(1))
-                    .and_then(JsonValue::as_num)
-            })
-            .collect::<Option<Vec<f64>>>()
-            .ok_or_else(|| format!("{what}: histogram {name} has malformed buckets"))?
-            .iter()
-            .sum();
-        if bucket_total != count {
-            return Err(format!(
-                "{what}: histogram {name} bucket counts sum to {bucket_total}, count is {count}"
-            ));
-        }
-    }
-    let series = require(doc, "series", what)?
-        .as_obj()
-        .ok_or_else(|| format!("{what}: series must be an object"))?;
-    for (name, entry) in series {
-        let width =
-            require_num(entry, "bucket_width", what).map_err(|e| format!("{e} (series {name})"))?;
-        if width < 1.0 {
-            return Err(format!("{what}: series {name} bucket_width must be ≥ 1"));
-        }
-        let means = require(entry, "means", what)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: series {name}.means must be an array"))?;
-        if means.iter().any(|v| v.as_num().is_none()) {
-            return Err(format!("{what}: series {name}.means must be numeric"));
-        }
-    }
-    Ok(())
-}
-
 /// Counter names every serve metrics snapshot must carry. The server
 /// pre-registers these at startup, so the snapshot is schema-complete even
-/// before the first request; [`validate_serve_snapshot`] requires them.
+/// before the first request.
 pub const SERVE_REQUIRED_COUNTERS: &[&str] = &[
     "serve.requests_admitted",
     "serve.requests_shed",
@@ -208,203 +97,6 @@ pub const SERVE_REQUIRED_HISTOGRAMS: &[&str] = &[
     "serve.queue_wait_us",
 ];
 
-/// Whether a (valid) metrics snapshot came from the serving subsystem —
-/// recognized by the presence of the serve counter family.
-pub fn is_serve_snapshot(doc: &JsonValue) -> bool {
-    doc.get("counters")
-        .and_then(|c| c.get(SERVE_REQUIRED_COUNTERS[0]))
-        .is_some()
-}
-
-/// Validates a serve metrics snapshot: the base schema of
-/// [`validate_metrics_snapshot`] plus the serve metric family
-/// ([`SERVE_REQUIRED_COUNTERS`], [`SERVE_REQUIRED_GAUGES`],
-/// [`SERVE_REQUIRED_HISTOGRAMS`]) and, when present, the `slo`, `flight`,
-/// `tenants` and `registry` sections of a `stats` reply.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_serve_snapshot(doc: &JsonValue) -> Result<(), String> {
-    validate_metrics_snapshot(doc)?;
-    let what = "serve metrics snapshot";
-    let family = [
-        ("counters", SERVE_REQUIRED_COUNTERS),
-        ("gauges", SERVE_REQUIRED_GAUGES),
-        ("histograms", SERVE_REQUIRED_HISTOGRAMS),
-    ];
-    for (section, names) in family {
-        let obj = require(doc, section, what)?;
-        for name in names {
-            if obj.get(name).is_none() {
-                return Err(format!("{what}: missing {section} entry {name:?}"));
-            }
-        }
-    }
-    // Live-observability sections are optional (a bare registry snapshot
-    // is still a valid serve snapshot) but validated when present — the
-    // `stats` endpoint always includes all four.
-    if let Some(slo) = doc.get("slo") {
-        validate_slo_view(slo).map_err(|e| format!("{what}: {e}"))?;
-    }
-    if let Some(flight) = doc.get("flight") {
-        validate_flight_summary(flight).map_err(|e| format!("{what}: {e}"))?;
-    }
-    // The tenant sections carry identities that hold in every scrape: the
-    // server moves a global and a per-tenant count under one lock and
-    // reads counters and tenant rows under one acquisition.
-    if doc.get("tenants").is_some() {
-        let what = "serve tenants";
-        let (mut admitted_sum, mut quota_sum) = (0.0, 0.0);
-        for (t, row) in require_arr(doc, "tenants", what)?.iter().enumerate() {
-            quota_sum += require_count(row, "quota_shed", what)?;
-            for (i, shard) in require_arr(row, "shards", what)?.iter().enumerate() {
-                let admitted = require_count(shard, "admitted", what)?;
-                let mut answered = 0.0;
-                for key in ["ok", "unmapped", "deadline", "errors"] {
-                    answered += require_count(shard, key, what)?;
-                }
-                // A request is answered after it is admitted, never before.
-                if answered > admitted {
-                    return Err(format!(
-                        "{what}: [{t}].shards[{i}] answered {answered}, admitted {admitted}"
-                    ));
-                }
-                admitted_sum += admitted;
-            }
-            validate_slo_view(require(row, "slo", what)?)
-                .map_err(|e| format!("{what}: [{t}]: {e}"))?;
-        }
-        let counters = require(doc, "counters", what)?;
-        for (sum, counter) in [
-            (admitted_sum, "serve.requests_admitted"),
-            (quota_sum, "serve.requests_quota"),
-        ] {
-            let global = require_num(counters, counter, what)?;
-            if sum != global {
-                return Err(format!(
-                    "{what}: rows sum to {sum}, counter {counter} is {global}"
-                ));
-            }
-        }
-    }
-    if let Some(registry) = doc.get("registry") {
-        let what = "serve registry";
-        let mut mem_sum = 0.0;
-        for row in require_arr(registry, "tenants", what)? {
-            mem_sum += require_count(row, "mem_bytes", what)?;
-        }
-        let used = require_count(registry, "mem_used_bytes", what)?;
-        if mem_sum != used {
-            return Err(format!(
-                "{what}: mem_bytes sum to {mem_sum}, mem_used_bytes is {used}"
-            ));
-        }
-        match require(registry, "mem_budget_bytes", what)? {
-            JsonValue::Null => {}
-            JsonValue::Num(budget) if used <= *budget => {}
-            other => {
-                return Err(format!(
-                    "{what}: mem_used_bytes {used} exceeds mem_budget_bytes {other}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn require_arr<'a>(doc: &'a JsonValue, key: &str, what: &str) -> Result<&'a [JsonValue], String> {
-    require(doc, key, what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: {key:?} must be an array"))
-}
-
-/// Validates a serve `stats` response: a serve snapshot that must also
-/// carry the live `slo` view and `flight` summary.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_stats_response(doc: &JsonValue) -> Result<(), String> {
-    validate_serve_snapshot(doc)?;
-    let what = "stats response";
-    require(doc, "slo", what)?;
-    require(doc, "flight", what)?;
-    Ok(())
-}
-
-fn require_count(doc: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    let v = require_num(doc, key, what)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(format!("{what}: {key} must be a non-negative integer"));
-    }
-    Ok(v)
-}
-
-/// Validates a windowed SLO view (the `slo` section of a `stats`
-/// response, built by [`crate::SloView::to_json`]).
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_slo_view(doc: &JsonValue) -> Result<(), String> {
-    let what = "slo view";
-    let step = require_count(doc, "step", what)?;
-    let window = require_count(doc, "window", what)?;
-    require_count(doc, "now", what)?;
-    if step < 1.0 || window < step || (window % step) != 0.0 {
-        return Err(format!(
-            "{what}: window ({window}) must be a positive multiple of step ({step})"
-        ));
-    }
-    let depth = require_num(doc, "queue_depth", what)?;
-    if depth < 0.0 {
-        return Err(format!("{what}: queue_depth must be ≥ 0"));
-    }
-    let admitted = require_count(doc, "admitted", what)?;
-    let shed = require_count(doc, "shed", what)?;
-    let missed = require_count(doc, "deadline_missed", what)?;
-    require_count(doc, "completed", what)?;
-    for (key, num, den) in [
-        ("shed_rate", shed, admitted + shed),
-        ("deadline_miss_rate", missed, admitted),
-    ] {
-        let rate = require_num(doc, key, what)?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("{what}: {key} must be in [0, 1], got {rate}"));
-        }
-        let expect = if den == 0.0 { 0.0 } else { num / den };
-        if (rate - expect).abs() > 1e-9 {
-            return Err(format!("{what}: {key} is {rate}, counters imply {expect}"));
-        }
-    }
-    let per_bin = require(doc, "per_bin", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: per_bin must be an array"))?;
-    if per_bin.is_empty() {
-        return Err(format!("{what}: per_bin must be non-empty"));
-    }
-    for (i, bin) in per_bin.iter().enumerate() {
-        let idx = require_count(bin, "bin", what).map_err(|e| format!("{e} (per_bin[{i}])"))?;
-        if idx != i as f64 {
-            return Err(format!("{what}: per_bin[{i}] has bin index {idx}"));
-        }
-        let count = require_count(bin, "count", what).map_err(|e| format!("{e} (per_bin[{i}])"))?;
-        for key in ["p50", "p90", "p99"] {
-            match require(bin, key, what).map_err(|e| format!("{e} (per_bin[{i}])"))? {
-                JsonValue::Null if count == 0.0 => {}
-                JsonValue::Num(_) if count > 0.0 => {}
-                other => {
-                    return Err(format!(
-                        "{what}: per_bin[{i}].{key} inconsistent with count {count}: {other}"
-                    ))
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Event kinds a flight-recorder document may carry.
 pub const FLIGHT_EVENT_KINDS: &[&str] = &[
     "admit",
@@ -416,419 +108,551 @@ pub const FLIGHT_EVENT_KINDS: &[&str] = &[
     "quota",
 ];
 
-/// Validates a flight-recorder summary (the `flight` section of a `stats`
-/// response): ring occupancy and per-kind counts. The recorder keeps the
-/// ring and `recorded` under one lock and a summary reads both under one
-/// acquisition, so `retained == min(recorded, cap)` holds in every scrape,
-/// live or quiescent.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_flight_summary(doc: &JsonValue) -> Result<(), String> {
-    let what = "flight summary";
-    let cap = require_count(doc, "cap", what)?;
-    if cap < 1.0 {
-        return Err(format!("{what}: cap must be ≥ 1"));
-    }
-    let recorded = require_count(doc, "recorded", what)?;
-    let retained = require_count(doc, "retained", what)?;
-    if retained != recorded.min(cap) {
-        return Err(format!(
-            "{what}: retained ({retained}) must be min(recorded {recorded}, cap {cap})"
-        ));
-    }
-    require_count(doc, "dumps", what)?;
-    match require(doc, "last_dump_reason", what)? {
-        JsonValue::Null | JsonValue::Str(_) => {}
-        other => {
-            return Err(format!(
-                "{what}: last_dump_reason must be string or null, got {other}"
-            ))
-        }
-    }
-    let by_kind = require(doc, "by_kind", what)?
-        .as_obj()
-        .ok_or_else(|| format!("{what}: by_kind must be an object"))?;
-    let mut total = 0.0;
-    for (kind, count) in by_kind {
-        if !FLIGHT_EVENT_KINDS.contains(&kind.as_str()) {
-            return Err(format!("{what}: unknown event kind {kind:?}"));
-        }
-        let count = count
-            .as_num()
-            .ok_or_else(|| format!("{what}: by_kind.{kind} must be a number"))?;
-        total += count;
-    }
-    if total != retained {
-        return Err(format!(
-            "{what}: by_kind sums to {total}, retained is {retained}"
-        ));
-    }
-    Ok(())
+/// A JSON artifact kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A metrics snapshot (`"kind": "nvwa-metrics"`).
+    MetricsSnapshot,
+    /// A metrics snapshot from `nvwa serve`: the serve metric family and,
+    /// when present, the `slo`, `flight`, `tenants` and `registry`
+    /// sections of a `stats` reply.
+    ServeSnapshot,
+    /// A serve `stats` reply: a serve snapshot carrying `slo` and `flight`.
+    StatsResponse,
+    /// A windowed [`crate::SloView`] (the `slo` section of a `stats` reply).
+    SloView,
+    /// A flight-recorder summary (the `flight` section of a `stats` reply).
+    FlightSummary,
+    /// A flight-recorder dump (`"kind": "nvwa-flight"`).
+    FlightDump,
+    /// A span log (`"kind": "nvwa-spanlog"`).
+    SpanLog,
+    /// A loadgen report (`"kind": "nvwa-loadgen"`).
+    LoadgenReport,
+    /// A Chrome trace (`traceEvents`).
+    ChromeTrace,
 }
 
-/// Validates a flight-recorder dump (`"kind": "nvwa-flight"`): event
-/// shape, strictly increasing sequence numbers, occupancy identities and
-/// digest/event agreement.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_flight_dump(doc: &JsonValue) -> Result<(), String> {
-    let what = "flight dump";
-    let kind = require(doc, "kind", what)?.as_str();
-    if kind != Some("nvwa-flight") {
-        return Err(format!(
-            "{what}: kind must be \"nvwa-flight\", got {kind:?}"
-        ));
-    }
-    let version = require_num(doc, "schema_version", what)?;
-    if version != 1.0 {
-        return Err(format!("{what}: unsupported schema_version {version}"));
-    }
-    let reason = require(doc, "reason", what)?
-        .as_str()
-        .ok_or_else(|| format!("{what}: reason must be a string"))?;
-    if reason.is_empty() {
-        return Err(format!("{what}: reason must be non-empty"));
-    }
-    let cap = require_count(doc, "cap", what)?;
-    let recorded = require_count(doc, "recorded", what)?;
-    let events = require(doc, "events", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: events must be an array"))?;
-    // The same occupancy identity as the summary: a dump snapshots the
-    // ring and `recorded` under the recorder's one lock.
-    if events.len() as f64 != recorded.min(cap) {
-        return Err(format!(
-            "{what}: {} events must be min(recorded {recorded}, cap {cap})",
-            events.len()
-        ));
-    }
-    let mut prev_seq = -1.0f64;
-    let mut counts = vec![0.0f64; FLIGHT_EVENT_KINDS.len()];
-    for (i, event) in events.iter().enumerate() {
-        let seq = require_count(event, "seq", what).map_err(|e| format!("{e} (event {i})"))?;
-        if seq <= prev_seq {
-            return Err(format!(
-                "{what}: event {i} seq {seq} not greater than previous {prev_seq}"
-            ));
-        }
-        prev_seq = seq;
-        let t = require_num(event, "t_us", what).map_err(|e| format!("{e} (event {i})"))?;
-        if t < 0.0 {
-            return Err(format!("{what}: event {i} has negative t_us"));
-        }
-        let kind = require(event, "kind", what)
-            .map_err(|e| format!("{e} (event {i})"))?
-            .as_str()
-            .ok_or_else(|| format!("{what}: event {i} kind must be a string"))?;
-        let slot = FLIGHT_EVENT_KINDS
-            .iter()
-            .position(|k| *k == kind)
-            .ok_or_else(|| format!("{what}: event {i} has unknown kind {kind:?}"))?;
-        counts[slot] += 1.0;
-        for key in ["a", "b", "c"] {
-            require_num(event, key, what).map_err(|e| format!("{e} (event {i})"))?;
+impl Kind {
+    /// The kind's name in messages (`"loadgen report"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Kind::MetricsSnapshot => "metrics snapshot",
+            Kind::ServeSnapshot => "serve metrics snapshot",
+            Kind::StatsResponse => "stats response",
+            Kind::SloView => "slo view",
+            Kind::FlightSummary => "flight summary",
+            Kind::FlightDump => "flight dump",
+            Kind::SpanLog => "span log",
+            Kind::LoadgenReport => "loadgen report",
+            Kind::ChromeTrace => "chrome trace",
         }
     }
-    let digest = require(doc, "digest", what)?;
-    for (slot, kind) in FLIGHT_EVENT_KINDS.iter().enumerate() {
-        let n = require_count(digest, kind, what).map_err(|e| format!("{e} (digest)"))?;
-        if n != counts[slot] {
-            return Err(format!(
-                "{what}: digest.{kind} is {n}, events contain {}",
-                counts[slot]
-            ));
+
+    /// The kind a standalone file announces: its `kind` tag (a metrics
+    /// snapshot carrying the serve counters is a serve snapshot), or the
+    /// `traceEvents` of a Chrome trace.
+    pub fn of(doc: &JsonValue) -> Option<Kind> {
+        let counters = doc.get("counters");
+        let serve = counters.and_then(|c| c.get(SERVE_REQUIRED_COUNTERS[0]));
+        Some(match doc.get("kind").and_then(JsonValue::as_str) {
+            Some("nvwa-metrics") if serve.is_some() => Kind::ServeSnapshot,
+            Some("nvwa-metrics") => Kind::MetricsSnapshot,
+            Some("nvwa-loadgen") => Kind::LoadgenReport,
+            Some("nvwa-flight") => Kind::FlightDump,
+            Some("nvwa-spanlog") => Kind::SpanLog,
+            _ if doc.get("traceEvents").is_some() => Kind::ChromeTrace,
+            _ => return None,
+        })
+    }
+
+    /// The kind's description: field rows, then the identities, which
+    /// rely on the rows above them.
+    fn rules(self) -> &'static [(&'static str, Rule)] {
+        use Rule::*;
+        match self {
+            Kind::MetricsSnapshot => &[
+                ("", Tag("nvwa-metrics")),
+                ("git_rev", OptStr),
+                ("host_threads", Int(ONE_UP)),
+                ("{counters,gauges}.*", NUM),
+                (
+                    "histograms.*",
+                    Summary(&["p50", "p90", "p99", "min", "max"]),
+                ),
+                ("histograms.*.buckets", Arr(ANY)),
+                ("series.*.bucket_width", Num(ONE_UP)),
+                ("series.*.means[]", NUM),
+                ("histograms.*", Check("bucket counts", bucket_counts)),
+            ],
+            // The server moves a global and a per-tenant count under one
+            // lock and reads counters and tenant rows under one
+            // acquisition, so the tenant identities hold in every scrape.
+            Kind::ServeSnapshot => &[
+                ("", Section(Kind::MetricsSnapshot)),
+                ("counters", Has(SERVE_REQUIRED_COUNTERS)),
+                ("gauges", Has(SERVE_REQUIRED_GAUGES)),
+                ("histograms", Has(SERVE_REQUIRED_HISTOGRAMS)),
+                ("slo?", Section(Kind::SloView)),
+                ("flight?", Section(Kind::FlightSummary)),
+                ("tenants?[].quota_shed", COUNT),
+                ("tenants?[].shards[].{admitted,ok}", COUNT),
+                ("tenants?[].shards[].{unmapped,deadline,errors}", COUNT),
+                ("tenants?[].slo", Section(Kind::SloView)),
+                ("registry?.mem_used_bytes", COUNT),
+                ("registry?.mem_budget_bytes", OptNum),
+                ("registry?.tenants[].mem_bytes", COUNT),
+                // A request is answered after it is admitted, never before.
+                ("tenants?[].shards[]", ANSWERED),
+                ("", TENANT_ADMITTED),
+                ("", TENANT_QUOTA),
+                ("registry?", RESIDENT),
+                ("registry?", Check("budget", within_budget)),
+            ],
+            Kind::StatsResponse => &[("", Section(Kind::ServeSnapshot)), ("{slo,flight}", Any)],
+            Kind::SloView => &[
+                ("step", Int(ONE_UP)),
+                ("{window,now,completed}", COUNT),
+                ("{admitted,shed,deadline_missed}", COUNT),
+                ("queue_depth", Num(NON_NEG)),
+                ("{shed_rate,deadline_miss_rate}", Num(0.0..=1.0)),
+                ("per_bin", Arr(ONE_UP)),
+                ("per_bin[].{bin,count}", COUNT),
+                ("per_bin[]", Summary(&["p50", "p90", "p99"])),
+                ("", Check("whole steps", whole_steps)),
+                ("", Check("rates", rates)),
+                ("", Check("bin order", bin_order)),
+            ],
+            // The recorder keeps the ring and `recorded` under one lock and
+            // a summary or dump reads both under one acquisition, so
+            // occupancy holds in every scrape, live or quiescent.
+            Kind::FlightSummary => &[
+                ("cap", Int(ONE_UP)),
+                ("{recorded,retained,dumps}", COUNT),
+                ("last_dump_reason", OptStr),
+                ("by_kind", Only(FLIGHT_EVENT_KINDS)),
+                ("by_kind.*", NUM),
+                ("", Check("occupancy", occupancy)),
+                ("", Sums("by_kind", "retained", "by_kind.*")),
+            ],
+            Kind::FlightDump => &[
+                ("", Tag("nvwa-flight")),
+                ("reason", Str),
+                ("{cap,recorded}", COUNT),
+                ("events[].seq", COUNT),
+                ("events[].t_us", Num(NON_NEG)),
+                ("events[].kind", OneOf(FLIGHT_EVENT_KINDS)),
+                ("events[].{a,b,c}", NUM),
+                ("digest", Has(FLIGHT_EVENT_KINDS)),
+                ("", Check("occupancy", occupancy)),
+                ("", Check("seq order", |d| increasing(d, "events", "seq"))),
+                ("", Check("digest", digest)),
+            ],
+            // The log sorts by trace id, so increasing ids are unique ids.
+            Kind::SpanLog => &[
+                ("", Tag("nvwa-spanlog")),
+                ("{cap,dropped}", COUNT),
+                ("chains", Arr(ANY)),
+                ("", Check("within cap", within_cap)),
+                (
+                    "chains[]",
+                    Check("span chain", |c| RequestSpans::from_json(c)?.check()),
+                ),
+                (
+                    "",
+                    Check("trace order", |d| increasing(d, "chains", "trace_id")),
+                ),
+            ],
+            Kind::LoadgenReport => &[
+                ("", Tag("nvwa-loadgen")),
+                ("mode", OneOf(&["closed", "open"])),
+                ("{sent,received,lost,duplicates,connections}", COUNT),
+                ("{ok,unmapped,shed,quota,deadline,errors,mapped}", COUNT),
+                ("wall_ms", Num(f64::MIN_POSITIVE..=f64::INFINITY)),
+                ("throughput_rps", Num(NON_NEG)),
+                ("latency_us", LATENCY),
+                ("tenants?[].name", Str),
+                ("tenants?[].{sent,received,lost,ok,unmapped}", COUNT),
+                ("tenants?[].{shed,quota,deadline,errors,mapped}", COUNT),
+                ("tenants?[].latency_us", LATENCY),
+                ("scrapes.{snapshots,failures}", COUNT),
+                ("scrapes.first_error", OptStr),
+                ("slo.pass", Bool),
+                ("slo.checks[].key", Str),
+                ("slo.checks[].bound", NUM),
+                ("slo.checks[].actual", OptNum),
+                ("slo.checks[].pass", Bool),
+                // Conservation, for the run and for each tenant.
+                ("", SENT),
+                ("", RECEIVED),
+                ("tenants?[]", SENT),
+                ("tenants?[]", RECEIVED),
+                ("", Sums("totals", "tenants?[].sent", "sent")),
+                ("", Sums("totals", "tenants?[].received", "received")),
+                ("", Sums("totals", "tenants?[].lost", "lost")),
+                ("", Sums("totals", "tenants?[].quota", "quota")),
+                ("", Sums("totals", "tenants?[].unmapped", "unmapped")),
+                ("slo", Check("slo verdict", slo_verdict)),
+            ],
+            Kind::ChromeTrace => &[
+                ("traceEvents[].ph", OneOf(&["X", "i", "M"])),
+                ("traceEvents[].{pid,tid}", NUM),
+                ("traceEvents[].name", Any),
+                ("traceEvents[]", Check("phase fields", phase_fields)),
+            ],
         }
     }
-    Ok(())
 }
 
-/// Validates a span-log document (`"kind": "nvwa-spanlog"`): every chain
-/// parses, passes [`RequestSpans::check`] (contiguous, ordered, durations
-/// summing to `e2e_ns`), and trace ids are strictly increasing (the log
-/// sorts by trace id, so this also enforces uniqueness).
+/// Checks `doc` against the rules of `kind`.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first violated constraint.
-pub fn validate_span_log(doc: &JsonValue) -> Result<(), String> {
-    let what = "span log";
-    let kind = require(doc, "kind", what)?.as_str();
-    if kind != Some("nvwa-spanlog") {
-        return Err(format!(
-            "{what}: kind must be \"nvwa-spanlog\", got {kind:?}"
-        ));
-    }
-    let version = require_num(doc, "schema_version", what)?;
-    if version != 1.0 {
-        return Err(format!("{what}: unsupported schema_version {version}"));
-    }
-    let cap = require_count(doc, "cap", what)?;
-    require_count(doc, "dropped", what)?;
-    let chains = require(doc, "chains", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: chains must be an array"))?;
-    if chains.len() as f64 > cap {
-        return Err(format!("{what}: {} chains exceed cap {cap}", chains.len()));
-    }
-    let mut prev_id: Option<u64> = None;
-    for (i, chain) in chains.iter().enumerate() {
-        let parsed =
-            RequestSpans::from_json(chain).map_err(|e| format!("{what}: chains[{i}]: {e}"))?;
-        parsed
-            .check()
-            .map_err(|e| format!("{what}: chains[{i}]: {e}"))?;
-        if let Some(prev) = prev_id {
-            if parsed.trace_id <= prev {
-                return Err(format!(
-                    "{what}: chains[{i}] trace_id {} not greater than previous {prev}",
-                    parsed.trace_id
-                ));
-            }
-        }
-        prev_id = Some(parsed.trace_id);
-    }
-    Ok(())
+/// Returns a message naming the kind, the JSON path (`$` is the document)
+/// and the first violated rule.
+pub fn validate(kind: Kind, doc: &JsonValue) -> Result<(), String> {
+    check(kind, doc, "$").map_err(|e| format!("{}: {e}", kind.label()))
 }
 
-/// Validates a loadgen report (`"kind": "nvwa-loadgen"`, schema version 1):
-/// the accounting identities (`sent = received + lost`,
-/// `received = ok + unmapped + shed + quota + deadline + errors`) and
-/// the latency summary, whose percentiles are null exactly when no
-/// latency was sampled. When a `tenants` array is present, the same
-/// identities are checked per tenant and the per-tenant counts must sum
-/// to the totals.
+/// Recognizes a standalone file with [`Kind::of`] and validates it,
+/// returning the kind's label. Errors as [`validate`], or when no kind
+/// recognizes the document.
+pub fn validate_any(doc: &JsonValue) -> Result<&'static str, String> {
+    let kind = Kind::of(doc).ok_or("unrecognized document shape (no kind tag, no traceEvents)")?;
+    validate(kind, doc)?;
+    Ok(kind.label())
+}
+
+type Range = RangeInclusive<f64>;
+
+const ANY: Range = f64::NEG_INFINITY..=f64::INFINITY;
+const NON_NEG: Range = 0.0..=f64::INFINITY;
+const ONE_UP: Range = 1.0..=f64::INFINITY;
+const COUNT: Rule = Rule::Int(NON_NEG);
+const NUM: Rule = Rule::Num(ANY);
+const LATENCY: Rule = Rule::Summary(&["mean", "p50", "p90", "p99", "min", "max"]);
+const ANSWERED: Rule = Rule::AtMost("answered", "{ok,unmapped,deadline,errors}", "admitted");
+const TENANT_ADMITTED: Rule = Rule::Sums(
+    "tenant rows",
+    "tenants?[].shards[].admitted",
+    "counters.{serve.requests_admitted}",
+);
+const TENANT_QUOTA: Rule = Rule::Sums(
+    "tenant rows",
+    "tenants?[].quota_shed",
+    "counters.{serve.requests_quota}",
+);
+const RESIDENT: Rule = Rule::Sums("resident", "mem_used_bytes", "tenants[].mem_bytes");
+const SENT: Rule = Rule::Sums("conservation", "sent", "{received,lost}");
+const RECEIVED: Rule = Rule::Sums(
+    "conservation",
+    "received",
+    "{ok,unmapped,shed,quota,deadline,errors}",
+);
+
+/// One row of a kind's description, checked at every node its path
+/// reaches. A path is `.`-separated keys: `key?` may be absent, `key[]`
+/// visits each element of an array, `*` each value of an object, `{a,b}`
+/// each listed key (which may contain dots), and `""` is the node itself.
 ///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_loadgen_report(doc: &JsonValue) -> Result<(), String> {
-    let what = "loadgen report";
-    let kind = require(doc, "kind", what)?.as_str();
-    if kind != Some("nvwa-loadgen") {
-        return Err(format!(
-            "{what}: kind must be \"nvwa-loadgen\", got {kind:?}"
-        ));
-    }
-    let version = require_num(doc, "schema_version", what)?;
-    if version != 1.0 {
-        return Err(format!("{what}: unsupported schema_version {version}"));
-    }
-    let mode = require(doc, "mode", what)?.as_str();
-    if !matches!(mode, Some("closed") | Some("open")) {
-        return Err(format!(
-            "{what}: mode must be \"closed\" or \"open\", got {mode:?}"
-        ));
-    }
-    let count_of = |key: &str| -> Result<f64, String> {
-        let v = require_num(doc, key, what)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("{what}: {key} must be a non-negative integer"));
-        }
-        Ok(v)
-    };
-    let sent = count_of("sent")?;
-    let received = count_of("received")?;
-    let ok = count_of("ok")?;
-    let shed = count_of("shed")?;
-    let quota = count_of("quota")?;
-    let unmapped = count_of("unmapped")?;
-    let deadline = count_of("deadline")?;
-    let errors = count_of("errors")?;
-    let lost = count_of("lost")?;
-    count_of("duplicates")?;
-    count_of("mapped")?;
-    count_of("connections")?;
-    if sent != received + lost {
-        return Err(format!(
-            "{what}: sent ({sent}) must equal received ({received}) + lost ({lost})"
-        ));
-    }
-    if received != ok + unmapped + shed + quota + deadline + errors {
-        return Err(format!(
-            "{what}: received ({received}) must equal ok+unmapped+shed+quota+deadline+errors \
-             ({ok}+{unmapped}+{shed}+{quota}+{deadline}+{errors})"
-        ));
-    }
-    if let Some(tenants) = doc.get("tenants") {
-        let arr = tenants
-            .as_arr()
-            .ok_or_else(|| format!("{what}: tenants must be an array"))?;
-        let mut sums = [0.0f64; 5]; // sent, received, lost, quota, unmapped
-        for (i, t) in arr.iter().enumerate() {
-            let twhat = format!("loadgen report tenants[{i}]");
-            let name = require(t, "name", &twhat)?;
-            if !matches!(name.as_str(), Some(s) if !s.is_empty()) {
-                return Err(format!("{twhat}: name must be a non-empty string"));
-            }
-            let tcount = |key: &str| -> Result<f64, String> {
-                let v = require_num(t, key, &twhat)?;
-                if v < 0.0 || v.fract() != 0.0 {
-                    return Err(format!("{twhat}: {key} must be a non-negative integer"));
-                }
-                Ok(v)
+/// Field rows hold a value's type: a number in the range, an array with a
+/// length in it, a non-empty `Str`; `Tag` is the `kind` tag at
+/// `schema_version` 1; `Has` and `Only` bound an object's keys; a
+/// `Summary` is `null` at each listed key exactly when its `count` is 0;
+/// a `Section` is a nested document of another kind. Identities, each
+/// named: `Sums` (the numbers the first path reaches sum to those the
+/// second reaches; vacuous when the first reaches none), `AtMost`
+/// (likewise, at most), and `Check`.
+#[derive(Debug)]
+enum Rule {
+    Tag(&'static str),
+    Num(Range),
+    Int(Range),
+    Arr(Range),
+    Bool,
+    Str,
+    OptStr,
+    OptNum,
+    OneOf(&'static [&'static str]),
+    Any,
+    Has(&'static [&'static str]),
+    Only(&'static [&'static str]),
+    Summary(&'static [&'static str]),
+    Section(Kind),
+    Sums(&'static str, &'static str, &'static str),
+    AtMost(&'static str, &'static str, &'static str),
+    Check(&'static str, fn(&JsonValue) -> Result<(), String>),
+}
+
+fn check(kind: Kind, doc: &JsonValue, at: &str) -> Result<(), String> {
+    for (path, rule) in kind.rules() {
+        walk(doc, at, path, &mut |node, at| {
+            let (name, result) = match rule {
+                Rule::Section(kind) => return check(*kind, node, at),
+                Rule::Sums(name, a, b) => (*name, compare(node, a, b, false)),
+                Rule::AtMost(name, a, b) => (*name, compare(node, a, b, true)),
+                Rule::Check(name, identity) => (*name, identity(node)),
+                _ => ("", field(rule, node)),
             };
-            let t_sent = tcount("sent")?;
-            let t_received = tcount("received")?;
-            let t_lost = tcount("lost")?;
-            let t_ok = tcount("ok")?;
-            let t_shed = tcount("shed")?;
-            let t_quota = tcount("quota")?;
-            let t_unmapped = tcount("unmapped")?;
-            let t_deadline = tcount("deadline")?;
-            let t_errors = tcount("errors")?;
-            tcount("mapped")?;
-            if t_sent != t_received + t_lost {
-                return Err(format!(
-                    "{twhat}: sent ({t_sent}) must equal received ({t_received}) + lost ({t_lost})"
-                ));
-            }
-            if t_received != t_ok + t_unmapped + t_shed + t_quota + t_deadline + t_errors {
-                return Err(format!(
-                    "{twhat}: received ({t_received}) must equal \
-                     ok+unmapped+shed+quota+deadline+errors \
-                     ({t_ok}+{t_unmapped}+{t_shed}+{t_quota}+{t_deadline}+{t_errors})"
-                ));
-            }
-            sums[0] += t_sent;
-            sums[1] += t_received;
-            sums[2] += t_lost;
-            sums[3] += t_quota;
-            sums[4] += t_unmapped;
-        }
-        if !arr.is_empty() {
-            for (sum, (key, total)) in sums.iter().zip([
-                ("sent", sent),
-                ("received", received),
-                ("lost", lost),
-                ("quota", quota),
-                ("unmapped", unmapped),
-            ]) {
-                if *sum != total {
-                    return Err(format!(
-                        "{what}: per-tenant {key} sums to {sum} but the report total is {total}"
-                    ));
+            result.map_err(|e| match name {
+                "" => format!("{at}: {e}"),
+                name => format!("{at}: {name}: {e}"),
+            })
+        })?;
+    }
+    Ok(())
+}
+
+/// Calls `visit` on every node `path` reaches from `node`, whose own path
+/// is `at`, with the path of the node reached.
+fn walk(
+    node: &JsonValue,
+    at: &str,
+    path: &str,
+    visit: &mut dyn FnMut(&JsonValue, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    if path.is_empty() {
+        return visit(node, at);
+    }
+    let (segment, rest) = match path.strip_prefix('{').and_then(|p| p.split_once('}')) {
+        Some((keys, rest)) => (keys, rest.trim_start_matches('.')),
+        None => path.split_once('.').unwrap_or((path, "")),
+    };
+    let each = segment.ends_with("[]");
+    let key = segment.trim_end_matches("[]");
+    let optional = key.ends_with('?');
+    let key = key.trim_end_matches('?');
+    let pairs = node
+        .as_obj()
+        .ok_or_else(|| format!("{at}: must be an object"))?;
+    let children: Vec<(&str, Option<&JsonValue>)> = if key == "*" {
+        pairs.iter().map(|(k, v)| (k.as_str(), Some(v))).collect()
+    } else {
+        key.split(',').map(|k| (k, node.get(k))).collect()
+    };
+    for (key, child) in children {
+        let at = format!("{at}.{key}");
+        match child {
+            None if optional => {}
+            None => return Err(format!("{at}: missing")),
+            Some(JsonValue::Arr(items)) if each => {
+                for (i, item) in items.iter().enumerate() {
+                    walk(item, &format!("{at}[{i}]"), rest, visit)?;
                 }
             }
-        }
-    }
-    let wall_ms = require_num(doc, "wall_ms", what)?;
-    if wall_ms.is_nan() || wall_ms <= 0.0 {
-        return Err(format!("{what}: wall_ms must be > 0, got {wall_ms}"));
-    }
-    let rps = require_num(doc, "throughput_rps", what)?;
-    if rps < 0.0 {
-        return Err(format!("{what}: throughput_rps must be ≥ 0"));
-    }
-    let latency = require(doc, "latency_us", what)?;
-    let count = require_num(latency, "count", what).map_err(|e| format!("{e} (latency_us)"))?;
-    for key in ["mean", "p50", "p90", "p99", "min", "max"] {
-        match require(latency, key, what).map_err(|e| format!("{e} (latency_us)"))? {
-            JsonValue::Null if count == 0.0 => {}
-            JsonValue::Num(_) if count > 0.0 => {}
-            other => {
-                return Err(format!(
-                    "{what}: latency_us.{key} inconsistent with count {count}: {other}"
-                ))
-            }
+            Some(_) if each => return Err(format!("{at}: must be an array")),
+            Some(child) => walk(child, &at, rest, visit)?,
         }
     }
     Ok(())
 }
 
-/// Validates a Chrome trace document: a `traceEvents` array whose entries
-/// all carry `ph`/`pid`/`tid`/`name`, with `ts`/`dur` on spans.
-///
-/// # Errors
-///
-/// Returns a message naming the first violated constraint.
-pub fn validate_chrome_trace(doc: &JsonValue) -> Result<(), String> {
-    let what = "chrome trace";
-    let events = require(doc, "traceEvents", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: traceEvents must be an array"))?;
-    for (i, event) in events.iter().enumerate() {
-        let ph = require(event, "ph", what)
-            .map_err(|e| format!("{e} (event {i})"))?
-            .as_str()
-            .ok_or_else(|| format!("{what}: event {i} ph must be a string"))?;
-        require_num(event, "pid", what).map_err(|e| format!("{e} (event {i})"))?;
-        require_num(event, "tid", what).map_err(|e| format!("{e} (event {i})"))?;
-        require(event, "name", what).map_err(|e| format!("{e} (event {i})"))?;
-        match ph {
-            "X" => {
-                let ts = require_num(event, "ts", what).map_err(|e| format!("{e} (event {i})"))?;
-                let dur =
-                    require_num(event, "dur", what).map_err(|e| format!("{e} (event {i})"))?;
-                if ts < 0.0 || dur < 0.0 {
-                    return Err(format!("{what}: event {i} has negative ts/dur"));
-                }
-            }
-            "i" => {
-                require_num(event, "ts", what).map_err(|e| format!("{e} (event {i})"))?;
-            }
-            "M" => {}
-            other => return Err(format!("{what}: event {i} has unknown phase {other:?}")),
+fn field(rule: &Rule, v: &JsonValue) -> Result<(), String> {
+    use JsonValue::{Arr, Bool, Null, Num, Obj, Str};
+    let holds = match (rule, v) {
+        (Rule::Tag(tag), Obj(_)) => {
+            let kind = v.get("kind").and_then(JsonValue::as_str);
+            let version = v.get("schema_version").and_then(JsonValue::as_num);
+            let got = format!("kind {kind:?} at schema_version {version:?}, want {tag:?} at 1");
+            return ensure((kind, version) == (Some(*tag), Some(1.0)), got);
         }
+        (Rule::Num(range), Num(n)) => range.contains(n),
+        (Rule::Int(range), Num(n)) => n.fract() == 0.0 && range.contains(n),
+        (Rule::Arr(range), Arr(items)) => range.contains(&(items.len() as f64)),
+        (Rule::Str, Str(s)) => !s.is_empty(),
+        (Rule::OneOf(names), Str(s)) => names.contains(&s.as_str()),
+        (Rule::Only(keys), Obj(pairs)) => pairs.iter().all(|(k, _)| keys.contains(&k.as_str())),
+        (Rule::Has(keys), Obj(_)) => match keys.iter().find(|key| v.get(key).is_none()) {
+            Some(key) => return Err(format!("missing {key:?}")),
+            None => true,
+        },
+        // Percentiles are `null` exactly when no sample was taken.
+        (Rule::Summary(keys), Obj(_)) => {
+            let count = num(v, "count");
+            let fits = |key: &&str| match v.get(key) {
+                Some(Null) => count == 0.0,
+                Some(Num(_)) => count > 0.0,
+                _ => false,
+            };
+            match keys.iter().find(|key| !fits(key)) {
+                Some(key) => return Err(format!("{key} must be null exactly when count is 0")),
+                None => true,
+            }
+        }
+        (Rule::Bool, Bool(_))
+        | (Rule::OptStr, Null | Str(_))
+        | (Rule::OptNum, Null | Num(_))
+        | (Rule::Any, _) => true,
+        _ => false,
+    };
+    holds
+        .then_some(())
+        .ok_or_else(|| format!("must be {rule:?}, got {v}"))
+}
+
+fn ensure(holds: bool, msg: String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(msg)
+    }
+}
+
+/// `Sums` and `AtMost`: the numbers path `a` reaches against those `b`
+/// reaches.
+fn compare(node: &JsonValue, a: &str, b: &str, at_most: bool) -> Result<(), String> {
+    let sum = |path: &str| -> Result<Option<f64>, String> {
+        let mut total = None;
+        walk(node, "$", path, &mut |v, _| {
+            *total.get_or_insert(0.0) += v.as_num().unwrap_or(f64::NAN);
+            Ok(())
+        })?;
+        Ok(total)
+    };
+    let Some(x) = sum(a)? else {
+        return Ok(());
+    };
+    let y = sum(b)?.unwrap_or(0.0);
+    let holds = if at_most { x <= y } else { x == y };
+    let relation = if at_most { "above" } else { "not equal to" };
+    ensure(holds, format!("{a} sums to {x}, {relation} {b} {y}"))
+}
+
+/// A numeric field of a node whose field rows already hold (`NaN`, which
+/// fails every equality, when absent).
+fn num(v: &JsonValue, key: &str) -> f64 {
+    v.get(key).and_then(JsonValue::as_num).unwrap_or(f64::NAN)
+}
+
+fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    v.get(key).and_then(JsonValue::as_arr).unwrap_or(&[])
+}
+
+fn bucket_counts(hist: &JsonValue) -> Result<(), String> {
+    let count_of = |b: &JsonValue| b.as_arr().and_then(|p| p.get(1))?.as_num();
+    let counts: Option<f64> = items(hist, "buckets").iter().map(count_of).sum();
+    let (counts, count) = (counts.unwrap_or(f64::NAN), num(hist, "count"));
+    let msg = format!("[edge, count] buckets sum to {counts}, count is {count}");
+    ensure(counts == count, msg)
+}
+
+fn within_budget(registry: &JsonValue) -> Result<(), String> {
+    let used = num(registry, "mem_used_bytes");
+    let budget = registry.get("mem_budget_bytes").and_then(JsonValue::as_num);
+    let msg = format!("mem_used_bytes {used} exceeds mem_budget_bytes {budget:?}");
+    ensure(budget.is_none_or(|budget| used <= budget), msg)
+}
+
+fn whole_steps(slo: &JsonValue) -> Result<(), String> {
+    let (step, window) = (num(slo, "step"), num(slo, "window"));
+    let msg = format!("window ({window}) must be a positive multiple of step ({step})");
+    ensure(window >= step && window % step == 0.0, msg)
+}
+
+fn rates(slo: &JsonValue) -> Result<(), String> {
+    let (admitted, shed) = (num(slo, "admitted"), num(slo, "shed"));
+    for (key, part, whole) in [
+        ("shed_rate", shed, admitted + shed),
+        ("deadline_miss_rate", num(slo, "deadline_missed"), admitted),
+    ] {
+        let rate = num(slo, key);
+        let expect = if whole == 0.0 { 0.0 } else { part / whole };
+        let msg = format!("{key} is {rate}, counters imply {expect}");
+        ensure((rate - expect).abs() <= 1e-9, msg)?;
     }
     Ok(())
+}
+
+fn bin_order(slo: &JsonValue) -> Result<(), String> {
+    for (i, bin) in items(slo, "per_bin").iter().enumerate() {
+        let idx = num(bin, "bin");
+        ensure(idx == i as f64, format!("per_bin[{i}] has bin index {idx}"))?;
+    }
+    Ok(())
+}
+
+/// The ring holds `min(recorded, cap)` events: `retained` in a summary,
+/// the event list in a dump.
+fn occupancy(doc: &JsonValue) -> Result<(), String> {
+    let (held, what) = match doc.get("events").and_then(JsonValue::as_arr) {
+        Some(events) => (events.len() as f64, "events"),
+        None => (num(doc, "retained"), "retained"),
+    };
+    let (recorded, cap) = (num(doc, "recorded"), num(doc, "cap"));
+    let msg = format!("{what} ({held}) must be min(recorded {recorded}, cap {cap})");
+    ensure(held == recorded.min(cap), msg)
+}
+
+fn digest(dump: &JsonValue) -> Result<(), String> {
+    for kind in FLIGHT_EVENT_KINDS {
+        let n = dump.get("digest").map_or(f64::NAN, |d| num(d, kind));
+        let kinds = items(dump, "events").iter().map(|e| e.get("kind"));
+        let seen = kinds
+            .filter(|k| k.and_then(JsonValue::as_str) == Some(kind))
+            .count();
+        let msg = format!("digest.{kind} is {n}, events contain {seen}");
+        ensure(n == seen as f64, msg)?;
+    }
+    Ok(())
+}
+
+fn increasing(doc: &JsonValue, list: &str, key: &str) -> Result<(), String> {
+    let values: Vec<f64> = items(doc, list).iter().map(|v| num(v, key)).collect();
+    for (i, w) in values.windows(2).enumerate() {
+        let msg = format!("{list}[{}].{key} {} not above {}", i + 1, w[1], w[0]);
+        ensure(w[1] > w[0], msg)?;
+    }
+    Ok(())
+}
+
+fn within_cap(log: &JsonValue) -> Result<(), String> {
+    let (n, cap) = (items(log, "chains").len(), num(log, "cap"));
+    ensure(n as f64 <= cap, format!("{n} chains exceed cap {cap}"))
+}
+
+fn slo_verdict(slo: &JsonValue) -> Result<(), String> {
+    let pass = |c: &JsonValue| c.get("pass") == Some(&JsonValue::Bool(true));
+    let all = items(slo, "checks").iter().all(pass);
+    let msg = format!("pass must be {all}, every checks[].pass");
+    ensure(pass(slo) == all, msg)
+}
+
+fn phase_fields(event: &JsonValue) -> Result<(), String> {
+    let ts = event.get("ts").and_then(JsonValue::as_num);
+    let dur = event.get("dur").and_then(JsonValue::as_num);
+    match event.get("ph").and_then(JsonValue::as_str) {
+        Some("X") => ensure(
+            ts >= Some(0.0) && dur >= Some(0.0),
+            "a span needs ts and dur, both ≥ 0".to_string(),
+        ),
+        Some("i") => ensure(ts.is_some(), "an instant needs ts".to_string()),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
+    use crate::spans::{Outcome, SpanLog, Stage};
 
-    #[test]
-    fn fresh_snapshot_validates() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("sim.total_cycles");
-        reg.inc(c, 1000);
-        let h = reg.histogram("eu.task_cycles");
-        reg.observe(h, 64);
-        let text = reg.snapshot_json(&SnapshotMeta {
-            host_threads: 2,
-            git_rev: None,
-        });
-        let doc = JsonValue::parse(&text).unwrap();
-        validate_metrics_snapshot(&doc).unwrap();
-    }
+    const KINDS: [Kind; 9] = [
+        Kind::MetricsSnapshot,
+        Kind::ServeSnapshot,
+        Kind::StatsResponse,
+        Kind::SloView,
+        Kind::FlightSummary,
+        Kind::FlightDump,
+        Kind::SpanLog,
+        Kind::LoadgenReport,
+        Kind::ChromeTrace,
+    ];
 
-    #[test]
-    fn snapshot_validation_catches_violations() {
-        let mut reg = MetricsRegistry::new();
-        let _ = reg.counter("x");
-        let good = reg.snapshot(&SnapshotMeta {
+    fn meta() -> SnapshotMeta {
+        SnapshotMeta {
             host_threads: 1,
             git_rev: None,
-        });
-        // Wrong kind.
-        let mut bad = good.clone();
-        if let JsonValue::Obj(pairs) = &mut bad {
-            pairs[0].1 = JsonValue::Str("other".to_string());
         }
-        assert!(validate_metrics_snapshot(&bad).is_err());
-        // Missing host_threads.
-        let mut bad = good.clone();
-        if let JsonValue::Obj(pairs) = &mut bad {
-            pairs.retain(|(k, _)| k != "host_threads");
-        }
-        assert!(validate_metrics_snapshot(&bad).is_err());
-    }
-
-    #[test]
-    fn trace_validation_checks_span_fields() {
-        let good = r#"{"traceEvents": [
-            {"ph": "X", "pid": 1, "tid": 0, "name": "read", "ts": 0, "dur": 2}
-        ]}"#;
-        validate_chrome_trace(&JsonValue::parse(good).unwrap()).unwrap();
-        let bad = r#"{"traceEvents": [
-            {"ph": "X", "pid": 1, "tid": 0, "name": "read", "ts": 0}
-        ]}"#;
-        assert!(validate_chrome_trace(&JsonValue::parse(bad).unwrap()).is_err());
     }
 
     /// A registry carrying the whole required serve metric family.
@@ -846,15 +670,286 @@ mod tests {
         reg
     }
 
-    #[test]
-    fn serve_snapshot_requires_the_metric_family() {
-        let meta = SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
+    /// `base` with the top-level entries of `extra` appended.
+    fn extend(base: JsonValue, extra: &str) -> JsonValue {
+        let (JsonValue::Obj(base), JsonValue::Obj(extra)) =
+            (base, JsonValue::parse(extra).unwrap())
+        else {
+            panic!("both are objects");
         };
-        let doc = serve_registry().snapshot(&meta);
-        assert!(is_serve_snapshot(&doc));
-        validate_serve_snapshot(&doc).unwrap();
+        JsonValue::Obj([base, extra].concat())
+    }
+
+    const METRICS_DOC: &str = r#"{
+        "kind": "nvwa-metrics", "schema_version": 1, "git_rev": null,
+        "host_threads": 2,
+        "counters": {"sim.total_cycles": 1000}, "gauges": {"sim.depth": 3},
+        "histograms": {"eu.task_cycles": {"count": 2, "sum": 128, "min": 64,
+            "max": 64, "p50": 64, "p90": 64, "p99": 64, "buckets": [[64, 2]]}},
+        "series": {"su.busy": {"bucket_width": 100, "means": [0.5, 1]}}
+    }"#;
+
+    /// The global SLO view (a busy window); tenants carry an idle one.
+    const SLO_DOC: &str = r#"{
+        "now": 5000000, "window": 1000000, "step": 100000,
+        "per_bin": [
+            {"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null},
+            {"bin": 1, "count": 4, "p50": 800, "p90": 1500, "p99": 1500}
+        ],
+        "queue_depth": 3, "admitted": 8, "shed": 2,
+        "deadline_missed": 1, "completed": 4,
+        "shed_rate": 0.2, "deadline_miss_rate": 0.125
+    }"#;
+
+    const IDLE_SLO: &str = r#"{"now": 5, "window": 10, "step": 5, "queue_depth": 0,
+        "per_bin": [{"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null}],
+        "admitted": 0, "shed": 0, "deadline_missed": 0, "completed": 0,
+        "shed_rate": 0, "deadline_miss_rate": 0}"#;
+
+    const FLIGHT_SUMMARY_DOC: &str = r#"{
+        "cap": 4, "recorded": 6, "retained": 4, "dumps": 1,
+        "last_dump_reason": "worker_panic",
+        "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
+    }"#;
+
+    const FLIGHT_DUMP_DOC: &str = r#"{
+        "kind": "nvwa-flight", "schema_version": 1,
+        "reason": "worker_panic", "cap": 8, "recorded": 3,
+        "events": [
+            {"seq": 0, "t_us": 10, "kind": "admit", "a": 1, "b": 0, "c": 1},
+            {"seq": 1, "t_us": 20, "kind": "batch_start", "a": 0, "b": 1, "c": 4},
+            {"seq": 2, "t_us": 30, "kind": "panic", "a": 0, "b": 2, "c": 0}
+        ],
+        "digest": {"admit": 1, "shed": 0, "deadline": 0,
+                   "batch_start": 1, "batch_done": 0, "panic": 1, "quota": 0,
+                   "panic_batches": [0]}
+    }"#;
+
+    /// Two tenants: one with quota sheds and unmapped long reads, one
+    /// clean; top-level keys come first so a first match hits the totals.
+    const LOADGEN_DOC: &str = r#"{
+        "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
+        "sent": 100, "received": 100, "lost": 0, "duplicates": 0,
+        "ok": 70, "unmapped": 10, "shed": 0, "quota": 20, "deadline": 0,
+        "errors": 0, "mapped": 70, "connections": 2, "reads": 100,
+        "wall_ms": 12.5, "throughput_rps": 8000.0,
+        "latency_us": {"count": 80, "mean": 900.0, "p50": 800.0,
+                       "p90": 1500.0, "p99": 2100.0, "min": 300.0, "max": 2500.0},
+        "tenants": [
+            {"name": "homo_sapiens", "sent": 60, "received": 60, "lost": 0,
+             "ok": 30, "unmapped": 10, "shed": 0, "quota": 20, "deadline": 0,
+             "errors": 0, "mapped": 30,
+             "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0, "p90": 1.0,
+                            "p99": 1.0, "min": 1.0, "max": 1.0}},
+            {"name": "mus_musculus", "sent": 40, "received": 40, "lost": 0,
+             "ok": 40, "unmapped": 0, "shed": 0, "quota": 0, "deadline": 0,
+             "errors": 0, "mapped": 40,
+             "latency_us": {"count": 40, "mean": 2.0, "p50": 2.0, "p90": 2.0,
+                            "p99": 2.0, "min": 2.0, "max": 2.0}}
+        ],
+        "scrapes": {"snapshots": 3, "failures": 1, "first_error": "fetch: refused"},
+        "slo": {"pass": false, "checks": [
+            {"key": "lost", "bound": 0, "actual": 0, "pass": true},
+            {"key": "p99_us", "bound": 1000, "actual": 2100, "pass": false}]}
+    }"#;
+
+    const CHROME_TRACE_DOC: &str = r#"{"traceEvents": [
+        {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name", "args": {"name": "su"}},
+        {"ph": "X", "pid": 1, "tid": 0, "name": "read", "ts": 0, "dur": 2},
+        {"ph": "i", "pid": 1, "tid": 0, "name": "mark", "ts": 5}
+    ]}"#;
+
+    /// A valid document of `kind`, compact, so mutations match `"k":v`.
+    fn sample(kind: Kind) -> String {
+        let literal = |text: &str| JsonValue::parse(text).unwrap();
+        let doc = match kind {
+            Kind::MetricsSnapshot => literal(METRICS_DOC),
+            Kind::ServeSnapshot | Kind::StatsResponse => {
+                let mut reg = serve_registry();
+                let admitted = reg.counter("serve.requests_admitted");
+                reg.inc(admitted, 12);
+                let quota = reg.counter("serve.requests_quota");
+                reg.inc(quota, 3);
+                extend(
+                    reg.snapshot(&meta()),
+                    &format!(
+                        r#"{{"slo": {SLO_DOC}, "flight": {FLIGHT_SUMMARY_DOC}, "tenants": [
+                            {{"name": "a", "quota_shed": 3, "shed_unrouted": 0, "slo": {IDLE_SLO},
+                              "shards": [
+                                {{"admitted": 5, "ok": 2, "unmapped": 1, "shed": 4,
+                                  "deadline": 1, "errors": 1, "dead": false}},
+                                {{"admitted": 3, "ok": 0, "unmapped": 0, "shed": 0,
+                                  "deadline": 0, "errors": 0, "dead": true}}]}},
+                            {{"name": "b", "quota_shed": 0, "shed_unrouted": 1, "slo": {IDLE_SLO},
+                              "shards": [
+                                {{"admitted": 4, "ok": 4, "unmapped": 0, "shed": 0,
+                                  "deadline": 0, "errors": 0, "dead": false}}]}}],
+                        "registry": {{"mem_used_bytes": 300, "mem_budget_bytes": 400,
+                            "tenants": [
+                            {{"name": "a", "shards": 2, "mem_bytes": 100, "in_flight": 3, "quota": 8}},
+                            {{"name": "b", "shards": 1, "mem_bytes": 200, "in_flight": 0,
+                              "quota": null}}]}}}}"#
+                    ),
+                )
+            }
+            Kind::SloView => literal(SLO_DOC),
+            Kind::FlightSummary => literal(FLIGHT_SUMMARY_DOC),
+            Kind::FlightDump => literal(FLIGHT_DUMP_DOC),
+            Kind::SpanLog => {
+                let mut log = SpanLog::new(8);
+                for id in [2u64, 1, 3] {
+                    log.push(RequestSpans::chain(
+                        id,
+                        0,
+                        id,
+                        0,
+                        Outcome::Ok,
+                        100 * id,
+                        &[(Stage::Queue, 50), (Stage::Align, 200), (Stage::Write, 5)],
+                    ));
+                }
+                log.to_json()
+            }
+            Kind::LoadgenReport => literal(LOADGEN_DOC),
+            Kind::ChromeTrace => literal(CHROME_TRACE_DOC),
+        };
+        doc.to_string_compact()
+    }
+
+    /// One edit per field rule and per identity, a row per line:
+    /// `Kind | from -> to ; from -> to | want`. Each edit replaces the
+    /// first match in the kind's compact sample; the edited document must
+    /// be rejected with `want` in the message, or accepted when `want` is
+    /// `ok`.
+    const MUTATIONS: &str = r#"
+        MetricsSnapshot | "kind":"nvwa-metrics" -> "kind":"other" | want "nvwa-metrics"
+        MetricsSnapshot | "schema_version":1 -> "schema_version":2 | schema_version Some(2.0)
+        MetricsSnapshot | "git_rev":null -> "git_rev":7 | $.git_rev: must be OptStr
+        MetricsSnapshot | "host_threads":2 -> "host_threads":0 | $.host_threads
+        MetricsSnapshot | "host_threads":2, ->  | $.host_threads: missing
+        MetricsSnapshot | "sim.total_cycles":1000 -> "sim.total_cycles":"x" | $.counters.sim.total_cycles
+        MetricsSnapshot | "sim.depth":3 -> "sim.depth":null | $.gauges.sim.depth
+        MetricsSnapshot | "p50":64 -> "p50":null | task_cycles: p50 must be null exactly when count is 0
+        MetricsSnapshot | "buckets":[[64,2]] -> "buckets":[[64,1]] | bucket counts
+        MetricsSnapshot | "buckets":[[64,2]] -> "buckets":[64] | bucket counts
+        MetricsSnapshot | "buckets":[[64,2]] -> "buckets":7 | $.histograms.eu.task_cycles.buckets
+        MetricsSnapshot | "bucket_width":100 -> "bucket_width":0 | $.series.su.busy.bucket_width
+        MetricsSnapshot | [0.5,1] -> [0.5,"x"] | $.series.su.busy.means[1]
+        ServeSnapshot | "serve.batch_size":{ -> "serve.batch_sizeX":{ | missing "serve.batch_size"
+        ServeSnapshot | "ok":2 -> "ok":3 | $.tenants[0].shards[0]: answered: {ok,unmapped,deadline,errors} sums to 6, above admitted 5
+        ServeSnapshot | "admitted":4 -> "admitted":5 | $: tenant rows: tenants?[].shards[].admitted sums to 13, not equal to counters.{serve.requests_admitted} 12
+        ServeSnapshot | "quota_shed":3 -> "quota_shed":2 | tenant rows: tenants?[].quota_shed sums to 2, not equal to counters.{serve.requests_quota} 3
+        ServeSnapshot | "shed_rate":0, -> "shed_rate":0.5, | $.tenants[0].slo: rates: shed_rate
+        ServeSnapshot | "shed_rate":0.2 -> "shed_rate":0.5 | $.slo: rates: shed_rate
+        ServeSnapshot | "retained":4 -> "retained":5 | $.flight: occupancy
+        ServeSnapshot | "errors":0,"dead":true -> "errors":-1,"dead":true | $.tenants[0].shards[1].errors
+        ServeSnapshot | "quota_shed":0, ->  | $.tenants[1].quota_shed: missing
+        ServeSnapshot | "mem_bytes":100 -> "mem_bytes":150 | $.registry: resident: mem_used_bytes sums to 300
+        ServeSnapshot | "mem_budget_bytes":400 -> "mem_budget_bytes":299 | budget: mem_used_bytes 300 exceeds
+        ServeSnapshot | "mem_budget_bytes":400 -> "mem_budget_bytes":"x" | $.registry.mem_budget_bytes
+        ServeSnapshot | "mem_budget_bytes":400 -> "mem_budget_bytes":null | ok
+        ServeSnapshot | "flight":{ -> "flights":{ | ok
+        StatsResponse | "flight":{ -> "flights":{ | $.flight: missing
+        StatsResponse | "ok":2 -> "ok":3 | above admitted 5
+        SloView | "step":100000 -> "step":0 | $.step
+        SloView | "window":1000000 -> "window":1000001 | whole steps
+        SloView | "now":5000000 -> "now":-1 | $.now
+        SloView | "queue_depth":3 -> "queue_depth":-1 | $.queue_depth
+        SloView | "shed_rate":0.2 -> "shed_rate":0.5 | rates: shed_rate is 0.5
+        SloView | "deadline_miss_rate":0.125 -> "deadline_miss_rate":1.5 | $.deadline_miss_rate
+        SloView | "deadline_missed":1 -> "deadline_missed":2 | rates: deadline_miss_rate
+        SloView | "per_bin":[{ -> "per_bin":[],"x":[{ | $.per_bin: must be Arr
+        SloView | "bin":1 -> "bin":2 | bin order
+        SloView | "count":0,"p50":null -> "count":0,"p50":7 | $.per_bin[0]: p50
+        SloView | "count":4 -> "count":4.5 | $.per_bin[1].count
+        FlightSummary | "cap":4 -> "cap":0 | $.cap
+        FlightSummary | "retained":4 -> "retained":5 | occupancy
+        FlightSummary | "retained":4 -> "retained":3 ; "admit":2 -> "admit":1 | must be min
+        FlightSummary | "dumps":1 -> "dumps":-1 | $.dumps
+        FlightSummary | "last_dump_reason":"worker_panic" -> "last_dump_reason":3 | $.last_dump_reason
+        FlightSummary | "admit":2 -> "bogus":2 | $.by_kind: must be Only
+        FlightSummary | "admit":2 -> "admit":3 | $: by_kind: retained sums to 4, not equal to by_kind.* 5
+        FlightDump | "kind":"nvwa-flight" -> "kind":"nvwa-metrics" | want "nvwa-flight"
+        FlightDump | "reason":"worker_panic" -> "reason":"" | $.reason
+        FlightDump | "recorded":3 -> "recorded":5 | must be min
+        FlightDump | "recorded":3 -> "recorded":2 | must be min
+        FlightDump | "panic":1 -> "panic":2 | digest
+        FlightDump | "quota":0, ->  | $.digest: missing "quota"
+        FlightDump | "admit":1, -> "admit":"x", | digest: digest.admit is NaN
+        FlightDump | "seq":2 -> "seq":1 | seq order
+        FlightDump | "t_us":10 -> "t_us":-1 | $.events[0].t_us
+        FlightDump | "kind":"admit" -> "kind":"bogus" | $.events[0].kind
+        FlightDump | "a":1 -> "a":"x" | $.events[0].a
+        SpanLog | "start_ns":150 -> "start_ns":151 | $.chains[0]: span chain
+        SpanLog | "cap":8 -> "cap":2 | within cap
+        SpanLog | "dropped":0 -> "dropped":-1 | $.dropped
+        SpanLog | "trace_id":2 -> "trace_id":1 | trace order
+        LoadgenReport | "lost":0 -> "lost":3 | $: conservation: sent sums to 100, not equal to {received,lost} 103
+        LoadgenReport | "mode":"open" -> "mode":"sideways" | $.mode
+        LoadgenReport | "ok":70 -> "ok":71 | $: conservation: received sums to 100
+        LoadgenReport | "ok":30 -> "ok":31 | $.tenants[0]: conservation: received
+        LoadgenReport | "received":60,"lost":0 -> "received":60,"lost":1 | $.tenants[0]: conservation: sent sums to 60
+        LoadgenReport | "quota":20, ->  | $.quota: missing
+        LoadgenReport | "unmapped":10, ->  ; "ok":70 -> "ok":80 | $.unmapped: missing
+        LoadgenReport | "sent":40,"received":40 -> "sent":39,"received":39 ; "ok":40 -> "ok":39 | $: totals: tenants?[].sent sums to 99
+        LoadgenReport | "ok":30,"unmapped":10,"shed":0 -> "ok":30,"unmapped":9,"shed":1 | $: totals: tenants?[].unmapped sums to 9
+        LoadgenReport | "p50":800 -> "p50":null | $.latency_us: p50
+        LoadgenReport | "p50":2 -> "p50":null | $.tenants[1].latency_us: p50
+        LoadgenReport | "name":"homo_sapiens" -> "name":"" | $.tenants[0].name
+        LoadgenReport | "wall_ms":12.5 -> "wall_ms":0 | $.wall_ms
+        LoadgenReport | "throughput_rps":8000 -> "throughput_rps":-1 | $.throughput_rps
+        LoadgenReport | "duplicates":0 -> "duplicates":0.5 | $.duplicates
+        LoadgenReport | "snapshots":3 -> "snapshots":1.5 | $.scrapes.snapshots
+        LoadgenReport | "failures":1 -> "failures":-1 | $.scrapes.failures
+        LoadgenReport | "first_error":"fetch: refused" -> "first_error":7 | $.scrapes.first_error
+        LoadgenReport | "first_error":"fetch: refused" -> "first_error":null | ok
+        LoadgenReport | "pass":false, -> "pass":true, | $.slo: slo verdict
+        LoadgenReport | "pass":false} -> "pass":"no"} | $.slo.checks[1].pass
+        LoadgenReport | "key":"lost" -> "key":"" | $.slo.checks[0].key
+        LoadgenReport | "bound":0 -> "bound":null | $.slo.checks[0].bound
+        LoadgenReport | "actual":0 -> "actual":"x" | $.slo.checks[0].actual
+        LoadgenReport | "latency_us":{"count":80,"mean":900,"p50":800,"p90":1500,"p99":2100,"min":300,"max":2500} -> "latency_us":{"count":0,"mean":null,"p50":null,"p90":null,"p99":null,"min":null,"max":null} | ok
+        ChromeTrace | ,"dur":2 ->  | $.traceEvents[1]: phase fields
+        ChromeTrace | "ts":0 -> "ts":-1 | $.traceEvents[1]: phase fields
+        ChromeTrace | ,"ts":5 ->  | $.traceEvents[2]: phase fields
+        ChromeTrace | "ph":"X" -> "ph":"Q" | $.traceEvents[1].ph
+        ChromeTrace | "pid":1 -> "pid":"x" | $.traceEvents[0].pid
+        ChromeTrace | "name":"read", ->  | $.traceEvents[1].name: missing
+    "#;
+
+    #[test]
+    fn every_rule_rejects_its_mutation() {
+        for kind in KINDS {
+            validate(kind, &JsonValue::parse(&sample(kind)).unwrap())
+                .unwrap_or_else(|e| panic!("{kind:?} sample: {e}"));
+        }
+        for row in MUTATIONS.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            let [kind, edits, want] = [0, 1, 2].map(|i| row.split(" | ").nth(i).unwrap());
+            let kind = *KINDS.iter().find(|k| format!("{k:?}") == kind).unwrap();
+            let mut text = sample(kind);
+            for edit in edits.split(" ; ") {
+                let (from, to) = edit.split_once(" -> ").unwrap();
+                assert!(text.contains(from), "{row}: no {from} in {text}");
+                text = text.replacen(from, to.trim(), 1);
+            }
+            match validate(kind, &JsonValue::parse(&text).unwrap()) {
+                Ok(()) => assert_eq!(want, "ok", "{row}: accepted"),
+                Err(err) => assert!(want != "ok" && err.contains(want), "{row}: {err}"),
+            }
+        }
+    }
+
+    #[test]
+    fn emitted_documents_validate_and_are_recognized() {
+        let mut reg = MetricsRegistry::new();
+        let c = reg.counter("sim.total_cycles");
+        reg.inc(c, 1000);
+        let h = reg.histogram("eu.task_cycles");
+        reg.observe(h, 64);
+        let doc = JsonValue::parse(&reg.snapshot_json(&meta())).unwrap();
+        assert_eq!(validate_any(&doc), Ok("metrics snapshot"));
+        let doc = serve_registry().snapshot(&meta());
+        assert_eq!(validate_any(&doc), Ok("serve metrics snapshot"));
 
         // A snapshot missing one histogram fails the serve schema while
         // still passing the base schema.
@@ -865,326 +960,27 @@ mod tests {
         for name in SERVE_REQUIRED_GAUGES {
             partial.gauge(name);
         }
-        let doc = partial.snapshot(&meta);
-        validate_metrics_snapshot(&doc).unwrap();
-        let err = validate_serve_snapshot(&doc).unwrap_err();
+        let doc = partial.snapshot(&meta());
+        validate(Kind::MetricsSnapshot, &doc).unwrap();
+        let err = validate_any(&doc).unwrap_err();
         assert!(err.contains("serve.batch_size"), "{err}");
-    }
 
-    #[test]
-    fn tenant_and_registry_identities_are_enforced() {
-        let mut reg = serve_registry();
-        let admitted = reg.counter("serve.requests_admitted");
-        reg.inc(admitted, 12);
-        let quota = reg.counter("serve.requests_quota");
-        reg.inc(quota, 3);
-        let JsonValue::Obj(base) = reg.snapshot(&SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
-        }) else {
-            panic!("snapshot is an object");
-        };
-        let slo = r#"{"now": 5, "window": 10, "step": 5, "queue_depth": 0,
-            "per_bin": [{"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null}],
-            "admitted": 0, "shed": 0, "deadline_missed": 0, "completed": 0,
-            "shed_rate": 0, "deadline_miss_rate": 0}"#;
-        let sections = format!(
-            r#"{{"tenants": [
-                {{"name": "a", "quota_shed": 3, "shed_unrouted": 0, "slo": {slo}, "shards": [
-                    {{"admitted": 5, "ok": 2, "unmapped": 1, "shed": 4, "deadline": 1,
-                      "errors": 1, "dead": false}},
-                    {{"admitted": 3, "ok": 0, "unmapped": 0, "shed": 0, "deadline": 0,
-                      "errors": 0, "dead": true}}]}},
-                {{"name": "b", "quota_shed": 0, "shed_unrouted": 1, "slo": {slo}, "shards": [
-                    {{"admitted": 4, "ok": 4, "unmapped": 0, "shed": 0, "deadline": 0,
-                      "errors": 0, "dead": false}}]}}],
-            "registry": {{"mem_used_bytes": 300, "mem_budget_bytes": 400, "tenants": [
-                {{"name": "a", "shards": 2, "mem_bytes": 100, "in_flight": 3, "quota": 8}},
-                {{"name": "b", "shards": 1, "mem_bytes": 200, "in_flight": 0, "quota": null}}]}}}}"#
-        );
-        let check = |sections: &str| {
-            let JsonValue::Obj(extra) = JsonValue::parse(sections).unwrap() else {
-                panic!("sections is an object");
-            };
-            validate_serve_snapshot(&JsonValue::Obj([base.clone(), extra].concat()))
-        };
-        check(&sections).unwrap();
-        // One mutation per identity, each refused by name: a shard answers
-        // more than it admitted; rows out of step with the global admitted
-        // counter, and with the quota counter; a tenant's SLO view checked
-        // like the global one; the registry's bytes must add up, and stay
-        // under the budget the server launched with.
-        for (from, to, want) in [
-            (r#""ok": 2"#, r#""ok": 3"#, "admitted 5"),
-            (r#""admitted": 4"#, r#""admitted": 5"#, "requests_admitted"),
-            (r#""quota_shed": 3"#, r#""quota_shed": 2"#, "requests_quota"),
-            (r#""shed_rate": 0,"#, r#""shed_rate": 0.5,"#, "shed_rate"),
+        for (text, kind) in [
+            (r#"{"kind": "nvwa-metrics"}"#, Some(Kind::MetricsSnapshot)),
             (
-                r#""mem_bytes": 100"#,
-                r#""mem_bytes": 150"#,
-                "mem_used_bytes",
+                r#"{"kind": "nvwa-metrics", "counters": {"serve.requests_admitted": 1}}"#,
+                Some(Kind::ServeSnapshot),
             ),
-            (
-                r#""mem_budget_bytes": 400"#,
-                r#""mem_budget_bytes": 299"#,
-                "exceeds",
-            ),
+            (r#"{"kind": "nvwa-loadgen"}"#, Some(Kind::LoadgenReport)),
+            (r#"{"kind": "nvwa-flight"}"#, Some(Kind::FlightDump)),
+            (r#"{"kind": "nvwa-spanlog"}"#, Some(Kind::SpanLog)),
+            (r#"{"traceEvents": []}"#, Some(Kind::ChromeTrace)),
+            (r#"{"scenarios": [], "speedups": {}}"#, None),
         ] {
-            assert!(sections.contains(from), "{from}");
-            let err = check(&sections.replace(from, to)).unwrap_err();
-            assert!(err.contains(want), "{from} -> {to}: {err}");
+            assert_eq!(Kind::of(&JsonValue::parse(text).unwrap()), kind, "{text}");
         }
-        // No budget bounds nothing.
-        check(&sections.replace("\"mem_budget_bytes\": 400", "\"mem_budget_bytes\": null"))
-            .unwrap();
-    }
-
-    #[test]
-    fn loadgen_report_identities_are_enforced() {
-        let good = r#"{
-            "kind": "nvwa-loadgen", "schema_version": 1, "mode": "closed",
-            "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 95, "unmapped": 0, "mapped": 90, "shed": 5, "quota": 0,
-            "deadline": 0, "errors": 0,
-            "lost": 0, "duplicates": 0, "wall_ms": 12.5,
-            "throughput_rps": 8000.0,
-            "latency_us": {"count": 95, "mean": 900.0, "p50": 800.0,
-                           "p90": 1500.0, "p99": 2100.0, "min": 300.0,
-                           "max": 2500.0}
-        }"#;
-        validate_loadgen_report(&JsonValue::parse(good).unwrap()).unwrap();
-
-        let lossy = good.replace("\"lost\": 0", "\"lost\": 3");
-        let err = validate_loadgen_report(&JsonValue::parse(&lossy).unwrap()).unwrap_err();
-        assert!(err.contains("lost"), "{err}");
-
-        let bad_mode = good.replace("\"closed\"", "\"sideways\"");
-        assert!(validate_loadgen_report(&JsonValue::parse(&bad_mode).unwrap()).is_err());
-
-        // Zero-sample latency must use nulls.
-        let empty = r#"{
-            "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
-            "connections": 1, "reads": 0, "sent": 0, "received": 0,
-            "ok": 0, "unmapped": 0, "mapped": 0, "shed": 0, "quota": 0,
-            "deadline": 0, "errors": 0,
-            "lost": 0, "duplicates": 0, "wall_ms": 1.0,
-            "throughput_rps": 0,
-            "latency_us": {"count": 0, "mean": null, "p50": null,
-                           "p90": null, "p99": null, "min": null, "max": null}
-        }"#;
-        validate_loadgen_report(&JsonValue::parse(empty).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn loadgen_tenant_sections_are_enforced() {
-        let good = r#"{
-            "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
-            "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 80, "unmapped": 0, "mapped": 80,
-            "shed": 0, "quota": 20, "deadline": 0,
-            "errors": 0, "lost": 0, "duplicates": 0, "wall_ms": 12.5,
-            "throughput_rps": 8000.0,
-            "latency_us": {"count": 80, "mean": 900.0, "p50": 800.0,
-                           "p90": 1500.0, "p99": 2100.0, "min": 300.0,
-                           "max": 2500.0},
-            "tenants": [
-                {"name": "homo_sapiens", "sent": 60, "received": 60,
-                 "lost": 0, "ok": 40, "shed": 0, "quota": 20,
-                 "deadline": 0, "errors": 0, "mapped": 40, "unmapped": 0,
-                 "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
-                                "p90": 1.0, "p99": 1.0, "min": 1.0,
-                                "max": 1.0}},
-                {"name": "mus_musculus", "sent": 40, "received": 40,
-                 "lost": 0, "ok": 40, "shed": 0, "quota": 0,
-                 "deadline": 0, "errors": 0, "mapped": 40, "unmapped": 0,
-                 "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
-                                "p90": 1.0, "p99": 1.0, "min": 1.0,
-                                "max": 1.0}}
-            ]
-        }"#;
-        validate_loadgen_report(&JsonValue::parse(good).unwrap()).unwrap();
-
-        // A tenant whose own identity is broken is named in the error.
-        let broken = good.replace(
-            "\"ok\": 40, \"shed\": 0, \"quota\": 20",
-            "\"ok\": 41, \"shed\": 0, \"quota\": 20",
-        );
-        let err = validate_loadgen_report(&JsonValue::parse(&broken).unwrap()).unwrap_err();
-        assert!(err.contains("tenants[0]"), "{err}");
-
-        // Per-tenant counts must sum to the report totals (the tenant
-        // itself stays internally consistent: sent 39 = received 39 =
-        // ok 39, so only the cross-tenant sum breaks).
-        let short = good
-            .replace(
-                "\"name\": \"mus_musculus\", \"sent\": 40, \"received\": 40",
-                "\"name\": \"mus_musculus\", \"sent\": 39, \"received\": 39",
-            )
-            .replace(
-                "\"lost\": 0, \"ok\": 40, \"shed\": 0, \"quota\": 0",
-                "\"lost\": 0, \"ok\": 39, \"shed\": 0, \"quota\": 0",
-            );
-        let err = validate_loadgen_report(&JsonValue::parse(&short).unwrap()).unwrap_err();
-        assert!(err.contains("sums to"), "{err}");
-
-        // `quota` is required at the top level, like every other count.
-        let no_quota = good.replace(
-            "\"shed\": 0, \"quota\": 20, \"deadline\": 0,\n            \"errors\": 0",
-            "\"shed\": 0, \"deadline\": 0,\n            \"errors\": 0",
-        );
-        let err = validate_loadgen_report(&JsonValue::parse(&no_quota).unwrap()).unwrap_err();
-        assert!(err.contains("quota"), "{err}");
-    }
-
-    #[test]
-    fn loadgen_unmapped_folds_into_the_identity() {
-        // A long-read report: unmapped reads are completed responses, so
-        // they sit beside ok in the conservation identity.
-        let good = r#"{
-            "kind": "nvwa-loadgen", "schema_version": 1, "mode": "closed",
-            "connections": 2, "reads": 100, "sent": 100, "received": 100,
-            "ok": 90, "unmapped": 7, "mapped": 90, "shed": 3, "quota": 0,
-            "deadline": 0, "errors": 0, "lost": 0, "duplicates": 0,
-            "wall_ms": 12.5, "throughput_rps": 8000.0,
-            "latency_us": {"count": 97, "mean": 900.0, "p50": 800.0,
-                           "p90": 1500.0, "p99": 2100.0, "min": 300.0,
-                           "max": 2500.0}
-        }"#;
-        validate_loadgen_report(&JsonValue::parse(good).unwrap()).unwrap();
-
-        // The key is required: dropping it is a missing-key error even
-        // when the remaining counts balance without it.
-        let missing = good
-            .replace("\"unmapped\": 7, ", "")
-            .replace("\"ok\": 90", "\"ok\": 97");
-        let err = validate_loadgen_report(&JsonValue::parse(&missing).unwrap()).unwrap_err();
-        assert!(err.contains("unmapped"), "{err}");
-
-        // Per-tenant unmapped participates in both the tenant identity
-        // and the cross-tenant sum.
-        let tenants = r#"{
-            "kind": "nvwa-loadgen", "schema_version": 1, "mode": "open",
-            "connections": 2, "reads": 40, "sent": 40, "received": 40,
-            "ok": 30, "unmapped": 10, "mapped": 30, "shed": 0, "quota": 0,
-            "deadline": 0, "errors": 0, "lost": 0, "duplicates": 0,
-            "wall_ms": 5.0, "throughput_rps": 8000.0,
-            "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
-                           "p90": 1.0, "p99": 1.0, "min": 1.0, "max": 1.0},
-            "tenants": [
-                {"name": "homo_sapiens", "sent": 40, "received": 40,
-                 "lost": 0, "ok": 30, "unmapped": 10, "shed": 0,
-                 "quota": 0, "deadline": 0, "errors": 0, "mapped": 30,
-                 "latency_us": {"count": 40, "mean": 1.0, "p50": 1.0,
-                                "p90": 1.0, "p99": 1.0, "min": 1.0,
-                                "max": 1.0}}
-            ]
-        }"#;
-        validate_loadgen_report(&JsonValue::parse(tenants).unwrap()).unwrap();
-        let short = tenants.replace(
-            "\"ok\": 30, \"unmapped\": 10, \"shed\": 0,\n                 \"quota\": 0",
-            "\"ok\": 30, \"unmapped\": 9, \"shed\": 1,\n                 \"quota\": 0",
-        );
-        let err = validate_loadgen_report(&JsonValue::parse(&short).unwrap()).unwrap_err();
-        assert!(err.contains("sums to") || err.contains("unmapped"), "{err}");
-    }
-
-    #[test]
-    fn slo_view_validation_checks_rates_and_bins() {
-        let good = r#"{
-            "now": 5000000, "window": 1000000, "step": 100000,
-            "per_bin": [
-                {"bin": 0, "count": 0, "p50": null, "p90": null, "p99": null},
-                {"bin": 1, "count": 4, "p50": 800, "p90": 1500, "p99": 1500}
-            ],
-            "queue_depth": 3, "admitted": 8, "shed": 2,
-            "deadline_missed": 1, "completed": 4,
-            "shed_rate": 0.2, "deadline_miss_rate": 0.125
-        }"#;
-        validate_slo_view(&JsonValue::parse(good).unwrap()).unwrap();
-
-        // A rate inconsistent with the window counters is rejected.
-        let lying = good.replace("\"shed_rate\": 0.2", "\"shed_rate\": 0.5");
-        let err = validate_slo_view(&JsonValue::parse(&lying).unwrap()).unwrap_err();
-        assert!(err.contains("shed_rate"), "{err}");
-
-        // Percentiles must be null exactly on an empty bin.
-        let bad_bin = good.replace(
-            "{\"bin\": 0, \"count\": 0, \"p50\": null",
-            "{\"bin\": 0, \"count\": 0, \"p50\": 7",
-        );
-        assert!(validate_slo_view(&JsonValue::parse(&bad_bin).unwrap()).is_err());
-    }
-
-    #[test]
-    fn flight_documents_are_validated() {
-        let summary = r#"{
-            "cap": 4, "recorded": 6, "retained": 4, "dumps": 1,
-            "last_dump_reason": "worker_panic",
-            "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
-        }"#;
-        validate_flight_summary(&JsonValue::parse(summary).unwrap()).unwrap();
-        // `retained` is min(recorded, cap) exactly: neither more nor —
-        // with `by_kind` adjusted to agree — fewer.
-        let more = summary.replace("\"retained\": 4", "\"retained\": 5");
-        assert!(validate_flight_summary(&JsonValue::parse(&more).unwrap()).is_err());
-        let fewer = summary
-            .replace("\"retained\": 4", "\"retained\": 3")
-            .replace("\"admit\": 2", "\"admit\": 1");
-        let err = validate_flight_summary(&JsonValue::parse(&fewer).unwrap()).unwrap_err();
-        assert!(err.contains("must be min"), "{err}");
-
-        let dump = r#"{
-            "kind": "nvwa-flight", "schema_version": 1,
-            "reason": "worker_panic", "cap": 8, "recorded": 3,
-            "events": [
-                {"seq": 0, "t_us": 10, "kind": "admit", "a": 1, "b": 0, "c": 1},
-                {"seq": 1, "t_us": 20, "kind": "batch_start", "a": 0, "b": 1, "c": 4},
-                {"seq": 2, "t_us": 30, "kind": "panic", "a": 0, "b": 2, "c": 0}
-            ],
-            "digest": {"admit": 1, "shed": 0, "deadline": 0,
-                       "batch_start": 1, "batch_done": 0, "panic": 1,
-                       "quota": 0}
-        }"#;
-        validate_flight_dump(&JsonValue::parse(dump).unwrap()).unwrap();
-        // The event list is min(recorded, cap) long, neither shorter nor
-        // longer.
-        for recorded in ["5", "2"] {
-            let off = dump.replace("\"recorded\": 3", &format!("\"recorded\": {recorded}"));
-            let err = validate_flight_dump(&JsonValue::parse(&off).unwrap()).unwrap_err();
-            assert!(err.contains("must be min"), "{err}");
-        }
-        // Digest must agree with the event list.
-        let lying = dump.replace("\"panic\": 1", "\"panic\": 2");
-        let err = validate_flight_dump(&JsonValue::parse(&lying).unwrap()).unwrap_err();
-        assert!(err.contains("digest"), "{err}");
-        // Sequence numbers must be strictly increasing.
-        let reordered = dump.replace("\"seq\": 2", "\"seq\": 1");
-        assert!(validate_flight_dump(&JsonValue::parse(&reordered).unwrap()).is_err());
-    }
-
-    #[test]
-    fn span_log_validation_rejects_broken_chains() {
-        use crate::spans::{Outcome, RequestSpans, SpanLog, Stage};
-        let mut log = SpanLog::new(8);
-        for id in [2u64, 1, 3] {
-            log.push(RequestSpans::chain(
-                id,
-                0,
-                id,
-                0,
-                Outcome::Ok,
-                100 * id,
-                &[(Stage::Queue, 50), (Stage::Align, 200), (Stage::Write, 5)],
-            ));
-        }
-        let doc = log.to_json();
-        validate_span_log(&doc).unwrap();
-
-        // Break contiguity inside one serialized chain.
-        let broken = doc
-            .to_string_compact()
-            .replace("\"start_ns\":150", "\"start_ns\":151");
-        assert!(validate_span_log(&JsonValue::parse(&broken).unwrap()).is_err());
+        let err = validate_any(&JsonValue::parse(r#"{"scenarios": []}"#).unwrap()).unwrap_err();
+        assert!(err.contains("unrecognized"), "{err}");
     }
 
     #[test]

@@ -450,6 +450,6 @@ mod tests {
             .map(|c| c.get("trace_id").and_then(JsonValue::as_num).unwrap() as u64)
             .collect();
         assert_eq!(ids, vec![1, 5]);
-        crate::snapshot::validate_span_log(&doc).unwrap();
+        crate::snapshot::validate(crate::snapshot::Kind::SpanLog, &doc).unwrap();
     }
 }

@@ -341,7 +341,7 @@ pub struct SloView {
 }
 
 impl SloView {
-    /// The JSON document (`validate_slo_view` checks it).
+    /// The JSON document (`snapshot::Kind::SloView` describes it).
     pub fn to_json(&self) -> JsonValue {
         let opt = |v: Option<u64>| v.map_or(JsonValue::Null, |v| JsonValue::Num(v as f64));
         let per_bin = self
@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(v.per_bin[1].count, 2);
         assert_eq!(v.per_bin[2].count, 1);
         assert_eq!(v.queue_depth, 5.0);
-        crate::snapshot::validate_slo_view(&v.to_json()).unwrap();
+        crate::snapshot::validate(crate::snapshot::Kind::SloView, &v.to_json()).unwrap();
     }
 
     #[test]

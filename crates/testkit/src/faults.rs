@@ -31,7 +31,7 @@ use nvwa_serve::protocol::{read_frame, AlignResponse, Mode, Request, MAX_FRAME_B
 use nvwa_serve::{
     BatcherConfig, ObservabilityConfig, ServeMetrics, Server, ServerConfig, Status, Tenant,
 };
-use nvwa_telemetry::snapshot::{validate_flight_dump, validate_span_log};
+use nvwa_telemetry::snapshot::{validate, Kind};
 use nvwa_telemetry::JsonValue;
 
 use crate::Prng;
@@ -534,7 +534,8 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 .map_err(|e| format!("worker_panic: flight dump {}: {e}", path.display()))?;
             let doc =
                 JsonValue::parse(&text).map_err(|e| format!("worker_panic: flight dump: {e}"))?;
-            validate_flight_dump(&doc).map_err(|e| format!("worker_panic: flight dump: {e}"))?;
+            validate(Kind::FlightDump, &doc)
+                .map_err(|e| format!("worker_panic: flight dump: {e}"))?;
         }
         FaultKind::QueueStorm => {
             if report.shed == 0 {
@@ -606,7 +607,7 @@ fn check_span_accounting(metrics: &ServeMetrics, plan: &str) -> Result<(), Strin
              {retained} retained + {dropped} dropped != {admitted} admitted"
         ));
     }
-    validate_span_log(&metrics.span_log_doc()).map_err(|e| format!("{plan}: span log: {e}"))
+    validate(Kind::SpanLog, &metrics.span_log_doc()).map_err(|e| format!("{plan}: span log: {e}"))
 }
 
 /// Runs the worker-panic scenario at a given worker count and returns the
@@ -658,7 +659,7 @@ pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, S
         ));
     }
     check_span_accounting(&metrics, "worker_panic_digest")?;
-    validate_flight_dump(&dump).map_err(|e| format!("worker_panic[{workers}w]: {e}"))?;
+    validate(Kind::FlightDump, &dump).map_err(|e| format!("worker_panic[{workers}w]: {e}"))?;
     normalized_flight_digest(&dump, report.sent)
         .map_err(|e| format!("worker_panic[{workers}w]: {e}"))
 }

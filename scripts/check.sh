@@ -127,6 +127,25 @@ cargo run --release --quiet -p nvwa-bench --bin validate -- \
     "$artifacts_dir/serve_trace.json" \
     "$artifacts_dir/loadgen_report.json" \
     "$artifacts_dir/loadgen_metrics.json"
+# The gate can fail: the same report with one more `lost` response than
+# it conserves must be refused, by the name of the identity it breaks.
+awk '!bumped && match($0, /"lost": [0-9]+/) {
+    lost = substr($0, RSTART + 8, RLENGTH - 8) + 1
+    $0 = substr($0, 1, RSTART - 1) "\"lost\": " lost substr($0, RSTART + RLENGTH)
+    bumped = 1
+} { print }' "$artifacts_dir/loadgen_report.json" > "$artifacts_dir/loadgen_lossy.json"
+if lossy="$(cargo run --release --quiet -p nvwa-bench --bin validate -- \
+    "$artifacts_dir/loadgen_lossy.json" 2>&1)"; then
+    echo "validate accepted a report that does not conserve its requests" >&2
+    exit 1
+fi
+case "$lossy" in
+*"conservation: sent sums to"*) echo "validate refuses a lossy report: $lossy" ;;
+*)
+    echo "validate refused a lossy report without naming conservation: $lossy" >&2
+    exit 1
+    ;;
+esac
 scrapes="$(grep -c '"kind": "nvwa-metrics"' "$artifacts_dir/loadgen_stats.json" || true)"
 if [ "$scrapes" -lt 2 ]; then
     echo "stats scrape smoke: only $scrapes mid-run snapshots (want >= 2)" >&2

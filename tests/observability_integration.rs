@@ -14,9 +14,7 @@ use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa::serve::{BatcherConfig, Server, ServerConfig, Tenant};
-use nvwa::telemetry::snapshot::{
-    validate_flight_summary, validate_span_log, validate_stats_response,
-};
+use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{JsonValue, Outcome, RequestSpans};
 
 const REF_LEN: usize = 60_000;
@@ -84,7 +82,7 @@ fn every_admitted_request_leaves_a_complete_span_chain_summing_to_its_latency() 
     // The span-log document validates, which checks each chain:
     // non-empty, contiguous (no gaps, no overlaps), pipeline-ordered.
     let doc = metrics.span_log_doc();
-    validate_span_log(&doc).expect("span log schema");
+    validate(Kind::SpanLog, &doc).expect("span log schema");
 
     // Re-derive the sum property explicitly: the three stages partition
     // the request's lifetime, so their durations sum to its e2e latency.
@@ -135,11 +133,12 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
     assert_eq!(
         report.scrape_failures, 0,
         "every scrape validated; first failure: {:?}",
-        report.scrape_last_error
+        report.scrape_first_error
     );
     // Live scrapes checked the ring identities mid-run; with every thread
     // joined the final summary must satisfy them too.
-    validate_flight_summary(&metrics.flight().summary_json()).expect("quiescent flight summary");
+    validate(Kind::FlightSummary, &metrics.flight().summary_json())
+        .expect("quiescent flight summary");
     assert!(
         report.stats_snapshots.len() >= 2,
         "want ≥2 mid-run snapshots, got {}",
@@ -148,7 +147,7 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
     for snap in &report.stats_snapshots {
         // The scraper validated already; assert here so a future scraper
         // change cannot silently stop checking.
-        validate_stats_response(snap).expect("stats response schema");
+        validate(Kind::StatsResponse, snap).expect("stats response schema");
         assert!(snap.get("slo").is_some(), "snapshot carries the SLO view");
         assert!(
             snap.get("flight").is_some(),
@@ -167,7 +166,6 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
 
 #[test]
 fn explicit_flight_request_returns_a_valid_dump() {
-    use nvwa::telemetry::snapshot::validate_flight_dump;
     let server = start(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -186,7 +184,7 @@ fn explicit_flight_request_returns_a_valid_dump() {
     .expect("loadgen");
     let dump = loadgen::fetch_flight(&addr).expect("flight request");
     server.shutdown();
-    validate_flight_dump(&dump).expect("flight dump schema");
+    validate(Kind::FlightDump, &dump).expect("flight dump schema");
     assert_eq!(
         dump.get("reason").and_then(JsonValue::as_str),
         Some("explicit")

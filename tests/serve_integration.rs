@@ -16,7 +16,7 @@ use nvwa::align::pipeline::{AlignerConfig, Alignment, ReferenceIndex, SoftwareAl
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa::serve::{BackendKind, BatcherConfig, Server, ServerConfig, Tenant};
-use nvwa::telemetry::snapshot::{validate_loadgen_report, validate_serve_snapshot};
+use nvwa::telemetry::snapshot::{validate, Kind};
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -112,7 +112,7 @@ fn closed_loop_10k_reads_is_lossless_and_bit_identical() {
         report.mapped
     );
     assert_bit_identical(&report);
-    validate_loadgen_report(&report.to_json()).expect("report schema");
+    validate(Kind::LoadgenReport, &report.to_json()).expect("report schema");
     assert_eq!(metrics.counter("serve.responses_ok"), CORPUS as u64);
     assert!(metrics.counter("serve.batches_formed") > 0);
 }
@@ -344,7 +344,7 @@ fn stats_request_returns_a_valid_serve_snapshot() {
     .expect("loadgen run");
     assert!(report.is_lossless());
     let doc = loadgen::fetch_stats(&addr).expect("stats");
-    validate_serve_snapshot(&doc).expect("serve snapshot schema");
+    validate(Kind::ServeSnapshot, &doc).expect("serve snapshot schema");
     // Shutdown via the protocol, as `nvwa-loadgen --shutdown` would.
     loadgen::send_shutdown(&addr).expect("shutdown request");
     assert!(server.shutdown_requested());

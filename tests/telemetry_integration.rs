@@ -18,7 +18,7 @@ use nvwa::core::config::{EuClass, NvwaConfig};
 use nvwa::core::experiments::fig11;
 use nvwa::core::system::{simulate_instrumented, SimOptions, SimRun};
 use nvwa::core::units::workload::SyntheticWorkloadParams;
-use nvwa::telemetry::snapshot::{validate_chrome_trace, validate_metrics_snapshot};
+use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{cycles_to_us, JsonValue, SnapshotMeta, StallCause, PID_ACCELERATOR};
 
 fn instrumented_run() -> SimRun {
@@ -94,7 +94,7 @@ fn metrics_snapshot_passes_schema_validation() {
     let meta = SnapshotMeta::collect(1);
     let text = run.metrics.snapshot_json(&meta);
     let doc = JsonValue::parse(&text).expect("snapshot parses");
-    validate_metrics_snapshot(&doc).expect("snapshot validates");
+    validate(Kind::MetricsSnapshot, &doc).expect("snapshot validates");
 }
 
 /// A 2-SU/2-EU system small enough for a human-readable golden trace.
@@ -123,7 +123,7 @@ fn tiny_trace_round_trips_and_matches_golden_file() {
 
     // Parses, validates as a Chrome trace, and serialization is stable.
     let doc = JsonValue::parse(&text).expect("trace parses");
-    validate_chrome_trace(&doc).expect("trace validates");
+    validate(Kind::ChromeTrace, &doc).expect("trace validates");
     assert_eq!(doc.to_string_pretty(), text, "round trip is byte-stable");
 
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_tiny.json");

@@ -20,7 +20,7 @@ use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantR
 use nvwa::serve::protocol::WireAlignment;
 use nvwa::serve::protocol::{read_frame, write_frame, Mode};
 use nvwa::serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
-use nvwa::telemetry::snapshot::{validate_loadgen_report, validate_stats_response};
+use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{JsonValue, SnapshotMeta};
 
 const REF_LEN: usize = 20_000;
@@ -226,7 +226,7 @@ fn quota_storm_sheds_with_quota_status_and_exactly_once_accounting() {
 
     // The report document passes the schema validator, tenant section
     // identities included.
-    validate_loadgen_report(&report.to_json()).expect("report validates");
+    validate(Kind::LoadgenReport, &report.to_json()).expect("report validates");
 }
 
 /// Killing one shard of a two-shard tenant reroutes traffic to the live
@@ -551,7 +551,7 @@ fn stats_registry_reports_live_in_flight_and_resident_index_bytes() {
             Status::Ok
         );
     }
-    validate_stats_response(stats[0]).expect("stats reply validates");
+    validate(Kind::StatsResponse, stats[0]).expect("stats reply validates");
     let registry = stats[0].get("registry").expect("registry section");
     let tenants = rows(registry, "tenants");
     assert_eq!(
@@ -596,7 +596,7 @@ fn single_index_server_reports_one_default_tenant() {
             .collect()
     };
     let live = loadgen::fetch_stats(&addr).expect("stats");
-    validate_stats_response(&live).expect("stats reply validates");
+    validate(Kind::StatsResponse, &live).expect("stats reply validates");
     assert_eq!(names(&live), ["default"]);
     assert_eq!(
         names(live.get("registry").expect("registry section")),
@@ -608,7 +608,7 @@ fn single_index_server_reports_one_default_tenant() {
         git_rev: None,
     };
     let drained = server.shutdown().stats_response(&meta);
-    validate_stats_response(&drained).expect("drained snapshot validates");
+    validate(Kind::StatsResponse, &drained).expect("drained snapshot validates");
     assert_eq!(names(&drained), ["default"]);
     let shards = rows(&rows(&drained, "tenants")[0], "shards");
     assert_eq!(shards.len(), 1);
