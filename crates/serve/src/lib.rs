@@ -59,7 +59,6 @@ pub mod signal;
 pub use backend::BackendKind;
 pub use batcher::BatcherConfig;
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
-pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig, TenantRead, TenantReport};
 pub use metrics::{ObservabilityConfig, ServeMetrics};
 pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore};
 #[cfg(unix)]

@@ -1,5 +1,6 @@
-//! Load generation against a running server, as a library (the
-//! `nvwa-loadgen` binary and the integration tests both call [`run`]).
+//! Load generation against a running server, as a library: the
+//! `nvwa-loadgen` binary, the conformance families and the integration
+//! tests all send reads from [`generate_reads`] through [`run`].
 //!
 //! Two arrival disciplines:
 //!
@@ -17,21 +18,19 @@
 //! duplicates counted separately. A healthy run has
 //! `lost == 0 && duplicates == 0`.
 //!
-//! Multi-tenant mixes: [`run_tenants`] takes reads labelled with a wire
-//! `tenant` name and reports the same conservation identities *per
-//! tenant* (plus per-tenant latency), so a quota-shed tenant is visible
-//! without polluting its neighbors' SLO.
+//! Each read carries its own mode, wire `tenant` label and region hint,
+//! and the report repeats the identities (plus latency) per label, so a
+//! quota-shed tenant is visible without polluting its neighbors' SLO.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nvwa_genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa_telemetry::snapshot::{validate, Kind};
-use nvwa_telemetry::{JsonValue, MetricsRegistry, SnapshotMeta};
+use nvwa_telemetry::JsonValue;
 
 use crate::lock;
 use crate::protocol::{read_frame, write_frame, AlignResponse, Mode, Request, Status};
@@ -39,6 +38,10 @@ use crate::protocol::{read_frame, write_frame, AlignResponse, Mode, Request, Sta
 /// How long a connection waits for a response before declaring the
 /// remainder lost.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Seed of the open-loop arrival schedule; connection `c` draws from
+/// `ARRIVAL_SEED + c`.
+const ARRIVAL_SEED: u64 = 1;
 
 /// Arrival discipline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,23 +80,13 @@ pub struct LoadgenConfig {
     pub mode: ArrivalMode,
     /// Deadline attached to every request, if any.
     pub deadline_ms: Option<u64>,
-    /// Request mode stamped on every read sent by [`run`] (`run_tenants`
-    /// reads carry their own per-read mode instead). `Short` is the wire
-    /// default and is omitted from the frame.
-    pub request_mode: Mode,
-    /// PRNG seed for arrival-time sampling (open loop).
-    pub arrival_seed: u64,
     /// Keep every decoded response in the report (for bit-identical
     /// verification against the offline aligner).
     pub collect_responses: bool,
-    /// Send a `shutdown` request after the run completes.
-    pub shutdown_after: bool,
     /// Scrape the server's `stats` endpoint on a side connection at this
     /// interval while the load runs (first scrape fires immediately).
     /// Every snapshot is schema-validated before it is kept.
     pub scrape_every: Option<Duration>,
-    /// SLO targets graded against the final report; see [`SloTarget`].
-    pub slo: Vec<SloTarget>,
 }
 
 impl Default for LoadgenConfig {
@@ -102,12 +95,8 @@ impl Default for LoadgenConfig {
             connections: 2,
             mode: ArrivalMode::Closed { window: 32 },
             deadline_ms: None,
-            request_mode: Mode::Short,
-            arrival_seed: 1,
             collect_responses: false,
-            shutdown_after: false,
             scrape_every: None,
-            slo: Vec::new(),
         }
     }
 }
@@ -163,19 +152,13 @@ impl SloTarget {
             bound,
         })
     }
-
-    fn is_min_bound(&self) -> bool {
-        self.key == "throughput_rps"
-    }
 }
 
 /// The graded outcome of one [`SloTarget`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloCheck {
-    /// The target's key.
-    pub key: String,
-    /// The target's bound.
-    pub bound: f64,
+    /// The target graded.
+    pub target: SloTarget,
     /// The measured value, or `None` when the run produced no sample to
     /// judge (e.g. a latency percentile with zero `ok` responses).
     pub actual: Option<f64>,
@@ -187,8 +170,8 @@ pub struct SloCheck {
 impl SloCheck {
     fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
-            ("key", JsonValue::Str(self.key.clone())),
-            ("bound", JsonValue::Num(self.bound)),
+            ("key", JsonValue::Str(self.target.key.clone())),
+            ("bound", JsonValue::Num(self.target.bound)),
             (
                 "actual",
                 self.actual.map_or(JsonValue::Null, JsonValue::Num),
@@ -198,41 +181,37 @@ impl SloCheck {
     }
 }
 
-fn evaluate_slo(report: &LoadReport, targets: &[SloTarget]) -> Vec<SloCheck> {
-    let rate = |n: u64| {
-        if report.sent > 0 {
-            Some(n as f64 / report.sent as f64)
-        } else {
-            None
-        }
-    };
+/// Grades `targets` against a finished run; store the result in
+/// [`LoadReport::slo`] so the report document carries the verdict.
+pub fn evaluate_slo(report: &LoadReport, targets: &[SloTarget]) -> Vec<SloCheck> {
+    let total = &report.total;
+    let rate = |n: u64| (total.sent > 0).then_some(n as f64 / total.sent as f64);
     targets
         .iter()
         .map(|t| {
             let actual = match t.key.as_str() {
-                "mean_us" => report.latency.mean,
-                "p50_us" => report.latency.p50,
-                "p90_us" => report.latency.p90,
-                "p99_us" => report.latency.p99,
-                "max_us" => report.latency.max,
-                "shed_rate" => rate(report.shed),
-                "quota_rate" => rate(report.quota),
-                "deadline_miss_rate" => rate(report.deadline),
-                "error_rate" => rate(report.errors),
-                "lost" => Some(report.lost as f64),
+                "mean_us" => total.latency.mean,
+                "p50_us" => total.latency.p50,
+                "p90_us" => total.latency.p90,
+                "p99_us" => total.latency.p99,
+                "max_us" => total.latency.max,
+                "shed_rate" => rate(total.shed),
+                "quota_rate" => rate(total.quota),
+                "deadline_miss_rate" => rate(total.deadline),
+                "error_rate" => rate(total.errors),
+                "lost" => Some(total.lost as f64),
                 "throughput_rps" => Some(report.throughput_rps),
                 _ => None,
             };
             let pass = actual.is_some_and(|a| {
-                if t.is_min_bound() {
+                if t.key == "throughput_rps" {
                     a >= t.bound
                 } else {
                     a <= t.bound
                 }
             });
             SloCheck {
-                key: t.key.clone(),
-                bound: t.bound,
+                target: t.clone(),
                 actual,
                 pass,
             }
@@ -296,24 +275,23 @@ impl LatencySummary {
     }
 }
 
-/// The outcome of one loadgen run.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Arrival discipline (`"closed"` or `"open"`).
-    pub mode: &'static str,
+/// Outcome counts and client-observed latency of one slice of a run: the
+/// whole run ([`LoadReport::total`]) or one label's share of it
+/// ([`TenantReport`]). Each slice holds `sent == received + lost` and
+/// `received == ok + unmapped + shed + quota + deadline + errors`.
+#[derive(Debug, Clone, Default)]
+pub struct Counts {
     /// Requests written to sockets.
     pub sent: u64,
     /// Unique responses received.
     pub received: u64,
     /// Requests with no response (timeout or connection drop).
     pub lost: u64,
-    /// Responses for an id already answered.
-    pub duplicates: u64,
     /// `ok` responses.
     pub ok: u64,
     /// `unmapped` responses: the aligner completed but found no placement
     /// (long-read mode reads that fail seeding/chaining). Completed work,
-    /// counted in the latency summaries; not a failure.
+    /// counted in the latency summary; not a failure.
     pub unmapped: u64,
     /// `shed` responses (explicit backpressure).
     pub shed: u64,
@@ -325,6 +303,51 @@ pub struct LoadReport {
     pub errors: u64,
     /// `ok` responses carrying an alignment.
     pub mapped: u64,
+    /// Send → response latency of completed requests (`ok` and
+    /// `unmapped`).
+    pub latency: LatencySummary,
+}
+
+impl Counts {
+    /// The slice's keys in a report document.
+    fn json_pairs(&self) -> Vec<(&'static str, JsonValue)> {
+        let n = |v: u64| JsonValue::Num(v as f64);
+        vec![
+            ("sent", n(self.sent)),
+            ("received", n(self.received)),
+            ("lost", n(self.lost)),
+            ("ok", n(self.ok)),
+            ("unmapped", n(self.unmapped)),
+            ("shed", n(self.shed)),
+            ("quota", n(self.quota)),
+            ("deadline", n(self.deadline)),
+            ("errors", n(self.errors)),
+            ("mapped", n(self.mapped)),
+            ("latency_us", self.latency.to_json()),
+        ]
+    }
+}
+
+/// One label's slice of a [`LoadReport`].
+#[derive(Debug, Clone)]
+pub struct TenantReport {
+    /// Wire tenant label (`"default"` for unlabelled reads).
+    pub name: String,
+    /// The slice's counts and latency.
+    pub counts: Counts,
+}
+
+/// The outcome of one loadgen run.
+#[derive(Debug)]
+pub struct LoadReport {
+    /// Arrival discipline (`"closed"` or `"open"`).
+    pub mode: &'static str,
+    /// Counts and latency of the whole run.
+    pub total: Counts,
+    /// One slice per distinct read label, in order of first appearance.
+    pub tenants: Vec<TenantReport>,
+    /// Responses for an id already answered.
+    pub duplicates: u64,
     /// Connections used.
     pub connections: u64,
     /// Reads offered.
@@ -333,11 +356,6 @@ pub struct LoadReport {
     pub wall_ms: f64,
     /// Unique responses per second.
     pub throughput_rps: f64,
-    /// Client-observed end-to-end latency (send → response) of completed
-    /// requests (`ok` and `unmapped`).
-    pub latency: LatencySummary,
-    /// Per-tenant slices of the run (empty for unlabelled [`run`] loads).
-    pub tenants: Vec<TenantReport>,
     /// Decoded responses by request id (when `collect_responses`).
     pub responses: HashMap<u64, AlignResponse>,
     /// Schema-validated `stats` snapshots scraped mid-run.
@@ -347,93 +365,45 @@ pub struct LoadReport {
     /// Why the first counted scrape failure failed (`None` when none
     /// did) — `scrapes.first_error` in the report document.
     pub scrape_first_error: Option<String>,
-    /// Graded SLO targets (empty when none were configured).
+    /// Graded SLO targets (empty until [`evaluate_slo`] fills them).
     pub slo: Vec<SloCheck>,
-    /// The loadgen's own metrics registry (counters, latency histogram),
-    /// snapshot via [`LoadReport::metrics_snapshot`].
-    pub metrics: MetricsRegistry,
 }
 
 impl LoadReport {
-    /// The report of a run's merged `total`. What a run collects on the
-    /// side (duplicates, tenant slices, responses, scrapes, SLO grades,
-    /// its metrics registry) starts empty.
-    fn from_tally(
-        mode: &'static str,
-        connections: u64,
-        reads: u64,
-        wall_ms: f64,
-        total: Tally,
-    ) -> LoadReport {
-        LoadReport {
-            mode,
-            sent: total.sent,
-            received: total.received,
-            lost: total.lost,
-            duplicates: 0,
-            ok: total.ok,
-            unmapped: total.unmapped,
-            shed: total.shed,
-            quota: total.quota,
-            deadline: total.deadline,
-            errors: total.errors,
-            mapped: total.mapped,
-            connections,
-            reads,
-            wall_ms,
-            throughput_rps: total.received as f64 / (wall_ms / 1e3),
-            latency: LatencySummary::from_us(total.latencies_us),
-            tenants: Vec::new(),
-            responses: HashMap::new(),
-            stats_snapshots: Vec::new(),
-            scrape_failures: 0,
-            scrape_first_error: None,
-            slo: Vec::new(),
-            metrics: MetricsRegistry::new(),
-        }
-    }
-
     /// The report document (`validate` checks it against the
     /// `nvwa-loadgen` schema, conservation identities included).
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
+        let num = JsonValue::Num;
+        let mut pairs = vec![
             ("kind", JsonValue::Str("nvwa-loadgen".to_string())),
-            ("schema_version", JsonValue::Num(1.0)),
+            ("schema_version", num(1.0)),
             ("mode", JsonValue::Str(self.mode.to_string())),
-            ("sent", JsonValue::Num(self.sent as f64)),
-            ("received", JsonValue::Num(self.received as f64)),
-            ("lost", JsonValue::Num(self.lost as f64)),
-            ("duplicates", JsonValue::Num(self.duplicates as f64)),
-            ("ok", JsonValue::Num(self.ok as f64)),
-            ("unmapped", JsonValue::Num(self.unmapped as f64)),
-            ("shed", JsonValue::Num(self.shed as f64)),
-            ("quota", JsonValue::Num(self.quota as f64)),
-            ("deadline", JsonValue::Num(self.deadline as f64)),
-            ("errors", JsonValue::Num(self.errors as f64)),
-            ("mapped", JsonValue::Num(self.mapped as f64)),
-            ("connections", JsonValue::Num(self.connections as f64)),
-            ("reads", JsonValue::Num(self.reads as f64)),
-            ("wall_ms", JsonValue::Num(self.wall_ms)),
-            ("throughput_rps", JsonValue::Num(self.throughput_rps)),
-            ("latency_us", self.latency.to_json()),
+        ];
+        pairs.extend(self.total.json_pairs());
+        let tenant = |t: &TenantReport| {
+            let mut pairs = vec![("name", JsonValue::Str(t.name.clone()))];
+            pairs.extend(t.counts.json_pairs());
+            JsonValue::obj(pairs)
+        };
+        let first_error = self.scrape_first_error.clone();
+        pairs.extend([
+            ("duplicates", num(self.duplicates as f64)),
+            ("connections", num(self.connections as f64)),
+            ("reads", num(self.reads as f64)),
+            ("wall_ms", num(self.wall_ms)),
+            ("throughput_rps", num(self.throughput_rps)),
             (
                 "tenants",
-                JsonValue::Arr(self.tenants.iter().map(TenantReport::to_json).collect()),
+                JsonValue::Arr(self.tenants.iter().map(tenant).collect()),
             ),
             (
                 "scrapes",
                 JsonValue::obj(vec![
-                    (
-                        "snapshots",
-                        JsonValue::Num(self.stats_snapshots.len() as f64),
-                    ),
-                    ("failures", JsonValue::Num(self.scrape_failures as f64)),
+                    ("snapshots", num(self.stats_snapshots.len() as f64)),
+                    ("failures", num(self.scrape_failures as f64)),
                     (
                         "first_error",
-                        match &self.scrape_first_error {
-                            Some(e) => JsonValue::Str(e.clone()),
-                            None => JsonValue::Null,
-                        },
+                        first_error.map_or(JsonValue::Null, JsonValue::Str),
                     ),
                 ]),
             ),
@@ -447,96 +417,25 @@ impl LoadReport {
                     ),
                 ]),
             ),
-        ])
+        ]);
+        JsonValue::obj(pairs)
     }
 
     /// `lost == 0 && duplicates == 0` — the healthy-run invariant.
     pub fn is_lossless(&self) -> bool {
-        self.lost == 0 && self.duplicates == 0
+        self.total.lost == 0 && self.duplicates == 0
     }
 
-    /// Whether every configured SLO target is met (vacuously true when
-    /// none were configured).
+    /// Whether every graded SLO target is met (vacuously true when none
+    /// were graded).
     pub fn slo_pass(&self) -> bool {
         self.slo.iter().all(|c| c.pass)
     }
-
-    /// The loadgen's own `nvwa-metrics` snapshot (`validate` checks it).
-    pub fn metrics_snapshot(&self, meta: &SnapshotMeta) -> JsonValue {
-        self.metrics.snapshot(meta)
-    }
 }
 
-/// Per-tenant slice of a [`LoadReport`]: the same conservation identities
-/// (`sent == received + lost`,
-/// `received == ok + unmapped + shed + quota + deadline + errors`) hold
-/// per tenant.
-#[derive(Debug, Clone)]
-pub struct TenantReport {
-    /// Wire tenant label (`"default"` for unlabelled reads).
-    pub name: String,
-    /// Requests written for this tenant.
-    pub sent: u64,
-    /// Unique responses received.
-    pub received: u64,
-    /// Requests with no response.
-    pub lost: u64,
-    /// `ok` responses.
-    pub ok: u64,
-    /// `unmapped` responses (completed, no placement found).
-    pub unmapped: u64,
-    /// `shed` responses.
-    pub shed: u64,
-    /// `quota` responses.
-    pub quota: u64,
-    /// `deadline` responses.
-    pub deadline: u64,
-    /// `error` responses.
-    pub errors: u64,
-    /// `ok` responses carrying an alignment.
-    pub mapped: u64,
-    /// Client-observed latency for this tenant's completed responses.
-    pub latency: LatencySummary,
-}
-
-impl TenantReport {
-    fn from_tally(name: &str, t: Tally) -> TenantReport {
-        TenantReport {
-            name: name.to_string(),
-            sent: t.sent,
-            received: t.received,
-            lost: t.lost,
-            ok: t.ok,
-            unmapped: t.unmapped,
-            shed: t.shed,
-            quota: t.quota,
-            deadline: t.deadline,
-            errors: t.errors,
-            mapped: t.mapped,
-            latency: LatencySummary::from_us(t.latencies_us),
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("name", JsonValue::Str(self.name.clone())),
-            ("sent", JsonValue::Num(self.sent as f64)),
-            ("received", JsonValue::Num(self.received as f64)),
-            ("lost", JsonValue::Num(self.lost as f64)),
-            ("ok", JsonValue::Num(self.ok as f64)),
-            ("unmapped", JsonValue::Num(self.unmapped as f64)),
-            ("shed", JsonValue::Num(self.shed as f64)),
-            ("quota", JsonValue::Num(self.quota as f64)),
-            ("deadline", JsonValue::Num(self.deadline as f64)),
-            ("errors", JsonValue::Num(self.errors as f64)),
-            ("mapped", JsonValue::Num(self.mapped as f64)),
-            ("latency_us", self.latency.to_json()),
-        ])
-    }
-}
-
-/// One read of a multi-tenant mix (see [`run_tenants`]).
-#[derive(Debug, Clone)]
+/// One request of a load. Read `i` of the slice given to [`run`] is
+/// request id `i`.
+#[derive(Debug, Clone, Default)]
 pub struct TenantRead {
     /// Wire `tenant` label; `None` omits the field (the server routes to
     /// its default tenant), reported under the name `"default"`.
@@ -561,55 +460,23 @@ pub fn ref_params(total_len: usize) -> ReferenceParams {
     }
 }
 
-/// Synthesizes a read set against the same reference the server built
-/// (`ref_seed` must match the server's), so reads actually map.
+/// Simulates `n` reads of the `sim` profile from `genome` — the genome
+/// the server serves (from [`ref_params`] or a species profile), so the
+/// reads map. Each is an unlabelled `short` request; set a read's
+/// `tenant`, `mode` or `region` to route it otherwise.
 pub fn generate_reads(
-    params: &ReferenceParams,
-    ref_seed: u64,
-    read_seed: u64,
+    genome: &ReferenceGenome,
+    sim: ReadSimParams,
+    seed: u64,
     n: usize,
-) -> Vec<Vec<u8>> {
-    let genome = ReferenceGenome::synthesize(params, ref_seed);
-    let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), read_seed);
-    sim.simulate_reads(n)
+) -> Vec<TenantRead> {
+    ReadSimulator::new(genome, sim, seed)
+        .simulate_reads(n)
         .into_iter()
-        .map(|r| r.seq.codes().to_vec())
-        .collect()
-}
-
-/// Synthesizes a pure long-read set against the server's reference: every
-/// read is a `long_len` bp long-read simulation. The `long`/`classify`
-/// serving modes consume these (the minimizer-seeded pipeline needs reads
-/// long enough to chain; the Illumina 101 bp profile is too short to be
-/// representative).
-pub fn generate_long_reads(
-    params: &ReferenceParams,
-    ref_seed: u64,
-    read_seed: u64,
-    n: usize,
-    long_len: usize,
-) -> Vec<Vec<u8>> {
-    let genome = ReferenceGenome::synthesize(params, ref_seed);
-    let mut sim = ReadSimulator::new(&genome, ReadSimParams::long_read(long_len), read_seed);
-    sim.simulate_reads(n)
-        .into_iter()
-        .map(|r| r.seq.codes().to_vec())
-        .collect()
-}
-
-/// Synthesizes reads against a species tenant's reference (the
-/// server builds the same `Species::synthesize` genome, so reads map).
-pub fn generate_species_reads(
-    species: nvwa_genome::species::Species,
-    scale: f64,
-    read_seed: u64,
-    n: usize,
-) -> Vec<Vec<u8>> {
-    let genome = species.synthesize(scale);
-    let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), read_seed);
-    sim.simulate_reads(n)
-        .into_iter()
-        .map(|r| r.seq.codes().to_vec())
+        .map(|r| TenantRead {
+            codes: r.seq.codes().to_vec(),
+            ..TenantRead::default()
+        })
         .collect()
 }
 
@@ -636,153 +503,98 @@ impl Prng {
     }
 }
 
-/// One read as sent on the wire: global id plus tenant routing labels.
-#[derive(Clone, Copy)]
-struct WireRead<'a> {
-    id: u64,
-    tenant_idx: u32,
-    tenant: Option<&'a str>,
-    region: Option<u64>,
-    codes: &'a [u8],
-    mode: Mode,
-}
+/// The fate of one sent request: its answer's status, whether the answer
+/// carried an alignment, and the send → response latency in µs; `None`
+/// when no answer came (timeout or connection drop).
+type Fate = Option<(Status, bool, f64)>;
 
-/// Outcome counters and completed-request latencies of one slice of a
-/// run: a connection's total, or one tenant's share of it.
+/// A slice's counts while they are tallied, with the raw latency samples
+/// its summary is built from.
 #[derive(Default, Clone)]
 struct Tally {
-    sent: u64,
-    received: u64,
-    lost: u64,
-    ok: u64,
-    unmapped: u64,
-    shed: u64,
-    quota: u64,
-    deadline: u64,
-    errors: u64,
-    mapped: u64,
+    counts: Counts,
     latencies_us: Vec<f64>,
 }
 
 impl Tally {
-    /// One unique response: `mapped` is whether it carried an alignment,
-    /// `latency_us` its send → response time (kept for completed work).
-    fn record(&mut self, status: Status, mapped: bool, latency_us: f64) {
-        self.received += 1;
+    /// One sent request and its fate.
+    fn add(&mut self, fate: Fate) {
+        let c = &mut self.counts;
+        c.sent += 1;
+        let Some((status, mapped, latency_us)) = fate else {
+            c.lost += 1;
+            return;
+        };
+        c.received += 1;
         match status {
             Status::Ok => {
-                self.ok += 1;
-                self.mapped += u64::from(mapped);
+                c.ok += 1;
+                c.mapped += u64::from(mapped);
                 self.latencies_us.push(latency_us);
             }
             // A completed alignment attempt that found no placement:
             // latency counts toward the completion SLO, `mapped` does
             // not move.
             Status::Unmapped => {
-                self.unmapped += 1;
+                c.unmapped += 1;
                 self.latencies_us.push(latency_us);
             }
-            Status::Shed => self.shed += 1,
-            Status::Quota => self.quota += 1,
-            Status::Deadline => self.deadline += 1,
-            Status::Error => self.errors += 1,
+            Status::Shed => c.shed += 1,
+            Status::Quota => c.quota += 1,
+            Status::Deadline => c.deadline += 1,
+            Status::Error => c.errors += 1,
         }
     }
 
-    fn merge(&mut self, other: Tally) {
-        self.sent += other.sent;
-        self.received += other.received;
-        self.lost += other.lost;
-        self.ok += other.ok;
-        self.unmapped += other.unmapped;
-        self.shed += other.shed;
-        self.quota += other.quota;
-        self.deadline += other.deadline;
-        self.errors += other.errors;
-        self.mapped += other.mapped;
-        self.latencies_us.extend(other.latencies_us);
+    fn finish(self) -> Counts {
+        Counts {
+            latency: LatencySummary::from_us(self.latencies_us),
+            ..self.counts
+        }
     }
 }
 
-/// In-flight requests: `id → (send instant, tenant index)`. The tenant
-/// index keeps the per-tenant identities exact.
-type PendingSends = HashMap<u64, (Instant, u32)>;
+/// In-flight requests of one connection: `id → send instant`.
+type PendingSends = HashMap<u64, Instant>;
 
-/// Per-connection tally, merged into the final report.
-struct ConnTally {
-    total: Tally,
+/// What one connection hands back.
+#[derive(Default)]
+struct ConnResult {
+    /// Each request it sent, by id, with its fate.
+    fates: Vec<(usize, Fate)>,
+    /// Responses for an id already answered.
     duplicates: u64,
     responses: HashMap<u64, AlignResponse>,
-    tenants: Vec<Tally>,
 }
 
-impl ConnTally {
-    fn new(n_tenants: usize) -> ConnTally {
-        ConnTally {
-            total: Tally::default(),
-            duplicates: 0,
-            responses: HashMap::new(),
-            tenants: vec![Tally::default(); n_tenants.max(1)],
-        }
-    }
-
-    fn note_sent(&mut self, tenant_idx: u32, n: u64) {
-        self.total.sent += n;
-        self.tenants[tenant_idx as usize].sent += n;
-    }
-
-    fn note_lost(&mut self, pending: &PendingSends) {
-        self.total.lost += pending.len() as u64;
-        for (_, tenant_idx) in pending.values() {
-            self.tenants[*tenant_idx as usize].lost += 1;
-        }
-    }
-
-    fn record(&mut self, doc: &JsonValue, sent_at: &mut PendingSends, collect: bool) {
+impl ConnResult {
+    /// Files one response frame under its request, or as a duplicate.
+    fn record(&mut self, doc: &JsonValue, pending: &mut PendingSends, collect: bool) {
         let Ok(resp) = AlignResponse::decode(doc) else {
             return; // undecodable frame; the request will surface as lost
         };
-        let Some((at, tenant_idx)) = sent_at.remove(&resp.id) else {
+        let Some(at) = pending.remove(&resp.id) else {
             self.duplicates += 1;
             return;
         };
         let us = at.elapsed().as_secs_f64() * 1e6;
-        let mapped = resp.alignment.is_some();
-        self.total.record(resp.status, mapped, us);
-        self.tenants[tenant_idx as usize].record(resp.status, mapped, us);
+        let fate = Some((resp.status, resp.alignment.is_some(), us));
+        self.fates.push((resp.id as usize, fate));
         if collect {
             self.responses.insert(resp.id, resp);
         }
     }
 
-    fn merge(&mut self, other: ConnTally) {
-        self.total.merge(other.total);
-        self.duplicates += other.duplicates;
-        self.responses.extend(other.responses);
-        for (into, from) in self.tenants.iter_mut().zip(other.tenants) {
-            into.merge(from);
-        }
+    /// Files every request still pending as lost.
+    fn lose(&mut self, pending: &PendingSends) {
+        self.fates
+            .extend(pending.keys().map(|&id| (id as usize, None)));
     }
 }
 
-/// What the scraper thread hands back: validated snapshots, the failure
-/// count, and the first counted failure's reason.
+/// What the scraper hands back: validated snapshots, the failure count,
+/// and the first counted failure's reason.
 type Scrapes = (Vec<JsonValue>, u64, Option<String>);
-
-/// Handle to the mid-run stats scraper thread.
-struct Scraper {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Scrapes>,
-}
-
-impl Scraper {
-    fn stop_and_join(self) -> Scrapes {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle
-            .join()
-            .unwrap_or_else(|_| (Vec::new(), 1, Some("scraper thread panicked".to_string())))
-    }
-}
 
 /// How long the scraper's *first* scrape may retry before a failure is
 /// counted. The first scrape fires the instant the loadgen starts, which
@@ -791,52 +603,45 @@ impl Scraper {
 const SCRAPE_WARMUP: Duration = Duration::from_secs(2);
 
 /// Scrapes `stats` on a side connection: once immediately, then every
-/// `every` until stopped. Snapshots that fail schema validation are
+/// `every` until `stop` is set. Snapshots that fail schema validation are
 /// counted, not kept — a live endpoint that emits garbage is a failure.
 /// The immediate first scrape retries with bounded backoff (up to
 /// [`SCRAPE_WARMUP`]) before counting a failure, so a run no longer
 /// reports a phantom `scrape_failures: 1` just because the scraper beat
 /// the server's warmup.
-fn spawn_scraper(addr: String, every: Duration) -> Scraper {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        let mut snapshots = Vec::new();
-        let mut failures = 0u64;
-        let mut first_error = None;
-        let warmup_deadline = Instant::now() + SCRAPE_WARMUP;
-        let mut backoff = Duration::from_millis(10);
-        loop {
-            let scraped = fetch_stats(&addr)
-                .map_err(|e| format!("fetch: {e}"))
-                .and_then(|doc| validate(Kind::StatsResponse, &doc).map(|()| doc));
-            match scraped {
-                Ok(doc) => snapshots.push(doc),
-                Err(e) => {
-                    if snapshots.is_empty() && Instant::now() < warmup_deadline {
-                        // Still warming up: retry the first scrape instead
-                        // of counting it, unless the run is already over.
-                        if flag.load(Ordering::Relaxed) {
-                            return (snapshots, failures, first_error);
-                        }
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(Duration::from_millis(250));
-                        continue;
+fn scrape(addr: &str, every: Duration, stop: &AtomicBool) -> Scrapes {
+    let (mut snapshots, mut failures, mut first_error) = Scrapes::default();
+    let warmup_deadline = Instant::now() + SCRAPE_WARMUP;
+    let mut backoff = Duration::from_millis(10);
+    loop {
+        let scraped = fetch(addr, &Request::Stats)
+            .map_err(|e| format!("fetch: {e}"))
+            .and_then(|doc| validate(Kind::StatsResponse, &doc).map(|()| doc));
+        match scraped {
+            Ok(doc) => snapshots.push(doc),
+            Err(e) => {
+                if snapshots.is_empty() && Instant::now() < warmup_deadline {
+                    // Still warming up: retry the first scrape instead of
+                    // counting it, unless the run is already over.
+                    if stop.load(Ordering::Relaxed) {
+                        return (snapshots, failures, first_error);
                     }
-                    failures += 1;
-                    first_error.get_or_insert(e);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(Duration::from_millis(250));
+                    continue;
                 }
-            }
-            let until = Instant::now() + every;
-            while Instant::now() < until {
-                if flag.load(Ordering::Relaxed) {
-                    return (snapshots, failures, first_error);
-                }
-                std::thread::sleep(Duration::from_millis(2));
+                failures += 1;
+                first_error.get_or_insert(e);
             }
         }
-    });
-    Scraper { stop, handle }
+        let until = Instant::now() + every;
+        while Instant::now() < until {
+            if stop.load(Ordering::Relaxed) {
+                return (snapshots, failures, first_error);
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
 }
 
 fn connect(addr: &str) -> std::io::Result<TcpStream> {
@@ -846,306 +651,220 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn align_request(r: &WireRead<'_>, deadline_ms: Option<u64>) -> JsonValue {
-    Request::Align {
-        id: r.id,
-        codes: r.codes.to_vec(),
-        deadline_ms,
-        tenant: r.tenant.map(str::to_string),
-        region: r.region,
-        mode: r.mode,
-    }
-    .encode()
+/// What every connection of a run shares.
+struct Load<'a> {
+    addr: &'a str,
+    reads: &'a [TenantRead],
+    config: &'a LoadgenConfig,
 }
 
-/// One closed-loop connection: keep `window` requests in flight.
-fn closed_conn(
-    addr: &str,
-    reads: &[WireRead<'_>],
-    n_tenants: usize,
-    window: usize,
-    deadline_ms: Option<u64>,
-    collect: bool,
-) -> std::io::Result<ConnTally> {
-    let mut stream = connect(addr)?;
-    let mut tally = ConnTally::new(n_tenants);
-    let mut sent_at: PendingSends = HashMap::new();
+impl Load<'_> {
+    /// The wire request of read `id`.
+    fn request(&self, id: usize) -> JsonValue {
+        let r = &self.reads[id];
+        Request::Align {
+            id: id as u64,
+            codes: r.codes.clone(),
+            deadline_ms: self.config.deadline_ms,
+            tenant: r.tenant.clone(),
+            region: r.region,
+            mode: r.mode,
+        }
+        .encode()
+    }
+}
+
+/// One closed-loop connection over reads `ids`: keep `window` requests in
+/// flight.
+fn closed_conn(load: &Load<'_>, ids: &[usize], window: usize) -> std::io::Result<ConnResult> {
+    let mut stream = connect(load.addr)?;
+    let mut conn = ConnResult::default();
+    let mut pending = PendingSends::new();
     let mut next = 0usize;
     let window = window.max(1);
-    while next < reads.len() || !sent_at.is_empty() {
-        while next < reads.len() && sent_at.len() < window {
-            let r = &reads[next];
-            write_frame(&mut stream, &align_request(r, deadline_ms))?;
-            sent_at.insert(r.id, (Instant::now(), r.tenant_idx));
-            tally.note_sent(r.tenant_idx, 1);
+    while next < ids.len() || !pending.is_empty() {
+        while next < ids.len() && pending.len() < window {
+            write_frame(&mut stream, &load.request(ids[next]))?;
+            pending.insert(ids[next] as u64, Instant::now());
             next += 1;
         }
         match read_frame(&mut stream) {
-            Ok(Some(doc)) => tally.record(&doc, &mut sent_at, collect),
-            Ok(None) => break,
-            Err(_) => break,
+            Ok(Some(doc)) => conn.record(&doc, &mut pending, load.config.collect_responses),
+            Ok(None) | Err(_) => break,
         }
     }
-    tally.note_lost(&sent_at);
-    Ok(tally)
+    conn.lose(&pending);
+    Ok(conn)
 }
 
-/// Open-loop injection parameters (bundled to keep `open_conn`'s
-/// signature sane).
-struct OpenLoop {
-    rate_rps: f64,
-    burst: usize,
-    deadline_ms: Option<u64>,
-    seed: u64,
-    collect: bool,
-}
-
-/// One open-loop connection: a sender thread injects on schedule while
-/// this thread drains responses.
+/// One open-loop connection over reads `ids`: a sender thread injects on
+/// schedule while this thread drains responses.
 fn open_conn(
-    addr: &str,
-    reads: &[WireRead<'_>],
-    n_tenants: usize,
-    opts: OpenLoop,
-) -> std::io::Result<ConnTally> {
-    let OpenLoop {
-        rate_rps,
-        burst,
-        deadline_ms,
-        seed,
-        collect,
-    } = opts;
-    let mut write_half = connect(addr)?;
+    load: &Load<'_>,
+    ids: &[usize],
+    (rate_rps, burst): (f64, usize),
+    seed: u64,
+) -> std::io::Result<ConnResult> {
+    let mut write_half = connect(load.addr)?;
     let mut read_half = write_half.try_clone()?;
-    let sent_at: Mutex<PendingSends> = Mutex::new(HashMap::new());
+    let pending: Mutex<PendingSends> = Mutex::new(HashMap::new());
     let sender_done = AtomicBool::new(false);
-    let mut tally = ConnTally::new(n_tenants);
+    let mut conn = ConnResult::default();
     std::thread::scope(|scope| {
-        let (pending, done) = (&sent_at, &sender_done);
-        let sender = scope.spawn(move || -> Vec<u64> {
+        let (pending, done) = (&pending, &sender_done);
+        scope.spawn(move || {
             let mut prng = Prng(seed ^ 0xda7a_5eed);
             let burst = burst.max(1);
             let epoch_rate = (rate_rps / burst as f64).max(1e-6);
             let start = Instant::now();
             let mut at = 0.0f64;
-            let mut sent = vec![0u64; n_tenants.max(1)];
-            for chunk in reads.chunks(burst) {
+            for chunk in ids.chunks(burst) {
                 at += prng.next_exp(epoch_rate);
                 let due = start + Duration::from_secs_f64(at);
                 let now = Instant::now();
                 if due > now {
                     std::thread::sleep(due - now);
                 }
-                for r in chunk {
-                    lock(pending).insert(r.id, (Instant::now(), r.tenant_idx));
-                    if write_frame(&mut write_half, &align_request(r, deadline_ms)).is_err() {
-                        lock(pending).remove(&r.id);
-                        done.store(true, Ordering::SeqCst);
-                        return sent;
+                for &id in chunk {
+                    {
+                        let mut pending = lock(pending);
+                        pending.insert(id as u64, Instant::now());
+                        // Done is set before the last write, under the
+                        // lock the reader checks it with: the last answer
+                        // can land before `write_frame` returns, and the
+                        // reader must then find done and an empty map
+                        // rather than wait out the response timeout.
+                        if ids.last() == Some(&id) {
+                            done.store(true, Ordering::SeqCst);
+                        }
                     }
-                    sent[r.tenant_idx as usize] += 1;
+                    if write_frame(&mut write_half, &load.request(id)).is_err() {
+                        lock(pending).remove(&(id as u64));
+                        done.store(true, Ordering::SeqCst);
+                        return;
+                    }
                 }
             }
-            let _ = write_half.flush();
             done.store(true, Ordering::SeqCst);
-            sent
         });
         loop {
-            if sender_done.load(Ordering::Relaxed) && lock(&sent_at).is_empty() {
+            if lock(pending).is_empty() && done.load(Ordering::SeqCst) {
                 break;
             }
             match read_frame(&mut read_half) {
                 Ok(Some(doc)) => {
-                    let mut pending = lock(&sent_at);
-                    tally.record(&doc, &mut pending, collect);
+                    conn.record(&doc, &mut lock(pending), load.config.collect_responses);
                 }
-                Ok(None) => break,
-                Err(_) => break, // timeout — remainder is lost
+                Ok(None) | Err(_) => break, // closed or timed out: the rest is lost
             }
         }
-        let sent_per_tenant = sender.join().unwrap_or_default();
-        for (i, n) in sent_per_tenant.iter().enumerate() {
-            tally.note_sent(i as u32, *n);
-        }
     });
-    tally.note_lost(&lock(&sent_at));
-    Ok(tally)
+    conn.lose(&lock(&pending));
+    Ok(conn)
 }
 
-/// Runs the load against `addr`. Read `i` of `reads` is request id `i`.
-/// Requests carry no tenant label (the server routes to its default
-/// tenant) and the report's `tenants` array is empty.
+/// Runs the load against `addr`. Read `i` of `reads` is request id `i`,
+/// sent with its own mode, `tenant` label and region hint; connections
+/// take the reads round-robin. The report gets one [`TenantReport`] per
+/// distinct label (in order of first appearance; `None` is reported as
+/// `"default"`), each proving the conservation identities for its slice
+/// of the traffic.
 ///
 /// # Errors
 ///
 /// Returns connection errors; per-request failures are tallied, not
 /// returned.
-pub fn run(addr: &str, reads: &[Vec<u8>], config: &LoadgenConfig) -> std::io::Result<LoadReport> {
-    let wire: Vec<WireRead<'_>> = reads
-        .iter()
-        .enumerate()
-        .map(|(i, codes)| WireRead {
-            id: i as u64,
-            tenant_idx: 0,
-            tenant: None,
-            region: None,
-            codes: codes.as_slice(),
-            mode: config.request_mode,
-        })
-        .collect();
-    run_impl(addr, &wire, &[], config)
-}
-
-/// Runs a multi-tenant mix against `addr`. Read `i` of `reads` is request
-/// id `i`; each read carries its wire `tenant` label. The report gets one
-/// [`TenantReport`] per distinct label (in order of first appearance;
-/// `None` is reported as `"default"`), each proving the conservation
-/// identities for its slice of the traffic.
-///
-/// # Errors
-///
-/// Returns connection errors; per-request failures are tallied, not
-/// returned.
-pub fn run_tenants(
+pub fn run(
     addr: &str,
     reads: &[TenantRead],
     config: &LoadgenConfig,
 ) -> std::io::Result<LoadReport> {
-    let mut labels: Vec<String> = Vec::new();
-    let mut wire: Vec<WireRead<'_>> = Vec::with_capacity(reads.len());
-    for (i, read) in reads.iter().enumerate() {
-        let label = read.tenant.as_deref().unwrap_or("default");
-        let tenant_idx = match labels.iter().position(|l| l == label) {
-            Some(pos) => pos,
-            None => {
-                labels.push(label.to_string());
-                labels.len() - 1
-            }
-        } as u32;
-        wire.push(WireRead {
-            id: i as u64,
-            tenant_idx,
-            tenant: read.tenant.as_deref(),
-            region: read.region,
-            codes: &read.codes,
-            mode: read.mode,
-        });
-    }
-    run_impl(addr, &wire, &labels, config)
-}
-
-fn run_impl(
-    addr: &str,
-    wire: &[WireRead<'_>],
-    labels: &[String],
-    config: &LoadgenConfig,
-) -> std::io::Result<LoadReport> {
+    let load = Load {
+        addr,
+        reads,
+        config,
+    };
     let connections = config.connections.max(1);
-    let n_tenants = labels.len().max(1);
-    // Round-robin partition, global ids preserved.
-    let partitions: Vec<Vec<WireRead<'_>>> = (0..connections)
-        .map(|c| wire.iter().skip(c).step_by(connections).copied().collect())
-        .collect();
-    let scraper = config
-        .scrape_every
-        .map(|every| spawn_scraper(addr.to_string(), every));
+    let stop_scraping = AtomicBool::new(false);
     let start = Instant::now();
-    let tallies: Vec<std::io::Result<ConnTally>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .enumerate()
-            .map(|(c, part)| {
-                let mode = config.mode;
-                let deadline_ms = config.deadline_ms;
-                let collect = config.collect_responses;
-                let seed = config.arrival_seed.wrapping_add(c as u64);
-                scope.spawn(move || match mode {
-                    ArrivalMode::Closed { window } => {
-                        closed_conn(addr, part, n_tenants, window, deadline_ms, collect)
+    let (conns, wall_ms, scrapes) = std::thread::scope(|scope| {
+        let stop = &stop_scraping;
+        let scraper =
+            (config.scrape_every).map(|every| scope.spawn(move || scrape(addr, every, stop)));
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                let ids: Vec<usize> = (c..reads.len()).step_by(connections).collect();
+                let load = &load;
+                scope.spawn(move || match config.mode {
+                    ArrivalMode::Closed { window } => closed_conn(load, &ids, window),
+                    ArrivalMode::Open { rate_rps, burst } => {
+                        open_conn(load, &ids, (rate_rps, burst), ARRIVAL_SEED + c as u64)
                     }
-                    ArrivalMode::Open { rate_rps, burst } => open_conn(
-                        addr,
-                        part,
-                        n_tenants,
-                        OpenLoop {
-                            rate_rps,
-                            burst,
-                            deadline_ms,
-                            seed,
-                            collect,
-                        },
-                    ),
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let conns: Vec<std::io::Result<ConnResult>> = (handles.into_iter())
+            .map(|h| h.join().expect("connection thread panicked"))
+            .collect();
+        let wall_ms = (start.elapsed().as_secs_f64() * 1e3).max(0.001);
+        // The scraper must be down before the caller drains the server: a
+        // scrape racing shutdown would count a refused connection as a
+        // failure.
+        stop_scraping.store(true, Ordering::SeqCst);
+        let scrapes = scraper.map_or_else(Scrapes::default, |h| {
+            let panicked = || (Vec::new(), 1, Some("scraper thread panicked".to_string()));
+            h.join().unwrap_or_else(|_| panicked())
+        });
+        (conns, wall_ms, scrapes)
     });
-    let wall_ms = (start.elapsed().as_secs_f64() * 1e3).max(0.001);
-    let mut merged = ConnTally::new(n_tenants);
-    for tally in tallies {
-        merged.merge(tally?);
+    let (stats_snapshots, scrape_failures, scrape_first_error) = scrapes;
+
+    let mut labels: Vec<&str> = Vec::new();
+    let label_of: Vec<usize> = reads
+        .iter()
+        .map(|r| {
+            let name = r.tenant.as_deref().unwrap_or("default");
+            labels.iter().position(|l| *l == name).unwrap_or_else(|| {
+                labels.push(name);
+                labels.len() - 1
+            })
+        })
+        .collect();
+    let mut total = Tally::default();
+    let mut by_label = vec![Tally::default(); labels.len()];
+    let (mut duplicates, mut responses) = (0, HashMap::new());
+    for conn in conns {
+        let conn = conn?;
+        for (id, fate) in conn.fates {
+            total.add(fate);
+            by_label[label_of[id]].add(fate);
+        }
+        duplicates += conn.duplicates;
+        responses.extend(conn.responses);
     }
-    // The scraper must be down before the drain starts: a scrape racing
-    // shutdown would count a refused connection as a failure.
-    let (stats_snapshots, scrape_failures, scrape_first_error) = match scraper {
-        Some(s) => s.stop_and_join(),
-        None => (Vec::new(), 0, None),
-    };
-    if config.shutdown_after {
-        let _ = send_shutdown(addr);
-    }
-    let mut metrics = MetricsRegistry::new();
-    let lat = metrics.histogram("loadgen.latency_us");
-    for v in &merged.total.latencies_us {
-        metrics.observe(lat, *v as u64);
-    }
-    let mut report = LoadReport {
-        duplicates: merged.duplicates,
+    let total = total.finish();
+    Ok(LoadReport {
+        mode: config.mode.as_str(),
+        throughput_rps: total.received as f64 / (wall_ms / 1e3),
+        total,
         tenants: labels
-            .iter()
-            .zip(merged.tenants)
-            .map(|(name, t)| TenantReport::from_tally(name, t))
+            .into_iter()
+            .zip(by_label)
+            .map(|(name, slice)| TenantReport {
+                name: name.to_string(),
+                counts: slice.finish(),
+            })
             .collect(),
-        responses: merged.responses,
+        duplicates,
+        connections: connections as u64,
+        reads: reads.len() as u64,
+        wall_ms,
+        responses,
         stats_snapshots,
         scrape_failures,
         scrape_first_error,
-        metrics,
-        ..LoadReport::from_tally(
-            config.mode.as_str(),
-            connections as u64,
-            wire.len() as u64,
-            wall_ms,
-            merged.total,
-        )
-    };
-    for (name, v) in [
-        ("loadgen.sent", report.sent),
-        ("loadgen.received", report.received),
-        ("loadgen.lost", report.lost),
-        ("loadgen.duplicates", report.duplicates),
-        ("loadgen.responses_ok", report.ok),
-        ("loadgen.unmapped", report.unmapped),
-        ("loadgen.shed", report.shed),
-        ("loadgen.quota", report.quota),
-        ("loadgen.deadline", report.deadline),
-        ("loadgen.errors", report.errors),
-        ("loadgen.mapped", report.mapped),
-        (
-            "loadgen.scrape_snapshots",
-            report.stats_snapshots.len() as u64,
-        ),
-        ("loadgen.scrape_failures", report.scrape_failures),
-    ] {
-        let id = report.metrics.counter(name);
-        report.metrics.inc(id, v);
-    }
-    let gauge = report.metrics.gauge("loadgen.throughput_rps");
-    report.metrics.set_gauge(gauge, report.throughput_rps);
-    let gauge = report.metrics.gauge("loadgen.connections");
-    report.metrics.set_gauge(gauge, connections as f64);
-    report.slo = evaluate_slo(&report, &config.slo);
-    Ok(report)
+        slo: Vec::new(),
+    })
 }
 
 /// Sends a `shutdown` request on a fresh connection and waits for the ack.
@@ -1160,36 +879,23 @@ pub fn send_shutdown(addr: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Sends one control request on a fresh connection and returns the reply.
-fn fetch(addr: &str, request: &Request, what: &str) -> std::io::Result<JsonValue> {
+/// Sends one control request (`Request::Stats` for the metrics snapshot,
+/// `Request::Flight` for the flight-recorder dump) on a fresh connection
+/// and returns the reply.
+///
+/// # Errors
+///
+/// Returns connection errors, or `InvalidData` if the server closed
+/// without answering.
+pub fn fetch(addr: &str, request: &Request) -> std::io::Result<JsonValue> {
     let mut stream = connect(addr)?;
     write_frame(&mut stream, &request.encode())?;
     read_frame(&mut stream)?.ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("server closed before answering {what}"),
+            format!("server closed before answering {request:?}"),
         )
     })
-}
-
-/// Fetches the server's metrics snapshot on a fresh connection.
-///
-/// # Errors
-///
-/// Returns connection errors, or `InvalidData` if the server closed
-/// without answering.
-pub fn fetch_stats(addr: &str) -> std::io::Result<JsonValue> {
-    fetch(addr, &Request::Stats, "stats")
-}
-
-/// Fetches the server's flight-recorder dump on a fresh connection.
-///
-/// # Errors
-///
-/// Returns connection errors, or `InvalidData` if the server closed
-/// without answering.
-pub fn fetch_flight(addr: &str) -> std::io::Result<JsonValue> {
-    fetch(addr, &Request::Flight, "flight")
 }
 
 #[cfg(test)]
@@ -1220,33 +926,65 @@ mod tests {
         }
     }
 
+    /// The first three splitmix64 words for seed 42. `nvwa_testkit::Prng`
+    /// pins the same vector: one stream, one seed convention in both copies.
+    #[test]
+    fn prng_matches_the_splitmix64_known_answers() {
+        let mut p = Prng(42);
+        let words = [p.next_u64(), p.next_u64(), p.next_u64()];
+        assert_eq!(
+            words,
+            [
+                0xbdd7_3226_2feb_6e95,
+                0x28ef_e333_b266_f103,
+                0x4752_6757_130f_9f52
+            ]
+        );
+    }
+
     fn empty_report() -> LoadReport {
-        LoadReport::from_tally("closed", 1, 0, 1.0, Tally::default())
+        LoadReport {
+            mode: "closed",
+            total: Counts::default(),
+            tenants: Vec::new(),
+            duplicates: 0,
+            connections: 1,
+            reads: 0,
+            wall_ms: 1.0,
+            throughput_rps: 0.0,
+            responses: HashMap::new(),
+            stats_snapshots: Vec::new(),
+            scrape_failures: 0,
+            scrape_first_error: None,
+            slo: Vec::new(),
+        }
+    }
+
+    /// Counts of the given outcomes, `sent == received` and
+    /// `mapped == ok`.
+    fn counts(ok: u64, unmapped: u64, shed: u64, quota: u64, latency: &[f64]) -> Counts {
+        let received = ok + unmapped + shed + quota;
+        Counts {
+            sent: received,
+            received,
+            ok,
+            unmapped,
+            shed,
+            quota,
+            mapped: ok,
+            latency: LatencySummary::from_us(latency.to_vec()),
+            ..Counts::default()
+        }
     }
 
     #[test]
     fn unmapped_responses_keep_the_report_conserved() {
         let mut report = empty_report();
-        report.sent = 10;
-        report.received = 10;
-        report.ok = 6;
-        report.unmapped = 2;
-        report.shed = 2;
-        report.mapped = 6;
-        report.latency = LatencySummary::from_us(vec![10.0; 8]);
-        report.tenants = vec![TenantReport::from_tally(
-            "default",
-            Tally {
-                sent: 10,
-                received: 10,
-                ok: 6,
-                unmapped: 2,
-                shed: 2,
-                mapped: 6,
-                latencies_us: vec![10.0; 8],
-                ..Tally::default()
-            },
-        )];
+        report.total = counts(6, 2, 2, 0, &[10.0; 8]);
+        report.tenants = vec![TenantReport {
+            name: "default".to_string(),
+            counts: report.total.clone(),
+        }];
         let doc = report.to_json();
         validate(Kind::LoadgenReport, &doc).unwrap();
         assert!(doc.to_string_compact().contains("\"unmapped\":2"));
@@ -1280,12 +1018,8 @@ mod tests {
     #[test]
     fn slo_grading_bounds_rates_latencies_and_throughput() {
         let mut report = empty_report();
-        report.sent = 100;
-        report.received = 100;
-        report.ok = 90;
-        report.shed = 10;
+        report.total = counts(90, 0, 10, 0, &[10.0, 20.0, 30.0]);
         report.throughput_rps = 250.0;
-        report.latency = LatencySummary::from_us(vec![10.0, 20.0, 30.0]);
         let targets = vec![
             SloTarget::parse("p99_us=30").unwrap(),
             SloTarget::parse("shed_rate=0.05").unwrap(),
@@ -1303,35 +1037,16 @@ mod tests {
     #[test]
     fn quota_rate_slo_and_tenant_sections_validate() {
         let mut report = empty_report();
-        report.sent = 100;
-        report.received = 100;
-        report.ok = 80;
-        report.quota = 20;
-        report.mapped = 80;
+        report.total = counts(80, 0, 0, 20, &[4.0, 5.0, 7.0]);
         report.tenants = vec![
-            TenantReport::from_tally(
-                "homo_sapiens",
-                Tally {
-                    sent: 50,
-                    received: 50,
-                    ok: 30,
-                    quota: 20,
-                    mapped: 30,
-                    latencies_us: vec![5.0, 7.0],
-                    ..Tally::default()
-                },
-            ),
-            TenantReport::from_tally(
-                "mus_musculus",
-                Tally {
-                    sent: 50,
-                    received: 50,
-                    ok: 50,
-                    mapped: 50,
-                    latencies_us: vec![4.0],
-                    ..Tally::default()
-                },
-            ),
+            TenantReport {
+                name: "homo_sapiens".to_string(),
+                counts: counts(30, 0, 0, 20, &[5.0, 7.0]),
+            },
+            TenantReport {
+                name: "mus_musculus".to_string(),
+                counts: counts(50, 0, 0, 0, &[4.0]),
+            },
         ];
         let targets = vec![
             SloTarget::parse("quota_rate=0.25").unwrap(),
@@ -1352,22 +1067,52 @@ mod tests {
         assert!(!checks[0].pass, "a bound with no samples is not proven");
     }
 
+    /// An open-loop run ends when its last answer lands, however early
+    /// that answer comes. This server answers each frame as soon as it has
+    /// read the frame's length, and only then, after a pause, reads the
+    /// body. The last read is larger than the loopback socket buffers
+    /// (4 MB of send buffer at most), so its answer lands while the sender
+    /// is still blocked inside `write_frame`; the reader must not then
+    /// wait out the response timeout.
     #[test]
-    fn loadgen_metrics_snapshot_validates() {
-        let mut report = empty_report();
-        let id = report.metrics.counter("loadgen.sent");
-        report.metrics.inc(id, 7);
-        let meta = SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
+    fn open_loop_run_ends_when_the_last_answer_lands() {
+        use std::io::Read as _;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut len = [0u8; 4];
+            // One connection sends the reads in order: frame `id` is read `id`.
+            for id in 0.. {
+                if conn.read_exact(&mut len).is_err() {
+                    break;
+                }
+                write_frame(&mut conn, &AlignResponse::unmapped(id, 1).encode()).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                let body = u64::from(u32::from_be_bytes(len));
+                std::io::copy(&mut (&conn).take(body), &mut std::io::sink()).unwrap();
+            }
+        });
+        let read = |len| TenantRead {
+            codes: vec![2; len],
+            ..TenantRead::default()
         };
-        let snap = report.metrics_snapshot(&meta);
-        validate(Kind::MetricsSnapshot, &snap).unwrap();
-        assert_eq!(
-            snap.get("counters")
-                .and_then(|c| c.get("loadgen.sent"))
-                .and_then(JsonValue::as_num),
-            Some(7.0)
+        let config = LoadgenConfig {
+            connections: 1,
+            mode: ArrivalMode::Open {
+                rate_rps: 1_000.0,
+                burst: 1,
+            },
+            ..LoadgenConfig::default()
+        };
+        let report = run(&addr, &[read(100), read(100), read(8 << 20)], &config).unwrap();
+        server.join().unwrap();
+        assert!(report.is_lossless(), "{report:?}");
+        assert_eq!(report.total.unmapped, 3);
+        assert!(
+            report.wall_ms < RESPONSE_TIMEOUT.as_secs_f64() * 1e3 / 10.0,
+            "3 requests answered at once took {} ms",
+            report.wall_ms
         );
     }
 }

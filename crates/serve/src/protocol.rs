@@ -142,9 +142,10 @@ fn wire_str<'a>(doc: &'a JsonValue, key: &str) -> Result<Option<&'a str>, String
 
 /// The processing pipeline a request asks for. The wire default is
 /// [`Mode::Short`], so documents from pre-mode clients decode unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Seed-and-extend short-read alignment (the original request type).
+    #[default]
     Short,
     /// Minimizer-seed → chain → GACT-tile long-read alignment.
     Long,

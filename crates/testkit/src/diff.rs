@@ -41,11 +41,11 @@ use nvwa_align::pipeline::{
 };
 use nvwa_align::scoring::Scoring;
 use nvwa_align::sw::{self, DpScratch};
-use nvwa_genome::ReferenceGenome;
+use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_index::fmd_index::{FmdIndex, PrefixLut};
 use nvwa_index::smem::{collect_smems_into, oracle, Smem, SmemConfig, SmemScratch};
 use nvwa_index::{NullTrace, VecTrace};
-use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
+use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::WireAlignment;
 use nvwa_serve::{Server, ServerConfig, Tenant};
 use nvwa_telemetry::JsonValue;
@@ -975,7 +975,7 @@ pub(crate) fn wire_matches(wire: &Option<WireAlignment>, offline: &Option<Alignm
 /// divergences).
 fn serve_round(
     index: &Arc<ReferenceIndex>,
-    reads: &[Vec<u8>],
+    reads: &[TenantRead],
 ) -> Result<Option<(u64, String)>, String> {
     let server = Server::start(
         vec![Tenant::single(Arc::clone(index))],
@@ -998,10 +998,11 @@ fn serve_round(
     )
     .map_err(|e| format!("loadgen: {e}"))?;
     server.shutdown();
-    if !report.is_lossless() || report.ok != reads.len() as u64 {
+    let total = &report.total;
+    if !report.is_lossless() || total.ok != reads.len() as u64 {
         return Err(format!(
             "transport not clean: sent {} ok {} lost {} duplicates {}",
-            report.sent, report.ok, report.lost, report.duplicates
+            total.sent, total.ok, total.lost, report.duplicates
         ));
     }
     let aligner = SoftwareAligner::new(index, AlignerConfig::default());
@@ -1013,7 +1014,7 @@ fn serve_round(
             .get(&id)
             .ok_or_else(|| format!("response for read {id} missing despite ok count"))?;
         let offline = aligner
-            .align_codes_fast(id, &reads[id as usize], &mut scratch)
+            .align_codes_fast(id, &reads[id as usize].codes, &mut scratch)
             .alignment;
         if !wire_matches(&resp.alignment, &offline) {
             let served = match &resp.alignment {
@@ -1049,10 +1050,10 @@ pub fn run_serve_family(
     reads: usize,
     repro_dir: Option<&Path>,
 ) -> Result<String, Divergence> {
-    let params = ref_params(SERVE_REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, seed);
+    let genome = ReferenceGenome::synthesize(&ref_params(SERVE_REF_LEN), seed);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
-    let read_list = loadgen::generate_reads(&params, seed, seed ^ 0x52EA_D004, reads);
+    let sim = ReadSimParams::illumina_101();
+    let read_list = loadgen::generate_reads(&genome, sim, seed ^ 0x52EA_D004, reads);
     let first = match serve_round(&index, &read_list) {
         Ok(None) => {
             return Ok(format!(
@@ -1073,15 +1074,17 @@ pub fn run_serve_family(
             ));
         }
     };
-    let mut fails = |subset: &[Vec<u8>]| matches!(serve_round(&index, subset), Ok(Some(_)));
+    let mut fails = |subset: &[TenantRead]| matches!(serve_round(&index, subset), Ok(Some(_)));
     let minimal_set = minimize_set(&read_list, &mut fails);
-    let shrunk: Vec<Vec<u8>> = (0..minimal_set.len())
+    let shrunk: Vec<TenantRead> = (0..minimal_set.len())
         .map(|i| {
             let mut set = minimal_set.clone();
-            shrink_read(&minimal_set[i], &mut |r| {
-                set[i] = r.to_vec();
+            let mut read = minimal_set[i].clone();
+            read.codes = shrink_read(&read.codes, &mut |r| {
+                set[i].codes = r.to_vec();
                 matches!(serve_round(&index, &set), Ok(Some(_)))
-            })
+            });
+            read
         })
         .collect();
     let detail = match serve_round(&index, &shrunk) {
@@ -1093,7 +1096,7 @@ pub fn run_serve_family(
         "serve.vs_offline",
         detail,
         seed,
-        shrunk.iter().map(|r| codes_to_dna(r)).collect(),
+        shrunk.iter().map(|r| codes_to_dna(&r.codes)).collect(),
         repro_dir,
     ))
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nvwa_align::pipeline::ReferenceIndex;
-use nvwa_genome::ReferenceGenome;
+use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa_serve::protocol::{read_frame, AlignResponse, Mode, Request, MAX_FRAME_BYTES};
 use nvwa_serve::{
@@ -34,6 +34,7 @@ use nvwa_serve::{
 use nvwa_telemetry::snapshot::{validate, Kind};
 use nvwa_telemetry::JsonValue;
 
+use crate::tenancy::interleave_tenants;
 use crate::Prng;
 
 /// Reference length of the fault fixtures (small: plans start their own
@@ -360,8 +361,7 @@ fn run_frame_fuzz(addr: &str, prng: &mut Prng) -> Result<u64, String> {
 /// summary (no counts that depend on thread or socket timing); `Err`
 /// names the violated invariant.
 pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
-    let params = ref_params(FAULT_REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, plan.seed);
+    let genome = ReferenceGenome::synthesize(&ref_params(FAULT_REF_LEN), plan.seed);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
     let mut prng = Prng(plan.seed ^ 0xFA17_0005);
 
@@ -426,7 +426,8 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
             },
         ),
     };
-    let read_list = loadgen::generate_reads(&params, plan.seed, plan.seed ^ 0x5EAD_0006, reads);
+    let sim = ReadSimParams::illumina_101();
+    let read_list = loadgen::generate_reads(&genome, sim, plan.seed ^ 0x5EAD_0006, reads);
 
     let server = Server::start(vec![Tenant::single(Arc::clone(&index))], config)
         .map_err(|e| format!("start: {e}"))?;
@@ -473,6 +474,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
 
     // Well-behaved traffic through (or after) the fault.
     let report = loadgen::run(&addr, &read_list, &load).map_err(|e| format!("loadgen: {e}"))?;
+    let total = &report.total;
 
     // Clean drain: shutdown must join every thread and return the hub.
     let metrics = server.shutdown();
@@ -482,29 +484,29 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
         return Err(format!(
             "{}: lost {} duplicates {} — exactly-once violated",
             plan.kind.name(),
-            report.lost,
+            total.lost,
             report.duplicates
         ));
     }
-    if report.received != report.sent {
+    if total.received != total.sent {
         return Err(format!(
             "{}: sent {} but received {}",
             plan.kind.name(),
-            report.sent,
-            report.received
+            total.sent,
+            total.received
         ));
     }
-    let by_status = report.ok + report.unmapped + report.shed + report.deadline + report.errors;
-    if by_status != report.received {
+    let by_status = total.ok + total.unmapped + total.shed + total.deadline + total.errors;
+    if by_status != total.received {
         return Err(format!(
             "{}: statuses do not conserve: ok {} + unmapped {} + shed {} + deadline {} + errors {} != received {}",
             plan.kind.name(),
-            report.ok,
-            report.unmapped,
-            report.shed,
-            report.deadline,
-            report.errors,
-            report.received
+            total.ok,
+            total.unmapped,
+            total.shed,
+            total.deadline,
+            total.errors,
+            total.received
         ));
     }
 
@@ -522,10 +524,10 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                     metrics.counter("serve.worker_panics")
                 ));
             }
-            if report.errors == 0 {
+            if total.errors == 0 {
                 return Err("worker_panic: no request was answered error".to_string());
             }
-            if report.ok == 0 {
+            if total.ok == 0 {
                 return Err("worker_panic: service did not continue after the panic".to_string());
             }
             // The panic must have frozen a flight-recorder dump on disk.
@@ -538,25 +540,25 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 .map_err(|e| format!("worker_panic: flight dump: {e}"))?;
         }
         FaultKind::QueueStorm => {
-            if report.shed == 0 {
+            if total.shed == 0 {
                 return Err(
                     "queue_storm: nothing shed despite queue_capacity 2 and 256 in flight"
                         .to_string(),
                 );
             }
-            if report.ok == 0 {
+            if total.ok == 0 {
                 return Err("queue_storm: nothing served through the storm".to_string());
             }
         }
         FaultKind::TruncatedFrame | FaultKind::MidFrameDisconnect => {
             // Silent drop: the attack produces no protocol-error response,
             // and the well-behaved run must be fully ok.
-            if report.ok != report.received {
+            if total.ok != total.received {
                 return Err(format!(
                     "{}: well-behaved traffic degraded: ok {} of {}",
                     plan.kind.name(),
-                    report.ok,
-                    report.received
+                    total.ok,
+                    total.received
                 ));
             }
         }
@@ -623,8 +625,7 @@ fn check_span_accounting(metrics: &ServeMetrics, plan: &str) -> Result<(), Strin
 ///
 /// Names the violated invariant (server start/loadgen failures included).
 pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, String> {
-    let params = ref_params(FAULT_REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, seed);
+    let genome = ReferenceGenome::synthesize(&ref_params(FAULT_REF_LEN), seed);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
     let config = ServerConfig {
         workers,
@@ -639,7 +640,8 @@ pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, S
         },
         ..ServerConfig::default()
     };
-    let reads = loadgen::generate_reads(&params, seed, seed ^ 0x5EAD_0006, 120);
+    let sim = ReadSimParams::illumina_101();
+    let reads = loadgen::generate_reads(&genome, sim, seed ^ 0x5EAD_0006, 120);
     let server =
         Server::start(vec![Tenant::single(index)], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
@@ -650,17 +652,17 @@ pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, S
     };
     let report = loadgen::run(&addr, &reads, &load).map_err(|e| format!("loadgen: {e}"))?;
     // Quiescent: every response landed, so the ring holds the full story.
-    let dump = loadgen::fetch_flight(&addr).map_err(|e| format!("flight fetch: {e}"))?;
+    let dump = loadgen::fetch(&addr, &Request::Flight).map_err(|e| format!("flight fetch: {e}"))?;
     let metrics = server.shutdown();
-    if !report.is_lossless() || report.received != report.sent {
+    if !report.is_lossless() || report.total.received != report.total.sent {
         return Err(format!(
             "worker_panic[{workers}w]: lost {} duplicates {} — exactly-once violated",
-            report.lost, report.duplicates
+            report.total.lost, report.duplicates
         ));
     }
     check_span_accounting(&metrics, "worker_panic_digest")?;
     validate(Kind::FlightDump, &dump).map_err(|e| format!("worker_panic[{workers}w]: {e}"))?;
-    normalized_flight_digest(&dump, report.sent)
+    normalized_flight_digest(&dump, report.total.sent)
         .map_err(|e| format!("worker_panic[{workers}w]: {e}"))
 }
 
@@ -735,7 +737,6 @@ pub fn worker_panic_digest_matrix(seed: u64) -> Result<String, String> {
 /// Names the violated invariant.
 pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     use nvwa_genome::species::Species;
-    use nvwa_serve::loadgen::TenantRead;
 
     const SPECIES_A: Species = Species::HomoSapiens;
     const SPECIES_B: Species = Species::CaenorhabditisElegans;
@@ -752,26 +753,11 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     let server = Server::start(vec![spec_a, spec_b], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
-    let mix = |salt: u64, per_tenant: usize| -> Vec<TenantRead> {
-        let reads_a = loadgen::generate_species_reads(SPECIES_A, 0.0, seed ^ salt, per_tenant);
-        let reads_b =
-            loadgen::generate_species_reads(SPECIES_B, 0.0, seed ^ salt ^ 0xB00, per_tenant);
-        let mut mixed = Vec::with_capacity(per_tenant * 2);
-        for (a, b) in reads_a.into_iter().zip(reads_b) {
-            mixed.push(TenantRead {
-                tenant: Some(SPECIES_A.key().to_string()),
-                codes: a,
-                region: None,
-                mode: Mode::Short,
-            });
-            mixed.push(TenantRead {
-                tenant: Some(SPECIES_B.key().to_string()),
-                codes: b,
-                region: None,
-                mode: Mode::Short,
-            });
-        }
-        mixed
+    let genomes = [SPECIES_A.synthesize(0.0), SPECIES_B.synthesize(0.0)];
+    let mix = |salt: u64, per_tenant: usize| {
+        let a = (SPECIES_A, &genomes[0], seed ^ salt);
+        let b = (SPECIES_B, &genomes[1], seed ^ salt ^ 0xB00);
+        interleave_tenants([a, b], per_tenant)
     };
     let load = LoadgenConfig {
         connections: 2,
@@ -784,7 +770,7 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     let report = {
         let addr = addr.clone();
         let load = load.clone();
-        let handle = std::thread::spawn(move || loadgen::run_tenants(&addr, &racing, &load));
+        let handle = std::thread::spawn(move || loadgen::run(&addr, &racing, &load));
         std::thread::sleep(Duration::from_millis(5));
         if !server.kill_shard(SPECIES_A.key(), 0) {
             return Err("shard_kill: kill_shard(tenant A, 0) refused".to_string());
@@ -800,11 +786,12 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     if server.kill_shard(SPECIES_A.key(), 9) {
         return Err("shard_kill: out-of-range shard must be refused".to_string());
     }
-    if !report.is_lossless() || report.received != report.sent {
+    let total = &report.total;
+    if !report.is_lossless() || total.received != total.sent {
         return Err(format!(
             "shard_kill: exactly-once violated through the kill: sent {} received {} lost {} \
              duplicates {}",
-            report.sent, report.received, report.lost, report.duplicates
+            total.sent, total.received, total.lost, report.duplicates
         ));
     }
     let healthy = tenant_section(&report, SPECIES_B.key())?;
@@ -817,12 +804,13 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
 
     // Phase 2: post-kill traffic must reroute to the surviving shard.
     let rerouted_reads = mix(0x_5AFE_0002, 40);
-    let rerouted = loadgen::run_tenants(&addr, &rerouted_reads, &load)
+    let rerouted = loadgen::run(&addr, &rerouted_reads, &load)
         .map_err(|e| format!("shard_kill: post-kill loadgen: {e}"))?;
-    if !rerouted.is_lossless() || rerouted.ok != rerouted.sent {
+    let total = &rerouted.total;
+    if !rerouted.is_lossless() || total.ok != total.sent {
         return Err(format!(
             "shard_kill: rerouting failed: sent {} ok {} shed {} lost {}",
-            rerouted.sent, rerouted.ok, rerouted.shed, rerouted.lost
+            total.sent, total.ok, total.shed, total.lost
         ));
     }
 
@@ -832,12 +820,12 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
         return Err("shard_kill: kill_shard(tenant A, 1) refused".to_string());
     }
     let dark_reads = mix(0x_5AFE_0003, 20);
-    let dark = loadgen::run_tenants(&addr, &dark_reads, &load)
+    let dark = loadgen::run(&addr, &dark_reads, &load)
         .map_err(|e| format!("shard_kill: full-kill loadgen: {e}"))?;
     if !dark.is_lossless() {
         return Err(format!(
             "shard_kill: full kill lost requests: lost {} duplicates {}",
-            dark.lost, dark.duplicates
+            dark.total.lost, dark.duplicates
         ));
     }
     let wounded = tenant_section(&dark, SPECIES_A.key())?;
@@ -873,11 +861,12 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
 fn tenant_section<'a>(
     report: &'a loadgen::LoadReport,
     name: &str,
-) -> Result<&'a loadgen::TenantReport, String> {
+) -> Result<&'a loadgen::Counts, String> {
     report
         .tenants
         .iter()
         .find(|t| t.name == name)
+        .map(|t| &t.counts)
         .ok_or_else(|| format!("shard_kill: report has no tenant section {name:?}"))
 }
 

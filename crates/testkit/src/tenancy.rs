@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa_genome::species::Species;
+use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_serve::loadgen::{self, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::{read_frame, write_frame, Mode};
 use nvwa_serve::registry::{region_hash, route_shard};
@@ -98,27 +99,11 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
         Server::start(vec![tenant_a, tenant_b], config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
-    // Interleave the two tenants' reads so every connection carries both.
-    let reads_a =
-        loadgen::generate_species_reads(TENANT_A, 0.0, seed ^ 0x7E4A_0001, reads_per_tenant);
-    let reads_b =
-        loadgen::generate_species_reads(TENANT_B, 0.0, seed ^ 0x7E4A_0002, reads_per_tenant);
-    let mut mixed: Vec<TenantRead> = Vec::with_capacity(reads_per_tenant * 2);
-    for (a, b) in reads_a.iter().zip(&reads_b) {
-        mixed.push(TenantRead {
-            tenant: Some(TENANT_A.key().to_string()),
-            codes: a.clone(),
-            region: None,
-            mode: Mode::Short,
-        });
-        mixed.push(TenantRead {
-            tenant: Some(TENANT_B.key().to_string()),
-            codes: b.clone(),
-            region: None,
-            mode: Mode::Short,
-        });
-    }
-    let report = loadgen::run_tenants(
+    let genomes = [TENANT_A.synthesize(0.0), TENANT_B.synthesize(0.0)];
+    let a = (TENANT_A, &genomes[0], seed ^ 0x7E4A_0001);
+    let b = (TENANT_B, &genomes[1], seed ^ 0x7E4A_0002);
+    let mixed = interleave_tenants([a, b], reads_per_tenant);
+    let report = loadgen::run(
         &addr,
         &mixed,
         &LoadgenConfig {
@@ -165,21 +150,22 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     server.shutdown();
 
     // Conservation, globally and per tenant.
-    if !report.is_lossless() || report.received != report.sent {
+    let total = &report.total;
+    if !report.is_lossless() || total.received != total.sent {
         return Err(format!(
             "registry: transport not clean: sent {} received {} lost {} duplicates {}",
-            report.sent, report.received, report.lost, report.duplicates
+            total.sent, total.received, total.lost, report.duplicates
         ));
     }
-    if report.ok != report.sent {
+    if total.ok != total.sent {
         return Err(format!(
             "registry: {} of {} requests not ok (shed {} quota {} deadline {} errors {})",
-            report.sent - report.ok,
-            report.sent,
-            report.shed,
-            report.quota,
-            report.deadline,
-            report.errors
+            total.sent - total.ok,
+            total.sent,
+            total.shed,
+            total.quota,
+            total.deadline,
+            total.errors
         ));
     }
     if report.tenants.len() != 2 {
@@ -189,17 +175,18 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
         ));
     }
     for t in &report.tenants {
-        if t.sent != reads_per_tenant as u64 || t.ok != t.sent || t.lost != 0 {
+        let c = &t.counts;
+        if c.sent != reads_per_tenant as u64 || c.ok != c.sent || c.lost != 0 {
             return Err(format!(
                 "registry: tenant {} accounting broken: sent {} ok {} lost {}",
-                t.name, t.sent, t.ok, t.lost
+                t.name, c.sent, c.ok, c.lost
             ));
         }
     }
 
     // Bit-identity per tenant against that species' own offline aligner.
-    for (species, offset) in [(TENANT_A, 0u64), (TENANT_B, 1u64)] {
-        let index = ReferenceIndex::build(&species.synthesize(0.0), 32);
+    for ((species, genome), offset) in [TENANT_A, TENANT_B].into_iter().zip(&genomes).zip(0u64..) {
+        let index = ReferenceIndex::build(genome, 32);
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
         let mut scratch = AlignScratch::new();
         for pair in 0..reads_per_tenant as u64 {
@@ -223,6 +210,24 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
         "registry: routing deterministic, 2 tenants × {reads_per_tenant} reads bit-identical \
          to per-species offline aligners, unknown tenant rejected"
     ))
+}
+
+/// `per_tenant` simulated reads from each `(species, genome, seed)`,
+/// labelled with the species' tenant key and interleaved a, b, a, b, …
+/// so every connection of a run carries both tenants.
+pub(crate) fn interleave_tenants(
+    tenants: [(Species, &ReferenceGenome, u64); 2],
+    per_tenant: usize,
+) -> Vec<TenantRead> {
+    let [a, b] = tenants.map(|(species, genome, seed)| {
+        let mut reads =
+            loadgen::generate_reads(genome, ReadSimParams::illumina_101(), seed, per_tenant);
+        for read in &mut reads {
+            read.tenant = Some(species.key().to_string());
+        }
+        reads
+    });
+    a.into_iter().zip(b).flat_map(|(a, b)| [a, b]).collect()
 }
 
 #[cfg(test)]

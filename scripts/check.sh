@@ -97,12 +97,18 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # endpoint, request a graceful shutdown, and assert (a) the loadgen saw
 # zero lost/duplicated responses and no violated SLO target (nvwa-loadgen
 # exits non-zero otherwise), (b) the server drained and exited cleanly,
-# (c) the stats response, span log, trace, loadgen report and loadgen
-# metrics snapshot all pass validation, (d) at least two mid-run stats
-# snapshots were captured (the stats-scrape smoke test). First: the batch
-# timer is gone, and asking for it is a usage error, not a silent default.
+# (c) the stats response, span log, trace and loadgen report all pass
+# validation, (d) at least two mid-run stats snapshots were captured (the
+# stats-scrape smoke test). First: the batch timer is gone, and so are the
+# loadgen's own metrics snapshot and thread pool; asking for any of them is
+# a usage error, not a silent default.
 [ "$(cargo run --release --quiet --bin nvwa -- serve --batch-wait-us 1 2>&1 || echo "exit $?")" = "nvwa: --batch-wait-us: unknown flag
 exit 2" ]
+for removed in "--metrics-out x" "--threads 2"; do
+    # shellcheck disable=SC2086 # the flag and its value are two words
+    [ "$(cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- $removed 2>&1 || echo "exit $?")" = "nvwa-loadgen: ${removed% *}: unknown flag
+exit 2" ]
+done
 rm -f "$artifacts_dir/serve_addr"
 cargo run --release --quiet --bin nvwa -- serve \
     --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_addr" \
@@ -118,15 +124,13 @@ cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
     --ref-len 60000 \
     --scrape-ms 20 --stats-out "$artifacts_dir/loadgen_stats.json" \
     --slo lost=0 --slo error_rate=0 \
-    --metrics-out "$artifacts_dir/loadgen_metrics.json" \
     --out "$artifacts_dir/loadgen_report.json" --shutdown
 wait "$serve_pid"
 cargo run --release --quiet -p nvwa-bench --bin validate -- \
     "$artifacts_dir/serve_metrics.json" \
     "$artifacts_dir/serve_spans.json" \
     "$artifacts_dir/serve_trace.json" \
-    "$artifacts_dir/loadgen_report.json" \
-    "$artifacts_dir/loadgen_metrics.json"
+    "$artifacts_dir/loadgen_report.json"
 # The gate can fail: the same report with one more `lost` response than
 # it conserves must be refused, by the name of the identity it breaks.
 awk '!bumped && match($0, /"lost": [0-9]+/) {

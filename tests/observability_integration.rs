@@ -11,9 +11,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use nvwa::align::pipeline::ReferenceIndex;
-use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
-use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
-use nvwa::serve::{BatcherConfig, Server, ServerConfig, Tenant};
+use nvwa::genome::{ReadSimParams, ReferenceGenome};
+use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
+use nvwa::serve::{BatcherConfig, Request, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{JsonValue, Outcome, RequestSpans};
 
@@ -24,7 +24,7 @@ const CORPUS: usize = 600;
 
 struct Fixture {
     index: Arc<ReferenceIndex>,
-    reads: Vec<Vec<u8>>,
+    reads: Vec<TenantRead>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -32,12 +32,8 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
         let index = Arc::new(ReferenceIndex::build(&genome, 32));
-        let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), READ_SEED);
-        let reads = sim
-            .simulate_reads(CORPUS)
-            .into_iter()
-            .map(|r| r.seq.codes().to_vec())
-            .collect();
+        let sim = ReadSimParams::illumina_101();
+        let reads = loadgen::generate_reads(&genome, sim, READ_SEED, CORPUS);
         Fixture { index, reads }
     })
 }
@@ -69,7 +65,10 @@ fn every_admitted_request_leaves_a_complete_span_chain_summing_to_its_latency() 
     .expect("loadgen");
     let metrics = server.shutdown();
     assert!(report.is_lossless(), "lost/duplicated responses");
-    assert_eq!(report.ok, report.received, "all requests served ok");
+    assert_eq!(
+        report.total.ok, report.total.received,
+        "all requests served ok"
+    );
 
     // Exactly-once accounting: one chain per admission, none dropped at
     // the default span-log capacity.
@@ -77,7 +76,10 @@ fn every_admitted_request_leaves_a_complete_span_chain_summing_to_its_latency() 
     let (retained, dropped) = metrics.span_chain_counts();
     assert_eq!(dropped, 0, "span log dropped chains at default capacity");
     assert_eq!(retained as u64, admitted, "one chain per admitted request");
-    assert_eq!(admitted, report.ok, "closed loop: every send was admitted");
+    assert_eq!(
+        admitted, report.total.ok,
+        "closed loop: every send was admitted"
+    );
 
     // The span-log document validates, which checks each chain:
     // non-empty, contiguous (no gaps, no overlaps), pipeline-ordered.
@@ -171,10 +173,9 @@ fn explicit_flight_request_returns_a_valid_dump() {
         ..ServerConfig::default()
     });
     let addr = server.local_addr().to_string();
-    let reads: Vec<Vec<u8>> = fixture().reads.iter().take(32).cloned().collect();
     loadgen::run(
         &addr,
-        &reads,
+        &fixture().reads[..32],
         &LoadgenConfig {
             connections: 1,
             mode: ArrivalMode::Closed { window: 8 },
@@ -182,7 +183,7 @@ fn explicit_flight_request_returns_a_valid_dump() {
         },
     )
     .expect("loadgen");
-    let dump = loadgen::fetch_flight(&addr).expect("flight request");
+    let dump = loadgen::fetch(&addr, &Request::Flight).expect("flight request");
     server.shutdown();
     validate(Kind::FlightDump, &dump).expect("flight dump schema");
     assert_eq!(

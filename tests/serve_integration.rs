@@ -13,9 +13,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use nvwa::align::pipeline::{AlignerConfig, Alignment, ReferenceIndex, SoftwareAligner};
-use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
-use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
-use nvwa::serve::{BackendKind, BatcherConfig, Server, ServerConfig, Tenant};
+use nvwa::genome::{ReadSimParams, ReferenceGenome};
+use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
+use nvwa::serve::{BackendKind, BatcherConfig, Request, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
 
 const REF_LEN: usize = 60_000;
@@ -25,7 +25,7 @@ const CORPUS: usize = 10_000;
 
 struct Fixture {
     index: Arc<ReferenceIndex>,
-    reads: Vec<Vec<u8>>,
+    reads: Vec<TenantRead>,
     /// Offline ground truth: request id → the offline aligner's result.
     offline: HashMap<u64, Option<Alignment>>,
 }
@@ -33,20 +33,14 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let params: ReferenceParams = ref_params(REF_LEN);
-        let genome = ReferenceGenome::synthesize(&params, REF_SEED);
+        let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
         let index = Arc::new(ReferenceIndex::build(&genome, 32));
-        let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), READ_SEED);
-        let reads: Vec<Vec<u8>> = sim
-            .simulate_reads(CORPUS)
-            .into_iter()
-            .map(|r| r.seq.codes().to_vec())
-            .collect();
+        let sim = ReadSimParams::illumina_101();
+        let reads = loadgen::generate_reads(&genome, sim, READ_SEED, CORPUS);
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-        let offline = reads
-            .iter()
-            .enumerate()
-            .map(|(i, codes)| (i as u64, aligner.align_codes(i as u64, codes).alignment))
+        let offline = (0..)
+            .zip(&reads)
+            .map(|(id, read)| (id, aligner.align_codes(id, &read.codes).alignment))
             .collect();
         Fixture {
             index,
@@ -101,15 +95,18 @@ fn closed_loop_10k_reads_is_lossless_and_bit_identical() {
     .expect("loadgen run");
     let metrics = server.shutdown();
 
-    assert_eq!(report.sent, CORPUS as u64);
-    assert_eq!(report.received, CORPUS as u64);
-    assert_eq!(report.lost, 0, "no request may vanish");
+    assert_eq!(report.total.sent, CORPUS as u64);
+    assert_eq!(report.total.received, CORPUS as u64);
+    assert_eq!(report.total.lost, 0, "no request may vanish");
     assert_eq!(report.duplicates, 0, "no request may be answered twice");
-    assert_eq!(report.ok, CORPUS as u64, "unloaded server sheds nothing");
+    assert_eq!(
+        report.total.ok, CORPUS as u64,
+        "unloaded server sheds nothing"
+    );
     assert!(
-        report.mapped as f64 >= 0.9 * CORPUS as f64,
+        report.total.mapped as f64 >= 0.9 * CORPUS as f64,
         "simulated reads should map ({}/{CORPUS})",
-        report.mapped
+        report.total.mapped
     );
     assert_bit_identical(&report);
     validate(Kind::LoadgenReport, &report.to_json()).expect("report schema");
@@ -146,7 +143,7 @@ fn results_are_invariant_across_batch_size_and_worker_count() {
         .expect("loadgen run");
         server.shutdown();
         assert!(report.is_lossless());
-        assert_eq!(report.ok, subset.len() as u64);
+        assert_eq!(report.total.ok, subset.len() as u64);
         assert_bit_identical(&report);
         collected.push(
             report
@@ -195,12 +192,15 @@ fn overload_sheds_explicitly_and_conserves_responses() {
     .expect("loadgen run");
     let metrics = server.shutdown();
 
-    assert_eq!(report.lost, 0, "shed requests still get responses");
+    assert_eq!(report.total.lost, 0, "shed requests still get responses");
     assert_eq!(report.duplicates, 0);
-    assert_eq!(report.received, report.sent);
-    assert!(report.shed > 0, "overload must shed ({report:?})");
-    assert_eq!(report.ok + report.shed + report.deadline, report.received);
-    assert_eq!(metrics.counter("serve.requests_shed"), report.shed);
+    assert_eq!(report.total.received, report.total.sent);
+    assert!(report.total.shed > 0, "overload must shed ({report:?})");
+    assert_eq!(
+        report.total.ok + report.total.shed + report.total.deadline,
+        report.total.received
+    );
+    assert_eq!(metrics.counter("serve.requests_shed"), report.total.shed);
     // The gauge is the dispatcher's whole occupancy — everything admitted
     // that no worker has taken — and never exceeded the configured bound.
     let meta = nvwa::telemetry::SnapshotMeta {
@@ -243,13 +243,16 @@ fn queued_requests_past_their_deadline_get_deadline_responses() {
     let metrics = server.shutdown();
 
     assert!(report.is_lossless());
-    assert_eq!(report.received, report.sent);
+    assert_eq!(report.total.received, report.total.sent);
     assert!(
-        report.deadline > 0,
+        report.total.deadline > 0,
         "an 80ms/batch worker must blow 25ms deadlines ({report:?})"
     );
-    assert!(report.ok > 0, "the first batches still make it");
-    assert_eq!(metrics.counter("serve.deadline_expired"), report.deadline);
+    assert!(report.total.ok > 0, "the first batches still make it");
+    assert_eq!(
+        metrics.counter("serve.deadline_expired"),
+        report.total.deadline
+    );
 }
 
 #[test]
@@ -266,7 +269,7 @@ fn shutdown_drains_in_flight_batches() {
     let reads = &fx.reads[..200];
     let handle = {
         let addr = addr.clone();
-        let reads: Vec<Vec<u8>> = reads.to_vec();
+        let reads = reads.to_vec();
         std::thread::spawn(move || {
             loadgen::run(
                 &addr,
@@ -287,12 +290,15 @@ fn shutdown_drains_in_flight_batches() {
     // Conservation across a drain: every request sent before the socket
     // closed was answered exactly once — ok for everything admitted,
     // shed-with-"draining" for anything that arrived during the drain.
-    assert_eq!(report.lost, 0, "drain must answer everything ({report:?})");
+    assert_eq!(
+        report.total.lost, 0,
+        "drain must answer everything ({report:?})"
+    );
     assert_eq!(report.duplicates, 0);
-    assert_eq!(report.received, report.sent);
-    assert_eq!(report.ok + report.shed, report.received);
-    assert!(report.ok > 0, "in-flight batches completed");
-    assert_eq!(metrics.counter("serve.responses_ok"), report.ok);
+    assert_eq!(report.total.received, report.total.sent);
+    assert_eq!(report.total.ok + report.total.shed, report.total.received);
+    assert!(report.total.ok > 0, "in-flight batches completed");
+    assert_eq!(metrics.counter("serve.responses_ok"), report.total.ok);
 }
 
 #[test]
@@ -318,7 +324,7 @@ fn hardware_in_the_loop_reports_cycles_and_identical_alignments() {
     let metrics = server.shutdown();
 
     assert!(report.is_lossless());
-    assert_eq!(report.ok, 200);
+    assert_eq!(report.total.ok, 200);
     assert_bit_identical(&report);
     assert!(
         report.responses.values().all(|r| r.sim_cycles.is_some()),
@@ -343,7 +349,7 @@ fn stats_request_returns_a_valid_serve_snapshot() {
     )
     .expect("loadgen run");
     assert!(report.is_lossless());
-    let doc = loadgen::fetch_stats(&addr).expect("stats");
+    let doc = loadgen::fetch(&addr, &Request::Stats).expect("stats");
     validate(Kind::ServeSnapshot, &doc).expect("serve snapshot schema");
     // Shutdown via the protocol, as `nvwa-loadgen --shutdown` would.
     loadgen::send_shutdown(&addr).expect("shutdown request");

@@ -29,7 +29,7 @@ use std::time::Duration;
 use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
 use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa::genome::species::Species;
-use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome};
+use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::index::minimizer::{minimizers, MinimizerParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::protocol::{read_frame, write_frame, AlignResponse, Request};
@@ -41,19 +41,35 @@ const LONG_READ_SEED: u64 = 0x701;
 const LONG_LEN: usize = 2_000;
 
 /// Deterministic unrelated reads (no RNG dependency in tests).
-fn garbage_reads(n: usize, len: usize, mut state: u64) -> Vec<Vec<u8>> {
+fn garbage_reads(n: usize, len: usize, mut state: u64) -> Vec<TenantRead> {
     (0..n)
-        .map(|_| {
-            (0..len)
+        .map(|_| TenantRead {
+            codes: (0..len)
                 .map(|_| {
                     state = state
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     ((state >> 33) & 3) as u8
                 })
-                .collect()
+                .collect(),
+            ..TenantRead::default()
         })
         .collect()
+}
+
+/// `n` simulated reads of `genome` under `sim`, each sent in `mode`.
+fn reads_in_mode(
+    genome: &ReferenceGenome,
+    sim: ReadSimParams,
+    seed: u64,
+    n: usize,
+    mode: Mode,
+) -> Vec<TenantRead> {
+    let mut reads = loadgen::generate_reads(genome, sim, seed, n);
+    for read in &mut reads {
+        read.mode = mode;
+    }
+    reads
 }
 
 /// The offline oracle for long-mode responses: the same index the server
@@ -64,15 +80,18 @@ fn offline_long_index(index: &ReferenceIndex) -> LongReadIndex {
 
 #[test]
 fn long_mode_is_lossless_and_bit_identical_to_offline() {
-    let params = ref_params(REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, REF_SEED);
+    let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
 
     // 60 mappable long reads plus 8 unrelated ones: the unrelated tail
     // must come back `unmapped` — processed, not shed and not lost.
-    let mut reads = loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 60, LONG_LEN);
+    let long = ReadSimParams::long_read(LONG_LEN);
+    let mut reads = loadgen::generate_reads(&genome, long, LONG_READ_SEED, 60);
     let mappable = reads.len();
     reads.extend(garbage_reads(8, 1_500, 0xdead_beef));
+    for read in &mut reads {
+        read.mode = Mode::Long;
+    }
 
     let server = Server::start(
         vec![Tenant::single(Arc::clone(&index))],
@@ -89,7 +108,6 @@ fn long_mode_is_lossless_and_bit_identical_to_offline() {
         &LoadgenConfig {
             connections: 2,
             mode: ArrivalMode::Closed { window: 16 },
-            request_mode: Mode::Long,
             collect_responses: true,
             ..LoadgenConfig::default()
         },
@@ -97,30 +115,31 @@ fn long_mode_is_lossless_and_bit_identical_to_offline() {
     .expect("loadgen run");
     server.shutdown();
 
+    let total = &report.total;
     assert!(report.is_lossless(), "{report:?}");
-    assert_eq!(report.received, reads.len() as u64);
+    assert_eq!(total.received, reads.len() as u64);
     assert_eq!(
-        report.ok + report.unmapped,
-        report.received,
+        total.ok + total.unmapped,
+        total.received,
         "every long-mode request completes as ok or unmapped: {report:?}"
     );
     assert!(
-        report.unmapped >= 8,
+        total.unmapped >= 8,
         "the unrelated reads must answer unmapped ({report:?})"
     );
     assert!(
-        report.ok as usize >= mappable * 9 / 10,
+        total.ok as usize >= mappable * 9 / 10,
         "simulated long reads should chain ({}/{mappable})",
-        report.ok
+        total.ok
     );
 
     // Bit-identity against the offline long-read pipeline.
     let long_index = offline_long_index(&index);
     let aligner = LongReadAligner::new(&long_index, LongReadConfig::default());
     assert_eq!(report.responses.len(), reads.len());
-    for (id, codes) in reads.iter().enumerate() {
+    for (id, read) in reads.iter().enumerate() {
         let resp = report.responses.get(&(id as u64)).expect("response id");
-        match (aligner.align(codes), &resp.alignment) {
+        match (aligner.align(&read.codes), &resp.alignment) {
             (None, None) => {
                 assert_eq!(resp.status, nvwa::serve::Status::Unmapped, "read {id}");
             }
@@ -156,12 +175,8 @@ fn classify_screens_every_tenant_and_scores_the_origin_tenant_highest() {
     // hit A's index far more than B's (B only sees chance 15-mer
     // collisions).
     let genome_a = Species::HomoSapiens.synthesize(0.0);
-    let mut sim = ReadSimulator::new(&genome_a, ReadSimParams::long_read(1_500), 0x0c1a);
-    let reads: Vec<Vec<u8>> = sim
-        .simulate_reads(24)
-        .into_iter()
-        .map(|r| r.seq.codes().to_vec())
-        .collect();
+    let long = ReadSimParams::long_read(1_500);
+    let reads = reads_in_mode(&genome_a, long, 0x0c1a, 24, Mode::Classify);
 
     let report = loadgen::run(
         &addr,
@@ -169,7 +184,6 @@ fn classify_screens_every_tenant_and_scores_the_origin_tenant_highest() {
         &LoadgenConfig {
             connections: 2,
             mode: ArrivalMode::Closed { window: 8 },
-            request_mode: Mode::Classify,
             collect_responses: true,
             ..LoadgenConfig::default()
         },
@@ -178,9 +192,10 @@ fn classify_screens_every_tenant_and_scores_the_origin_tenant_highest() {
     server.shutdown();
 
     assert!(report.is_lossless(), "{report:?}");
-    assert_eq!(report.ok, reads.len() as u64, "{report:?}");
+    assert_eq!(report.total.ok, reads.len() as u64, "{report:?}");
     let mm_params = MinimizerParams::default();
-    for (id, codes) in reads.iter().enumerate() {
+    for (id, read) in reads.iter().enumerate() {
+        let codes = &read.codes;
         let resp = report.responses.get(&(id as u64)).expect("response id");
         let classify = resp
             .classify
@@ -217,41 +232,20 @@ fn classify_screens_every_tenant_and_scores_the_origin_tenant_highest() {
 
 #[test]
 fn mixed_modes_coexist_on_one_server() {
-    let params = ref_params(REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, REF_SEED);
+    let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
 
     // An interleaved short/long/classify stream against one server: the
     // per-mode bins batch them apart, but ids answer exactly once each
     // and every payload matches its mode's offline oracle.
-    let mut short_sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 11);
-    let shorts: Vec<Vec<u8>> = short_sim
-        .simulate_reads(120)
-        .into_iter()
-        .map(|r| r.seq.codes().to_vec())
-        .collect();
-    let longs = loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 40, LONG_LEN);
-    let mut reads: Vec<TenantRead> = Vec::new();
-    for (i, codes) in shorts.into_iter().enumerate() {
-        let mode = match i % 3 {
-            0 => Mode::Short,
-            _ => Mode::Classify,
-        };
-        reads.push(TenantRead {
-            tenant: None,
-            codes,
-            region: None,
-            mode,
-        });
+    let mut reads = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), 11, 120);
+    for (i, read) in reads.iter_mut().enumerate() {
+        if i % 3 != 0 {
+            read.mode = Mode::Classify;
+        }
     }
-    for codes in longs {
-        reads.push(TenantRead {
-            tenant: None,
-            codes,
-            region: None,
-            mode: Mode::Long,
-        });
-    }
+    let long = ReadSimParams::long_read(LONG_LEN);
+    reads.extend(reads_in_mode(&genome, long, LONG_READ_SEED, 40, Mode::Long));
 
     let server = Server::start(
         vec![Tenant::single(Arc::clone(&index))],
@@ -262,7 +256,7 @@ fn mixed_modes_coexist_on_one_server() {
     )
     .expect("server start");
     let addr = server.local_addr().to_string();
-    let report = loadgen::run_tenants(
+    let report = loadgen::run(
         &addr,
         &reads,
         &LoadgenConfig {
@@ -275,11 +269,12 @@ fn mixed_modes_coexist_on_one_server() {
     .expect("loadgen run");
     server.shutdown();
 
+    let total = &report.total;
     assert!(report.is_lossless(), "{report:?}");
-    assert_eq!(report.received, reads.len() as u64);
+    assert_eq!(total.received, reads.len() as u64);
     assert_eq!(
-        report.ok + report.unmapped,
-        report.received,
+        total.ok + total.unmapped,
+        total.received,
         "conservation across the mode mix: {report:?}"
     );
 
@@ -335,13 +330,14 @@ fn mixed_modes_coexist_on_one_server() {
 /// must beat the server default in every mode.
 #[test]
 fn per_mode_default_deadlines_apply_and_fall_back() {
-    let params = ref_params(REF_LEN);
-    let genome = ReferenceGenome::synthesize(&params, REF_SEED);
+    let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
-    let mut short_sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 11);
-    let short = short_sim.simulate_reads(1).remove(0).seq.codes().to_vec();
-    let long =
-        loadgen::generate_long_reads(&params, REF_SEED, LONG_READ_SEED, 1, LONG_LEN).remove(0);
+    let short = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), 11, 1);
+    let short = short[0].codes.clone();
+    let long = ReadSimParams::long_read(LONG_LEN);
+    let long = loadgen::generate_reads(&genome, long, LONG_READ_SEED, 1)[0]
+        .codes
+        .clone();
 
     let tick = Some(Duration::from_millis(1));
     for (long_deadline, classify_deadline, default_deadline, expiring) in [

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use nvwa::align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa::genome::species::Species;
-use nvwa::genome::ReferenceGenome;
+use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::protocol::WireAlignment;
 use nvwa::serve::protocol::{read_frame, write_frame, Mode};
@@ -26,9 +26,23 @@ use nvwa::telemetry::{JsonValue, SnapshotMeta};
 const REF_LEN: usize = 20_000;
 const REF_SEED: u64 = 5;
 
-fn shared_index() -> Arc<ReferenceIndex> {
+/// The single-index fixture: the reference and its index.
+fn shared_index() -> (ReferenceGenome, Arc<ReferenceIndex>) {
     let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
-    Arc::new(ReferenceIndex::build(&genome, 32))
+    let index = Arc::new(ReferenceIndex::build(&genome, 32));
+    (genome, index)
+}
+
+/// `n` simulated short reads of `species`' reference, each sent to that
+/// species' tenant in `mode`.
+fn species_reads(species: Species, seed: u64, n: usize, mode: Mode) -> Vec<TenantRead> {
+    let genome = species.synthesize(0.0);
+    let mut reads = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), seed, n);
+    for read in &mut reads {
+        read.tenant = Some(species.key().to_string());
+        read.mode = mode;
+    }
+    reads
 }
 
 /// The differential at acceptance scale: 10k reads closed-loop over 8
@@ -37,8 +51,8 @@ fn shared_index() -> Arc<ReferenceIndex> {
 /// Batch sizes are scheduling and deliberately excluded.
 #[test]
 fn reactor_answers_10k_reads_bit_identically_to_offline() {
-    let index = shared_index();
-    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 23, 10_000);
+    let (genome, index) = shared_index();
+    let reads = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), 23, 10_000);
     let server = Server::start(
         vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
@@ -61,14 +75,15 @@ fn reactor_answers_10k_reads_bit_identically_to_offline() {
     .expect("loadgen");
     server.shutdown();
     assert!(report.is_lossless(), "lost/duplicated responses");
-    assert_eq!(report.ok, reads.len() as u64, "not all ok");
+    assert_eq!(report.total.ok, reads.len() as u64, "not all ok");
 
     let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
     let mut scratch = AlignScratch::new();
-    for (id, codes) in reads.iter().enumerate() {
-        let id = id as u64;
+    for (id, read) in (0..).zip(&reads) {
         let served = report.responses.get(&id).expect("response");
-        let offline = aligner.align_codes_fast(id, codes, &mut scratch).alignment;
+        let offline = aligner
+            .align_codes_fast(id, &read.codes, &mut scratch)
+            .alignment;
         assert_eq!(served.status, Status::Ok, "read {id} status");
         assert_eq!(
             served.alignment,
@@ -98,7 +113,7 @@ fn reactor_parks_idle_connections_without_thread_growth() {
     let Some(before) = current_thread_count() else {
         return; // no /proc: nothing to measure
     };
-    let index = shared_index();
+    let (genome, index) = shared_index();
     let server = Server::start(
         vec![Tenant::single(Arc::clone(&index))],
         ServerConfig {
@@ -125,7 +140,7 @@ fn reactor_parks_idle_connections_without_thread_growth() {
     );
 
     // The server still answers fresh traffic around the parked sockets.
-    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 29, 200);
+    let reads = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), 29, 200);
     let report = loadgen::run(
         &addr,
         &reads,
@@ -137,7 +152,7 @@ fn reactor_parks_idle_connections_without_thread_growth() {
     )
     .expect("loadgen");
     assert!(report.is_lossless());
-    assert_eq!(report.ok, 200);
+    assert_eq!(report.total.ok, 200);
     drop(idle);
     let metrics = server.shutdown();
     assert!(
@@ -168,19 +183,9 @@ fn quota_storm_sheds_with_quota_status_and_exactly_once_accounting() {
     .expect("server start");
     let addr = server.local_addr().to_string();
 
-    let reads = loadgen::generate_species_reads(species, 0.0, 31, 400);
-    let mixed: Vec<TenantRead> = reads
-        .into_iter()
-        .map(|codes| TenantRead {
-            tenant: Some(species.key().to_string()),
-            codes,
-            region: None,
-            mode: Mode::Short,
-        })
-        .collect();
-    let report = loadgen::run_tenants(
+    let report = loadgen::run(
         &addr,
-        &mixed,
+        &species_reads(species, 31, 400, Mode::Short),
         &LoadgenConfig {
             connections: 4,
             mode: ArrivalMode::Open {
@@ -195,32 +200,33 @@ fn quota_storm_sheds_with_quota_status_and_exactly_once_accounting() {
 
     // Exactly-once: conservation holds globally and per tenant even
     // under the storm, and nothing is counted twice.
+    let total = &report.total;
     assert!(
         report.is_lossless(),
         "lost {} dup {}",
-        report.lost,
+        total.lost,
         report.duplicates
     );
-    assert_eq!(report.received, report.sent);
+    assert_eq!(total.received, total.sent);
     assert_eq!(
-        report.ok + report.unmapped + report.shed + report.quota + report.deadline + report.errors,
-        report.received
+        total.ok + total.unmapped + total.shed + total.quota + total.deadline + total.errors,
+        total.received
     );
     assert!(
-        report.quota > 0,
+        total.quota > 0,
         "a 20k rps storm against quota 2 must shed some requests"
     );
-    assert!(report.ok > 0, "admitted requests still complete");
+    assert!(total.ok > 0, "admitted requests still complete");
     assert_eq!(report.tenants.len(), 1);
-    assert_eq!(report.tenants[0].quota, report.quota);
-    assert_eq!(report.tenants[0].sent, report.sent);
+    assert_eq!(report.tenants[0].counts.quota, total.quota);
+    assert_eq!(report.tenants[0].counts.sent, total.sent);
 
     // The server counted the same sheds the client saw, and every
     // admission guard was released (gauge back to zero at drain).
-    assert_eq!(metrics.counter("serve.requests_quota"), report.quota);
+    assert_eq!(metrics.counter("serve.requests_quota"), total.quota);
     assert_eq!(
         metrics.counter("serve.responses_ok"),
-        report.ok,
+        total.ok,
         "server ok count matches the client's"
     );
 
@@ -260,29 +266,14 @@ fn shard_kill_degrades_only_the_killed_shard() {
         "bogus tenant refused"
     );
 
-    let mut mixed = Vec::new();
-    for (i, codes) in loadgen::generate_species_reads(wounded, 0.0, 37, 60)
-        .into_iter()
-        .enumerate()
-    {
-        mixed.push(TenantRead {
-            tenant: Some(wounded.key().to_string()),
-            codes,
-            // Half the traffic names the dead shard's region explicitly:
-            // routing must probe past it.
-            region: Some(i as u64),
-            mode: Mode::Short,
-        });
+    let mut mixed = species_reads(wounded, 37, 60, Mode::Short);
+    for (i, read) in (0..).zip(&mut mixed) {
+        // Half the traffic names the dead shard's region explicitly:
+        // routing must probe past it.
+        read.region = Some(i);
     }
-    for codes in loadgen::generate_species_reads(healthy, 0.0, 41, 60) {
-        mixed.push(TenantRead {
-            tenant: Some(healthy.key().to_string()),
-            codes,
-            region: None,
-            mode: Mode::Short,
-        });
-    }
-    let report = loadgen::run_tenants(
+    mixed.extend(species_reads(healthy, 41, 60, Mode::Short));
+    let report = loadgen::run(
         &addr,
         &mixed,
         &LoadgenConfig {
@@ -295,9 +286,12 @@ fn shard_kill_degrades_only_the_killed_shard() {
     let metrics = server.shutdown();
 
     assert!(report.is_lossless());
-    assert_eq!(report.ok, 120, "both tenants fully served after the kill");
+    assert_eq!(
+        report.total.ok, 120,
+        "both tenants fully served after the kill"
+    );
     for t in &report.tenants {
-        assert_eq!(t.ok, t.sent, "tenant {} degraded", t.name);
+        assert_eq!(t.counts.ok, t.counts.sent, "tenant {} degraded", t.name);
     }
     assert_eq!(metrics.counter("serve.shards_killed"), 1);
 }
@@ -359,17 +353,7 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
     .expect("server start");
     let addr = server.local_addr().to_string();
 
-    let classify_load = |salt: u64, tenant: Species, n: usize| -> Vec<TenantRead> {
-        loadgen::generate_species_reads(tenant, 0.0, salt, n)
-            .into_iter()
-            .map(|codes| TenantRead {
-                tenant: Some(tenant.key().to_string()),
-                codes,
-                region: None,
-                mode: Mode::Classify,
-            })
-            .collect()
-    };
+    let classify_load = |salt, tenant, n| species_reads(tenant, salt, n, Mode::Classify);
     let load = LoadgenConfig {
         connections: 2,
         mode: ArrivalMode::Closed { window: 16 },
@@ -382,7 +366,7 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
     let report = {
         let addr = addr.clone();
         let load = load.clone();
-        let handle = std::thread::spawn(move || loadgen::run_tenants(&addr, &racing, &load));
+        let handle = std::thread::spawn(move || loadgen::run(&addr, &racing, &load));
         std::thread::sleep(Duration::from_millis(5));
         assert!(server.kill_shard(victim.key(), 0), "mid-run kill refused");
         handle.join().expect("loadgen thread").expect("loadgen")
@@ -391,14 +375,15 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
         report.is_lossless(),
         "exactly-once violated through the kill"
     );
-    assert_eq!(report.received, report.sent);
+    let total = &report.total;
+    assert_eq!(total.received, total.sent);
     assert_eq!(
-        report.ok + report.shed,
-        report.received,
+        total.ok + total.shed,
+        total.received,
         "classify through a shard kill must answer ok or shed, got quota {} deadline {} errors {}",
-        report.quota,
-        report.deadline,
-        report.errors
+        total.quota,
+        total.deadline,
+        total.errors
     );
     // One victim shard still lives, so its tenant stays scoreable: every
     // completed response covers both tenants (scored or named missing).
@@ -408,16 +393,16 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
     // explicitly; the neighbor's responses must name the dead tenant in
     // `missing` with `partial` set — never shrink the map silently.
     assert!(server.kill_shard(victim.key(), 1), "second shard kill");
-    let dark = loadgen::run_tenants(&addr, &classify_load(47, victim, 20), &load).expect("loadgen");
+    let dark = loadgen::run(&addr, &classify_load(47, victim, 20), &load).expect("loadgen");
     assert!(dark.is_lossless());
     assert_eq!(
-        dark.shed, dark.sent,
+        dark.total.shed, dark.total.sent,
         "classify on a fully-dead tenant must shed every request"
     );
     let neighbor_report =
-        loadgen::run_tenants(&addr, &classify_load(53, neighbor, 20), &load).expect("loadgen");
+        loadgen::run(&addr, &classify_load(53, neighbor, 20), &load).expect("loadgen");
     assert!(neighbor_report.is_lossless());
-    assert_eq!(neighbor_report.ok, neighbor_report.sent);
+    assert_eq!(neighbor_report.total.ok, neighbor_report.total.sent);
     for resp in neighbor_report.responses.values() {
         let c = resp.classify.as_ref().expect("classify result");
         assert_eq!(
@@ -521,12 +506,12 @@ fn stats_registry_reports_live_in_flight_and_resident_index_bytes() {
     // the `stats` frame it has admitted the `HELD` requests in front of
     // it, and the worker is still sitting out the first delay.
     let mut frames = Vec::new();
-    for (id, codes) in (0..).zip(loadgen::generate_species_reads(species, 0.0, 59, HELD)) {
+    for (id, read) in (0..).zip(species_reads(species, 59, HELD, Mode::Short)) {
         let request = Request::Align {
             id,
-            codes,
+            codes: read.codes,
             deadline_ms: None,
-            tenant: Some(species.key().to_string()),
+            tenant: read.tenant,
             region: None,
             mode: Mode::Short,
         };
@@ -574,15 +559,13 @@ fn stats_registry_reports_live_in_flight_and_resident_index_bytes() {
 /// and once drained every admitted request is accounted for by outcome.
 #[test]
 fn single_index_server_reports_one_default_tenant() {
-    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 61, 200);
-    let server = Server::start(
-        vec![Tenant::single(shared_index())],
-        ServerConfig::default(),
-    )
-    .expect("server start");
+    let (genome, index) = shared_index();
+    let reads = loadgen::generate_reads(&genome, ReadSimParams::illumina_101(), 61, 200);
+    let server =
+        Server::start(vec![Tenant::single(index)], ServerConfig::default()).expect("server start");
     let addr = server.local_addr().to_string();
     let report = loadgen::run(&addr, &reads, &LoadgenConfig::default()).expect("loadgen");
-    assert_eq!(report.ok, 200);
+    assert_eq!(report.total.ok, 200);
 
     let names = |doc: &JsonValue| -> Vec<String> {
         let name = |row: &JsonValue| {
@@ -595,7 +578,7 @@ fn single_index_server_reports_one_default_tenant() {
             .map(|row| name(row).expect("name"))
             .collect()
     };
-    let live = loadgen::fetch_stats(&addr).expect("stats");
+    let live = loadgen::fetch(&addr, &Request::Stats).expect("stats");
     validate(Kind::StatsResponse, &live).expect("stats reply validates");
     assert_eq!(names(&live), ["default"]);
     assert_eq!(
