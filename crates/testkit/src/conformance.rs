@@ -63,17 +63,9 @@ impl Family {
         }
     }
 
-    /// Parses a `--families` item.
+    /// Parses a `--families` item: the family whose [`Family::name`] it is.
     pub fn parse(s: &str) -> Option<Family> {
-        match s.trim() {
-            "diff" => Some(Family::Diff),
-            "extension" => Some(Family::Extension),
-            "invariants" => Some(Family::Invariants),
-            "faults" => Some(Family::Faults),
-            "registry" => Some(Family::Registry),
-            "long_read" => Some(Family::LongRead),
-            _ => None,
-        }
+        Family::ALL.into_iter().find(|f| f.name() == s.trim())
     }
 }
 
@@ -140,30 +132,25 @@ impl ConformanceReport {
     }
 }
 
-/// The simulator configurations the invariant family validates: the small
-/// test config, a stall-heavy variant (tiny Store Buffer, small
-/// allocation rounds) and the paper-shaped default.
-fn invariant_configs() -> Vec<(&'static str, NvwaConfig)> {
-    vec![
-        ("small_test", NvwaConfig::small_test()),
-        (
-            "stall_heavy",
-            NvwaConfig {
-                hits_buffer_depth: 8,
-                alloc_batch_size: 4,
-                ..NvwaConfig::small_test()
-            },
-        ),
-    ]
-}
-
+/// The invariant family: 200 synthetic reads through the small test
+/// config and a stall-heavy variant of it (tiny Store Buffer, small
+/// allocation rounds), traced and untraced, checked by
+/// [`invariants::check_sim_run`].
 fn run_invariant_family(seed: u64) -> Result<String, String> {
     let works = SyntheticWorkloadParams {
         reads: 200,
         ..SyntheticWorkloadParams::default()
     }
     .generate(seed);
-    let configs = invariant_configs();
+    let stall_heavy = NvwaConfig {
+        hits_buffer_depth: 8,
+        alloc_batch_size: 4,
+        ..NvwaConfig::small_test()
+    };
+    let configs = [
+        ("small_test", NvwaConfig::small_test()),
+        ("stall_heavy", stall_heavy),
+    ];
     for (name, config) in &configs {
         for trace in [false, true] {
             let run =
@@ -199,12 +186,6 @@ pub fn run(config: &ConformanceConfig) -> ConformanceReport {
     let mut checks = 0usize;
     let mut failures = 0usize;
     let repro = config.repro_dir.as_deref();
-    let record = |seed: u64, result: Result<String, String>| -> (String, bool) {
-        match result {
-            Ok(summary) => (format!("[seed {seed}] {summary}"), false),
-            Err(detail) => (format!("[seed {seed}] FAIL {detail}"), true),
-        }
-    };
     for &seed in &config.seeds {
         for family in &config.families {
             let results: Vec<Result<String, String>> = match family {
@@ -228,10 +209,12 @@ pub fn run(config: &ConformanceConfig) -> ConformanceReport {
                 }
             };
             for result in results {
-                let (line, failed) = record(seed, result);
                 checks += 1;
-                failures += usize::from(failed);
-                lines.push(line);
+                failures += usize::from(result.is_err());
+                lines.push(match result {
+                    Ok(summary) => format!("[seed {seed}] {summary}"),
+                    Err(detail) => format!("[seed {seed}] FAIL {detail}"),
+                });
             }
         }
     }

@@ -1,9 +1,11 @@
 //! Differential oracles: every layer of the stack is compared against an
-//! independently-written reference implementation on seeded inputs, and
-//! the first divergence is minimized ([`crate::minimize`]) and written as
-//! a reproducer file ([`crate::golden::write_repro`]).
+//! independently-written reference implementation on seeded inputs. Each
+//! family is a seeded case list plus a [`Probe`] over it, run by
+//! [`run_family`], which minimizes the first divergence and writes it as
+//! a reproducer file.
 //!
-//! Five families:
+//! Five of the six minimizing families live here (the sixth is
+//! [`crate::long_read`]):
 //!
 //! * **sw** — `sw::naive` (textbook full-matrix Gotoh) vs the optimized
 //!   kernels (full-struct equality on all three entry points, scratch
@@ -29,7 +31,7 @@
 //! [`Prng`] streams salted per family, and summaries contain no
 //! wall-clock or thread-dependent values.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use nvwa_align::banded::banded_extend_with;
@@ -45,86 +47,17 @@ use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_index::fmd_index::{FmdIndex, PrefixLut};
 use nvwa_index::smem::{collect_smems_into, oracle, Smem, SmemConfig, SmemScratch};
 use nvwa_index::{NullTrace, VecTrace};
-use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
+use nvwa_serve::loadgen::{self, ref_params, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::WireAlignment;
 use nvwa_serve::{Server, ServerConfig, Tenant};
-use nvwa_telemetry::JsonValue;
 
-use crate::minimize::{minimize_set, shrink_read};
-use crate::{codes_to_dna, golden, Prng};
+use crate::faults::closed_loop;
+use crate::minimize::{run_family, Divergence, FirstDivergence, Probe};
+use crate::Prng;
 
 /// Band used by the banded-vs-full equality check; [`Prng::mutate`] keeps
 /// indel drift strictly inside it.
 pub const SW_BAND: usize = 16;
-
-/// A confirmed cross-implementation divergence, minimized.
-#[derive(Debug)]
-pub struct Divergence {
-    /// Which oracle pair disagreed (e.g. `"sw.banded_vs_full"`).
-    pub check: String,
-    /// First divergence, human-readable (both sides excerpted).
-    pub detail: String,
-    /// The minimized failing input, as DNA strings.
-    pub reads: Vec<String>,
-    /// Reproducer file, when a repro directory was given and writable.
-    pub repro: Option<PathBuf>,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} (minimized to {} read(s)",
-            self.check,
-            self.detail,
-            self.reads.len()
-        )?;
-        match &self.repro {
-            Some(p) => write!(f, ", repro: {})", p.display()),
-            None => write!(f, ")"),
-        }
-    }
-}
-
-impl Divergence {
-    /// Builds the divergence, writing the reproducer when `repro_dir` is
-    /// set. The reproducer records everything needed to replay: family,
-    /// check, seed, and the minimized reads as DNA.
-    pub(crate) fn new(
-        family: &str,
-        check: &str,
-        detail: String,
-        seed: u64,
-        reads: Vec<String>,
-        repro_dir: Option<&Path>,
-    ) -> Divergence {
-        let repro = repro_dir.and_then(|dir| {
-            let doc = JsonValue::obj(vec![
-                ("kind", JsonValue::Str("nvwa-conformance-repro".to_string())),
-                ("family", JsonValue::Str(family.to_string())),
-                ("check", JsonValue::Str(check.to_string())),
-                ("seed", JsonValue::Num(seed as f64)),
-                ("detail", JsonValue::Str(detail.clone())),
-                (
-                    "reads",
-                    JsonValue::Arr(reads.iter().map(|r| JsonValue::Str(r.clone())).collect()),
-                ),
-            ]);
-            golden::write_repro(
-                dir,
-                &format!("{family}_seed{seed}"),
-                &doc.to_string_pretty(),
-            )
-            .ok()
-        });
-        Divergence {
-            check: check.to_string(),
-            detail,
-            reads,
-            repro,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // sw family
@@ -143,36 +76,27 @@ pub struct SwCase {
     pub related: bool,
 }
 
-/// A band-boundary case: one contiguous indel of exactly [`SW_BAND`]
-/// codes mid-target, long exact flanks on both sides. The optimal path
-/// runs along the `|i − j| == SW_BAND` diagonal, which the band covers
-/// *inclusively* — any off-by-one in the band bounds loses the path and
-/// breaks banded == full equality (this is what makes the family
-/// mutation-tight; a drift strictly inside the band survives a one-cell
-/// narrowing).
-fn band_boundary_case(p: &mut Prng) -> SwCase {
-    let tlen = 80 + p.below(60) as usize;
+/// A band-boundary pair `(query, target)`: one contiguous indel of
+/// exactly `band` codes mid-target (`min_len + below(spread)` codes long),
+/// long exact flanks on both sides. The optimal path runs along the
+/// `|i − j| == band` diagonal, which a band covers *inclusively* — any
+/// off-by-one in the band bounds loses the path. This is what makes the
+/// sw and extension families mutation-tight: a drift strictly inside the
+/// band survives a one-cell narrowing.
+fn band_boundary_case(p: &mut Prng, band: usize, min_len: usize, spread: u64) -> [Vec<u8>; 2] {
+    let tlen = min_len + p.below(spread) as usize;
     let target = p.codes(tlen);
     let cut = tlen / 2;
-    let query = if p.below(2) == 0 {
-        // Deletion in the query: the path drifts to j − i == SW_BAND.
-        let mut q = target[..cut].to_vec();
-        q.extend_from_slice(&target[cut + SW_BAND..]);
-        q
+    let mut query = target[..cut].to_vec();
+    if p.below(2) == 0 {
+        // Deletion in the query: the path drifts to j − i == band.
+        query.extend_from_slice(&target[cut + band..]);
     } else {
-        // Insertion in the query: the path drifts to i − j == SW_BAND.
-        let mut q = target[..cut].to_vec();
-        for _ in 0..SW_BAND {
-            q.push(p.base());
-        }
-        q.extend_from_slice(&target[cut..]);
-        q
-    };
-    SwCase {
-        query,
-        target,
-        related: true,
+        // Insertion in the query: the path drifts to i − j == band.
+        query.extend((0..band).map(|_| p.base()));
+        query.extend_from_slice(&target[cut..]);
     }
+    [query, target]
 }
 
 /// The seeded SW case list: random unrelated pairs (banded ≤ full only),
@@ -182,24 +106,24 @@ pub fn sw_cases(seed: u64, n: usize) -> Vec<SwCase> {
     let mut p = Prng(seed ^ 0x5157_0001);
     (0..n)
         .map(|i| {
-            if i % 6 == 5 {
-                return band_boundary_case(&mut p);
-            }
-            let tlen = 20 + p.below(140) as usize;
-            let target = p.codes(tlen);
-            if i % 3 == 0 {
-                let qlen = 10 + p.below(70) as usize;
-                SwCase {
-                    query: p.codes(qlen),
-                    target,
-                    related: false,
-                }
+            let [query, target] = if i % 6 == 5 {
+                band_boundary_case(&mut p, SW_BAND, 80, 60)
             } else {
-                SwCase {
-                    query: p.mutate(&target),
-                    target,
-                    related: true,
+                let tlen = 20 + p.below(140) as usize;
+                let target = p.codes(tlen);
+                if i % 3 == 0 {
+                    let qlen = 10 + p.below(70) as usize;
+                    [p.codes(qlen), target]
+                } else {
+                    [p.mutate(&target), target]
                 }
+            };
+            // Boundary cases (i % 6 == 5) are mutations too.
+            let related = i % 3 != 0;
+            SwCase {
+                query,
+                target,
+                related,
             }
         })
         .collect()
@@ -273,60 +197,32 @@ pub fn sw_divergence(case: &SwCase, dp: &mut DpScratch) -> Option<(&'static str,
     None
 }
 
-/// The sw family: all cases through [`sw_divergence`]; on failure, ddmin
-/// over the case set, then shrink query and target of every survivor.
+/// [`sw_divergence`] over one [`DpScratch`] per call; query and target
+/// shrink.
+struct SwProbe;
+
+impl Probe for SwProbe {
+    type Case = SwCase;
+
+    fn divergence(&self, cases: &[SwCase]) -> FirstDivergence {
+        let mut dp = DpScratch::new();
+        Ok(cases.iter().find_map(|c| sw_divergence(c, &mut dp)))
+    }
+
+    fn sequences(case: &mut SwCase) -> Vec<&mut Vec<u8>> {
+        vec![&mut case.query, &mut case.target]
+    }
+}
+
+/// The sw family: [`sw_cases`] through [`sw_divergence`].
 pub fn run_sw_family(
     seed: u64,
     cases: usize,
     repro_dir: Option<&Path>,
 ) -> Result<String, Divergence> {
-    let all = sw_cases(seed, cases);
-    let mut dp = DpScratch::new();
-    if !all.iter().any(|c| sw_divergence(c, &mut dp).is_some()) {
-        return Ok(format!(
-            "sw: {cases} cases × 2 scorings × (3 kernels vs naive + banded), all agree"
-        ));
-    }
-    let mut fails = |cs: &[SwCase]| {
-        let mut dp = DpScratch::new();
-        cs.iter().any(|c| sw_divergence(c, &mut dp).is_some())
-    };
-    let minimal = minimize_set(&all, &mut fails);
-    // Shrink the (single, after ddmin) surviving pair while it keeps
-    // diverging; query first, then target.
-    let shrunk: Vec<SwCase> = minimal
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.query = shrink_read(&c.query, &mut |q| {
-                let probe = SwCase {
-                    query: q.to_vec(),
-                    ..c.clone()
-                };
-                sw_divergence(&probe, &mut DpScratch::new()).is_some()
-            });
-            c.target = shrink_read(&c.target, &mut |t| {
-                let probe = SwCase {
-                    target: t.to_vec(),
-                    ..c.clone()
-                };
-                sw_divergence(&probe, &mut DpScratch::new()).is_some()
-            });
-            c
-        })
-        .collect();
-    let (check, detail) = shrunk
-        .iter()
-        .find_map(|c| sw_divergence(c, &mut DpScratch::new()))
-        .unwrap_or((
-            "sw.unstable",
-            "divergence vanished during shrinking".to_string(),
-        ));
-    let reads: Vec<String> = shrunk
-        .iter()
-        .flat_map(|c| [codes_to_dna(&c.query), codes_to_dna(&c.target)])
-        .collect();
-    Err(Divergence::new("sw", check, detail, seed, reads, repro_dir))
+    run_family("sw", &SwProbe, &sw_cases(seed, cases), seed, repro_dir).map(|()| {
+        format!("sw: {cases} cases × 2 scorings × (3 kernels vs naive + banded), all agree")
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -353,73 +249,41 @@ pub struct ExtensionCase {
     pub identity: bool,
 }
 
-/// A band-boundary case for the edit kernel: exact flanks around one
-/// contiguous indel of exactly [`EXT_BAND`] codes, with multi-word
-/// (≥ 65-symbol) patterns. The edit distance is (almost always) exactly
-/// the band, so the contract check at `EXT_BAND` demands `exact` while the
-/// check at `EXT_BAND − 1` demands `!exact` — any off-by-one in the block
-/// window bounds breaks one of the two.
-fn extension_boundary_case(p: &mut Prng) -> ExtensionCase {
-    let tlen = 120 + p.below(80) as usize;
-    let target = p.codes(tlen);
-    let cut = tlen / 2;
-    let query = if p.below(2) == 0 {
-        // Deletion in the query: the optimal path drifts to j − i == band.
-        let mut q = target[..cut].to_vec();
-        q.extend_from_slice(&target[cut + EXT_BAND..]);
-        q
-    } else {
-        // Insertion in the query: the path drifts to i − j == band.
-        let mut q = target[..cut].to_vec();
-        for _ in 0..EXT_BAND {
-            q.push(p.base());
-        }
-        q.extend_from_slice(&target[cut..]);
-        q
-    };
-    ExtensionCase {
-        query,
-        target,
-        identity: false,
-    }
-}
-
 /// The seeded extension case list: unrelated pairs (the `!exact` side of
 /// the contract), bounded mutations (the `exact` side), identity prefixes
-/// (affine-score equality) and band-boundary indels. Lengths range past
-/// 64 so the multi-word block carries are exercised throughout.
+/// (affine-score equality) and band-boundary indels with multi-word
+/// (≥ 65-symbol) patterns. A boundary pair's edit distance is (almost
+/// always) exactly [`EXT_BAND`], so the contract check at `EXT_BAND`
+/// demands `exact` while the check at `EXT_BAND − 1` demands `!exact` —
+/// any off-by-one in the block window bounds breaks one of the two.
+/// Lengths range past 64 so the multi-word block carries are exercised
+/// throughout.
 pub fn extension_cases(seed: u64, n: usize) -> Vec<ExtensionCase> {
     let mut p = Prng(seed ^ 0xE47E_0005);
     (0..n)
         .map(|i| {
-            if i % 6 == 5 {
-                return extension_boundary_case(&mut p);
-            }
-            if i % 6 == 2 {
+            let identity = i % 6 == 2;
+            let [query, target] = if i % 6 == 5 {
+                band_boundary_case(&mut p, EXT_BAND, 120, 80)
+            } else if identity {
                 let tlen = 80 + p.below(120) as usize;
                 let target = p.codes(tlen);
                 let qlen = tlen - 1 - p.below(12) as usize;
-                return ExtensionCase {
-                    query: target[..qlen].to_vec(),
-                    target,
-                    identity: true,
-                };
-            }
-            let tlen = 20 + p.below(180) as usize;
-            let target = p.codes(tlen);
-            if i % 3 == 0 {
-                let qlen = 10 + p.below(170) as usize;
-                ExtensionCase {
-                    query: p.codes(qlen),
-                    target,
-                    identity: false,
-                }
+                [target[..qlen].to_vec(), target]
             } else {
-                ExtensionCase {
-                    query: p.mutate(&target),
-                    target,
-                    identity: false,
+                let tlen = 20 + p.below(180) as usize;
+                let target = p.codes(tlen);
+                if i % 3 == 0 {
+                    let qlen = 10 + p.below(170) as usize;
+                    [p.codes(qlen), target]
+                } else {
+                    [p.mutate(&target), target]
                 }
+            };
+            ExtensionCase {
+                query,
+                target,
+                identity,
             }
         })
         .collect()
@@ -617,74 +481,38 @@ pub fn extension_divergence(
     None
 }
 
-/// The extension family: all cases through [`extension_divergence`]; on
-/// failure, ddmin over the case set, then shrink query and target of every
-/// survivor (fresh scratches inside the predicates — shrinking must not
-/// depend on scratch state).
+/// [`extension_divergence`] over one scratch pair per call; query and
+/// target shrink.
+struct ExtensionProbe;
+
+impl Probe for ExtensionProbe {
+    type Case = ExtensionCase;
+
+    fn divergence(&self, cases: &[ExtensionCase]) -> FirstDivergence {
+        let (mut myers, mut dp) = (MyersScratch::new(), DpScratch::new());
+        Ok(cases
+            .iter()
+            .find_map(|c| extension_divergence(c, &mut myers, &mut dp)))
+    }
+
+    fn sequences(case: &mut ExtensionCase) -> Vec<&mut Vec<u8>> {
+        vec![&mut case.query, &mut case.target]
+    }
+}
+
+/// The extension family: [`extension_cases`] through
+/// [`extension_divergence`].
 pub fn run_extension_family(
     seed: u64,
     cases: usize,
     repro_dir: Option<&Path>,
 ) -> Result<String, Divergence> {
     let all = extension_cases(seed, cases);
-    let mut myers = MyersScratch::new();
-    let mut dp = DpScratch::new();
-    if !all
-        .iter()
-        .any(|c| extension_divergence(c, &mut myers, &mut dp).is_some())
-    {
-        return Ok(format!(
+    run_family("extension", &ExtensionProbe, &all, seed, repro_dir).map(|()| {
+        format!(
             "extension: {cases} cases × 3 bands × (global, extend, kernel) vs DP oracles, all agree"
-        ));
-    }
-    let mut fails = |cs: &[ExtensionCase]| {
-        let (mut myers, mut dp) = (MyersScratch::new(), DpScratch::new());
-        cs.iter()
-            .any(|c| extension_divergence(c, &mut myers, &mut dp).is_some())
-    };
-    let minimal = minimize_set(&all, &mut fails);
-    let shrunk: Vec<ExtensionCase> = minimal
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.query = shrink_read(&c.query, &mut |q| {
-                let probe = ExtensionCase {
-                    query: q.to_vec(),
-                    ..c.clone()
-                };
-                extension_divergence(&probe, &mut MyersScratch::new(), &mut DpScratch::new())
-                    .is_some()
-            });
-            c.target = shrink_read(&c.target, &mut |t| {
-                let probe = ExtensionCase {
-                    target: t.to_vec(),
-                    ..c.clone()
-                };
-                extension_divergence(&probe, &mut MyersScratch::new(), &mut DpScratch::new())
-                    .is_some()
-            });
-            c
-        })
-        .collect();
-    let (check, detail) = shrunk
-        .iter()
-        .find_map(|c| extension_divergence(c, &mut MyersScratch::new(), &mut DpScratch::new()))
-        .unwrap_or((
-            "extension.unstable",
-            "divergence vanished during shrinking".to_string(),
-        ));
-    let reads: Vec<String> = shrunk
-        .iter()
-        .flat_map(|c| [codes_to_dna(&c.query), codes_to_dna(&c.target)])
-        .collect();
-    Err(Divergence::new(
-        "extension",
-        check,
-        detail,
-        seed,
-        reads,
-        repro_dir,
-    ))
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -751,6 +579,41 @@ fn smem_reseed_config() -> SmemConfig {
     }
 }
 
+/// [`smem_divergence`] over one scratch per index per call; a case is a
+/// query under one seeding config, and its query shrinks.
+struct SmemProbe {
+    plain: FmdIndex,
+    lut: FmdIndex,
+    seed: u64,
+}
+
+impl Probe for SmemProbe {
+    type Case = (SmemConfig, Vec<u8>);
+
+    fn divergence(&self, cases: &[(SmemConfig, Vec<u8>)]) -> FirstDivergence {
+        let (mut s_plain, mut s_lut) = (SmemScratch::new(), SmemScratch::new());
+        Ok(cases.iter().find_map(|(config, query)| {
+            let (check, detail) = smem_divergence(
+                &self.plain,
+                &self.lut,
+                config,
+                query,
+                &mut s_plain,
+                &mut s_lut,
+            )?;
+            let detail = format!(
+                "{detail} (reference: 3000 codes from seed {}, min_seed_len {})",
+                self.seed, config.min_seed_len
+            );
+            Some((check, detail))
+        }))
+    }
+
+    fn sequences(case: &mut (SmemConfig, Vec<u8>)) -> Vec<&mut Vec<u8>> {
+        vec![&mut case.1]
+    }
+}
+
 /// The smem family: a seeded reference, two index builds (with/without
 /// LUT), mutated windows + random queries under the default and the
 /// re-seeding-heavy config.
@@ -761,9 +624,9 @@ pub fn run_smem_family(
 ) -> Result<String, Divergence> {
     let mut p = Prng(seed ^ 0x53ED_0002);
     let reference = p.codes(3000);
-    let fmd_plain = FmdIndex::from_forward(&reference);
-    let mut fmd_lut = FmdIndex::from_forward(&reference);
-    fmd_lut.build_prefix_lut(PrefixLut::DEFAULT_K);
+    let plain = FmdIndex::from_forward(&reference);
+    let mut lut = FmdIndex::from_forward(&reference);
+    lut.build_prefix_lut(PrefixLut::DEFAULT_K);
     let queries: Vec<Vec<u8>> = (0..cases)
         .map(|i| {
             if i % 4 == 3 {
@@ -775,65 +638,29 @@ pub fn run_smem_family(
             }
         })
         .collect();
-    let configs = [SmemConfig::default(), smem_reseed_config()];
-    let mut s_plain = SmemScratch::new();
-    let mut s_lut = SmemScratch::new();
-    for config in &configs {
-        for query in &queries {
-            if let Some((check, _)) = smem_divergence(
-                &fmd_plain,
-                &fmd_lut,
-                config,
-                query,
-                &mut s_plain,
-                &mut s_lut,
-            ) {
-                // Shrink the query while the divergence holds (fresh
-                // scratches inside the predicate: the shrink must not
-                // depend on cache state).
-                let minimal = shrink_read(query, &mut |q| {
-                    smem_divergence(
-                        &fmd_plain,
-                        &fmd_lut,
-                        config,
-                        q,
-                        &mut SmemScratch::new(),
-                        &mut SmemScratch::new(),
-                    )
-                    .is_some()
-                });
-                let (check, detail) = smem_divergence(
-                    &fmd_plain,
-                    &fmd_lut,
-                    config,
-                    &minimal,
-                    &mut SmemScratch::new(),
-                    &mut SmemScratch::new(),
-                )
-                .unwrap_or((check, "divergence vanished during shrinking".to_string()));
-                let detail = format!(
-                    "{detail} (reference: 3000 codes from seed {seed}, min_seed_len {})",
-                    config.min_seed_len
-                );
-                return Err(Divergence::new(
-                    "smem",
-                    check,
-                    detail,
-                    seed,
-                    vec![codes_to_dna(&minimal)],
-                    repro_dir,
-                ));
-            }
-        }
-    }
-    Ok(format!(
-        "smem: {cases} queries × 2 configs × 3 mode pairs vs oracle, all agree"
-    ))
+    let all: Vec<(SmemConfig, Vec<u8>)> = [SmemConfig::default(), smem_reseed_config()]
+        .into_iter()
+        .flat_map(|config| queries.iter().map(move |q| (config, q.clone())))
+        .collect();
+    let probe = SmemProbe { plain, lut, seed };
+    run_family("smem", &probe, &all, seed, repro_dir)
+        .map(|()| format!("smem: {cases} queries × 2 configs × 3 mode pairs vs oracle, all agree"))
 }
 
 // ---------------------------------------------------------------------------
 // pipeline family
 // ---------------------------------------------------------------------------
+
+/// One alignment as a divergence detail shows it.
+fn describe(a: Option<WireAlignment>) -> String {
+    match a {
+        Some(w) => format!(
+            "pos {} rc {} score {} cigar {} mapq {}",
+            w.pos, w.is_rc, w.score, w.cigar, w.mapq
+        ),
+        None => "unmapped".to_string(),
+    }
+}
 
 /// Compares the three pipeline paths on one read: traced (LUT bypassed),
 /// fast (LUT engaged) and a fresh-scratch run. Alignments must be
@@ -848,20 +675,14 @@ pub fn pipeline_divergence(
     let traced = aligner.align_codes_with(read_id, codes, scratch);
     let fast = aligner.align_codes_fast(read_id, codes, scratch);
     let fresh = aligner.align_codes(read_id, codes);
-    let describe = |o: &Option<Alignment>| match o {
-        Some(a) => format!(
-            "pos {} rc {} score {} cigar {} mapq {}",
-            a.flat_pos, a.is_rc, a.score, a.cigar, a.mapq
-        ),
-        None => "unmapped".to_string(),
-    };
+    let show = |o: &Option<Alignment>| describe(o.as_ref().map(WireAlignment::from_alignment));
     if traced.alignment != fast.alignment {
         return Some((
             "pipeline.traced_vs_fast",
             format!(
                 "traced [{}] vs fast [{}]",
-                describe(&traced.alignment),
-                describe(&fast.alignment)
+                show(&traced.alignment),
+                show(&fast.alignment)
             ),
         ));
     }
@@ -870,8 +691,8 @@ pub fn pipeline_divergence(
             "pipeline.scratch_vs_fresh",
             format!(
                 "reused scratch [{}] vs fresh [{}]",
-                describe(&fast.alignment),
-                describe(&fresh.alignment)
+                show(&fast.alignment),
+                show(&fresh.alignment)
             ),
         ));
     }
@@ -896,6 +717,30 @@ pub fn pipeline_divergence(
     None
 }
 
+/// [`pipeline_divergence`] over one [`AlignScratch`] per call; a case is
+/// `(read id, codes)`, and its codes shrink.
+struct PipelineProbe<'a> {
+    aligner: SoftwareAligner<'a>,
+    seed: u64,
+}
+
+impl Probe for PipelineProbe<'_> {
+    type Case = (u64, Vec<u8>);
+
+    fn divergence(&self, cases: &[(u64, Vec<u8>)]) -> FirstDivergence {
+        let mut scratch = AlignScratch::new();
+        Ok(cases.iter().find_map(|(id, codes)| {
+            let (check, detail) = pipeline_divergence(&self.aligner, *id, codes, &mut scratch)?;
+            let detail = format!("{detail} (reference: 8000 codes from seed {})", self.seed);
+            Some((check, detail))
+        }))
+    }
+
+    fn sequences(case: &mut (u64, Vec<u8>)) -> Vec<&mut Vec<u8>> {
+        vec![&mut case.1]
+    }
+}
+
 /// The pipeline family: seeded reference, mutated-window + random reads,
 /// all three paths per read.
 pub fn run_pipeline_family(
@@ -907,43 +752,21 @@ pub fn run_pipeline_family(
     let reference = p.codes(8000);
     let index = ReferenceIndex::from_codes(reference.clone(), 32);
     let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-    let read_list: Vec<Vec<u8>> = (0..reads)
+    let read_list: Vec<(u64, Vec<u8>)> = (0..reads as u64)
         .map(|i| {
             if i % 5 == 4 {
                 let len = 60 + p.below(90) as usize;
-                p.codes(len)
+                (i, p.codes(len))
             } else {
                 let start = p.below((reference.len() - 101) as u64) as usize;
-                p.mutate(&reference[start..start + 101])
+                (i, p.mutate(&reference[start..start + 101]))
             }
         })
         .collect();
-    let mut scratch = AlignScratch::new();
-    for (i, codes) in read_list.iter().enumerate() {
-        if pipeline_divergence(&aligner, i as u64, codes, &mut scratch).is_some() {
-            let minimal = shrink_read(codes, &mut |r| {
-                pipeline_divergence(&aligner, i as u64, r, &mut AlignScratch::new()).is_some()
-            });
-            let (check, detail) =
-                pipeline_divergence(&aligner, i as u64, &minimal, &mut AlignScratch::new())
-                    .unwrap_or((
-                        "pipeline.unstable",
-                        "divergence vanished during shrinking".to_string(),
-                    ));
-            let detail = format!("{detail} (reference: 8000 codes from seed {seed})");
-            return Err(Divergence::new(
-                "pipeline",
-                check,
-                detail,
-                seed,
-                vec![codes_to_dna(&minimal)],
-                repro_dir,
-            ));
-        }
-    }
-    Ok(format!(
-        "pipeline: {reads} reads × 3 paths (traced, LUT fast, fresh scratch), all agree"
-    ))
+    let probe = PipelineProbe { aligner, seed };
+    run_family("pipeline", &probe, &read_list, seed, repro_dir).map(|()| {
+        format!("pipeline: {reads} reads × 3 paths (traced, LUT fast, fresh scratch), all agree")
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -954,97 +777,73 @@ pub fn run_pipeline_family(
 /// construction stays cheap in CI, large enough for real SMEM structure).
 pub const SERVE_REF_LEN: usize = 20_000;
 
-pub(crate) fn wire_matches(wire: &Option<WireAlignment>, offline: &Option<Alignment>) -> bool {
-    match (wire, offline) {
-        (None, None) => true,
-        (Some(w), Some(a)) => {
-            w.pos == a.flat_pos
-                && w.is_rc == a.is_rc
-                && w.score == a.score
-                && w.cigar == a.cigar.to_string()
-                && w.mapq == a.mapq
-        }
-        _ => false,
-    }
+/// One serve round trip per call: start a server on the shared index, run
+/// the closed-loop loadgen over the reads, shut down, and compare each
+/// served alignment with the offline aligner's. A read's codes shrink.
+struct ServeProbe {
+    index: Arc<ReferenceIndex>,
 }
 
-/// One serve round trip: start a server on the shared index, run the
-/// closed-loop loadgen over `reads`, shut down, and return the first read
-/// whose served alignment differs from the offline aligner's (or an
-/// error string for transport-level failures, which are *not*
-/// divergences).
-fn serve_round(
-    index: &Arc<ReferenceIndex>,
-    reads: &[TenantRead],
-) -> Result<Option<(u64, String)>, String> {
-    let server = Server::start(
-        vec![Tenant::single(Arc::clone(index))],
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("server start: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let report = loadgen::run(
-        &addr,
-        reads,
-        &LoadgenConfig {
-            connections: 2,
-            mode: ArrivalMode::Closed { window: 16 },
-            collect_responses: true,
-            ..LoadgenConfig::default()
-        },
-    )
-    .map_err(|e| format!("loadgen: {e}"))?;
-    server.shutdown();
-    let total = &report.total;
-    if !report.is_lossless() || total.ok != reads.len() as u64 {
-        return Err(format!(
-            "transport not clean: sent {} ok {} lost {} duplicates {}",
-            total.sent, total.ok, total.lost, report.duplicates
-        ));
-    }
-    let aligner = SoftwareAligner::new(index, AlignerConfig::default());
-    let mut scratch = AlignScratch::new();
-    // Walk ids in order so "first divergent read" is deterministic.
-    for id in 0..reads.len() as u64 {
-        let resp = report
-            .responses
-            .get(&id)
-            .ok_or_else(|| format!("response for read {id} missing despite ok count"))?;
-        let offline = aligner
-            .align_codes_fast(id, &reads[id as usize].codes, &mut scratch)
-            .alignment;
-        if !wire_matches(&resp.alignment, &offline) {
-            let served = match &resp.alignment {
-                Some(w) => format!(
-                    "pos {} rc {} score {} cigar {} mapq {}",
-                    w.pos, w.is_rc, w.score, w.cigar, w.mapq
-                ),
-                None => "unmapped".to_string(),
-            };
-            let want = match &offline {
-                Some(a) => format!(
-                    "pos {} rc {} score {} cigar {} mapq {}",
-                    a.flat_pos, a.is_rc, a.score, a.cigar, a.mapq
-                ),
-                None => "unmapped".to_string(),
-            };
-            return Ok(Some((
-                id,
-                format!("read {id}: served [{served}] vs offline [{want}]"),
-            )));
+impl Probe for ServeProbe {
+    type Case = TenantRead;
+
+    fn divergence(&self, reads: &[TenantRead]) -> FirstDivergence {
+        let server = Server::start(
+            vec![Tenant::single(Arc::clone(&self.index))],
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .map_err(|e| format!("server start: {e}"))?;
+        let addr = server.local_addr().to_string();
+        let report = loadgen::run(
+            &addr,
+            reads,
+            &LoadgenConfig {
+                collect_responses: true,
+                ..closed_loop()
+            },
+        )
+        .map_err(|e| format!("loadgen: {e}"))?;
+        server.shutdown();
+        let total = &report.total;
+        if !report.is_lossless() || total.ok != reads.len() as u64 {
+            return Err(format!(
+                "transport not clean: sent {} ok {} lost {} duplicates {}",
+                total.sent, total.ok, total.lost, report.duplicates
+            ));
         }
+        let aligner = SoftwareAligner::new(&self.index, AlignerConfig::default());
+        let mut scratch = AlignScratch::new();
+        // Walk ids in order so "first divergent read" is deterministic.
+        for id in 0..reads.len() as u64 {
+            let resp = report
+                .responses
+                .get(&id)
+                .ok_or_else(|| format!("response for read {id} missing despite ok count"))?;
+            let offline = aligner
+                .align_codes_fast(id, &reads[id as usize].codes, &mut scratch)
+                .alignment;
+            let offline = offline.as_ref().map(WireAlignment::from_alignment);
+            if resp.alignment != offline {
+                let (served, want) = (describe(resp.alignment.clone()), describe(offline));
+                let detail = format!("read {id}: served [{served}] vs offline [{want}]");
+                return Ok(Some(("serve.vs_offline", detail)));
+            }
+        }
+        Ok(None)
     }
-    Ok(None)
+
+    fn sequences(read: &mut TenantRead) -> Vec<&mut Vec<u8>> {
+        vec![&mut read.codes]
+    }
 }
 
 /// The serve family: simulated reads against a synthesized reference,
 /// served over real sockets and compared read-by-read with the offline
-/// aligner. On divergence, ddmin over the read set (each probe is a fresh
-/// server round, so batching-dependent divergences minimize too), then
-/// shrink the surviving reads.
+/// aligner. Every probe of the minimizer is a fresh server round, so
+/// batching-dependent divergences minimize too.
 pub fn run_serve_family(
     seed: u64,
     reads: usize,
@@ -1054,56 +853,16 @@ pub fn run_serve_family(
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
     let sim = ReadSimParams::illumina_101();
     let read_list = loadgen::generate_reads(&genome, sim, seed ^ 0x52EA_D004, reads);
-    let first = match serve_round(&index, &read_list) {
-        Ok(None) => {
-            return Ok(format!(
-                "serve: {reads} reads served and bit-identical to the offline aligner"
-            ))
-        }
-        Ok(Some(found)) => found,
-        Err(e) => {
-            // Transport failure, not an alignment divergence: surface it
-            // without minimization (the minimizer assumes a clean channel).
-            return Err(Divergence::new(
-                "serve",
-                "serve.transport",
-                e,
-                seed,
-                Vec::new(),
-                repro_dir,
-            ));
-        }
-    };
-    let mut fails = |subset: &[TenantRead]| matches!(serve_round(&index, subset), Ok(Some(_)));
-    let minimal_set = minimize_set(&read_list, &mut fails);
-    let shrunk: Vec<TenantRead> = (0..minimal_set.len())
-        .map(|i| {
-            let mut set = minimal_set.clone();
-            let mut read = minimal_set[i].clone();
-            read.codes = shrink_read(&read.codes, &mut |r| {
-                set[i].codes = r.to_vec();
-                matches!(serve_round(&index, &set), Ok(Some(_)))
-            });
-            read
-        })
-        .collect();
-    let detail = match serve_round(&index, &shrunk) {
-        Ok(Some((_, d))) => d,
-        _ => first.1,
-    };
-    Err(Divergence::new(
-        "serve",
-        "serve.vs_offline",
-        detail,
-        seed,
-        shrunk.iter().map(|r| codes_to_dna(&r.codes)).collect(),
-        repro_dir,
-    ))
+    run_family("serve", &ServeProbe { index }, &read_list, seed, repro_dir)
+        .map(|()| format!("serve: {reads} reads served and bit-identical to the offline aligner"))
 }
 
 #[cfg(test)]
 mod tests {
+    use nvwa_telemetry::JsonValue;
+
     use super::*;
+    use crate::dna_to_codes;
 
     #[test]
     fn sw_family_agrees_on_a_healthy_tree() {
@@ -1122,12 +881,11 @@ mod tests {
         let mut dp = DpScratch::new();
         let mut narrowed_loses = 0usize;
         for _ in 0..10 {
-            let case = band_boundary_case(&mut p);
-            let full = sw::extend_align_with(&case.query, &case.target, &scoring, &mut dp);
-            let exact = banded_extend_with(&case.query, &case.target, &scoring, SW_BAND, &mut dp);
+            let [query, target] = band_boundary_case(&mut p, SW_BAND, 80, 60);
+            let full = sw::extend_align_with(&query, &target, &scoring, &mut dp);
+            let exact = banded_extend_with(&query, &target, &scoring, SW_BAND, &mut dp);
             assert_eq!(exact.score, full.score, "correct band must cover the path");
-            let narrow =
-                banded_extend_with(&case.query, &case.target, &scoring, SW_BAND - 1, &mut dp);
+            let narrow = banded_extend_with(&query, &target, &scoring, SW_BAND - 1, &mut dp);
             if narrow.score < full.score {
                 narrowed_loses += 1;
             }
@@ -1154,40 +912,101 @@ mod tests {
         let mut myers = MyersScratch::new();
         let mut at_limit = 0usize;
         for _ in 0..10 {
-            let case = extension_boundary_case(&mut p);
-            let row = edit_prefix_distances(&case.query, &case.target);
-            let full = row[case.target.len()] as usize;
+            let [query, target] = band_boundary_case(&mut p, EXT_BAND, 120, 80);
+            let row = edit_prefix_distances(&query, &target);
+            let full = row[target.len()] as usize;
             assert!(full <= EXT_BAND, "one indel of EXT_BAND cannot cost more");
-            let g = banded_edit_global(&case.query, &case.target, EXT_BAND, &mut myers);
+            let g = banded_edit_global(&query, &target, EXT_BAND, &mut myers);
             assert!(g.exact, "band equal to the drift must stay exact");
             assert_eq!(g.distance as usize, full);
             if full == EXT_BAND {
                 at_limit += 1;
-                let narrow =
-                    banded_edit_global(&case.query, &case.target, EXT_BAND - 1, &mut myers);
+                let narrow = banded_edit_global(&query, &target, EXT_BAND - 1, &mut myers);
                 assert!(!narrow.exact, "band one short of the indel must clamp");
             }
         }
         assert!(at_limit >= 8, "only {at_limit}/10 cases sat at the limit");
     }
 
+    /// The extension probe plus a kernel whose band is silently one cell
+    /// too narrow: a pair whose true distance is exactly [`EXT_BAND`]
+    /// reports `!exact` where the contract demands `exact`.
+    struct NarrowEditBand;
+
+    impl Probe for NarrowEditBand {
+        type Case = ExtensionCase;
+
+        fn divergence(&self, cases: &[ExtensionCase]) -> FirstDivergence {
+            let mut myers = MyersScratch::new();
+            Ok(cases.iter().find_map(|c| {
+                let real = ExtensionProbe.divergence(std::slice::from_ref(c)).unwrap();
+                real.or_else(|| {
+                    let full = edit_prefix_distances(&c.query, &c.target)[c.target.len()];
+                    let g = banded_edit_global(&c.query, &c.target, EXT_BAND - 1, &mut myers);
+                    let detail = format!("band {EXT_BAND}: exact=false but true distance {full}");
+                    (full as usize <= EXT_BAND && !g.exact)
+                        .then_some(("extension.exactness_contract", detail))
+                })
+            }))
+        }
+
+        fn sequences(case: &mut ExtensionCase) -> Vec<&mut Vec<u8>> {
+            ExtensionProbe::sequences(case)
+        }
+    }
+
     #[test]
     fn a_planted_band_bug_in_the_edit_kernel_is_caught_and_minimized() {
-        // Simulate a kernel whose band is silently one cell too narrow:
-        // cases whose true distance is exactly EXT_BAND report `!exact`
-        // where the contract demands `exact`. The boundary cases in the
-        // seeded list catch it, and ddmin brings the list down to one.
-        let cases = extension_cases(3, 30);
-        let buggy = |c: &ExtensionCase| {
-            let mut myers = MyersScratch::new();
-            let row = edit_prefix_distances(&c.query, &c.target);
-            let full = row[c.target.len()] as usize;
-            let g = banded_edit_global(&c.query, &c.target, EXT_BAND - 1, &mut myers);
-            full <= EXT_BAND && !g.exact
+        // The boundary cases in the seeded list catch the narrowed band,
+        // and the runner brings the list down to one pair.
+        let d = run_family(
+            "extension",
+            &NarrowEditBand,
+            &extension_cases(3, 30),
+            3,
+            None,
+        )
+        .expect_err("a boundary case must trip the bug");
+        assert_eq!(d.check, "extension.exactness_contract", "{d}");
+        assert_eq!(d.reads.len(), 2, "one (query, target) pair suffices: {d}");
+    }
+
+    /// The written reproducer is the replayable record of a failure: its
+    /// reads, turned back into codes, diverge with the recorded check.
+    #[test]
+    fn a_written_reproducer_replays_to_the_same_check() {
+        let dir = std::env::temp_dir().join("nvwa_testkit_repro_round_trip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let all = extension_cases(3, 30);
+        let d = run_family("extension", &NarrowEditBand, &all, 3, Some(&dir))
+            .expect_err("a boundary case must trip the bug");
+        let path = dir.join("extension_seed3.json");
+        assert_eq!(d.repro.as_ref(), Some(&Ok(path.clone())), "{d}");
+        let doc = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let field = |key: &str| doc.get(key).and_then(JsonValue::as_str).map(str::to_string);
+        assert_eq!(field("family").as_deref(), Some("extension"));
+        assert_eq!(field("check"), Some(d.check.clone()));
+        assert_eq!(doc.get("seed").and_then(JsonValue::as_num), Some(3.0));
+        let reads: Vec<Vec<u8>> = doc
+            .get("reads")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| dna_to_codes(r.as_str().unwrap()))
+            .collect();
+        assert_eq!(reads.len(), 2, "{d}");
+        // `identity` is not recorded; the exactness contract ignores it.
+        let replay = ExtensionCase {
+            query: reads[0].clone(),
+            target: reads[1].clone(),
+            identity: false,
         };
-        assert!(cases.iter().any(buggy), "a boundary case must trip the bug");
-        let minimal = minimize_set(&cases, &mut |cs| cs.iter().any(buggy));
-        assert_eq!(minimal.len(), 1, "one pair suffices to reproduce");
+        let (check, _) = NarrowEditBand
+            .divergence(&[replay])
+            .unwrap()
+            .expect("the reproducer still diverges");
+        assert_eq!(check, d.check);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1202,21 +1021,37 @@ mod tests {
         assert!(summary.contains("12 reads"), "{summary}");
     }
 
+    /// The sw probe plus a banded kernel whose band is 1, below the
+    /// mutation drift: related cases lose their optimum.
+    struct NarrowBand;
+
+    impl Probe for NarrowBand {
+        type Case = SwCase;
+
+        fn divergence(&self, cases: &[SwCase]) -> FirstDivergence {
+            let (scoring, mut dp) = (Scoring::bwa_mem(), DpScratch::new());
+            Ok(cases.iter().find_map(|c| {
+                let real = SwProbe.divergence(std::slice::from_ref(c)).unwrap();
+                real.or_else(|| {
+                    let full = sw::extend_align_with(&c.query, &c.target, &scoring, &mut dp);
+                    let banded = banded_extend_with(&c.query, &c.target, &scoring, 1, &mut dp);
+                    let detail = format!("banded {} != full {}", banded.score, full.score);
+                    (c.related && banded.score != full.score)
+                        .then_some(("sw.banded_vs_full", detail))
+                })
+            }))
+        }
+
+        fn sequences(case: &mut SwCase) -> Vec<&mut Vec<u8>> {
+            SwProbe::sequences(case)
+        }
+    }
+
     #[test]
     fn a_planted_banded_bug_is_caught_and_minimized() {
-        // Simulate an off-by-one in the banded kernel by narrowing the
-        // band below the mutation drift: related cases must diverge, and
-        // the minimizer must bring the case list down to one pair.
-        let cases = sw_cases(3, 30);
-        let buggy = |c: &SwCase| {
-            let mut dp = DpScratch::new();
-            let scoring = Scoring::bwa_mem();
-            let full = sw::extend_align_with(&c.query, &c.target, &scoring, &mut dp);
-            let banded = banded_extend_with(&c.query, &c.target, &scoring, 1, &mut dp);
-            c.related && banded.score != full.score
-        };
-        assert!(cases.iter().any(buggy), "band 1 must lose some optimum");
-        let minimal = minimize_set(&cases, &mut |cs| cs.iter().any(buggy));
-        assert_eq!(minimal.len(), 1, "one pair suffices to reproduce");
+        let d = run_family("sw", &NarrowBand, &sw_cases(3, 30), 3, None)
+            .expect_err("band 1 must lose some optimum");
+        assert_eq!(d.check, "sw.banded_vs_full", "{d}");
+        assert_eq!(d.reads.len(), 2, "one (query, target) pair suffices: {d}");
     }
 }

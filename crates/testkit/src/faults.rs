@@ -34,7 +34,7 @@ use nvwa_serve::{
 use nvwa_telemetry::snapshot::{validate, Kind};
 use nvwa_telemetry::JsonValue;
 
-use crate::tenancy::interleave_tenants;
+use crate::tenancy::{interleave_tenants, two_tenants, TENANT_A, TENANT_B};
 use crate::Prng;
 
 /// Reference length of the fault fixtures (small: plans start their own
@@ -118,6 +118,8 @@ pub fn fault_plans(seed: u64) -> Vec<FaultPlan> {
     .collect()
 }
 
+/// A client socket to `addr` with the [`CLIENT_TIMEOUT`] read timeout and
+/// `nodelay` set.
 fn connect(addr: &str) -> Result<TcpStream, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
@@ -127,8 +129,60 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
     Ok(stream)
 }
 
+/// The well-behaved client of the serving checks: 2 connections, closed
+/// loop, window 16.
+pub(crate) fn closed_loop() -> LoadgenConfig {
+    LoadgenConfig {
+        connections: 2,
+        mode: ArrivalMode::Closed { window: 16 },
+        ..LoadgenConfig::default()
+    }
+}
+
+/// Exactly-once accounting of a well-behaved run: nothing lost or
+/// duplicated, every request sent was answered, and the statuses
+/// conserve (`received == ok + unmapped + shed + quota + deadline +
+/// errors`).
+pub(crate) fn exactly_once(report: &loadgen::LoadReport, what: &str) -> Result<(), String> {
+    let t = &report.total;
+    if !report.is_lossless() || t.received != t.sent {
+        return Err(format!(
+            "{what}: exactly-once violated: sent {} received {} lost {} duplicates {}",
+            t.sent, t.received, t.lost, report.duplicates
+        ));
+    }
+    let by_status = t.ok + t.unmapped + t.shed + t.quota + t.deadline + t.errors;
+    if by_status != t.received {
+        return Err(format!(
+            "{what}: statuses do not conserve: ok {} + unmapped {} + shed {} + quota {} + \
+             deadline {} + errors {} != received {}",
+            t.ok, t.unmapped, t.shed, t.quota, t.deadline, t.errors, t.received
+        ));
+    }
+    Ok(())
+}
+
+/// The worker-panic plan's server: a small fill target makes many
+/// batches, so the panic hits batch 1 and plenty of later batches prove
+/// the worker survived; the panic freezes a flight dump.
+fn worker_panic_config(workers: usize) -> ServerConfig {
+    ServerConfig {
+        workers,
+        batch: BatcherConfig {
+            max_batch: 8,
+            ..BatcherConfig::default()
+        },
+        worker_panic_at_batch: Some(1),
+        obs: ObservabilityConfig {
+            flight_dump: Some(flight_dir()),
+            ..ObservabilityConfig::default()
+        },
+        ..ServerConfig::default()
+    }
+}
+
 /// A plain short-mode align request (no deadline, tenant or region).
-fn short_align(id: u64, codes: Vec<u8>) -> Request {
+pub(crate) fn short_align(id: u64, codes: Vec<u8>) -> Request {
     Request::Align {
         id,
         codes,
@@ -139,65 +193,9 @@ fn short_align(id: u64, codes: Vec<u8>) -> Request {
     }
 }
 
-/// Header lies about the body length; `sent` bytes follow, then the
-/// connection drops.
-fn send_truncated(addr: &str, promised: u32, sent: usize) -> Result<(), String> {
-    let mut s = connect(addr)?;
-    s.write_all(&promised.to_be_bytes())
-        .map_err(|e| format!("write header: {e}"))?;
-    let body = vec![b'{'; sent];
-    s.write_all(&body).map_err(|e| format!("write body: {e}"))?;
-    let _ = s.flush();
-    Ok(()) // drop: mid-frame disconnect
-}
-
-/// Oversized header: the server must respond `error` without reading (or
-/// allocating) the advertised body.
-fn send_oversized(addr: &str) -> Result<(), String> {
-    let mut s = connect(addr)?;
-    let len = (MAX_FRAME_BYTES as u32) + 1;
-    s.write_all(&len.to_be_bytes())
-        .map_err(|e| format!("write header: {e}"))?;
-    let _ = s.flush();
-    let doc = read_frame(&mut s)
-        .map_err(|e| format!("reading error response: {e}"))?
-        .ok_or("connection closed without an error response")?;
-    let resp = AlignResponse::decode(&doc)?;
-    if resp.status != Status::Error {
-        return Err(format!(
-            "oversized frame answered {:?}, want error",
-            resp.status
-        ));
-    }
-    Ok(())
-}
-
-/// A single valid align request, written one byte per syscall.
-fn send_slow_loris(addr: &str, id: u64, codes: &[u8]) -> Result<(), String> {
-    let mut s = connect(addr)?;
-    let body = short_align(id, codes.to_vec()).encode().to_string_compact();
-    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(body.as_bytes());
-    for byte in frame {
-        s.write_all(&[byte]).map_err(|e| format!("dribble: {e}"))?;
-        s.flush().map_err(|e| format!("flush: {e}"))?;
-    }
-    let doc = read_frame(&mut s)
-        .map_err(|e| format!("reading response: {e}"))?
-        .ok_or("connection closed without a response")?;
-    let resp = AlignResponse::decode(&doc)?;
-    if resp.id != id || resp.status != Status::Ok {
-        return Err(format!(
-            "slow-loris request answered id {} status {:?}, want id {id} ok",
-            resp.id, resp.status
-        ));
-    }
-    Ok(())
-}
-
-/// What the server owes one fuzzed connection.
+/// What the server owes one attacking connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owed {
+pub(crate) enum Owed {
     /// The bytes are well-formed after all: this many `ok` answers.
     Ok(usize),
     /// Exactly one `error` answer (and one `serve.protocol_errors` tick).
@@ -212,14 +210,14 @@ enum Owed {
 type Mutant = (&'static str, Vec<Vec<u8>>, Owed);
 
 /// `body` behind a length prefix claiming `len` bytes.
-fn framed(len: usize, body: &[u8]) -> Vec<u8> {
+pub(crate) fn framed(len: usize, body: &[u8]) -> Vec<u8> {
     let mut frame = (len as u32).to_be_bytes().to_vec();
     frame.extend_from_slice(body);
     frame
 }
 
 /// `doc` with `key` replaced (or added).
-fn with_field(doc: JsonValue, key: &str, value: JsonValue) -> JsonValue {
+pub(crate) fn with_field(doc: JsonValue, key: &str, value: JsonValue) -> JsonValue {
     let JsonValue::Obj(mut pairs) = doc else {
         unreachable!("requests encode as objects");
     };
@@ -308,21 +306,49 @@ fn frame_mutants(prng: &mut Prng) -> Vec<Mutant> {
     out
 }
 
-/// Plays `writes` on a fresh connection, hangs up the write half and
-/// returns every response up to the server's close.
-fn exchange(addr: &str, writes: &[Vec<u8>]) -> Result<Vec<AlignResponse>, String> {
-    let mut s = connect(addr)?;
+/// Plays `writes` on a fresh connection and reads the answers the server
+/// `owed` while the client still holds the connection open, so an answer
+/// that only comes once the client hangs up fails (by the read timeout).
+/// Then it hangs up the write half and reads up to the server's close:
+/// any answer there is one too many. Returns the answers.
+pub(crate) fn play(
+    addr: &str,
+    name: &str,
+    writes: &[Vec<u8>],
+    owed: Owed,
+) -> Result<Vec<AlignResponse>, String> {
+    let want = match owed {
+        Owed::Ok(n) => vec![Status::Ok; n],
+        Owed::Error => vec![Status::Error],
+        Owed::Silence => Vec::new(),
+    };
+    let mut s = connect(addr).map_err(|e| format!("{name}: {e}"))?;
     for bytes in writes {
-        s.write_all(bytes).map_err(|e| format!("write: {e}"))?;
-        s.flush().map_err(|e| format!("flush: {e}"))?;
+        s.write_all(bytes)
+            .and_then(|()| s.flush())
+            .map_err(|e| format!("{name}: write: {e}"))?;
+    }
+    let next = |s: &mut TcpStream| match read_frame(s) {
+        Ok(doc) => doc.map(|doc| AlignResponse::decode(&doc)).transpose(),
+        Err(e) => Err(format!("read: {e}")),
+    };
+    let mut got = Vec::new();
+    while got.len() < want.len() {
+        match next(&mut s).map_err(|e| format!("{name}: before hang-up: {e}"))? {
+            Some(resp) => got.push(resp),
+            None => break,
+        }
     }
     s.shutdown(Shutdown::Write)
-        .map_err(|e| format!("half-close: {e}"))?;
-    let mut responses = Vec::new();
-    while let Some(doc) = read_frame(&mut s).map_err(|e| format!("read: {e}"))? {
-        responses.push(AlignResponse::decode(&doc)?);
+        .map_err(|e| format!("{name}: half-close: {e}"))?;
+    while let Some(resp) = next(&mut s).map_err(|e| format!("{name}: after hang-up: {e}"))? {
+        got.push(resp);
     }
-    Ok(responses)
+    let statuses: Vec<Status> = got.iter().map(|r| r.status).collect();
+    if statuses != want {
+        return Err(format!("{name}: answered {statuses:?}, want {want:?}"));
+    }
+    Ok(got)
 }
 
 /// Runs the fuzz corpus, probing with a well-formed request on a fresh
@@ -331,27 +357,13 @@ fn exchange(addr: &str, writes: &[Vec<u8>]) -> Result<Vec<AlignResponse>, String
 fn run_frame_fuzz(addr: &str, prng: &mut Prng) -> Result<u64, String> {
     let mut errors_owed = 0;
     for (name, writes, owed) in frame_mutants(prng) {
-        let got = exchange(addr, &writes).map_err(|e| format!("frame_fuzz[{name}]: {e}"))?;
-        let statuses: Vec<Status> = got.iter().map(|r| r.status).collect();
-        let want = match owed {
-            Owed::Ok(n) => vec![Status::Ok; n],
-            Owed::Error => vec![Status::Error],
-            Owed::Silence => Vec::new(),
-        };
-        if statuses != want {
-            return Err(format!(
-                "frame_fuzz[{name}]: answered {statuses:?}, want {want:?}"
-            ));
-        }
+        play(addr, &format!("frame_fuzz[{name}]"), &writes, owed)?;
         errors_owed += u64::from(owed == Owed::Error);
         let probe = short_align(9_000, prng.codes(60));
         let body = probe.encode().to_string_compact().into_bytes();
-        let after = exchange(addr, &[framed(body.len(), &body)])
-            .map_err(|e| format!("frame_fuzz[{name}]: probe: {e}"))?;
-        if after.len() != 1 || after[0].id != 9_000 || after[0].status != Status::Ok {
-            return Err(format!(
-                "frame_fuzz[{name}]: well-formed request afterwards answered {after:?}, want one ok"
-            ));
+        let name = format!("frame_fuzz[{name}]: well-formed request afterwards");
+        if play(addr, &name, &[framed(body.len(), &body)], Owed::Ok(1))?[0].id != 9_000 {
+            return Err(format!("{name}: answered under another id"));
         }
     }
     Ok(errors_owed)
@@ -366,29 +378,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
     let mut prng = Prng(plan.seed ^ 0xFA17_0005);
 
     let (config, reads, load) = match plan.kind {
-        FaultKind::WorkerPanic => (
-            ServerConfig {
-                workers: 2,
-                // Small fill target → many batches → the panic hits batch 1
-                // and plenty of later batches prove the worker survived.
-                batch: BatcherConfig {
-                    max_batch: 8,
-                    ..BatcherConfig::default()
-                },
-                worker_panic_at_batch: Some(1),
-                obs: ObservabilityConfig {
-                    flight_dump: Some(flight_dir()),
-                    ..ObservabilityConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-            120,
-            LoadgenConfig {
-                connections: 2,
-                mode: ArrivalMode::Closed { window: 16 },
-                ..LoadgenConfig::default()
-            },
-        ),
+        FaultKind::WorkerPanic => (worker_panic_config(2), 120, closed_loop()),
         // Overflow by arithmetic, not by thread race: the one worker holds
         // a batch for 5 ms while the engine can absorb at most
         // queue_capacity 2 waiting + max_batch 4 executing = 6 reads, and
@@ -419,11 +409,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
                 ..ServerConfig::default()
             },
             80,
-            LoadgenConfig {
-                connections: 2,
-                mode: ArrivalMode::Closed { window: 16 },
-                ..LoadgenConfig::default()
-            },
+            closed_loop(),
         ),
     };
     let sim = ReadSimParams::illumina_101();
@@ -437,11 +423,17 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
     // the well-behaved traffic.
     let mut fuzz_errors_owed = 0;
     match plan.kind {
+        // Every attack is answered exactly as owed while the client still
+        // holds the connection open: nothing for a frame that never
+        // completes, one `error` for an oversized header (without waiting
+        // for its body), one `ok` for a valid request however it is
+        // dribbled.
         FaultKind::TruncatedFrame => {
             for _ in 0..4 {
-                let promised = 64 + prng.below(900) as u32;
+                let promised = 64 + prng.below(900) as usize;
                 let sent = prng.below(promised as u64 / 2) as usize;
-                send_truncated(&addr, promised, sent)?;
+                let frame = framed(promised, &vec![b'{'; sent]);
+                play(&addr, "truncated_frame", &[frame], Owed::Silence)?;
             }
         }
         FaultKind::MidFrameDisconnect => {
@@ -449,23 +441,26 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
             for _ in 0..4 {
                 let body = short_align(7, prng.codes(80)).encode().to_string_compact();
                 let cut = 1 + prng.below(body.len() as u64 - 1) as usize;
-                let mut s = connect(&addr)?;
-                s.write_all(&(body.len() as u32).to_be_bytes())
-                    .map_err(|e| format!("header: {e}"))?;
-                s.write_all(&body.as_bytes()[..cut])
-                    .map_err(|e| format!("partial body: {e}"))?;
-                let _ = s.flush();
-                // drop mid-frame
+                let frame = framed(body.len(), &body.as_bytes()[..cut]);
+                play(&addr, "mid_frame_disconnect", &[frame], Owed::Silence)?;
             }
         }
         FaultKind::OversizedFrame => {
             for _ in 0..3 {
-                send_oversized(&addr)?;
+                let header = framed(MAX_FRAME_BYTES + 1, &[]);
+                play(&addr, "oversized_frame", &[header], Owed::Error)?;
             }
         }
         FaultKind::SlowLoris => {
-            for i in 0..3 {
-                send_slow_loris(&addr, 1000 + i, &prng.codes(60))?;
+            for id in 1000..1003 {
+                let body = short_align(id, prng.codes(60)).encode().to_string_compact();
+                let frame = framed(body.len(), body.as_bytes());
+                let dribble: Vec<Vec<u8>> = frame.into_iter().map(|b| vec![b]).collect();
+                if play(&addr, "slow_loris", &dribble, Owed::Ok(1))?[0].id != id {
+                    return Err(format!(
+                        "slow_loris: request {id} answered under another id"
+                    ));
+                }
             }
         }
         FaultKind::FrameFuzz => fuzz_errors_owed = run_frame_fuzz(&addr, &mut prng)?,
@@ -479,36 +474,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
     // Clean drain: shutdown must join every thread and return the hub.
     let metrics = server.shutdown();
 
-    // Exactly-once accounting.
-    if !report.is_lossless() {
-        return Err(format!(
-            "{}: lost {} duplicates {} — exactly-once violated",
-            plan.kind.name(),
-            total.lost,
-            report.duplicates
-        ));
-    }
-    if total.received != total.sent {
-        return Err(format!(
-            "{}: sent {} but received {}",
-            plan.kind.name(),
-            total.sent,
-            total.received
-        ));
-    }
-    let by_status = total.ok + total.unmapped + total.shed + total.deadline + total.errors;
-    if by_status != total.received {
-        return Err(format!(
-            "{}: statuses do not conserve: ok {} + unmapped {} + shed {} + deadline {} + errors {} != received {}",
-            plan.kind.name(),
-            total.ok,
-            total.unmapped,
-            total.shed,
-            total.deadline,
-            total.errors,
-            total.received
-        ));
-    }
+    exactly_once(&report, plan.kind.name())?;
 
     // Universal observability invariant: every admitted request left
     // exactly one span chain (retained or dropped), and every retained
@@ -627,39 +593,17 @@ fn check_span_accounting(metrics: &ServeMetrics, plan: &str) -> Result<(), Strin
 pub fn worker_panic_flight_digest(seed: u64, workers: usize) -> Result<String, String> {
     let genome = ReferenceGenome::synthesize(&ref_params(FAULT_REF_LEN), seed);
     let index = Arc::new(ReferenceIndex::build(&genome, 32));
-    let config = ServerConfig {
-        workers,
-        batch: BatcherConfig {
-            max_batch: 8,
-            ..BatcherConfig::default()
-        },
-        worker_panic_at_batch: Some(1),
-        obs: ObservabilityConfig {
-            flight_dump: Some(flight_dir()),
-            ..ObservabilityConfig::default()
-        },
-        ..ServerConfig::default()
-    };
     let sim = ReadSimParams::illumina_101();
     let reads = loadgen::generate_reads(&genome, sim, seed ^ 0x5EAD_0006, 120);
-    let server =
-        Server::start(vec![Tenant::single(index)], config).map_err(|e| format!("start: {e}"))?;
+    let server = Server::start(vec![Tenant::single(index)], worker_panic_config(workers))
+        .map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
-    let load = LoadgenConfig {
-        connections: 2,
-        mode: ArrivalMode::Closed { window: 16 },
-        ..LoadgenConfig::default()
-    };
-    let report = loadgen::run(&addr, &reads, &load).map_err(|e| format!("loadgen: {e}"))?;
+    let report =
+        loadgen::run(&addr, &reads, &closed_loop()).map_err(|e| format!("loadgen: {e}"))?;
     // Quiescent: every response landed, so the ring holds the full story.
     let dump = loadgen::fetch(&addr, &Request::Flight).map_err(|e| format!("flight fetch: {e}"))?;
     let metrics = server.shutdown();
-    if !report.is_lossless() || report.total.received != report.total.sent {
-        return Err(format!(
-            "worker_panic[{workers}w]: lost {} duplicates {} — exactly-once violated",
-            report.total.lost, report.duplicates
-        ));
-    }
+    exactly_once(&report, &format!("worker_panic[{workers}w]"))?;
     check_span_accounting(&metrics, "worker_panic_digest")?;
     validate(Kind::FlightDump, &dump).map_err(|e| format!("worker_panic[{workers}w]: {e}"))?;
     normalized_flight_digest(&dump, report.total.sent)
@@ -704,12 +648,9 @@ fn normalized_flight_digest(dump: &JsonValue, expect_admits: u64) -> Result<Stri
 /// The worker-panic flight digest must be identical at 1, 2 and 8
 /// workers — the determinism boundary DESIGN.md §13 pins.
 pub fn worker_panic_digest_matrix(seed: u64) -> Result<String, String> {
-    let mut digests = Vec::new();
-    for workers in [1usize, 2, 8] {
-        digests.push((workers, worker_panic_flight_digest(seed, workers)?));
-    }
-    let (_, first) = &digests[0];
-    for (workers, digest) in &digests[1..] {
+    let first = worker_panic_flight_digest(seed, 1)?;
+    for workers in [2usize, 8] {
+        let digest = worker_panic_flight_digest(seed, workers)?;
         if digest != first {
             return Err(format!(
                 "flight digest diverges across worker counts: 1w {first:?} vs {workers}w {digest:?}"
@@ -736,13 +677,7 @@ pub fn worker_panic_digest_matrix(seed: u64) -> Result<String, String> {
 ///
 /// Names the violated invariant.
 pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
-    use nvwa_genome::species::Species;
-
-    const SPECIES_A: Species = Species::HomoSapiens;
-    const SPECIES_B: Species = Species::CaenorhabditisElegans;
-    let mut spec_a = Tenant::species(SPECIES_A, 0.0);
-    spec_a.shards = 2;
-    let spec_b = Tenant::species(SPECIES_B, 0.0);
+    let (tenants, genomes) = two_tenants();
     let config = ServerConfig {
         workers: 2,
         // A small per-batch delay keeps requests in flight across the
@@ -750,20 +685,11 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
         worker_delay: Some(Duration::from_micros(500)),
         ..ServerConfig::default()
     };
-    let server = Server::start(vec![spec_a, spec_b], config).map_err(|e| format!("start: {e}"))?;
+    let server = Server::start(tenants, config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
-    let genomes = [SPECIES_A.synthesize(0.0), SPECIES_B.synthesize(0.0)];
-    let mix = |salt: u64, per_tenant: usize| {
-        let a = (SPECIES_A, &genomes[0], seed ^ salt);
-        let b = (SPECIES_B, &genomes[1], seed ^ salt ^ 0xB00);
-        interleave_tenants([a, b], per_tenant)
-    };
-    let load = LoadgenConfig {
-        connections: 2,
-        mode: ArrivalMode::Closed { window: 16 },
-        ..LoadgenConfig::default()
-    };
+    let mix = |salt: u64, n| interleave_tenants(&genomes, [seed ^ salt, seed ^ salt ^ 0xB00], n);
+    let load = closed_loop();
 
     // Phase 1: the kill races a live mixed load.
     let racing = mix(0x_5AFE_0001, 80);
@@ -772,7 +698,7 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
         let load = load.clone();
         let handle = std::thread::spawn(move || loadgen::run(&addr, &racing, &load));
         std::thread::sleep(Duration::from_millis(5));
-        if !server.kill_shard(SPECIES_A.key(), 0) {
+        if !server.kill_shard(TENANT_A.key(), 0) {
             return Err("shard_kill: kill_shard(tenant A, 0) refused".to_string());
         }
         handle
@@ -780,21 +706,14 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
             .map_err(|_| "shard_kill: loadgen thread panicked".to_string())?
             .map_err(|e| format!("shard_kill: loadgen: {e}"))?
     };
-    if server.kill_shard(SPECIES_A.key(), 0) {
+    if server.kill_shard(TENANT_A.key(), 0) {
         return Err("shard_kill: killing the same shard twice must be refused".to_string());
     }
-    if server.kill_shard(SPECIES_A.key(), 9) {
+    if server.kill_shard(TENANT_A.key(), 9) {
         return Err("shard_kill: out-of-range shard must be refused".to_string());
     }
-    let total = &report.total;
-    if !report.is_lossless() || total.received != total.sent {
-        return Err(format!(
-            "shard_kill: exactly-once violated through the kill: sent {} received {} lost {} \
-             duplicates {}",
-            total.sent, total.received, total.lost, report.duplicates
-        ));
-    }
-    let healthy = tenant_section(&report, SPECIES_B.key())?;
+    exactly_once(&report, "shard_kill (through the kill)")?;
+    let healthy = tenant_section(&report, TENANT_B.key())?;
     if healthy.ok != healthy.sent {
         return Err(format!(
             "shard_kill: healthy tenant degraded by a neighbor's shard kill: ok {} of {}",
@@ -816,7 +735,7 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
 
     // Phase 3: kill the surviving shard — the tenant must shed
     // explicitly while its neighbor still serves.
-    if !server.kill_shard(SPECIES_A.key(), 1) {
+    if !server.kill_shard(TENANT_A.key(), 1) {
         return Err("shard_kill: kill_shard(tenant A, 1) refused".to_string());
     }
     let dark_reads = mix(0x_5AFE_0003, 20);
@@ -828,14 +747,14 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
             dark.total.lost, dark.duplicates
         ));
     }
-    let wounded = tenant_section(&dark, SPECIES_A.key())?;
+    let wounded = tenant_section(&dark, TENANT_A.key())?;
     if wounded.shed != wounded.sent {
         return Err(format!(
             "shard_kill: fully-killed tenant must shed all {} requests, shed {}",
             wounded.sent, wounded.shed
         ));
     }
-    let healthy = tenant_section(&dark, SPECIES_B.key())?;
+    let healthy = tenant_section(&dark, TENANT_B.key())?;
     if healthy.ok != healthy.sent {
         return Err(format!(
             "shard_kill: healthy tenant degraded by a full neighbor kill: ok {} of {}",

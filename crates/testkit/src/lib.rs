@@ -7,12 +7,19 @@
 //! This crate turns the implicit invariants that glue them together into
 //! executable, seeded, shrinking checks (DESIGN.md §11):
 //!
+//! * [`minimize`] — **the one conformance runner**: a differential family
+//!   implements [`minimize::Probe`] (first divergence over a case slice,
+//!   the shrinkable sequences of a case) and calls
+//!   [`minimize::run_family`], which finds the first divergence, ddmins
+//!   the case set and shrinks every survivor pinned to that check, and
+//!   writes the reproducer under the repro directory
+//!   (`tests/golden/repro/` by default).
 //! * [`diff`] — **differential oracles**: `sw::naive` vs the optimized
-//!   kernels vs banded vs the full pipeline; `smem::oracle` vs the fast
-//!   path (LUT on/off, trace on/off, scratch reuse); `nvwa-serve`
-//!   responses vs the offline aligner on the same reads. Every
-//!   divergence is minimized ([`minimize`]) and written as a reproducer
-//!   under `tests/golden/repro/`.
+//!   kernels vs banded; the bit-parallel edit kernel vs DP oracles;
+//!   `smem::oracle` vs the fast path (LUT on/off, trace on/off, scratch
+//!   reuse); the full pipeline's three paths; `nvwa-serve` responses vs
+//!   the offline aligner on the same reads — five families through
+//!   [`minimize::run_family`].
 //! * [`invariants`] — **simulator invariant checking**: a post-run
 //!   validator over [`nvwa_core::system::SimRun`] asserting the
 //!   conservation laws promised in DESIGN.md §8 (per-cause stall
@@ -33,7 +40,7 @@
 //!   seed-chain-fill pipeline's GACT-tiled committed score vs a
 //!   wide-banded SW oracle over the exact committed window, inside the
 //!   documented `(tiles − 1) · overlap · match` seam bound (DESIGN.md
-//!   §15), with check-pinned ddmin + shrinking.
+//!   §15) — the sixth family through [`minimize::run_family`].
 //! * [`golden`] — the single `NVWA_BLESS=1` blessing flag shared by
 //!   trace, snapshot and reproducer files, with a diff summary on
 //!   unblessed drift.

@@ -22,23 +22,23 @@
 //! stitching regression (double-committed seam, lost overlap base,
 //! off-by-one commit horizon) blows through it immediately.
 //!
-//! Divergences ddmin down to a minimal failing read set, each survivor
-//! shrinks base by base (pinned to the originally-observed check so
-//! shrinking cannot morph one failure into another), and a golden
-//! reproducer is written under `tests/golden/repro/` like every other
-//! family.
+//! The family is a [`Probe`] run by [`run_family`] like every other
+//! minimizing family: divergences ddmin down to a minimal failing read
+//! set, each survivor shrinks base by base (pinned to the
+//! originally-observed check, since a half-shrunk long read legitimately
+//! stops chaining), and a reproducer is written under the repro
+//! directory.
 
 use std::path::Path;
 
 use nvwa_align::banded::banded_extend_with;
-use nvwa_align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
+use nvwa_align::long_read::{LongReadAligner, LongReadAlignment, LongReadConfig, LongReadIndex};
 use nvwa_align::scoring::Scoring;
 use nvwa_align::sw::DpScratch;
 use nvwa_index::minimizer::MinimizerParams;
 
-use crate::diff::Divergence;
-use crate::minimize::{minimize_set, shrink_read};
-use crate::{codes_to_dna, Prng};
+use crate::minimize::{run_family, Divergence, FirstDivergence, Probe};
+use crate::Prng;
 
 /// Reference length of the long-read differential: large enough for real
 /// minimizer/chain structure, small enough that index construction stays
@@ -149,29 +149,19 @@ pub fn long_read_divergence(
             ),
         ));
     }
-    // The differential: a wide-banded SW oracle over the committed window.
-    let oriented: Vec<u8> = if a.is_rc {
-        case.read.iter().rev().map(|&c| 3 - c).collect()
-    } else {
-        case.read.clone()
-    };
-    let q = &oriented[a.query_start..a.query_start + q_len];
-    let t = &reference[a.ref_pos as usize..a.ref_pos as usize + t_len];
-    let band = q.len().abs_diff(t.len()) + ORACLE_BAND_MARGIN;
-    let mut dp = DpScratch::new();
-    let oracle = banded_extend_with(q, t, &scoring, band, &mut dp);
-    if a.score > oracle.score {
+    let (oracle, band) = window_oracle(reference, &case.read, &a);
+    if a.score > oracle {
         return Some((
             "long_read.gact_exceeds_oracle",
             format!(
                 "committed score {} > banded oracle {} (band {band}) — the \
                  committed path is one path through the window, the oracle \
                  is its optimum",
-                a.score, oracle.score
+                a.score, oracle
             ),
         ));
     }
-    let loss = i64::from(oracle.score - a.score);
+    let loss = i64::from(oracle - a.score);
     let bound = a.gact.tiles.saturating_sub(1) as i64
         * config.gact.overlap as i64
         * i64::from(scoring.match_score);
@@ -181,19 +171,52 @@ pub fn long_read_divergence(
             format!(
                 "oracle {} − gact {} = {loss} exceeds ({} tiles − 1) × \
                  overlap {} × match {} = {bound}",
-                oracle.score, a.score, a.gact.tiles, config.gact.overlap, scoring.match_score
+                oracle, a.score, a.gact.tiles, config.gact.overlap, scoring.match_score
             ),
         ));
     }
     None
 }
 
-/// The long_read family: a seeded minimizer index, all cases through
-/// [`long_read_divergence`]; on failure, ddmin over the case set, then
-/// shrink every survivor's read — both pinned to the first observed check
-/// name (a half-shrunk long read legitimately stops chaining, so an
-/// unpinned predicate would morph any divergence into
-/// `long_read.unmapped`).
+/// The differential's oracle: a wide-banded SW optimum over the exact
+/// window `a` committed (same oriented read span, same reference span),
+/// with the band it used.
+fn window_oracle(reference: &[u8], read: &[u8], a: &LongReadAlignment) -> (i32, usize) {
+    let oriented: Vec<u8> = if a.is_rc {
+        read.iter().rev().map(|&c| 3 - c).collect()
+    } else {
+        read.to_vec()
+    };
+    let q = &oriented[a.query_start..a.query_start + a.cigar.query_len()];
+    let t = &reference[a.ref_pos as usize..a.ref_pos as usize + a.cigar.target_len()];
+    let band = q.len().abs_diff(t.len()) + ORACLE_BAND_MARGIN;
+    let oracle = banded_extend_with(q, t, &Scoring::bwa_mem(), band, &mut DpScratch::new());
+    (oracle.score, band)
+}
+
+/// [`long_read_divergence`] over a seeded minimizer index; a case's read
+/// shrinks.
+struct LongReadProbe<'a> {
+    aligner: LongReadAligner<'a>,
+    reference: &'a [u8],
+}
+
+impl Probe for LongReadProbe<'_> {
+    type Case = LongReadCase;
+
+    fn divergence(&self, cases: &[LongReadCase]) -> FirstDivergence {
+        Ok(cases
+            .iter()
+            .find_map(|c| long_read_divergence(&self.aligner, self.reference, c)))
+    }
+
+    fn sequences(case: &mut LongReadCase) -> Vec<&mut Vec<u8>> {
+        vec![&mut case.read]
+    }
+}
+
+/// The long_read family: [`long_read_cases`] against a seeded minimizer
+/// index through [`long_read_divergence`].
 pub fn run_long_read_family(
     seed: u64,
     cases: usize,
@@ -204,45 +227,16 @@ pub fn run_long_read_family(
     let index = LongReadIndex::build(reference.clone(), MinimizerParams::default());
     let aligner = LongReadAligner::new(&index, LongReadConfig::default());
     let all = long_read_cases(&mut p, &reference, cases);
-    let first = all
-        .iter()
-        .find_map(|c| long_read_divergence(&aligner, &reference, c));
-    let Some((check, first_detail)) = first else {
-        return Ok(format!(
+    let probe = LongReadProbe {
+        aligner,
+        reference: &reference,
+    };
+    run_family("long_read", &probe, &all, seed, repro_dir).map(|()| {
+        format!(
             "long_read: {cases} reads vs wide-banded SW on the committed window, \
              GACT within (tiles−1)·overlap·match of the optimum"
-        ));
-    };
-    let same_check = |c: &LongReadCase| {
-        long_read_divergence(&aligner, &reference, c).is_some_and(|(name, _)| name == check)
-    };
-    let mut fails = |cs: &[LongReadCase]| cs.iter().any(same_check);
-    let minimal = minimize_set(&all, &mut fails);
-    let shrunk: Vec<LongReadCase> = minimal
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.read = shrink_read(&c.read, &mut |r| {
-                same_check(&LongReadCase {
-                    read: r.to_vec(),
-                    ..c.clone()
-                })
-            });
-            c
-        })
-        .collect();
-    let detail = shrunk
-        .iter()
-        .find_map(|c| long_read_divergence(&aligner, &reference, c))
-        .map_or(first_detail, |(_, d)| d);
-    Err(Divergence::new(
-        "long_read",
-        check,
-        detail,
-        seed,
-        shrunk.iter().map(|c| codes_to_dna(&c.read)).collect(),
-        repro_dir,
-    ))
+        )
+    })
 }
 
 #[cfg(test)]
@@ -282,40 +276,50 @@ mod tests {
         assert_eq!(check, "long_read.unmapped");
     }
 
+    /// The long-read probe plus a GACT whose stitch double-commits one
+    /// match base per seam: the reported score inflates by `tiles − 1`.
+    struct SeamOverCommit<'a>(LongReadProbe<'a>);
+
+    impl Probe for SeamOverCommit<'_> {
+        type Case = LongReadCase;
+
+        fn divergence(&self, cases: &[LongReadCase]) -> FirstDivergence {
+            Ok(cases.iter().find_map(|c| {
+                let real = self.0.divergence(std::slice::from_ref(c)).unwrap();
+                real.or_else(|| {
+                    let a = self.0.aligner.align(&c.read)?;
+                    let (oracle, _) = window_oracle(self.0.reference, &c.read, &a);
+                    let inflated = a.score + a.gact.tiles.saturating_sub(1) as i32;
+                    let detail = format!("committed score {inflated} > banded oracle {oracle}");
+                    (a.gact.tiles > 1 && inflated > oracle)
+                        .then_some(("long_read.gact_exceeds_oracle", detail))
+                })
+            }))
+        }
+
+        fn sequences(case: &mut LongReadCase) -> Vec<&mut Vec<u8>> {
+            LongReadProbe::sequences(case)
+        }
+    }
+
     #[test]
     fn a_planted_seam_bug_is_caught_and_minimized() {
-        // Simulate a GACT whose stitch double-commits one match base per
-        // seam: the reported score inflates by `tiles − 1`. The committed
-        // path on these profiles is (near-)optimal, so the inflated score
-        // exceeds the window oracle — the family's `gact_exceeds_oracle`
-        // lower bound catches it, and ddmin brings the case list down to
-        // a single read.
+        // The committed path on these profiles is (near-)optimal, so the
+        // inflated score exceeds the window oracle — the family's
+        // `gact_exceeds_oracle` lower bound catches it, and the runner
+        // brings the case list down to a single read.
         let mut p = Prng(3 ^ 0x10f6_0006);
         let reference = p.codes(LONG_REF_LEN);
         let index = LongReadIndex::build(reference.clone(), MinimizerParams::default());
         let aligner = LongReadAligner::new(&index, LongReadConfig::default());
         let cases = long_read_cases(&mut p, &reference, 18);
-        let buggy = |c: &LongReadCase| {
-            let Some(a) = aligner.align(&c.read) else {
-                return false;
-            };
-            let oriented: Vec<u8> = if a.is_rc {
-                c.read.iter().rev().map(|&x| 3 - x).collect()
-            } else {
-                c.read.clone()
-            };
-            let q = &oriented[a.query_start..a.query_start + a.cigar.query_len()];
-            let t = &reference[a.ref_pos as usize..a.ref_pos as usize + a.cigar.target_len()];
-            let band = q.len().abs_diff(t.len()) + 96;
-            let oracle = banded_extend_with(q, t, &Scoring::bwa_mem(), band, &mut DpScratch::new());
-            let inflated = a.score + a.gact.tiles.saturating_sub(1) as i32;
-            a.gact.tiles > 1 && inflated > oracle.score
-        };
-        assert!(
-            cases.iter().any(buggy),
-            "a seam over-commit must push some committed score past the oracle"
-        );
-        let minimal = minimize_set(&cases, &mut |cs| cs.iter().any(buggy));
-        assert_eq!(minimal.len(), 1, "one read suffices to reproduce");
+        let probe = SeamOverCommit(LongReadProbe {
+            aligner,
+            reference: &reference,
+        });
+        let d = run_family("long_read", &probe, &cases, 3, None)
+            .expect_err("a seam over-commit must push some committed score past the oracle");
+        assert_eq!(d.check, "long_read.gact_exceeds_oracle", "{d}");
+        assert_eq!(d.reads.len(), 1, "one read suffices to reproduce: {d}");
     }
 }

@@ -3,33 +3,33 @@
 //! bit-identical to per-species offline aligners, per-tenant conservation
 //! identities over the wire, and unknown-tenant rejection.
 
-use std::net::TcpStream;
-use std::time::Duration;
-
 use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa_genome::species::Species;
 use nvwa_genome::{ReadSimParams, ReferenceGenome};
-use nvwa_serve::loadgen::{self, ArrivalMode, LoadgenConfig, TenantRead};
-use nvwa_serve::protocol::{read_frame, write_frame, Mode};
+use nvwa_serve::loadgen::{self, LoadgenConfig, TenantRead};
+use nvwa_serve::protocol::WireAlignment;
 use nvwa_serve::registry::{region_hash, route_shard};
-use nvwa_serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
+use nvwa_serve::{Server, ServerConfig, Tenant};
+use nvwa_telemetry::JsonValue;
 
-use crate::diff::wire_matches;
+use crate::faults::{closed_loop, exactly_once, framed, play, short_align, with_field, Owed};
 use crate::Prng;
 
 /// The two tenants of the registry family: the largest and the smallest
 /// species profile, so the cross-tenant differential exercises distinct
 /// references. Scale 0.0 clamps both to the 40 kb floor — fast, still
 /// bit-exact.
-const TENANT_A: Species = Species::HomoSapiens;
-const TENANT_B: Species = Species::CaenorhabditisElegans;
+pub(crate) const TENANT_A: Species = Species::HomoSapiens;
+pub(crate) const TENANT_B: Species = Species::CaenorhabditisElegans;
 
-fn client_connect(addr: &str) -> Result<TcpStream, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| format!("set timeout: {e}"))?;
-    Ok(stream)
+/// The two tenants as the server hosts them (tenant A split into two
+/// shards) and each tenant's species with its genome, for the registry
+/// family and the shard-kill plan.
+pub(crate) fn two_tenants() -> (Vec<Tenant>, [(Species, ReferenceGenome); 2]) {
+    let mut a = Tenant::species(TENANT_A, 0.0);
+    a.shards = 2;
+    let genomes = [TENANT_A, TENANT_B].map(|species| (species, species.synthesize(0.0)));
+    (vec![a, Tenant::species(TENANT_B, 0.0)], genomes)
 }
 
 /// Pure routing checks: the hash is a function of its inputs only, the
@@ -88,60 +88,39 @@ fn check_routing(seed: u64) -> Result<(), String> {
 pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String, String> {
     check_routing(seed)?;
 
-    let mut tenant_a = Tenant::species(TENANT_A, 0.0);
-    tenant_a.shards = 2;
-    let tenant_b = Tenant::species(TENANT_B, 0.0);
+    let (tenants, genomes) = two_tenants();
     let config = ServerConfig {
         workers: 2,
         ..ServerConfig::default()
     };
-    let server =
-        Server::start(vec![tenant_a, tenant_b], config).map_err(|e| format!("start: {e}"))?;
+    let server = Server::start(tenants, config).map_err(|e| format!("start: {e}"))?;
     let addr = server.local_addr().to_string();
 
-    let genomes = [TENANT_A.synthesize(0.0), TENANT_B.synthesize(0.0)];
-    let a = (TENANT_A, &genomes[0], seed ^ 0x7E4A_0001);
-    let b = (TENANT_B, &genomes[1], seed ^ 0x7E4A_0002);
-    let mixed = interleave_tenants([a, b], reads_per_tenant);
+    let seeds = [seed ^ 0x7E4A_0001, seed ^ 0x7E4A_0002];
+    let mixed = interleave_tenants(&genomes, seeds, reads_per_tenant);
     let report = loadgen::run(
         &addr,
         &mixed,
         &LoadgenConfig {
-            connections: 2,
-            mode: ArrivalMode::Closed { window: 16 },
             collect_responses: true,
-            ..LoadgenConfig::default()
+            ..closed_loop()
         },
     )
     .map_err(|e| format!("loadgen: {e}"))?;
 
     // Unknown tenant: rejected with a protocol error, never aligned.
-    let mut s = client_connect(&addr)?;
     let mut prng = Prng(seed ^ 0xBAD_7E4A);
-    write_frame(
-        &mut s,
-        &Request::Align {
-            id: 0,
-            codes: prng.codes(60),
-            deadline_ms: None,
-            tenant: Some("no_such_species".to_string()),
-            region: None,
-            mode: Mode::Short,
-        }
-        .encode(),
-    )
-    .map_err(|e| format!("unknown-tenant write: {e}"))?;
-    let doc = read_frame(&mut s)
-        .map_err(|e| format!("unknown-tenant read: {e}"))?
-        .ok_or("unknown-tenant: connection closed without a response")?;
-    let resp = AlignResponse::decode(&doc)?;
-    if resp.status != Status::Error
-        || !resp
-            .error
-            .as_deref()
-            .unwrap_or("")
-            .contains("unknown tenant")
-    {
+    let request = short_align(0, prng.codes(60)).encode();
+    let tenant = JsonValue::Str("no_such_species".to_string());
+    let body = with_field(request, "tenant", tenant).to_string_compact();
+    let frame = framed(body.len(), body.as_bytes());
+    let resp = &play(&addr, "unknown tenant", &[frame], Owed::Error)?[0];
+    let named = resp
+        .error
+        .as_deref()
+        .unwrap_or("")
+        .contains("unknown tenant");
+    if !named {
         return Err(format!(
             "unknown tenant must be answered error naming it, got {resp:?}"
         ));
@@ -150,13 +129,8 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     server.shutdown();
 
     // Conservation, globally and per tenant.
+    exactly_once(&report, "registry")?;
     let total = &report.total;
-    if !report.is_lossless() || total.received != total.sent {
-        return Err(format!(
-            "registry: transport not clean: sent {} received {} lost {} duplicates {}",
-            total.sent, total.received, total.lost, report.duplicates
-        ));
-    }
     if total.ok != total.sent {
         return Err(format!(
             "registry: {} of {} requests not ok (shed {} quota {} deadline {} errors {})",
@@ -185,7 +159,7 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     }
 
     // Bit-identity per tenant against that species' own offline aligner.
-    for ((species, genome), offset) in [TENANT_A, TENANT_B].into_iter().zip(&genomes).zip(0u64..) {
+    for ((species, genome), offset) in genomes.iter().zip(0u64..) {
         let index = ReferenceIndex::build(genome, 32);
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
         let mut scratch = AlignScratch::new();
@@ -197,7 +171,7 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
                 .ok_or_else(|| format!("registry: response {id} missing despite ok count"))?;
             let codes = &mixed[id as usize].codes;
             let offline = aligner.align_codes_fast(id, codes, &mut scratch).alignment;
-            if !wire_matches(&resp.alignment, &offline) {
+            if resp.alignment != offline.as_ref().map(WireAlignment::from_alignment) {
                 return Err(format!(
                     "registry: tenant {} read {id} diverges from the offline aligner",
                     species.key()
@@ -212,16 +186,19 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     ))
 }
 
-/// `per_tenant` simulated reads from each `(species, genome, seed)`,
-/// labelled with the species' tenant key and interleaved a, b, a, b, …
-/// so every connection of a run carries both tenants.
+/// `per_tenant` simulated reads from each of the [`two_tenants`]' genomes
+/// (read seeds `seeds`), labelled with that genome's tenant key and
+/// interleaved a, b, a, b, … so every connection of a run carries both
+/// tenants.
 pub(crate) fn interleave_tenants(
-    tenants: [(Species, &ReferenceGenome, u64); 2],
+    genomes: &[(Species, ReferenceGenome); 2],
+    seeds: [u64; 2],
     per_tenant: usize,
 ) -> Vec<TenantRead> {
-    let [a, b] = tenants.map(|(species, genome, seed)| {
-        let mut reads =
-            loadgen::generate_reads(genome, ReadSimParams::illumina_101(), seed, per_tenant);
+    let [a, b] = [0, 1].map(|i| {
+        let (species, genome) = &genomes[i];
+        let sim = ReadSimParams::illumina_101();
+        let mut reads = loadgen::generate_reads(genome, sim, seeds[i], per_tenant);
         for read in &mut reads {
             read.tenant = Some(species.key().to_string());
         }

@@ -219,7 +219,10 @@ echo "serving-modes smoke: short/long/classify mix conserved end to end"
 # committed window, pinned to the (tiles−1)·overlap·match seam bound),
 # over the CI seed list in both the short and long read profiles. Divergence reproducers land in the artifacts dir (uploaded
 # by CI on failure); the fault family's flight-recorder dumps land next
-# to them for the same upload.
+# to them for the same upload. First: an unknown family is a usage error
+# whose message lists every family from `Family::ALL`.
+[ "$(cargo run --release --quiet --bin nvwa -- conformance --family bogus 2>&1 || echo "exit $?")" = 'nvwa: unknown family "bogus" (want one of: diff, extension, invariants, faults, registry, long_read)
+exit 2' ]
 NVWA_FLIGHT_DIR="$artifacts_dir/flight" \
     cargo run --release --quiet --bin nvwa -- conformance \
     --seed-from-ci --repro-dir "$artifacts_dir/repro"

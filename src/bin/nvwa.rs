@@ -327,33 +327,20 @@ fn conformance(args: &[String]) -> ExitCode {
         seeds
     };
     // `--families a,b` and repeatable `--family a` compose; no occurrence
-    // of either means the full matrix.
+    // of either means the full matrix. An unknown name is a usage error.
+    let family = |item: &str| {
+        Family::parse(item).unwrap_or_else(|| {
+            let names = Family::ALL.map(Family::name).join(", ");
+            eprintln!("nvwa: unknown family {item:?} (want one of: {names})");
+            std::process::exit(2)
+        })
+    };
     let mut families = Vec::new();
     if let Some(list) = flag_value(args, "--families") {
-        for item in list.split(',') {
-            match Family::parse(item) {
-                Some(f) => families.push(f),
-                None => {
-                    eprintln!(
-                        "nvwa: unknown family {item:?} (want diff, extension, invariants, \
-                         faults, registry, long_read)"
-                    );
-                    return usage();
-                }
-            }
-        }
+        families.extend(list.split(',').map(family));
     }
     for (i, _) in args.iter().enumerate().filter(|(_, a)| *a == "--family") {
-        match args.get(i + 1).and_then(|v| Family::parse(v)) {
-            Some(f) => families.push(f),
-            None => {
-                eprintln!(
-                    "nvwa: --family wants diff, extension, invariants, faults, registry \
-                     or long_read"
-                );
-                return usage();
-            }
-        }
+        families.push(family(args.get(i + 1).map_or("", String::as_str)));
     }
     let families = if families.is_empty() {
         Family::ALL.to_vec()
