@@ -11,7 +11,7 @@ use nvwa_telemetry::{JsonValue, SnapshotMeta};
 
 use crate::batcher::BatchItem;
 use crate::dispatch::Refused;
-use crate::flight::FlightEventKind;
+use crate::metrics::Event;
 use crate::protocol::{AlignResponse, Mode, Request, Status};
 use crate::registry::{region_hash, route_shard, try_admit_counted};
 use crate::server::{PendingRead, ReactorConn, Shared};
@@ -19,7 +19,7 @@ use crate::server::{PendingRead, ReactorConn, Shared};
 /// Enqueues one response; a connection that already died is a counted write error.
 pub(crate) fn answer(shared: &Shared, sink: &ReactorConn, doc: &JsonValue) {
     if sink.send(doc).is_err() {
-        shared.metrics.write_error();
+        shared.metrics.record(Event::WriteError);
     }
 }
 
@@ -29,7 +29,7 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, doc:
     let request = match Request::decode(doc) {
         Ok(r) => r,
         Err(msg) => {
-            shared.metrics.protocol_error();
+            shared.metrics.record(Event::ProtocolError);
             let id = doc.get("id").and_then(JsonValue::as_num).unwrap_or(0.0) as u64;
             let resp = AlignResponse::failure(id, Status::Error, &msg);
             answer(shared, sink, &resp.encode());
@@ -46,10 +46,7 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, doc:
             }
             answer(shared, sink, &stats);
         }
-        Request::Flight => {
-            let dump = dump_flight(shared, "explicit");
-            answer(shared, sink, &dump);
-        }
+        Request::Flight => answer(shared, sink, &shared.metrics.dump_flight("explicit")),
         Request::Shutdown => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
             let ack = JsonValue::obj(vec![
@@ -118,7 +115,7 @@ fn handle_align(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, request: Request)
         Some(name) => match shared.tenants.iter().position(|t| t.name == name) {
             Some(i) => i,
             None => {
-                shared.metrics.protocol_error();
+                shared.metrics.record(Event::ProtocolError);
                 let resp =
                     AlignResponse::failure(id, Status::Error, &format!("unknown tenant {name:?}"));
                 answer(shared, sink, &resp.encode());
@@ -132,20 +129,19 @@ fn handle_align(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, request: Request)
     // overload. The guard rides in the PendingRead; Drop releases the slot
     // exactly once on every path (response, deadline, even worker panic).
     let Some(guard) = try_admit_counted(&route.in_flight, route.quota) else {
-        shared.metrics.quota_shed(tenant_idx);
-        shared.metrics.flight_event(
-            FlightEventKind::Quota,
+        let limit = route.quota.unwrap_or(0);
+        shared.metrics.record(Event::Quota {
             id,
-            sink.conn_id(),
-            route.quota.unwrap_or(0),
-        );
+            conn: sink.conn_id(),
+            tenant: tenant_idx,
+            limit,
+        });
         let resp = AlignResponse::failure(
             id,
             Status::Quota,
             &format!(
-                "tenant {:?} admission quota ({}) exhausted",
-                route.name,
-                route.quota.unwrap_or(0)
+                "tenant {:?} admission quota ({limit}) exhausted",
+                route.name
             ),
         );
         answer(shared, sink, &resp.encode());
@@ -171,7 +167,6 @@ fn handle_align(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, request: Request)
     };
     let engine = &shared.engines[route.engines[shard]];
     let now = Instant::now();
-    let t0_ns = shared.metrics.now_ns();
     let trace_id = shared.trace_seq.fetch_add(1, Ordering::Relaxed);
     // Per-mode default deadlines: a long-read GACT fill or an all-tenant
     // classify screen gets its own budget when configured.
@@ -194,7 +189,6 @@ fn handle_align(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, request: Request)
             id,
             codes,
             trace_id,
-            t0_ns,
             _guard: Some(guard),
         },
         len,
@@ -206,13 +200,14 @@ fn handle_align(shared: &Arc<Shared>, sink: &Arc<ReactorConn>, request: Request)
         Ok(depth) => {
             // The reactor thread both admits and answers `stats`, so no
             // in-band scrape lands between the push and this count.
-            shared.metrics.admitted(depth, mode, tenant_idx, shard);
-            shared.metrics.flight_event(
-                FlightEventKind::Admit,
+            shared.metrics.record(Event::Admitted {
                 trace_id,
-                sink.conn_id(),
-                depth as u64,
-            );
+                conn: sink.conn_id(),
+                depth,
+                mode,
+                tenant: tenant_idx,
+                shard,
+            });
             return;
         }
         Err(Refused::Full) => "admission queue full".to_string(),
@@ -231,30 +226,13 @@ fn shed(
     sink: &ReactorConn,
     id: u64,
     why: &str,
-    tenant_shard: Option<(usize, Option<usize>)>,
+    tenant: Option<(usize, Option<usize>)>,
 ) {
-    shared
-        .metrics
-        .flight_event(FlightEventKind::Shed, id, sink.conn_id(), 0);
-    if shared.metrics.shed(tenant_shard) {
-        // The windowed shed count crossed the storm threshold: freeze the
-        // lead-up by dumping the flight recorder (once per server run).
-        dump_flight(shared, "shed_storm");
-    }
+    shared.metrics.record(Event::Shed {
+        id,
+        conn: sink.conn_id(),
+        tenant,
+    });
     let resp = AlignResponse::failure(id, Status::Shed, why);
     answer(shared, sink, &resp.encode());
-}
-
-/// Dumps the flight recorder, writing `flight_<reason>.json` when the
-/// config names a dump directory, and returns the dump document.
-pub(crate) fn dump_flight(shared: &Shared, reason: &str) -> JsonValue {
-    let dump = shared.metrics.flight().dump_json(reason);
-    if let Some(dir) = &shared.config.obs.flight_dump {
-        let _ = std::fs::create_dir_all(dir);
-        let path = dir.join(format!("flight_{reason}.json"));
-        if std::fs::write(&path, dump.to_string_pretty()).is_err() {
-            shared.metrics.write_error();
-        }
-    }
-    dump
 }

@@ -6,13 +6,11 @@
 //! at the moment of the trigger. It is the post-incident half of the
 //! observability plane (the `stats` endpoint is the live half).
 //!
-//! The ring, the count of events ever recorded and the dump bookkeeping
-//! sit behind one mutex: `record` pushes at the back and evicts at the
-//! front under it, and a scrape or dump reads all of them under one
-//! acquisition. So `retained == min(recorded, cap)` holds in every
-//! summary and every dump, live or quiescent, and the events come out in
-//! sequence order without a sort. One uncontended lock per event is noise
-//! next to the metrics mutex the same request already takes.
+//! The ring has no lock of its own: it lives inside the metrics hub
+//! (`metrics.rs`), and the hub's one mutex covers it together with the
+//! counters each event moves. So `retained == min(recorded, cap)` holds
+//! in every summary and every dump, live or quiescent, and the events
+//! come out in sequence order without a sort.
 //!
 //! Determinism boundary (see DESIGN.md §13): sequence numbers order
 //! events by *lock acquisition*, which under the wall clock depends on
@@ -22,20 +20,17 @@
 //! [`FlightRecorder::dump_json`] therefore embeds a `digest` of exactly
 //! those facts, and the testkit pins the digest (not the byte order) at
 //! 1/2/8 workers; full-byte determinism is exercised in unit tests where
-//! the caller controls the interleaving.
+//! the caller controls the order.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use nvwa_telemetry::snapshot::FLIGHT_EVENT_KINDS;
 use nvwa_telemetry::JsonValue;
 
-use crate::lock;
-
 /// What happened (the wire names live in
-/// [`nvwa_telemetry::snapshot::FLIGHT_EVENT_KINDS`]).
+/// [`nvwa_telemetry::snapshot::FLIGHT_EVENT_KINDS`], index-aligned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightEventKind {
+pub(crate) enum FlightEventKind {
     /// Request admitted: `a` = trace id, `b` = connection, `c` = queue
     /// depth after admission.
     Admit,
@@ -54,39 +49,18 @@ pub enum FlightEventKind {
     Quota,
 }
 
-impl FlightEventKind {
-    /// All kinds, index-aligned with [`FLIGHT_EVENT_KINDS`].
-    pub const ALL: [FlightEventKind; 7] = [
-        FlightEventKind::Admit,
-        FlightEventKind::Shed,
-        FlightEventKind::Deadline,
-        FlightEventKind::BatchStart,
-        FlightEventKind::BatchDone,
-        FlightEventKind::Panic,
-        FlightEventKind::Quota,
-    ];
-
-    /// Wire name.
-    pub fn name(&self) -> &'static str {
-        FLIGHT_EVENT_KINDS[*self as usize]
-    }
-}
-
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightEvent {
-    /// Global claim order (unique, dense from 0).
-    pub seq: u64,
+struct FlightEvent {
+    /// Global record order (unique, dense from 0).
+    seq: u64,
     /// Microseconds since the metrics epoch.
-    pub t_us: f64,
-    /// What happened.
-    pub kind: FlightEventKind,
-    /// Kind-specific operand (see [`FlightEventKind`]).
-    pub a: u64,
-    /// Kind-specific operand.
-    pub b: u64,
-    /// Kind-specific operand.
-    pub c: u64,
+    t_us: f64,
+    kind: FlightEventKind,
+    /// Kind-specific operands (see [`FlightEventKind`]).
+    a: u64,
+    b: u64,
+    c: u64,
 }
 
 impl FlightEvent {
@@ -94,7 +68,10 @@ impl FlightEvent {
         JsonValue::obj(vec![
             ("seq", JsonValue::Num(self.seq as f64)),
             ("t_us", JsonValue::Num(self.t_us.max(0.0))),
-            ("kind", JsonValue::Str(self.kind.name().to_string())),
+            (
+                "kind",
+                JsonValue::Str(FLIGHT_EVENT_KINDS[self.kind as usize].to_string()),
+            ),
             ("a", JsonValue::Num(self.a as f64)),
             ("b", JsonValue::Num(self.b as f64)),
             ("c", JsonValue::Num(self.c as f64)),
@@ -102,56 +79,42 @@ impl FlightEvent {
     }
 }
 
-/// What the recorder's one mutex guards.
-struct Ring {
+/// The fixed-capacity event ring and its dump bookkeeping.
+pub(crate) struct FlightRecorder {
+    cap: usize,
     /// The newest `cap` events, oldest first.
     events: VecDeque<FlightEvent>,
     recorded: u64,
     dumps: u64,
     last_dump_reason: Option<String>,
-}
-
-/// The fixed-capacity event ring.
-pub struct FlightRecorder {
-    cap: usize,
-    ring: Mutex<Ring>,
+    /// The most recent dump that could not be written to disk, naming
+    /// the file and the error.
+    pub(crate) last_dump_error: Option<String>,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `cap` events (`cap` is clamped to
     /// ≥ 1).
-    pub fn new(cap: usize) -> FlightRecorder {
+    pub(crate) fn new(cap: usize) -> FlightRecorder {
         let cap = cap.max(1);
         FlightRecorder {
             cap,
-            ring: Mutex::new(Ring {
-                events: VecDeque::with_capacity(cap),
-                recorded: 0,
-                dumps: 0,
-                last_dump_reason: None,
-            }),
+            events: VecDeque::with_capacity(cap),
+            recorded: 0,
+            dumps: 0,
+            last_dump_reason: None,
+            last_dump_error: None,
         }
-    }
-
-    /// Ring capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Events ever recorded (including ones the ring has since evicted).
-    pub fn recorded(&self) -> u64 {
-        lock(&self.ring).recorded
     }
 
     /// Records one event, evicting the oldest when the ring is full.
-    pub fn record(&self, t_us: f64, kind: FlightEventKind, a: u64, b: u64, c: u64) {
-        let mut ring = lock(&self.ring);
-        let seq = ring.recorded;
-        ring.recorded += 1;
-        if ring.events.len() == self.cap {
-            ring.events.pop_front();
+    pub(crate) fn record(&mut self, t_us: f64, kind: FlightEventKind, a: u64, b: u64, c: u64) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
         }
-        ring.events.push_back(FlightEvent {
+        let seq = self.recorded;
+        self.recorded += 1;
+        self.events.push_back(FlightEvent {
             seq,
             t_us,
             kind,
@@ -161,18 +124,11 @@ impl FlightRecorder {
         });
     }
 
-    /// The retained events, oldest first (increasing sequence number).
-    pub fn events(&self) -> Vec<FlightEvent> {
-        lock(&self.ring).events.iter().copied().collect()
-    }
-
-    /// Per-kind counts over `events` as JSON members, index-aligned with
+    /// Per-kind counts over the ring as JSON members, index-aligned with
     /// [`FLIGHT_EVENT_KINDS`].
-    fn kind_counts<'a>(
-        events: impl Iterator<Item = &'a FlightEvent>,
-    ) -> Vec<(&'static str, JsonValue)> {
-        let mut counts = [0u64; FlightEventKind::ALL.len()];
-        for e in events {
+    fn kind_counts(&self) -> Vec<(&'static str, JsonValue)> {
+        let mut counts = [0u64; FLIGHT_EVENT_KINDS.len()];
+        for e in &self.events {
             counts[e.kind as usize] += 1;
         }
         FLIGHT_EVENT_KINDS
@@ -182,26 +138,18 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// The summary section embedded in `stats` responses (the `occupancy`
-    /// identity of `Kind::FlightSummary` checks it). Every field is read
-    /// under one lock acquisition, so `retained == min(recorded, cap)`
-    /// holds even while other threads are recording.
-    pub fn summary_json(&self) -> JsonValue {
-        let ring = lock(&self.ring);
-        let reason = ring.last_dump_reason.clone();
+    /// The summary section embedded in `stats` responses
+    /// (`Kind::FlightSummary` checks it).
+    pub(crate) fn summary_json(&self) -> JsonValue {
+        let opt = |s: &Option<String>| s.clone().map_or(JsonValue::Null, JsonValue::Str);
         JsonValue::obj(vec![
             ("cap", JsonValue::Num(self.cap as f64)),
-            ("recorded", JsonValue::Num(ring.recorded as f64)),
-            ("retained", JsonValue::Num(ring.events.len() as f64)),
-            ("dumps", JsonValue::Num(ring.dumps as f64)),
-            (
-                "last_dump_reason",
-                reason.map_or(JsonValue::Null, JsonValue::Str),
-            ),
-            (
-                "by_kind",
-                JsonValue::obj(Self::kind_counts(ring.events.iter())),
-            ),
+            ("recorded", JsonValue::Num(self.recorded as f64)),
+            ("retained", JsonValue::Num(self.events.len() as f64)),
+            ("dumps", JsonValue::Num(self.dumps as f64)),
+            ("last_dump_reason", opt(&self.last_dump_reason)),
+            ("last_dump_error", opt(&self.last_dump_error)),
+            ("by_kind", JsonValue::obj(self.kind_counts())),
         ])
     }
 
@@ -210,20 +158,17 @@ impl FlightRecorder {
     /// scheduling-invariant facts — per-kind counts plus the sorted batch
     /// sequence numbers that panicked — which the testkit pins across
     /// 1/2/8 workers.
-    pub fn dump_json(&self, reason: &str) -> JsonValue {
-        let (events, recorded): (Vec<FlightEvent>, u64) = {
-            let mut ring = lock(&self.ring);
-            ring.dumps += 1;
-            ring.last_dump_reason = Some(reason.to_string());
-            (ring.events.iter().copied().collect(), ring.recorded)
-        };
-        let mut panic_batches: Vec<u64> = events
+    pub(crate) fn dump_json(&mut self, reason: &str) -> JsonValue {
+        self.dumps += 1;
+        self.last_dump_reason = Some(reason.to_string());
+        let mut panic_batches: Vec<u64> = self
+            .events
             .iter()
             .filter(|e| e.kind == FlightEventKind::Panic)
             .map(|e| e.a)
             .collect();
         panic_batches.sort_unstable();
-        let mut digest = Self::kind_counts(events.iter());
+        let mut digest = self.kind_counts();
         digest.push((
             "panic_batches",
             JsonValue::Arr(
@@ -238,10 +183,10 @@ impl FlightRecorder {
             ("schema_version", JsonValue::Num(1.0)),
             ("reason", JsonValue::Str(reason.to_string())),
             ("cap", JsonValue::Num(self.cap as f64)),
-            ("recorded", JsonValue::Num(recorded as f64)),
+            ("recorded", JsonValue::Num(self.recorded as f64)),
             (
                 "events",
-                JsonValue::Arr(events.into_iter().map(FlightEvent::to_json).collect()),
+                JsonValue::Arr(self.events.iter().map(|e| e.to_json()).collect()),
             ),
             ("digest", JsonValue::obj(digest)),
         ])
@@ -252,19 +197,16 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use nvwa_telemetry::snapshot::{validate, Kind};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn ring_keeps_the_newest_cap_events() {
-        let rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4);
         for i in 0..10u64 {
             rec.record(i as f64, FlightEventKind::Admit, i, 0, 1);
         }
-        let events = rec.events();
-        assert_eq!(rec.recorded(), 10);
-        assert_eq!(events.len(), 4);
+        assert_eq!(rec.recorded, 10);
         assert_eq!(
-            events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            rec.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
         validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
@@ -272,7 +214,7 @@ mod tests {
 
     #[test]
     fn dump_document_validates_and_counts_kinds() {
-        let rec = FlightRecorder::new(16);
+        let mut rec = FlightRecorder::new(16);
         rec.record(1.0, FlightEventKind::Admit, 0, 0, 1);
         rec.record(2.0, FlightEventKind::Admit, 1, 0, 2);
         rec.record(3.0, FlightEventKind::BatchStart, 0, 1, 2);
@@ -292,6 +234,7 @@ mod tests {
             summary.get("last_dump_reason").unwrap().as_str(),
             Some("worker_panic")
         );
+        assert_eq!(summary.get("last_dump_error"), Some(&JsonValue::Null));
     }
 
     #[test]
@@ -299,7 +242,7 @@ mod tests {
         // Same event sequence → byte-identical dumps (the caller controls
         // time and order here; the cross-thread guarantee is the digest).
         let build = || {
-            let rec = FlightRecorder::new(8);
+            let mut rec = FlightRecorder::new(8);
             for i in 0..12u64 {
                 let kind = if i % 3 == 0 {
                     FlightEventKind::Admit
@@ -311,62 +254,5 @@ mod tests {
             rec.dump_json("explicit").to_string_compact()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn concurrent_recording_retains_a_full_ring() {
-        let rec = std::sync::Arc::new(FlightRecorder::new(64));
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let rec = std::sync::Arc::clone(&rec);
-                scope.spawn(move || {
-                    for i in 0..100u64 {
-                        rec.record(0.0, FlightEventKind::Admit, t * 1000 + i, t, 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(rec.recorded(), 400);
-        let events = rec.events();
-        assert_eq!(events.len(), 64);
-        // Sequence numbers are unique and the ring holds the newest ones.
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-        assert!(seqs.iter().all(|&s| s >= 400 - 64));
-        validate(Kind::FlightDump, &rec.dump_json("explicit")).unwrap();
-    }
-
-    #[test]
-    fn live_summaries_validate_while_four_threads_record() {
-        // A live scrape reads the ring and `recorded` under the lock that
-        // `record` writes them under, so `retained == min(recorded, cap)`
-        // (the `occupancy` identity) holds in every scrape taken *while*
-        // four threads record, and so does the dump's
-        // `events.len() == min(recorded, cap)`. The large ring never fills
-        // (4 × 384 < 2048); the small one wraps continuously.
-        for cap in [2048usize, 64].repeat(32) {
-            let rec = FlightRecorder::new(cap);
-            let writers_done = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for t in 0..4u64 {
-                    let (rec, writers_done) = (&rec, &writers_done);
-                    scope.spawn(move || {
-                        for i in 0..384u64 {
-                            rec.record(0.0, FlightEventKind::ALL[(i % 7) as usize], i, t, 0);
-                        }
-                        writers_done.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-                loop {
-                    validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
-                    validate(Kind::FlightDump, &rec.dump_json("explicit")).unwrap();
-                    if writers_done.load(Ordering::SeqCst) == 4 {
-                        break;
-                    }
-                }
-            });
-            assert_eq!(rec.recorded(), 4 * 384);
-            validate(Kind::FlightSummary, &rec.summary_json()).unwrap();
-        }
     }
 }

@@ -30,9 +30,10 @@
 //!   quotas ([`registry`]),
 //! * full telemetry: queue-depth gauges, batch/latency histograms,
 //!   shed/deadline counters, Chrome-trace spans per batch plus a
-//!   per-request span chain for every admitted request ([`metrics`]),
-//! * a fixed-capacity flight recorder of recent request and batch
-//!   events, dumped on worker panic, shed storms, or demand ([`flight`]),
+//!   per-request span chain for every admitted request, and a
+//!   fixed-capacity flight recorder of recent request and batch events,
+//!   dumped on worker panic, shed storms, or demand — every serving
+//!   event reaches all of them through one hub ([`ServeMetrics`]),
 //! * and a calibrated open/closed-loop load generator that can scrape
 //!   live `stats` snapshots mid-run and grade them against SLO targets
 //!   ([`loadgen`]).
@@ -44,9 +45,9 @@ mod admission;
 pub mod backend;
 pub mod batcher;
 mod dispatch;
-pub mod flight;
+mod flight;
 pub mod loadgen;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
 pub mod queue;
 #[cfg(unix)]
@@ -58,7 +59,6 @@ pub mod signal;
 
 pub use backend::BackendKind;
 pub use batcher::BatcherConfig;
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use metrics::{ObservabilityConfig, ServeMetrics};
 pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore};
 #[cfg(unix)]

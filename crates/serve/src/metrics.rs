@@ -1,15 +1,21 @@
-//! Serve-path telemetry: one shared [`MetricsRegistry`] plus the live
-//! observability plane — windowed SLO aggregation, the per-request span
-//! log, the flight recorder and an optional Chrome-trace recorder.
+//! Serve-path telemetry: one hub that every serving event goes through.
 //!
-//! Every metric the `validate` bin's serve schema requires is registered
-//! at construction (see `nvwa_telemetry::snapshot::SERVE_REQUIRED_*`), so
+//! The server reports what happened as an [`Event`] to
+//! [`ServeMetrics::record`]; one `match` there moves everything the event
+//! touches — registry counters, gauges and histograms, the windowed SLO
+//! views, the per-tenant/per-shard rollup, the flight ring, the span log
+//! and the Chrome trace — under one mutex, taken through `crate::lock`
+//! so a panic under it cannot stop the reactor thread. Serving events are
+//! coarse (per request / per batch), so contention is negligible next to
+//! an alignment, and every scrape reads all of it under one acquisition:
+//! the identities between counters, tenant rows and the flight ring hold
+//! in every `stats` reply.
+//!
+//! Every metric is registered at construction from the name tables
+//! below (a superset of `nvwa_telemetry::snapshot::SERVE_REQUIRED_*`), so
 //! a snapshot taken before the first request is already schema-complete.
-//! The registry, SLO window and span log sit behind one mutex — serving
-//! events are coarse (per request / per batch), so contention is
-//! negligible next to an alignment. The flight recorder keeps its ring
-//! behind a mutex of its own (see `flight.rs`); both are taken through
-//! `crate::lock`, so a panic under either cannot stop the reactor thread.
+//! The two flight-dump triggers (a shed storm, a worker panic) fire
+//! inside the hub.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -19,30 +25,164 @@ use crate::batcher::FlushReason;
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::lock;
 use crate::protocol::Mode;
-use nvwa_telemetry::snapshot::{
-    SERVE_REQUIRED_COUNTERS, SERVE_REQUIRED_GAUGES, SERVE_REQUIRED_HISTOGRAMS,
-};
 use nvwa_telemetry::{
     CounterId, GaugeId, HistogramId, JsonValue, MetricsRegistry, Outcome, RequestSpans, SloWindow,
     SnapshotMeta, SpanLog, Stage, TraceRecorder, WindowConfig,
 };
 
 /// Trace process id for the serving layer (the simulator uses 0 and 1).
-pub const PID_SERVE: u32 = 2;
+const PID_SERVE: u32 = 2;
 
 /// First Chrome-trace track id used for per-request span chains (worker
 /// batch spans use tracks `0..workers`).
-pub const REQUEST_TRACK_BASE: u32 = 64;
+const REQUEST_TRACK_BASE: u32 = 64;
 
-/// Number of request tracks; chains hash onto them by trace id.
-pub const REQUEST_TRACKS: u32 = 8;
+/// How `mode` shows in the Chrome trace: the first track id and the
+/// track count its span chains hash onto by trace id, the track name,
+/// and the label prefix of its batch spans. Each mode has request tracks
+/// of its own, directly after the previous mode's.
+fn mode_trace(mode: Mode) -> (u32, u32, &'static str, &'static str) {
+    match mode {
+        Mode::Short => (REQUEST_TRACK_BASE, 8, "requests", ""),
+        Mode::Long => (REQUEST_TRACK_BASE + 8, 4, "long-read requests", "long "),
+        Mode::Classify => (REQUEST_TRACK_BASE + 12, 2, "classify requests", "classify "),
+    }
+}
 
-/// Span tracks dedicated to long-read request chains (directly after the
-/// short-read tracks).
-pub const LONG_REQUEST_TRACKS: u32 = 4;
+/// Declares one kind of serve metric once: an enum whose variants index
+/// the name table that construction registers in a loop.
+macro_rules! names {
+    ($(#[$doc:meta])* $kind:ident, $table:ident { $($variant:ident = $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy)]
+        enum $kind {
+            $($variant,)*
+        }
+        const $table: &[&str] = &[$($name,)*];
+    };
+}
 
-/// Span tracks dedicated to classify request chains.
-pub const CLASSIFY_REQUEST_TRACKS: u32 = 2;
+names!(
+    /// The serve counters.
+    C, COUNTERS {
+        Admitted = "serve.requests_admitted",
+        Shed = "serve.requests_shed",
+        DeadlineExpired = "serve.deadline_expired",
+        ResponsesOk = "serve.responses_ok",
+        ResponsesUnmapped = "serve.responses_unmapped",
+        RequestsLong = "serve.requests_long",
+        RequestsClassify = "serve.requests_classify",
+        ProtocolErrors = "serve.protocol_errors",
+        BatchesFormed = "serve.batches_formed",
+        Connections = "serve.connections_accepted",
+        FlushFill = "serve.batch_flush_fill",
+        // `FlushReason::Idle`: left partially full because a worker was
+        // free. No timer exists; the wire name is what the repository
+        // benchmark reads, and is renamed with it.
+        FlushIdle = "serve.batch_flush_timeout",
+        FlushDrain = "serve.batch_flush_drain",
+        WriteErrors = "serve.write_errors",
+        WorkerPanics = "serve.worker_panics",
+        Quota = "serve.requests_quota",
+        ShardsKilled = "serve.shards_killed",
+        SimCycles = "serve.sim_cycles_total",
+        SeedCacheHits = "serve.seed_cache_hits",
+        SeedCacheLookups = "serve.seed_cache_lookups",
+    }
+);
+
+names!(
+    /// The serve gauges.
+    G, GAUGES {
+        QueueDepth = "serve.queue_depth",
+        QueueDepthMax = "serve.queue_depth_max",
+        QueueCapacity = "serve.queue_capacity",
+        Workers = "serve.workers",
+    }
+);
+
+names!(
+    /// The serve histograms.
+    H, HISTOGRAMS {
+        BatchSize = "serve.batch_size",
+        E2eLatency = "serve.e2e_latency_us",
+        QueueWait = "serve.queue_wait_us",
+        BatchExec = "serve.batch_exec_us",
+    }
+);
+
+/// One serving event, reported through [`ServeMetrics::record`].
+pub(crate) enum Event {
+    /// A connection was accepted.
+    Connection,
+    /// A malformed frame or request (an unknown tenant name included).
+    ProtocolError,
+    /// A response could not be written: the client went away.
+    WriteError,
+    /// Request `trace_id` on connection `conn` entered `(tenant,
+    /// shard)`'s dispatcher, leaving it `depth` deep.
+    Admitted {
+        trace_id: u64,
+        conn: u64,
+        depth: usize,
+        mode: Mode,
+        tenant: usize,
+        shard: usize,
+    },
+    /// Request `id` refused by `tenant`'s admission quota `limit`.
+    Quota {
+        id: u64,
+        conn: u64,
+        tenant: usize,
+        limit: u64,
+    },
+    /// Request `id` shed by backpressure: `tenant` once one was resolved
+    /// (with its shard once routing had picked one), `None` while
+    /// draining.
+    Shed {
+        id: u64,
+        conn: u64,
+        tenant: Option<(usize, Option<usize>)>,
+    },
+    /// A tenant's shard was killed (fault injection).
+    ShardDead { tenant: usize, shard: usize },
+    /// `n` requests of `bin` expired before a worker took them.
+    Expired { n: u64, bin: usize },
+    /// A worker took batch `seq` and starts executing it; `depth` is the
+    /// dispatcher occupancy it left behind.
+    BatchStart {
+        seq: u64,
+        reason: FlushReason,
+        bin: usize,
+        size: usize,
+        depth: usize,
+    },
+    /// Batch `seq` panicked on `worker` (caught; every item is answered
+    /// `error`). Dumps the flight ring as `worker_panic`.
+    Panic { seq: u64, worker: usize },
+    /// Batch `seq`, taken at `taken`, finished executing on `worker` at
+    /// `done`; recorded before its responses go out. Carries the
+    /// simulated cycles (hardware-in-the-loop) and the worker's seeding
+    /// occ-block cache `(hits, lookups)` since its previous batch.
+    BatchDone {
+        seq: u64,
+        worker: usize,
+        bin: usize,
+        size: usize,
+        taken: Instant,
+        done: Instant,
+        sim_cycles: Option<u64>,
+        seed_cache: (u64, u64),
+    },
+    /// One request answered on `(tenant, shard)`, any outcome; the
+    /// chain's stage durations sum exactly to its end-to-end latency (see
+    /// `nvwa_telemetry::spans`).
+    RequestDone {
+        chain: RequestSpans,
+        tenant: usize,
+        shard: usize,
+    },
+}
 
 /// Knobs for the live observability plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,16 +219,6 @@ impl Default for ObservabilityConfig {
     }
 }
 
-impl ObservabilityConfig {
-    /// The SLO window geometry in microsecond ticks.
-    fn window_config(&self) -> WindowConfig {
-        WindowConfig::new(
-            self.slo_window_ms.max(1) * 1_000,
-            self.slo_step_ms.max(1) * 1_000,
-        )
-    }
-}
-
 /// Per-shard outcome counters of one tenant.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardStats {
@@ -112,70 +242,44 @@ struct TenantStats {
     slo: SloWindow,
 }
 
-impl TenantStats {
-    /// One request finished on `shard` with `outcome`; `done_us`/`e2e_us`
-    /// feed the tenant's rolling SLO window.
-    fn done(&mut self, shard: usize, outcome: Outcome, done_us: u64, e2e_us: u64) {
-        if let Some(s) = self.shards.get_mut(shard) {
-            match outcome {
-                Outcome::Ok => s.ok += 1,
-                Outcome::Unmapped => s.unmapped += 1,
-                Outcome::Deadline => s.deadline += 1,
-                Outcome::Error => s.errors += 1,
-            }
-        }
-        match outcome {
-            // Unmapped ran to completion and found nothing — served work,
-            // so it still counts as a completion in the SLO window.
-            Outcome::Ok | Outcome::Unmapped => self.slo.record_completed(done_us, 0, e2e_us),
-            Outcome::Deadline => self.slo.record_deadline_missed(done_us, 1),
-            Outcome::Error => {}
-        }
-    }
-}
-
 struct Inner {
     registry: MetricsRegistry,
+    counters: Vec<CounterId>,
+    gauges: Vec<GaugeId>,
+    histograms: Vec<HistogramId>,
     trace: Option<TraceRecorder>,
     slo: SloWindow,
     span_log: SpanLog,
-    shed_storm_threshold: Option<u64>,
-    storm_fired: bool,
-    window: WindowConfig,
+    flight: FlightRecorder,
+    /// The shed-storm threshold, spent (`None`) once it fires.
+    shed_storm: Option<u64>,
     tenants: Vec<TenantStats>,
-    /// Per-bin request mode (set by the server once the batcher geometry
-    /// is known); routes span chains onto per-mode trace tracks. Empty
-    /// means "all short" (pre-mode deployments).
+    /// Per-bin request mode; routes span chains onto per-mode trace
+    /// tracks.
     bin_modes: Vec<Mode>,
-    admitted: CounterId,
-    shed: CounterId,
-    quota: CounterId,
-    shards_killed: CounterId,
-    deadline_expired: CounterId,
-    responses_ok: CounterId,
-    responses_unmapped: CounterId,
-    requests_long: CounterId,
-    requests_classify: CounterId,
-    protocol_errors: CounterId,
-    batches_formed: CounterId,
-    connections: CounterId,
-    batch_fill: CounterId,
-    batch_idle: CounterId,
-    batch_drain: CounterId,
-    write_errors: CounterId,
-    worker_panics: CounterId,
-    sim_cycles: CounterId,
-    seed_cache_hits: CounterId,
-    seed_cache_lookups: CounterId,
-    queue_depth: GaugeId,
-    queue_depth_max: GaugeId,
-    batch_size: HistogramId,
-    e2e_latency_us: HistogramId,
-    queue_wait_us: HistogramId,
-    batch_exec_us: HistogramId,
 }
 
 impl Inner {
+    fn inc(&mut self, c: C, by: u64) {
+        self.registry.inc(self.counters[c as usize], by);
+    }
+
+    fn observe(&mut self, h: H, value: u64) {
+        self.registry.observe(self.histograms[h as usize], value);
+    }
+
+    /// Sets the queue-depth gauge (raising its high-water mark) and the
+    /// SLO view's depth.
+    fn queue_depth(&mut self, depth: usize) {
+        let (g, max) = (
+            self.gauges[G::QueueDepth as usize],
+            self.gauges[G::QueueDepthMax as usize],
+        );
+        self.registry.set_gauge(g, depth as f64);
+        self.registry.set_gauge_max(max, depth as f64);
+        self.slo.set_queue_depth(depth);
+    }
+
     /// The per-tenant/per-shard rollup (the `tenants` section of a
     /// `stats` reply), in the server's tenant order.
     fn tenants_json(&mut self, now: u64) -> JsonValue {
@@ -214,412 +318,313 @@ impl Inner {
 /// Thread-safe serve metrics hub.
 pub struct ServeMetrics {
     inner: Mutex<Inner>,
-    flight: FlightRecorder,
+    /// Where trigger dumps are written (`ObservabilityConfig::flight_dump`).
+    dump_dir: Option<PathBuf>,
     /// Server start; all trace/span timestamps are relative to it.
     epoch: Instant,
 }
 
 impl ServeMetrics {
-    /// Creates the hub with the full serve metric family pre-registered.
-    /// `bins` is the batcher's length-bin count (per-bin SLO histograms);
+    /// The hub of a server with `workers` worker threads in all, a
+    /// batcher whose bin `b` serves requests of mode `bin_modes[b]`, and
+    /// `tenants` as `(name, shards)` rows in the server's tenant order.
     /// `trace` enables the per-batch/per-request Chrome-trace recorder.
-    pub fn new(
+    pub(crate) fn new(
         queue_capacity: usize,
         workers: usize,
-        bins: usize,
+        bin_modes: Vec<Mode>,
+        tenants: &[(&str, usize)],
         trace: bool,
         obs: &ObservabilityConfig,
     ) -> ServeMetrics {
         let mut registry = MetricsRegistry::new();
-        // Pre-register the schema-required names (plus extras) so even an
-        // idle server emits a schema-complete serve snapshot.
-        for name in SERVE_REQUIRED_COUNTERS {
-            registry.counter(name);
-        }
-        for name in SERVE_REQUIRED_GAUGES {
-            registry.gauge(name);
-        }
-        for name in SERVE_REQUIRED_HISTOGRAMS {
-            registry.histogram(name);
-        }
-        let admitted = registry.counter("serve.requests_admitted");
-        let shed = registry.counter("serve.requests_shed");
-        let deadline_expired = registry.counter("serve.deadline_expired");
-        let responses_ok = registry.counter("serve.responses_ok");
-        // Long-read / metagenomic serving modes (zero on short-only
-        // deployments; schema-required so snapshots are uniform).
-        let responses_unmapped = registry.counter("serve.responses_unmapped");
-        let requests_long = registry.counter("serve.requests_long");
-        let requests_classify = registry.counter("serve.requests_classify");
-        let protocol_errors = registry.counter("serve.protocol_errors");
-        let batches_formed = registry.counter("serve.batches_formed");
-        let connections = registry.counter("serve.connections_accepted");
-        let batch_fill = registry.counter("serve.batch_flush_fill");
-        // `FlushReason::Idle`: left partially full because a worker was
-        // free. No timer exists; the wire name is what the repository
-        // benchmark reads and is renamed with it (ROADMAP item 6).
-        let batch_idle = registry.counter("serve.batch_flush_timeout");
-        let batch_drain = registry.counter("serve.batch_flush_drain");
-        let write_errors = registry.counter("serve.write_errors");
-        let worker_panics = registry.counter("serve.worker_panics");
-        // Tenant extras (zero while no tenant has a quota or loses a shard).
-        let quota = registry.counter("serve.requests_quota");
-        let shards_killed = registry.counter("serve.shards_killed");
-        let sim_cycles = registry.counter("serve.sim_cycles_total");
-        // Seeding occ-block cache effectiveness (extra counters, not part
-        // of the required serve schema).
-        let seed_cache_hits = registry.counter("serve.seed_cache_hits");
-        let seed_cache_lookups = registry.counter("serve.seed_cache_lookups");
-        let queue_depth = registry.gauge("serve.queue_depth");
-        let queue_depth_max = registry.gauge("serve.queue_depth_max");
-        let capacity_g = registry.gauge("serve.queue_capacity");
-        registry.set_gauge(capacity_g, queue_capacity as f64);
-        let workers_g = registry.gauge("serve.workers");
-        registry.set_gauge(workers_g, workers as f64);
-        let batch_size = registry.histogram("serve.batch_size");
-        let e2e_latency_us = registry.histogram("serve.e2e_latency_us");
-        let queue_wait_us = registry.histogram("serve.queue_wait_us");
-        let batch_exec_us = registry.histogram("serve.batch_exec_us");
+        let counters = COUNTERS.iter().map(|name| registry.counter(name)).collect();
+        let gauges: Vec<_> = GAUGES.iter().map(|name| registry.gauge(name)).collect();
+        let histograms = HISTOGRAMS
+            .iter()
+            .map(|name| registry.histogram(name))
+            .collect();
+        registry.set_gauge(gauges[G::QueueCapacity as usize], queue_capacity as f64);
+        registry.set_gauge(gauges[G::Workers as usize], workers as f64);
         let trace = trace.then(|| {
             let mut t = TraceRecorder::new();
             t.name_process(PID_SERVE, "nvwa-serve");
-            for i in 0..REQUEST_TRACKS {
-                t.name_thread(PID_SERVE, REQUEST_TRACK_BASE + i, &format!("requests {i}"));
+            for mode in [Mode::Short, Mode::Long, Mode::Classify] {
+                if mode == Mode::Short || bin_modes.contains(&mode) {
+                    let (base, tracks, name, _) = mode_trace(mode);
+                    for i in 0..tracks {
+                        t.name_thread(PID_SERVE, base + i, &format!("{name} {i}"));
+                    }
+                }
+            }
+            for worker in 0..workers {
+                t.name_thread(PID_SERVE, worker as u32, &format!("worker {worker}"));
             }
             t
         });
+        // The SLO windows tick in microseconds.
+        let window = WindowConfig::new(
+            obs.slo_window_ms.max(1) * 1_000,
+            obs.slo_step_ms.max(1) * 1_000,
+        );
+        let tenants = tenants
+            .iter()
+            .map(|&(name, shards)| TenantStats {
+                name: name.to_string(),
+                shards: vec![ShardStats::default(); shards.max(1)],
+                quota_shed: 0,
+                shed_unrouted: 0,
+                slo: SloWindow::new(window, 1),
+            })
+            .collect();
         ServeMetrics {
             inner: Mutex::new(Inner {
                 registry,
+                counters,
+                gauges,
+                histograms,
                 trace,
-                slo: SloWindow::new(obs.window_config(), bins),
+                slo: SloWindow::new(window, bin_modes.len()),
                 span_log: SpanLog::new(obs.span_log_cap),
-                shed_storm_threshold: obs.shed_storm_threshold,
-                storm_fired: false,
-                window: obs.window_config(),
-                tenants: Vec::new(),
-                bin_modes: Vec::new(),
-                admitted,
-                shed,
-                quota,
-                shards_killed,
-                deadline_expired,
-                responses_ok,
-                responses_unmapped,
-                requests_long,
-                requests_classify,
-                protocol_errors,
-                batches_formed,
-                connections,
-                batch_fill,
-                batch_idle,
-                batch_drain,
-                write_errors,
-                worker_panics,
-                sim_cycles,
-                seed_cache_hits,
-                seed_cache_lookups,
-                queue_depth,
-                queue_depth_max,
-                batch_size,
-                e2e_latency_us,
-                queue_wait_us,
-                batch_exec_us,
+                flight: FlightRecorder::new(obs.flight_cap),
+                shed_storm: obs.shed_storm_threshold,
+                tenants,
+                bin_modes,
             }),
-            flight: FlightRecorder::new(obs.flight_cap),
+            dump_dir: obs.flight_dump.clone(),
             epoch: Instant::now(),
         }
     }
 
     /// Microseconds since server start (the trace time base).
-    pub fn now_us(&self) -> f64 {
+    fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Nanoseconds since server start (the span-chain time base).
-    pub fn now_ns(&self) -> u64 {
-        let d = self.epoch.elapsed();
-        d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
+    /// `at` as nanoseconds since server start (the span-chain time base).
+    pub(crate) fn ns_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// The flight recorder (record from any thread).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// Records one flight-recorder event stamped with the current time.
-    pub fn flight_event(&self, kind: FlightEventKind, a: u64, b: u64, c: u64) {
-        self.flight.record(self.now_us(), kind, a, b, c);
-    }
-
-    fn with(&self, f: impl FnOnce(&mut Inner)) {
-        f(&mut lock(&self.inner));
-    }
-
-    /// Publishes the batcher's per-bin request modes so span chains land
-    /// on per-mode trace tracks; also names the extra tracks when any
-    /// long/classify bins exist. Call once at server start.
-    pub fn set_bin_modes(&self, modes: Vec<Mode>) {
-        self.with(|m| {
-            if let Some(trace) = m.trace.as_mut() {
-                if modes.contains(&Mode::Long) {
-                    for i in 0..LONG_REQUEST_TRACKS {
-                        let tid = REQUEST_TRACK_BASE + REQUEST_TRACKS + i;
-                        trace.name_thread(PID_SERVE, tid, &format!("long-read requests {i}"));
-                    }
+    /// Records one serving event in every sink it touches, under one
+    /// lock acquisition; then fires the flight dump the event triggered,
+    /// if any.
+    pub(crate) fn record(&self, event: Event) {
+        use FlightEventKind as K;
+        let t_us = self.now_us();
+        let t = t_us as u64;
+        let mut guard = lock(&self.inner);
+        let m = &mut *guard;
+        let mut dump = None;
+        match event {
+            Event::Connection => m.inc(C::Connections, 1),
+            Event::ProtocolError => m.inc(C::ProtocolErrors, 1),
+            Event::WriteError => m.inc(C::WriteErrors, 1),
+            Event::Admitted {
+                trace_id,
+                conn,
+                depth,
+                mode,
+                tenant,
+                shard,
+            } => {
+                m.flight
+                    .record(t_us, K::Admit, trace_id, conn, depth as u64);
+                m.inc(C::Admitted, 1);
+                match mode {
+                    Mode::Short => {}
+                    Mode::Long => m.inc(C::RequestsLong, 1),
+                    Mode::Classify => m.inc(C::RequestsClassify, 1),
                 }
-                if modes.contains(&Mode::Classify) {
-                    for i in 0..CLASSIFY_REQUEST_TRACKS {
-                        let tid = REQUEST_TRACK_BASE + REQUEST_TRACKS + LONG_REQUEST_TRACKS + i;
-                        trace.name_thread(PID_SERVE, tid, &format!("classify requests {i}"));
-                    }
-                }
-            }
-            m.bin_modes = modes;
-        });
-    }
-
-    /// One request admitted for `(tenant, shard)`; `depth` is the queue
-    /// depth just after, `mode` feeds the per-mode request counters.
-    pub fn admitted(&self, depth: usize, mode: Mode, tenant: usize, shard: usize) {
-        let t = self.now_us() as u64;
-        self.with(|m| {
-            m.registry.inc(m.admitted, 1);
-            if let Some(slot) = m.tenants.get_mut(tenant) {
-                if let Some(s) = slot.shards.get_mut(shard) {
-                    s.admitted += 1;
-                }
-                slot.slo.record_admitted(t, 0);
-            }
-            match mode {
-                Mode::Short => {}
-                Mode::Long => m.registry.inc(m.requests_long, 1),
-                Mode::Classify => m.registry.inc(m.requests_classify, 1),
-            }
-            m.slo.record_admitted(t, depth);
-            let (q, qm) = (m.queue_depth, m.queue_depth_max);
-            m.registry.set_gauge(q, depth as f64);
-            m.registry.set_gauge_max(qm, depth as f64);
-        });
-    }
-
-    /// One request shed by backpressure: `tenant` once one was resolved
-    /// (with its shard once routing had picked one; `None` for
-    /// no-live-shard sheds), `None` for sheds while draining. Returns
-    /// `true` exactly once per server run, when the shed count within
-    /// one SLO window first reaches the configured storm threshold — the
-    /// caller dumps the flight recorder.
-    pub fn shed(&self, tenant: Option<(usize, Option<usize>)>) -> bool {
-        let t = self.now_us() as u64;
-        let mut storm = false;
-        self.with(|m| {
-            m.registry.inc(m.shed, 1);
-            m.slo.record_shed(t);
-            if let Some((tenant, shard)) = tenant {
                 if let Some(slot) = m.tenants.get_mut(tenant) {
-                    match shard.and_then(|s| slot.shards.get_mut(s)) {
-                        Some(s) => s.shed += 1,
-                        None => slot.shed_unrouted += 1,
+                    if let Some(s) = slot.shards.get_mut(shard) {
+                        s.admitted += 1;
                     }
-                    slot.slo.record_shed(t);
+                    slot.slo.record_admitted(t, 0);
+                }
+                m.slo.record_admitted(t, depth);
+                m.queue_depth(depth);
+            }
+            Event::Quota {
+                id,
+                conn,
+                tenant,
+                limit,
+            } => {
+                m.flight.record(t_us, K::Quota, id, conn, limit);
+                m.inc(C::Quota, 1);
+                if let Some(slot) = m.tenants.get_mut(tenant) {
+                    slot.quota_shed += 1;
                 }
             }
-            if let Some(threshold) = m.shed_storm_threshold {
-                if !m.storm_fired && m.slo.shed_in_window(t) >= threshold {
-                    m.storm_fired = true;
-                    storm = true;
+            Event::Shed { id, conn, tenant } => {
+                m.flight.record(t_us, K::Shed, id, conn, 0);
+                m.inc(C::Shed, 1);
+                m.slo.record_shed(t);
+                if let Some((tenant, shard)) = tenant {
+                    if let Some(slot) = m.tenants.get_mut(tenant) {
+                        match shard.and_then(|s| slot.shards.get_mut(s)) {
+                            Some(s) => s.shed += 1,
+                            None => slot.shed_unrouted += 1,
+                        }
+                        slot.slo.record_shed(t);
+                    }
+                }
+                // The windowed shed count crossed the storm threshold:
+                // freeze the lead-up. The threshold is spent, so a storm
+                // fires once per server run.
+                if m.shed_storm.is_some_and(|n| m.slo.shed_in_window(t) >= n) {
+                    m.shed_storm = None;
+                    dump = Some("shed_storm");
                 }
             }
-        });
-        storm
-    }
-
-    /// `n` requests expired before execution.
-    pub fn deadline_expired(&self, n: u64) {
-        let t = self.now_us() as u64;
-        self.with(|m| {
-            m.registry.inc(m.deadline_expired, n);
-            m.slo.record_deadline_missed(t, n);
-        });
-    }
-
-    /// One connection accepted.
-    pub fn connection_accepted(&self) {
-        self.with(|m| m.registry.inc(m.connections, 1));
-    }
-
-    /// One malformed frame/request.
-    pub fn protocol_error(&self) {
-        self.with(|m| m.registry.inc(m.protocol_errors, 1));
-    }
-
-    /// One failed response write (client went away).
-    pub fn write_error(&self) {
-        self.with(|m| m.registry.inc(m.write_errors, 1));
-    }
-
-    /// One batch execution panicked (caught; every item answered `error`).
-    pub fn worker_panic(&self) {
-        self.with(|m| m.registry.inc(m.worker_panics, 1));
-    }
-
-    /// Registers the next tenant rollup slot; slot indices are the
-    /// server's tenant indices. Every server registers its tenants at
-    /// launch (a single-index server is one tenant named `default`).
-    pub fn register_tenant(&self, name: &str, shards: usize) {
-        let mut inner = lock(&self.inner);
-        let window = inner.window;
-        inner.tenants.push(TenantStats {
-            name: name.to_string(),
-            shards: vec![ShardStats::default(); shards.max(1)],
-            quota_shed: 0,
-            shed_unrouted: 0,
-            slo: SloWindow::new(window, 1),
-        });
-    }
-
-    /// One request refused by the tenant's admission quota (also bumps
-    /// the global `serve.requests_quota` counter).
-    pub fn quota_shed(&self, tenant: usize) {
-        self.with(|m| {
-            m.registry.inc(m.quota, 1);
-            if let Some(slot) = m.tenants.get_mut(tenant) {
-                slot.quota_shed += 1;
+            Event::ShardDead { tenant, shard } => {
+                m.inc(C::ShardsKilled, 1);
+                if let Some(s) = m
+                    .tenants
+                    .get_mut(tenant)
+                    .and_then(|slot| slot.shards.get_mut(shard))
+                {
+                    s.dead = true;
+                }
             }
-        });
-    }
-
-    /// Marks a tenant's shard dead (fault injection) and bumps the
-    /// `serve.shards_killed` counter.
-    pub fn shard_dead(&self, tenant: usize, shard: usize) {
-        self.with(|m| {
-            m.registry.inc(m.shards_killed, 1);
-            if let Some(s) = m
-                .tenants
-                .get_mut(tenant)
-                .and_then(|slot| slot.shards.get_mut(shard))
-            {
-                s.dead = true;
+            Event::Expired { n, bin } => {
+                m.flight.record(t_us, K::Deadline, n, bin as u64, 0);
+                m.inc(C::DeadlineExpired, n);
+                m.slo.record_deadline_missed(t, n);
             }
-        });
-    }
-
-    /// A worker took a batch; `depth` is the dispatcher occupancy it left
-    /// behind.
-    pub fn batch_formed(&self, reason: FlushReason, size: usize, depth: usize) {
-        self.with(|m| {
-            m.registry.inc(m.batches_formed, 1);
-            let reason_id = match reason {
-                FlushReason::Fill => m.batch_fill,
-                FlushReason::Idle => m.batch_idle,
-                FlushReason::Drain => m.batch_drain,
-            };
-            m.registry.inc(reason_id, 1);
-            let (h, q) = (m.batch_size, m.queue_depth);
-            m.registry.observe(h, size as u64);
-            m.registry.set_gauge(q, depth as f64);
-            m.slo.set_queue_depth(depth);
-        });
-    }
-
-    /// One request finished on `(tenant, shard)` (any outcome): records
-    /// the span chain into the span log and Chrome trace, the tenant's
-    /// outcome counters and SLO window, and — for `ok` responses — the
-    /// latency histograms and windowed SLO sample. The chain's stage
-    /// durations sum exactly to the end-to-end latency by construction
-    /// (see `nvwa_telemetry::spans`).
-    pub fn request_done(&self, chain: RequestSpans, tenant: usize, shard: usize) {
-        let e2e_us = chain.e2e_ns() / 1_000;
-        let done_us = (chain.t0_ns + chain.e2e_ns()) / 1_000;
-        self.with(|m| {
-            if let Some(slot) = m.tenants.get_mut(tenant) {
-                slot.done(shard, chain.outcome, done_us, e2e_us);
+            Event::BatchStart {
+                seq,
+                reason,
+                bin,
+                size,
+                depth,
+            } => {
+                m.flight
+                    .record(t_us, K::BatchStart, seq, bin as u64, size as u64);
+                m.inc(C::BatchesFormed, 1);
+                m.inc(
+                    match reason {
+                        FlushReason::Fill => C::FlushFill,
+                        FlushReason::Idle => C::FlushIdle,
+                        FlushReason::Drain => C::FlushDrain,
+                    },
+                    1,
+                );
+                m.observe(H::BatchSize, size as u64);
+                m.queue_depth(depth);
             }
-            if chain.outcome == Outcome::Ok || chain.outcome == Outcome::Unmapped {
+            Event::Panic { seq, worker } => {
+                m.flight.record(t_us, K::Panic, seq, worker as u64, 0);
+                m.inc(C::WorkerPanics, 1);
+                dump = Some("worker_panic");
+            }
+            Event::BatchDone {
+                seq,
+                worker,
+                bin,
+                size,
+                taken,
+                done,
+                sim_cycles,
+                seed_cache: (hits, lookups),
+            } => {
+                m.flight
+                    .record(t_us, K::BatchDone, seq, bin as u64, size as u64);
+                let exec = done.saturating_duration_since(taken);
+                m.observe(H::BatchExec, exec.as_micros() as u64);
+                m.inc(C::SimCycles, sim_cycles.unwrap_or(0));
+                m.inc(C::SeedCacheHits, hits);
+                m.inc(C::SeedCacheLookups, lookups);
+                if let Some(trace) = m.trace.as_mut() {
+                    let mode = m.bin_modes.get(bin).copied().unwrap_or_default();
+                    let (.., label) = mode_trace(mode);
+                    let name = format!("batch {label}bin{bin} n{size}");
+                    let start_us = taken.saturating_duration_since(self.epoch).as_secs_f64() * 1e6;
+                    let dur_us = exec.as_secs_f64() * 1e6;
+                    trace.complete(PID_SERVE, worker as u32, &name, start_us, dur_us);
+                }
+            }
+            Event::RequestDone {
+                chain,
+                tenant,
+                shard,
+            } => {
+                let e2e_us = chain.e2e_ns() / 1_000;
+                let done_us = (chain.t0_ns + chain.e2e_ns()) / 1_000;
+                let served = match chain.outcome {
+                    Outcome::Ok => Some(C::ResponsesOk),
+                    Outcome::Unmapped => Some(C::ResponsesUnmapped),
+                    Outcome::Deadline | Outcome::Error => None,
+                };
+                if let Some(slot) = m.tenants.get_mut(tenant) {
+                    if let Some(s) = slot.shards.get_mut(shard) {
+                        match chain.outcome {
+                            Outcome::Ok => s.ok += 1,
+                            Outcome::Unmapped => s.unmapped += 1,
+                            Outcome::Deadline => s.deadline += 1,
+                            Outcome::Error => s.errors += 1,
+                        }
+                    }
+                    match chain.outcome {
+                        Outcome::Deadline => slot.slo.record_deadline_missed(done_us, 1),
+                        Outcome::Error => {}
+                        _ => slot.slo.record_completed(done_us, 0, e2e_us),
+                    }
+                }
                 // Unmapped responses did the full alignment work and
                 // answered the client; they count in the latency
                 // histograms and the SLO window like `ok`, under their
                 // own response counter.
-                let counter = if chain.outcome == Outcome::Ok {
-                    m.responses_ok
-                } else {
-                    m.responses_unmapped
-                };
-                m.registry.inc(counter, 1);
-                let queue = chain.spans.iter().find(|s| s.stage == Stage::Queue);
-                let wait_ns = queue.map_or(0, |s| s.dur_ns);
-                let (e, w) = (m.e2e_latency_us, m.queue_wait_us);
-                m.registry.observe(e, e2e_us);
-                m.registry.observe(w, wait_ns / 1_000);
-                m.slo.record_completed(done_us, chain.bin, e2e_us);
-            }
-            if let Some(trace) = m.trace.as_mut() {
-                let (base, tracks) = match m.bin_modes.get(chain.bin) {
-                    Some(Mode::Long) => (REQUEST_TRACK_BASE + REQUEST_TRACKS, LONG_REQUEST_TRACKS),
-                    Some(Mode::Classify) => (
-                        REQUEST_TRACK_BASE + REQUEST_TRACKS + LONG_REQUEST_TRACKS,
-                        CLASSIFY_REQUEST_TRACKS,
-                    ),
-                    _ => (REQUEST_TRACK_BASE, REQUEST_TRACKS),
-                };
-                let tid = base + (chain.trace_id % u64::from(tracks)) as u32;
-                for span in &chain.spans {
-                    trace.complete_with_args(
-                        PID_SERVE,
-                        tid,
-                        span.stage.name(),
-                        span.start_ns as f64 / 1e3,
-                        span.dur_ns as f64 / 1e3,
-                        &[
-                            ("trace_id", chain.trace_id as f64),
-                            ("read_id", chain.read_id as f64),
-                        ],
-                    );
+                if let Some(counter) = served {
+                    m.inc(counter, 1);
+                    let queue = chain.spans.iter().find(|s| s.stage == Stage::Queue);
+                    m.observe(H::E2eLatency, e2e_us);
+                    m.observe(H::QueueWait, queue.map_or(0, |s| s.dur_ns) / 1_000);
+                    m.slo.record_completed(done_us, chain.bin, e2e_us);
                 }
+                if let Some(trace) = m.trace.as_mut() {
+                    let mode = m.bin_modes.get(chain.bin).copied().unwrap_or_default();
+                    let (base, tracks, ..) = mode_trace(mode);
+                    let tid = base + (chain.trace_id % u64::from(tracks)) as u32;
+                    for span in &chain.spans {
+                        trace.complete_with_args(
+                            PID_SERVE,
+                            tid,
+                            span.stage.name(),
+                            span.start_ns as f64 / 1e3,
+                            span.dur_ns as f64 / 1e3,
+                            &[
+                                ("trace_id", chain.trace_id as f64),
+                                ("read_id", chain.read_id as f64),
+                            ],
+                        );
+                    }
+                }
+                m.span_log.push(chain);
             }
-            m.span_log.push(chain);
-        });
+        }
+        drop(guard);
+        if let Some(reason) = dump {
+            self.dump_flight(reason);
+        }
     }
 
-    /// Batch execution finished on a worker: records the exec-time
-    /// histogram, simulated cycles (hardware-in-the-loop) and, when
-    /// tracing, a span on the worker's track.
-    pub fn batch_executed(
-        &self,
-        worker: usize,
-        label: &str,
-        start_us: f64,
-        dur_us: f64,
-        sim_cycles: Option<u64>,
-    ) {
-        self.with(|m| {
-            let h = m.batch_exec_us;
-            m.registry.observe(h, dur_us.max(0.0) as u64);
-            if let Some(c) = sim_cycles {
-                m.registry.inc(m.sim_cycles, c);
+    /// Dumps the flight ring as `reason` and returns the document. With a
+    /// dump directory configured it also freezes `flight_<reason>.json`
+    /// there; a write that fails is kept, naming the file, as the flight
+    /// summary's `last_dump_error`.
+    pub(crate) fn dump_flight(&self, reason: &str) -> JsonValue {
+        let dump = lock(&self.inner).flight.dump_json(reason);
+        if let Some(dir) = &self.dump_dir {
+            let path = dir.join(format!("flight_{reason}.json"));
+            let written = std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, dump.to_string_pretty()));
+            if let Err(e) = written {
+                lock(&self.inner).flight.last_dump_error = Some(format!("{}: {e}", path.display()));
             }
-            if let Some(trace) = m.trace.as_mut() {
-                trace.complete(PID_SERVE, worker as u32, label, start_us, dur_us);
-            }
-        });
-    }
-
-    /// Publishes a worker's seeding occ-block cache delta (`hits`,
-    /// `lookups` since that worker last published).
-    pub fn seed_cache(&self, hits: u64, lookups: u64) {
-        self.with(|m| {
-            m.registry.inc(m.seed_cache_hits, hits);
-            m.registry.inc(m.seed_cache_lookups, lookups);
-        });
-    }
-
-    /// Names a worker's trace track (no-op when tracing is off).
-    pub fn name_worker(&self, worker: usize) {
-        self.with(|m| {
-            if let Some(trace) = m.trace.as_mut() {
-                trace.name_thread(PID_SERVE, worker as u32, &format!("worker {worker}"));
-            }
-        });
+        }
+        dump
     }
 
     /// The registry snapshot document (always serve-schema-complete).
@@ -629,20 +634,21 @@ impl ServeMetrics {
 
     /// The `stats` response: the registry snapshot with the live `slo`
     /// view, `flight` summary and per-tenant rollup appended
-    /// (`Kind::StatsResponse` checks it). Counters and tenant rows
-    /// are read under one lock acquisition, so the identities between
-    /// them are exact in every scrape.
+    /// (`Kind::StatsResponse` checks it). All of it is read under one
+    /// lock acquisition, so the identities between counters, tenant rows
+    /// and the flight ring are exact in every scrape.
     pub fn stats_response(&self, meta: &SnapshotMeta) -> JsonValue {
         let now = self.now_us() as u64;
         let mut inner = lock(&self.inner);
         let mut doc = inner.registry.snapshot(meta);
-        let slo = inner.slo.view(now).to_json();
-        let tenants = inner.tenants_json(now);
+        let sections = [
+            ("slo", inner.slo.view(now).to_json()),
+            ("flight", inner.flight.summary_json()),
+            ("tenants", inner.tenants_json(now)),
+        ];
         drop(inner);
         if let JsonValue::Obj(pairs) = &mut doc {
-            pairs.push(("slo".to_string(), slo));
-            pairs.push(("flight".to_string(), self.flight.summary_json()));
-            pairs.push(("tenants".to_string(), tenants));
+            pairs.extend(sections.map(|(key, value)| (key.to_string(), value)));
         }
         doc
     }
@@ -674,155 +680,417 @@ impl ServeMetrics {
 mod tests {
     use super::*;
     use nvwa_telemetry::snapshot::{validate, Kind};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A hub as a single-index server launches it: one `default` tenant.
+    /// Two tenants, `alpha` with two shards and `beta` with one, over a
+    /// batcher with two short bins, a long bin and a classify bin.
     fn hub(trace: bool, obs: &ObservabilityConfig) -> ServeMetrics {
-        let metrics = ServeMetrics::new(8, 1, 4, trace, obs);
-        metrics.register_tenant("default", 1);
-        metrics
+        let modes = vec![Mode::Short, Mode::Short, Mode::Long, Mode::Classify];
+        ServeMetrics::new(8, 2, modes, &[("alpha", 2), ("beta", 1)], trace, obs)
+    }
+
+    fn meta() -> SnapshotMeta {
+        SnapshotMeta {
+            host_threads: 1,
+            git_rev: None,
+        }
+    }
+
+    fn stats(hub: &ServeMetrics) -> JsonValue {
+        let doc = hub.stats_response(&meta());
+        validate(Kind::StatsResponse, &doc).unwrap();
+        doc
+    }
+
+    fn flight(hub: &ServeMetrics, key: &str) -> JsonValue {
+        stats(hub).get("flight").unwrap().get(key).unwrap().clone()
+    }
+
+    /// A chain of `outcome` admitted just now: queue 300 µs, then (unless
+    /// it expired) align 1.15 ms, then write 50 µs.
+    fn chain(trace_id: u64, bin: usize, outcome: Outcome, hub: &ServeMetrics) -> RequestSpans {
+        let stages: &[(Stage, u64)] = match outcome {
+            Outcome::Deadline => &[(Stage::Queue, 300_000), (Stage::Write, 50_000)],
+            _ => &[
+                (Stage::Queue, 300_000),
+                (Stage::Align, 1_150_000),
+                (Stage::Write, 50_000),
+            ],
+        };
+        let t0_ns = hub.ns_at(Instant::now());
+        RequestSpans::chain(trace_id, 0, trace_id, bin, outcome, t0_ns, stages)
+    }
+
+    /// Every cell of a `stats` reply an event may move, by name: each
+    /// counter and gauge, each histogram's count, the global and
+    /// per-tenant SLO counts, each tenant and shard cell, and the flight
+    /// ring's per-kind counts, `recorded` and `dumps`.
+    fn cells(doc: &JsonValue) -> BTreeMap<String, f64> {
+        let mut out = BTreeMap::new();
+        let num = |v: &JsonValue| match v {
+            JsonValue::Bool(b) => f64::from(u8::from(*b)),
+            v => v.as_num().unwrap(),
+        };
+        let members = |v: &JsonValue| v.as_obj().unwrap().to_vec();
+        for section in ["counters", "gauges"] {
+            for (name, v) in members(doc.get(section).unwrap()) {
+                out.insert(name, num(&v));
+            }
+        }
+        for (name, h) in members(doc.get("histograms").unwrap()) {
+            out.insert(format!("{name}.count"), num(h.get("count").unwrap()));
+        }
+        let slo = |out: &mut BTreeMap<String, f64>, prefix: &str, view: &JsonValue| {
+            for key in [
+                "admitted",
+                "shed",
+                "deadline_missed",
+                "completed",
+                "queue_depth",
+            ] {
+                out.insert(format!("{prefix}.{key}"), num(view.get(key).unwrap()));
+            }
+        };
+        slo(&mut out, "slo", doc.get("slo").unwrap());
+        for tenant in doc.get("tenants").unwrap().as_arr().unwrap() {
+            let name = tenant.get("name").unwrap().as_str().unwrap();
+            slo(&mut out, &format!("{name}.slo"), tenant.get("slo").unwrap());
+            for key in ["quota_shed", "shed_unrouted"] {
+                out.insert(format!("{name}.{key}"), num(tenant.get(key).unwrap()));
+            }
+            for (i, shard) in tenant
+                .get("shards")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .enumerate()
+            {
+                for (key, v) in members(shard) {
+                    out.insert(format!("{name}.{i}.{key}"), num(&v));
+                }
+            }
+        }
+        let flight = doc.get("flight").unwrap();
+        for (kind, n) in members(flight.get("by_kind").unwrap()) {
+            out.insert(format!("flight.{kind}"), num(&n));
+        }
+        for key in ["recorded", "dumps"] {
+            out.insert(format!("flight.{key}"), num(flight.get(key).unwrap()));
+        }
+        out
     }
 
     #[test]
     fn idle_hub_emits_schema_complete_snapshot_and_stats() {
-        let metrics = ServeMetrics::new(128, 4, 4, false, &ObservabilityConfig::default());
-        let meta = SnapshotMeta {
-            host_threads: 4,
-            git_rev: None,
-        };
-        validate(Kind::ServeSnapshot, &metrics.snapshot(&meta)).unwrap();
-        validate(Kind::StatsResponse, &metrics.stats_response(&meta)).unwrap();
+        let metrics = hub(false, &ObservabilityConfig::default());
+        validate(Kind::ServeSnapshot, &metrics.snapshot(&meta())).unwrap();
+        stats(&metrics);
         validate(Kind::SpanLog, &metrics.span_log_doc()).unwrap();
         assert!(metrics.trace_json().is_none());
     }
 
     #[test]
     fn a_panic_under_the_metrics_lock_does_not_stop_the_hub() {
-        // `respond_and_trace` runs outside `execute_batch`'s
-        // `catch_unwind`, so a worker can die inside `with`; the reactor
+        // A worker can die while it holds the hub's mutex; the reactor
         // thread takes the same mutex on every admission.
         let metrics = hub(false, &ObservabilityConfig::default());
         let died = std::thread::scope(|scope| {
             scope
-                .spawn(|| metrics.with(|_| panic!("injected: worker died under the metrics lock")))
+                .spawn(|| {
+                    let _held = lock(&metrics.inner);
+                    panic!("injected: worker died under the metrics lock")
+                })
                 .join()
         });
         assert!(died.is_err());
         assert!(metrics.inner.is_poisoned());
-        metrics.protocol_error();
+        metrics.record(Event::ProtocolError);
         assert_eq!(metrics.counter("serve.protocol_errors"), 1);
-        let meta = SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
-        };
-        validate(Kind::StatsResponse, &metrics.stats_response(&meta)).unwrap();
+        stats(&metrics);
     }
 
     #[test]
-    fn events_land_in_the_registry_and_trace() {
-        let metrics = hub(true, &ObservabilityConfig::default());
-        metrics.admitted(3, Mode::Short, 0, 0);
-        metrics.admitted(5, Mode::Short, 0, 0);
-        metrics.shed(None);
-        metrics.batch_formed(FlushReason::Fill, 4, 1);
-        let chain = RequestSpans::chain(
-            0,
-            0,
-            7,
-            1,
-            Outcome::Ok,
-            metrics.now_ns(),
-            &[
-                (Stage::Queue, 300_000),
-                (Stage::Align, 1_150_000),
-                (Stage::Write, 50_000),
-            ],
-        );
-        metrics.request_done(chain, 0, 0);
-        metrics.batch_executed(0, "batch b0 n4", 10.0, 250.0, Some(777));
-        let meta = SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
+    fn each_event_moves_exactly_its_cells() {
+        // A window long enough that nothing expires mid-test.
+        let obs = ObservabilityConfig {
+            slo_window_ms: 600_000,
+            slo_step_ms: 1_000,
+            ..ObservabilityConfig::default()
         };
-        let doc = metrics.stats_response(&meta);
-        validate(Kind::StatsResponse, &doc).unwrap();
-        assert_eq!(metrics.counter("serve.requests_admitted"), 2);
-        assert_eq!(metrics.counter("serve.requests_shed"), 1);
-        assert_eq!(metrics.counter("serve.responses_ok"), 1);
-        assert_eq!(metrics.counter("serve.sim_cycles_total"), 777);
-        let gauges = doc.get("gauges").unwrap();
+        let metrics = hub(true, &obs);
+        let admitted = |trace_id, depth, mode, tenant, shard| Event::Admitted {
+            trace_id,
+            conn: 1,
+            depth,
+            mode,
+            tenant,
+            shard,
+        };
+        let admit = [("serve.requests_admitted", 1.0), ("slo.admitted", 1.0)];
+        let ring = |kind| [(kind, 1.0), ("flight.recorded", 1.0)];
+        let shed = [("serve.requests_shed", 1.0), ("slo.shed", 1.0)];
+        let done = |served| {
+            [
+                (served, 1.0),
+                ("serve.e2e_latency_us.count", 1.0),
+                ("serve.queue_wait_us.count", 1.0),
+                ("slo.completed", 1.0),
+            ]
+        };
+        let steps: Vec<(Event, Vec<(&str, f64)>)> = vec![
+            (Event::Connection, vec![("serve.connections_accepted", 1.0)]),
+            (Event::ProtocolError, vec![("serve.protocol_errors", 1.0)]),
+            (Event::WriteError, vec![("serve.write_errors", 1.0)]),
+            (
+                admitted(7, 3, Mode::Long, 0, 1),
+                [
+                    &admit[..],
+                    &ring("flight.admit"),
+                    &[
+                        ("serve.requests_long", 1.0),
+                        ("serve.queue_depth", 3.0),
+                        ("serve.queue_depth_max", 3.0),
+                        ("slo.queue_depth", 3.0),
+                        ("alpha.1.admitted", 1.0),
+                        ("alpha.slo.admitted", 1.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                admitted(8, 1, Mode::Classify, 1, 0),
+                [
+                    &admit[..],
+                    &ring("flight.admit"),
+                    &[
+                        ("serve.requests_classify", 1.0),
+                        ("serve.queue_depth", -2.0),
+                        ("slo.queue_depth", -2.0),
+                        ("beta.0.admitted", 1.0),
+                        ("beta.slo.admitted", 1.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                admitted(9, 2, Mode::Short, 0, 0),
+                [
+                    &admit[..],
+                    &ring("flight.admit"),
+                    &[
+                        ("serve.queue_depth", 1.0),
+                        ("slo.queue_depth", 1.0),
+                        ("alpha.0.admitted", 1.0),
+                        ("alpha.slo.admitted", 1.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                admitted(10, 2, Mode::Short, 0, 0),
+                [
+                    &admit[..],
+                    &ring("flight.admit"),
+                    &[("alpha.0.admitted", 1.0), ("alpha.slo.admitted", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::Quota {
+                    id: 11,
+                    conn: 2,
+                    tenant: 1,
+                    limit: 4,
+                },
+                [
+                    &ring("flight.quota")[..],
+                    &[("serve.requests_quota", 1.0), ("beta.quota_shed", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::Shed {
+                    id: 12,
+                    conn: 2,
+                    tenant: Some((0, Some(0))),
+                },
+                [
+                    &shed[..],
+                    &ring("flight.shed"),
+                    &[("alpha.0.shed", 1.0), ("alpha.slo.shed", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::Shed {
+                    id: 13,
+                    conn: 2,
+                    tenant: Some((1, None)),
+                },
+                [
+                    &shed[..],
+                    &ring("flight.shed"),
+                    &[("beta.shed_unrouted", 1.0), ("beta.slo.shed", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::Shed {
+                    id: 14,
+                    conn: 2,
+                    tenant: None,
+                },
+                [&shed[..], &ring("flight.shed")].concat(),
+            ),
+            (
+                Event::ShardDead {
+                    tenant: 0,
+                    shard: 0,
+                },
+                vec![("serve.shards_killed", 1.0), ("alpha.0.dead", 1.0)],
+            ),
+            (
+                Event::Expired { n: 2, bin: 0 },
+                [
+                    &ring("flight.deadline")[..],
+                    &[
+                        ("serve.deadline_expired", 2.0),
+                        ("slo.deadline_missed", 2.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                Event::BatchStart {
+                    seq: 0,
+                    reason: FlushReason::Fill,
+                    bin: 2,
+                    size: 4,
+                    depth: 0,
+                },
+                [
+                    &ring("flight.batch_start")[..],
+                    &[
+                        ("serve.batches_formed", 1.0),
+                        ("serve.batch_flush_fill", 1.0),
+                        ("serve.batch_size.count", 1.0),
+                        ("serve.queue_depth", -2.0),
+                        ("slo.queue_depth", -2.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                Event::BatchDone {
+                    seq: 0,
+                    worker: 1,
+                    bin: 2,
+                    size: 4,
+                    taken: Instant::now(),
+                    done: Instant::now() + std::time::Duration::from_micros(250),
+                    sim_cycles: Some(777),
+                    seed_cache: (5, 9),
+                },
+                [
+                    &ring("flight.batch_done")[..],
+                    &[
+                        ("serve.batch_exec_us.count", 1.0),
+                        ("serve.sim_cycles_total", 777.0),
+                        ("serve.seed_cache_hits", 5.0),
+                        ("serve.seed_cache_lookups", 9.0),
+                    ],
+                ]
+                .concat(),
+            ),
+            (
+                Event::RequestDone {
+                    chain: chain(7, 2, Outcome::Unmapped, &metrics),
+                    tenant: 0,
+                    shard: 1,
+                },
+                [
+                    &done("serve.responses_unmapped")[..],
+                    &[("alpha.1.unmapped", 1.0), ("alpha.slo.completed", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::RequestDone {
+                    chain: chain(8, 3, Outcome::Ok, &metrics),
+                    tenant: 1,
+                    shard: 0,
+                },
+                [
+                    &done("serve.responses_ok")[..],
+                    &[("beta.0.ok", 1.0), ("beta.slo.completed", 1.0)],
+                ]
+                .concat(),
+            ),
+            (
+                Event::RequestDone {
+                    chain: chain(9, 0, Outcome::Deadline, &metrics),
+                    tenant: 0,
+                    shard: 0,
+                },
+                vec![
+                    ("alpha.0.deadline", 1.0),
+                    ("alpha.slo.deadline_missed", 1.0),
+                ],
+            ),
+            (
+                Event::RequestDone {
+                    chain: chain(10, 0, Outcome::Error, &metrics),
+                    tenant: 0,
+                    shard: 0,
+                },
+                vec![("alpha.0.errors", 1.0)],
+            ),
+            (
+                Event::Panic { seq: 1, worker: 0 },
+                [
+                    &ring("flight.panic")[..],
+                    &[("serve.worker_panics", 1.0), ("flight.dumps", 1.0)],
+                ]
+                .concat(),
+            ),
+        ];
+        let mut before = cells(&stats(&metrics));
+        for (step, (event, want)) in steps.into_iter().enumerate() {
+            metrics.record(event);
+            let after = cells(&stats(&metrics));
+            let moved: BTreeMap<String, f64> = after
+                .iter()
+                .filter(|&(key, v)| before[key] != *v)
+                .map(|(key, v)| (key.clone(), v - before[key]))
+                .collect();
+            let want: BTreeMap<String, f64> = want
+                .into_iter()
+                .map(|(key, d)| (key.to_string(), d))
+                .collect();
+            assert_eq!(moved, want, "step {step}");
+            before = after;
+        }
         assert_eq!(
-            gauges.get("serve.queue_depth_max").unwrap().as_num(),
-            Some(5.0)
+            flight(&metrics, "last_dump_reason").as_str(),
+            Some("worker_panic")
         );
-        // The e2e histogram saw the chain's exact duration sum (1.5 ms).
-        let hist = doc.get("histograms").unwrap();
-        assert_eq!(
-            hist.get("serve.e2e_latency_us")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_num(),
-            Some(1.0)
-        );
+        assert_eq!(flight(&metrics, "last_dump_error"), JsonValue::Null);
         let trace = metrics.trace_json().unwrap();
-        assert!(trace.contains("batch b0 n4"));
-        // The request chain's three stage spans are in the trace too.
-        for stage in ["queue", "align", "write"] {
-            assert!(trace.contains(&format!("\"{stage}\"")), "{stage}");
+        for name in [
+            "\"batch long bin2 n4\"",
+            "\"requests 7\"",
+            "\"long-read requests 3\"",
+            "\"classify requests 1\"",
+            "\"worker 1\"",
+            "\"queue\"",
+            "\"align\"",
+            "\"write\"",
+        ] {
+            assert!(trace.contains(name), "{name} missing from the trace");
         }
         validate(Kind::ChromeTrace, &JsonValue::parse(&trace).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn mode_counters_and_unmapped_land_in_the_registry() {
-        let metrics = hub(true, &ObservabilityConfig::default());
-        // Bins: [short, short, long, classify] — as the server would set
-        // them on a mode-binned batcher.
-        metrics.set_bin_modes(vec![Mode::Short, Mode::Short, Mode::Long, Mode::Classify]);
-        metrics.admitted(1, Mode::Short, 0, 0);
-        metrics.admitted(2, Mode::Long, 0, 0);
-        metrics.admitted(3, Mode::Classify, 0, 0);
-        assert_eq!(metrics.counter("serve.requests_admitted"), 3);
-        assert_eq!(metrics.counter("serve.requests_long"), 1);
-        assert_eq!(metrics.counter("serve.requests_classify"), 1);
-
-        // An unmapped long read: counted, latency-sampled, own counter.
-        let chain = RequestSpans::chain(
-            0,
-            2,
-            1,
-            2,
-            Outcome::Unmapped,
-            metrics.now_ns(),
-            &[
-                (Stage::Queue, 10_000),
-                (Stage::Align, 90_000),
-                (Stage::Write, 1_000),
-            ],
-        );
-        metrics.request_done(chain, 0, 0);
-        assert_eq!(metrics.counter("serve.responses_unmapped"), 1);
-        assert_eq!(metrics.counter("serve.responses_ok"), 0);
-        let meta = SnapshotMeta {
-            host_threads: 1,
-            git_rev: None,
-        };
-        let doc = metrics.stats_response(&meta);
-        validate(Kind::StatsResponse, &doc).unwrap();
-        let hist = doc.get("histograms").unwrap();
-        assert_eq!(
-            hist.get("serve.e2e_latency_us")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_num(),
-            Some(1.0),
-            "unmapped responses feed the latency histogram"
-        );
-        // The chain landed on a long-read span track.
-        let trace = metrics.trace_json().unwrap();
-        assert!(trace.contains("long-read requests"), "long tracks named");
-        assert!(trace.contains("classify requests"), "classify tracks named");
     }
 
     #[test]
@@ -832,10 +1100,94 @@ mod tests {
             ..ObservabilityConfig::default()
         };
         let metrics = hub(false, &obs);
-        assert!(!metrics.shed(None));
-        assert!(!metrics.shed(None));
-        assert!(metrics.shed(None), "third shed crosses the threshold");
-        assert!(!metrics.shed(None), "storm fires at most once");
+        for (id, dumps) in [(0, 0.0), (1, 0.0), (2, 1.0), (3, 1.0)] {
+            metrics.record(Event::Shed {
+                id,
+                conn: 0,
+                tenant: None,
+            });
+            // The third shed crosses the threshold; the storm fires at
+            // most once.
+            assert_eq!(flight(&metrics, "dumps").as_num(), Some(dumps), "shed {id}");
+        }
+        assert_eq!(
+            flight(&metrics, "last_dump_reason").as_str(),
+            Some("shed_storm")
+        );
+    }
+
+    #[test]
+    fn a_failed_flight_dump_is_reported_not_counted_as_a_write_error() {
+        // A regular file where the dump directory should be: neither
+        // `create_dir_all` nor the write can succeed.
+        let file = std::env::temp_dir().join(format!("nvwa-flight-file-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let obs = ObservabilityConfig {
+            flight_dump: Some(file.clone()),
+            ..ObservabilityConfig::default()
+        };
+        let metrics = hub(false, &obs);
+        metrics.record(Event::Panic { seq: 0, worker: 0 });
+        let error = flight(&metrics, "last_dump_error");
+        std::fs::remove_file(&file).unwrap();
+        let error = error.as_str().expect("the failed dump is reported");
+        let path = file.join("flight_worker_panic.json");
+        assert!(error.contains(&path.display().to_string()), "{error}");
+        assert_eq!(metrics.counter("serve.write_errors"), 0);
+        assert_eq!(flight(&metrics, "dumps").as_num(), Some(1.0));
+    }
+
+    #[test]
+    fn live_summaries_validate_while_four_threads_record() {
+        // Writers and scrapes share the hub's one lock, so the flight
+        // ring's `retained == min(recorded, cap)` (the `occupancy`
+        // identity) and the tenant identities hold in every scrape taken
+        // *while* four threads record, and so does a dump's
+        // `events.len() == min(recorded, cap)`. The large ring never
+        // fills (4 × 384 < 2048); the small one wraps continuously.
+        for cap in [2048usize, 64].repeat(8) {
+            let obs = ObservabilityConfig {
+                flight_cap: cap,
+                ..ObservabilityConfig::default()
+            };
+            let metrics = hub(false, &obs);
+            let writers_done = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (metrics, writers_done) = (&metrics, &writers_done);
+                    scope.spawn(move || {
+                        for i in 0..384u64 {
+                            let (id, conn, tenant) = (t * 1000 + i, t, (t % 2) as usize);
+                            metrics.record(if i % 7 == 0 {
+                                Event::Shed {
+                                    id,
+                                    conn,
+                                    tenant: Some((tenant, Some(0))),
+                                }
+                            } else {
+                                Event::Admitted {
+                                    trace_id: id,
+                                    conn,
+                                    depth: 1,
+                                    mode: Mode::Short,
+                                    tenant,
+                                    shard: 0,
+                                }
+                            });
+                        }
+                        writers_done.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                loop {
+                    stats(&metrics);
+                    validate(Kind::FlightDump, &metrics.dump_flight("explicit")).unwrap();
+                    if writers_done.load(Ordering::SeqCst) == 4 {
+                        break;
+                    }
+                }
+            });
+            assert_eq!(flight(&metrics, "recorded").as_num(), Some(4.0 * 384.0));
+        }
     }
 
     #[test]
@@ -855,7 +1207,11 @@ mod tests {
                 1_000 * id,
                 &[(Stage::Queue, 10), (Stage::Align, 20), (Stage::Write, 5)],
             );
-            metrics.request_done(chain, 0, 0);
+            metrics.record(Event::RequestDone {
+                chain,
+                tenant: 0,
+                shard: 0,
+            });
         }
         let (retained, dropped) = metrics.span_chain_counts();
         assert_eq!(retained, 2);

@@ -46,6 +46,7 @@ use nvwa_telemetry::JsonValue;
 
 use crate::admission::handle_request;
 use crate::lock;
+use crate::metrics::{Event, ServeMetrics};
 use crate::protocol::{write_frame, AlignResponse, Status, MAX_FRAME_BYTES};
 use crate::server::Shared;
 
@@ -220,7 +221,7 @@ impl Conn {
     }
 
     /// Writes as much buffered output as the socket accepts right now.
-    fn flush(&mut self, metrics: &crate::metrics::ServeMetrics) {
+    fn flush(&mut self, metrics: &ServeMetrics) {
         let mut out = lock(&self.sink.out);
         while !out.buf.is_empty() {
             match self.stream.write(&out.buf) {
@@ -233,7 +234,7 @@ impl Conn {
                 Err(_) => {
                     // Unflushed responses are lost with the socket.
                     if !out.buf.is_empty() {
-                        metrics.write_error();
+                        metrics.record(Event::WriteError);
                     }
                     out.buf.clear();
                     out.dead = true;
@@ -333,7 +334,7 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
                 conn.dead = true;
                 let mut out = lock(&conn.sink.out);
                 if !out.buf.is_empty() {
-                    shared.metrics.write_error();
+                    shared.metrics.record(Event::WriteError);
                 }
                 out.dead = true;
                 continue;
@@ -368,7 +369,7 @@ fn accept_ready(
                 }
                 let _ = stream.set_nodelay(true);
                 let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connection_accepted();
+                shared.metrics.record(Event::Connection);
                 conns.push(Conn {
                     stream,
                     sink: Arc::new(ReactorConn {
@@ -447,7 +448,7 @@ fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
 /// Frame-level failure: answer `error` and close once it is flushed —
 /// framing may be lost, so nothing after it on this connection is read.
 fn protocol_failure(conn: &mut Conn, shared: &Arc<Shared>, msg: &str) {
-    shared.metrics.protocol_error();
+    shared.metrics.record(Event::ProtocolError);
     let resp = AlignResponse::failure(0, Status::Error, msg);
     conn.sink.in_flight.fetch_add(1, Ordering::AcqRel);
     let _ = conn.sink.send(&resp.encode());

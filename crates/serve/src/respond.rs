@@ -12,10 +12,10 @@ use nvwa_index::minimizer::minimizers;
 use nvwa_index::trace::NullTrace;
 use nvwa_telemetry::{Outcome, RequestSpans, Stage};
 
-use crate::admission::{answer, dump_flight};
+use crate::admission::answer;
 use crate::backend::execute_batch_with;
 use crate::batcher::{Batch, BatchItem};
-use crate::flight::FlightEventKind;
+use crate::metrics::Event;
 use crate::protocol::{AlignResponse, ClassifyResult, Mode, Status, TenantScore, WireAlignment};
 use crate::server::{Engine, PendingRead, Shared};
 
@@ -34,16 +34,9 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, engine_id: usize, worker: usize) 
     let mut scratch = AlignScratch::new();
     while let Some((batch, depth)) = engine.dispatcher.take() {
         answer_expired(&shared, engine, &batch);
-        if batch.items.is_empty() {
-            continue;
+        if !batch.items.is_empty() {
+            execute_batch(&shared, engine, worker, batch, depth, &mut scratch);
         }
-        shared
-            .metrics
-            .batch_formed(batch.reason, batch.items.len(), depth);
-        execute_batch(&shared, engine, worker, batch, &mut scratch);
-        let (hits, lookups) = scratch.seed_cache_stats();
-        shared.metrics.seed_cache(hits, lookups);
-        scratch.reset_seed_cache_stats();
     }
 }
 
@@ -53,13 +46,10 @@ fn answer_expired(shared: &Shared, engine: &Engine, batch: &Batch<PendingRead>) 
     if batch.expired.is_empty() {
         return;
     }
-    shared.metrics.deadline_expired(batch.expired.len() as u64);
-    shared.metrics.flight_event(
-        FlightEventKind::Deadline,
-        batch.expired.len() as u64,
-        batch.bin as u64,
-        0,
-    );
+    shared.metrics.record(Event::Expired {
+        n: batch.expired.len() as u64,
+        bin: batch.bin,
+    });
     for item in &batch.expired {
         let resp = AlignResponse::failure(
             item.payload.id,
@@ -97,7 +87,7 @@ fn respond_and_trace(
             item.payload.id,
             batch.bin,
             outcome,
-            item.payload.t0_ns,
+            shared.metrics.ns_at(item.admitted_at),
             stages,
         )
     };
@@ -109,37 +99,39 @@ fn respond_and_trace(
         ]),
         None => chain(&[queue, (Stage::Write, ns_between(taken, written))]),
     };
-    shared
-        .metrics
-        .request_done(chain, engine.tenant, engine.shard);
+    shared.metrics.record(Event::RequestDone {
+        chain,
+        tenant: engine.tenant,
+        shard: engine.shard,
+    });
 }
 
-/// Executes one batch and answers every item: the one skeleton all three
-/// request modes share. Batches are mode-homogeneous by construction
-/// (`bin_for` separates modes before lengths), so the per-mode work is a
-/// plain per-batch `match`; everything observable around it — timing,
-/// flight events, panic containment, span chains, the Chrome-trace span —
-/// lives here once.
+/// Executes one batch, taken leaving the dispatcher `depth` deep, and
+/// answers every item: the one skeleton all three request modes share.
+/// Batches are mode-homogeneous by construction (`bin_for` separates
+/// modes before lengths), so the per-mode work is a plain per-batch
+/// `match`; everything observable around it — timing, batch events,
+/// panic containment, span chains — lives here once.
 fn execute_batch(
     shared: &Shared,
     engine: &Engine,
     worker: usize,
     mut batch: Batch<PendingRead>,
+    depth: usize,
     scratch: &mut AlignScratch,
 ) {
-    let start = batch.taken_at;
-    let start_us = shared.metrics.now_us();
+    let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
+    let (bin, size) = (batch.bin, batch.items.len());
+    shared.metrics.record(Event::BatchStart {
+        seq,
+        reason: batch.reason,
+        bin,
+        size,
+        depth,
+    });
     if let Some(delay) = shared.config.worker_delay {
         std::thread::sleep(delay);
     }
-    let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
-    let batch_size = batch.items.len() as u64;
-    shared.metrics.flight_event(
-        FlightEventKind::BatchStart,
-        seq,
-        batch.bin as u64,
-        batch_size,
-    );
     // A panicking batch must never take a worker (or an admitted request)
     // with it: catch it, answer every item `error` and keep serving.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -153,34 +145,39 @@ fn execute_batch(
         }
     }));
     let exec_done = Instant::now();
-    let panicked = result.is_err();
-    let (answers, sim_cycles) = result.unwrap_or_else(|_| {
-        // The scratch's buffers may be mid-update — replace it before
-        // answering (the panic is exactly the incident the flight
-        // recorder exists for).
-        *scratch = AlignScratch::new();
-        shared.metrics.worker_panic();
-        shared
-            .metrics
-            .flight_event(FlightEventKind::Panic, seq, worker as u64, 0);
-        let why = "internal error: batch execution panicked";
-        let error = |item: &BatchItem<PendingRead>| {
-            let resp = AlignResponse::failure(item.payload.id, Status::Error, why);
-            (resp, Outcome::Error)
-        };
-        (batch.items.iter().map(error).collect(), None)
-    });
-    if !panicked {
-        // Recorded before the responses go out: a client that has seen
-        // every response (quiescence) is then guaranteed a ring with no
-        // dangling batch_start except a panicked batch's.
-        shared.metrics.flight_event(
-            FlightEventKind::BatchDone,
-            seq,
-            batch.bin as u64,
-            batch_size,
-        );
-    }
+    // Either event is recorded before the responses go out: a client that
+    // has seen every response (quiescence) is then guaranteed a ring with
+    // no dangling batch_start except a panicked batch's.
+    let answers = match result {
+        Ok((answers, sim_cycles)) => {
+            let seed_cache = scratch.seed_cache_stats();
+            scratch.reset_seed_cache_stats();
+            shared.metrics.record(Event::BatchDone {
+                seq,
+                worker,
+                bin,
+                size,
+                taken: batch.taken_at,
+                done: exec_done,
+                sim_cycles,
+                seed_cache,
+            });
+            answers
+        }
+        Err(_) => {
+            // The scratch's buffers may be mid-update — replace it before
+            // answering (the panic is exactly the incident the flight
+            // recorder exists for).
+            *scratch = AlignScratch::new();
+            shared.metrics.record(Event::Panic { seq, worker });
+            let why = "internal error: batch execution panicked";
+            let error = |item: &BatchItem<PendingRead>| {
+                let resp = AlignResponse::failure(item.payload.id, Status::Error, why);
+                (resp, Outcome::Error)
+            };
+            batch.items.iter().map(error).collect()
+        }
+    };
     for (item, (resp, outcome)) in batch.items.iter().zip(&answers) {
         debug_assert_eq!(item.payload.id, resp.id);
         respond_and_trace(
@@ -193,23 +190,6 @@ fn execute_batch(
             resp,
         );
     }
-    if panicked {
-        dump_flight(shared, "worker_panic");
-        return;
-    }
-    let label = match batch.mode {
-        Mode::Short => "",
-        Mode::Long => "long ",
-        Mode::Classify => "classify ",
-    };
-    let dur_us = exec_done.duration_since(start).as_secs_f64() * 1e6;
-    shared.metrics.batch_executed(
-        worker,
-        &format!("batch {label}bin{} n{}", batch.bin, batch_size),
-        start_us,
-        dur_us,
-        sim_cycles,
-    );
 }
 
 /// The short-read path: the offline seed-and-extend aligner over the

@@ -53,7 +53,7 @@ use nvwa_telemetry::JsonValue;
 use crate::backend::BackendKind;
 use crate::batcher::BatcherConfig;
 use crate::dispatch::Dispatcher;
-use crate::metrics::{ObservabilityConfig, ServeMetrics};
+use crate::metrics::{Event, ObservabilityConfig, ServeMetrics};
 #[cfg(unix)]
 pub(crate) use crate::reactor::ReactorConn;
 use crate::registry::{AdmitGuard, Tenant};
@@ -149,9 +149,6 @@ pub(crate) struct PendingRead {
     pub(crate) codes: Vec<u8>,
     /// Trace id minted at admission (unique per admitted request).
     pub(crate) trace_id: u64,
-    /// Admission time as nanoseconds since the metrics epoch — the span
-    /// chain's `t0_ns`.
-    pub(crate) t0_ns: u64,
     /// Quota slot held until the response is written (RAII, panic-safe).
     pub(crate) _guard: Option<AdmitGuard>,
 }
@@ -279,23 +276,24 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let workers_per_engine = config.workers.max(1);
         let engine_count: usize = tenants.iter().map(|t| t.shards.max(1)).sum();
+        let rows: Vec<(&str, usize)> = tenants
+            .iter()
+            .map(|t| (t.name.as_str(), t.shards.max(1)))
+            .collect();
         let metrics = Arc::new(ServeMetrics::new(
             config.queue_capacity,
             workers_per_engine * engine_count,
-            config.batch.bins(),
-            config.trace,
-            &config.obs,
-        ));
-        metrics.set_bin_modes(
             (0..config.batch.bins())
                 .map(|b| config.batch.class_of_bin(b))
                 .collect(),
-        );
+            &rows,
+            config.trace,
+            &config.obs,
+        ));
         let mut engines = Vec::with_capacity(engine_count);
         let mut routes = Vec::with_capacity(tenants.len());
         for (t, init) in tenants.into_iter().enumerate() {
             let shards = init.shards.max(1);
-            metrics.register_tenant(&init.name, shards);
             // One minimizer index per tenant, shared by its shards: the
             // long-read fill and classify screening run over the same
             // reference the short path uses.
@@ -341,7 +339,6 @@ impl Server {
         let workers = (0..shared.engines.len() * workers_per_engine)
             .map(|id| {
                 let shared = Arc::clone(&shared);
-                shared.metrics.name_worker(id);
                 std::thread::spawn(move || {
                     crate::respond::worker_loop(shared, id / workers_per_engine, id)
                 })
@@ -393,7 +390,9 @@ impl Server {
             return false;
         }
         engine.dispatcher.close(Instant::now());
-        self.shared.metrics.shard_dead(t, shard);
+        self.shared
+            .metrics
+            .record(Event::ShardDead { tenant: t, shard });
         true
     }
 

@@ -53,4 +53,4 @@ pub use snapshot::SnapshotMeta;
 pub use spans::{Outcome, RequestSpans, SpanLog, Stage, StageSpan};
 pub use stall::{PoolState, StallCause, StallTracker, IDLE_CAUSE_COUNT};
 pub use trace::{cycles_to_us, TraceRecorder, PID_ACCELERATOR, PID_HOST};
-pub use window::{BinSlo, RollingCounter, RollingHistogram, SloView, SloWindow, WindowConfig};
+pub use window::{BinSlo, SloView, SloWindow, WindowConfig};

@@ -229,7 +229,7 @@ impl Kind {
             Kind::FlightSummary => &[
                 ("cap", Int(ONE_UP)),
                 ("{recorded,retained,dumps}", COUNT),
-                ("last_dump_reason", OptStr),
+                ("{last_dump_reason,last_dump_error}", OptStr),
                 ("by_kind", Only(FLIGHT_EVENT_KINDS)),
                 ("by_kind.*", NUM),
                 ("", Check("occupancy", occupancy)),
@@ -709,6 +709,7 @@ mod tests {
     const FLIGHT_SUMMARY_DOC: &str = r#"{
         "cap": 4, "recorded": 6, "retained": 4, "dumps": 1,
         "last_dump_reason": "worker_panic",
+        "last_dump_error": null,
         "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
     }"#;
 
@@ -867,6 +868,9 @@ mod tests {
         FlightSummary | "retained":4 -> "retained":3 ; "admit":2 -> "admit":1 | must be min
         FlightSummary | "dumps":1 -> "dumps":-1 | $.dumps
         FlightSummary | "last_dump_reason":"worker_panic" -> "last_dump_reason":3 | $.last_dump_reason
+        FlightSummary | "last_dump_error":null -> "last_dump_error":3 | $.last_dump_error
+        FlightSummary | "last_dump_error":null -> "last_dump_error":"flight_x.json: denied" | ok
+        FlightSummary | "last_dump_error":null, ->  | $.last_dump_error: missing
         FlightSummary | "admit":2 -> "bogus":2 | $.by_kind: must be Only
         FlightSummary | "admit":2 -> "admit":3 | $: by_kind: retained sums to 4, not equal to by_kind.* 5
         FlightDump | "kind":"nvwa-flight" -> "kind":"nvwa-metrics" | want "nvwa-flight"

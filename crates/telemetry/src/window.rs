@@ -2,11 +2,11 @@
 //! ring of fixed-width time steps.
 //!
 //! Cumulative counters answer "what happened since boot"; the serving
-//! layer needs "what is happening *right now*". A [`RollingHistogram`] /
-//! [`RollingCounter`] keeps the last `window / step` step-buckets in a
-//! ring; samples land in the bucket of their timestamp, buckets older than
-//! the window are cleared lazily as time advances, and a view merges the
-//! live buckets.
+//! layer needs "what is happening *right now*". A [`Rolling`] ring keeps
+//! the last `window / step` step-buckets of one [`Slot`] type — a
+//! [`Histogram`] for latencies, a `u64` for rate counters; samples land
+//! in the bucket of their timestamp, buckets older than the window are
+//! cleared lazily as time advances, and a view merges the live buckets.
 //!
 //! Like the batcher, everything here is a pure state machine over
 //! **explicit timestamps** (`u64` ticks — microseconds on the wall clock,
@@ -60,66 +60,89 @@ impl Default for WindowConfig {
     }
 }
 
-/// Shared ring mechanics: absolute step index of the newest live bucket
-/// plus lazy clearing when time advances. `latest` starts at 0, so bucket
-/// 0 is live from construction (an empty window is just all-empty
-/// buckets).
-fn advance<T: Default>(slots: &mut [T], latest: &mut u64, to: u64) {
-    if to <= *latest {
-        return;
-    }
-    let n = slots.len() as u64;
-    let clear = (to - *latest).min(n);
-    for s in (to + 1 - clear)..=to {
-        slots[(s % n) as usize] = T::default();
-    }
-    *latest = to;
+/// What one ring bucket holds: samples that add in and buckets that merge.
+pub trait Slot: Clone + Default {
+    /// Adds one sample to the bucket.
+    fn add(&mut self, sample: u64);
+    /// Adds another bucket's samples to this one.
+    fn merge(&mut self, other: &Self);
 }
 
-/// Live absolute step range `[first, latest]` for a ring of `n` buckets.
-fn live_range(latest: u64, n: u64) -> std::ops::RangeInclusive<u64> {
-    latest.saturating_sub(n - 1)..=latest
+/// A rate counter's bucket: a count.
+impl Slot for u64 {
+    fn add(&mut self, by: u64) {
+        *self += by;
+    }
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
 }
 
-/// A histogram over the trailing window: a ring of per-step
-/// [`Histogram`]s merged on demand.
+/// A latency bucket: a histogram of the step's samples.
+impl Slot for Histogram {
+    fn add(&mut self, value: u64) {
+        self.observe(value);
+    }
+    fn merge(&mut self, other: &Histogram) {
+        Histogram::merge(self, other);
+    }
+}
+
+/// A [`Slot`] over the trailing window: a ring of per-step buckets
+/// indexed by absolute step number (`t / step`, ring position
+/// `step % n`), merged on demand. `latest` starts at 0, so bucket 0 is
+/// live from construction (an empty window is just all-empty buckets).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RollingHistogram {
+pub struct Rolling<T> {
     config: WindowConfig,
-    slots: Vec<Histogram>,
+    slots: Vec<T>,
     latest: u64,
     dropped_late: u64,
 }
 
-impl RollingHistogram {
-    /// An empty rolling histogram.
-    pub fn new(config: WindowConfig) -> RollingHistogram {
-        RollingHistogram {
+impl<T: Slot> Rolling<T> {
+    /// An empty ring.
+    pub fn new(config: WindowConfig) -> Rolling<T> {
+        Rolling {
             config,
-            slots: vec![Histogram::new(); config.slots()],
+            slots: vec![T::default(); config.slots()],
             latest: 0,
             dropped_late: 0,
         }
     }
 
-    /// The geometry.
-    pub fn config(&self) -> WindowConfig {
-        self.config
+    /// Moves the newest live bucket to step `to`, clearing the buckets
+    /// that fell out of the window on the way.
+    fn advance(&mut self, to: u64) {
+        if to <= self.latest {
+            return;
+        }
+        let n = self.slots.len() as u64;
+        let clear = (to - self.latest).min(n);
+        for s in (to + 1 - clear)..=to {
+            self.slots[(s % n) as usize] = T::default();
+        }
+        self.latest = to;
     }
 
-    /// Records `value` at time `t`. Samples older than the window (time
-    /// already advanced past them) are counted in
-    /// [`dropped_late`](RollingHistogram::dropped_late), not recorded.
-    pub fn observe(&mut self, t: u64, value: u64) {
-        let slot = t / self.config.step;
-        let n = self.slots.len() as u64;
-        if slot > self.latest {
-            advance(&mut self.slots, &mut self.latest, slot);
-        } else if !live_range(self.latest, n).contains(&slot) {
+    /// Live absolute step range `[first, latest]`.
+    fn live(&self) -> std::ops::RangeInclusive<u64> {
+        self.latest.saturating_sub(self.slots.len() as u64 - 1)..=self.latest
+    }
+
+    /// Adds `sample` at time `t`. A sample older than the window (time
+    /// already advanced past its bucket) is counted in
+    /// [`dropped_late`](Rolling::dropped_late), not recorded.
+    pub fn add(&mut self, t: u64, sample: u64) {
+        let step = t / self.config.step;
+        if step > self.latest {
+            self.advance(step);
+        } else if !self.live().contains(&step) {
             self.dropped_late += 1;
             return;
         }
-        self.slots[(slot % n) as usize].observe(value);
+        let n = self.slots.len() as u64;
+        self.slots[(step % n) as usize].add(sample);
     }
 
     /// Samples rejected for arriving after their bucket left the window.
@@ -127,65 +150,16 @@ impl RollingHistogram {
         self.dropped_late
     }
 
-    /// The merged histogram of the window ending at `now` (advances the
+    /// The merged bucket of the window ending at `now` (advances the
     /// ring, clearing buckets that fell out).
-    pub fn view(&mut self, now: u64) -> Histogram {
-        advance(&mut self.slots, &mut self.latest, now / self.config.step);
+    pub fn view(&mut self, now: u64) -> T {
+        self.advance(now / self.config.step);
         let n = self.slots.len() as u64;
-        let mut merged = Histogram::new();
-        for s in live_range(self.latest, n) {
+        let mut merged = T::default();
+        for s in self.live() {
             merged.merge(&self.slots[(s % n) as usize]);
         }
         merged
-    }
-}
-
-/// A counter over the trailing window: a ring of per-step counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RollingCounter {
-    config: WindowConfig,
-    slots: Vec<u64>,
-    latest: u64,
-    dropped_late: u64,
-}
-
-impl RollingCounter {
-    /// An empty rolling counter.
-    pub fn new(config: WindowConfig) -> RollingCounter {
-        RollingCounter {
-            config,
-            slots: vec![0; config.slots()],
-            latest: 0,
-            dropped_late: 0,
-        }
-    }
-
-    /// Adds `by` at time `t` (late increments are dropped and counted).
-    pub fn inc(&mut self, t: u64, by: u64) {
-        let slot = t / self.config.step;
-        let n = self.slots.len() as u64;
-        if slot > self.latest {
-            advance(&mut self.slots, &mut self.latest, slot);
-        } else if !live_range(self.latest, n).contains(&slot) {
-            self.dropped_late += by;
-            return;
-        }
-        self.slots[(slot % n) as usize] += by;
-    }
-
-    /// Increments rejected for arriving after their bucket left the
-    /// window.
-    pub fn dropped_late(&self) -> u64 {
-        self.dropped_late
-    }
-
-    /// Sum over the window ending at `now` (advances the ring).
-    pub fn sum(&mut self, now: u64) -> u64 {
-        advance(&mut self.slots, &mut self.latest, now / self.config.step);
-        let n = self.slots.len() as u64;
-        live_range(self.latest, n)
-            .map(|s| self.slots[(s % n) as usize])
-            .sum()
     }
 }
 
@@ -195,11 +169,11 @@ impl RollingCounter {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloWindow {
     config: WindowConfig,
-    per_bin: Vec<RollingHistogram>,
-    admitted: RollingCounter,
-    shed: RollingCounter,
-    deadline_missed: RollingCounter,
-    completed: RollingCounter,
+    per_bin: Vec<Rolling<Histogram>>,
+    admitted: Rolling<u64>,
+    shed: Rolling<u64>,
+    deadline_missed: Rolling<u64>,
+    completed: Rolling<u64>,
     queue_depth: f64,
 }
 
@@ -208,42 +182,42 @@ impl SloWindow {
     pub fn new(config: WindowConfig, bins: usize) -> SloWindow {
         SloWindow {
             config,
-            per_bin: vec![RollingHistogram::new(config); bins.max(1)],
-            admitted: RollingCounter::new(config),
-            shed: RollingCounter::new(config),
-            deadline_missed: RollingCounter::new(config),
-            completed: RollingCounter::new(config),
+            per_bin: vec![Rolling::new(config); bins.max(1)],
+            admitted: Rolling::new(config),
+            shed: Rolling::new(config),
+            deadline_missed: Rolling::new(config),
+            completed: Rolling::new(config),
             queue_depth: 0.0,
         }
     }
 
     /// One request admitted at `t`; `depth` is the queue depth just after.
     pub fn record_admitted(&mut self, t: u64, depth: usize) {
-        self.admitted.inc(t, 1);
+        self.admitted.add(t, 1);
         self.queue_depth = depth as f64;
     }
 
     /// One request shed at `t`.
     pub fn record_shed(&mut self, t: u64) {
-        self.shed.inc(t, 1);
+        self.shed.add(t, 1);
     }
 
     /// Shed count over the window ending at `t` (the shed-storm trigger).
     pub fn shed_in_window(&mut self, t: u64) -> u64 {
-        self.shed.sum(t)
+        self.shed.view(t)
     }
 
     /// `n` deadlines missed at `t`.
     pub fn record_deadline_missed(&mut self, t: u64, n: u64) {
-        self.deadline_missed.inc(t, n);
+        self.deadline_missed.add(t, n);
     }
 
     /// One request completed `ok` at `t` in length bin `bin` with the
     /// given end-to-end latency (same tick unit as the window).
     pub fn record_completed(&mut self, t: u64, bin: usize, latency: u64) {
-        self.completed.inc(t, 1);
+        self.completed.add(t, 1);
         let bin = bin.min(self.per_bin.len() - 1);
-        self.per_bin[bin].observe(t, latency);
+        self.per_bin[bin].add(t, latency);
     }
 
     /// Updates the instantaneous queue-depth gauge.
@@ -268,10 +242,10 @@ impl SloWindow {
                 }
             })
             .collect();
-        let admitted = self.admitted.sum(now);
-        let shed = self.shed.sum(now);
-        let deadline_missed = self.deadline_missed.sum(now);
-        let completed = self.completed.sum(now);
+        let admitted = self.admitted.view(now);
+        let shed = self.shed.view(now);
+        let deadline_missed = self.deadline_missed.view(now);
+        let completed = self.completed.view(now);
         let offered = admitted + shed;
         let rate = |num: u64, den: u64| {
             if den == 0 {
@@ -389,7 +363,7 @@ mod tests {
 
     #[test]
     fn empty_window_has_no_percentiles() {
-        let mut r = RollingHistogram::new(cfg());
+        let mut r = Rolling::<Histogram>::new(cfg());
         let h = r.view(0);
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50(), None);
@@ -401,8 +375,8 @@ mod tests {
 
     #[test]
     fn samples_expire_after_exactly_one_window() {
-        let mut r = RollingHistogram::new(cfg());
-        r.observe(5, 42);
+        let mut r = Rolling::<Histogram>::new(cfg());
+        r.add(5, 42);
         // Still visible while the window [t-90, t] covers step 0.
         assert_eq!(r.view(95).count(), 1);
         // At t=100 the live steps are 1..=10 — step 0 fell out.
@@ -411,11 +385,11 @@ mod tests {
 
     #[test]
     fn rotation_at_exact_step_edges() {
-        let mut r = RollingHistogram::new(cfg());
+        let mut r = Rolling::<Histogram>::new(cfg());
         // t=9 and t=10 are different steps: the edge sample starts a new
         // bucket, it does not round down.
-        r.observe(9, 1);
-        r.observe(10, 2);
+        r.add(9, 1);
+        r.add(10, 2);
         assert_eq!(r.view(10).count(), 2);
         // One window after step 0's bucket: only the t=10 sample survives.
         let h = r.view(109);
@@ -427,27 +401,27 @@ mod tests {
 
     #[test]
     fn late_samples_are_dropped_and_counted() {
-        let mut r = RollingHistogram::new(cfg());
-        r.observe(500, 1);
-        r.observe(5, 99); // bucket 0 left the window at t=500
+        let mut r = Rolling::<Histogram>::new(cfg());
+        r.add(500, 1);
+        r.add(5, 99); // bucket 0 left the window at t=500
         assert_eq!(r.dropped_late(), 1);
         assert_eq!(r.view(500).count(), 1);
-        let mut c = RollingCounter::new(cfg());
-        c.inc(500, 1);
-        c.inc(5, 3);
-        assert_eq!(c.dropped_late(), 3);
-        assert_eq!(c.sum(500), 1);
+        let mut c = Rolling::<u64>::new(cfg());
+        c.add(500, 1);
+        c.add(5, 3); // one late sample, whatever its weight
+        assert_eq!(c.dropped_late(), 1);
+        assert_eq!(c.view(500), 1);
     }
 
     #[test]
     fn counter_sums_the_window_only() {
-        let mut c = RollingCounter::new(cfg());
-        c.inc(0, 1);
-        c.inc(50, 2);
-        c.inc(99, 4);
-        assert_eq!(c.sum(99), 7);
-        assert_eq!(c.sum(100), 6); // step 0 expired
-        assert_eq!(c.sum(199), 0); // everything expired
+        let mut c = Rolling::<u64>::new(cfg());
+        c.add(0, 1);
+        c.add(50, 2);
+        c.add(99, 4);
+        assert_eq!(c.view(99), 7);
+        assert_eq!(c.view(100), 6); // step 0 expired
+        assert_eq!(c.view(199), 0); // everything expired
     }
 
     #[test]
@@ -480,9 +454,9 @@ mod tests {
         // Slots at t = 0, window, 2·window share a ring index; each
         // revolution must find its bucket cleared, not accumulating the
         // previous cycle's samples.
-        let mut r = RollingHistogram::new(cfg());
+        let mut r = Rolling::<Histogram>::new(cfg());
         for cycle in 0..3u64 {
-            r.observe(cycle * 100, 10 + cycle);
+            r.add(cycle * 100, 10 + cycle);
         }
         // At t=200 only the t=200 sample is live: t=100 sits exactly one
         // window back (slot 10 vs live 11..=20) and was cleared on wrap.
@@ -490,22 +464,22 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), Some(12));
         // Same edge for the counter ring.
-        let mut c = RollingCounter::new(cfg());
+        let mut c = Rolling::<u64>::new(cfg());
         for cycle in 0..3u64 {
-            c.inc(cycle * 100, 1);
+            c.add(cycle * 100, 1);
         }
-        assert_eq!(c.sum(200), 1);
+        assert_eq!(c.view(200), 1);
     }
 
     #[test]
     fn late_drop_boundary_is_the_oldest_live_slot() {
         // latest = slot 15 → live slots 6..=15. A sample landing exactly
         // on the oldest live slot is recorded; one slot older is dropped.
-        let mut r = RollingHistogram::new(cfg());
-        r.observe(150, 1); // latest = 15
-        r.observe(60, 2); // slot 6: oldest live — accepted
+        let mut r = Rolling::<Histogram>::new(cfg());
+        r.add(150, 1); // latest = 15
+        r.add(60, 2); // slot 6: oldest live — accepted
         assert_eq!(r.dropped_late(), 0);
-        r.observe(59, 3); // slot 5: one before — dropped
+        r.add(59, 3); // slot 5: one before — dropped
         assert_eq!(r.dropped_late(), 1);
         let h = r.view(150);
         assert_eq!(h.count(), 2);

@@ -98,10 +98,10 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # zero lost/duplicated responses and no violated SLO target (nvwa-loadgen
 # exits non-zero otherwise), (b) the server drained and exited cleanly,
 # (c) the stats response, span log, trace and loadgen report all pass
-# validation, (d) at least two mid-run stats snapshots were captured (the
-# stats-scrape smoke test). First: the batch timer is gone, and so are the
-# loadgen's own metrics snapshot and thread pool; asking for any of them is
-# a usage error, not a silent default.
+# validation, (d) at least two mid-run stats snapshots were captured and
+# none failed validation (the stats-scrape smoke test). First: the batch
+# timer is gone, and so are the loadgen's own metrics snapshot and thread
+# pool; asking for any of them is a usage error, not a silent default.
 [ "$(cargo run --release --quiet --bin nvwa -- serve --batch-wait-us 1 2>&1 || echo "exit $?")" = "nvwa: --batch-wait-us: unknown flag
 exit 2" ]
 for removed in "--metrics-out x" "--threads 2"; do
@@ -109,6 +109,17 @@ for removed in "--metrics-out x" "--threads 2"; do
     [ "$(cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- $removed 2>&1 || echo "exit $?")" = "nvwa-loadgen: ${removed% *}: unknown flag
 exit 2" ]
 done
+# The loadgen counts a mid-run `stats` scrape that fails
+# `Kind::StatsResponse` in `scrapes.failures` and drops it: any such
+# failure fails the smoke, naming the first error.
+require_clean_scrapes() {
+    failures="$(sed -n 's/^ *"failures": \([0-9][0-9]*\).*/\1/p' "$1")"
+    if [ "$failures" != 0 ]; then
+        echo "$1: ${failures:-an unknown number of} stats scrapes failed; first error:" \
+            "$(sed -n 's/^ *"first_error": //p' "$1")" >&2
+        exit 1
+    fi
+}
 rm -f "$artifacts_dir/serve_addr"
 cargo run --release --quiet --bin nvwa -- serve \
     --addr 127.0.0.1:0 --addr-file "$artifacts_dir/serve_addr" \
@@ -155,6 +166,7 @@ if [ "$scrapes" -lt 2 ]; then
     echo "stats scrape smoke: only $scrapes mid-run snapshots (want >= 2)" >&2
     exit 1
 fi
+require_clean_scrapes "$artifacts_dir/loadgen_report.json"
 echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes"
 
 # Multi-tenant serve smoke (PR 8): two species tenants (one sharded),
@@ -162,6 +174,10 @@ echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes
 # (nvwa-loadgen exits non-zero on any lost/duplicated response or
 # violated SLO), then schema-validates the SLO report — including the
 # per-tenant conservation sections — and the server's stats snapshot.
+# It scrapes `stats` every 20 ms throughout, and every scrape must
+# validate: at 12 k req/s this is where the tenant identities that one
+# hub lock keeps exact (`TENANT_ADMITTED`, `TENANT_QUOTA`) are checked
+# against a busy server.
 # The shard-kill degradation plan runs in the conformance faults and
 # registry families below. --registry-budget runs the launch-time check
 # (the two 40 kb-floor indexes need ~4.4 MB; the server refuses to start
@@ -177,10 +193,11 @@ cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
     --addr-file "$artifacts_dir/serve_mt_addr" \
     --reads 100000 --connections 4 --mode open --rate 12000 --burst 16 \
     --tenant homo_sapiens:3 --tenant caenorhabditis_elegans:1 \
-    --tenant-scale 0.0 \
+    --tenant-scale 0.0 --scrape-ms 20 \
     --slo lost=0 --slo error_rate=0 --slo quota_rate=0 \
     --out "$artifacts_dir/loadgen_tenants.json" --shutdown
 wait "$serve_mt_pid"
+require_clean_scrapes "$artifacts_dir/loadgen_tenants.json"
 cargo run --release --quiet -p nvwa-bench --bin validate -- \
     "$artifacts_dir/loadgen_tenants.json" \
     "$artifacts_dir/serve_mt_metrics.json"

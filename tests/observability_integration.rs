@@ -15,7 +15,7 @@ use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::{BatcherConfig, Request, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
-use nvwa::telemetry::{JsonValue, Outcome, RequestSpans};
+use nvwa::telemetry::{JsonValue, Outcome, RequestSpans, SnapshotMeta};
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -139,7 +139,8 @@ fn mid_run_stats_scrapes_validate_and_carry_slo_and_flight_views() {
     );
     // Live scrapes checked the ring identities mid-run; with every thread
     // joined the final summary must satisfy them too.
-    validate(Kind::FlightSummary, &metrics.flight().summary_json())
+    let drained = metrics.stats_response(&SnapshotMeta::default());
+    validate(Kind::FlightSummary, drained.get("flight").unwrap())
         .expect("quiescent flight summary");
     assert!(
         report.stats_snapshots.len() >= 2,
