@@ -98,11 +98,6 @@ impl HitsAllocator {
         }
     }
 
-    /// The policy in use.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
-    }
-
     /// The optimal class for a hit of length `len`: the smallest class
     /// whose PE count covers it (longer hits map to the largest class).
     pub fn class_of_len(&self, len: u32) -> usize {
@@ -131,20 +126,12 @@ impl HitsAllocator {
     /// next round; the flags feed
     /// [`super::hits_buffer::HitsBuffer::complete_round`].
     ///
-    /// Per-class idle counts stand in for the hardware's PopCount tree: a
-    /// hit none of whose permitted classes has an idle unit is passed over
-    /// without a look at the idle list, and Formula 3 is evaluated once per
-    /// (hit, class). The unit taken is the one a scan of `idle` would take —
-    /// the first, in `idle`'s order, of least latency.
+    /// Per-class idle counts stand in for the hardware's PopCount tree: a hit
+    /// none of whose permitted classes has an idle unit is dropped before the
+    /// sort (counts only fall during a round), and Formula 3 is evaluated once
+    /// per (hit, class). The unit taken is the first of least latency in `idle`.
     pub fn allocate(&mut self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (&[bool], &[Assignment]) {
         let mut round = std::mem::take(&mut self.round);
-        // Steps ②–③: compute lengths and sort (longest first, so large
-        // units are claimed by the hits that need them; ties in batch order).
-        round.order.clear();
-        round
-            .order
-            .extend((batch.iter().enumerate()).map(|(slot, hit)| (Reverse(hit.hit_len()), slot)));
-        round.order.sort_unstable();
         round.idle_class.clear();
         round
             .idle_class
@@ -154,6 +141,20 @@ impl HitsAllocator {
         for &c in &round.idle_class {
             round.classes[c].0 += 1;
         }
+        let placeable = |hit: &Hit| {
+            let cls = self.class_of_len(hit.hit_len());
+            (round.classes.iter().enumerate())
+                .any(|(c, &(left, _))| left > 0 && self.permits(cls, c))
+        };
+        // Steps ②–③: compute lengths and sort (longest first, so large
+        // units are claimed by the hits that need them; ties in batch order).
+        round.order.clear();
+        round.order.extend(
+            (batch.iter().enumerate())
+                .filter(|(_, hit)| placeable(hit))
+                .map(|(slot, hit)| (Reverse(hit.hit_len()), slot)),
+        );
+        round.order.sort_unstable();
         round.allocated.clear();
         round.allocated.resize(batch.len(), false);
         round.assignments.clear();

@@ -92,19 +92,20 @@ pub fn simulate_schedule(
     let ocra = OneCycleReadAllocator::new(units);
     let batch = BatchScheduler::new(units);
     let mut free_at: Vec<Cycle> = vec![0; units];
-    let mut next_read = 0u64;
     let mut schedule = Vec::new();
     let mut now: Cycle = 0;
-    while (next_read as usize) < read_times.len() {
-        let busy: Vec<bool> = free_at.iter().map(|&t| t > now).collect();
+    while schedule.len() < read_times.len() {
+        let next_read = schedule.len() as u64;
+        let mut idle = vec![0u64; units.div_ceil(64)];
+        for (unit, _) in free_at.iter().enumerate().filter(|(_, &t)| t <= now) {
+            idle[unit / 64] |= 1 << (unit % 64);
+        }
         let remaining = read_times.len() as u64 - next_read;
-        let (assigned, new_next) = match strategy {
-            Strategy::ReadInBatch => batch.allocate(&busy, next_read, remaining),
-            Strategy::OneCycle => ocra.allocate(&busy, next_read, remaining),
+        let grants: Vec<(usize, u64)> = match strategy {
+            Strategy::ReadInBatch => batch.allocate(&idle, next_read, remaining).collect(),
+            Strategy::OneCycle => ocra.allocate(&idle, next_read, remaining).collect(),
         };
-        next_read = new_next;
-        for (unit, read) in assigned.into_iter().enumerate() {
-            let Some(read) = read else { continue };
+        for (unit, read) in grants {
             let start = now + 1; // the allocation cycle
             let end = start + read_times[read as usize];
             free_at[unit] = end;

@@ -5,6 +5,8 @@
 //! when *every* unit in the pool has finished the previous batch, so early
 //! finishers idle until the batch straggler completes.
 
+use super::ocra::{priority_mask_word, OneCycleReadAllocator};
+
 /// The Read-in-Batch scheduler.
 ///
 /// # Examples
@@ -12,14 +14,11 @@
 /// ```
 /// use nvwa_core::seeding::BatchScheduler;
 /// let sched = BatchScheduler::new(4);
-/// // One unit still busy: nobody gets a read.
-/// let (a, next) = sched.allocate(&[false, true, false, false], 0, u64::MAX);
-/// assert!(a.iter().all(|x| x.is_none()));
-/// assert_eq!(next, 0);
+/// // One unit (bit 1) still busy: nobody gets a read.
+/// assert_eq!(sched.allocate(&[0b1101], 0, u64::MAX).count(), 0);
 /// // All idle: the whole batch issues at once.
-/// let (a, next) = sched.allocate(&[false; 4], 0, u64::MAX);
-/// assert_eq!(a, vec![Some(0), Some(1), Some(2), Some(3)]);
-/// assert_eq!(next, 4);
+/// let grants: Vec<_> = sched.allocate(&[0b1111], 0, u64::MAX).collect();
+/// assert_eq!(grants, [(0, 0), (1, 1), (2, 2), (3, 3)]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchScheduler {
@@ -38,32 +37,23 @@ impl BatchScheduler {
         BatchScheduler { units }
     }
 
-    /// Number of managed units.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
     /// Issues a full batch when every unit is idle; otherwise issues
-    /// nothing.
+    /// nothing. The idle word and the grants are those of
+    /// [`OneCycleReadAllocator::allocate`].
     ///
     /// # Panics
     ///
-    /// Panics if `busy.len() != units`.
-    pub fn allocate(
+    /// Panics if `idle` is not `units.div_ceil(64)` words long.
+    pub fn allocate<'a>(
         &self,
-        busy: &[bool],
+        idle: &'a [u64],
         next_read: u64,
         remaining: u64,
-    ) -> (Vec<Option<u64>>, u64) {
-        assert_eq!(busy.len(), self.units, "status width mismatch");
-        if busy.iter().any(|&b| b) {
-            return (vec![None; self.units], next_read);
-        }
-        let issue = (self.units as u64).min(remaining);
-        let assigned = (0..self.units as u64)
-            .map(|i| (i < issue).then_some(next_read + i))
-            .collect();
-        (assigned, next_read + issue)
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let pool = |w| priority_mask_word(self.units, w, self.units);
+        let all_idle = (idle.iter().enumerate()).all(|(w, &bits)| bits & pool(w) == pool(w));
+        let issue = if all_idle { remaining } else { 0 };
+        OneCycleReadAllocator::new(self.units).allocate(idle, next_read, issue)
     }
 }
 
@@ -71,35 +61,41 @@ impl BatchScheduler {
 mod tests {
     use super::*;
 
+    fn grants(sched: BatchScheduler, idle: &[u64], next: u64, remaining: u64) -> Vec<(usize, u64)> {
+        sched.allocate(idle, next, remaining).collect()
+    }
+
     #[test]
     fn waits_for_stragglers() {
-        let sched = BatchScheduler::new(4);
-        let (a, next) = sched.allocate(&[false, false, false, true], 8, u64::MAX);
-        assert_eq!(a, vec![None; 4]);
-        assert_eq!(next, 8);
+        assert_eq!(grants(BatchScheduler::new(4), &[0b0111], 8, u64::MAX), []);
     }
 
     #[test]
     fn issues_batch_when_all_idle() {
         let sched = BatchScheduler::new(3);
-        let (a, next) = sched.allocate(&[false; 3], 9, u64::MAX);
-        assert_eq!(a, vec![Some(9), Some(10), Some(11)]);
-        assert_eq!(next, 12);
+        assert_eq!(
+            grants(sched, &[0b111], 9, u64::MAX),
+            [(0, 9), (1, 10), (2, 11)]
+        );
+        // Bits past the pool are not units.
+        assert_eq!(grants(sched, &[u64::MAX], 9, u64::MAX).len(), 3);
     }
 
     #[test]
     fn partial_final_batch() {
         let sched = BatchScheduler::new(4);
-        let (a, next) = sched.allocate(&[false; 4], 100, 2);
-        assert_eq!(a, vec![Some(100), Some(101), None, None]);
-        assert_eq!(next, 102);
+        assert_eq!(grants(sched, &[0b1111], 100, 2), [(0, 100), (1, 101)]);
     }
 
     #[test]
     fn no_reads_left_issues_nothing() {
-        let sched = BatchScheduler::new(2);
-        let (a, next) = sched.allocate(&[false; 2], 5, 0);
-        assert_eq!(a, vec![None, None]);
-        assert_eq!(next, 5);
+        assert_eq!(grants(BatchScheduler::new(2), &[0b11], 5, 0), []);
+    }
+
+    #[test]
+    fn a_pool_across_words_waits_for_its_last_unit() {
+        let sched = BatchScheduler::new(70);
+        assert_eq!(grants(sched, &[u64::MAX, 0b01_1111], 0, u64::MAX), []);
+        assert_eq!(grants(sched, &[u64::MAX, 0b11_1111], 0, u64::MAX).len(), 70);
     }
 }

@@ -6,10 +6,10 @@
 //! `g + Σ_{k<i}(1 − s_k)` (Formula 1, 0-based here) and `g` advances by the
 //! number of idle units (Formula 2).
 //!
-//! Two implementations are provided and tested equivalent: the arithmetic
-//! formula and the bit-parallel microarchitecture of Fig. 6 (per-unit
-//! priority masks + a shared PopCount tree), whose depth determines the
-//! 1-cycle feasibility at 1 GHz.
+//! Two implementations are provided and tested equivalent: the idle word's
+//! set bits in index order (what the simulator calls) and the bit-parallel
+//! microarchitecture of Fig. 6 (per-unit priority masks + a shared PopCount
+//! tree), whose depth determines the 1-cycle feasibility at 1 GHz.
 
 use nvwa_sim::Cycle;
 
@@ -20,10 +20,10 @@ use nvwa_sim::Cycle;
 /// ```
 /// use nvwa_core::seeding::OneCycleReadAllocator;
 /// let ocra = OneCycleReadAllocator::new(4);
-/// // Units 0 and 3 busy; units 1 and 2 idle: they receive reads 7 and 8.
-/// let (assign, next) = ocra.allocate(&[true, false, false, true], 7, u64::MAX);
-/// assert_eq!(assign, vec![None, Some(7), Some(8), None]);
-/// assert_eq!(next, 9);
+/// // Units 1 and 2 idle (bits 1 and 2 of the idle word): they receive
+/// // reads 7 and 8.
+/// let grants: Vec<_> = ocra.allocate(&[0b0110], 7, u64::MAX).collect();
+/// assert_eq!(grants, [(1, 7), (2, 8)]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OneCycleReadAllocator {
@@ -41,79 +41,59 @@ impl OneCycleReadAllocator {
         OneCycleReadAllocator { units }
     }
 
-    /// Number of managed units.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
     /// Allocates reads to all idle units in one cycle (Formulas 1–2).
     ///
-    /// `busy[i]` is unit `i`'s status bit, `next_read` the global offset
-    /// `g`, and `remaining` caps how many reads may still be issued.
-    /// Returns the per-unit assignment and the new offset.
+    /// `idle` is the idle word (Fig. 6's inverted status): bit `i % 64` of
+    /// word `i / 64` is set when unit `i` is idle; bits past the pool are
+    /// ignored. Yields `(unit, read)` in unit order, the `k`-th idle unit
+    /// receiving read `next_read + k`, at most `remaining` of them; the
+    /// offset advances by the number yielded.
     ///
     /// # Panics
     ///
-    /// Panics if `busy.len() != units`.
-    pub fn allocate(
+    /// Panics if `idle` is not `units.div_ceil(64)` words long.
+    pub fn allocate<'a>(
         &self,
-        busy: &[bool],
+        idle: &'a [u64],
         next_read: u64,
         remaining: u64,
-    ) -> (Vec<Option<u64>>, u64) {
-        assert_eq!(busy.len(), self.units, "status width mismatch");
-        let mut assigned = vec![None; self.units];
-        let mut idle_before = 0u64;
-        for (i, &b) in busy.iter().enumerate() {
-            if !b {
-                if idle_before < remaining {
-                    assigned[i] = Some(next_read + idle_before);
-                }
-                idle_before += 1;
-            }
-        }
-        (assigned, next_read + idle_before.min(remaining))
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        assert_eq!(idle.len(), self.units.div_ceil(64), "status width mismatch");
+        let n = self.units;
+        let pool = (idle.iter().enumerate()).map(move |(w, &x)| x & priority_mask_word(n, w, n));
+        set_bits(pool).zip(next_read..next_read.saturating_add(remaining))
     }
 
     /// The Fig. 6 microarchitecture, emulated bit-parallel: ① invert
     /// `unit_status`, ② AND with the per-unit priority mask, ③ PopCount
     /// tree, ④ add `read_offset`, ⑤ mux on the unit's own idle bit.
     ///
-    /// Produces exactly the same result as [`allocate`]; exists to validate
-    /// the hardware datapath and to size the PopCount tree.
+    /// `status` is the busy word (bit set: unit busy). Hands out exactly
+    /// what [`allocate`] does, as a per-unit assignment and the new offset;
+    /// exists to validate the hardware datapath and to size the PopCount
+    /// tree.
     ///
     /// [`allocate`]: OneCycleReadAllocator::allocate
     pub fn allocate_bit_parallel(
         &self,
-        busy: &[bool],
+        status: &[u64],
         next_read: u64,
         remaining: u64,
     ) -> (Vec<Option<u64>>, u64) {
-        assert_eq!(busy.len(), self.units, "status width mismatch");
-        // Pack the status bits.
-        let words = self.units.div_ceil(64);
-        let mut status = vec![0u64; words];
-        for (i, &b) in busy.iter().enumerate() {
-            if b {
-                status[i / 64] |= 1 << (i % 64);
-            }
-        }
+        let n = self.units;
+        assert_eq!(status.len(), n.div_ceil(64), "status width mismatch");
         // Step ①: bitwise inverse = idle mask.
         let idle: Vec<u64> = status.iter().map(|w| !w).collect();
-
-        let mut assigned = vec![None; self.units];
+        let mut assigned = vec![None; n];
         let mut total_idle = 0u64;
-        for i in 0..self.units {
-            let unit_idle = (idle[i / 64] >> (i % 64)) & 1 == 1;
+        for i in 0..n {
             // Step ②: AND the idle mask with the priority mask (bits < i).
             // Step ③: PopCount tree over the masked words.
-            let mut count = 0u64;
-            for (w, &word) in idle.iter().enumerate() {
-                let mask = priority_mask_word(i, w, self.units);
-                count += (word & mask).count_ones() as u64;
-            }
+            let count: u64 = (idle.iter().enumerate())
+                .map(|(w, &word)| (word & priority_mask_word(i, w, n)).count_ones() as u64)
+                .sum();
             // Step ④ + ⑤: add the offset and mux on the unit's idle bit.
-            if unit_idle {
+            if (idle[i / 64] >> (i % 64)) & 1 == 1 {
                 if count < remaining {
                     assigned[i] = Some(next_read + count);
                 }
@@ -126,19 +106,19 @@ impl OneCycleReadAllocator {
 
 /// Word `w` of the priority mask for unit `i`: bits set for unit indices
 /// `< i` (and `< n`).
-fn priority_mask_word(i: usize, w: usize, n: usize) -> u64 {
-    let lo = w * 64;
-    let hi = ((w + 1) * 64).min(n);
-    let upper = i.min(hi);
-    if upper <= lo {
-        return 0;
-    }
-    let bits = upper - lo;
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
+pub(crate) fn priority_mask_word(i: usize, w: usize, n: usize) -> u64 {
+    let bits = i.min(n).saturating_sub(w * 64).min(64) as u32;
+    u64::MAX.checked_shr(64 - bits).unwrap_or(0)
+}
+
+/// The indices of the set bits of a run of status words, lowest first.
+pub(crate) fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, word)| {
+        std::iter::successors(Some(word).filter(|&x| x != 0), |&x| {
+            Some(x & (x - 1)).filter(|&x| x != 0)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
 }
 
 /// The shared PopCount tree of the Fig. 6 datapath.
@@ -163,11 +143,6 @@ impl PopcountTree {
         PopcountTree { width }
     }
 
-    /// Input width in bits.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Tree depth in adder stages.
     pub fn depth(&self) -> u32 {
         (self.width as u64)
@@ -176,16 +151,10 @@ impl PopcountTree {
             .max(1)
     }
 
-    /// Estimated combinational latency in picoseconds, given a per-stage
-    /// adder delay.
-    pub fn latency_ps(&self, stage_delay_ps: f64) -> f64 {
-        self.depth() as f64 * stage_delay_ps
-    }
-
     /// Whether the tree settles within one cycle at `freq_ghz`, assuming
-    /// `stage_delay_ps` per stage.
+    /// `stage_delay_ps` of adder delay per stage.
     pub fn fits_one_cycle(&self, freq_ghz: f64, stage_delay_ps: f64) -> bool {
-        self.latency_ps(stage_delay_ps) <= 1000.0 / freq_ghz
+        self.depth() as f64 * stage_delay_ps <= 1000.0 / freq_ghz
     }
 }
 
@@ -206,10 +175,37 @@ pub struct ScheduleEntry {
 mod tests {
     use super::*;
 
+    /// The busy word of the status bits `busy`.
+    fn status(busy: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; busy.len().div_ceil(64)];
+        for (i, _) in busy.iter().enumerate().filter(|(_, &b)| b) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        words
+    }
+
+    /// [`OneCycleReadAllocator::allocate`] on the status bits `busy`, in
+    /// [`OneCycleReadAllocator::allocate_bit_parallel`]'s per-unit form.
+    fn by_grants(
+        ocra: &OneCycleReadAllocator,
+        busy: &[bool],
+        next_read: u64,
+        remaining: u64,
+    ) -> (Vec<Option<u64>>, u64) {
+        let idle: Vec<u64> = status(busy).iter().map(|w| !w).collect();
+        let mut assigned = vec![None; busy.len()];
+        let mut next = next_read;
+        for (unit, read) in ocra.allocate(&idle, next_read, remaining) {
+            assigned[unit] = Some(read);
+            next = read + 1;
+        }
+        (assigned, next)
+    }
+
     #[test]
     fn all_idle_units_filled_in_one_call() {
         let ocra = OneCycleReadAllocator::new(4);
-        let (a, next) = ocra.allocate(&[false; 4], 0, u64::MAX);
+        let (a, next) = by_grants(&ocra, &[false; 4], 0, u64::MAX);
         assert_eq!(a, vec![Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(next, 4);
     }
@@ -219,7 +215,7 @@ mod tests {
         let ocra = OneCycleReadAllocator::new(4);
         // Matches the paper's Fig. 5(b) example at T1+2: unit 0 busy, units
         // 1 and 2 idle → they get the next two reads in index order.
-        let (a, next) = ocra.allocate(&[true, false, false, true], 4, u64::MAX);
+        let (a, next) = by_grants(&ocra, &[true, false, false, true], 4, u64::MAX);
         assert_eq!(a, vec![None, Some(4), Some(5), None]);
         assert_eq!(next, 6);
     }
@@ -227,7 +223,7 @@ mod tests {
     #[test]
     fn remaining_reads_cap_assignment() {
         let ocra = OneCycleReadAllocator::new(4);
-        let (a, next) = ocra.allocate(&[false; 4], 10, 2);
+        let (a, next) = by_grants(&ocra, &[false; 4], 10, 2);
         assert_eq!(a, vec![Some(10), Some(11), None, None]);
         assert_eq!(next, 12);
     }
@@ -241,8 +237,8 @@ mod tests {
             let busy: Vec<bool> = (0..8).map(|i| (pattern >> i) & 1 == 1).collect();
             for remaining in [0u64, 1, 3, u64::MAX] {
                 assert_eq!(
-                    ocra.allocate(&busy, 100, remaining),
-                    ocra.allocate_bit_parallel(&busy, 100, remaining),
+                    by_grants(&ocra, &busy, 100, remaining),
+                    ocra.allocate_bit_parallel(&status(&busy), 100, remaining),
                     "pattern {pattern:08b} remaining {remaining}"
                 );
             }
@@ -250,8 +246,8 @@ mod tests {
         let wide = OneCycleReadAllocator::new(130);
         let busy: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
         assert_eq!(
-            wide.allocate(&busy, 7, u64::MAX),
-            wide.allocate_bit_parallel(&busy, 7, u64::MAX)
+            by_grants(&wide, &busy, 7, u64::MAX),
+            wide.allocate_bit_parallel(&status(&busy), 7, u64::MAX)
         );
     }
 
@@ -287,7 +283,7 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let busy: Vec<bool> = (0..16).map(|i| (state >> i) & 1 == 1).collect();
-            let (assigned, n2) = ocra.allocate(&busy, next, u64::MAX);
+            let (assigned, n2) = by_grants(&ocra, &busy, next, u64::MAX);
             for r in assigned.into_iter().flatten() {
                 assert!(seen.insert(r), "read {r} issued twice");
             }
@@ -299,6 +295,6 @@ mod tests {
     #[should_panic(expected = "status width mismatch")]
     fn wrong_width_panics() {
         let ocra = OneCycleReadAllocator::new(4);
-        let _ = ocra.allocate(&[false; 3], 0, 1);
+        let _ = ocra.allocate(&[0, 0], 0, 1);
     }
 }

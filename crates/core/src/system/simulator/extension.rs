@@ -5,6 +5,7 @@ use nvwa_telemetry::PID_ACCELERATOR;
 
 use crate::coordinator::allocator::IdleEu;
 use crate::interface::{Hit, UnitStatus};
+use crate::seeding::ocra::set_bits;
 
 use super::{Event, HitPath, SimState, HIT_INTERVALS};
 
@@ -43,12 +44,10 @@ impl SimState<'_> {
         let batch = buffer.peek_batch(self.config.alloc_batch_size);
         self.idle_eus.clear();
         self.idle_eus.extend(
-            (self.eus.iter().enumerate())
-                .filter(|(_, e)| e.running.is_none())
-                .map(|(unit_idx, e)| IdleEu {
-                    unit_idx,
-                    pes: e.pes,
-                }),
+            set_bits(self.eu_idle.iter().copied()).map(|unit_idx| IdleEu {
+                unit_idx,
+                pes: self.eus[unit_idx].pes,
+            }),
         );
         let (flags, assignments) = allocator.allocate(batch, &mut self.idle_eus);
         // By value: the round's compaction moves the batch before dispatch.
@@ -156,44 +155,36 @@ impl SimState<'_> {
         }
     }
 
-    /// Baseline path: head-of-line dispatch to an idle EU.
+    /// Baseline path: head-of-line dispatch to the lowest idle EU.
     pub(super) fn try_fifo_dispatch(&mut self) -> bool {
-        let (hit, unit_idx) = {
-            let HitPath::Fifo {
-                queue,
-                strict_class,
-                ..
-            } = &self.path
-            else {
-                return false;
-            };
-            let Some(hit) = queue.front().copied() else {
-                return false;
-            };
-            if self.eu_busy as usize == self.eus.len() {
-                return false;
-            }
-            let choice = if *strict_class {
-                // Head-of-line blocking on the hit's own class: the
-                // smallest class whose PE count covers the hit length.
-                let class_pes = self.eu_models.iter().map(|m| m.pes());
-                let wanted = (class_pes.clone().filter(|&p| hit.hit_len() <= p).min())
-                    .unwrap_or_else(|| class_pes.max().expect("EUs exist"));
-                self.eus
-                    .iter()
-                    .position(|e| e.running.is_none() && e.pes == wanted)
-            } else {
-                self.eus.iter().position(|e| e.running.is_none())
-            };
-            match choice {
-                Some(u) => (hit, u),
-                None => return false,
-            }
+        let HitPath::Fifo {
+            queue,
+            strict_class,
+            ..
+        } = &mut self.path
+        else {
+            return false;
         };
-        if let HitPath::Fifo { queue, .. } = &mut self.path {
-            queue.pop_front();
-        }
-        self.dispatch(unit_idx, &hit);
+        let Some(&hit) = queue.front() else {
+            return false;
+        };
+        let idle = self.eu_idle.iter().copied();
+        let unit = if *strict_class {
+            // Head-of-line blocking on the hit's own class: the smallest
+            // class whose PE count covers the hit length.
+            let mut class_pes = self.eu_models.iter().map(|m| m.pes());
+            let wanted = (class_pes.clone().filter(|&p| hit.hit_len() <= p).min())
+                .unwrap_or_else(|| class_pes.clone().max().expect("EUs exist"));
+            let class = class_pes.position(|p| p == wanted).expect("a class has it");
+            set_bits(idle.zip(&self.class_masks[class]).map(|(i, m)| i & m)).next()
+        } else {
+            set_bits(idle).next()
+        };
+        let Some(unit) = unit else {
+            return false;
+        };
+        queue.pop_front();
+        self.dispatch(unit, &hit);
         true
     }
 }

@@ -8,11 +8,11 @@
 //!
 //! Each unit's state is held once: its Table III [`UnitStatus`] together
 //! with what that status owns (`SuState`, `EuState::running`). It changes
-//! only in `set_su` / `set_eu`, which move the per-status counts with it, so
-//! whole-pool questions (seeding finished? every active SU suspended? idle
-//! EUs?) read a count. A pool is walked only where index order is part of
-//! the statistics: the status bits the read scheduler sees, a round's
-//! idle-EU list, the FIFO head's unit search, the retry of suspended SUs.
+//! only in `set_su` / `set_eu`, which move the per-status counts and status
+//! words with it, so whole-pool questions read a count, and where index
+//! order is part of the statistics (the SUs the read scheduler fills, a
+//! round's idle-EU list, the FIFO head's unit, the retry of suspended SUs)
+//! the answer is the lowest set bits of a status word, as in Fig. 6.
 //!
 //! Statistics flow through `nvwa-telemetry`: counters and histograms live
 //! in a [`MetricsRegistry`], per-pool busy/idle-by-cause integrals in two
@@ -180,8 +180,13 @@ struct SimState<'w> {
     events: EventQueue<Event>,
     // Seeding side.
     sus: Vec<SuState>,
-    /// SUs per status, indexed by `UnitStatus as usize`; moved by `set_su`.
+    /// SUs per status (indexed by `UnitStatus as usize`), and the idle and
+    /// `Stop` words (SU `i` is bit `i % 64` of word `i / 64`); see `set_su`.
     su_counts: [u32; 3],
+    su_idle: Vec<u64>,
+    su_stop: Vec<u64>,
+    /// The read scheduler's grants, reused by every call.
+    grants: Vec<(usize, u64)>,
     next_read: u64,
     ocra: OneCycleReadAllocator,
     batch: BatchScheduler,
@@ -190,8 +195,11 @@ struct SimState<'w> {
     hbm: Hbm,
     // Extension side.
     eus: Vec<EuState>,
-    /// EUs with a running task; moved by `set_eu`.
+    /// EUs with a running task, and the idle word; moved by `set_eu`.
     eu_busy: u32,
+    eu_idle: Vec<u64>,
+    /// Per EU class, the units with that class's PE count.
+    class_masks: Vec<Vec<u64>>,
     /// The timing model of each EU class, indexed by `EuState::class_idx`.
     eu_models: Vec<EuModel>,
     path: HitPath,
@@ -279,14 +287,21 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         events: EventQueue::new(),
         sus: vec![SuState::Idle; config.su_count as usize],
         su_counts: [config.su_count, 0, 0],
+        su_idle: bits((0..config.su_count).map(|_| true)),
+        su_stop: bits((0..config.su_count).map(|_| false)),
+        grants: Vec::new(),
         next_read: 0,
         ocra: OneCycleReadAllocator::new(config.su_count as usize),
         batch: BatchScheduler::new(config.su_count as usize),
         su_model: SuModel::new(config.su_cache_blocks, config.su_cache_latency),
         read_spm: ReadSpm::for_su_pool(config.su_count),
         hbm: Hbm::new(config.hbm),
-        eus,
         eu_busy: 0,
+        eu_idle: bits(eus.iter().map(|_| true)),
+        class_masks: (eu_classes.iter())
+            .map(|c| bits(eus.iter().map(|e| e.pes == c.pes)))
+            .collect(),
+        eus,
         eu_models: eu_classes
             .iter()
             .map(|c| EuModel::with_algorithm(c.pes, config.traceback_cycles, config.eu_algorithm))
@@ -305,41 +320,37 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
 
     state.schedule_reads();
     state.sync_stats();
-    // Advance to the next populated cycle with pop(), then drain that
-    // cycle's bucket with pop_while() — O(1) amortized per same-cycle
-    // event instead of a heap sift each. Events scheduled *at* the
-    // current cycle during handling join the back of the bucket, which is
-    // exactly the insertion-order tie-break the heap gave them.
-    while let Some((t, first)) = state.events.pop() {
+    // Events at one cycle pop in push order, including those scheduled at
+    // the current cycle while it is being handled.
+    while let Some((t, ev)) = state.events.pop() {
         debug_assert!(t >= state.now, "time must advance");
         state.now = t;
-        let mut next = Some(first);
-        while let Some(ev) = next {
-            match ev {
-                Event::SuDone { su } => state.on_su_done(su),
-                Event::EuDone { eu } => state.on_eu_done(eu),
-                Event::AllocDone => state.on_alloc_done(),
-            }
-            state.maintenance();
-            state.sync_stats();
-            next = state.events.pop_while(t);
+        match ev {
+            Event::SuDone { su } => state.on_su_done(su),
+            Event::EuDone { eu } => state.on_eu_done(eu),
+            Event::AllocDone => state.on_alloc_done(),
         }
+        state.maintenance();
+        state.sync_stats();
     }
     state.into_run(&eu_classes)
 }
 
 impl SimState<'_> {
-    /// The only place an SU changes status: the counts move with it.
+    /// The only place an SU changes status: counts and words move with it.
     fn set_su(&mut self, su: usize, next: SuState) {
         self.su_counts[self.sus[su].status() as usize] -= 1;
         self.su_counts[next.status() as usize] += 1;
+        put_bit(&mut self.su_idle, su, next.status() == UnitStatus::Idle);
+        put_bit(&mut self.su_stop, su, next.status() == UnitStatus::Stop);
         self.sus[su] = next;
     }
 
-    /// The only place an EU changes status: the busy count moves with it.
+    /// The only place an EU changes status: count and word move with it.
     fn set_eu(&mut self, eu: usize, running: Option<(Cycle, u32)>) {
         self.eu_busy -= self.eus[eu].running.is_some() as u32;
         self.eu_busy += running.is_some() as u32;
+        put_bit(&mut self.eu_idle, eu, running.is_none());
         self.eus[eu].running = running;
     }
 
@@ -385,12 +396,16 @@ impl SimState<'_> {
     /// status only changes at event boundaries, so intra-event states are
     /// zero-length and integrating the post-event state is exact.
     fn sync_stats(&mut self) {
+        let su_bits = |words, st| holds(words, self.sus.iter().map(|s| s.status() == st));
         debug_assert!(
             [UnitStatus::Idle, UnitStatus::Busy, UnitStatus::Stop]
                 .iter()
                 .all(|&st| self.sus.iter().filter(|s| s.status() == st).count()
                     == self.su_count(st) as usize)
-                && self.eus.iter().filter(|e| e.running.is_some()).count() == self.eu_busy as usize,
+                && self.eus.iter().filter(|e| e.running.is_some()).count() == self.eu_busy as usize
+                && su_bits(&self.su_idle, UnitStatus::Idle)
+                && su_bits(&self.su_stop, UnitStatus::Stop)
+                && holds(&self.eu_idle, self.eus.iter().map(|e| e.running.is_none())),
             "a unit changed status outside set_su / set_eu"
         );
         let idle_cause = if (self.next_read as usize) < self.works.len() {
@@ -434,4 +449,23 @@ impl SimState<'_> {
             }
         }
     }
+}
+
+/// Packs `flags` into status words: flag `i` is bit `i % 64` of word
+/// `i / 64`.
+fn bits(flags: impl ExactSizeIterator<Item = bool>) -> Vec<u64> {
+    let mut words = vec![0; flags.len().div_ceil(64)];
+    for (i, on) in flags.enumerate() {
+        put_bit(&mut words, i, on);
+    }
+    words
+}
+
+fn put_bit(words: &mut [u64], i: usize, on: bool) {
+    words[i / 64] = words[i / 64] & !(1 << (i % 64)) | (on as u64) << (i % 64);
+}
+
+/// Whether bit `i` of `words` is the `i`-th flag, for every flag.
+fn holds(words: &[u64], flags: impl Iterator<Item = bool>) -> bool {
+    (flags.enumerate()).all(|(i, on)| (words[i / 64] >> (i % 64) & 1 == 1) == on)
 }

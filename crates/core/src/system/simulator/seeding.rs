@@ -5,6 +5,7 @@ use nvwa_sim::Cycle;
 use nvwa_telemetry::{StallCause, PID_ACCELERATOR};
 
 use crate::interface::UnitStatus;
+use crate::seeding::ocra::set_bits;
 
 use super::{Event, HitPath, SimState, SuState};
 
@@ -15,25 +16,22 @@ impl SimState<'_> {
         if remaining == 0 || self.su_count(UnitStatus::Idle) == 0 {
             return;
         }
-        // A suspended SU is not schedulable: report it busy.
-        let busy: Vec<bool> = self
-            .sus
-            .iter()
-            .map(|s| s.status() != UnitStatus::Idle)
-            .collect();
-        let (assigned, new_next) = if self.config.scheduling.ocra {
-            self.ocra.allocate(&busy, self.next_read, remaining)
+        // A suspended SU is not schedulable: its idle bit is clear. `g` is
+        // the read offset before this call.
+        let (idle, g) = (&self.su_idle, self.next_read);
+        self.grants.clear();
+        if self.config.scheduling.ocra {
+            self.grants.extend(self.ocra.allocate(idle, g, remaining));
         } else {
-            self.batch.allocate(&busy, self.next_read, remaining)
-        };
-        let offset_before = self.next_read;
-        self.next_read = new_next;
-        for (su, read) in assigned.into_iter().enumerate() {
-            let Some(read_idx) = read else { continue };
+            self.grants.extend(self.batch.allocate(idle, g, remaining));
+        }
+        self.next_read += self.grants.len() as u64;
+        for i in 0..self.grants.len() {
+            let (su, read_idx) = self.grants[i];
             let read = read_idx as usize;
             let work = &self.works[read];
             // One cycle for the allocator itself, then the read load.
-            let load = self.read_spm.load_latency(read_idx, offset_before);
+            let load = self.read_spm.load_latency(read_idx, g);
             let start = self.now + 1 + load;
             let done = self
                 .su_model
@@ -122,18 +120,24 @@ impl SimState<'_> {
     }
 
     /// Resumes suspended SUs whose buffer space opened up, in index order
-    /// (the first to push wins the freed space). An SU that stays suspended
-    /// was refused a push: the buffer is full, and the walk ends there.
+    /// (the first to push wins the freed space): each step takes the lowest
+    /// bit of the `Stop` word, since every SU before it has resumed and no
+    /// other SU becomes suspended. An SU that stays suspended was refused a
+    /// push: the buffer is full, and the walk ends there.
     pub(super) fn resume_stalled(&mut self) -> bool {
         let mut progressed = false;
-        for su in 0..self.sus.len() {
-            if let SuState::Stop { read, next, since } = self.sus[su] {
-                self.finish_or_stall(su, read, next, Some(since));
-                if matches!(self.sus[su], SuState::Stop { .. }) {
-                    break;
-                }
-                progressed = true;
+        loop {
+            let Some(su) = set_bits(self.su_stop.iter().copied()).next() else {
+                break;
+            };
+            let SuState::Stop { read, next, since } = self.sus[su] else {
+                unreachable!("the Stop word tracks the suspended SUs");
+            };
+            self.finish_or_stall(su, read, next, Some(since));
+            if matches!(self.sus[su], SuState::Stop { .. }) {
+                break;
             }
+            progressed = true;
         }
         progressed
     }

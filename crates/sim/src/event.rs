@@ -1,20 +1,17 @@
 //! Deterministic event queue with cycle resolution.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
 /// A min-queue of timestamped events.
 ///
 /// Events at the same cycle pop in push order, which makes simulations
-/// deterministic regardless of payload contents.
-///
-/// Internally a `BTreeMap` of per-cycle FIFO buckets rather than a binary
-/// heap: simulator traffic is dominated by bursts of events landing on the
-/// same cycle (a drained FIFO, a batch of completions), and a bucket makes
-/// every same-cycle push/pop an O(1) `VecDeque` operation instead of an
-/// O(log n) sift — see [`EventQueue::pop_while`], which lets the simulator
-/// drain a whole cycle without re-searching the tree per event.
+/// deterministic regardless of payload contents: the queue is one binary
+/// heap keyed by `(cycle, push sequence)`. Its vector is reused as the queue
+/// drains and refills, so a simulation allocates only while the queue
+/// outgrows its largest size so far, never per cycle.
 ///
 /// # Examples
 ///
@@ -31,80 +28,87 @@ use crate::Cycle;
 /// ```
 #[derive(Default)]
 pub struct EventQueue<E> {
-    buckets: BTreeMap<Cycle, VecDeque<E>>,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
+    pushed: u64,
 }
+
+/// A heap entry `(cycle, seq, payload)`, ordered by `(cycle, seq)` reversed
+/// so that the max-heap yields the earliest; the payload takes no part.
+struct Entry<E>(Cycle, u64, E);
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0, other.1).cmp(&(self.0, self.1))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            buckets: BTreeMap::new(),
-            len: 0,
+            heap: BinaryHeap::new(),
+            pushed: 0,
         }
     }
 
     /// Schedules `payload` at `cycle`.
     pub fn push(&mut self, cycle: Cycle, payload: E) {
-        self.buckets.entry(cycle).or_default().push_back(payload);
-        self.len += 1;
+        self.heap.push(Entry(cycle, self.pushed, payload));
+        self.pushed += 1;
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let mut entry = self.buckets.first_entry()?;
-        let cycle = *entry.key();
-        let bucket = entry.get_mut();
-        let payload = bucket.pop_front().expect("bucket never left empty");
-        if bucket.is_empty() {
-            entry.remove();
-        }
-        self.len -= 1;
-        Some((cycle, payload))
+        self.heap
+            .pop()
+            .map(|Entry(cycle, _, payload)| (cycle, payload))
     }
 
     /// Removes and returns the earliest event **if** it is scheduled at
-    /// `cycle`. Repeated calls drain a cycle's bucket in push order in
-    /// O(1) amortized per event; events pushed *at* `cycle` during the
-    /// drain join the back of the same bucket and are returned too.
+    /// `cycle`. Repeated calls drain a cycle in push order; an event pushed
+    /// *at* `cycle` during the drain has a later sequence number than every
+    /// event already queued there, so it is returned by the same drain.
     pub fn pop_while(&mut self, cycle: Cycle) -> Option<E> {
-        let mut entry = self.buckets.first_entry()?;
-        if *entry.key() != cycle {
+        if self.peek_cycle()? != cycle {
             return None;
         }
-        let bucket = entry.get_mut();
-        let payload = bucket.pop_front().expect("bucket never left empty");
-        if bucket.is_empty() {
-            entry.remove();
-        }
-        self.len -= 1;
-        Some(payload)
+        self.heap.pop().map(|Entry(_, _, payload)| payload)
     }
 
     /// The cycle of the earliest event, if any.
     pub fn peek_cycle(&self) -> Option<Cycle> {
-        self.buckets.keys().next().copied()
+        self.heap.peek().map(|e| e.0)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "EventQueue(len={}, next={:?})",
-            self.len,
-            self.peek_cycle()
-        )
+        let (len, next) = (self.len(), self.peek_cycle());
+        write!(f, "EventQueue(len={len}, next={next:?})")
     }
 }
 

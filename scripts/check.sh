@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, no hash set on the simulator's per-access path,
+# Repo gate: formatting, no hash set on the simulator's per-access path and
+# no ordered or hashed map in its event loop,
 # lints, rustdoc links, the tier-1 build+test suite (and, in the release
 # binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
 # never on xmm), the telemetry artifact checks, the benchmark smoke run, the
@@ -20,6 +21,17 @@ for f in crates/sim/src/hbm.rs crates/sim/src/spm.rs crates/core/src/units/su.rs
     if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep 'HashSet\|HashMap'; then
         echo "$f: a hash set or map on the simulator's per-access path" >&2
+        exit 1
+    fi
+done
+# The event loop runs once per simulated event (9 000 to 15 000 per `simulate`):
+# an ordered or hashed map back in the event queue or the simulator state
+# allocates per cycle and gives back the heap's and status words' gain
+# (DESIGN.md §16). Reference models in `#[cfg(test)]` code may use them.
+for f in crates/sim/src/event.rs crates/core/src/system/simulator/*.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep 'BTreeMap\|HashMap\|HashSet'; then
+        echo "$f: an ordered or hashed map in the simulator's event loop" >&2
         exit 1
     fi
 done

@@ -1,12 +1,12 @@
 //! Property-based tests over the core substrates: the index structures and
 //! aligners must agree with brute-force oracles on arbitrary inputs, and
 //! the scheduler components must preserve their invariants under arbitrary
-//! status patterns. The simulator's three hot substrates — the HBM channel
-//! calendar, the scratchpad's residency table and the Hits Allocator's
-//! round — are compared with the plain bodies they replaced, which live on
-//! here as reference models.
+//! status patterns. The simulator's hot substrates — the event queue, the
+//! HBM channel calendar, the scratchpad's residency table and the Hits
+//! Allocator's round — are compared with the plain bodies they replaced,
+//! which live on here as reference models.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,15 +16,62 @@ use nvwa::align::scoring::Scoring;
 use nvwa::align::sw::{extend_align, global_align, local_align};
 use nvwa::core::coordinator::allocator::{AllocPolicy, Assignment, HitsAllocator, IdleEu};
 use nvwa::core::extension::systolic::{matrix_fill_latency, SystolicArray};
-use nvwa::core::seeding::OneCycleReadAllocator;
+use nvwa::core::seeding::{BatchScheduler, OneCycleReadAllocator};
 use nvwa::core::{EuClass, Hit};
 use nvwa::genome::DnaSeq;
 use nvwa::index::trace::NullTrace;
 use nvwa::index::{FmIndex, FmdIndex};
-use nvwa::sim::{Hbm, HbmConfig, Scratchpad};
+use nvwa::sim::{EventQueue, Hbm, HbmConfig, Scratchpad};
 
 fn codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 1..=max_len)
+}
+
+/// The event queue `EventQueue` had before its heap: a FIFO bucket per
+/// distinct cycle in an ordered map.
+#[derive(Default)]
+struct BucketQueue {
+    buckets: BTreeMap<u64, VecDeque<u32>>,
+}
+
+impl BucketQueue {
+    fn push(&mut self, cycle: u64, payload: u32) {
+        self.buckets.entry(cycle).or_default().push_back(payload);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let mut entry = self.buckets.first_entry()?;
+        let cycle = *entry.key();
+        let payload = entry
+            .get_mut()
+            .pop_front()
+            .expect("bucket never left empty");
+        if entry.get().is_empty() {
+            entry.remove();
+        }
+        Some((cycle, payload))
+    }
+
+    fn pop_while(&mut self, cycle: u64) -> Option<u32> {
+        if *self.buckets.first_key_value()?.0 != cycle {
+            return None;
+        }
+        self.pop().map(|(_, payload)| payload)
+    }
+
+    fn len(&self) -> usize {
+        self.buckets.values().map(VecDeque::len).sum()
+    }
+}
+
+/// Packs `idle` into the idle word the read schedulers take; the bits past
+/// the pool are set, as in Fig. 6's inverted status, and must be ignored.
+fn idle_word(idle: &[bool]) -> Vec<u64> {
+    let mut words = vec![u64::MAX; idle.len().div_ceil(64)];
+    for (i, _) in idle.iter().enumerate().filter(|(_, &on)| !on) {
+        words[i / 64] &= !(1 << (i % 64));
+    }
+    words
 }
 
 /// The channel calendar `Hbm` had before its bitset: a hash set of booked
@@ -220,24 +267,133 @@ proptest! {
         offset in 0u64..1000,
     ) {
         let ocra = OneCycleReadAllocator::new(busy.len());
-        let (assigned, next) = ocra.allocate(&busy, offset, u64::MAX);
+        let idle: Vec<bool> = busy.iter().map(|b| !b).collect();
+        let grants: Vec<(usize, u64)> = ocra.allocate(&idle_word(&idle), offset, u64::MAX).collect();
         // Busy units receive nothing; idle units receive consecutive reads
         // from the offset, in index order.
-        let mut expected = offset;
-        for (unit, a) in assigned.iter().enumerate() {
-            if busy[unit] {
-                prop_assert_eq!(*a, None);
-            } else {
-                prop_assert_eq!(*a, Some(expected));
-                expected += 1;
+        let idle_units: Vec<usize> = (0..busy.len()).filter(|&u| !busy[u]).collect();
+        prop_assert_eq!(grants.iter().map(|g| g.0).collect::<Vec<_>>(), idle_units);
+        for (k, &(_, read)) in grants.iter().enumerate() {
+            prop_assert_eq!(read, offset + k as u64);
+        }
+    }
+
+    #[test]
+    fn read_schedulers_on_the_idle_word_match_the_datapath_and_formulas(
+        width in 1usize..=130,
+        seed in any::<u64>(),
+        next_read in 0u64..1000,
+        remaining_pick in 0usize..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Sparse, even, dense and full status patterns; a full pool may keep
+        // its last unit busy (a straggler at the Read-in-Batch barrier, in
+        // the last word).
+        let density = [0.05, 0.5, 0.95, 1.0][rng.gen_range(0usize..4)];
+        let mut idle: Vec<bool> = (0..width).map(|_| rng.gen_bool(density)).collect();
+        if density == 1.0 && rng.gen_bool(0.5) {
+            idle[width - 1] = false;
+        }
+        let idle_count = idle.iter().filter(|&&on| on).count() as u64;
+        let remaining = [0, 1, idle_count / 2, idle_count, u64::MAX][remaining_pick];
+        let words = idle_word(&idle);
+
+        // OCRA: unit i, if idle, receives g + Σ_{k<i} idle_k while that
+        // stays under `remaining` (Formula 1); g advances by the number of
+        // grants (Formula 2).
+        let ocra = OneCycleReadAllocator::new(width);
+        let grants: Vec<(usize, u64)> = ocra.allocate(&words, next_read, remaining).collect();
+        let mut formula = Vec::new();
+        let mut idle_before = 0u64;
+        for (unit, &on) in idle.iter().enumerate() {
+            if on {
+                if idle_before < remaining {
+                    formula.push((unit, next_read + idle_before));
+                }
+                idle_before += 1;
             }
         }
-        prop_assert_eq!(next, expected);
-        // Bit-parallel microarchitecture agrees.
-        prop_assert_eq!(
-            ocra.allocate_bit_parallel(&busy, offset, u64::MAX),
-            (assigned, next)
-        );
+        prop_assert_eq!(&grants, &formula);
+        prop_assert_eq!(next_read + grants.len() as u64, next_read + idle_count.min(remaining));
+        let status: Vec<u64> = words.iter().map(|w| !w).collect();
+        let (assigned, next) = ocra.allocate_bit_parallel(&status, next_read, remaining);
+        let datapath: Vec<(usize, u64)> =
+            (assigned.iter().enumerate()).filter_map(|(u, a)| a.map(|r| (u, r))).collect();
+        prop_assert_eq!(&grants, &datapath);
+        prop_assert_eq!(next, next_read + grants.len() as u64);
+
+        // Read-in-Batch: the whole pool, capped, when every unit is idle;
+        // otherwise nothing.
+        let batch: Vec<(usize, u64)> =
+            BatchScheduler::new(width).allocate(&words, next_read, remaining).collect();
+        let expected: Vec<(usize, u64)> = if idle_count == width as u64 {
+            (0..width).take(remaining.min(width as u64) as usize).map(|u| (u, next_read + u as u64)).collect()
+        } else {
+            Vec::new()
+        };
+        prop_assert_eq!(batch, expected);
+    }
+
+    #[test]
+    fn event_queue_matches_the_cycle_buckets_it_replaced(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut queue, mut oracle) = (EventQueue::new(), BucketQueue::default());
+        let mut now = 0u64;
+        let mut payload = 0u32;
+        let mut push = |queue: &mut EventQueue<u32>, oracle: &mut BucketQueue, cycle: u64| {
+            queue.push(cycle, payload);
+            oracle.push(cycle, payload);
+            payload += 1;
+        };
+        for _ in 0..300 {
+            match rng.gen_range(0u32..10) {
+                // A long run of pushes on one cycle.
+                0 => {
+                    let cycle = now + rng.gen_range(0u64..8);
+                    for _ in 0..rng.gen_range(20u32..200) {
+                        push(&mut queue, &mut oracle, cycle);
+                    }
+                }
+                1..=4 => push(&mut queue, &mut oracle, now + rng.gen_range(0u64..50)),
+                5 | 6 => {
+                    let got = queue.pop();
+                    prop_assert_eq!(got, oracle.pop());
+                    if let Some((cycle, _)) = got {
+                        now = cycle;
+                    }
+                }
+                // The simulator's drain: pop a cycle, then pop_while it,
+                // scheduling some events at that same cycle mid-drain.
+                _ => {
+                    let Some((cycle, first)) = queue.pop() else {
+                        prop_assert_eq!(oracle.pop(), None);
+                        continue;
+                    };
+                    prop_assert_eq!(oracle.pop(), Some((cycle, first)));
+                    now = cycle;
+                    loop {
+                        if rng.gen_bool(0.3) {
+                            push(&mut queue, &mut oracle, now);
+                        }
+                        if rng.gen_bool(0.2) {
+                            push(&mut queue, &mut oracle, now + rng.gen_range(1u64..5));
+                        }
+                        let next = queue.pop_while(cycle);
+                        prop_assert_eq!(next, oracle.pop_while(cycle));
+                        if next.is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), oracle.len());
+            prop_assert_eq!(queue.is_empty(), oracle.len() == 0);
+            prop_assert_eq!(queue.peek_cycle(), oracle.buckets.keys().next().copied());
+        }
+        while let Some(got) = queue.pop() {
+            prop_assert_eq!(Some(got), oracle.pop());
+        }
+        prop_assert_eq!(oracle.pop(), None);
     }
 
     #[test]
