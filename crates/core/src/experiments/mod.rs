@@ -2,8 +2,8 @@
 //!
 //! Each driver reruns the corresponding experiment on this reproduction's
 //! substrates and returns a printable result whose rows/series mirror what
-//! the paper plots. The `nvwa-bench` crate's `repro` binary prints every
-//! driver's result; `EXPERIMENTS.md` records the measured-vs-paper
+//! the paper plots. [`EXPERIMENTS`] names every driver, and `nvwa repro`
+//! prints their results; `EXPERIMENTS.md` records the measured-vs-paper
 //! comparison.
 //!
 //! | Driver | Paper artifact |
@@ -33,7 +33,7 @@ pub mod tables;
 pub enum Scale {
     /// Seconds-scale runs for tests and CI.
     Quick,
-    /// The full evaluation used by the `repro` binary (`--full`).
+    /// The full evaluation (`nvwa repro --full`).
     Full,
 }
 
@@ -43,6 +43,37 @@ impl Scale {
         match self {
             Scale::Quick => quick,
             Scale::Full => full,
+        }
+    }
+}
+
+/// One experiment: its name and the driver rendering it as text.
+pub type Experiment = (&'static str, fn(Scale) -> String);
+
+/// Every experiment `nvwa repro` understands, in print order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig2", |scale| fig2::run(scale).to_string()),
+    ("fig5", |_| fig5::run().to_string()),
+    ("fig7", |_| fig7::run().to_string()),
+    ("fig9", |_| fig9::run().to_string()),
+    ("fig11", |scale| fig11::run(scale).to_string()),
+    ("fig12", |scale| fig12::run(scale).to_string()),
+    ("fig13", |scale| fig13::run(scale).to_string()),
+    ("fig14", |scale| fig14::run(scale).to_string()),
+    ("table1", |_| tables::table1().to_string()),
+    ("table2", |_| tables::table2().to_string()),
+    ("table3", |_| tables::table3()),
+    ("headline", |_| tables::headline()),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_list_covers_all_figures() {
+        for name in ["fig2", "fig11", "fig14", "table2", "headline"] {
+            assert!(EXPERIMENTS.iter().any(|(known, _)| *known == name));
         }
     }
 }

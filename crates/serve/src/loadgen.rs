@@ -1,5 +1,5 @@
 //! Load generation against a running server, as a library: the
-//! `nvwa-loadgen` binary, the conformance families and the integration
+//! `nvwa loadgen` subcommand, the conformance families and the integration
 //! tests all send reads from [`generate_reads`] through [`run`].
 //!
 //! Two arrival disciplines:
@@ -370,7 +370,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The report document (`validate` checks it against the
+    /// The report document (`nvwa validate` checks it against the
     /// `nvwa-loadgen` schema, conservation identities included).
     pub fn to_json(&self) -> JsonValue {
         let num = JsonValue::Num;
@@ -448,8 +448,8 @@ pub struct TenantRead {
     pub mode: Mode,
 }
 
-/// The canonical synthetic-reference shape for serving: both the `nvwa
-/// serve` CLI and `nvwa-loadgen` build from `(ref_params(len), ref_seed)`,
+/// The canonical synthetic-reference shape for serving: both `nvwa
+/// serve` and `nvwa loadgen` build from `(ref_params(len), ref_seed)`,
 /// so a loadgen pointed at a default server produces reads that map.
 pub fn ref_params(total_len: usize) -> ReferenceParams {
     ReferenceParams {

@@ -43,73 +43,6 @@ pub fn set_default_threads(threads: usize) {
     DEFAULT_THREADS.store(threads, Ordering::Relaxed);
 }
 
-/// Parses the value of `name V` from a CLI argument list as a `T`:
-/// `Ok(None)` when the flag is absent, an error naming the flag when its
-/// value is missing or does not parse — a typo never becomes a default.
-/// The one flag parser of every binary (`nvwa`, `repro`, `nvwa-loadgen`).
-pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let raw = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{name}: missing value"))?;
-    match raw.parse() {
-        Ok(value) => Ok(Some(value)),
-        Err(_) => Err(format!("{name}: cannot parse {raw:?}")),
-    }
-}
-
-/// One accepted flag: its name and value placeholder (`""` for a switch).
-/// A binary lists its flags once, in a table of these; the unknown-flag
-/// check and the usage text both read that table.
-pub type FlagSpec = (&'static str, &'static str);
-
-/// Refuses the first `--flag` in `args` that is not in `known`, naming it
-/// — a typo or a removed flag never silently runs defaults.
-pub fn reject_unknown_flags(args: &[String], known: &[FlagSpec]) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.iter().any(|(name, _)| name == a))
-    {
-        Some(unknown) => Err(format!("{unknown}: unknown flag")),
-        None => Ok(()),
-    }
-}
-
-/// The usage synopsis of one command: `head`, then every flag of `known`
-/// as `[--flag VALUE]`, wrapped at 80 columns.
-pub fn usage_synopsis(head: &str, known: &[FlagSpec]) -> String {
-    let mut text = head.to_string();
-    let mut width = text.len();
-    for (name, value) in known {
-        let sep = if value.is_empty() { "" } else { " " };
-        let item = format!(" [{name}{sep}{value}]");
-        if width + item.len() > 80 {
-            text += "\n       ";
-            width = 7;
-        }
-        text += &item;
-        width += item.len();
-    }
-    text
-}
-
-/// Parses `--threads N`; `None` (flag absent, or `0` = auto) leaves the
-/// default resolution (`NVWA_THREADS`, then hardware parallelism).
-pub fn threads_from_args(args: &[String]) -> Result<Option<usize>, String> {
-    Ok(flag(args, "--threads")?.filter(|&n| n > 0))
-}
-
-/// Applies `--threads N` from `args` to the process-wide default (no-op
-/// when absent) and returns the resolved thread count either way.
-pub fn configure_threads_from_args(args: &[String]) -> Result<usize, String> {
-    if let Some(n) = threads_from_args(args)? {
-        set_default_threads(n);
-    }
-    Ok(current_threads())
-}
-
 /// The thread count [`par_map`] will use, after applying the full
 /// resolution order (override → default → `NVWA_THREADS` → hardware).
 pub fn current_threads() -> usize {
@@ -167,66 +100,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_threads(items, current_threads(), f)
-}
-
-/// [`par_map`] with an explicit thread count (1 = run inline).
-pub fn par_map_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    let nested = IN_WORKER.with(Cell::get);
-    if threads == 1 || items.len() <= 1 || nested {
-        return items.iter().map(f).collect();
-    }
-
-    // Small fixed chunks balance load without contending on the cursor;
-    // aim for several chunks per worker even on short inputs.
-    let chunk = (items.len() / (threads * 8)).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let cursor = &cursor;
-
-    // Workers return (index, result) pairs; the parent scatters them into
-    // index order. This keeps the harness 100% safe code at the cost of
-    // one extra move per item — negligible next to an alignment or a
-    // simulation.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|cell| cell.set(true));
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(items.len());
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            out.push((start + i, f(item)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("par_map worker panicked") {
-                debug_assert!(slots[i].is_none(), "slot {i} written twice");
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("par_map slot unfilled"))
-        .collect()
+    par_map_with(items, || (), |_, item| f(item))
 }
 
 /// [`par_map`] with per-worker reusable state: each worker thread calls
@@ -253,12 +127,18 @@ where
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
 
+    // Small fixed chunks balance load without contending on the cursor;
+    // aim for several chunks per worker even on short inputs.
     let chunk = (items.len() / (threads * 8)).clamp(1, 64);
     let cursor = AtomicUsize::new(0);
     let init = &init;
     let f = &f;
     let cursor = &cursor;
 
+    // Workers return (index, result) pairs; the parent scatters them into
+    // index order. This keeps the harness 100% safe code at the cost of
+    // one extra move per item — negligible next to an alignment or a
+    // simulation.
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
@@ -283,7 +163,7 @@ where
             })
             .collect();
         for handle in handles {
-            for (i, r) in handle.join().expect("par_map_with worker panicked") {
+            for (i, r) in handle.join().expect("par_map worker panicked") {
                 debug_assert!(slots[i].is_none(), "slot {i} written twice");
                 slots[i] = Some(r);
             }
@@ -291,7 +171,7 @@ where
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("par_map_with slot unfilled"))
+        .map(|slot| slot.expect("par_map slot unfilled"))
         .collect()
 }
 
@@ -304,7 +184,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let sequential: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1, 2, 3, 8, 16] {
-            let parallel = par_map_threads(&items, threads, |&x| x * x + 1);
+            let parallel = with_threads(threads, || par_map(&items, |&x| x * x + 1));
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -312,21 +192,26 @@ mod tests {
     #[test]
     fn handles_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert_eq!(par_map_threads(&empty, 8, |&x| x), Vec::<u32>::new());
-        assert_eq!(par_map_threads(&[7u32], 8, |&x| x + 1), vec![8]);
+        assert_eq!(
+            with_threads(8, || par_map(&empty, |&x| x)),
+            Vec::<u32>::new()
+        );
+        assert_eq!(with_threads(8, || par_map(&[7u32], |&x| x + 1)), vec![8]);
     }
 
     #[test]
     fn uneven_work_is_balanced_and_ordered() {
         // Item cost varies 1000x; order must still be exact.
         let items: Vec<usize> = (0..200).collect();
-        let out = par_map_threads(&items, 8, |&i| {
-            let spin = if i % 17 == 0 { 100_000 } else { 100 };
-            let mut acc = i as u64;
-            for k in 0..spin {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            (i, acc)
+        let out = with_threads(8, || {
+            par_map(&items, |&i| {
+                let spin = if i % 17 == 0 { 100_000 } else { 100 };
+                let mut acc = i as u64;
+                for k in 0..spin {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                }
+                (i, acc)
+            })
         });
         for (i, pair) in out.iter().enumerate() {
             assert_eq!(pair.0, i);
@@ -336,31 +221,16 @@ mod tests {
     #[test]
     fn nested_maps_do_not_explode() {
         let outer: Vec<usize> = (0..8).collect();
-        let result = par_map_threads(&outer, 4, |&i| {
-            let inner: Vec<usize> = (0..16).collect();
-            par_map_threads(&inner, 4, move |&j| i * 100 + j)
+        let result = with_threads(4, || {
+            par_map(&outer, |&i| {
+                let inner: Vec<usize> = (0..16).collect();
+                with_threads(4, || par_map(&inner, move |&j| i * 100 + j))
+            })
         });
         for (i, row) in result.iter().enumerate() {
             assert_eq!(row.len(), 16);
             assert_eq!(row[3], i * 100 + 3);
         }
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&args(&["--threads", "4"])), Ok(Some(4)));
-        assert_eq!(
-            threads_from_args(&args(&["x", "--threads", "2", "y"])),
-            Ok(Some(2))
-        );
-        let missing = Err("--threads: missing value".to_string());
-        assert_eq!(threads_from_args(&args(&["--threads"])), missing);
-        let garbage = Err("--threads: cannot parse \"zero\"".to_string());
-        assert_eq!(threads_from_args(&args(&["--threads", "zero"])), garbage);
-        assert_eq!(threads_from_args(&args(&["--threads", "0"])), Ok(None));
-        assert_eq!(threads_from_args(&args(&[])), Ok(None));
-        assert_eq!(flag(&args(&["--frac", "0.5"]), "--frac"), Ok(Some(0.5f64)));
     }
 
     #[test]
@@ -413,7 +283,7 @@ mod tests {
     fn results_do_not_require_clone() {
         // R: Send only — boxed results move through intact.
         let items = [1u32, 2, 3];
-        let out = par_map_threads(&items, 2, |&x| Box::new(x));
+        let out = with_threads(2, || par_map(&items, |&x| Box::new(x)));
         assert_eq!(out.iter().map(|b| **b).collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 }

@@ -13,6 +13,14 @@
 set -eu
 
 cargo fmt --all -- --check
+# One binary: every command is an `nvwa` subcommand (src/bin/nvwa/), which
+# the tier-1 build builds. A binary in a member crate is built by neither
+# tier-1 nor the benchmark, so CI would run a stale copy of it.
+if ls -d crates/*/src/bin crates/*/src/main.rs 2>/dev/null ||
+    grep -l '^\[\[bin\]\]' crates/*/Cargo.toml; then
+    echo "a second binary under crates/: make it an nvwa subcommand" >&2
+    exit 1
+fi
 # The simulator replays every FM-index access of every read through these
 # three files (about 1 000 probes per real read): a SipHash set or map back
 # on that path passes every test and halves `sim_ablation` (DESIGN.md §16).
@@ -94,7 +102,7 @@ fi
 cargo run --release --quiet --bin nvwa -- sim --reads 500 \
     --trace-out "$artifacts_dir/trace.json" \
     --metrics-out "$artifacts_dir/metrics.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
+cargo run --release --quiet --bin nvwa -- validate \
     "$artifacts_dir/trace.json" "$artifacts_dir/metrics.json"
 
 # The repository benchmark at 1/50 size (all five workloads plus its own
@@ -107,7 +115,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Serve smoke test: start the server in the background on an ephemeral
 # port, push 2 000 reads closed-loop while scraping the in-band `stats`
 # endpoint, request a graceful shutdown, and assert (a) the loadgen saw
-# zero lost/duplicated responses and no violated SLO target (nvwa-loadgen
+# zero lost/duplicated responses and no violated SLO target (`nvwa loadgen`
 # exits non-zero otherwise), (b) the server drained and exited cleanly,
 # (c) the stats response, span log, trace and loadgen report all pass
 # validation, (d) at least two mid-run stats snapshots were captured and
@@ -118,7 +126,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 exit 2" ]
 for removed in "--metrics-out x" "--threads 2"; do
     # shellcheck disable=SC2086 # the flag and its value are two words
-    [ "$(cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- $removed 2>&1 || echo "exit $?")" = "nvwa-loadgen: ${removed% *}: unknown flag
+    [ "$(cargo run --release --quiet --bin nvwa -- loadgen $removed 2>&1 || echo "exit $?")" = "nvwa: ${removed% *}: unknown flag
 exit 2" ]
 done
 # The loadgen counts a mid-run `stats` scrape that fails
@@ -141,7 +149,7 @@ cargo run --release --quiet --bin nvwa -- serve \
     --span-log-out "$artifacts_dir/serve_spans.json" \
     --trace-out "$artifacts_dir/serve_trace.json" &
 serve_pid=$!
-cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
+cargo run --release --quiet --bin nvwa -- loadgen \
     --addr-file "$artifacts_dir/serve_addr" \
     --reads 2000 --connections 2 --mode closed --window 32 \
     --ref-len 60000 \
@@ -149,7 +157,7 @@ cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
     --slo lost=0 --slo error_rate=0 \
     --out "$artifacts_dir/loadgen_report.json" --shutdown
 wait "$serve_pid"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
+cargo run --release --quiet --bin nvwa -- validate \
     "$artifacts_dir/serve_metrics.json" \
     "$artifacts_dir/serve_spans.json" \
     "$artifacts_dir/serve_trace.json" \
@@ -161,7 +169,7 @@ awk '!bumped && match($0, /"lost": [0-9]+/) {
     $0 = substr($0, 1, RSTART - 1) "\"lost\": " lost substr($0, RSTART + RLENGTH)
     bumped = 1
 } { print }' "$artifacts_dir/loadgen_report.json" > "$artifacts_dir/loadgen_lossy.json"
-if lossy="$(cargo run --release --quiet -p nvwa-bench --bin validate -- \
+if lossy="$(cargo run --release --quiet --bin nvwa -- validate \
     "$artifacts_dir/loadgen_lossy.json" 2>&1)"; then
     echo "validate accepted a report that does not conserve its requests" >&2
     exit 1
@@ -183,7 +191,7 @@ echo "serve smoke test: clean drain, zero lost responses, $scrapes stats scrapes
 
 # Multi-tenant serve smoke (PR 8): two species tenants (one sharded),
 # >= 100k requests open-loop in a 3:1 weighted mix. Asserts exactly-once accounting globally and per tenant
-# (nvwa-loadgen exits non-zero on any lost/duplicated response or
+# (`nvwa loadgen` exits non-zero on any lost/duplicated response or
 # violated SLO), then schema-validates the SLO report — including the
 # per-tenant conservation sections — and the server's stats snapshot.
 # It scrapes `stats` every 20 ms throughout, and every scrape must
@@ -201,7 +209,7 @@ cargo run --release --quiet --bin nvwa -- serve \
     --tenant homo_sapiens:2 --tenant caenorhabditis_elegans \
     --metrics-out "$artifacts_dir/serve_mt_metrics.json" &
 serve_mt_pid=$!
-cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
+cargo run --release --quiet --bin nvwa -- loadgen \
     --addr-file "$artifacts_dir/serve_mt_addr" \
     --reads 100000 --connections 4 --mode open --rate 12000 --burst 16 \
     --tenant homo_sapiens:3 --tenant caenorhabditis_elegans:1 \
@@ -210,7 +218,7 @@ cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
     --out "$artifacts_dir/loadgen_tenants.json" --shutdown
 wait "$serve_mt_pid"
 require_clean_scrapes "$artifacts_dir/loadgen_tenants.json"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
+cargo run --release --quiet --bin nvwa -- validate \
     "$artifacts_dir/loadgen_tenants.json" \
     "$artifacts_dir/serve_mt_metrics.json"
 echo "multi-tenant smoke: 100k open-loop requests, per-tenant conservation holds"
@@ -218,7 +226,7 @@ echo "multi-tenant smoke: 100k open-loop requests, per-tenant conservation holds
 # Serving-modes smoke (PR 10): one server fielding all three request
 # modes at once — a deterministic 2:1:1 short/long/classify interleave
 # pushed closed-loop. The per-mode bins batch the modes apart; the
-# conservation law still holds across the mix (nvwa-loadgen exits
+# conservation law still holds across the mix (`nvwa loadgen` exits
 # non-zero on any lost/duplicated response or violated SLO; long-mode
 # `unmapped` is a completed result, not an error, and the report
 # validator checks the ok + unmapped + shed + ... == received identity).
@@ -228,14 +236,14 @@ cargo run --release --quiet --bin nvwa -- serve \
     --ref-len 60000 --workers 2 \
     --metrics-out "$artifacts_dir/serve_modes_metrics.json" &
 serve_modes_pid=$!
-cargo run --release --quiet -p nvwa-serve --bin nvwa-loadgen -- \
+cargo run --release --quiet --bin nvwa -- loadgen \
     --addr-file "$artifacts_dir/serve_modes_addr" \
     --reads 2000 --connections 2 --mode closed --window 16 \
     --ref-len 60000 --request-mode mixed --long-len 2000 \
     --slo lost=0 --slo error_rate=0 \
     --out "$artifacts_dir/loadgen_modes.json" --shutdown
 wait "$serve_modes_pid"
-cargo run --release --quiet -p nvwa-bench --bin validate -- \
+cargo run --release --quiet --bin nvwa -- validate \
     "$artifacts_dir/loadgen_modes.json" \
     "$artifacts_dir/serve_modes_metrics.json"
 echo "serving-modes smoke: short/long/classify mix conserved end to end"

@@ -1,17 +1,14 @@
-//! `nvwa-loadgen` — drive a running `nvwa serve` instance.
-//!
-//! `nvwa-loadgen --help` prints every flag (from `KNOWN_FLAGS`, the one
-//! place they are listed).
+//! `nvwa loadgen` — drive a running `nvwa serve` instance.
 //!
 //! Synthesizes `--reads` reads against the same synthetic reference the
 //! server built (`--ref-len`/`--ref-seed` must match), pushes them using
 //! the chosen arrival discipline, prints a human summary and writes the
-//! machine-readable report (`validate` checks it, conservation identities
-//! included). With `--scrape-ms` it also scrapes the server's `stats`
-//! endpoint mid-run (snapshots land in `--stats-out` as a JSON array);
-//! `--slo key=value` targets (repeatable) grade the run, and `--shutdown`
-//! asks the server to drain once it is over. Exits non-zero if any
-//! request was lost or duplicated, or any SLO target is violated.
+//! machine-readable report (`nvwa validate` checks it, conservation
+//! identities included). With `--scrape-ms` it also scrapes the server's
+//! `stats` endpoint mid-run (snapshots land in `--stats-out` as a JSON
+//! array); `--slo key=value` targets (repeatable) grade the run, and
+//! `--shutdown` asks the server to drain once it is over. Exits non-zero
+//! if any request was lost or duplicated, or any SLO target is violated.
 //!
 //! `--request-mode` picks the server-side execution path stamped on every
 //! request: `short` (default, seed-and-extend), `long` (minimizer-chain-
@@ -29,74 +26,37 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use nvwa_genome::species::Species;
-use nvwa_genome::{ReadSimParams, ReferenceGenome};
-use nvwa_serve::loadgen::{
+use nvwa::genome::species::Species;
+use nvwa::genome::{ReadSimParams, ReferenceGenome};
+use nvwa::serve::loadgen::{
     self, ArrivalMode, Counts, LoadReport, LoadgenConfig, SloTarget, TenantRead,
 };
-use nvwa_serve::Mode;
-use nvwa_sim::par::{usage_synopsis, FlagSpec};
-use nvwa_telemetry::JsonValue;
+use nvwa::serve::Mode;
+use nvwa::telemetry::JsonValue;
 
-/// Every flag with its value placeholder; anything else starting with
-/// `--` is refused before any work, and `usage` prints this table — a
-/// flag is listed here and nowhere else.
-#[rustfmt::skip]
-const KNOWN_FLAGS: &[FlagSpec] = &[
-    ("--addr", "H:P"), ("--addr-file", "PATH"), ("--reads", "N"), ("--connections", "C"),
-    ("--mode", "closed|open"), ("--window", "W"),
-    ("--request-mode", "short|long|classify|mixed"), ("--rate", "RPS"), ("--burst", "B"),
-    ("--ref-len", "N"), ("--ref-seed", "S"), ("--long-len", "N"),
-    ("--tenant", "KEY[:WEIGHT]..."), ("--tenant-scale", "F"),
-    ("--out", "report.json"), ("--stats-out", "scrapes.json"),
-    ("--scrape-ms", "MS"), ("--slo", "key=value..."), ("--shutdown", ""),
-];
+use crate::args::Args;
+use crate::{fail, usage, write_artifact};
 
 /// Read-simulation seed of a mix's first source; source `i` draws from
 /// `READ_SEED + i`.
 const READ_SEED: u64 = 11;
 
-fn usage() -> ExitCode {
-    eprintln!("{}", usage_synopsis("usage: nvwa-loadgen", KNOWN_FLAGS));
-    ExitCode::FAILURE
-}
-
-/// Collects every occurrence of a repeatable flag's value.
-fn flag_values(args: &[String], name: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .cloned()
-        .collect()
-}
-
-/// `name V` parsed as a `T` (`None` when absent); a missing or
-/// unparsable value is a usage error, not a silent default.
-fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    nvwa_sim::par::flag(args, name).unwrap_or_else(|e| {
-        eprintln!("nvwa-loadgen: {e}");
-        std::process::exit(2)
-    })
-}
-
 /// Resolves the target address: `--addr` directly, or `--addr-file`
 /// (polls up to 10 s for the server to write it — scripts start the
 /// server in the background and race us to the file).
-fn resolve_addr(args: &[String]) -> Option<String> {
-    if let Some(addr) = flag(args, "--addr") {
-        return Some(addr);
+fn resolve_addr(args: &Args) -> Result<String, ExitCode> {
+    if let Some(addr) = args.text("--addr") {
+        return Ok(addr.to_string());
     }
-    let Some(path) = flag::<String>(args, "--addr-file") else {
-        return Some("127.0.0.1:7878".to_string());
+    let Some(path) = args.text("--addr-file") else {
+        return Ok("127.0.0.1:7878".to_string());
     };
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match std::fs::read_to_string(&path) {
-            Ok(text) if !text.trim().is_empty() => return Some(text.trim().to_string()),
+        match std::fs::read_to_string(path) {
+            Ok(text) if !text.trim().is_empty() => return Ok(text.trim().to_string()),
             _ if Instant::now() >= deadline => {
-                eprintln!("nvwa-loadgen: no address in {path} after 10s");
-                return None;
+                return Err(fail(format!("no address in {path} after 10s")))
             }
             _ => std::thread::sleep(Duration::from_millis(50)),
         }
@@ -145,40 +105,38 @@ fn weighted_mix(sources: &[Source<'_>], n: usize) -> Vec<TenantRead> {
 
 /// The run the flags ask for: its config, its SLO targets and its reads.
 /// `Err` is a usage error.
-fn plan(args: &[String]) -> Result<(LoadgenConfig, Vec<SloTarget>, Vec<TenantRead>), String> {
-    let mode = match flag::<String>(args, "--mode")
-        .as_deref()
-        .unwrap_or("closed")
-    {
+fn plan(args: &Args) -> Result<(LoadgenConfig, Vec<SloTarget>, Vec<TenantRead>), String> {
+    let mode = match args.text("--mode").unwrap_or("closed") {
         "closed" => ArrivalMode::Closed {
-            window: flag(args, "--window").unwrap_or(32),
+            window: args.get("--window").unwrap_or(32),
         },
         "open" => ArrivalMode::Open {
-            rate_rps: flag(args, "--rate").unwrap_or(500.0),
-            burst: flag(args, "--burst").unwrap_or(1),
+            rate_rps: args.get("--rate").unwrap_or(500.0),
+            burst: args.get("--burst").unwrap_or(1),
         },
         other => return Err(format!("unknown mode {other:?}")),
     };
     let config = LoadgenConfig {
-        connections: flag(args, "--connections").unwrap_or(2),
+        connections: args.get("--connections").unwrap_or(2),
         mode,
-        scrape_every: flag(args, "--scrape-ms").map(|ms: u64| Duration::from_millis(ms.max(1))),
+        scrape_every: args
+            .get("--scrape-ms")
+            .map(|ms: u64| Duration::from_millis(ms.max(1))),
         ..LoadgenConfig::default()
     };
-    let slo = flag_values(args, "--slo")
-        .iter()
+    let slo = (args.all::<String>("--slo").iter())
         .map(|spec| SloTarget::parse(spec))
         .collect::<Result<_, _>>()?;
-    let n = flag(args, "--reads").unwrap_or(1_000);
-    let ref_len = flag(args, "--ref-len").unwrap_or(100_000);
-    let ref_seed = flag(args, "--ref-seed").unwrap_or(5);
-    let long_len = flag(args, "--long-len").unwrap_or(2_000);
-    let tenant_scale = flag(args, "--tenant-scale").unwrap_or(0.05f64);
-    let request_mode = flag::<String>(args, "--request-mode").unwrap_or_else(|| "short".into());
+    let n = args.get("--reads").unwrap_or(1_000);
+    let ref_len = args.get("--ref-len").unwrap_or(100_000);
+    let ref_seed = args.get("--ref-seed").unwrap_or(5);
+    let long_len = args.get("--long-len").unwrap_or(2_000);
+    let tenant_scale = args.get("--tenant-scale").unwrap_or(0.05f64);
+    let request_mode = args.text("--request-mode").unwrap_or("short");
     let short = ReadSimParams::illumina_101();
     let long = ReadSimParams::long_read(long_len);
 
-    let tenants = flag_values(args, "--tenant");
+    let tenants = args.all::<String>("--tenant");
     if !tenants.is_empty() {
         if request_mode != "short" {
             return Err("--tenant mixes are short-read only".to_string());
@@ -206,7 +164,7 @@ fn plan(args: &[String]) -> Result<(LoadgenConfig, Vec<SloTarget>, Vec<TenantRea
             .collect();
         return Ok((config, slo, weighted_mix(&sources, n)));
     }
-    let modes = match request_mode.as_str() {
+    let modes = match request_mode {
         "mixed" => vec![
             (2, short, Mode::Short),
             (1, long, Mode::Long),
@@ -278,39 +236,21 @@ fn print_summary(report: &LoadReport, scraped: bool) {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return usage();
-    }
-    if let Err(e) = nvwa_sim::par::reject_unknown_flags(&args, KNOWN_FLAGS) {
-        eprintln!("nvwa-loadgen: {e}");
-        return ExitCode::from(2);
-    }
-    let (config, slo, reads) = match plan(&args) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("nvwa-loadgen: {e}");
-            return usage();
-        }
-    };
-    // Every flag is parsed by now; only then wait for the server's address.
-    let Some(addr) = resolve_addr(&args) else {
-        return ExitCode::FAILURE;
-    };
+pub fn loadgen(args: &Args) -> Result<(), ExitCode> {
+    let (config, slo, reads) = plan(args).map_err(|e| {
+        eprintln!("nvwa: {e}");
+        usage("loadgen")
+    })?;
+    // Every flag is checked by now; only then wait for the server's address.
+    let addr = resolve_addr(args)?;
     eprintln!(
         "driving {addr}: {} mode, {} connections ...",
         config.mode.as_str(),
         config.connections
     );
-    let mut report = match loadgen::run(&addr, &reads, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("nvwa-loadgen: {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.iter().any(|a| a == "--shutdown") {
+    let mut report =
+        loadgen::run(&addr, &reads, &config).map_err(|e| fail(format!("{addr}: {e}")))?;
+    if args.has("--shutdown") {
         let _ = loadgen::send_shutdown(&addr);
     }
     report.slo = loadgen::evaluate_slo(&report, &slo);
@@ -323,25 +263,18 @@ fn main() -> ExitCode {
         ),
     ];
     for (name, doc) in outputs {
-        let Some(out) = flag::<String>(&args, name) else {
-            continue;
-        };
-        if let Err(e) = std::fs::write(&out, doc.to_string_pretty()) {
-            eprintln!("nvwa-loadgen: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
+        if let Some(path) = args.text(name) {
+            write_artifact(path, &doc.to_string_pretty())?;
         }
-        println!("wrote {out}");
     }
     if !report.is_lossless() {
-        eprintln!(
-            "nvwa-loadgen: FAILED response conservation: lost {} duplicates {}",
+        return Err(fail(format!(
+            "FAILED response conservation: lost {} duplicates {}",
             report.total.lost, report.duplicates
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     if !report.slo_pass() {
-        eprintln!("nvwa-loadgen: FAILED SLO targets (see checks above)");
-        return ExitCode::FAILURE;
+        return Err(fail("FAILED SLO targets (see checks above)".to_string()));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

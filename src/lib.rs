@@ -15,7 +15,7 @@
 //! * [`serve`] — the online serving subsystem: TCP front end, bounded
 //!   admission with load-shedding, length-binned dynamic batching,
 //!   deadlines, software and hardware-in-the-loop backends, and the
-//!   open/closed-loop load generator (`nvwa serve` / `nvwa-loadgen`).
+//!   open/closed-loop load generator (`nvwa serve` / `nvwa loadgen`).
 //! * [`testkit`] — cross-layer correctness tooling: differential oracles
 //!   with input minimization, simulator invariant checking, golden-file
 //!   blessing and deterministic fault injection (`nvwa conformance`,

@@ -351,7 +351,7 @@ fn stats_request_returns_a_valid_serve_snapshot() {
     assert!(report.is_lossless());
     let doc = loadgen::fetch(&addr, &Request::Stats).expect("stats");
     validate(Kind::ServeSnapshot, &doc).expect("serve snapshot schema");
-    // Shutdown via the protocol, as `nvwa-loadgen --shutdown` would.
+    // Shutdown via the protocol, as `nvwa loadgen --shutdown` would.
     loadgen::send_shutdown(&addr).expect("shutdown request");
     assert!(server.shutdown_requested());
     server.shutdown();
