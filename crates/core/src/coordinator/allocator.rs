@@ -10,8 +10,6 @@
 //! rejects (Sec. IV-D) are available as [`AllocPolicy::StrictPerClass`] and
 //! [`AllocPolicy::FullyShared`] for the ablation property tests.
 
-use std::cmp::Reverse;
-
 use nvwa_sim::Cycle;
 
 use crate::config::EuClass;
@@ -62,13 +60,15 @@ pub struct HitsAllocator {
 
 #[derive(Debug, Clone, Default)]
 struct Round {
-    /// `(hit length, batch slot)`, longest hit first.
-    order: Vec<(Reverse<u32>, usize)>,
+    /// `(u32::MAX − hit length) << 32 | batch slot`: longest hit first, ties
+    /// in batch order, as `(Reverse(len), slot)` sorted.
+    order: Vec<u64>,
     /// Class of each unit of the caller's idle list, position for position.
     idle_class: Vec<usize>,
-    /// Per class: idle units left, and the current hit's Formula-3 latency
-    /// there (`Cycle::MAX` where it may not run or no unit is idle).
-    classes: Vec<(u32, Cycle)>,
+    /// Per class: idle units left, the current hit's Formula-3 latency there
+    /// (`Cycle::MAX` where it may not run or no unit is idle), and whether
+    /// its hits have a permitted class with an idle unit.
+    classes: Vec<(u32, Cycle, bool)>,
     allocated: Vec<bool>,
     assignments: Vec<Assignment>,
 }
@@ -126,45 +126,48 @@ impl HitsAllocator {
     /// next round; the flags feed
     /// [`super::hits_buffer::HitsBuffer::complete_round`].
     ///
-    /// Per-class idle counts stand in for the hardware's PopCount tree: a hit
-    /// none of whose permitted classes has an idle unit is dropped before the
-    /// sort (counts only fall during a round), and Formula 3 is evaluated once
-    /// per (hit, class). The unit taken is the first of least latency in `idle`.
+    /// Per-class idle counts stand in for the hardware's PopCount tree, and a
+    /// per-class flag says whether a hit of the class can be placed. Counts
+    /// only fall during a round, so an unflagged hit is dropped before the
+    /// sort and passed over after it, the flags change only when a class runs
+    /// out, and the round ends when none is left. Formula 3 is evaluated once
+    /// per (hit, class); the unit taken is the first of least latency in `idle`.
     pub fn allocate(&mut self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (&[bool], &[Assignment]) {
+        assert!(batch.len() < 1 << 32, "a batch slot must fit a sort key");
         let mut round = std::mem::take(&mut self.round);
         round.idle_class.clear();
         round
             .idle_class
             .extend(idle.iter().map(|u| self.class_of_pes(u.pes)));
         round.classes.clear();
-        round.classes.resize(self.class_pes.len(), (0, Cycle::MAX));
+        round.classes.resize(self.class_pes.len(), (0, 0, false));
         for &c in &round.idle_class {
             round.classes[c].0 += 1;
         }
-        let placeable = |hit: &Hit| {
-            let cls = self.class_of_len(hit.hit_len());
-            (round.classes.iter().enumerate())
-                .any(|(c, &(left, _))| left > 0 && self.permits(cls, c))
-        };
+        self.flag_placeable(&mut round.classes);
         // Steps ②–③: compute lengths and sort (longest first, so large
         // units are claimed by the hits that need them; ties in batch order).
         round.order.clear();
         round.order.extend(
             (batch.iter().enumerate())
-                .filter(|(_, hit)| placeable(hit))
-                .map(|(slot, hit)| (Reverse(hit.hit_len()), slot)),
+                .filter(|(_, hit)| round.classes[self.class_of_len(hit.hit_len())].2)
+                .map(|(slot, hit)| u64::from(u32::MAX - hit.hit_len()) << 32 | slot as u64),
         );
         round.order.sort_unstable();
         round.allocated.clear();
         round.allocated.resize(batch.len(), false);
         round.assignments.clear();
-        for &(_, slot) in &round.order {
+        for &key in &round.order {
+            let cls = self.class_of_len(u32::MAX - (key >> 32) as u32);
+            if !round.classes[cls].2 {
+                continue;
+            }
+            let slot = key as u32 as usize;
             let hit = &batch[slot];
-            let cls = self.class_of_len(hit.hit_len());
             let (r, q) = (hit.ref_len.max(1) as u64, hit.query_len.max(1) as u64);
             // Steps ④–⑥: the best idle unit permitted by the policy.
             let mut best = Cycle::MAX;
-            for (c, (left, latency)) in round.classes.iter_mut().enumerate() {
+            for (c, (left, latency, _)) in round.classes.iter_mut().enumerate() {
                 let open = *left > 0 && self.permits(cls, c);
                 *latency = if open {
                     matrix_fill_latency(r, q, self.class_pes[c])
@@ -173,21 +176,30 @@ impl HitsAllocator {
                 };
                 best = best.min(*latency);
             }
-            if best == Cycle::MAX {
-                continue;
-            }
             let i = (round.idle_class.iter())
                 .position(|&c| round.classes[c].1 == best)
-                .expect("a class with an idle unit attains the minimum");
-            round.classes[round.idle_class.swap_remove(i)].0 -= 1;
+                .expect("a flagged class has a permitted class with an idle unit");
+            let taken = round.idle_class.swap_remove(i);
+            round.classes[taken].0 -= 1;
             round.allocated[slot] = true;
             round.assignments.push(Assignment {
                 batch_slot: slot,
                 unit: idle.swap_remove(i),
             });
+            if round.classes[taken].0 == 0 && !self.flag_placeable(&mut round.classes) {
+                break;
+            }
         }
         self.round = round;
         (&self.round.allocated, &self.round.assignments)
+    }
+
+    /// Flags the classes whose hits can be placed; returns whether any can.
+    fn flag_placeable(&self, classes: &mut [(u32, Cycle, bool)]) -> bool {
+        for cls in 0..classes.len() {
+            classes[cls].2 = (0..classes.len()).any(|c| classes[c].0 > 0 && self.permits(cls, c));
+        }
+        classes.iter().any(|&(.., placeable)| placeable)
     }
 
     /// Whether a hit of class `cls` may run on a unit of class `unit_cls`.

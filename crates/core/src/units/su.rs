@@ -39,10 +39,7 @@ impl SuModel {
         for &addr in &work.seeding_accesses {
             match self.cache.access(addr) {
                 Some(lat) => t += lat,
-                None => {
-                    t = hbm.request(t, addr);
-                    self.cache.fill(addr);
-                }
+                None => t = hbm.request(t, addr),
             }
         }
         t

@@ -175,12 +175,14 @@ fn long_read_path_stays_within_its_allocation_budget() {
 /// 3.6 / 4.3 MB, nearly all of them the event queue's per-cycle buckets and
 /// tree nodes and the two vectors of each read-scheduler call. What is left is
 /// the run's setup and the doubling growth of vectors that lengthen with
-/// simulated time: three times the reads adds 16 to 25 allocations.
+/// simulated time: three times the reads adds 16 to 25 allocations. The
+/// bytes are those of the SU table's bucketed residency table (256 KiB for
+/// 8 192 blocks, where the open-addressed table it replaced took 512 KiB).
 const SIM_CEILINGS: [(u64, u64); 4] = [
-    (279, 806_648),
-    (265, 720_016),
-    (270, 724_764),
-    (293, 843_684),
+    (279, 544_504),
+    (265, 457_872),
+    (270, 462_620),
+    (293, 581_060),
 ];
 
 #[test]

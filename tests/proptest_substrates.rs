@@ -107,7 +107,7 @@ impl SetCalendarHbm {
     }
 }
 
-/// The residency set `Scratchpad` had before its open-addressed table.
+/// The residency set `Scratchpad` had before its hashed tables.
 struct SetScratchpad {
     capacity: usize,
     resident: HashSet<u64>,
@@ -455,16 +455,11 @@ proptest! {
             };
             match rng.gen_range(0u32..4) {
                 0 => prop_assert_eq!(spm.contains(block), oracle.resident.contains(&block)),
-                1 => {
-                    spm.fill(block);
-                    oracle.fill(block);
-                }
-                // The SU model's use: access, and fill on a miss.
+                // The SU model's use: access, which fills on a miss.
                 _ => {
                     let hit = oracle.access(block);
                     prop_assert_eq!(spm.access(block), hit.then_some(3));
                     if !hit {
-                        spm.fill(block);
                         oracle.fill(block);
                     }
                 }
