@@ -4,7 +4,7 @@
 //! search* (the LFMapBit design of Wang et al., checkpoint interval 128).
 //! This crate provides it, built from scratch:
 //!
-//! * [`suffix_array`] — O(n log n) prefix-doubling suffix array construction.
+//! * [`suffix_array`] — SA-IS suffix array construction: linear time, ≈ 0.2× its output in extra heap.
 //! * [`bwt`] — Burrows-Wheeler transform derived from the suffix array.
 //! * [`fm_index`] — bit-packed FM-index with occ checkpoints every 128
 //!   symbols (one checkpoint block ≈ one memory beat, which is the unit of

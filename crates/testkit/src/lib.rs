@@ -59,6 +59,8 @@ pub mod long_read;
 pub mod minimize;
 pub mod tenancy;
 
+use std::time::{Duration, Instant};
+
 /// splitmix64 — the repo's standard zero-dependency PRNG (same stream as
 /// `nvwa_serve::loadgen`), used for all seeded case generation so a seed
 /// printed in a report reproduces the exact inputs.
@@ -140,6 +142,23 @@ pub fn dna_to_codes(s: &str) -> Vec<u8> {
             _ => None,
         })
         .collect()
+}
+
+/// Polls `done` every millisecond until it holds or `timeout` has passed,
+/// and returns whether it held. Serving tests wait with it on a counter the
+/// server exports (`serve.requests_admitted`, `serve.connections_accepted`)
+/// instead of sleeping for a guessed time that a slow host can outlast.
+pub fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if done() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[cfg(test)]

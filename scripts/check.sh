@@ -3,7 +3,7 @@
 # per-access path and no ordered or hashed map in its event loop,
 # lints, rustdoc links, the tier-1 build+test suite (and, in the release
 # binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
-# never on xmm), EXPERIMENTS.md's quoted Fig. 11/12 output against the
+# never on xmm), EXPERIMENTS.md's quoted Fig. 11-14 output against the
 # binary, the telemetry artifact checks, the benchmark smoke run, the
 # serve smoke tests, the conformance sweep and the per-crate line count. Run
 # from the repository root: ./scripts/check.sh
@@ -107,20 +107,25 @@ else
     trap 'rm -rf "$artifacts_dir"' EXIT
 fi
 
-# EXPERIMENTS.md quotes `nvwa repro --full fig11 fig12` verbatim between two
-# markers, and its Fig. 11 and Fig. 12 tables are read off that block: a
-# change that moves a simulated number fails here until the write-up says so
-# (about 1 s).
-awk '/^<!-- end: nvwa repro --full fig11 fig12 -->$/ { on = 0 }
-    on && !/^```/ { print }
-    /^<!-- begin: nvwa repro --full fig11 fig12 -->$/ { on = 1 }' EXPERIMENTS.md \
-    > "$artifacts_dir/fig11_12_quoted.txt"
-cargo run --release --quiet --bin nvwa -- repro --full fig11 fig12 \
-    > "$artifacts_dir/fig11_12.txt"
-if ! diff "$artifacts_dir/fig11_12_quoted.txt" "$artifacts_dir/fig11_12.txt"; then
-    echo "EXPERIMENTS.md: the quoted nvwa repro --full fig11 fig12 output is stale" >&2
-    exit 1
-fi
+# EXPERIMENTS.md quotes `nvwa repro --full` verbatim between markers, one
+# block per command below (`fig11 fig12`, `fig13`, `fig14`), and its
+# Fig. 11-14 tables are read off those blocks: a change that moves a
+# simulated number fails here until the write-up says so (about 3 s).
+# Fig. 14 builds six reference indexes, so its block also pins the suffix
+# array, BWT and sampled SA of each end to end.
+for figs in "fig11 fig12" fig13 fig14; do
+    name="$(echo "$figs" | tr ' ' _)"
+    awk -v marker="$figs" '$0 == "<!-- end: nvwa repro --full " marker " -->" { on = 0 }
+        on && !/^```/ { print }
+        $0 == "<!-- begin: nvwa repro --full " marker " -->" { on = 1 }' EXPERIMENTS.md \
+        > "$artifacts_dir/${name}_quoted.txt"
+    # shellcheck disable=SC2086 # one word per figure
+    cargo run --release --quiet --bin nvwa -- repro --full $figs > "$artifacts_dir/$name.txt"
+    if ! diff "$artifacts_dir/${name}_quoted.txt" "$artifacts_dir/$name.txt"; then
+        echo "EXPERIMENTS.md: the quoted nvwa repro --full $figs output is stale" >&2
+        exit 1
+    fi
+done
 
 # Generate fresh telemetry artifacts with the release binary and validate
 # them against their schemas.

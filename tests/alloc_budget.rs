@@ -16,7 +16,9 @@
 //! that a `gact_extend` call owns one `DpScratch` for all of its tiles.
 //! The simulator case counts one `simulate` of each Fig. 11 variant: an
 //! allocation round of the Coordinator works from reused scratch, so the
-//! NvWa variant allocates like the three that have no Coordinator.
+//! NvWa variant allocates like the three that have no Coordinator. The
+//! suffix-array case bounds memory rather than calls: the high-water mark
+//! of live heap bytes while `build_suffix_array` runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,10 +32,32 @@ use nvwa::core::units::workload::SyntheticWorkloadParams;
 use nvwa::core::NvwaConfig;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa::index::minimizer::MinimizerParams;
+use nvwa::index::suffix_array::build_suffix_array;
+use nvwa::index::FmdIndex;
+
+/// What this thread allocated while counting was on: `allocs` calls of
+/// `bytes` in total, and the bytes still live (freed ones of earlier
+/// allocations count negative) with their high-water mark.
+#[derive(Clone, Copy, Default)]
+struct Counted {
+    allocs: u64,
+    bytes: u64,
+    live: i64,
+    peak: i64,
+}
 
 thread_local! {
-    /// `(allocations, bytes)` of this thread while counting is on.
-    static COUNTED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    static COUNTED: Cell<Option<Counted>> = const { Cell::new(None) };
+}
+
+/// Starts counting this thread's allocations from zero.
+fn start_counting() {
+    COUNTED.with(|c| c.set(Some(Counted::default())));
+}
+
+/// Stops counting and returns what was counted.
+fn stop_counting() -> Counted {
+    COUNTED.with(|c| c.take()).expect("counting was on")
 }
 
 struct Counting;
@@ -44,8 +68,12 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = COUNTED.try_with(|c| {
-            if let Some((n, bytes)) = c.get() {
-                c.set(Some((n + 1, bytes + layout.size() as u64)));
+            if let Some(mut n) = c.get() {
+                n.allocs += 1;
+                n.bytes += layout.size() as u64;
+                n.live += layout.size() as i64;
+                n.peak = n.peak.max(n.live);
+                c.set(Some(n));
             }
         });
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
@@ -53,6 +81,12 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = COUNTED.try_with(|c| {
+            if let Some(mut n) = c.get() {
+                n.live -= layout.size() as i64;
+                c.set(Some(n));
+            }
+        });
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -99,9 +133,9 @@ fn warm_short_read_path_stays_within_its_allocation_budget() {
             .count()
     };
     let warm = pass(&mut scratch);
-    COUNTED.with(|c| c.set(Some((0, 0))));
+    start_counting();
     let mapped = pass(&mut scratch);
-    let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+    let Counted { allocs, bytes, .. } = stop_counting();
     assert_eq!(mapped, warm, "a warm scratch must not change the answers");
     assert!(mapped * 10 >= reads.len() * 9, "only {mapped} reads mapped");
     eprintln!(
@@ -151,9 +185,9 @@ fn long_read_path_stays_within_its_allocation_budget() {
             .sum::<u64>()
     };
     let warm = pass();
-    COUNTED.with(|c| c.set(Some((0, 0))));
+    start_counting();
     let tiles = pass();
-    let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+    let Counted { allocs, bytes, .. } = stop_counting();
     assert_eq!(tiles, warm, "the second pass must repeat the first");
     assert!(tiles >= 20 * LONG_READS as u64, "only {tiles} tiles filled");
     eprintln!(
@@ -201,9 +235,9 @@ fn simulator_stays_within_its_allocation_budget() {
             scheduling,
             ..NvwaConfig::paper()
         };
-        COUNTED.with(|c| c.set(Some((0, 0))));
+        start_counting();
         let report = simulate(&config, &works);
-        let (allocs, bytes) = COUNTED.with(|c| c.take()).expect("counting was on");
+        let Counted { allocs, bytes, .. } = stop_counting();
         assert_eq!(report.reads, 1000);
         eprintln!("simulate {label}: {allocs} allocations, {bytes} bytes");
         assert!(
@@ -211,4 +245,36 @@ fn simulator_stays_within_its_allocation_budget() {
             "{label}: {allocs} allocations, {bytes} bytes, budget {allocs_ceiling} / {bytes_ceiling}"
         );
     }
+}
+
+/// Peak live heap of `build_suffix_array` over its output's bytes. Induced
+/// sorting keeps its sorted LMS positions, their names and the reduced text
+/// inside the output array; what it holds beside it is one type bit per
+/// symbol and the bucket arrays of the levels below the top. The prefix
+/// doubling it replaced held five `u32` arrays of n + 1 at once, 5.0×.
+const SA_PEAK_OVER_OUTPUT: f64 = 2.0;
+
+#[test]
+fn suffix_array_build_peaks_within_twice_its_output() {
+    let genome = ReferenceGenome::synthesize(
+        &ReferenceParams {
+            total_len: 250_000,
+            chromosomes: 4,
+            ..ReferenceParams::default()
+        },
+        7,
+    );
+    let text = FmdIndex::doubled_text(genome.flat().codes());
+    start_counting();
+    let sa = build_suffix_array(&text);
+    let Counted { live, peak, .. } = stop_counting();
+    let output = std::mem::size_of_val(&sa[..]) as f64;
+    assert_eq!(live as f64, output, "only the output may outlive the build");
+    let ratio = peak as f64 / output;
+    eprintln!("build_suffix_array: peak live heap {peak} bytes, {ratio:.3}x its output");
+    assert!(
+        ratio <= SA_PEAK_OVER_OUTPUT,
+        "peak live heap {peak} bytes is {ratio:.3}x the {output} output bytes, \
+         budget {SA_PEAK_OVER_OUTPUT}x"
+    );
 }

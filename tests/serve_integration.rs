@@ -17,6 +17,7 @@ use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::{BackendKind, BatcherConfig, Request, Server, ServerConfig, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
+use nvwa::testkit::wait_until;
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -283,7 +284,13 @@ fn shutdown_drains_in_flight_batches() {
             .expect("loadgen run")
         })
     };
-    std::thread::sleep(Duration::from_millis(40));
+    // Shut down once the server has admitted work, however slow the host.
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            server.metrics().counter("serve.requests_admitted") > 0
+        }),
+        "no request admitted within 30 s"
+    );
     let metrics = server.shutdown();
     let report = handle.join().expect("loadgen thread");
 

@@ -22,6 +22,7 @@ use nvwa::serve::protocol::{read_frame, write_frame, Mode};
 use nvwa::serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{JsonValue, SnapshotMeta};
+use nvwa::testkit::wait_until;
 
 const REF_LEN: usize = 20_000;
 const REF_SEED: u64 = 5;
@@ -129,8 +130,13 @@ fn reactor_parks_idle_connections_without_thread_growth() {
             std::net::TcpStream::connect(&addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}"))
         })
         .collect();
-    // Give the reactor a beat to accept and register everything.
-    std::thread::sleep(Duration::from_millis(200));
+    // Count threads once the reactor has accepted every idle socket.
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            server.metrics().counter("serve.connections_accepted") >= 400
+        }),
+        "the reactor did not accept 400 idle connections within 30 s"
+    );
     let during = current_thread_count().expect("/proc readable");
     // Thread-per-connection would add ~400 here; the reactor adds none.
     // Loadgen below and test-harness noise get a generous allowance.
