@@ -13,6 +13,13 @@
 //! nothing waits on a clock, so an idle server adds no latency and a busy
 //! one grows its batches to whatever arrived during the last execution.
 //!
+//! The bin layout is fixed, like the paper's interval bounds (Table I):
+//! the [`SHORT_BIN_BOUNDS`] short-read bins, then the [`LONG_BIN_BOUNDS`]
+//! long-read bins, then one classify bin, [`BINS`] in all. A request's bin
+//! is chosen by *mode first, length second* ([`bin_for`]), so batches are
+//! mode-homogeneous by construction — a worker never has to mix the
+//! short-read kernel and the GACT pipeline inside one batch.
+//!
 //! The struct is a pure state machine over explicit timestamps (no clock
 //! reads, no threads), so policy behaviour is unit-testable
 //! deterministically; the server's dispatcher puts it behind the lock the
@@ -22,153 +29,88 @@ use std::time::Instant;
 
 use crate::protocol::Mode;
 
-/// Batching policy parameters.
-///
-/// Bins are laid out by traffic class: the `bin_bounds.len() + 1`
-/// short-read length bins first, then (when enabled) the
-/// `long_bin_bounds.len() + 1` long-read length bins, then one classify
-/// bin. A request's bin is chosen by *mode first, length second*
-/// ([`bin_for`](BatcherConfig::bin_for)), so batches are
-/// mode-homogeneous by construction — a worker never has to mix the
-/// short-read kernel and the GACT pipeline inside one batch. Long-read
-/// bins are disabled by default (`long_bin_bounds` empty,
-/// `classify_bin` false) so pure short-read deployments keep their
-/// exact pre-mode bin geometry; the server enables them at launch via
-/// [`ensure_mode_bins`](BatcherConfig::ensure_mode_bins).
+/// Upper bounds (exclusive) of the short-read length bins; lengths ≥ the
+/// last bound share one overflow bin. They separate short Illumina-class
+/// reads from mid and long reads.
+pub const SHORT_BIN_BOUNDS: [usize; 3] = [256, 1024, 4096];
+
+/// Upper bounds (exclusive) of the long-read length bins: one split at
+/// 16 kb separates mid-length (ONT/PacBio CCS class) from ultralong reads.
+pub const LONG_BIN_BOUNDS: [usize; 1] = [16_384];
+
+/// Fill threshold of the classify bin.
+pub const CLASSIFY_MAX_BATCH: usize = 16;
+
+const SHORT_BINS: usize = SHORT_BIN_BOUNDS.len() + 1;
+
+/// Number of bins: the short-read bins, the long-read bins and the
+/// classify bin.
+pub const BINS: usize = SHORT_BINS + LONG_BIN_BOUNDS.len() + 1 + 1;
+
+/// The bin for a request: mode first, length second.
+pub fn bin_for(mode: Mode, len: usize) -> usize {
+    let within = |bounds: &[usize]| bounds.iter().take_while(|&&b| len >= b).count();
+    match mode {
+        Mode::Short => within(&SHORT_BIN_BOUNDS),
+        Mode::Long => SHORT_BINS + within(&LONG_BIN_BOUNDS),
+        Mode::Classify => BINS - 1,
+    }
+}
+
+/// The traffic class that owns `bin` (the inverse of the layout
+/// [`bin_for`] indexes into).
+pub fn class_of_bin(bin: usize) -> Mode {
+    if bin == BINS - 1 {
+        Mode::Classify
+    } else if bin >= SHORT_BINS {
+        Mode::Long
+    } else {
+        Mode::Short
+    }
+}
+
+/// Batching policy parameters: the fill threshold of each traffic class
+/// whose batch size a deployment sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Upper bounds (exclusive) of the short-read length bins; lengths ≥
-    /// the last bound share one overflow bin. The defaults separate
-    /// short Illumina-class reads from mid and long reads.
-    pub bin_bounds: Vec<usize>,
-    /// Flush a bin as soon as it holds this many requests.
+    /// Flush a short-read bin as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Upper bounds (exclusive) of the long-read length bins. Empty
-    /// disables long-read bins entirely (long requests then fall back to
-    /// the short bins); non-empty adds `len + 1` dedicated bins after
-    /// the short ones.
-    pub long_bin_bounds: Vec<usize>,
     /// Fill threshold for long-read bins. Long batches are small: one
     /// 20 kb GACT fill costs ~100× a 100 bp extension, so the fill
     /// threshold must trip earlier to keep bin latency comparable.
     pub long_max_batch: usize,
-    /// Whether the dedicated classify bin (always the last bin) exists.
-    pub classify_bin: bool,
-    /// Fill threshold for the classify bin.
-    pub classify_max_batch: usize,
 }
 
 impl Default for BatcherConfig {
     fn default() -> BatcherConfig {
         BatcherConfig {
-            bin_bounds: vec![256, 1024, 4096],
             max_batch: 64,
-            long_bin_bounds: Vec::new(),
             long_max_batch: 8,
-            classify_bin: false,
-            classify_max_batch: 16,
         }
     }
 }
 
 impl BatcherConfig {
-    /// Default long-read bin bounds: one split at 16 kb separates
-    /// mid-length (ONT/PacBio CCS class) from ultralong reads.
-    pub const DEFAULT_LONG_BIN_BOUNDS: [usize; 1] = [16_384];
-
-    /// Enables the long-read and classify bins if the caller did not
-    /// configure them explicitly. The server calls this at launch so
-    /// every serving deployment can accept all three request modes.
-    pub fn ensure_mode_bins(&mut self) {
-        if self.long_bin_bounds.is_empty() {
-            self.long_bin_bounds = Self::DEFAULT_LONG_BIN_BOUNDS.to_vec();
-        }
-        self.classify_bin = true;
-    }
-
-    /// Number of short-read bins (the bounds plus the overflow bin).
-    pub fn short_bins(&self) -> usize {
-        self.bin_bounds.len() + 1
-    }
-
-    /// Number of long-read bins (0 when disabled).
-    pub fn long_bins(&self) -> usize {
-        if self.long_bin_bounds.is_empty() {
-            0
-        } else {
-            self.long_bin_bounds.len() + 1
-        }
-    }
-
-    /// Total number of bins across all traffic classes.
-    pub fn bins(&self) -> usize {
-        self.short_bins() + self.long_bins() + usize::from(self.classify_bin)
-    }
-
-    /// The short-class bin index for a read of `len` bases.
-    pub fn bin_of(&self, len: usize) -> usize {
-        self.bin_bounds
-            .iter()
-            .position(|&b| len < b)
-            .unwrap_or(self.bin_bounds.len())
-    }
-
-    /// The bin for a request: mode first, length second. Long requests
-    /// fall back to the short bins when long bins are disabled (a
-    /// server that never called
-    /// [`ensure_mode_bins`](BatcherConfig::ensure_mode_bins)); classify
-    /// likewise.
-    pub fn bin_for(&self, mode: Mode, len: usize) -> usize {
-        match mode {
-            Mode::Short => self.bin_of(len),
-            Mode::Long if self.long_bins() > 0 => {
-                self.short_bins()
-                    + self
-                        .long_bin_bounds
-                        .iter()
-                        .position(|&b| len < b)
-                        .unwrap_or(self.long_bin_bounds.len())
-            }
-            Mode::Classify if self.classify_bin => self.bins() - 1,
-            Mode::Long | Mode::Classify => self.bin_of(len),
-        }
-    }
-
-    /// The traffic class that owns `bin` (the inverse of the layout
-    /// [`bin_for`](BatcherConfig::bin_for) indexes into).
-    pub fn class_of_bin(&self, bin: usize) -> Mode {
-        if self.classify_bin && bin == self.bins() - 1 {
-            Mode::Classify
-        } else if bin >= self.short_bins() && self.long_bins() > 0 {
-            Mode::Long
-        } else {
-            Mode::Short
-        }
-    }
+    /// Does nothing: every batcher has the long-read and classify bins.
+    /// Its one caller is the repository benchmark's staged replay
+    /// (`benchmark/src/adapter.rs`); the method can go once that replay is
+    /// dropped (ROADMAP item 1(a)).
+    pub fn ensure_mode_bins(&mut self) {}
 
     /// The fill threshold for `bin`: its traffic class's knob.
     pub fn class_max_batch(&self, bin: usize) -> usize {
-        match self.class_of_bin(bin) {
+        match class_of_bin(bin) {
             Mode::Short => self.max_batch,
             Mode::Long => self.long_max_batch,
-            Mode::Classify => self.classify_max_batch,
+            Mode::Classify => CLASSIFY_MAX_BATCH,
         }
     }
 
     /// Checks the invariants [`Batcher::new`] promises; the server refuses
     /// to start on an `Err` rather than panic after it has bound.
     pub(crate) fn validate(&self) -> Result<(), &'static str> {
-        if self.max_batch == 0 {
-            return Err("max_batch must be positive");
-        }
-        if self.long_max_batch == 0 || self.classify_max_batch == 0 {
-            return Err("class max_batch knobs must be positive");
-        }
-        if !self.bin_bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err("bin bounds must be strictly increasing");
-        }
-        if !self.long_bin_bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err("long bin bounds must be strictly increasing");
+        if self.max_batch == 0 || self.long_max_batch == 0 {
+            return Err("max_batch and long_max_batch must be positive");
         }
         Ok(())
     }
@@ -253,17 +195,16 @@ impl<T> Batcher<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch == 0` or the bin bounds are not strictly
-    /// increasing.
+    /// Panics if `max_batch` or `long_max_batch` is 0.
     pub fn new(config: BatcherConfig) -> Batcher<T> {
         config.validate().unwrap_or_else(|why| panic!("{why}"));
-        let bins = (0..config.bins()).map(|_| Vec::new()).collect();
+        let bins = (0..BINS).map(|_| Vec::new()).collect();
         Batcher { config, bins }
     }
 
     /// Admits one request, returning any batch its arrival completed.
     pub fn offer(&mut self, item: BatchItem<T>, now: Instant) -> Option<Batch<T>> {
-        let bin = self.config.bin_for(item.mode, item.len);
+        let bin = bin_for(item.mode, item.len);
         self.bins[bin].push(item);
         if self.bins[bin].len() >= self.config.class_max_batch(bin) {
             Some(self.flush_bin(bin, FlushReason::Fill, now))
@@ -299,7 +240,7 @@ impl<T> Batcher<T> {
     fn flush_bin(&mut self, bin: usize, reason: FlushReason, now: Instant) -> Batch<T> {
         let mut batch = Batch {
             bin,
-            mode: self.config.class_of_bin(bin),
+            mode: class_of_bin(bin),
             reason,
             taken_at: now,
             items: std::mem::take(&mut self.bins[bin]),
@@ -341,7 +282,6 @@ mod tests {
 
     fn config(max_batch: usize) -> BatcherConfig {
         BatcherConfig {
-            bin_bounds: vec![256, 1024],
             max_batch,
             ..BatcherConfig::default()
         }
@@ -349,12 +289,13 @@ mod tests {
 
     #[test]
     fn bin_selection_covers_the_length_axis() {
-        let c = BatcherConfig::default();
-        assert_eq!(c.bin_of(0), 0);
-        assert_eq!(c.bin_of(101), 0);
-        assert_eq!(c.bin_of(256), 1);
-        assert_eq!(c.bin_of(5000), 3);
-        assert_eq!(c.bins(), 4);
+        assert_eq!(bin_for(Mode::Short, 0), 0);
+        assert_eq!(bin_for(Mode::Short, 101), 0);
+        assert_eq!(bin_for(Mode::Short, 255), 0);
+        assert_eq!(bin_for(Mode::Short, 256), 1);
+        assert_eq!(bin_for(Mode::Short, 4096), 3);
+        assert_eq!(bin_for(Mode::Short, 50_000), 3);
+        assert_eq!(BINS, 7);
     }
 
     #[test]
@@ -425,41 +366,22 @@ mod tests {
         assert_eq!(batch.expired[0].payload, 1);
     }
 
-    /// A config with every traffic class enabled (what the server runs
-    /// after `ensure_mode_bins`).
-    fn mode_config(max_batch: usize) -> BatcherConfig {
-        let mut c = config(max_batch);
-        c.ensure_mode_bins();
-        c
-    }
-
     #[test]
-    fn mode_bins_extend_the_layout_without_moving_short_bins() {
-        let plain = config(64);
-        let moded = mode_config(64);
-        // Default geometry is untouched: short deployments see nothing.
-        assert_eq!(plain.bins(), 3);
-        assert_eq!(plain.bin_for(Mode::Short, 100), plain.bin_of(100));
-        // Enabling modes appends bins: 3 short + 2 long + 1 classify.
-        assert_eq!(moded.bins(), 6);
-        assert_eq!(moded.short_bins(), 3);
-        assert_eq!(moded.long_bins(), 2);
-        for len in [0, 100, 500, 5000] {
-            assert_eq!(moded.bin_for(Mode::Short, len), plain.bin_of(len));
-        }
+    fn the_layout_is_short_then_long_then_classify() {
         // Long reads bin by length within the long group.
-        assert_eq!(moded.bin_for(Mode::Long, 5_000), 3);
-        assert_eq!(moded.bin_for(Mode::Long, 30_000), 4);
+        assert_eq!(bin_for(Mode::Long, 5_000), 4);
+        assert_eq!(bin_for(Mode::Long, 16_383), 4);
+        assert_eq!(bin_for(Mode::Long, 30_000), 5);
         // Mode beats length: a 100 bp read sent as long stays long.
-        assert_eq!(moded.bin_for(Mode::Long, 100), 3);
-        assert_eq!(moded.bin_for(Mode::Classify, 5_000), 5);
+        assert_eq!(bin_for(Mode::Long, 100), 4);
+        assert_eq!(bin_for(Mode::Classify, 5_000), 6);
         // class_of_bin inverts the layout.
-        for bin in 0..moded.bins() {
-            let class = moded.class_of_bin(bin);
+        for bin in 0..BINS {
+            let class = class_of_bin(bin);
             match bin {
-                0..=2 => assert_eq!(class, Mode::Short),
-                3 | 4 => assert_eq!(class, Mode::Long),
-                5 => assert_eq!(class, Mode::Classify),
+                0..=3 => assert_eq!(class, Mode::Short),
+                4 | 5 => assert_eq!(class, Mode::Long),
+                6 => assert_eq!(class, Mode::Classify),
                 _ => unreachable!(),
             }
         }
@@ -467,9 +389,8 @@ mod tests {
 
     #[test]
     fn modes_never_share_a_batch() {
-        let mut c = mode_config(2);
+        let mut c = config(2);
         c.long_max_batch = 2;
-        c.classify_max_batch = 2;
         let mut b = Batcher::new(c);
         let t0 = Instant::now();
         // Same length, three modes: three distinct bins.
@@ -487,10 +408,12 @@ mod tests {
 
     #[test]
     fn long_and_classify_bins_use_their_class_knobs() {
-        let c = mode_config(64);
+        let c = config(64);
         assert_eq!(c.class_max_batch(0), 64);
-        assert_eq!(c.class_max_batch(3), c.long_max_batch);
-        assert_eq!(c.class_max_batch(5), c.classify_max_batch);
+        assert_eq!(c.class_max_batch(3), 64);
+        assert_eq!(c.class_max_batch(4), c.long_max_batch);
+        assert_eq!(c.class_max_batch(5), c.long_max_batch);
+        assert_eq!(c.class_max_batch(6), CLASSIFY_MAX_BATCH);
     }
 
     #[test]

@@ -151,14 +151,12 @@ mod tests {
     use crate::protocol::Mode;
     use std::time::Duration;
 
-    /// Short bin fills at 3, long bins at 2; all three modes binned.
+    /// Short bins fill at 3, long bins at 2.
     fn dispatcher(capacity: usize) -> Dispatcher<u64> {
-        let mut config = BatcherConfig {
+        let config = BatcherConfig {
             max_batch: 3,
             long_max_batch: 2,
-            ..BatcherConfig::default()
         };
-        config.ensure_mode_bins();
         Dispatcher::new(config, capacity)
     }
 

@@ -1,9 +1,9 @@
 //! The flight recorder: a fixed-capacity ring of recent serving events.
 //!
-//! When a worker panics or a shed storm hits, cumulative counters say
-//! *that* something happened; the flight recorder says *what led up to
-//! it* — the last `cap` admission/shed/batch/panic events, dumped to JSON
-//! at the moment of the trigger. It is the post-incident half of the
+//! When a worker panics, cumulative counters say *that* something
+//! happened; the flight recorder says *what led up to it* — the last
+//! `cap` admission/shed/batch/panic events, dumped to JSON at the moment
+//! of the trigger. It is the post-incident half of the
 //! observability plane (the `stats` endpoint is the live half).
 //!
 //! The ring has no lock of its own: it lives inside the metrics hub

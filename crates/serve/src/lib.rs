@@ -32,8 +32,8 @@
 //!   shed/deadline counters, Chrome-trace spans per batch plus a
 //!   per-request span chain for every admitted request, and a
 //!   fixed-capacity flight recorder of recent request and batch events,
-//!   dumped on worker panic, shed storms, or demand — every serving
-//!   event reaches all of them through one hub ([`ServeMetrics`]),
+//!   dumped on worker panic or on demand — every serving event reaches
+//!   all of them through one hub ([`ServeMetrics`]),
 //! * and a calibrated open/closed-loop load generator that can scrape
 //!   live `stats` snapshots mid-run and grade them against SLO targets
 //!   ([`loadgen`]).
@@ -59,7 +59,7 @@ pub mod signal;
 
 pub use backend::BackendKind;
 pub use batcher::BatcherConfig;
-pub use metrics::{ObservabilityConfig, ServeMetrics};
+pub use metrics::ServeMetrics;
 pub use protocol::{AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore};
 #[cfg(unix)]
 pub use reactor::raise_nofile_limit;

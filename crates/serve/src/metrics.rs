@@ -14,14 +14,13 @@
 //! Every metric is registered at construction from the name tables
 //! below (a superset of `nvwa_telemetry::snapshot::SERVE_REQUIRED_*`), so
 //! a snapshot taken before the first request is already schema-complete.
-//! The two flight-dump triggers (a shed storm, a worker panic) fire
-//! inside the hub.
+//! A worker panic dumps the flight ring from inside the hub.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::batcher::FlushReason;
+use crate::batcher::{class_of_bin, FlushReason, BINS};
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::lock;
 use crate::protocol::Mode;
@@ -32,6 +31,19 @@ use nvwa_telemetry::{
 
 /// Trace process id for the serving layer (the simulator uses 0 and 1).
 const PID_SERVE: u32 = 2;
+
+/// The SLO window, in microseconds (the windows' tick): a trailing second.
+const SLO_WINDOW_US: u64 = 1_000_000;
+
+/// The SLO window's step (ring-bucket width) in microseconds; divides
+/// [`SLO_WINDOW_US`].
+const SLO_STEP_US: u64 = 100_000;
+
+/// Span chains the span log keeps; later ones are counted as dropped.
+const SPAN_LOG_CAP: usize = 1 << 16;
+
+/// Events the flight ring keeps.
+const FLIGHT_CAP: usize = 512;
 
 /// First Chrome-trace track id used for per-request span chains (worker
 /// batch spans use tracks `0..workers`).
@@ -184,41 +196,6 @@ pub(crate) enum Event {
     },
 }
 
-/// Knobs for the live observability plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObservabilityConfig {
-    /// SLO aggregation window in milliseconds.
-    pub slo_window_ms: u64,
-    /// SLO window step (ring-bucket width) in milliseconds; must divide
-    /// the window.
-    pub slo_step_ms: u64,
-    /// Per-request span log capacity (chains beyond this are counted as
-    /// dropped, not stored).
-    pub span_log_cap: usize,
-    /// Flight-recorder ring capacity.
-    pub flight_cap: usize,
-    /// Where to write flight-recorder dumps on a trigger (worker panic or
-    /// shed storm). `None` disables automatic dumps to disk; the `flight`
-    /// wire request still works.
-    pub flight_dump: Option<PathBuf>,
-    /// Dump the flight recorder when this many requests are shed within
-    /// one SLO window (at most once per server run).
-    pub shed_storm_threshold: Option<u64>,
-}
-
-impl Default for ObservabilityConfig {
-    fn default() -> ObservabilityConfig {
-        ObservabilityConfig {
-            slo_window_ms: 1_000,
-            slo_step_ms: 100,
-            span_log_cap: 1 << 16,
-            flight_cap: 512,
-            flight_dump: None,
-            shed_storm_threshold: None,
-        }
-    }
-}
-
 /// Per-shard outcome counters of one tenant.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardStats {
@@ -251,12 +228,7 @@ struct Inner {
     slo: SloWindow,
     span_log: SpanLog,
     flight: FlightRecorder,
-    /// The shed-storm threshold, spent (`None`) once it fires.
-    shed_storm: Option<u64>,
     tenants: Vec<TenantStats>,
-    /// Per-bin request mode; routes span chains onto per-mode trace
-    /// tracks.
-    bin_modes: Vec<Mode>,
 }
 
 impl Inner {
@@ -318,24 +290,23 @@ impl Inner {
 /// Thread-safe serve metrics hub.
 pub struct ServeMetrics {
     inner: Mutex<Inner>,
-    /// Where trigger dumps are written (`ObservabilityConfig::flight_dump`).
+    /// Where worker-panic dumps are written (`ServerConfig::flight_dump`).
     dump_dir: Option<PathBuf>,
     /// Server start; all trace/span timestamps are relative to it.
     epoch: Instant,
 }
 
 impl ServeMetrics {
-    /// The hub of a server with `workers` worker threads in all, a
-    /// batcher whose bin `b` serves requests of mode `bin_modes[b]`, and
+    /// The hub of a server with `workers` worker threads in all and
     /// `tenants` as `(name, shards)` rows in the server's tenant order.
-    /// `trace` enables the per-batch/per-request Chrome-trace recorder.
+    /// `trace` enables the per-batch/per-request Chrome-trace recorder;
+    /// `flight_dump` is where worker-panic dumps go.
     pub(crate) fn new(
         queue_capacity: usize,
         workers: usize,
-        bin_modes: Vec<Mode>,
         tenants: &[(&str, usize)],
         trace: bool,
-        obs: &ObservabilityConfig,
+        flight_dump: Option<PathBuf>,
     ) -> ServeMetrics {
         let mut registry = MetricsRegistry::new();
         let counters = COUNTERS.iter().map(|name| registry.counter(name)).collect();
@@ -350,11 +321,9 @@ impl ServeMetrics {
             let mut t = TraceRecorder::new();
             t.name_process(PID_SERVE, "nvwa-serve");
             for mode in [Mode::Short, Mode::Long, Mode::Classify] {
-                if mode == Mode::Short || bin_modes.contains(&mode) {
-                    let (base, tracks, name, _) = mode_trace(mode);
-                    for i in 0..tracks {
-                        t.name_thread(PID_SERVE, base + i, &format!("{name} {i}"));
-                    }
+                let (base, tracks, name, _) = mode_trace(mode);
+                for i in 0..tracks {
+                    t.name_thread(PID_SERVE, base + i, &format!("{name} {i}"));
                 }
             }
             for worker in 0..workers {
@@ -362,11 +331,7 @@ impl ServeMetrics {
             }
             t
         });
-        // The SLO windows tick in microseconds.
-        let window = WindowConfig::new(
-            obs.slo_window_ms.max(1) * 1_000,
-            obs.slo_step_ms.max(1) * 1_000,
-        );
+        let window = WindowConfig::new(SLO_WINDOW_US, SLO_STEP_US);
         let tenants = tenants
             .iter()
             .map(|&(name, shards)| TenantStats {
@@ -384,14 +349,12 @@ impl ServeMetrics {
                 gauges,
                 histograms,
                 trace,
-                slo: SloWindow::new(window, bin_modes.len()),
-                span_log: SpanLog::new(obs.span_log_cap),
-                flight: FlightRecorder::new(obs.flight_cap),
-                shed_storm: obs.shed_storm_threshold,
+                slo: SloWindow::new(window, BINS),
+                span_log: SpanLog::new(SPAN_LOG_CAP),
+                flight: FlightRecorder::new(FLIGHT_CAP),
                 tenants,
-                bin_modes,
             }),
-            dump_dir: obs.flight_dump.clone(),
+            dump_dir: flight_dump,
             epoch: Instant::now(),
         }
     }
@@ -415,7 +378,7 @@ impl ServeMetrics {
         let t = t_us as u64;
         let mut guard = lock(&self.inner);
         let m = &mut *guard;
-        let mut dump = None;
+        let mut panicked = false;
         match event {
             Event::Connection => m.inc(C::Connections, 1),
             Event::ProtocolError => m.inc(C::ProtocolErrors, 1),
@@ -470,13 +433,6 @@ impl ServeMetrics {
                         slot.slo.record_shed(t);
                     }
                 }
-                // The windowed shed count crossed the storm threshold:
-                // freeze the lead-up. The threshold is spent, so a storm
-                // fires once per server run.
-                if m.shed_storm.is_some_and(|n| m.slo.shed_in_window(t) >= n) {
-                    m.shed_storm = None;
-                    dump = Some("shed_storm");
-                }
             }
             Event::ShardDead { tenant, shard } => {
                 m.inc(C::ShardsKilled, 1);
@@ -517,7 +473,7 @@ impl ServeMetrics {
             Event::Panic { seq, worker } => {
                 m.flight.record(t_us, K::Panic, seq, worker as u64, 0);
                 m.inc(C::WorkerPanics, 1);
-                dump = Some("worker_panic");
+                panicked = true;
             }
             Event::BatchDone {
                 seq,
@@ -537,8 +493,7 @@ impl ServeMetrics {
                 m.inc(C::SeedCacheHits, hits);
                 m.inc(C::SeedCacheLookups, lookups);
                 if let Some(trace) = m.trace.as_mut() {
-                    let mode = m.bin_modes.get(bin).copied().unwrap_or_default();
-                    let (.., label) = mode_trace(mode);
+                    let (.., label) = mode_trace(class_of_bin(bin));
                     let name = format!("batch {label}bin{bin} n{size}");
                     let start_us = taken.saturating_duration_since(self.epoch).as_secs_f64() * 1e6;
                     let dur_us = exec.as_secs_f64() * 1e6;
@@ -584,8 +539,7 @@ impl ServeMetrics {
                     m.slo.record_completed(done_us, chain.bin, e2e_us);
                 }
                 if let Some(trace) = m.trace.as_mut() {
-                    let mode = m.bin_modes.get(chain.bin).copied().unwrap_or_default();
-                    let (base, tracks, ..) = mode_trace(mode);
+                    let (base, tracks, ..) = mode_trace(class_of_bin(chain.bin));
                     let tid = base + (chain.trace_id % u64::from(tracks)) as u32;
                     for span in &chain.spans {
                         trace.complete_with_args(
@@ -605,8 +559,8 @@ impl ServeMetrics {
             }
         }
         drop(guard);
-        if let Some(reason) = dump {
-            self.dump_flight(reason);
+        if panicked {
+            self.dump_flight("worker_panic");
         }
     }
 
@@ -683,11 +637,9 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Two tenants, `alpha` with two shards and `beta` with one, over a
-    /// batcher with two short bins, a long bin and a classify bin.
-    fn hub(trace: bool, obs: &ObservabilityConfig) -> ServeMetrics {
-        let modes = vec![Mode::Short, Mode::Short, Mode::Long, Mode::Classify];
-        ServeMetrics::new(8, 2, modes, &[("alpha", 2), ("beta", 1)], trace, obs)
+    /// Two tenants, `alpha` with two shards and `beta` with one.
+    fn hub(trace: bool, flight_dump: Option<PathBuf>) -> ServeMetrics {
+        ServeMetrics::new(8, 2, &[("alpha", 2), ("beta", 1)], trace, flight_dump)
     }
 
     fn meta() -> SnapshotMeta {
@@ -784,7 +736,7 @@ mod tests {
 
     #[test]
     fn idle_hub_emits_schema_complete_snapshot_and_stats() {
-        let metrics = hub(false, &ObservabilityConfig::default());
+        let metrics = hub(false, None);
         validate(Kind::ServeSnapshot, &metrics.snapshot(&meta())).unwrap();
         stats(&metrics);
         validate(Kind::SpanLog, &metrics.span_log_doc()).unwrap();
@@ -795,7 +747,7 @@ mod tests {
     fn a_panic_under_the_metrics_lock_does_not_stop_the_hub() {
         // A worker can die while it holds the hub's mutex; the reactor
         // thread takes the same mutex on every admission.
-        let metrics = hub(false, &ObservabilityConfig::default());
+        let metrics = hub(false, None);
         let died = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -813,13 +765,16 @@ mod tests {
 
     #[test]
     fn each_event_moves_exactly_its_cells() {
-        // A window long enough that nothing expires mid-test.
-        let obs = ObservabilityConfig {
-            slo_window_ms: 600_000,
-            slo_step_ms: 1_000,
-            ..ObservabilityConfig::default()
-        };
-        let metrics = hub(true, &obs);
+        let metrics = hub(true, None);
+        {
+            // Windows long enough that nothing expires mid-test.
+            let window = WindowConfig::new(600_000_000, 1_000_000);
+            let mut inner = lock(&metrics.inner);
+            inner.slo = SloWindow::new(window, BINS);
+            for slot in &mut inner.tenants {
+                slot.slo = SloWindow::new(window, 1);
+            }
+        }
         let admitted = |trace_id, depth, mode, tenant, shard| Event::Admitted {
             trace_id,
             conn: 1,
@@ -966,7 +921,7 @@ mod tests {
                 Event::BatchStart {
                     seq: 0,
                     reason: FlushReason::Fill,
-                    bin: 2,
+                    bin: 4,
                     size: 4,
                     depth: 0,
                 },
@@ -986,7 +941,7 @@ mod tests {
                 Event::BatchDone {
                     seq: 0,
                     worker: 1,
-                    bin: 2,
+                    bin: 4,
                     size: 4,
                     taken: Instant::now(),
                     done: Instant::now() + std::time::Duration::from_micros(250),
@@ -1006,7 +961,7 @@ mod tests {
             ),
             (
                 Event::RequestDone {
-                    chain: chain(7, 2, Outcome::Unmapped, &metrics),
+                    chain: chain(7, 4, Outcome::Unmapped, &metrics),
                     tenant: 0,
                     shard: 1,
                 },
@@ -1018,7 +973,7 @@ mod tests {
             ),
             (
                 Event::RequestDone {
-                    chain: chain(8, 3, Outcome::Ok, &metrics),
+                    chain: chain(8, 6, Outcome::Ok, &metrics),
                     tenant: 1,
                     shard: 0,
                 },
@@ -1079,7 +1034,7 @@ mod tests {
         assert_eq!(flight(&metrics, "last_dump_error"), JsonValue::Null);
         let trace = metrics.trace_json().unwrap();
         for name in [
-            "\"batch long bin2 n4\"",
+            "\"batch long bin4 n4\"",
             "\"requests 7\"",
             "\"long-read requests 3\"",
             "\"classify requests 1\"",
@@ -1094,39 +1049,12 @@ mod tests {
     }
 
     #[test]
-    fn shed_storm_fires_exactly_once() {
-        let obs = ObservabilityConfig {
-            shed_storm_threshold: Some(3),
-            ..ObservabilityConfig::default()
-        };
-        let metrics = hub(false, &obs);
-        for (id, dumps) in [(0, 0.0), (1, 0.0), (2, 1.0), (3, 1.0)] {
-            metrics.record(Event::Shed {
-                id,
-                conn: 0,
-                tenant: None,
-            });
-            // The third shed crosses the threshold; the storm fires at
-            // most once.
-            assert_eq!(flight(&metrics, "dumps").as_num(), Some(dumps), "shed {id}");
-        }
-        assert_eq!(
-            flight(&metrics, "last_dump_reason").as_str(),
-            Some("shed_storm")
-        );
-    }
-
-    #[test]
     fn a_failed_flight_dump_is_reported_not_counted_as_a_write_error() {
         // A regular file where the dump directory should be: neither
         // `create_dir_all` nor the write can succeed.
         let file = std::env::temp_dir().join(format!("nvwa-flight-file-{}", std::process::id()));
         std::fs::write(&file, b"").unwrap();
-        let obs = ObservabilityConfig {
-            flight_dump: Some(file.clone()),
-            ..ObservabilityConfig::default()
-        };
-        let metrics = hub(false, &obs);
+        let metrics = hub(false, Some(file.clone()));
         metrics.record(Event::Panic { seq: 0, worker: 0 });
         let error = flight(&metrics, "last_dump_error");
         std::fs::remove_file(&file).unwrap();
@@ -1146,11 +1074,8 @@ mod tests {
         // `events.len() == min(recorded, cap)`. The large ring never
         // fills (4 × 384 < 2048); the small one wraps continuously.
         for cap in [2048usize, 64].repeat(8) {
-            let obs = ObservabilityConfig {
-                flight_cap: cap,
-                ..ObservabilityConfig::default()
-            };
-            let metrics = hub(false, &obs);
+            let metrics = hub(false, None);
+            lock(&metrics.inner).flight = FlightRecorder::new(cap);
             let writers_done = AtomicU64::new(0);
             std::thread::scope(|scope| {
                 for t in 0..4u64 {
@@ -1192,11 +1117,8 @@ mod tests {
 
     #[test]
     fn span_log_keeps_exactly_once_accounting() {
-        let obs = ObservabilityConfig {
-            span_log_cap: 2,
-            ..ObservabilityConfig::default()
-        };
-        let metrics = hub(false, &obs);
+        let metrics = hub(false, None);
+        lock(&metrics.inner).span_log = SpanLog::new(2);
         for id in 0..5u64 {
             let chain = RequestSpans::chain(
                 id,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvwa_align::long_read::{LongReadAligner, LongReadConfig};
-use nvwa_align::pipeline::AlignScratch;
+use nvwa_align::pipeline::{AlignScratch, AlignerConfig};
 use nvwa_index::minimizer::minimizers;
 use nvwa_index::trace::NullTrace;
 use nvwa_telemetry::{Outcome, RequestSpans, Stage};
@@ -209,7 +209,7 @@ fn run_short(
         .collect();
     let outcome = execute_batch_with(
         &engine.index,
-        &shared.config.aligner,
+        &AlignerConfig::default(),
         &shared.config.backend,
         &pairs,
         scratch,

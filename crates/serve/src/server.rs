@@ -40,12 +40,13 @@
 //!   admitted request is never dropped.
 
 use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nvwa_align::long_read::LongReadIndex;
-use nvwa_align::pipeline::{AlignerConfig, ReferenceIndex};
+use nvwa_align::pipeline::ReferenceIndex;
 use nvwa_index::minimizer::MinimizerParams;
 #[cfg(not(unix))]
 use nvwa_telemetry::JsonValue;
@@ -53,7 +54,7 @@ use nvwa_telemetry::JsonValue;
 use crate::backend::BackendKind;
 use crate::batcher::BatcherConfig;
 use crate::dispatch::Dispatcher;
-use crate::metrics::{Event, ObservabilityConfig, ServeMetrics};
+use crate::metrics::{Event, ServeMetrics};
 #[cfg(unix)]
 pub(crate) use crate::reactor::ReactorConn;
 use crate::registry::{AdmitGuard, Tenant};
@@ -88,8 +89,6 @@ pub struct ServerConfig {
     pub batch: BatcherConfig,
     /// Batch execution backend.
     pub backend: BackendKind,
-    /// Software-aligner parameters (shared with the offline pipeline).
-    pub aligner: AlignerConfig,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Default deadline for `mode: "long"` requests without their own
@@ -106,9 +105,10 @@ pub struct ServerConfig {
     /// Record a Chrome trace of batch execution and per-request stage
     /// spans.
     pub trace: bool,
-    /// Live-observability knobs: SLO window geometry, span-log and
-    /// flight-recorder capacities, dump triggers.
-    pub obs: ObservabilityConfig,
+    /// Directory a worker panic freezes the flight recorder into
+    /// (`flight_worker_panic.json`). `None` writes no file; the `flight`
+    /// wire request still works.
+    pub flight_dump: Option<PathBuf>,
     /// Test hook: artificial delay per batch execution, to provoke
     /// backpressure and deadline expiry deterministically in tests.
     pub worker_delay: Option<Duration>,
@@ -128,13 +128,12 @@ impl Default for ServerConfig {
             workers: nvwa_sim::par::current_threads(),
             batch: BatcherConfig::default(),
             backend: BackendKind::Software,
-            aligner: AlignerConfig::default(),
             default_deadline: None,
             long_deadline: None,
             classify_deadline: None,
             registry_budget: None,
             trace: false,
-            obs: ObservabilityConfig::default(),
+            flight_dump: None,
             worker_delay: None,
             worker_panic_at_batch: None,
         }
@@ -266,11 +265,7 @@ impl Server {
     }
 
     #[cfg(unix)]
-    fn launch(mut config: ServerConfig, tenants: Vec<Tenant>) -> std::io::Result<Server> {
-        // Every serving deployment accepts all three request modes: give
-        // long-read and classify traffic their dedicated bins (and class
-        // knobs) before anything derives the bin geometry.
-        config.batch.ensure_mode_bins();
+    fn launch(config: ServerConfig, tenants: Vec<Tenant>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -283,12 +278,9 @@ impl Server {
         let metrics = Arc::new(ServeMetrics::new(
             config.queue_capacity,
             workers_per_engine * engine_count,
-            (0..config.batch.bins())
-                .map(|b| config.batch.class_of_bin(b))
-                .collect(),
             &rows,
             config.trace,
-            &config.obs,
+            config.flight_dump.clone(),
         ));
         let mut engines = Vec::with_capacity(engine_count);
         let mut routes = Vec::with_capacity(tenants.len());

@@ -78,17 +78,6 @@ impl<E> EventQueue<E> {
             .map(|Entry(cycle, _, payload)| (cycle, payload))
     }
 
-    /// Removes and returns the earliest event **if** it is scheduled at
-    /// `cycle`. Repeated calls drain a cycle in push order; an event pushed
-    /// *at* `cycle` during the drain has a later sequence number than every
-    /// event already queued there, so it is returned by the same drain.
-    pub fn pop_while(&mut self, cycle: Cycle) -> Option<E> {
-        if self.peek_cycle()? != cycle {
-            return None;
-        }
-        self.heap.pop().map(|Entry(_, _, payload)| payload)
-    }
-
     /// The cycle of the earliest event, if any.
     pub fn peek_cycle(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.0)
@@ -159,58 +148,5 @@ mod tests {
         q.push(2, NoOrd(2.0));
         q.push(1, NoOrd(1.0));
         assert_eq!(q.pop().unwrap().1, NoOrd(1.0));
-    }
-
-    #[test]
-    fn pop_while_drains_only_the_given_cycle() {
-        let mut q = EventQueue::new();
-        q.push(5, "a");
-        q.push(5, "b");
-        q.push(6, "c");
-        assert_eq!(q.pop_while(5), Some("a"));
-        assert_eq!(q.pop_while(5), Some("b"));
-        assert_eq!(q.pop_while(5), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_while(6), Some("c"));
-        assert!(q.is_empty());
-        assert_eq!(q.pop_while(6), None);
-    }
-
-    #[test]
-    fn pop_while_sees_events_pushed_mid_drain() {
-        let mut q = EventQueue::new();
-        q.push(3, 0);
-        assert_eq!(q.pop_while(3), Some(0));
-        q.push(3, 1); // same-cycle event scheduled while handling event 0
-        q.push(4, 2);
-        assert_eq!(q.pop_while(3), Some(1));
-        assert_eq!(q.pop_while(3), None);
-        assert_eq!(q.pop(), Some((4, 2)));
-    }
-
-    #[test]
-    fn mixed_pop_and_pop_while_agree_with_heap_semantics() {
-        // Replay the same pushes through pop() alone and through a
-        // pop_while-based drain; the observed (cycle, payload) order must
-        // be identical.
-        let pushes = [(4u64, 'd'), (2, 'a'), (2, 'b'), (9, 'e'), (2, 'c')];
-        let mut reference = EventQueue::new();
-        let mut drained = EventQueue::new();
-        for &(c, v) in &pushes {
-            reference.push(c, v);
-            drained.push(c, v);
-        }
-        let mut by_pop = Vec::new();
-        while let Some(ev) = reference.pop() {
-            by_pop.push(ev);
-        }
-        let mut by_drain = Vec::new();
-        while let Some((cycle, first)) = drained.pop() {
-            by_drain.push((cycle, first));
-            while let Some(more) = drained.pop_while(cycle) {
-                by_drain.push((cycle, more));
-            }
-        }
-        assert_eq!(by_pop, by_drain);
     }
 }

@@ -202,11 +202,6 @@ impl SloWindow {
         self.shed.add(t, 1);
     }
 
-    /// Shed count over the window ending at `t` (the shed-storm trigger).
-    pub fn shed_in_window(&mut self, t: u64) -> u64 {
-        self.shed.view(t)
-    }
-
     /// `n` deadlines missed at `t`.
     pub fn record_deadline_missed(&mut self, t: u64, n: u64) {
         self.deadline_missed.add(t, n);

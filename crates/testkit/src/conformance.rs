@@ -24,7 +24,7 @@ pub enum Family {
     /// Differential oracles: sw, smem, pipeline, serve-vs-offline.
     Diff,
     /// Bit-parallel banded edit kernel vs DP oracles (its own family so
-    /// `--families extension` can run and minimize it in isolation).
+    /// `--family extension` can run and minimize it in isolation).
     Extension,
     /// Simulator conservation laws over instrumented runs.
     Invariants,
@@ -51,7 +51,7 @@ impl Family {
         Family::LongRead,
     ];
 
-    /// Stable name (CLI `--families` values, report headers).
+    /// Stable name (CLI `--family` values, report headers).
     pub fn name(self) -> &'static str {
         match self {
             Family::Diff => "diff",
@@ -63,7 +63,7 @@ impl Family {
         }
     }
 
-    /// Parses a `--families` item: the family whose [`Family::name`] it is.
+    /// Parses a `--family` value: the family whose [`Family::name`] it is.
     pub fn parse(s: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.name() == s.trim())
     }

@@ -28,13 +28,13 @@ use nvwa_align::pipeline::ReferenceIndex;
 use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig};
 use nvwa_serve::protocol::{read_frame, AlignResponse, Mode, Request, MAX_FRAME_BYTES};
-use nvwa_serve::{
-    BatcherConfig, ObservabilityConfig, ServeMetrics, Server, ServerConfig, Status, Tenant,
-};
+use nvwa_serve::{BatcherConfig, ServeMetrics, Server, ServerConfig, Status, Tenant};
 use nvwa_telemetry::snapshot::{validate, Kind};
 use nvwa_telemetry::JsonValue;
 
-use crate::tenancy::{interleave_tenants, two_tenants, TENANT_A, TENANT_B};
+use crate::tenancy::{
+    every, interleave_tenants, kill_shard_mid_stream, two_tenants, TENANT_A, TENANT_B,
+};
 use crate::Prng;
 
 /// Reference length of the fault fixtures (small: plans start their own
@@ -173,10 +173,7 @@ fn worker_panic_config(workers: usize) -> ServerConfig {
             ..BatcherConfig::default()
         },
         worker_panic_at_batch: Some(1),
-        obs: ObservabilityConfig {
-            flight_dump: Some(flight_dir()),
-            ..ObservabilityConfig::default()
-        },
+        flight_dump: Some(flight_dir()),
         ..ServerConfig::default()
     }
 }
@@ -680,9 +677,10 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
     let (tenants, genomes) = two_tenants();
     let config = ServerConfig {
         workers: 2,
-        // A small per-batch delay keeps requests in flight across the
-        // mid-run kill without slowing the plan meaningfully.
-        worker_delay: Some(Duration::from_micros(500)),
+        // Requests past the first window are admitted only as batches
+        // finish: a 10 ms hold per batch leaves that long for the kill to
+        // land mid-stream.
+        worker_delay: Some(Duration::from_millis(10)),
         ..ServerConfig::default()
     };
     let server = Server::start(tenants, config).map_err(|e| format!("start: {e}"))?;
@@ -693,74 +691,37 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
 
     // Phase 1: the kill races a live mixed load.
     let racing = mix(0x_5AFE_0001, 80);
-    let report = {
-        let addr = addr.clone();
-        let load = load.clone();
-        let handle = std::thread::spawn(move || loadgen::run(&addr, &racing, &load));
-        std::thread::sleep(Duration::from_millis(5));
-        if !server.kill_shard(TENANT_A.key(), 0) {
-            return Err("shard_kill: kill_shard(tenant A, 0) refused".to_string());
-        }
-        handle
-            .join()
-            .map_err(|_| "shard_kill: loadgen thread panicked".to_string())?
-            .map_err(|e| format!("shard_kill: loadgen: {e}"))?
-    };
-    if server.kill_shard(TENANT_A.key(), 0) {
-        return Err("shard_kill: killing the same shard twice must be refused".to_string());
-    }
-    if server.kill_shard(TENANT_A.key(), 9) {
-        return Err("shard_kill: out-of-range shard must be refused".to_string());
-    }
+    let report = kill_shard_mid_stream(&server, &racing, &load, TENANT_A.key(), 0)
+        .map_err(|e| format!("shard_kill: {e}"))?;
     exactly_once(&report, "shard_kill (through the kill)")?;
-    let healthy = tenant_section(&report, TENANT_B.key())?;
-    if healthy.ok != healthy.sent {
-        return Err(format!(
-            "shard_kill: healthy tenant degraded by a neighbor's shard kill: ok {} of {}",
-            healthy.ok, healthy.sent
-        ));
+    every(&report, TENANT_B, 80, Status::Ok, "shard_kill (neighbor)")?;
+    if server.kill_shard(TENANT_A.key(), 0) || server.kill_shard(TENANT_A.key(), 9) {
+        return Err("shard_kill: a dead or out-of-range shard must refuse a kill".to_string());
     }
 
     // Phase 2: post-kill traffic must reroute to the surviving shard.
-    let rerouted_reads = mix(0x_5AFE_0002, 40);
-    let rerouted = loadgen::run(&addr, &rerouted_reads, &load)
+    let rerouted = loadgen::run(&addr, &mix(0x_5AFE_0002, 40), &load)
         .map_err(|e| format!("shard_kill: post-kill loadgen: {e}"))?;
-    let total = &rerouted.total;
-    if !rerouted.is_lossless() || total.ok != total.sent {
+    exactly_once(&rerouted, "shard_kill (rerouted)")?;
+    if rerouted.total.ok != rerouted.total.sent {
         return Err(format!(
-            "shard_kill: rerouting failed: sent {} ok {} shed {} lost {}",
-            total.sent, total.ok, total.shed, total.lost
+            "shard_kill: rerouting failed: {:?}",
+            rerouted.total
         ));
     }
+    every(&rerouted, TENANT_A, 40, Status::Ok, "shard_kill (rerouted)")?;
+    every(&rerouted, TENANT_B, 40, Status::Ok, "shard_kill (rerouted)")?;
 
     // Phase 3: kill the surviving shard — the tenant must shed
     // explicitly while its neighbor still serves.
     if !server.kill_shard(TENANT_A.key(), 1) {
         return Err("shard_kill: kill_shard(tenant A, 1) refused".to_string());
     }
-    let dark_reads = mix(0x_5AFE_0003, 20);
-    let dark = loadgen::run(&addr, &dark_reads, &load)
+    let dark = loadgen::run(&addr, &mix(0x_5AFE_0003, 20), &load)
         .map_err(|e| format!("shard_kill: full-kill loadgen: {e}"))?;
-    if !dark.is_lossless() {
-        return Err(format!(
-            "shard_kill: full kill lost requests: lost {} duplicates {}",
-            dark.total.lost, dark.duplicates
-        ));
-    }
-    let wounded = tenant_section(&dark, TENANT_A.key())?;
-    if wounded.shed != wounded.sent {
-        return Err(format!(
-            "shard_kill: fully-killed tenant must shed all {} requests, shed {}",
-            wounded.sent, wounded.shed
-        ));
-    }
-    let healthy = tenant_section(&dark, TENANT_B.key())?;
-    if healthy.ok != healthy.sent {
-        return Err(format!(
-            "shard_kill: healthy tenant degraded by a full neighbor kill: ok {} of {}",
-            healthy.ok, healthy.sent
-        ));
-    }
+    exactly_once(&dark, "shard_kill (full kill)")?;
+    every(&dark, TENANT_A, 20, Status::Shed, "shard_kill (full kill)")?;
+    every(&dark, TENANT_B, 20, Status::Ok, "shard_kill (full kill)")?;
 
     let metrics = server.shutdown();
     if metrics.counter("serve.shards_killed") != 2 {
@@ -775,18 +736,6 @@ pub fn run_shard_kill_plan(seed: u64) -> Result<String, String> {
          rerouted traffic, full kill shed explicitly, neighbor tenant unaffected, clean drain"
             .to_string(),
     )
-}
-
-fn tenant_section<'a>(
-    report: &'a loadgen::LoadReport,
-    name: &str,
-) -> Result<&'a loadgen::Counts, String> {
-    report
-        .tenants
-        .iter()
-        .find(|t| t.name == name)
-        .map(|t| &t.counts)
-        .ok_or_else(|| format!("shard_kill: report has no tenant section {name:?}"))
 }
 
 /// All plans at one seed; the summary lists each plan's one-liner, plus

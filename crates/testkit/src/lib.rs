@@ -122,26 +122,14 @@ impl Prng {
 pub fn codes_to_dna(codes: &[u8]) -> String {
     codes
         .iter()
-        .map(|&c| match c & 0b11 {
-            0 => 'A',
-            1 => 'C',
-            2 => 'G',
-            _ => 'T',
-        })
+        .map(|&c| b"ACGT"[usize::from(c & 0b11)] as char)
         .collect()
 }
 
 /// Parses an `ACGT` string back to 2-bit codes (reproducer replay).
 pub fn dna_to_codes(s: &str) -> Vec<u8> {
-    s.chars()
-        .filter_map(|ch| match ch.to_ascii_uppercase() {
-            'A' => Some(0),
-            'C' => Some(1),
-            'G' => Some(2),
-            'T' => Some(3),
-            _ => None,
-        })
-        .collect()
+    let code = |ch: char| "ACGT".find(ch.to_ascii_uppercase()).map(|i| i as u8);
+    s.chars().filter_map(code).collect()
 }
 
 /// Polls `done` every millisecond until it holds or `timeout` has passed,

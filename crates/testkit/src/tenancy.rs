@@ -3,17 +3,19 @@
 //! bit-identical to per-species offline aligners, per-tenant conservation
 //! identities over the wire, and unknown-tenant rejection.
 
+use std::time::Duration;
+
 use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa_genome::species::Species;
 use nvwa_genome::{ReadSimParams, ReferenceGenome};
-use nvwa_serve::loadgen::{self, LoadgenConfig, TenantRead};
+use nvwa_serve::loadgen::{self, LoadReport, LoadgenConfig, TenantRead};
 use nvwa_serve::protocol::WireAlignment;
 use nvwa_serve::registry::{region_hash, route_shard};
-use nvwa_serve::{Server, ServerConfig, Tenant};
-use nvwa_telemetry::JsonValue;
+use nvwa_serve::{Server, ServerConfig, Status, Tenant};
+use nvwa_telemetry::{JsonValue, SnapshotMeta};
 
 use crate::faults::{closed_loop, exactly_once, framed, play, short_align, with_field, Owed};
-use crate::Prng;
+use crate::{wait_until, Prng};
 
 /// The two tenants of the registry family: the largest and the smallest
 /// species profile, so the cross-tenant differential exercises distinct
@@ -40,11 +42,7 @@ fn check_routing(seed: u64) -> Result<(), String> {
     for case in 0..16 {
         let len = 40 + prng.below(80) as usize;
         let codes = prng.codes(len);
-        let region = if case % 2 == 0 {
-            Some(prng.next_u64())
-        } else {
-            None
-        };
+        let region = (case % 2 == 0).then(|| prng.next_u64());
         let h = region_hash(region, &codes);
         if h != region_hash(region, &codes) {
             return Err(format!("region_hash not deterministic (case {case})"));
@@ -130,32 +128,14 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
 
     // Conservation, globally and per tenant.
     exactly_once(&report, "registry")?;
-    let total = &report.total;
-    if total.ok != total.sent {
+    let (total, sections) = (&report.total, report.tenants.len());
+    if total.ok != total.sent || sections != 2 {
         return Err(format!(
-            "registry: {} of {} requests not ok (shed {} quota {} deadline {} errors {})",
-            total.sent - total.ok,
-            total.sent,
-            total.shed,
-            total.quota,
-            total.deadline,
-            total.errors
+            "registry: want all ok over 2 tenant sections, got {sections}: {total:?}"
         ));
     }
-    if report.tenants.len() != 2 {
-        return Err(format!(
-            "registry: want 2 tenant report sections, got {}",
-            report.tenants.len()
-        ));
-    }
-    for t in &report.tenants {
-        let c = &t.counts;
-        if c.sent != reads_per_tenant as u64 || c.ok != c.sent || c.lost != 0 {
-            return Err(format!(
-                "registry: tenant {} accounting broken: sent {} ok {} lost {}",
-                t.name, c.sent, c.ok, c.lost
-            ));
-        }
+    for (species, _) in &genomes {
+        every(&report, *species, reads_per_tenant, Status::Ok, "registry")?;
     }
 
     // Bit-identity per tenant against that species' own offline aligner.
@@ -186,6 +166,37 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     ))
 }
 
+/// `Err` unless `report` sent `sent` requests to `tenant` and answered
+/// every one of them with `status`; `what` names the run.
+pub(crate) fn every(
+    report: &LoadReport,
+    tenant: Species,
+    sent: usize,
+    status: Status,
+    what: &str,
+) -> Result<(), String> {
+    let name = tenant.key();
+    let Some(t) = report.tenants.iter().find(|t| t.name == name) else {
+        return Err(format!("{what}: no report section for {name}"));
+    };
+    let c = &t.counts;
+    let got = match status {
+        Status::Ok => c.ok,
+        Status::Unmapped => c.unmapped,
+        Status::Shed => c.shed,
+        Status::Quota => c.quota,
+        Status::Deadline => c.deadline,
+        Status::Error => c.errors,
+    };
+    if c.sent != sent as u64 || got != c.sent {
+        let status = status.as_str();
+        return Err(format!(
+            "{what}: {name}: want {sent} sent, all {status}: {c:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// `per_tenant` simulated reads from each of the [`two_tenants`]' genomes
 /// (read seeds `seeds`), labelled with that genome's tenant key and
 /// interleaved a, b, a, b, … so every connection of a run carries both
@@ -207,9 +218,61 @@ pub(crate) fn interleave_tenants(
     a.into_iter().zip(b).flat_map(|(a, b)| [a, b]).collect()
 }
 
+/// Streams `reads` at `server` under `load` and kills `tenant`'s shard
+/// `shard` once that shard has admitted one of them.
+///
+/// # Errors
+///
+/// When the stream fails, the kill is refused, or the kill did not land
+/// mid-stream: the shard's `admitted` count in the `stats` tenant rows
+/// (which stops at the kill) is not between 1 and the number of `reads`
+/// routed to the shard, exclusive.
+pub fn kill_shard_mid_stream(
+    server: &Server,
+    reads: &[TenantRead],
+    load: &LoadgenConfig,
+    tenant: &str,
+    shard: usize,
+) -> Result<LoadReport, String> {
+    // (the tenant's shard count, the shard's `admitted` count)
+    let admitted = || {
+        let stats = server.metrics().stats_response(&SnapshotMeta::default());
+        let rows = stats.get("tenants").and_then(JsonValue::as_arr);
+        let name = |row: &&JsonValue| row.get("name").and_then(JsonValue::as_str) == Some(tenant);
+        let row = rows.and_then(|rows| rows.iter().find(name));
+        let shards = row
+            .and_then(|row| row.get("shards")?.as_arr())
+            .unwrap_or_default();
+        let n = shards.get(shard).and_then(|s| s.get("admitted")?.as_num());
+        (shards.len(), n.unwrap_or(0.0) as u64)
+    };
+    let shards = admitted().0;
+    let routed = reads.iter().filter(|read| {
+        let start = route_shard(region_hash(read.region, &read.codes), shards, |_| true);
+        read.tenant.as_deref() == Some(tenant) && start == Some(shard)
+    });
+    let (routed, addr) = (routed.count() as u64, server.local_addr().to_string());
+    let (killed, report) = std::thread::scope(|scope| {
+        let stream = scope.spawn(|| loadgen::run(&addr, reads, load));
+        let started = || admitted().1 > 0 || stream.is_finished();
+        wait_until(Duration::from_secs(60), started);
+        (server.kill_shard(tenant, shard), stream.join())
+    });
+    let report = report.map_err(|_| "the load thread panicked")?;
+    let (report, n) = (report.map_err(|e| format!("loadgen: {e}"))?, admitted().1);
+    if !killed || n == 0 || n >= routed {
+        return Err(format!(
+            "kill_shard({tenant}, {shard}) did not land mid-stream (accepted: {killed}): \
+             the shard had admitted {n} of the {routed} reads routed to it"
+        ));
+    }
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvwa_serve::loadgen::{Counts, TenantReport};
 
     #[test]
     fn routing_checks_hold() {
@@ -220,5 +283,46 @@ mod tests {
     fn registry_family_holds_on_a_small_run() {
         let summary = run_registry_family(11, 12).expect("registry family holds");
         assert!(summary.contains("bit-identical"), "{summary}");
+    }
+
+    #[test]
+    fn every_checks_the_tenants_send_count_and_the_named_status() {
+        let (a, b) = (TENANT_A, TENANT_B);
+        let section = |species: Species, sent, ok, shed| TenantReport {
+            name: species.key().to_string(),
+            counts: Counts {
+                sent,
+                ok,
+                shed,
+                ..Counts::default()
+            },
+        };
+        let report = |tenants| LoadReport {
+            mode: "closed",
+            total: Counts::default(),
+            tenants,
+            duplicates: 0,
+            connections: 1,
+            reads: 0,
+            wall_ms: 0.0,
+            throughput_rps: 0.0,
+            responses: Default::default(),
+            stats_snapshots: Vec::new(),
+            scrape_failures: 0,
+            scrape_first_error: None,
+            slo: Vec::new(),
+        };
+        let fine = report(vec![section(a, 4, 4, 0), section(b, 4, 0, 4)]);
+        every(&fine, a, 4, Status::Ok, "t").expect("a all ok");
+        every(&fine, b, 4, Status::Shed, "t").expect("b all shed");
+        every(&fine, a, 4, Status::Shed, "t").expect_err("a is not shed");
+        every(&fine, b, 4, Status::Quota, "t").expect_err("b is not quota");
+        // One of A's reads answered in B's slice: each slice is all ok,
+        // but neither holds the number of reads sent to it.
+        let moved = report(vec![section(a, 3, 3, 0), section(b, 5, 5, 0)]);
+        every(&moved, a, 4, Status::Ok, "t").expect_err("a lost one");
+        every(&moved, b, 4, Status::Ok, "t").expect_err("b gained one");
+        every(&report(vec![section(b, 4, 4, 0)]), a, 4, Status::Ok, "t")
+            .expect_err("a has no section");
     }
 }

@@ -150,9 +150,12 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # (c) the stats response, span log, trace and loadgen report all pass
 # validation, (d) at least two mid-run stats snapshots were captured and
 # none failed validation (the stats-scrape smoke test). First: the batch
-# timer is gone, and so are the loadgen's own metrics snapshot and thread
-# pool; asking for any of them is a usage error, not a silent default.
+# timer and the shed-storm dump trigger are gone, and so are the loadgen's
+# own metrics snapshot and thread pool; asking for any of them is a usage
+# error, not a silent default.
 [ "$(cargo run --release --quiet --bin nvwa -- serve --batch-wait-us 1 2>&1 || echo "exit $?")" = "nvwa: --batch-wait-us: unknown flag
+exit 2" ]
+[ "$(cargo run --release --quiet --bin nvwa -- serve --shed-storm 3 2>&1 || echo "exit $?")" = "nvwa: --shed-storm: unknown flag
 exit 2" ]
 for removed in "--metrics-out x" "--threads 2"; do
     # shellcheck disable=SC2086 # the flag and its value are two words

@@ -21,23 +21,19 @@ use crate::{usage_error, write_artifact};
 /// divergence. Divergences are minimized and written as reproducer files
 /// under `--repro-dir` (default `tests/golden/repro/`, `none` for none).
 /// `--seed-from-ci` selects the CI matrix: seeds 1,2,3 × a short and a
-/// long profile. `--family NAME` (repeatable) runs one family in
-/// isolation and composes with `--families a,b`.
+/// long profile. `--family NAME` (repeatable) selects the families to
+/// run; without it every family runs.
 pub fn conformance(args: &Args) -> Result<(), ExitCode> {
     // `--seed` is repeatable; no occurrence means the default matrix.
     let seeds = match args.all("--seed") {
         seeds if seeds.is_empty() => vec![1, 2, 3],
         seeds => seeds,
     };
-    // `--families a,b` and repeatable `--family a` compose; no occurrence
-    // of either means the full matrix. An unknown name is a usage error.
-    let listed = args
-        .text("--families")
-        .into_iter()
-        .flat_map(|l| l.split(','));
+    // No `--family` means the full matrix. An unknown name is a usage
+    // error.
     let mut families = Vec::new();
-    for item in listed.chain(args.all::<String>("--family").iter().map(String::as_str)) {
-        let Some(family) = Family::parse(item) else {
+    for item in args.all::<String>("--family") {
+        let Some(family) = Family::parse(&item) else {
             let names = Family::ALL.map(Family::name).join(", ");
             return Err(usage_error(format!(
                 "unknown family {item:?} (want one of: {names})"

@@ -68,12 +68,9 @@ const SUBCOMMANDS: &[Command] = &[
         ("--long-deadline-ms", Int("D")), ("--classify-deadline-ms", Int("D")),
         ("--backend", Text("sw|hil")), ("--frontend", Text("reactor")),
         ("--metrics-out", Text("m.json")), ("--trace-out", Text("t.json")),
-        ("--span-log-out", Text("s.json")), ("--span-log-cap", Int("N")),
-        ("--flight-dump", Text("DIR")), ("--flight-cap", Int("N")),
-        ("--slo-window-ms", Int("W")), ("--slo-step-ms", Int("S")), ("--shed-storm", Int("N")),
+        ("--span-log-out", Text("s.json")), ("--flight-dump", Text("DIR")),
         ("--tenant", Text("KEY[:SHARDS[:QUOTA]]...")), ("--tenant-scale", Real("F")),
-        ("--registry-budget", Int("BYTES")), ("--debug-worker-delay-us", Int("U")),
-        ("--debug-worker-panic-at-batch", Int("N")), ("--threads", Int("N")),
+        ("--registry-budget", Int("BYTES")), ("--threads", Int("N")),
     ]),
     ("loadgen", loadgen::loadgen, "loadgen", &[
         ("--addr", Text("H:P")), ("--addr-file", Text("PATH")), ("--reads", Int("N")),
@@ -87,9 +84,8 @@ const SUBCOMMANDS: &[Command] = &[
     ]),
     ("conformance", checks::conformance, "conformance", &[
         ("--seed", Int("S...")), ("--seed-from-ci", Switch), ("--cases", Int("N")),
-        ("--serve-reads", Int("N")),
-        ("--families", Text("diff,extension,invariants,faults,registry,long_read")),
-        ("--family", Text("NAME...")), ("--repro-dir", Text("DIR")), ("--threads", Int("N")),
+        ("--serve-reads", Int("N")), ("--family", Text("NAME...")), ("--repro-dir", Text("DIR")),
+        ("--threads", Int("N")),
     ]),
     ("repro", checks::repro, "repro [experiment...]", &[
         ("--full", Switch), ("--metrics-out", Text("m.json")), ("--threads", Int("N")),

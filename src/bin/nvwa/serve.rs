@@ -5,14 +5,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex};
+use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::genome::species::{Species, ALL_SPECIES};
 use nvwa::genome::ReferenceGenome;
 use nvwa::index::Isa;
 use nvwa::serve::loadgen::ref_params;
-use nvwa::serve::{
-    signal, BackendKind, BatcherConfig, ObservabilityConfig, Server, ServerConfig, Tenant,
-};
+use nvwa::serve::{signal, BackendKind, BatcherConfig, Server, ServerConfig, Tenant};
 use nvwa::telemetry::SnapshotMeta;
 
 use crate::args::Args;
@@ -84,7 +82,6 @@ pub fn serve(args: &Args) -> Result<(), ExitCode> {
             return Err(usage("serve"));
         }
     };
-    let defaults = ObservabilityConfig::default();
     let config = ServerConfig {
         addr: args.text("--addr").unwrap_or("127.0.0.1:0").to_string(),
         registry_budget: args.get("--registry-budget"),
@@ -95,27 +92,14 @@ pub fn serve(args: &Args) -> Result<(), ExitCode> {
             ..BatcherConfig::default()
         },
         backend,
-        aligner: AlignerConfig::default(),
         default_deadline: args.get("--deadline-ms").map(Duration::from_millis),
         long_deadline: args.get("--long-deadline-ms").map(Duration::from_millis),
         classify_deadline: args
             .get("--classify-deadline-ms")
             .map(Duration::from_millis),
         trace: args.has("--trace-out"),
-        obs: ObservabilityConfig {
-            slo_window_ms: args
-                .get("--slo-window-ms")
-                .unwrap_or(defaults.slo_window_ms),
-            slo_step_ms: args.get("--slo-step-ms").unwrap_or(defaults.slo_step_ms),
-            span_log_cap: args.get("--span-log-cap").unwrap_or(defaults.span_log_cap),
-            flight_cap: args.get("--flight-cap").unwrap_or(defaults.flight_cap),
-            flight_dump: args.get("--flight-dump"),
-            shed_storm_threshold: args.get("--shed-storm"),
-        },
-        worker_delay: args
-            .get("--debug-worker-delay-us")
-            .map(Duration::from_micros),
-        worker_panic_at_batch: args.get("--debug-worker-panic-at-batch"),
+        flight_dump: args.get("--flight-dump"),
+        ..ServerConfig::default()
     };
     signal::install();
     let tenants = if specs.is_empty() {

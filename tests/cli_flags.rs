@@ -83,6 +83,35 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
             "nvwa: --batch-wait-us: unknown flag",
         ),
         ("serve --batch-mxa 8", "nvwa: --batch-mxa: unknown flag"),
+        // The observability and debug knobs nothing set to anything but
+        // its default are constants now; `--family` is repeatable, so
+        // its comma-separated twin is gone.
+        (
+            "serve --slo-window-ms 1000",
+            "nvwa: --slo-window-ms: unknown flag",
+        ),
+        (
+            "serve --slo-step-ms 100",
+            "nvwa: --slo-step-ms: unknown flag",
+        ),
+        (
+            "serve --span-log-cap 8",
+            "nvwa: --span-log-cap: unknown flag",
+        ),
+        ("serve --flight-cap 8", "nvwa: --flight-cap: unknown flag"),
+        ("serve --shed-storm 3", "nvwa: --shed-storm: unknown flag"),
+        (
+            "serve --debug-worker-delay-us 10",
+            "nvwa: --debug-worker-delay-us: unknown flag",
+        ),
+        (
+            "serve --debug-worker-panic-at-batch 1",
+            "nvwa: --debug-worker-panic-at-batch: unknown flag",
+        ),
+        (
+            "conformance --families diff",
+            "nvwa: --families: unknown flag",
+        ),
         // The loadgen's removed mix flag (it silently ran an all-short mix
         // against a server it then waited 10 s for), a typo, and its
         // removed metrics registry and thread pool.
@@ -169,7 +198,7 @@ fn positionals_are_what_the_flag_values_leave() {
 fn an_unknown_subcommand_prints_every_flag_of_every_subcommand() {
     let rows = table_rows();
     let flags: Vec<&str> = rows.iter().flat_map(|(_, flags)| flags.clone()).collect();
-    assert!(flags.len() >= 70, "table not found: {flags:?}");
+    assert!(flags.len() >= 60, "table not found: {flags:?}");
     let out = nvwa(&["nosuchcommand"], Path::new("."));
     assert!(!out.status.success());
     let usage = String::from_utf8_lossy(&out.stderr);
@@ -181,9 +210,10 @@ fn an_unknown_subcommand_prints_every_flag_of_every_subcommand() {
 #[test]
 fn help_prints_that_subcommands_synopsis() {
     let rows = table_rows();
-    let loadgen = rows.iter().find(|(name, _)| *name == "loadgen");
-    let loadgen = loadgen.expect("loadgen row");
-    assert_eq!(loadgen.1.len(), 19, "loadgen keeps 19 flags: {loadgen:?}");
+    for (name, kept) in [("serve", 21), ("loadgen", 19), ("conformance", 7)] {
+        let row = rows.iter().find(|row| row.0 == name).expect("row");
+        assert_eq!(row.1.len(), kept, "{name} keeps {kept} flags: {row:?}");
+    }
     for (name, flags) in &rows {
         let out = nvwa(&[name, "--help"], Path::new("."));
         let usage = String::from_utf8_lossy(&out.stderr);

@@ -52,13 +52,6 @@ impl BucketQueue {
         Some((cycle, payload))
     }
 
-    fn pop_while(&mut self, cycle: u64) -> Option<u32> {
-        if *self.buckets.first_key_value()?.0 != cycle {
-            return None;
-        }
-        self.pop().map(|(_, payload)| payload)
-    }
-
     fn len(&self) -> usize {
         self.buckets.values().map(VecDeque::len).sum()
     }
@@ -362,26 +355,26 @@ proptest! {
                         now = cycle;
                     }
                 }
-                // The simulator's drain: pop a cycle, then pop_while it,
-                // scheduling some events at that same cycle mid-drain.
+                // The simulator's drain: pop one event at a time,
+                // scheduling some events at the drained cycle mid-drain;
+                // each pops after every event already queued there and
+                // before any later cycle. The first event of a later
+                // cycle ends the drain.
                 _ => {
-                    let Some((cycle, first)) = queue.pop() else {
-                        prop_assert_eq!(oracle.pop(), None);
-                        continue;
-                    };
-                    prop_assert_eq!(oracle.pop(), Some((cycle, first)));
-                    now = cycle;
+                    let mut drained = None;
                     loop {
+                        let got = queue.pop();
+                        prop_assert_eq!(got, oracle.pop());
+                        let Some((cycle, _)) = got else { break };
+                        now = cycle;
+                        if *drained.get_or_insert(cycle) != cycle {
+                            break;
+                        }
                         if rng.gen_bool(0.3) {
                             push(&mut queue, &mut oracle, now);
                         }
                         if rng.gen_bool(0.2) {
                             push(&mut queue, &mut oracle, now + rng.gen_range(1u64..5));
-                        }
-                        let next = queue.pop_while(cycle);
-                        prop_assert_eq!(next, oracle.pop_while(cycle));
-                        if next.is_none() {
-                            break;
                         }
                     }
                 }

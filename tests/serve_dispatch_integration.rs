@@ -15,7 +15,7 @@ use std::time::Duration;
 use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::serve::protocol::{read_frame, write_frame, AlignResponse, Mode, Request, Status};
 use nvwa::serve::{Server, ServerConfig, Tenant};
-use nvwa::testkit::Prng;
+use nvwa::testkit::{wait_until, Prng};
 
 fn align(id: u64, codes: Vec<u8>) -> Request {
     Request::Align {
@@ -49,9 +49,11 @@ fn a_busy_worker_batches_exactly_what_arrived_while_it_executed() {
     write_frame(&mut stream, &align(0, prng.codes(80)).encode()).expect("first request");
     // The idle worker takes it alone; `batches_formed` counts the take,
     // before the worker starts its 50 ms hold.
-    while server.metrics().counter("serve.batches_formed") == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let took = || server.metrics().counter("serve.batches_formed") > 0;
+    assert!(
+        wait_until(Duration::from_secs(30), took),
+        "first request never taken"
+    );
     let mut wave = Vec::new();
     for id in 1..=9 {
         write_frame(&mut wave, &align(id, prng.codes(80)).encode()).expect("encode");

@@ -34,6 +34,7 @@ use nvwa::index::minimizer::{minimizers, MinimizerParams};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::protocol::{read_frame, write_frame, AlignResponse, Request};
 use nvwa::serve::{Mode, Server, ServerConfig, Status, Tenant};
+use nvwa::testkit::wait_until;
 
 const REF_LEN: usize = 60_000;
 const REF_SEED: u64 = 5;
@@ -383,9 +384,11 @@ fn per_mode_default_deadlines_apply_and_fall_back() {
         for mode in [Mode::Short, Mode::Long, Mode::Classify] {
             let taken = server.metrics().counter("serve.batches_formed");
             write_frame(&mut stream, &request(0, Mode::Short, Some(60_000))).expect("blocker");
-            while server.metrics().counter("serve.batches_formed") == taken {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            let took = || server.metrics().counter("serve.batches_formed") > taken;
+            assert!(
+                wait_until(Duration::from_secs(30), took),
+                "blocker never taken"
+            );
             let mut probes = Vec::new();
             write_frame(&mut probes, &request(1, mode, None)).expect("encode");
             write_frame(&mut probes, &request(2, mode, Some(60_000))).expect("encode");

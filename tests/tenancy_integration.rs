@@ -22,6 +22,7 @@ use nvwa::serve::protocol::{read_frame, write_frame, Mode};
 use nvwa::serve::{AlignResponse, Request, Server, ServerConfig, Status, Tenant};
 use nvwa::telemetry::snapshot::{validate, Kind};
 use nvwa::telemetry::{JsonValue, SnapshotMeta};
+use nvwa::testkit::tenancy::kill_shard_mid_stream;
 use nvwa::testkit::wait_until;
 
 const REF_LEN: usize = 20_000;
@@ -351,8 +352,10 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
         vec![spec_a, spec_b],
         ServerConfig {
             workers: 2,
-            // Keep classify batches in flight across the mid-run kill.
-            worker_delay: Some(Duration::from_micros(500)),
+            // Requests past the first window are admitted only as
+            // batches finish: a 10 ms hold per batch leaves that long for
+            // the kill to land mid-stream.
+            worker_delay: Some(Duration::from_millis(10)),
             ..ServerConfig::default()
         },
     )
@@ -369,14 +372,8 @@ fn shard_kill_mid_classify_is_partial_or_shed_never_truncated() {
 
     // Phase 1: the kill races an in-flight classify stream on the victim.
     let racing = classify_load(43, victim, 120);
-    let report = {
-        let addr = addr.clone();
-        let load = load.clone();
-        let handle = std::thread::spawn(move || loadgen::run(&addr, &racing, &load));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(server.kill_shard(victim.key(), 0), "mid-run kill refused");
-        handle.join().expect("loadgen thread").expect("loadgen")
-    };
+    let report = kill_shard_mid_stream(&server, &racing, &load, victim.key(), 0)
+        .unwrap_or_else(|e| panic!("{e}"));
     assert!(
         report.is_lossless(),
         "exactly-once violated through the kill"
