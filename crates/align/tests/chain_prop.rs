@@ -1,10 +1,12 @@
-//! Randomized differential tests for the seed chainer (PR 10).
+//! Randomized differential tests for the seed chainer.
 //!
-//! The production chainer is an O(n²) DP with greedy tail selection. These
+//! The production chainer is a banded DP with greedy tail selection. These
 //! tests pit it against an independent brute-force oracle that enumerates
 //! *every* colinear seed subsequence on small inputs and takes the best
 //! score, so a regression in the transition predicate or the gain formula
-//! shows up as a score mismatch rather than a statistical drift.
+//! shows up as a score mismatch rather than a statistical drift; and
+//! against the full O(n²) look-back it replaced, on the shapes where the
+//! band, the early stop and the tie rule decide the answer.
 
 use nvwa_align::chain::{chain_seeds, Chain, ChainConfig, Seed};
 
@@ -180,9 +182,10 @@ fn seeds_are_never_shared_between_chains() {
     }
 }
 
-/// `chain_seeds` before its two exact cuts, kept as the reference model: the
-/// full O(n²) look-back (every earlier seed of the strand) and an uncapped
-/// greedy pass per strand, then the same stable sort and truncate.
+/// `chain_seeds` before its exact cuts, kept as the reference model: the
+/// full O(n²) look-back (every earlier seed of the strand, where the chainer
+/// scans its diagonal band and stops early) and an uncapped greedy pass per
+/// strand, then the same stable sort and truncate.
 fn full_chain_seeds(seeds: &[Seed], cfg: &ChainConfig) -> Vec<Chain> {
     let mut chains = Vec::new();
     for is_rc in [false, true] {
@@ -329,5 +332,141 @@ fn windowed_capped_chainer_equals_the_full_look_back_on_long_read_seeds() {
                 "case {case} max_chains {max_chains}"
             );
         }
+    }
+}
+
+/// The long-read limits, capped at `max_chains`.
+fn long_cfg(max_chains: usize) -> ChainConfig {
+    ChainConfig {
+        max_gap: 2_000,
+        max_drift: 500,
+        min_chain_score: 30,
+        max_chains,
+    }
+}
+
+#[test]
+fn banded_chainer_equals_the_full_look_back_on_64_hit_repeat_clusters() {
+    let mut rng = Prng(0x64_4175);
+    for case in 0..24 {
+        // A repeat family of up to 64 copies: every minimizer of the read's
+        // repeat stretch hits each copy, so up to 64 colinear chains of
+        // equal shape run side by side (ties everywhere), beside the true
+        // locus and scattered single hits.
+        let copies = 2 + rng.below(63);
+        let bases: Vec<u64> = (0..copies).map(|_| rng.below(2_000_000)).collect();
+        let true_locus = rng.below(2_000_000);
+        let mut seeds = Vec::new();
+        let mut qs = rng.below(20) as usize;
+        while qs < 2_500 {
+            let is_rc = case % 3 == 0;
+            let repeat = (1_000..1_150).contains(&qs);
+            let targets: Vec<u64> = match repeat {
+                true => bases.iter().map(|b| b + qs as u64).collect(),
+                false => vec![true_locus + qs as u64 + rng.below(9)],
+            };
+            for ref_pos in targets {
+                seeds.push(Seed {
+                    query_start: qs,
+                    query_end: qs + 15,
+                    ref_pos,
+                    is_rc,
+                });
+            }
+            if rng.below(8) == 0 {
+                seeds.push(Seed {
+                    query_start: qs,
+                    query_end: qs + 15,
+                    ref_pos: rng.below(2_000_000),
+                    is_rc: !is_rc,
+                });
+            }
+            qs += 1 + rng.below(11) as usize;
+        }
+        for max_chains in [1, 4, 70] {
+            assert_eq!(
+                chain_seeds(&seeds, &long_cfg(max_chains)),
+                full_chain_seeds(&seeds, &long_cfg(max_chains)),
+                "case {case} copies {copies} max_chains {max_chains}"
+            );
+        }
+    }
+}
+
+#[test]
+fn banded_chainer_equals_the_full_look_back_on_equal_query_starts() {
+    let mut rng = Prng(0xe9_57a7);
+    for case in 0..300 {
+        // Few distinct starts, many hits each, lengths that differ at one
+        // start: links between seeds that share a start, and ties in f
+        // broken only by the seed index.
+        let starts = 1 + rng.below(6);
+        let count = 2 + rng.below(80) as usize;
+        let centre = rng.below(100_000);
+        let seeds: Vec<Seed> = (0..count)
+            .map(|_| {
+                let qs = (rng.below(starts) * 7) as usize;
+                Seed {
+                    query_start: qs,
+                    query_end: qs + 3 + rng.below(4) as usize,
+                    ref_pos: centre + qs as u64 + rng.below(24),
+                    is_rc: rng.below(4) == 0,
+                }
+            })
+            .collect();
+        for max_drift in [0, 1, 5, 16] {
+            let cfg = ChainConfig {
+                max_drift,
+                max_chains: 1 + case % 8,
+                ..CFG
+            };
+            assert_eq!(
+                chain_seeds(&seeds, &cfg),
+                full_chain_seeds(&seeds, &cfg),
+                "case {case} max_drift {max_drift}: {seeds:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn banded_chainer_equals_the_full_look_back_on_drift_of_exactly_max_drift() {
+    let mut rng = Prng(0xd1_2f7);
+    for case in 0..400 {
+        // Chains whose every link drifts by exactly `max_drift`, up or down,
+        // from diagonals drawn at random against the band grid (bands are
+        // `max_drift + 1` wide from the lowest diagonal): many links cross
+        // a band edge, and a band one diagonal too narrow — or a scan that
+        // skips a neighbouring band — drops them.
+        let max_drift = [0, 1, 2, 3, 7, 32, 500][case % 7];
+        let cfg = ChainConfig {
+            max_gap: 2_000,
+            max_drift,
+            min_chain_score: 1,
+            max_chains: 1 + case % 5,
+        };
+        let mut seeds = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let mut qs = rng.below(50) as usize;
+            let mut diag = 10_000 + rng.below(3 * (max_drift as u64 + 1)) as i64;
+            for _ in 0..2 + rng.below(12) {
+                seeds.push(Seed {
+                    query_start: qs,
+                    query_end: qs + 15,
+                    ref_pos: (diag + qs as i64) as u64,
+                    is_rc: false,
+                });
+                qs += max_drift + 1 + rng.below(20) as usize;
+                diag += match rng.below(3) {
+                    0 => -(max_drift as i64),
+                    _ => max_drift as i64,
+                };
+            }
+        }
+        assert_eq!(
+            chain_seeds(&seeds, &cfg),
+            full_chain_seeds(&seeds, &cfg),
+            "case {case} max_drift {max_drift}: {seeds:?}"
+        );
     }
 }

@@ -58,76 +58,120 @@ pub fn minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
         return Vec::new();
     }
     let mask = (1u64 << (2 * k)) - 1;
-    // Hash every k-mer.
-    let mut hashes = Vec::with_capacity(seq.len() - k + 1);
-    let mut key = 0u64;
-    for (i, &c) in seq.iter().enumerate() {
-        debug_assert!(c < 4);
-        key = ((key << 2) | c as u64) & mask;
-        if i + 1 >= k {
-            hashes.push(hash64(key));
+    let mut key = seq[..k - 1].iter().fold(0, |key, &c| (key << 2) | c as u64);
+    // Window minima by blocks of `w` k-mers (van Herk; Gil and Werman): a
+    // window is a suffix of one block and a prefix of the next, so its
+    // minimum is the smaller of the previous block's suffix minimum and the
+    // running prefix minimum, each kept rightmost on ties; `suffix[w]` is a
+    // sentinel that loses every tie. Each block's windows are all written
+    // out, and the count advances past a window only if its minimum is not
+    // the one the window before it emitted: no data-dependent branch.
+    let (mut hashes, mut suffix) = (vec![0; w], vec![(u64::MAX, 0); w + 1]);
+    let mut out = Vec::with_capacity((seq.len() - k) * 2 / w + w);
+    let mut last = usize::MAX;
+    for (b, codes) in seq[k - 1..].chunks(w).enumerate() {
+        for (h, &c) in hashes.iter_mut().zip(codes) {
+            debug_assert!(c < 4);
+            key = ((key << 2) | c as u64) & mask;
+            *h = hash64(key);
         }
-    }
-    // Sliding window minima: the current minimum stands until a k-mer at
-    // most as small arrives (`<=` keeps the rightmost) or it leaves the
-    // window, and only then is the window rescanned.
-    let mut out: Vec<Minimizer> = Vec::new();
-    let mut min_idx = 0;
-    for i in 0..hashes.len() {
-        let window_start = (i + 1).saturating_sub(w);
-        if hashes[i] <= hashes[min_idx] {
-            min_idx = i;
-        } else if min_idx < window_start {
-            min_idx = window_start;
-            for j in window_start + 1..=i {
-                if hashes[j] <= hashes[min_idx] {
-                    min_idx = j;
-                }
-            }
-        }
-        if i + 1 >= w {
-            let candidate = Minimizer {
-                pos: min_idx as u32,
-                hash: hashes[min_idx],
+        let (start, block) = (b * w, &hashes[..codes.len()]);
+        let mut len = out.len();
+        out.resize(len + w, Minimizer { pos: 0, hash: 0 });
+        let mut prefix = (u64::MAX, 0);
+        for (t, &h) in block.iter().enumerate() {
+            let i = start + t;
+            prefix = select(h <= prefix.0, (h, i), prefix);
+            let (hash, pos) = select(prefix.0 <= suffix[t + 1].0, prefix, suffix[t + 1]);
+            out[len] = Minimizer {
+                pos: pos as u32,
+                hash,
             };
-            if out.last() != Some(&candidate) {
-                out.push(candidate);
-            }
+            let full = i + 1 >= w;
+            len += (full && pos != last) as usize;
+            last = if full { pos } else { last };
+        }
+        out.truncate(len);
+        let mut min = (u64::MAX, 0);
+        for (t, &h) in block.iter().enumerate().rev() {
+            min = select(h < min.0, (h, start + t), min);
+            suffix[t] = min;
         }
     }
-    // Short sequences (< w k-mers) still contribute their global minimum.
-    if out.is_empty() && !hashes.is_empty() {
-        let (min_idx, &h) = hashes
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, h)| h)
-            .expect("non-empty");
-        out.push(Minimizer {
-            pos: min_idx as u32,
-            hash: h,
-        });
+    // Short sequences (< w k-mers, all in the first block) still contribute
+    // their global minimum.
+    if out.is_empty() {
+        let kmers = hashes[..seq.len() - k + 1].iter().zip(0..);
+        let (&hash, pos) = kmers.min_by_key(|&(h, _)| h).expect("a k-mer");
+        out.push(Minimizer { pos, hash });
     }
     out
 }
 
-/// An index of a reference's minimizers: hash → sorted positions.
+/// `a` if `take`, else `b`, a field at a time: the form LLVM reliably
+/// turns into conditional moves (a select of the whole pair measured
+/// slower in the window loop).
+#[inline(always)]
+fn select(take: bool, a: (u64, usize), b: (u64, usize)) -> (u64, usize) {
+    (if take { a.0 } else { b.0 }, if take { a.1 } else { b.1 })
+}
+
+/// An index of a reference's minimizers: hash → ascending positions.
+///
+/// One open-addressed table of `4 · keys + 1` slots (a power of two would
+/// double its memory at a boundary), probed linearly from where the low 32
+/// bits of the hash scale to (a window minimum's high bits lean to zero).
+/// A hash seen once keeps its position inline in its slot; a repeated
+/// hash's positions are one ascending run of `positions`.
 #[derive(Debug, Clone)]
 pub struct MinimizerIndex {
     params: MinimizerParams,
-    map: std::collections::HashMap<u64, Vec<u32>>,
+    slots: Vec<Slot>,
+    positions: Vec<u32>,
     total: usize,
+}
+
+/// One table slot, 16 bytes: empty while `len == 0`; for `len == 1`
+/// `start` is the position itself, else where the run starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    start: u32,
+    len: u32,
 }
 
 impl MinimizerIndex {
     /// Builds the index of `reference` (2-bit codes).
     pub fn build(reference: &[u8], params: MinimizerParams) -> MinimizerIndex {
-        let mut map: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-        let mins = minimizers(reference, &params);
+        let mut mins = minimizers(reference, &params);
         let total = mins.len();
-        for m in mins {
-            map.entry(m.hash).or_default().push(m.pos);
+        mins.sort_unstable_by_key(|m| (m.hash, m.pos));
+        let runs = || mins.chunk_by(|a, b| a.hash == b.hash);
+        let n = 4 * runs().count() + 1;
+        let mut slots = vec![Slot::default(); n];
+        let repeated = runs().filter(|run| run.len() > 1).map(<[_]>::len).sum();
+        let mut positions = Vec::with_capacity(repeated);
+        for run in runs() {
+            let (start, len) = match run {
+                [m] => (m.pos, 1),
+                _ => {
+                    positions.extend(run.iter().map(|m| m.pos));
+                    ((positions.len() - run.len()) as u32, run.len() as u32)
+                }
+            };
+            let key = run[0].hash;
+            let mut i = home(key, n);
+            while slots[i].len != 0 {
+                i = if i + 1 == n { 0 } else { i + 1 };
+            }
+            slots[i] = Slot { key, start, len };
         }
-        MinimizerIndex { params, map, total }
+        MinimizerIndex {
+            params,
+            slots,
+            positions,
+            total,
+        }
     }
 
     /// The sampling parameters.
@@ -145,22 +189,43 @@ impl MinimizerIndex {
         self.total == 0
     }
 
-    /// Reference positions sharing `hash`; records one table access per
-    /// lookup plus one per returned position on `trace`.
+    /// Reference positions sharing `hash`, ascending; records one table
+    /// access per lookup plus one per returned position on `trace`.
     pub fn lookup<T: TraceSink>(&self, hash: u64, trace: &mut T) -> &[u32] {
-        trace.record(MemAddr::kmer_entry(hash & 0xffff_ffff));
-        let hits = self.map.get(&hash).map(Vec::as_slice).unwrap_or(&[]);
-        for (i, _) in hits.iter().enumerate() {
-            trace.record(MemAddr::kmer_entry((hash & 0xffff_ffff) + 1 + i as u64));
+        let entry = hash & 0xffff_ffff;
+        trace.record(MemAddr::kmer_entry(entry));
+        let n = self.slots.len();
+        let mut i = home(hash, n);
+        let hits = loop {
+            let slot = &self.slots[i];
+            match slot.len {
+                0 => break &[][..],
+                _ if slot.key != hash => i = if i + 1 == n { 0 } else { i + 1 },
+                1 => break std::slice::from_ref(&slot.start),
+                len => break &self.positions[slot.start as usize..][..len as usize],
+            }
+        };
+        for i in 0..hits.len() as u64 {
+            trace.record(MemAddr::kmer_entry(entry + 1 + i));
         }
         hits
     }
 }
 
+/// Where a probe for `hash` starts in a table of `n` slots: the low 32
+/// bits scaled to `0..n` (Lemire's fast range).
+fn home(hash: u64, n: usize) -> usize {
+    (((hash & 0xffff_ffff) * n as u64) >> 32) as usize
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use nvwa_genome::{ReferenceGenome, ReferenceParams};
+
     use super::*;
-    use crate::trace::{CountTrace, NullTrace};
+    use crate::trace::{CountTrace, NullTrace, VecTrace};
 
     fn rand_codes(len: usize, mut state: u64) -> Vec<u8> {
         (0..len)
@@ -245,5 +310,130 @@ mod tests {
     fn hash_is_deterministic_and_spread() {
         assert_eq!(hash64(42), hash64(42));
         assert_ne!(hash64(1), hash64(2));
+    }
+
+    /// The `HashMap` index `MinimizerIndex` was before the flat table, kept
+    /// as the reference model: hash → positions in sampling order, and the
+    /// same trace per lookup.
+    struct MapIndex(HashMap<u64, Vec<u32>>);
+
+    impl MapIndex {
+        fn build(reference: &[u8], params: MinimizerParams) -> MapIndex {
+            let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
+            for m in minimizers(reference, &params) {
+                map.entry(m.hash).or_default().push(m.pos);
+            }
+            MapIndex(map)
+        }
+
+        fn lookup(&self, hash: u64, trace: &mut VecTrace) -> &[u32] {
+            trace.record(MemAddr::kmer_entry(hash & 0xffff_ffff));
+            let hits = self.0.get(&hash).map(Vec::as_slice).unwrap_or(&[]);
+            for (i, _) in hits.iter().enumerate() {
+                trace.record(MemAddr::kmer_entry((hash & 0xffff_ffff) + 1 + i as u64));
+            }
+            hits
+        }
+    }
+
+    /// Builds both indexes of `reference` and looks up every indexed hash,
+    /// each with its low 32 bits kept and a high bit flipped (the same home
+    /// slot, so a probe past it), and random hashes: the hits, their order
+    /// and the recorded trace must be equal. Returns the flat index.
+    fn assert_index_matches_model(reference: &[u8], params: MinimizerParams) -> MinimizerIndex {
+        let (index, model) = (
+            MinimizerIndex::build(reference, params),
+            MapIndex::build(reference, params),
+        );
+        let total: usize = model.0.values().map(Vec::len).sum();
+        assert_eq!(index.len(), total);
+        // Sized by its keys: a power of two would double it at a boundary.
+        assert_eq!(index.slots.len(), 4 * model.0.len() + 1);
+        let mut state = reference.len() as u64;
+        let random = (0..64).map(|_| {
+            state = hash64(state);
+            state
+        });
+        let stored = model.0.keys().copied();
+        let aliased = model.0.keys().map(|&h| h ^ 1 << 40);
+        for hash in stored.chain(aliased).chain(random) {
+            let (mut got, mut want) = (VecTrace::default(), VecTrace::default());
+            assert_eq!(
+                index.lookup(hash, &mut got),
+                model.lookup(hash, &mut want),
+                "hash {hash:#x} of a {}-base reference",
+                reference.len()
+            );
+            assert_eq!(got.0, want.0, "trace of hash {hash:#x}");
+        }
+        index
+    }
+
+    #[test]
+    fn flat_table_equals_the_map_index_on_random_references() {
+        for (len, seed) in [(0, 1), (14, 2), (15, 3), (500, 4), (20_000, 5)] {
+            assert_index_matches_model(&rand_codes(len, seed), MinimizerParams::default());
+        }
+        // k = 31 (62-bit keys) and a window of one (every k-mer sampled).
+        for (k, w) in [(31, 10), (31, 1), (9, 1)] {
+            assert_index_matches_model(&rand_codes(5_000, 6), MinimizerParams { k, w });
+        }
+    }
+
+    #[test]
+    fn flat_table_equals_the_map_index_on_degenerate_references() {
+        let params = MinimizerParams::default();
+        // All-A: one k-mer at every position, one run of positions.
+        let index = assert_index_matches_model(&[0; 2_000], params);
+        assert_eq!(index.positions.len(), index.len());
+        // Period 2: two k-mers alternating.
+        let period: Vec<u8> = (0..2_000).map(|p| (p % 2) as u8 * 3).collect();
+        assert_index_matches_model(&period, params);
+        // Fewer than `w` k-mers: the global minimum alone, inline.
+        let index = assert_index_matches_model(&rand_codes(20, 7), params);
+        assert_eq!((index.len(), index.positions.len()), (1, 0));
+    }
+
+    #[test]
+    fn flat_table_equals_the_map_index_on_repeat_families() {
+        // The 300 bp repeat families, exact copies and 4 % diverged: keys
+        // with up to hundreds of positions beside singletons.
+        for (divergence, seed) in [(0.0, 8), (0.04, 9)] {
+            let genome = ReferenceGenome::synthesize(
+                &ReferenceParams {
+                    total_len: 80_000,
+                    chromosomes: 2,
+                    repeat_fraction: 0.6,
+                    repeat_families: 3,
+                    repeat_divergence: divergence,
+                    ..ReferenceParams::default()
+                },
+                seed,
+            );
+            let index =
+                assert_index_matches_model(genome.flat().codes(), MinimizerParams::default());
+            assert!(index.slots.iter().any(|s| s.len > 64), "no repeat-rich key");
+        }
+    }
+
+    #[test]
+    fn flat_table_equals_the_map_index_when_probes_wrap() {
+        // Tiny tables (tens of slots) in which a stored key sits below its
+        // home slot: its probe ran off the end and wrapped to the start.
+        let mut wrapped = 0;
+        for seed in 0..10_000 {
+            let index = assert_index_matches_model(
+                &rand_codes(30 + seed as usize % 60, seed),
+                MinimizerParams { k: 5, w: 4 },
+            );
+            let n = index.slots.len();
+            wrapped += index
+                .slots
+                .iter()
+                .enumerate()
+                .any(|(i, s)| s.len != 0 && home(s.key, n) > i) as usize;
+        }
+        // A quarter full, about one table in 270 wraps (37 here).
+        assert!(wrapped >= 10, "only {wrapped} tables wrapped a probe");
     }
 }

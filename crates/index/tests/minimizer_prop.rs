@@ -1,4 +1,4 @@
-//! Randomized property tests for minimizer sampling (PR 10).
+//! Randomized property tests for minimizer sampling.
 //!
 //! Two invariants make `(w, k)` minimizers usable as seeds:
 //!
@@ -8,11 +8,10 @@
 //! 2. **Density** — random sequences sample about `2/(w+1)` of positions;
 //!    much denser wastes lookups, much sparser breaks sensitivity.
 //!
-//! And one identity: the rescanning window minimum equals the monotone
-//! deque it replaced, kept here as `deque_minimizers`.
+//! And one identity: the block window minima equal the rescanning window
+//! minimum they replaced, kept here as `rescan_minimizers`.
 
-use std::collections::VecDeque;
-
+use nvwa_genome::{ReferenceGenome, ReferenceParams};
 use nvwa_index::minimizer::{hash64, minimizers, Minimizer, MinimizerParams};
 
 /// splitmix64 — deterministic, dependency-free test randomness.
@@ -135,37 +134,31 @@ fn short_sequences_fall_back_to_the_global_minimum() {
     }
 }
 
-/// The monotone-deque sampler `minimizers` ran before the rescanning window
-/// minimum replaced it, kept as the reference model: the same output,
-/// including the rightmost-minimum tie rule, the dedup and the short
-/// sequence's leftmost global minimum.
-fn deque_minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
+/// The rescanning sampler `minimizers` ran before the block window minima
+/// replaced it, kept as the reference model: the same output, including the
+/// rightmost-minimum tie rule, the dedup and the short sequence's leftmost
+/// global minimum.
+fn rescan_minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
     let (k, w) = (params.k, params.w);
     if seq.len() < k {
         return Vec::new();
     }
     let hashes: Vec<u64> = (0..=seq.len() - k).map(|p| kmer_hash(seq, p, k)).collect();
     let mut out: Vec<Minimizer> = Vec::new();
-    let mut deque: VecDeque<usize> = VecDeque::new();
+    let mut min_idx = 0;
     for i in 0..hashes.len() {
-        while let Some(&back) = deque.back() {
-            if hashes[back] >= hashes[i] {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        if i + 1 >= w {
-            let window_start = i + 1 - w;
-            while let Some(&front) = deque.front() {
-                if front < window_start {
-                    deque.pop_front();
-                } else {
-                    break;
+        let window_start = (i + 1).saturating_sub(w);
+        if hashes[i] <= hashes[min_idx] {
+            min_idx = i;
+        } else if min_idx < window_start {
+            min_idx = window_start;
+            for j in window_start + 1..=i {
+                if hashes[j] <= hashes[min_idx] {
+                    min_idx = j;
                 }
             }
-            let min_idx = *deque.front().expect("window non-empty");
+        }
+        if i + 1 >= w {
             let candidate = Minimizer {
                 pos: min_idx as u32,
                 hash: hashes[min_idx],
@@ -190,7 +183,7 @@ fn deque_minimizers(seq: &[u8], params: &MinimizerParams) -> Vec<Minimizer> {
 }
 
 #[test]
-fn rescanning_window_minimum_equals_the_deque() {
+fn block_window_minima_equal_the_rescanning_sampler() {
     let mut rng = Prng(0xde9e);
     for k in 1..=31 {
         for w in 1..=16 {
@@ -200,18 +193,48 @@ fn rescanning_window_minimum_equals_the_deque() {
             for len in lens {
                 let params = MinimizerParams { k, w };
                 // A random sequence; a homopolymer (every k-mer, so every
-                // hash, tied); and a short-period repeat (ties at a distance).
+                // hash, tied); and period-2 and period-3 repeats (ties at a
+                // distance).
                 let random = rng.codes(len);
                 let tied = vec![(rng.next() & 0b11) as u8; len];
-                let period: Vec<u8> = (0..len).map(|p| random[p % 3.min(len)]).collect();
-                for seq in [random, tied, period] {
+                let period2: Vec<u8> = (0..len).map(|p| random[p % 2.min(len)]).collect();
+                let period3: Vec<u8> = (0..len).map(|p| random[p % 3.min(len)]).collect();
+                for seq in [random, tied, period2, period3] {
                     assert_eq!(
                         minimizers(&seq, &params),
-                        deque_minimizers(&seq, &params),
+                        rescan_minimizers(&seq, &params),
                         "k={k} w={w} len={len} seq={seq:?}"
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn block_window_minima_equal_the_rescanning_sampler_on_repeat_families() {
+    // References built from the 300 bp repeat families, exact and diverged
+    // copies: long runs of equal windows, each repeated k-mer many times.
+    for (divergence, seed) in [(0.0, 3), (0.04, 4)] {
+        let genome = ReferenceGenome::synthesize(
+            &ReferenceParams {
+                total_len: 60_000,
+                chromosomes: 2,
+                repeat_fraction: 0.6,
+                repeat_families: 3,
+                repeat_divergence: divergence,
+                ..ReferenceParams::default()
+            },
+            seed,
+        );
+        for (k, w) in [(15, 10), (31, 10), (5, 16), (11, 1)] {
+            let params = MinimizerParams { k, w };
+            let codes = genome.flat().codes();
+            assert_eq!(
+                minimizers(codes, &params),
+                rescan_minimizers(codes, &params),
+                "divergence {divergence} k={k} w={w}"
+            );
         }
     }
 }

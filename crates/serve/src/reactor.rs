@@ -211,6 +211,24 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, id: u64, waker: Arc<Waker>) -> Conn {
+        Conn {
+            stream,
+            sink: Arc::new(ReactorConn {
+                id,
+                out: Mutex::new(OutBuf {
+                    buf: Vec::new(),
+                    dead: false,
+                }),
+                in_flight: AtomicU64::new(0),
+                waker,
+            }),
+            inbuf: Vec::new(),
+            read_closed: false,
+            dead: false,
+        }
+    }
+
     fn pending_out(&self) -> bool {
         let out = lock(&self.sink.out);
         !out.buf.is_empty()
@@ -276,7 +294,7 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
 
     loop {
         if shared.closed.load(Ordering::Relaxed) {
-            final_flush(&mut conns, &shared);
+            close(&mut conns, &shared, &mut scratch);
             return;
         }
         let draining = shared.draining.load(Ordering::Relaxed);
@@ -370,21 +388,7 @@ fn accept_ready(
                 let _ = stream.set_nodelay(true);
                 let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.record(Event::Connection);
-                conns.push(Conn {
-                    stream,
-                    sink: Arc::new(ReactorConn {
-                        id,
-                        out: Mutex::new(OutBuf {
-                            buf: Vec::new(),
-                            dead: false,
-                        }),
-                        in_flight: AtomicU64::new(0),
-                        waker: Arc::clone(waker),
-                    }),
-                    inbuf: Vec::new(),
-                    read_closed: false,
-                    dead: false,
-                });
+                conns.push(Conn::new(stream, id, Arc::clone(waker)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -456,6 +460,21 @@ fn protocol_failure(conn: &mut Conn, shared: &Arc<Shared>, msg: &str) {
     conn.read_closed = true;
 }
 
+/// Once the workers have joined: a last non-blocking read of every open
+/// connection, so that each frame the kernel took after the reactor last
+/// read gets its answer — `shed` for an align request, as admission
+/// answers everything while draining — and a trailing partial frame counts
+/// as a protocol error; then the final flush.
+fn close(conns: &mut [Conn], shared: &Arc<Shared>, scratch: &mut [u8]) {
+    for conn in conns.iter_mut().filter(|c| !c.read_closed && !c.dead) {
+        service_read(conn, shared, scratch);
+        if !conn.inbuf.is_empty() {
+            shared.metrics.record(Event::ProtocolError);
+        }
+    }
+    final_flush(conns, shared);
+}
+
 /// Post-shutdown flush: all workers have joined, so every response is
 /// already buffered — push the bytes out with a hard deadline.
 fn final_flush(conns: &mut [Conn], shared: &Arc<Shared>) {
@@ -473,7 +492,99 @@ fn final_flush(conns: &mut [Conn], shared: &Arc<Shared>) {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Shutdown;
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
+    use crate::protocol::{read_frame, Mode, Request};
+    use crate::server::ServerConfig;
+
+    /// A drained server's shared state: no engine, and `draining` and
+    /// `closed` set, as [`crate::server::Server::shutdown`] leaves them
+    /// once the workers have joined.
+    fn closed_server() -> Arc<Shared> {
+        Arc::new(Shared {
+            engines: Vec::new(),
+            tenants: Vec::new(),
+            metrics: Arc::new(ServeMetrics::new(1, 1, &[], false, None)),
+            config: ServerConfig::default(),
+            batch_seq: AtomicU64::new(0),
+            trace_seq: AtomicU64::new(0),
+            conn_seq: AtomicU64::new(0),
+            draining: AtomicBool::new(true),
+            closed: AtomicBool::new(true),
+            shutdown_requested: AtomicBool::new(false),
+        })
+    }
+
+    #[test]
+    fn close_answers_every_frame_sent_after_the_last_read() {
+        let shared = closed_server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (_wake_rx, wake_tx) = UnixStream::pair().unwrap();
+        let waker = Arc::new(Waker { tx: wake_tx });
+        let mut clients = Vec::new();
+        let mut conns = Vec::new();
+        for id in 0..3 {
+            clients.push(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+            let (stream, _) = listener.accept().unwrap();
+            stream.set_nonblocking(true).unwrap();
+            conns.push(Conn::new(stream, id, Arc::clone(&waker)));
+        }
+        // Written after `closed` was set, so never read by the poll loop:
+        // four align frames per connection; the second connection then
+        // half-closes with its frames unread, the third leaves a partial
+        // frame behind its complete ones.
+        let mut sent = Vec::new();
+        for (c, client) in clients.iter_mut().enumerate() {
+            let mut bytes = Vec::new();
+            for k in 0..4 {
+                let request = Request::Align {
+                    id: (10 * c + k) as u64,
+                    codes: vec![0, 1, 2, 3],
+                    deadline_ms: None,
+                    tenant: None,
+                    region: None,
+                    mode: Mode::Short,
+                };
+                write_frame(&mut bytes, &request.encode()).unwrap();
+            }
+            if c == 2 {
+                bytes.extend_from_slice(&100u32.to_be_bytes());
+                bytes.extend_from_slice(b"{\"id\"");
+            }
+            client.write_all(&bytes).unwrap();
+            sent.push(bytes.len());
+        }
+        clients[1].shutdown(Shutdown::Write).unwrap();
+        // Every byte (and the half-close) is in the server sockets' buffers.
+        for (conn, want) in conns.iter().zip(sent) {
+            let mut peek = vec![0u8; 1024];
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while conn.stream.peek(&mut peek).unwrap_or(0) < want {
+                assert!(Instant::now() < deadline, "bytes never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        let mut scratch = [0u8; 1024];
+        close(&mut conns, &shared, &mut scratch);
+        drop(conns);
+
+        for (c, client) in clients.iter_mut().enumerate() {
+            let mut ids = Vec::new();
+            while let Some(doc) = read_frame(client).unwrap() {
+                let resp = AlignResponse::decode(&doc).unwrap();
+                assert_eq!(resp.status, Status::Shed, "{resp:?}");
+                assert_eq!(resp.error.as_deref(), Some("server draining"));
+                ids.push(resp.id);
+            }
+            let sent: Vec<u64> = (0..4).map(|k| (10 * c + k) as u64).collect();
+            assert_eq!(ids, sent, "connection {c}: one answer per frame");
+        }
+        assert_eq!(shared.metrics.counter("serve.requests_shed"), 12);
+        assert_eq!(shared.metrics.counter("serve.protocol_errors"), 1);
+    }
 
     #[test]
     fn nofile_limit_is_reported_and_monotonic() {

@@ -3,10 +3,11 @@
 # per-access path and no ordered or hashed map in its event loop,
 # lints, rustdoc links, the tier-1 build+test suite (and, in the release
 # binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
-# never on xmm), EXPERIMENTS.md's quoted Fig. 11-14 output against the
-# binary, the telemetry artifact checks, the benchmark smoke run, the
-# serve smoke tests, the conformance sweep and the per-crate line count. Run
-# from the repository root: ./scripts/check.sh
+# never on xmm), the serving suites again on one busy core, EXPERIMENTS.md's
+# quoted Fig. 11-14 output against the binary, the telemetry artifact
+# checks, the benchmark smoke run, the serve smoke tests, the conformance
+# sweep and the per-crate line count. Run from the repository root:
+# ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
 # temp dir removed on exit; CI points it at a persistent path and uploads
@@ -98,6 +99,26 @@ cargo test -q
 # statistics (also part of the suite above; run by name filter so a drift
 # fails loudly here even if the suite is filtered).
 cargo test -q --test telemetry_integration golden_file
+
+# The serving suites wait for server events, never for time: they must pass
+# with the whole run squeezed onto one core that a busy loop also holds, as
+# on a loaded CI host. About 90 s on a 2-vCPU host (the suites' binaries are
+# already built by the tier-1 run above).
+taskset -c 0 sh -c 'while :; do :; done' &
+busy_pid=$!
+status=0
+for suite in serve_integration serve_modes_integration serve_dispatch_integration \
+    tenancy_integration observability_integration; do
+    taskset -c 0 cargo test -q --test "$suite" || {
+        status=$?
+        break
+    }
+done
+kill "$busy_pid"
+if [ "$status" -ne 0 ]; then
+    echo "a serving suite failed on one busy core" >&2
+    exit "$status"
+fi
 
 if [ -n "${ARTIFACTS_DIR:-}" ]; then
     artifacts_dir="$ARTIFACTS_DIR"

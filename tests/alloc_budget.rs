@@ -18,7 +18,8 @@
 //! allocation round of the Coordinator works from reused scratch, so the
 //! NvWa variant allocates like the three that have no Coordinator. The
 //! suffix-array case bounds memory rather than calls: the high-water mark
-//! of live heap bytes while `build_suffix_array` runs.
+//! of live heap bytes while `build_suffix_array` runs; the long-read index
+//! case, the bytes its minimizer table keeps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,16 +153,19 @@ fn warm_short_read_path_stays_within_its_allocation_budget() {
 const LONG_READS: usize = 50;
 
 /// Allocations and bytes of one pass over the [`LONG_READS`] reads, measured
-/// at the change that capped the chainer at `max_chains` chains per strand
-/// and replaced the minimizer sampler's `VecDeque` with a rescanning window
-/// minimum: 20 372 allocations (407.4 per read) and 27 243 185 bytes
-/// (544 864), the same on either instantiation and lane width of the tile
-/// kernel. Before it, the unbuilt chains and the deque's growth: 30 235
-/// (604.7) and 28 623 593 bytes (572 472); before `gact_extend` owned one
-/// `DpScratch` for all its tiles, 35 276 (705.5) and 116 203 313 bytes
-/// (2 324 066 per read).
-const LONG_ALLOCS_CEILING: u64 = 20_372;
-const LONG_BYTES_CEILING: u64 = 27_243_185;
+/// at the change that made the minimizer index one flat table, the sampler
+/// block window minima (hashed a block at a time, into a reserved output)
+/// and the chainer a banded DP with an unstable greedy sort: 19 546
+/// allocations (390.9 per read) and 21 890 238 bytes (437 805), the same on
+/// either instantiation and lane width of the tile kernel. Before it, the
+/// sampler's output growth and whole-read hash array and the stable sort's
+/// buffer: 20 372 (407.4) and 27 243 185 bytes (544 864);
+/// before the chainer stopped at `max_chains` chains per strand and the
+/// sampler dropped its `VecDeque`, 30 235 (604.7) and 28 623 593 bytes
+/// (572 472); before `gact_extend` owned one `DpScratch` for all its
+/// tiles, 35 276 (705.5) and 116 203 313 bytes (2 324 066 per read).
+const LONG_ALLOCS_CEILING: u64 = 19_546;
+const LONG_BYTES_CEILING: u64 = 21_890_238;
 
 #[test]
 fn long_read_path_stays_within_its_allocation_budget() {
@@ -191,7 +195,7 @@ fn long_read_path_stays_within_its_allocation_budget() {
     assert_eq!(tiles, warm, "the second pass must repeat the first");
     assert!(tiles >= 20 * LONG_READS as u64, "only {tiles} tiles filled");
     eprintln!(
-        "LongReadAligner::align: {:.1} allocations, {:.0} bytes per read",
+        "LongReadAligner::align: {:.1} allocations, {:.0} bytes per read ({allocs}, {bytes} in all)",
         allocs as f64 / LONG_READS as f64,
         bytes as f64 / LONG_READS as f64
     );
@@ -199,6 +203,41 @@ fn long_read_path_stays_within_its_allocation_budget() {
         allocs <= LONG_ALLOCS_CEILING && bytes <= LONG_BYTES_CEILING,
         "{allocs} allocations, {bytes} bytes over {LONG_READS} reads, \
          budget {LONG_ALLOCS_CEILING} / {LONG_BYTES_CEILING}"
+    );
+}
+
+/// Heap bytes `LongReadIndex::build` leaves live on the 200 kbp reference of
+/// the long-read case (its own reference `Vec` aside), measured at the change
+/// that made the minimizer index one flat table: `4 · keys + 1` 16-byte
+/// slots and one `Vec` of the repeated keys' positions. 1 947 528 bytes
+/// (peak 2 587 640) in 5 allocations. The per-key `HashMap<u64, Vec<u32>>`
+/// before it left 2 666 080 bytes live (peak 4 773 856) in 31 114
+/// allocations, about one per key.
+const LONG_INDEX_LIVE_BYTES: i64 = 1_947_528;
+const LONG_INDEX_LIVE_ALLOCS: u64 = 5;
+
+#[test]
+fn long_read_index_keeps_one_flat_table() {
+    let genome = ReferenceGenome::synthesize(
+        &ReferenceParams {
+            total_len: 200_000,
+            chromosomes: 4,
+            ..ReferenceParams::default()
+        },
+        7,
+    );
+    let reference = genome.flat().codes().to_vec();
+    start_counting();
+    let index = LongReadIndex::build(reference, MinimizerParams::default());
+    let Counted {
+        allocs, live, peak, ..
+    } = stop_counting();
+    eprintln!("LongReadIndex::build: {live} bytes live, {peak} at peak, {allocs} allocations");
+    assert!(index.minimizers().len() > 30_000);
+    assert!(
+        live <= LONG_INDEX_LIVE_BYTES && allocs <= LONG_INDEX_LIVE_ALLOCS,
+        "{live} bytes live in {allocs} allocations, budget {LONG_INDEX_LIVE_BYTES} / \
+         {LONG_INDEX_LIVE_ALLOCS}"
     );
 }
 
