@@ -103,10 +103,19 @@ impl Default for ChainConfig {
 /// best non-overlapping chains.
 ///
 /// Seeds may be on either strand; chains never mix strands. The result is
-/// sorted by descending score.
+/// sorted by descending score. Where a strand's seeds are one run, none
+/// empty and already in `(query_start, ref_pos)` order — as
+/// `LongReadAligner` emits them — that run is chained where it lies.
 pub fn chain_seeds(seeds: &[Seed], config: &ChainConfig) -> Vec<Chain> {
     let mut chains = Vec::new();
-    for is_rc in [false, true] {
+    let forward = seeds.iter().take_while(|s| !s.is_rc).count();
+    let runs = seeds[forward..].iter().all(|s| s.is_rc);
+    for (is_rc, run) in [(false, &seeds[..forward]), (true, &seeds[forward..])] {
+        let in_order = run.is_sorted_by_key(|s| (s.query_start, s.ref_pos));
+        if runs && in_order && !run.is_empty() && !run.iter().any(Seed::is_empty) {
+            chains.extend(chain_one_strand(run, config, is_rc));
+            continue;
+        }
         let mut strand: Vec<Seed> = seeds
             .iter()
             .copied()

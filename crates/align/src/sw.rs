@@ -32,6 +32,10 @@ pub(crate) const NEG_INF: i32 = i32::MIN / 4;
 /// anti-diagonal, so no remainder loop; every fill buffer has one as slack.
 const CHUNK: usize = 32;
 
+/// Diagonals between two cuts of the wavefront fill's band: between cuts
+/// the fill's control flow does not wait on its data.
+const TRIM: usize = 8;
+
 /// The query's and reversed target's padding: apart, and above an `i16` call's
 /// codes, so that no padded cell there scores a match (`fits_i16`'s range).
 const PADS: (u8, u8) = (u8::MAX - 1, u8::MAX);
@@ -159,7 +163,7 @@ pub struct DpScratch {
     pub(crate) f_col: Vec<i32>,
     score_tab: Vec<i32>,
     profile_row: Vec<i32>,
-    /// The wavefront fill's nine row-indexed lane arrays, end to end, for
+    /// The wavefront fill's seven row-indexed lane arrays, end to end, for
     /// calls past the `i16` bound.
     lanes: Vec<i32>,
     /// The same for calls inside it.
@@ -403,7 +407,7 @@ fn extend_lanes<L: Lane>(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::host()` is this level: the CPU reports `avx2`.
         Isa::Avx2 => unsafe { extend_wavefront_avx2::<L>(query, target, scoring, s) },
-        _ => extend_wavefront::<L, 1>(query, target, scoring, s),
+        _ => extend_one_lane::<L>(query, target, scoring, s),
     }
 }
 
@@ -430,17 +434,29 @@ arm!(extend_wavefront_avx512, "avx512bw");
 /// paper's systolic EU sweeps it (Fig. 7): the cells of diagonal `d = i + j`
 /// read diagonals `d-1` and `d-2` only, so [`wavefront_cells`] vectorises.
 /// Lanes are indexed by query row `i` (three H diagonals, two E, two F, the
-/// per-row best); the target is stored reversed so that row `i`'s base
-/// `target[d-i-1]` is contiguous in `i`. The traceback codes are `fill_into`'s,
-/// diagonal-major with the diagonals end to end (`diag_base`), never cleared:
-/// the walk visits only cells this call wrote. Generic over the lane width
-/// (the caller checks that `L` holds every value) and inlined so that it
-/// compiles inside each feature-enabled caller too. Each diagonal runs whole
-/// chunks of `C` lanes: lane `k` reads rows `k-1` and `k` only, so no real
-/// cell reads the rows past the last interior one. The boundary cells and
-/// row `d`'s best, which those may overwrite, are written after the fill.
-/// The baseline arm runs `C = 1`, LLVM's loop with its remainder: on SSE2,
-/// which has no `i32` max, padded rows cost more than the remainder does.
+/// per-row best), each `w` rows of one buffer, the H, E and F lanes rotated
+/// by offset; the target is stored reversed so that row `i`'s base
+/// `target[d-i-1]` is contiguous in `i`. The traceback codes are
+/// `fill_into`'s, diagonal-major with the diagonals end to end
+/// (`diag_base`), never cleared: the walk visits only cells this call
+/// wrote. Generic over the lane width (the caller checks that `L` holds
+/// every value) and inlined so that it compiles inside each feature-enabled
+/// caller too.
+///
+/// Each diagonal fills only its live band `lo..hi` (DESIGN.md, "The live
+/// band"): a cell whose H plus `match · min(m-i, n-j)` is below the best H
+/// so far can be neither the answer nor on its traceback. `lo` never falls
+/// and `hi` grows by at most a row per diagonal; every [`TRIM`] diagonals
+/// the band is cut at both ends, and a band that empties ends the fill. A
+/// window of whole chunks from row `a` to `b` reads rows `a-1 .. b` of the
+/// diagonals before: row `a-1` (H, F) is set to the sentinel on every
+/// diagonal, and the chunk past the last window's end when a window grows
+/// past it, so no row read holds a cell from an older diagonal, which may
+/// score more. A call with a code from [`PADS`] up, where padded rows can
+/// score matches and feed `top`, runs the one-lane arm. The boundary cells
+/// and row `d`'s best, which padded rows may overwrite, are written after
+/// the fill. The baseline arm runs `C = 1`, LLVM's loop with its remainder:
+/// on SSE2, which has no `i32` max, padded rows cost more than it does.
 #[inline(always)]
 fn extend_wavefront<L: Lane, const C: usize>(
     query: &[u8],
@@ -448,7 +464,11 @@ fn extend_wavefront<L: Lane, const C: usize>(
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> ExtensionAlignment {
-    let (m, n, w) = (query.len(), target.len(), query.len() + 1 + CHUNK);
+    if C > 1 && query.iter().max().max(target.iter().max()) >= Some(&PADS.0) {
+        // Padded rows may score matches here: one-lane chunks have none.
+        return extend_one_lane::<L>(query, target, scoring, s);
+    }
+    let (m, n, w) = (query.len(), target.len(), query.len() + 1 + 2 * CHUNK);
     let (go1, ge) = (L::of(scoring.gap_cost(1)), L::of(scoring.gap_extend));
     let subst = (L::of(scoring.match_score), L::of(-scoring.mismatch_penalty));
     // Diagonal `d` holds rows `d.saturating_sub(n) ..= m.min(d)`; its base is
@@ -474,55 +494,107 @@ fn extend_wavefront<L: Lane, const C: usize>(
     let (padded_query, rev_target) = (&s.query[..], &s.rev_target[..]);
     all.clear();
     all.resize(9 * w, L::of(0));
-    let mut lanes = all.chunks_exact_mut(w);
-    let [mut h2, mut h1, mut h0, mut e1, mut e0, mut f1, mut f0, best, best_d] =
-        std::array::from_fn(|_| lanes.next().expect("nine lanes of m + 1 + CHUNK"));
+    // Offsets of the lanes in `all`: H of `d-2`, `d-1`, `d`, E and F of
+    // `d-1`, `d`, then each row's best and the first diagonal reaching it.
+    let (mut h2, mut h1, mut h0, mut e1, mut e0, mut f1, mut f0) =
+        (0, w, 2 * w, 3 * w, 4 * w, 5 * w, 6 * w);
+    let (best, best_d) = (7 * w, 8 * w);
+    // Every lane's best so far: `top` is the largest.
+    let mut acc = [L::of(0); C];
+    // Whether cell `(i, dd - i)` scoring `v` can no longer reach `top`.
+    let gain = scoring.match_score as i64;
+    let dead = |top: i64, dd: usize, i: usize, v: L| {
+        (v.int() as i64) + gain * ((m - i).min(n + i - dd) as i64) < top
+    };
 
-    // Diagonal 0 is the anchor: H(0,0) = 0, already in `h1[0]`.
+    // Diagonal 0 is the anchor: H(0,0) = 0, already in `h1`; its band row 0.
+    // No row from `end` up holds a cell of the two diagonals before.
+    let (mut lo, mut hi, mut end) = (0, 1, 1);
     let mut boundary = L::of(-scoring.gap_cost(1));
     for d in 1..=m + n {
-        let base = diag_base[d];
-        // Interior rows `lo..hi` (none on diagonal 1), in whole chunks.
-        let (lo, hi) = (d.saturating_sub(n).max(1), m.min(d - 1) + 1);
-        let k = (hi - lo).div_ceil(C);
-        wavefront_cells::<L, C>(
-            (L::of(d as i32), go1, ge, subst),
-            &padded_query[lo - 1..].as_chunks().0[..k],
-            &rev_target[n + lo - d..].as_chunks().0[..k],
-            &h2[lo - 1..].as_chunks().0[..k],
-            &h1[lo - 1..].as_chunks().0[..k],
-            &h1[lo..].as_chunks().0[..k],
-            &e1[lo..].as_chunks().0[..k],
-            &f1[lo - 1..].as_chunks().0[..k],
-            &mut h0[lo..].as_chunks_mut().0[..k],
-            &mut e0[lo..].as_chunks_mut().0[..k],
-            &mut f0[lo..].as_chunks_mut().0[..k],
-            &mut tb[base + lo..].as_chunks_mut().0[..k],
-            &mut best[lo..].as_chunks_mut().0[..k],
-            &mut best_d[lo..].as_chunks_mut().0[..k],
-        );
+        let hi1 = hi;
+        (lo, hi) = (lo.max(d.saturating_sub(n)), (hi + 1).min(m.min(d) + 1));
+        // Interior rows `a..hi.min(d)`, in `k` whole chunks ending at `b`.
+        let a = lo.max(1);
+        let k = hi.min(d).saturating_sub(a).div_ceil(C);
+        let (b, base) = (a + k * C, diag_base[d]);
+        if b > end {
+            // The window reaches past the last one: the rows it reads there
+            // become the sentinel (column 0's cell of `d - 1` is put back).
+            for lane in [h2, h1, e1, f1] {
+                all[lane + end..lane + end + C].copy_from_slice(&[L::NEG; C]);
+            }
+            if d - 1 <= m && d > 1 {
+                all[h1 + d - 1] = boundary + ge;
+            }
+        }
+        (all[h0 + a - 1], all[f0 + a - 1], end) = (L::NEG, L::NEG, b);
+        let p = all.as_mut_ptr();
+        // SAFETY: each piece is `k` chunks from row `a - 1` or `a`, so it
+        // ends before row `b <= m + C` of its `w`-long lane in `all`; before
+        // `m + C` in the padded query (rows from 1 read `query[i - 1]`) and
+        // `n + C` in the padded reversed target (`b <= d + C - 1`); before
+        // `cells + C` in `tb` (row `b - C` is at most diagonal `d`'s last).
+        // The pieces written (`h0`, `e0`, `f0`, `tb`, `best`, `best_d`) are
+        // lanes of their own, overlapping no other piece.
+        unsafe {
+            wavefront_cells::<L, C>(
+                (L::of(d as i32), go1, ge, subst),
+                rows(padded_query.as_ptr(), a - 1, k),
+                rows(rev_target.as_ptr(), n + a - d, k),
+                rows(p.add(h2), a - 1, k),
+                rows(p.add(h1), a - 1, k),
+                rows(p.add(h1), a, k),
+                rows(p.add(e1), a, k),
+                rows(p.add(f1), a - 1, k),
+                rows_mut(p.add(h0), a, k),
+                rows_mut(p.add(e0), a, k),
+                rows_mut(p.add(f0), a, k),
+                rows_mut(tb.as_mut_ptr(), base + a, k),
+                rows_mut(p.add(best), a, k),
+                rows_mut(p.add(best_d), a, k),
+                &mut acc,
+            );
+        }
         // The gap-scored boundary: row 0 comes from E-gaps and never extends
         // an F, column 0 the other way round; row `d`'s best starts here.
         if d <= n {
-            h0[0] = boundary;
-            f0[0] = L::NEG;
+            (all[h0], all[f0]) = (boundary, L::NEG);
             tb[base] = H_FROM_E | if d > 1 { E_EXT } else { 0 };
         }
         if d <= m {
-            (h0[d], e0[d], best[d], best_d[d]) = (boundary, L::NEG, L::of(0), L::of(0));
+            (all[h0 + d], all[e0 + d]) = (boundary, L::NEG);
+            (all[best + d], all[best_d + d]) = (L::of(0), L::of(0));
             tb[base + d] = H_FROM_F | if d > 1 { F_EXT } else { 0 };
         }
         boundary = boundary - ge;
+        if d % TRIM == 0 {
+            // Cut the band while its end row is dead here and, if it was
+            // live on `d - 1`, there too.
+            let top = lane_max(&acc).int() as i64;
+            let gone = |i: usize| {
+                dead(top, d, i, all[h0 + i]) && (i >= hi1 || dead(top, d - 1, i, all[h1 + i]))
+            };
+            while lo < hi && gone(lo) {
+                lo += 1;
+            }
+            while hi > lo && gone(hi - 1) {
+                hi -= 1;
+            }
+            if lo == hi {
+                break;
+            }
+        }
         (h2, h1, h0) = (h1, h0, h2);
         (e1, e0, f1, f0) = (e0, e1, f0, f1);
     }
-
     // Each row kept its maximum and the first diagonal reaching it: rows in
     // order under strict `>` give `fill_into`'s first row-major maximum.
     let (mut score, mut bi, mut bj) = (0i32, 0usize, 0usize);
     for i in 1..=m {
-        if best[i].int() > score {
-            (score, bi, bj) = (best[i].int(), i, best_d[i].int() as usize - i);
+        if all[best + i].int() > score {
+            let first = all[best_d + i].int() as usize;
+            (score, bi, bj) = (all[best + i].int(), i, first - i);
         }
     }
     *L::lanes(s) = all;
@@ -537,6 +609,41 @@ fn extend_wavefront<L: Lane, const C: usize>(
         target_len: bj,
         cigar,
     }
+}
+
+/// [`extend_wavefront`] in one-lane chunks, out of line: the baseline arm,
+/// which the vector arms take for a call with a code from [`PADS`] up.
+#[inline(never)]
+fn extend_one_lane<L: Lane>(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> ExtensionAlignment {
+    extend_wavefront::<L, 1>(query, target, scoring, s)
+}
+
+/// The largest lane of `acc`. Out of line, so compiled for the baseline
+/// target: a horizontal max ends on `xmm`, and `scripts/check.sh` reads any
+/// narrow max inside the fill's arms as a diagonal's remainder loop.
+#[inline(never)]
+fn lane_max<L: Lane, const C: usize>(acc: &[L; C]) -> L {
+    acc.iter().fold(L::NEG, |top, &v| top.max(v))
+}
+
+/// `k` chunks of `C` from element `at` of `p`: the caller vouches that they
+/// lie in one allocation and that nothing writes them while the slice lives.
+#[inline(always)]
+unsafe fn rows<'a, T, const C: usize>(p: *const T, at: usize, k: usize) -> &'a [[T; C]] {
+    // SAFETY: the caller's.
+    unsafe { std::slice::from_raw_parts(p.add(at).cast(), k) }
+}
+
+/// [`rows`], to be written: nothing else may read or write them meanwhile.
+#[inline(always)]
+unsafe fn rows_mut<'a, T, const C: usize>(p: *mut T, at: usize, k: usize) -> &'a mut [[T; C]] {
+    // SAFETY: the caller's.
+    unsafe { std::slice::from_raw_parts_mut(p.add(at).cast(), k) }
 }
 
 /// One anti-diagonal's chunks, lane `k` being one query row: `fill_into`'s
@@ -564,6 +671,7 @@ fn wavefront_cells<L: Lane, const C: usize>(
     tb: &mut [[u8; C]],
     best: &mut [[L; C]],
     best_d: &mut [[L; C]],
+    top: &mut [L; C],
 ) {
     let (diag_code, f_code) = (L::from(H_DIAG), L::from(H_FROM_F));
     let (e_ext_code, f_ext_code) = (L::from(E_EXT), L::from(F_EXT));
@@ -587,6 +695,7 @@ fn wavefront_cells<L: Lane, const C: usize>(
             // moves the row's best there, anything else leaves it.
             best_d[c][k] = best_d[c][k].max(L::from(hv > best[c][k]) * d);
             best[c][k] = best[c][k].max(hv);
+            top[k] = top[k].max(hv);
         }
     }
 }
@@ -1436,6 +1545,149 @@ mod tests {
         for (q, t) in cases {
             let tag = format!("q={q:?} t={t:?}");
             assert_twins(&q, &t, &Scoring::bwa_mem(), &mut dp, &tag);
+        }
+    }
+
+    /// A copy of `q` at `long_read`'s error profile: 4 % substitutions, 2 %
+    /// insertions, 2 % deletions, each base drawn in hundredths.
+    fn noisy_copy(q: &[u8], alphabet: u8, rand: &mut impl FnMut(usize) -> usize) -> Vec<u8> {
+        q.iter()
+            .flat_map(|&c| match rand(100) {
+                0..=3 => vec![(c + 1 + rand(alphabet as usize - 1) as u8) % alphabet],
+                4..=5 => vec![c, rand(alphabet as usize) as u8],
+                6..=7 => vec![],
+                _ => vec![c],
+            })
+            .collect()
+    }
+
+    /// The banded fill at GACT tile scale, every kind of tile through one
+    /// scratch with sizes going large -> small -> large: 8 %-error noisy
+    /// copies, flank-like tiles whose query runs out early, homopolymer and
+    /// all-mismatch tiles, small tie-heavy tiles (free gaps among the
+    /// scorings), shapes at the `i16` bound and one past it, and codes up to
+    /// 255; each that fits one tile also as a GACT call, whose `dp_cells`
+    /// stays the tile's area. A bound one too tight (`min(m-i, n-j) - 1`),
+    /// a missing sentinel row (under the window or past the last one), or
+    /// `top` fed from padded rows that score matches each fails here.
+    #[test]
+    fn banded_fill_agrees_with_the_oracle_on_gact_tiles() {
+        let mut rand = lcg(0xba_9d);
+        let scorings = [
+            Scoring::bwa_mem(),
+            Scoring::new(2, 3, 4, 1),
+            Scoring::new(1, 1, 0, 1),
+            Scoring::new(3, 2, 5, 0),
+            Scoring::new(1, 20, 6, 1),
+            Scoring::new(1, 1, 0, 0),
+        ];
+        let mut tiles: Vec<(Vec<u8>, Vec<u8>, Scoring, &str)> = Vec::new();
+        for round in 0..12 {
+            let scoring = scorings[round % scorings.len()];
+            let (m, alphabet) = ([256, 200, 64, 256][round % 4], [4, 4, 2, 4][round / 4 % 4]);
+            let q: Vec<u8> = (0..m).map(|_| rand(alphabet) as u8).collect();
+            let mut t = noisy_copy(&q, alphabet as u8, &mut rand);
+            t.resize(256, 0);
+            tiles.push((q.clone(), t.clone(), scoring, "noisy"));
+            // A flank: the query stops a third of the way into the window.
+            let flank = q[..m / 3].to_vec();
+            tiles.push((flank, t, scoring, "flank"));
+        }
+        for round in 0..600 {
+            // Small tie-heavy tiles, their codes from 0 or from 254 up (the
+            // padding's own, where a padded row scores matches).
+            let (m, low) = (1 + rand(60), [0, 0, 254][round % 3]);
+            let q: Vec<u8> = (0..m)
+                .map(|_| low + rand(2 + (low == 0) as usize * 2) as u8)
+                .collect();
+            let t: Vec<u8> = (0..1 + rand(90))
+                .map(|i| match i < m && rand(6) > 0 {
+                    true => q[i],
+                    false => low + rand(2) as u8,
+                })
+                .collect();
+            tiles.push((q, t, scorings[round % scorings.len()], "small"));
+        }
+        for round in 0..48 {
+            // A flank whose query runs out inside the window: one base in six
+            // substituted, then the window runs on at random.
+            let q: Vec<u8> = (0..8 + rand(200)).map(|_| rand(4) as u8).collect();
+            let mut t: Vec<u8> = q
+                .iter()
+                .map(|&c| (c + u8::from(rand(6) == 0)) % 4)
+                .collect();
+            t.extend((q.len()..q.len() + rand(257 - q.len())).map(|_| rand(4) as u8));
+            tiles.push((q, t, scorings[round % scorings.len()], "substituted flank"));
+        }
+        tiles.push((
+            vec![0; 256],
+            vec![0; 256],
+            Scoring::bwa_mem(),
+            "homopolymer",
+        ));
+        tiles.push((
+            vec![0; 100],
+            vec![0; 256],
+            Scoring::bwa_mem(),
+            "homopolymer flank",
+        ));
+        tiles.push((
+            vec![0; 256],
+            vec![1; 256],
+            Scoring::bwa_mem(),
+            "all-mismatch",
+        ));
+        for (scoring, m) in [
+            (Scoring::new(1, 4, 6, 60), 65),
+            (Scoring::new(2, 3, 4, 0), 33),
+        ] {
+            let edge = (0..)
+                .position(|n| !fits_i16(m, n, &scoring))
+                .expect("a bound")
+                - 1;
+            for n in [edge, edge + 1] {
+                let q: Vec<u8> = (0..m).map(|_| rand(4) as u8).collect();
+                let mut t = noisy_copy(&q, 4, &mut rand);
+                t.resize(n, 2);
+                tiles.push((q, t, scoring, "i16 edge"));
+            }
+        }
+        for round in 0..40 {
+            // Codes 254 and 255, the padding's own: a padded row scores
+            // matches there, most of all against a target running on in 254s.
+            let q: Vec<u8> = (0..8 + rand(120)).map(|_| rand(2) as u8).collect();
+            let mut t = noisy_copy(&q, 2, &mut rand);
+            t.resize(t.len() + [0, 8, 40][round % 3], 0);
+            let (q, t) = (
+                q.iter().map(|c| c + 254).collect(),
+                t.iter().map(|c| c + 254).collect(),
+            );
+            tiles.push((q, t, scorings[round % scorings.len()], "high codes"));
+        }
+        let q: Vec<u8> = (0..120).map(|_| (250 + rand(6)) as u8).collect();
+        let t: Vec<u8> = q.iter().map(|&c| c ^ u8::from(rand(8) == 0)).collect();
+        tiles.push((q, t, Scoring::bwa_mem(), "high codes"));
+        // Large -> small -> large through one scratch.
+        let mut order: Vec<usize> = (0..tiles.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(tiles[i].0.len() * tiles[i].1.len()));
+        let back: Vec<usize> = order.iter().rev().copied().collect();
+        let mut dp = DpScratch::new();
+        let gact = crate::gact::GactConfig::default();
+        for &i in order.iter().chain(&back).chain(&order) {
+            let (q, t, scoring, kind) = &tiles[i];
+            let tag = format!("{kind} m={} n={} {scoring:?}", q.len(), t.len());
+            assert_twins(q, t, scoring, &mut dp, &tag);
+            if q.len().max(t.len()) > gact.tile_size {
+                continue;
+            }
+            let (tile, stats) = crate::gact::gact_extend_with(q, t, scoring, &gact, &mut dp);
+            assert_eq!(stats.tiles, 1, "{tag}");
+            assert_eq!(stats.dp_cells, dp_cells(q.len(), t.len()), "{tag}");
+            assert_eq!(
+                tile.cigar,
+                naive::extend_align(q, t, scoring).cigar,
+                "{tag}"
+            );
         }
     }
 }

@@ -470,3 +470,44 @@ fn banded_chainer_equals_the_full_look_back_on_drift_of_exactly_max_drift() {
         );
     }
 }
+
+#[test]
+fn strand_runs_in_order_chain_in_place_as_any_order_does() {
+    let mut rng = Prng(0x1a_0e5);
+    for case in 0..300 {
+        // `LongReadAligner`'s layout: the forward strand's seeds, then the
+        // reverse strand's, each in `(query_start, ref_pos)` order.
+        let (count, loci) = (1 + rng.below(120) as usize, 1 + rng.below(3));
+        let mut seeds = clustered_seeds(
+            &mut rng,
+            count,
+            loci,
+            &mut |r| r.below(2_000) as usize,
+            &mut |_| 15,
+        );
+        seeds.sort_by_key(|s| (s.is_rc, s.query_start, s.ref_pos));
+        // The same seeds out of order (the copy-and-sort path), with the
+        // strands interleaved every other case.
+        let mut shuffled = seeds.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        if case % 2 == 0 {
+            shuffled.sort_by_key(|s| s.is_rc);
+        }
+        // One strand's run out of order, the other's in order.
+        let mut one_unsorted = seeds.clone();
+        let forward = one_unsorted.iter().take_while(|s| !s.is_rc).count();
+        one_unsorted[..forward].reverse();
+        for cfg in [long_cfg(1), long_cfg(4), long_cfg(70), CFG] {
+            let want = full_chain_seeds(&seeds, &cfg);
+            assert_eq!(chain_seeds(&seeds, &cfg), want, "case {case} in order");
+            assert_eq!(chain_seeds(&shuffled, &cfg), want, "case {case} shuffled");
+            assert_eq!(
+                chain_seeds(&one_unsorted, &cfg),
+                want,
+                "case {case} one run unsorted"
+            );
+        }
+    }
+}

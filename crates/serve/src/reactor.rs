@@ -447,6 +447,12 @@ fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
         conn.sink.in_flight.fetch_add(1, Ordering::AcqRel);
         handle_request(shared, &conn.sink, &doc);
     }
+    if conn.read_closed && !conn.inbuf.is_empty() {
+        // EOF mid-frame: the request was never accepted, so nothing is
+        // answered, but the truncated frame is a protocol error.
+        shared.metrics.record(Event::ProtocolError);
+        conn.inbuf.clear();
+    }
 }
 
 /// Frame-level failure: answer `error` and close once it is flushed —

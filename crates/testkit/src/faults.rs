@@ -197,8 +197,9 @@ pub(crate) enum Owed {
     Ok(usize),
     /// Exactly one `error` answer (and one `serve.protocol_errors` tick).
     Error,
-    /// Nothing: the frame never completes, so the server waits for the
-    /// rest and drops the connection when the client hangs up.
+    /// No answer: the frame never completes, so the server waits for the
+    /// rest and drops the connection when the client hangs up, counting
+    /// the truncated frame as one protocol error.
     Silence,
 }
 
@@ -349,13 +350,14 @@ pub(crate) fn play(
 }
 
 /// Runs the fuzz corpus, probing with a well-formed request on a fresh
-/// connection after every mutant. Returns how many `error` answers (=
-/// protocol errors) the corpus owes.
+/// connection after every mutant. Returns how many protocol errors the
+/// corpus owes: one per `error` answer and one per silently dropped
+/// truncated frame.
 fn run_frame_fuzz(addr: &str, prng: &mut Prng) -> Result<u64, String> {
     let mut errors_owed = 0;
     for (name, writes, owed) in frame_mutants(prng) {
         play(addr, &format!("frame_fuzz[{name}]"), &writes, owed)?;
-        errors_owed += u64::from(owed == Owed::Error);
+        errors_owed += u64::from(!matches!(owed, Owed::Ok(_)));
         let probe = short_align(9_000, prng.codes(60));
         let body = probe.encode().to_string_compact().into_bytes();
         let name = format!("frame_fuzz[{name}]: well-formed request afterwards");
@@ -514,8 +516,16 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
             }
         }
         FaultKind::TruncatedFrame | FaultKind::MidFrameDisconnect => {
-            // Silent drop: the attack produces no protocol-error response,
-            // and the well-behaved run must be fully ok.
+            // Silent drop: the attack's four truncated frames get no
+            // response but count as protocol errors, and the well-behaved
+            // run must be fully ok.
+            let counted = metrics.counter("serve.protocol_errors");
+            if counted != 4 {
+                return Err(format!(
+                    "{}: {counted} protocol errors recorded, want 4",
+                    plan.kind.name()
+                ));
+            }
             if total.ok != total.received {
                 return Err(format!(
                     "{}: well-behaved traffic degraded: ok {} of {}",

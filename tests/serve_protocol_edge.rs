@@ -149,7 +149,8 @@ fn lying_length_prefix_is_dropped_silently() {
     let mut stream = connect(&server);
     // Promise 100 body bytes, deliver 10, then close the write side:
     // the server sees EOF mid-frame and drops the connection without a
-    // response (the request was never accepted).
+    // response (the request was never accepted), counting one protocol
+    // error.
     stream
         .write_all(&100u32.to_be_bytes())
         .expect("write header");
@@ -166,7 +167,8 @@ fn lying_length_prefix_is_dropped_silently() {
         rest.len()
     );
     align_round_trip(&server, 3);
-    server.shutdown();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.counter("serve.protocol_errors"), 1);
 }
 
 #[test]
