@@ -8,8 +8,6 @@
 //! model so the software/hardware gap emerges from modeled work rather than
 //! a single constant.
 
-use nvwa_align::pipeline::ReadProfile;
-
 /// A published comparison point: throughput and (effective) power.
 ///
 /// Power values are derived from the paper's reported energy-reduction
@@ -86,70 +84,31 @@ pub fn reported_baselines() -> Vec<PlatformPoint> {
     ]
 }
 
-/// The analytic CPU cost model for BWA-MEM on the baseline Xeon.
-///
-/// Cycle costs per operation are first-principles estimates for a 2.1 GHz
-/// Broadwell core running the BWA-MEM inner loops: an FM-index occ lookup
-/// is an LLC-missing pointer chase (~140 cycles amortized), a banded DP
-/// cell costs ~8 cycles (SSE-amortized arithmetic plus traceback and band
-/// bookkeeping), and each read carries fixed overheads (I/O, chaining, SAM
-/// formatting).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuCostModel {
-    /// Cycles per FM-index block access (cache-missing chase).
-    pub cycles_per_occ_access: f64,
-    /// Cycles per DP cell (SIMD-amortized).
-    pub cycles_per_dp_cell: f64,
-    /// Fixed per-read overhead cycles (chaining, mem mgmt, output).
-    pub overhead_per_read: f64,
-    /// Core clock in GHz.
-    pub freq_ghz: f64,
-    /// Thread count.
-    pub threads: u32,
-    /// Parallel efficiency (memory-bandwidth and locking losses).
-    pub efficiency: f64,
-}
+// The analytic CPU cost model for BWA-MEM on Table I's Xeon (16 cores @
+// 2.10 GHz). Cycle costs per operation are first-principles estimates for
+// a 2.1 GHz Broadwell core running the BWA-MEM inner loops.
 
-impl Default for CpuCostModel {
-    fn default() -> CpuCostModel {
-        CpuCostModel {
-            cycles_per_occ_access: 140.0,
-            cycles_per_dp_cell: 8.0,
-            overhead_per_read: 60_000.0,
-            freq_ghz: 2.1,
-            threads: 16,
-            efficiency: 0.80,
-        }
-    }
-}
+/// Cycles per FM-index occ lookup: an LLC-missing pointer chase, amortized.
+pub(crate) const CPU_CYCLES_PER_OCC_ACCESS: f64 = 140.0;
+/// Cycles per banded DP cell: SSE-amortized arithmetic plus traceback and
+/// band bookkeeping.
+pub(crate) const CPU_CYCLES_PER_DP_CELL: f64 = 8.0;
+/// Fixed per-read overhead cycles (I/O, chaining, SAM formatting).
+const CPU_OVERHEAD_PER_READ: f64 = 60_000.0;
+/// Core clock in GHz (Table I: 2.10 GHz).
+pub(crate) const CPU_FREQ_GHZ: f64 = 2.1;
+/// Threads (Table I: 16 cores, run at 16 threads).
+pub(crate) const CPU_THREADS: u32 = 16;
+/// Parallel efficiency (memory-bandwidth and locking losses).
+const CPU_EFFICIENCY: f64 = 0.80;
 
-impl CpuCostModel {
-    /// Modeled cycles for one read given its workload profile.
-    pub fn cycles_for_read(&self, profile: &ReadProfile) -> f64 {
-        profile.seeding_trace.len() as f64 * self.cycles_per_occ_access
-            + profile.dp_cells as f64 * self.cycles_per_dp_cell
-            + self.overhead_per_read
-    }
-
-    /// Modeled multi-threaded throughput over a set of profiles, in
-    /// K reads/s.
-    pub fn kreads_per_sec(&self, profiles: &[ReadProfile]) -> f64 {
-        if profiles.is_empty() {
-            return 0.0;
-        }
-        let total_cycles: f64 = profiles.iter().map(|p| self.cycles_for_read(p)).sum();
-        let per_read = total_cycles / profiles.len() as f64;
-        self.freq_ghz * 1e9 * self.threads as f64 * self.efficiency / per_read / 1e3
-    }
-
-    /// Modeled throughput from average per-read operation counts (for
-    /// synthetic workloads), in K reads/s.
-    pub fn kreads_per_sec_from_counts(&self, mean_accesses: f64, mean_dp_cells: f64) -> f64 {
-        let per_read = mean_accesses * self.cycles_per_occ_access
-            + mean_dp_cells * self.cycles_per_dp_cell
-            + self.overhead_per_read;
-        self.freq_ghz * 1e9 * self.threads as f64 * self.efficiency / per_read / 1e3
-    }
+/// The CPU model's multi-threaded BWA-MEM throughput from average per-read
+/// operation counts (FM-index block accesses, DP cells), in K reads/s.
+pub fn cpu_kreads_per_sec(mean_accesses: f64, mean_dp_cells: f64) -> f64 {
+    let per_read = mean_accesses * CPU_CYCLES_PER_OCC_ACCESS
+        + mean_dp_cells * CPU_CYCLES_PER_DP_CELL
+        + CPU_OVERHEAD_PER_READ;
+    CPU_FREQ_GHZ * 1e9 * CPU_THREADS as f64 * CPU_EFFICIENCY / per_read / 1e3
 }
 
 #[cfg(test)]
@@ -193,8 +152,7 @@ mod tests {
         // The paper's 16-thread BWA-MEM does ~99.7 K reads/s on 101 bp
         // reads. With typical per-read operation counts (≈ 300 occ
         // accesses, ≈ 15 K DP cells) the model should land within 2×.
-        let model = CpuCostModel::default();
-        let modeled = model.kreads_per_sec_from_counts(300.0, 15_000.0);
+        let modeled = cpu_kreads_per_sec(300.0, 15_000.0);
         let reported = 49_150.0 / 493.0; // 99.7 K reads/s
         assert!(
             modeled / reported < 4.0 && reported / modeled < 4.0,
@@ -204,14 +162,8 @@ mod tests {
 
     #[test]
     fn cpu_model_scales_with_work() {
-        let model = CpuCostModel::default();
-        let light = model.kreads_per_sec_from_counts(100.0, 1_000.0);
-        let heavy = model.kreads_per_sec_from_counts(1_000.0, 100_000.0);
+        let light = cpu_kreads_per_sec(100.0, 1_000.0);
+        let heavy = cpu_kreads_per_sec(1_000.0, 100_000.0);
         assert!(light > heavy);
-    }
-
-    #[test]
-    fn empty_profiles_are_zero() {
-        assert_eq!(CpuCostModel::default().kreads_per_sec(&[]), 0.0);
     }
 }

@@ -5,8 +5,11 @@
 //! distribution by Formula 5 (16 PEs × 28, 32 × 20, 64 × 16, 128 × 6),
 //! 512 KB of SU scratchpad, 20 MB of EU SRAM, 150 KB in the Coordinator and
 //! 256 GB/s HBM 1.0.
+//!
+//! Only what a figure, a test configuration or the benchmark varies is a
+//! field here; the Table I numbers no caller varies are constants next to
+//! the code that reads them (DESIGN.md §2 lists where each lives).
 
-use nvwa_sim::hbm::HbmConfig;
 use nvwa_sim::Cycle;
 
 /// One class of extension units: `count` units of `pes` PEs each.
@@ -28,19 +31,6 @@ impl EuClass {
     pub fn total_pes(&self) -> u32 {
         self.pes * self.count
     }
-}
-
-/// The extension-unit algorithm family (the paper's orthogonality claim:
-/// the schedulers work over any unit design speaking the Table III
-/// interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EuAlgorithm {
-    /// Smith-Waterman systolic arrays (Darwin-style; Formula 3 latency).
-    #[default]
-    Systolic,
-    /// Bit-parallel edit-distance units (GenASM/Bitap-style): `pes` is the
-    /// bit-lane width; a hit costs `R × ⌈Q / pes⌉` plus trace-back.
-    BitParallel,
 }
 
 /// Which of NvWa's three scheduling mechanisms are enabled.
@@ -90,17 +80,6 @@ pub struct NvwaConfig {
     pub hits_buffer_depth: usize,
     /// Hits read per allocation round (`batch_size` in Fig. 10).
     pub alloc_batch_size: usize,
-    /// Store Buffer fill fraction that triggers a buffer switch (75 %).
-    pub store_switch_threshold: f64,
-    /// Idle-EU fraction at which the Allocate Trigger fires (15 %).
-    pub idle_eu_threshold: f64,
-    /// Fixed latency of one allocation round (sort + mux network).
-    pub alloc_latency: Cycle,
-    /// Constant trace-back latency per extension task (footnote 4: constant
-    /// for a given query/reference, independent of PE count).
-    pub traceback_cycles: Cycle,
-    /// Latency of an SU index access served by its local table SRAM.
-    pub su_cache_latency: Cycle,
     /// Capacity of the shared SU index cache, in occ blocks (models the
     /// SUs' 512 KB table SRAM holding hot FM-index blocks).
     pub su_cache_blocks: usize,
@@ -108,12 +87,8 @@ pub struct NvwaConfig {
     /// prior designs only had a small, coarse producer-consumer buffer
     /// between the phases (Sec. I discusses SeedEx's buffer).
     pub baseline_fifo_capacity: usize,
-    /// Extension-unit algorithm family.
-    pub eu_algorithm: EuAlgorithm,
     /// Scheduling ablation switches.
     pub scheduling: SchedulingConfig,
-    /// Off-chip memory model.
-    pub hbm: HbmConfig,
     /// Bucket width for utilization time series, in cycles.
     pub stats_bucket: Cycle,
 }
@@ -131,16 +106,9 @@ impl NvwaConfig {
             ],
             hits_buffer_depth: 1024,
             alloc_batch_size: 32,
-            store_switch_threshold: 0.75,
-            idle_eu_threshold: 0.15,
-            alloc_latency: 4,
-            traceback_cycles: 32,
-            su_cache_latency: 2,
             su_cache_blocks: 8192, // 512 KB / 64 B blocks
             baseline_fifo_capacity: 64,
-            eu_algorithm: EuAlgorithm::Systolic,
             scheduling: SchedulingConfig::nvwa(),
-            hbm: HbmConfig::default(),
             stats_bucket: 4096,
         }
     }
@@ -194,8 +162,8 @@ impl NvwaConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (no SUs/EUs, zero-depth buffer,
-    /// thresholds outside `(0, 1]`).
+    /// Panics on a degenerate configuration (no SUs/EUs, a zero-depth
+    /// buffer or FIFO, an empty allocation batch).
     pub fn validate(&self) {
         assert!(self.su_count > 0, "need at least one SU");
         assert!(!self.eu_classes.is_empty(), "need at least one EU class");
@@ -209,12 +177,8 @@ impl NvwaConfig {
             "allocation batch must be positive"
         );
         assert!(
-            self.store_switch_threshold > 0.0 && self.store_switch_threshold <= 1.0,
-            "switch threshold must be in (0, 1]"
-        );
-        assert!(
-            self.idle_eu_threshold > 0.0 && self.idle_eu_threshold <= 1.0,
-            "idle threshold must be in (0, 1]"
+            self.baseline_fifo_capacity > 0,
+            "baseline FIFO must have capacity"
         );
     }
 }
@@ -275,6 +239,19 @@ mod tests {
         let c = NvwaConfig {
             su_count: 0,
             ..NvwaConfig::paper()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "baseline FIFO must have capacity")]
+    fn zero_capacity_fifo_rejected() {
+        // With no capacity the FIFO path suspends every SU and the run
+        // ends with no hit dispatched instead of failing.
+        let c = NvwaConfig {
+            baseline_fifo_capacity: 0,
+            scheduling: SchedulingConfig::baseline(),
+            ..NvwaConfig::small_test()
         };
         c.validate();
     }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::baselines::{reported_baselines, CpuCostModel};
+use crate::baselines::{cpu_kreads_per_sec, reported_baselines};
 use crate::config::{NvwaConfig, SchedulingConfig};
 use crate::system::{simulate, SimReport};
 use crate::units::workload::{ReadWork, SyntheticWorkloadParams};
@@ -124,7 +124,6 @@ pub fn run_on_workload(works: &[ReadWork]) -> Fig11 {
     let mut bars: Vec<Bar> = Vec::new();
 
     // Reported platform baselines (the paper's methodology).
-    let cpu_model = CpuCostModel::default();
     let mean_acc = works
         .iter()
         .map(|w| w.seeding_accesses.len() as f64)
@@ -138,7 +137,7 @@ pub fn run_on_workload(works: &[ReadWork]) -> Fig11 {
         / works.len() as f64;
     bars.push(Bar {
         name: "CPU-BWA-MEM(model)".into(),
-        kreads_per_sec: cpu_model.kreads_per_sec_from_counts(mean_acc, mean_cells),
+        kreads_per_sec: cpu_kreads_per_sec(mean_acc, mean_cells),
         measured: true,
     });
     for p in reported_baselines() {

@@ -16,7 +16,7 @@ use nvwa_genome::reads::{ReadSimParams, ReadSimulator};
 use nvwa_genome::species::{Species, ALL_SPECIES};
 use nvwa_index::minimizer::MinimizerParams;
 
-use crate::baselines::CpuCostModel;
+use crate::baselines::cpu_kreads_per_sec;
 use crate::config::NvwaConfig;
 use crate::interface::Hit;
 use crate::system::simulate;
@@ -142,7 +142,7 @@ fn long_read_workload(
         .collect()
 }
 
-fn speedup_for(works: &[ReadWork], cpu: &CpuCostModel) -> f64 {
+fn speedup_for(works: &[ReadWork]) -> f64 {
     let report = simulate(&NvwaConfig::paper(), works);
     let mean_acc = works
         .iter()
@@ -155,7 +155,7 @@ fn speedup_for(works: &[ReadWork], cpu: &CpuCostModel) -> f64 {
         .map(|h| h.query_len as f64 * h.ref_len as f64)
         .sum::<f64>()
         / works.len() as f64;
-    let cpu_kreads = cpu.kreads_per_sec_from_counts(mean_acc, mean_cells);
+    let cpu_kreads = cpu_kreads_per_sec(mean_acc, mean_cells);
     report.kreads_per_sec().expect("non-empty simulation") / cpu_kreads
 }
 
@@ -164,7 +164,6 @@ pub fn run(scale: Scale) -> Fig14 {
     let genome_scale = scale.pick(0.03, 0.25);
     let short_reads = scale.pick(80, 1_000);
     let long_reads = scale.pick(10, 100);
-    let cpu = CpuCostModel::default();
 
     // Species are fully independent (own genome, own seeded read streams),
     // so the whole per-species pipeline fans out; the inner build_workload
@@ -177,10 +176,10 @@ pub fn run(scale: Scale) -> Fig14 {
         let reads = sim.simulate_reads(short_reads);
         let works = build_workload(&aligner, &reads);
         let interval_masses = hit_length_masses(&works, &[16, 32, 64, 128]);
-        let short_read_speedup = speedup_for(&works, &cpu);
+        let short_read_speedup = speedup_for(&works);
 
         let long_works = long_read_workload(&genome, long_reads, 2_000, 0x41 + sp as u64);
-        let long_read_speedup = speedup_for(&long_works, &cpu);
+        let long_read_speedup = speedup_for(&long_works);
         SpeciesResult {
             species: sp,
             short_read_speedup,

@@ -14,7 +14,7 @@ use nvwa_align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa_genome::reads::{ReadSimParams, ReadSimulator};
 use nvwa_genome::reference::{ReferenceGenome, ReferenceParams};
 
-use crate::baselines::CpuCostModel;
+use crate::baselines::{CPU_CYCLES_PER_DP_CELL, CPU_CYCLES_PER_OCC_ACCESS, CPU_FREQ_GHZ};
 
 use super::Scale;
 
@@ -131,7 +131,6 @@ pub fn run(scale: Scale) -> Fig2 {
     let index = ReferenceIndex::build(&genome, 32);
     let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
     let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 0x2f16);
-    let cpu = CpuCostModel::default();
 
     // Read simulation stays sequential (one RNG stream); the alignments
     // are independent and run in parallel, in read order.
@@ -139,12 +138,12 @@ pub fn run(scale: Scale) -> Fig2 {
     let reads = nvwa_sim::par::par_map(&simulated, |read| {
         let outcome = aligner.align_read(read);
         let p = &outcome.profile;
-        let seeding_cycles = p.seeding_trace.len() as f64 * cpu.cycles_per_occ_access;
-        let extension_cycles = p.dp_cells as f64 * cpu.cycles_per_dp_cell;
+        let seeding_cycles = p.seeding_trace.len() as f64 * CPU_CYCLES_PER_OCC_ACCESS;
+        let extension_cycles = p.dp_cells as f64 * CPU_CYCLES_PER_DP_CELL;
         ReadBreakdown {
             read_id: read.id,
-            seeding_us: seeding_cycles / (cpu.freq_ghz * 1e3),
-            extension_us: extension_cycles / (cpu.freq_ghz * 1e3),
+            seeding_us: seeding_cycles / (CPU_FREQ_GHZ * 1e3),
+            extension_us: extension_cycles / (CPU_FREQ_GHZ * 1e3),
         }
     });
     Fig2 {

@@ -3,7 +3,9 @@
 
 use std::fmt;
 
-use crate::baselines::{nvwa_reported, reported_baselines};
+use nvwa_sim::hbm::HbmConfig;
+
+use crate::baselines::{nvwa_reported, reported_baselines, CPU_FREQ_GHZ, CPU_THREADS};
 use crate::config::NvwaConfig;
 use crate::power::PowerBreakdown;
 
@@ -17,10 +19,11 @@ pub struct Table1 {
 impl fmt::Display for Table1 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = &self.config;
+        let hbm = HbmConfig::default();
         writeln!(f, "Table I — system configurations")?;
         writeln!(
             f,
-            "  BWA-MEM : 16 cores @ 2.10 GHz, 20 MB LLC, 136.5 GB/s DDR4"
+            "  BWA-MEM : {CPU_THREADS} cores @ {CPU_FREQ_GHZ:.2} GHz, 20 MB LLC, 136.5 GB/s DDR4"
         )?;
         writeln!(
             f,
@@ -45,8 +48,8 @@ impl fmt::Display for Table1 {
         writeln!(
             f,
             "            off-chip: {:.0} GB/s HBM 1.0 ({} channels)",
-            c.hbm.bandwidth_bytes_per_cycle(),
-            c.hbm.channels
+            hbm.bandwidth_bytes_per_cycle(),
+            hbm.channels
         )
     }
 }

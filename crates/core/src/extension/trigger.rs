@@ -3,7 +3,7 @@
 //! "The Allocate Trigger is responsible for checking the execution status
 //! of the EUs and deciding whether to send a scheduling request to the
 //! Coordinator based on the number of idle units." A request fires when the
-//! idle fraction reaches the configured threshold (15 % by default).
+//! idle fraction reaches the threshold (the simulator's is 15 %).
 
 /// The Allocate Trigger.
 ///
@@ -32,11 +32,6 @@ impl AllocateTrigger {
             "threshold must be in (0, 1]"
         );
         AllocateTrigger { threshold }
-    }
-
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Whether a scheduling request should be sent to the Coordinator.

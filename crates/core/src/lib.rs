@@ -38,6 +38,6 @@ pub mod seeding;
 pub mod system;
 pub mod units;
 
-pub use config::{EuAlgorithm, EuClass, NvwaConfig, SchedulingConfig};
+pub use config::{EuClass, NvwaConfig, SchedulingConfig};
 pub use interface::{Hit, UnitStatus};
 pub use system::{NvwaSystem, SimOptions, SimReport, SimRun};

@@ -45,19 +45,14 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Throughput in reads per second at the given clock, or `None` when
-    /// the run covered zero cycles (throughput is undefined, not zero).
-    pub fn reads_per_sec(&self, freq_ghz: f64) -> Option<f64> {
+    /// Throughput in kilo-reads per second at the paper's 1 GHz clock, or
+    /// `None` when the run covered zero cycles (throughput is undefined,
+    /// not zero).
+    pub fn kreads_per_sec(&self) -> Option<f64> {
         if self.total_cycles == 0 {
             return None;
         }
-        Some(self.reads as f64 / (self.total_cycles as f64 / (freq_ghz * 1e9)))
-    }
-
-    /// Throughput in kilo-reads per second at the paper's 1 GHz clock, or
-    /// `None` when the run covered zero cycles.
-    pub fn kreads_per_sec(&self) -> Option<f64> {
-        self.reads_per_sec(1.0).map(|r| r / 1e3)
+        Some(self.reads as f64 / (self.total_cycles as f64 / 1e9) / 1e3)
     }
 
     /// Fraction of hits in interval `hit_class` that landed on the
@@ -134,7 +129,6 @@ mod tests {
     fn throughput_math() {
         let r = report();
         // 4000 reads in 1 ms at 1 GHz → 4 M reads/s.
-        assert!((r.reads_per_sec(1.0).unwrap() - 4.0e6).abs() < 1.0);
         assert!((r.kreads_per_sec().unwrap() - 4000.0).abs() < 0.01);
     }
 
@@ -152,7 +146,6 @@ mod tests {
     fn zero_cycles_has_no_throughput() {
         let mut r = report();
         r.total_cycles = 0;
-        assert_eq!(r.reads_per_sec(1.0), None);
         assert_eq!(r.kreads_per_sec(), None);
         assert_eq!(r.hbm_power_w(1.0), 0.0);
     }

@@ -7,7 +7,7 @@ use crate::coordinator::allocator::IdleEu;
 use crate::interface::{Hit, UnitStatus};
 use crate::seeding::ocra::set_bits;
 
-use super::{Event, HitPath, SimState, HIT_INTERVALS};
+use super::{Event, HitPath, SimState, ALLOC_LATENCY, HIT_INTERVALS};
 
 impl SimState<'_> {
     pub(super) fn on_eu_done(&mut self, eu: usize) {
@@ -65,13 +65,13 @@ impl SimState<'_> {
             *blocked = true;
         }
         if let Some(rec) = &mut self.trace {
-            let started = self.now - self.config.alloc_latency;
+            let started = self.now - ALLOC_LATENCY;
             rec.complete_with_args(
                 PID_ACCELERATOR,
                 coordinator_tid,
                 "alloc round",
                 nvwa_telemetry::cycles_to_us(started),
-                nvwa_telemetry::cycles_to_us(self.config.alloc_latency),
+                nvwa_telemetry::cycles_to_us(ALLOC_LATENCY),
                 &[
                     ("allocated", stats.allocated as f64),
                     ("unallocated", stats.unallocated as f64),
@@ -147,8 +147,7 @@ impl SimState<'_> {
             && !*blocked
             && (draining || trigger.should_request(idle, total));
         if want && judger.request() {
-            self.events
-                .push(self.now + self.config.alloc_latency, Event::AllocDone);
+            self.events.push(self.now + ALLOC_LATENCY, Event::AllocDone);
             true
         } else {
             false

@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use nvwa_sim::event::EventQueue;
-use nvwa_sim::hbm::Hbm;
+use nvwa_sim::hbm::{Hbm, HbmConfig};
 use nvwa_sim::Cycle;
 use nvwa_telemetry::{
     CounterId, HistogramId, MetricsRegistry, PoolState, StallCause, StallTracker, TraceRecorder,
@@ -53,6 +53,27 @@ mod seeding;
 /// The four hit intervals used for assignment-correctness accounting
 /// (Fig. 12e/f), independent of the instantiated EU classes.
 const HIT_INTERVALS: [usize; 4] = [16, 32, 64, 128];
+
+/// Store Buffer fill fraction at which the Hits Buffer pair switches
+/// (Fig. 10: the Store Buffer hands over at 75 % full).
+const STORE_SWITCH_THRESHOLD: f64 = 0.75;
+
+/// Idle-EU fraction at which the Allocate Trigger requests a round
+/// (Sec. IV-A: 15 % of the EU pool idle).
+const IDLE_EU_THRESHOLD: f64 = 0.15;
+
+/// Cycles of one allocation round (Fig. 10's sort and mux network). The
+/// paper gives no count; four cycles is this model's charge.
+const ALLOC_LATENCY: Cycle = 4;
+
+/// Trace-back cycles added to every extension task (footnote 4: constant
+/// for a given query and reference, independent of the PE count).
+const TRACEBACK_CYCLES: Cycle = 32;
+
+/// Cycles of an SU index access served by the SUs' 512 KB table SRAM
+/// (Table I); a miss goes to the HBM of `HbmConfig::default()`, Table I's
+/// 256 GB/s HBM 1.0.
+const SU_CACHE_LATENCY: Cycle = 2;
 
 /// Instrumentation switches for [`simulate_instrumented`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -252,10 +273,10 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
     }
     let path = if config.scheduling.hits_allocator {
         HitPath::Coordinator {
-            buffer: HitsBuffer::new(config.hits_buffer_depth, config.store_switch_threshold),
+            buffer: HitsBuffer::new(config.hits_buffer_depth, STORE_SWITCH_THRESHOLD),
             allocator: HitsAllocator::new(&eu_classes, AllocPolicy::GroupedGreedy),
             judger: AllocateJudger::new(),
-            trigger: AllocateTrigger::new(config.idle_eu_threshold),
+            trigger: AllocateTrigger::new(IDLE_EU_THRESHOLD),
             blocked: false,
         }
     } else {
@@ -293,9 +314,9 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         next_read: 0,
         ocra: OneCycleReadAllocator::new(config.su_count as usize),
         batch: BatchScheduler::new(config.su_count as usize),
-        su_model: SuModel::new(config.su_cache_blocks, config.su_cache_latency),
+        su_model: SuModel::new(config.su_cache_blocks, SU_CACHE_LATENCY),
         read_spm: ReadSpm::for_su_pool(config.su_count),
-        hbm: Hbm::new(config.hbm),
+        hbm: Hbm::new(HbmConfig::default()),
         eu_busy: 0,
         eu_idle: bits(eus.iter().map(|_| true)),
         class_masks: (eu_classes.iter())
@@ -304,7 +325,7 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         eus,
         eu_models: eu_classes
             .iter()
-            .map(|c| EuModel::with_algorithm(c.pes, config.traceback_cycles, config.eu_algorithm))
+            .map(|c| EuModel::new(c.pes, TRACEBACK_CYCLES))
             .collect(),
         path,
         idle_eus: Vec::new(),

@@ -366,32 +366,6 @@ mod tests {
     }
 
     #[test]
-    pub(super) fn scheduling_gains_hold_for_bit_parallel_units() {
-        // The paper's orthogonality claim: the schedulers improve GenASM-
-        // style units too, not just systolic arrays.
-        use crate::config::EuAlgorithm;
-        let works = SyntheticWorkloadParams {
-            reads: 600,
-            ..SyntheticWorkloadParams::default()
-        }
-        .generate(0x0b17);
-        let run = |sched: SchedulingConfig| {
-            simulate(
-                &NvwaConfig {
-                    eu_algorithm: EuAlgorithm::BitParallel,
-                    scheduling: sched,
-                    ..NvwaConfig::paper()
-                },
-                &works,
-            )
-            .total_cycles
-        };
-        let base = run(SchedulingConfig::baseline());
-        let nvwa = run(SchedulingConfig::nvwa());
-        assert!(nvwa < base, "bit-parallel: nvwa {nvwa} vs baseline {base}");
-    }
-
-    #[test]
     pub(super) fn single_read_workload_works() {
         let works = small_workload(1);
         let r = simulate(&config(), &works);

@@ -7,26 +7,14 @@
 
 use nvwa_sim::Cycle;
 
-use crate::config::EuAlgorithm;
 use crate::extension::systolic::matrix_fill_latency;
 use crate::interface::Hit;
-
-/// Matrix-fill latency of a GenASM/Bitap-style bit-parallel unit: the text
-/// streams once per pattern word, so `R × ⌈Q / lanes⌉` cycles.
-pub fn bit_parallel_latency(ref_len: u64, query_len: u64, lanes: u32) -> Cycle {
-    assert!(lanes > 0, "need at least one bit lane");
-    if ref_len == 0 || query_len == 0 {
-        return 0;
-    }
-    ref_len * query_len.div_ceil(lanes as u64)
-}
 
 /// The EU timing model for one unit size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EuModel {
     pes: u32,
     traceback: Cycle,
-    algorithm: EuAlgorithm,
 }
 
 impl EuModel {
@@ -37,24 +25,11 @@ impl EuModel {
     ///
     /// Panics if `pes == 0`.
     pub fn new(pes: u32, traceback: Cycle) -> EuModel {
-        EuModel::with_algorithm(pes, traceback, EuAlgorithm::Systolic)
-    }
-
-    /// Creates a model with an explicit algorithm family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pes == 0`.
-    pub fn with_algorithm(pes: u32, traceback: Cycle, algorithm: EuAlgorithm) -> EuModel {
         assert!(pes > 0, "need at least one PE");
-        EuModel {
-            pes,
-            traceback,
-            algorithm,
-        }
+        EuModel { pes, traceback }
     }
 
-    /// PE count (bit lanes for `BitParallel`).
+    /// PE count.
     pub fn pes(&self) -> u32 {
         self.pes
     }
@@ -64,11 +39,7 @@ impl EuModel {
     pub fn task_latency(&self, hit: &Hit) -> Cycle {
         let r = hit.ref_len.max(1) as u64;
         let q = hit.query_len.max(1) as u64;
-        let fill = match self.algorithm {
-            EuAlgorithm::Systolic => matrix_fill_latency(r, q, self.pes),
-            EuAlgorithm::BitParallel => bit_parallel_latency(r, q, self.pes),
-        };
-        1 + fill + self.traceback
+        1 + matrix_fill_latency(r, q, self.pes) + self.traceback
     }
 }
 
@@ -113,35 +84,6 @@ mod tests {
         let small = EuModel::new(16, 0).task_latency(&h);
         let big = EuModel::new(128, 0).task_latency(&h);
         assert!(small > big * 3, "small {small} vs big {big}");
-    }
-
-    #[test]
-    fn bit_parallel_latency_streams_text_once_per_word() {
-        // Q=20 on 64-lane unit: one word → R cycles.
-        assert_eq!(bit_parallel_latency(100, 20, 64), 100);
-        // Q=127 on 64 lanes: two words → 2R.
-        assert_eq!(bit_parallel_latency(100, 127, 64), 200);
-        assert_eq!(bit_parallel_latency(0, 5, 64), 0);
-    }
-
-    #[test]
-    fn algorithms_differ_but_scale_similarly() {
-        let h = hit(100, 150);
-        let sys = EuModel::with_algorithm(64, 0, crate::config::EuAlgorithm::Systolic);
-        let bit = EuModel::with_algorithm(64, 0, crate::config::EuAlgorithm::BitParallel);
-        // Both iterate twice for Q=100 on 64 lanes/PEs, with different
-        // constants.
-        assert_ne!(sys.task_latency(&h), bit.task_latency(&h));
-        // Both still prefer matched units for short hits.
-        let short = hit(10, 60);
-        for algo in [
-            crate::config::EuAlgorithm::Systolic,
-            crate::config::EuAlgorithm::BitParallel,
-        ] {
-            let small = EuModel::with_algorithm(16, 0, algo).task_latency(&short);
-            let large = EuModel::with_algorithm(128, 0, algo).task_latency(&short);
-            assert!(small <= large, "{algo:?}: {small} vs {large}");
-        }
     }
 
     #[test]

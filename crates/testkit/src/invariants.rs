@@ -23,6 +23,7 @@
 use nvwa_core::config::NvwaConfig;
 use nvwa_core::system::{simulate_instrumented, SimOptions, SimRun};
 use nvwa_core::units::workload::ReadWork;
+use nvwa_sim::hbm::HbmConfig;
 use nvwa_telemetry::{cycles_to_us, JsonValue, StallCause, PID_ACCELERATOR};
 
 /// Runs every invariant over a finished run. Returns the list of
@@ -32,6 +33,9 @@ pub fn check_sim_run(run: &SimRun, config: &NvwaConfig) -> Vec<String> {
     let m = &run.metrics;
     let r = &run.report;
     let total = r.total_cycles as f64;
+    // The pool the run simulated: the uniform one when HUS is off.
+    let eus: u32 = config.effective_eu_classes().iter().map(|c| c.count).sum();
+    let hbm = HbmConfig::default();
     let gauge = |name: &str, violations: &mut Vec<String>| -> f64 {
         m.gauge_value(name).unwrap_or_else(|| {
             violations.push(format!("gauge {name} missing from the registry"));
@@ -40,7 +44,7 @@ pub fn check_sim_run(run: &SimRun, config: &NvwaConfig) -> Vec<String> {
     };
 
     // (1) Stall conservation per pool.
-    for (prefix, units) in [("su", config.su_count), ("eu", config.total_eus())] {
+    for (prefix, units) in [("su", config.su_count), ("eu", eus)] {
         let busy = gauge(&format!("{prefix}.busy_cycles"), &mut violations);
         let idle = gauge(&format!("{prefix}.idle_cycles"), &mut violations);
         let by_cause: f64 = StallCause::IDLE_CAUSES
@@ -68,14 +72,14 @@ pub fn check_sim_run(run: &SimRun, config: &NvwaConfig) -> Vec<String> {
     // (3) HBM conservation.
     let requests = m.counter_value("hbm.requests").unwrap_or(0);
     let bytes = m.counter_value("hbm.bytes").unwrap_or(0);
-    if bytes != requests * config.hbm.transaction_bytes {
+    if bytes != requests * hbm.transaction_bytes {
         violations.push(format!(
             "hbm: bytes {bytes} != requests {requests} × transaction_bytes {}",
-            config.hbm.transaction_bytes
+            hbm.transaction_bytes
         ));
     }
     let energy = gauge("hbm.energy_j", &mut violations);
-    let expected_energy = bytes as f64 * 8.0 * config.hbm.energy_pj_per_bit * 1e-12;
+    let expected_energy = bytes as f64 * 8.0 * hbm.energy_pj_per_bit * 1e-12;
     if (energy - expected_energy).abs() > expected_energy.abs() * 1e-12 + 1e-18 {
         violations.push(format!(
             "hbm: energy {energy} J != bytes×8×pJ/bit = {expected_energy} J"
@@ -145,7 +149,6 @@ pub fn check_sim_run(run: &SimRun, config: &NvwaConfig) -> Vec<String> {
                 "trace: SU busy spans {su_busy_us}µs vs utilization integral {su_expected}µs"
             ));
         }
-        let eus = config.total_eus();
         let eu_busy_us: f64 = (0..eus)
             .map(|eu| trace.track_busy_us(PID_ACCELERATOR, config.su_count + eu, "hit"))
             .sum();
@@ -236,6 +239,23 @@ mod tests {
         let w = works(120);
         simulate_checked(&config, &w, &SimOptions::default());
         simulate_checked(&config, &w, &SimOptions { trace: true });
+    }
+
+    #[test]
+    fn every_ablation_variant_passes_with_and_without_trace() {
+        // Without HUS the run simulates the uniform 64-PE pool, not the
+        // hybrid classes: the pool-time rectangle and the EU trace tracks
+        // must count the units that ran.
+        let w = works(120);
+        for (_, scheduling) in nvwa_core::experiments::fig11::ablation_variants() {
+            let config = NvwaConfig {
+                scheduling,
+                ..NvwaConfig::small_test()
+            };
+            for trace in [false, true] {
+                simulate_checked(&config, &w, &SimOptions { trace });
+            }
+        }
     }
 
     #[test]

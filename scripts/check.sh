@@ -4,7 +4,8 @@
 # lints, rustdoc links, the tier-1 build+test suite (and, in the release
 # binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
 # never on xmm), the serving suites again on one busy core, EXPERIMENTS.md's
-# quoted Fig. 11-14 output against the binary, the telemetry artifact
+# quoted `nvwa repro --full` output (every figure and table) against the
+# binary, the telemetry artifact
 # checks, the benchmark smoke run, the serve smoke tests, the conformance
 # sweep and the per-crate line count. Run from the repository root:
 # ./scripts/check.sh
@@ -129,12 +130,13 @@ else
 fi
 
 # EXPERIMENTS.md quotes `nvwa repro --full` verbatim between markers, one
-# block per command below (`fig11 fig12`, `fig13`, `fig14`), and its
-# Fig. 11-14 tables are read off those blocks: a change that moves a
-# simulated number fails here until the write-up says so (about 3 s).
-# Fig. 14 builds six reference indexes, so its block also pins the suffix
-# array, BWT and sampled SA of each end to end.
-for figs in "fig11 fig12" fig13 fig14; do
+# block per command below (`fig2 fig5 fig7 fig9 table1 table2 table3
+# headline`, `fig11 fig12`, `fig13`, `fig14`: every experiment), and its
+# tables are read off those blocks: a change that moves a printed number
+# fails here until the write-up says so (about 4 s). Fig. 14 builds six
+# reference indexes, so its block also pins the suffix array, BWT and
+# sampled SA of each end to end.
+for figs in "fig2 fig5 fig7 fig9 table1 table2 table3 headline" "fig11 fig12" fig13 fig14; do
     name="$(echo "$figs" | tr ' ' _)"
     awk -v marker="$figs" '$0 == "<!-- end: nvwa repro --full " marker " -->" { on = 0 }
         on && !/^```/ { print }
