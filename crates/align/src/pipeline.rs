@@ -144,11 +144,11 @@ impl Default for AlignerConfig {
 /// Reusable per-worker scratch for the whole alignment pipeline.
 ///
 /// Holds every buffer the per-read hot path would otherwise allocate fresh:
-/// the SMEM search scratch (with its occ-block cache), the SMEM/seed vectors,
-/// the reverse-complement and candidate buffers, and the DP scratch used by
-/// chain extension. One instance per worker thread; reusing it across reads
-/// makes the steady-state pipeline allocation-free. Results are bit-identical
-/// to the allocating path.
+/// the SMEM search scratch, the SMEM/seed vectors, the reverse-complement
+/// and candidate buffers, and the DP scratch used by chain extension. One
+/// instance per worker thread; reusing it across reads makes the
+/// steady-state pipeline allocation-free. Results are bit-identical to the
+/// allocating path.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
     smem: SmemScratch,
@@ -165,21 +165,12 @@ impl AlignScratch {
         AlignScratch::default()
     }
 
-    /// `(hits, lookups)` of the seeding occ-block cache since the last
-    /// [`AlignScratch::reset_seed_cache_stats`].
+    /// Always `(0, 0)`: seeding ranks from one word of one occ block and
+    /// keeps no block cache to count. Kept only because the benchmark
+    /// harness (`benchmark/src/adapter.rs`) still calls it; ROADMAP item
+    /// 1(a), the benchmark owner's PR, removes it.
     pub fn seed_cache_stats(&self) -> (u64, u64) {
-        self.smem.cache_stats()
-    }
-
-    /// Clears the seeding cache hit/lookup counters (after publishing them).
-    pub fn reset_seed_cache_stats(&mut self) {
-        self.smem.reset_cache_stats();
-    }
-
-    /// Invalidates the occ-block cache; required when the scratch is reused
-    /// against a different [`ReferenceIndex`].
-    pub fn reset_for_index(&mut self) {
-        self.smem.reset_for_index();
+        (0, 0)
     }
 }
 
@@ -316,8 +307,7 @@ impl<'r> SoftwareAligner<'r> {
 
     /// Hardware-trace mode: aligns with caller-provided scratch and records
     /// the seeding memory-access trace in the profile. The k-mer prefix LUT
-    /// is bypassed so every FM-index block read is observable; the occ-block
-    /// cache still engages (it is trace-invisible).
+    /// is bypassed so every FM-index block read is observable.
     pub fn align_codes_with(
         &self,
         read_id: u64,
@@ -331,9 +321,9 @@ impl<'r> SoftwareAligner<'r> {
     }
 
     /// Software fast path: no trace is recorded, which enables the k-mer
-    /// prefix LUT (and keeps the occ-block cache). Alignments are
-    /// bit-identical to [`SoftwareAligner::align_codes_with`]; only the
-    /// profile's `seeding_trace` is empty.
+    /// prefix LUT. Alignments are bit-identical to
+    /// [`SoftwareAligner::align_codes_with`]; only the profile's
+    /// `seeding_trace` is empty.
     pub fn align_codes_fast(
         &self,
         read_id: u64,
@@ -765,8 +755,8 @@ mod tests {
             // Reused scratch, traced: everything identical including trace.
             let reused = aligner.align_read_with(&read, &mut scratch);
             assert_eq!(reused, reference, "read {}", read.id);
-            // Fast path (LUT + cache, no trace): same alignment, same
-            // workload counts, empty seeding trace.
+            // Fast path (LUT, no trace): same alignment, same workload
+            // counts, empty seeding trace.
             let fast = aligner.align_codes_fast(read.id, read.seq.codes(), &mut scratch);
             assert_eq!(fast.alignment, reference.alignment, "read {}", read.id);
             assert_eq!(fast.profile.smem_count, reference.profile.smem_count);
@@ -777,9 +767,6 @@ mod tests {
             traced_total += reference.profile.seeding_trace.len();
         }
         assert!(traced_total > 0, "traced path must record block reads");
-        let (hits, lookups) = scratch.seed_cache_stats();
-        assert!(lookups > 0, "occ cache must be exercised");
-        assert!(hits > 0, "occ cache must hit on real reads");
     }
 
     /// Each arm of `align_codes_inner` the host can run, traced and not, on

@@ -8,6 +8,8 @@
 //! model so the software/hardware gap emerges from modeled work rather than
 //! a single constant.
 
+use crate::units::ReadWork;
+
 /// A published comparison point: throughput and (effective) power.
 ///
 /// Power values are derived from the paper's reported energy-reduction
@@ -102,9 +104,20 @@ pub(crate) const CPU_THREADS: u32 = 16;
 /// Parallel efficiency (memory-bandwidth and locking losses).
 const CPU_EFFICIENCY: f64 = 0.80;
 
-/// The CPU model's multi-threaded BWA-MEM throughput from average per-read
-/// operation counts (FM-index block accesses, DP cells), in K reads/s.
-pub fn cpu_kreads_per_sec(mean_accesses: f64, mean_dp_cells: f64) -> f64 {
+/// The CPU model's multi-threaded BWA-MEM throughput on `works`, in K
+/// reads/s, from the per-read means of FM-index block accesses and DP cells.
+pub fn cpu_kreads_per_sec(works: &[ReadWork]) -> f64 {
+    let mean_accesses = works
+        .iter()
+        .map(|w| w.seeding_accesses.len() as f64)
+        .sum::<f64>()
+        / works.len() as f64;
+    let mean_dp_cells = works
+        .iter()
+        .flat_map(|w| w.hits.iter())
+        .map(|h| h.query_len as f64 * h.ref_len as f64)
+        .sum::<f64>()
+        / works.len() as f64;
     let per_read = mean_accesses * CPU_CYCLES_PER_OCC_ACCESS
         + mean_dp_cells * CPU_CYCLES_PER_DP_CELL
         + CPU_OVERHEAD_PER_READ;
@@ -114,6 +127,25 @@ pub fn cpu_kreads_per_sec(mean_accesses: f64, mean_dp_cells: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interface::Hit;
+
+    /// One read of `accesses` block accesses and one `query × reference`
+    /// extension.
+    fn work(accesses: usize, query_len: u32, ref_len: u32) -> ReadWork {
+        ReadWork {
+            read_id: 0,
+            seeding_accesses: vec![0; accesses],
+            hits: vec![Hit {
+                read_idx: 0,
+                hit_idx: 0,
+                direction: false,
+                read_pos: (0, query_len),
+                ref_pos: 0,
+                query_len,
+                ref_len,
+            }],
+        }
+    }
 
     #[test]
     fn reported_ratios_round_trip() {
@@ -152,7 +184,7 @@ mod tests {
         // The paper's 16-thread BWA-MEM does ~99.7 K reads/s on 101 bp
         // reads. With typical per-read operation counts (≈ 300 occ
         // accesses, ≈ 15 K DP cells) the model should land within 2×.
-        let modeled = cpu_kreads_per_sec(300.0, 15_000.0);
+        let modeled = cpu_kreads_per_sec(&[work(300, 150, 100)]);
         let reported = 49_150.0 / 493.0; // 99.7 K reads/s
         assert!(
             modeled / reported < 4.0 && reported / modeled < 4.0,
@@ -162,8 +194,8 @@ mod tests {
 
     #[test]
     fn cpu_model_scales_with_work() {
-        let light = cpu_kreads_per_sec(100.0, 1_000.0);
-        let heavy = cpu_kreads_per_sec(1_000.0, 100_000.0);
+        let light = cpu_kreads_per_sec(&[work(100, 40, 25)]);
+        let heavy = cpu_kreads_per_sec(&[work(1_000, 400, 250)]);
         assert!(light > heavy);
     }
 }

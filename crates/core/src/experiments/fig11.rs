@@ -124,20 +124,9 @@ pub fn run_on_workload(works: &[ReadWork]) -> Fig11 {
     let mut bars: Vec<Bar> = Vec::new();
 
     // Reported platform baselines (the paper's methodology).
-    let mean_acc = works
-        .iter()
-        .map(|w| w.seeding_accesses.len() as f64)
-        .sum::<f64>()
-        / works.len() as f64;
-    let mean_cells = works
-        .iter()
-        .flat_map(|w| w.hits.iter())
-        .map(|h| h.query_len as f64 * h.ref_len as f64)
-        .sum::<f64>()
-        / works.len() as f64;
     bars.push(Bar {
         name: "CPU-BWA-MEM(model)".into(),
-        kreads_per_sec: cpu_kreads_per_sec(mean_acc, mean_cells),
+        kreads_per_sec: cpu_kreads_per_sec(works),
         measured: true,
     });
     for p in reported_baselines() {

@@ -144,19 +144,7 @@ fn long_read_workload(
 
 fn speedup_for(works: &[ReadWork]) -> f64 {
     let report = simulate(&NvwaConfig::paper(), works);
-    let mean_acc = works
-        .iter()
-        .map(|w| w.seeding_accesses.len() as f64)
-        .sum::<f64>()
-        / works.len() as f64;
-    let mean_cells = works
-        .iter()
-        .flat_map(|w| w.hits.iter())
-        .map(|h| h.query_len as f64 * h.ref_len as f64)
-        .sum::<f64>()
-        / works.len() as f64;
-    let cpu_kreads = cpu_kreads_per_sec(mean_acc, mean_cells);
-    report.kreads_per_sec().expect("non-empty simulation") / cpu_kreads
+    report.kreads_per_sec().expect("non-empty simulation") / cpu_kreads_per_sec(works)
 }
 
 /// Runs the Fig. 14 experiment.

@@ -189,11 +189,6 @@ impl PowerBreakdown {
     }
 }
 
-/// Total power including HBM at the measured average access power.
-pub fn total_with_hbm_w(breakdown: &PowerBreakdown, hbm_power_w: f64) -> f64 {
-    breakdown.total_power_w() + hbm_power_w
-}
-
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
@@ -285,7 +280,7 @@ mod tests {
         // "When the HBM 1.0 is considered, the total power consumption is
         // 7.685 W" → HBM contributes ~1.93 W at full tilt.
         let b = PowerBreakdown::for_config(&NvwaConfig::paper());
-        let total = total_with_hbm_w(&b, 7.685 - 5.754);
+        let total = b.total_power_w() + (7.685 - 5.754);
         assert!((total - 7.685).abs() < 0.15, "total {total}");
     }
 }

@@ -83,14 +83,6 @@ impl SimReport {
             correct as f64 / total as f64
         }
     }
-
-    /// Average HBM power over the run, in watts, at the given clock.
-    pub fn hbm_power_w(&self, freq_ghz: f64) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.hbm_energy_j / (self.total_cycles as f64 / (freq_ghz * 1e9))
-    }
 }
 
 #[cfg(test)]
@@ -147,6 +139,5 @@ mod tests {
         let mut r = report();
         r.total_cycles = 0;
         assert_eq!(r.kreads_per_sec(), None);
-        assert_eq!(r.hbm_power_w(1.0), 0.0);
     }
 }

@@ -17,6 +17,9 @@ pub const OCC_INTERVAL: usize = 128;
 
 const WORDS_PER_BLOCK: usize = OCC_INTERVAL / 32; // 32 2-bit codes per u64
 
+/// The low bit of every 2-bit lane of a word.
+const LANES: u64 = 0x5555_5555_5555_5555;
+
 /// A half-open suffix-array rank interval `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
@@ -38,14 +41,49 @@ impl Interval {
     }
 }
 
-/// One occ checkpoint block: cumulative counts then `OCC_INTERVAL` packed
-/// symbols. One cache line, aligned to one: the allocator puts a large
-/// `Vec` 16 bytes past a page, where every block would straddle two.
+/// One occ checkpoint block: the counts before it, the counts before each
+/// of its words, then `OCC_INTERVAL` packed symbols. One cache line,
+/// aligned to one: the allocator puts a large `Vec` 16 bytes past a page,
+/// where every block would straddle two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C, align(64))]
 struct OccBlock {
-    counts: [u64; 4],
+    /// Occurrences of each code before the block.
+    counts: [u32; 4],
+    /// `sub[w][c]`: occurrences of code `c` in `words[..w]` (`sub[0]` is
+    /// zero), so a rank reads one word and never loops.
+    sub: [[u8; 4]; WORDS_PER_BLOCK],
     words: [u64; WORDS_PER_BLOCK],
+}
+
+impl OccBlock {
+    /// Occurrences of all four codes before offset `within` (`0..=OCC_INTERVAL`)
+    /// of this block, from one word and three bit-plane popcounts. Branch-free:
+    /// `within == OCC_INTERVAL` ranks the whole last word.
+    #[inline(always)]
+    fn rank4(&self, within: usize) -> [u64; 4] {
+        let w = (within / 32).min(WORDS_PER_BLOCK - 1);
+        let rem = within - 32 * w;
+        // `rem` low lanes of LANES; two shifts so `rem == 0` needs no branch.
+        let drop = 32 - rem;
+        let mask = (LANES >> drop) >> drop;
+        let word = self.words[w];
+        let lo = word & mask;
+        let hi = (word >> 1) & mask;
+        let n3 = (lo & hi).count_ones();
+        let n1 = lo.count_ones() - n3;
+        let n2 = hi.count_ones() - n3;
+        let n = [rem as u32 - n1 - n2 - n3, n1, n2, n3];
+        let sub = self.sub[w];
+        std::array::from_fn(|c| u64::from(self.counts[c]) + u64::from(sub[c]) + u64::from(n[c]))
+    }
+
+    /// The code at offset `within` (`< OCC_INTERVAL`) of this block.
+    #[inline(always)]
+    fn code_at(&self, within: usize) -> u8 {
+        debug_assert!(within < OCC_INTERVAL, "reads a real symbol");
+        ((self.words[within / 32] >> ((within % 32) * 2)) & 0b11) as u8
+    }
 }
 
 /// The FM-index.
@@ -80,25 +118,35 @@ impl FmIndex {
     }
 
     /// Builds the FM-index from a precomputed [`Bwt`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the text is longer than `u32::MAX` symbols (the suffix
+    /// array is `u32` too).
     pub fn from_bwt(bwt: Bwt) -> FmIndex {
         let n = bwt.data.len();
+        assert!(u32::try_from(n).is_ok(), "text longer than u32::MAX");
         let n_blocks = n.div_ceil(OCC_INTERVAL).max(1);
         let mut blocks = Vec::with_capacity(n_blocks);
-        let mut running = [0u64; 4];
+        let mut running = [0u32; 4];
         for b in 0..n_blocks {
-            let mut words = [0u64; WORDS_PER_BLOCK];
             let counts = running;
+            let mut sub = [[0u8; 4]; WORDS_PER_BLOCK];
+            let mut words = [0u64; WORDS_PER_BLOCK];
             let start = b * OCC_INTERVAL;
-            for off in 0..OCC_INTERVAL {
-                let i = start + off;
-                if i >= n {
-                    break;
-                }
-                let code = bwt.data[i];
-                running[code as usize] += 1;
+            let end = n.min(start + OCC_INTERVAL);
+            let mut seen = [0u8; 4];
+            for (off, &code) in bwt.data[start..end].iter().enumerate() {
+                seen[code as usize] += 1;
                 words[off / 32] |= (code as u64) << ((off % 32) * 2);
+                if (off + 1) % 32 == 0 && off + 1 < OCC_INTERVAL {
+                    sub[(off + 1) / 32] = seen;
+                }
             }
-            blocks.push(OccBlock { counts, words });
+            for (total, &s) in running.iter_mut().zip(&seen) {
+                *total += u32::from(s);
+            }
+            blocks.push(OccBlock { counts, sub, words });
         }
         let mut c = [0u64; 5];
         for code in 0..4usize {
@@ -153,7 +201,7 @@ impl FmIndex {
 
     /// Approximate index footprint in bytes (checkpoints + packed BWT).
     pub fn footprint_bytes(&self) -> usize {
-        self.blocks.len() * (4 * 8 + WORDS_PER_BLOCK * 8)
+        self.blocks.len() * std::mem::size_of::<OccBlock>()
     }
 
     /// Converts a conceptual rank to a stored-BWT index by skipping the
@@ -168,33 +216,26 @@ impl FmIndex {
     /// Invariant: callers pass `j <= text_len`. Every `j < text_len` lands
     /// strictly inside a block. The single index past the last block start
     /// is `j == text_len` when `text_len` is an exact multiple of
-    /// [`OCC_INTERVAL`]; it means "count the whole last block" and maps to
-    /// `(blocks.len() - 1, OCC_INTERVAL)`. Anything else past the end is a
-    /// caller bug, so it asserts in debug builds instead of being silently
-    /// clamped into the last block.
+    /// [`OCC_INTERVAL`]; it means "count the whole last block", and the
+    /// clamp maps it to `(blocks.len() - 1, OCC_INTERVAL)` without a branch.
     #[inline(always)]
     fn block_of(&self, j: usize) -> (usize, usize) {
-        let block_idx = j / OCC_INTERVAL;
-        if block_idx >= self.blocks.len() {
-            debug_assert!(
-                block_idx == self.blocks.len()
-                    && j == self.text_len
-                    && self.text_len.is_multiple_of(OCC_INTERVAL),
-                "stored-BWT index {j} out of range for {} blocks (text_len {})",
-                self.blocks.len(),
-                self.text_len
-            );
-            (self.blocks.len() - 1, OCC_INTERVAL)
-        } else {
-            (block_idx, j - block_idx * OCC_INTERVAL)
-        }
+        debug_assert!(
+            j <= self.text_len,
+            "stored-BWT index {j} past the text (text_len {})",
+            self.text_len
+        );
+        let block_idx = (j / OCC_INTERVAL).min(self.blocks.len() - 1);
+        (block_idx, j - block_idx * OCC_INTERVAL)
     }
 
     /// occ(c, i): occurrences of code `c` in the conceptual BWT prefix
     /// `[0, i)`. Records exactly one block access on `trace`.
     ///
     /// Kept as the scalar oracle for [`FmIndex::occ4`] (the hot path), the
-    /// same way `sw::naive` backs the optimized SW kernel.
+    /// same way `sw::naive` backs the optimized SW kernel: it scans the
+    /// packed words from the block's base counts and never reads the
+    /// per-word counts `occ4` adds.
     ///
     /// # Panics
     ///
@@ -206,97 +247,25 @@ impl FmIndex {
         let (block_idx, within) = self.block_of(self.stored_index(i));
         trace.record(MemAddr::occ_block(block_idx as u64));
         let block = &self.blocks[block_idx];
-        block.counts[c as usize] + rank_in_words(&block.words, c, within)
+        u64::from(block.counts[c as usize]) + rank_in_words(&block.words, c, within)
     }
 
     /// occ4(i): occurrences of all four codes in the conceptual BWT prefix
-    /// `[0, i)`, from a **single pass** over the checkpoint block's packed
-    /// words — each word is touched once per position, not once per code.
-    /// Records exactly one block access on `trace`, identical to one
-    /// [`FmIndex::occ`] call (the hardware reads the block once and ranks
-    /// all four symbols from it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > seq_len()`.
-    pub fn occ4<T: TraceSink>(&self, i: u64, trace: &mut T) -> [u64; 4] {
-        assert!(i <= self.seq_len(), "rank out of range");
-        let (block_idx, within) = self.block_of(self.stored_index(i));
-        trace.record(MemAddr::occ_block(block_idx as u64));
-        let block = &self.blocks[block_idx];
-        let r = rank4_in_words(&block.words, within);
-        let mut out = block.counts;
-        for c in 0..4 {
-            out[c] += r[c];
-        }
-        out
-    }
-
-    /// [`FmIndex::occ4`] through a per-search block cache: when consecutive
-    /// queries land in the same checkpoint block (the common case inside one
-    /// SMEM search), the per-word prefix counts decoded on the previous query
-    /// are reused and only the final partial word is ranked.
-    ///
-    /// The cache is **trace-invisible**: exactly one block access is recorded
-    /// on `trace` per call, hit or miss, so the accelerator memory trace is
-    /// byte-identical with and without the cache (the hardware still issues
-    /// the read; the cache models the SU's single-entry block register, which
-    /// saves decode work, not trace events).
+    /// `[0, i)`, from one word of the checkpoint block: base counts plus the
+    /// block's count before that word plus three popcounts, with no branch
+    /// and no loop. Records exactly one block access on `trace`, identical
+    /// to one [`FmIndex::occ`] call (the hardware reads the block once and
+    /// ranks all four symbols from it).
     ///
     /// # Panics
     ///
     /// Panics if `i > seq_len()`.
     #[inline(always)]
-    pub fn occ4_cached<T: TraceSink>(
-        &self,
-        i: u64,
-        cache: &mut OccCache,
-        trace: &mut T,
-    ) -> [u64; 4] {
+    pub fn occ4<T: TraceSink>(&self, i: u64, trace: &mut T) -> [u64; 4] {
         assert!(i <= self.seq_len(), "rank out of range");
         let (block_idx, within) = self.block_of(self.stored_index(i));
         trace.record(MemAddr::occ_block(block_idx as u64));
-        cache.lookups += 1;
-        let block = &self.blocks[block_idx];
-        let slot = if cache.entries[cache.mru].block_idx == block_idx {
-            cache.hits += 1;
-            cache.mru
-        } else if cache.entries[1 - cache.mru].block_idx == block_idx {
-            cache.hits += 1;
-            cache.mru = 1 - cache.mru;
-            cache.mru
-        } else {
-            let victim = 1 - cache.mru;
-            cache.entries[victim].block_idx = block_idx;
-            cache.entries[victim].decoded = 0;
-            cache.entries[victim].prefix[0] = block.counts;
-            cache.mru = victim;
-            victim
-        };
-        let entry = &mut cache.entries[slot];
-        // Decode prefix counts lazily, only as deep into the block as this
-        // query needs: a miss costs no more than a direct [`FmIndex::occ4`]
-        // scan, and later hits on the same block pick up where it stopped.
-        let word_idx = within / 32;
-        let rem = within % 32;
-        while entry.decoded < word_idx {
-            let w = entry.decoded;
-            let r = rank4_in_words(std::array::from_ref(&block.words[w]), 32);
-            let mut next = entry.prefix[w];
-            for c in 0..4 {
-                next[c] += r[c];
-            }
-            entry.prefix[w + 1] = next;
-            entry.decoded = w + 1;
-        }
-        let mut out = entry.prefix[word_idx];
-        if rem != 0 {
-            let r = rank4_in_words(std::array::from_ref(&block.words[word_idx]), rem);
-            for c in 0..4 {
-                out[c] += r[c];
-            }
-        }
-        out
+        self.blocks[block_idx].rank4(within)
     }
 
     /// One backward-search step: maps the interval of pattern `P` to the
@@ -330,13 +299,22 @@ impl FmIndex {
 
     /// LF-mapping of rank `i`: the rank of the suffix one position earlier in
     /// the text. Returns `None` when `i` is the sentinel rank (text start).
+    /// The code and its rank come from the same block, recorded once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= seq_len()`.
     #[inline(always)]
     pub fn lf<T: TraceSink>(&self, i: u64, trace: &mut T) -> Option<u64> {
+        assert!(i < self.seq_len(), "rank out of range");
         if i as usize == self.primary {
             return None;
         }
-        let c = self.bwt_char(i)?;
-        Some(self.c_of(c) + self.occ(c, i, trace))
+        let (block_idx, within) = self.block_of(self.stored_index(i));
+        trace.record(MemAddr::occ_block(block_idx as u64));
+        let block = &self.blocks[block_idx];
+        let c = block.code_at(within);
+        Some(self.c_of(c) + block.rank4(within)[c as usize])
     }
 
     /// The conceptual BWT character at rank `i` (`None` for the sentinel).
@@ -351,88 +329,7 @@ impl FmIndex {
             return None;
         }
         let (block_idx, within) = self.block_of(self.stored_index(i));
-        debug_assert!(within < OCC_INTERVAL, "bwt_char reads a real symbol");
-        let block = &self.blocks[block_idx];
-        let word = block.words[within / 32];
-        Some(((word >> ((within % 32) * 2)) & 0b11) as u8)
-    }
-}
-
-/// Per-search cached occ-block handle used by [`FmIndex::occ4_cached`].
-///
-/// Models a pair of block registers (LRU between them), matching the
-/// double-buffered occ-block fetch a seeding unit performs: a bi-interval
-/// extension probes the `k`-side and `l`-side boundaries, which usually
-/// land in two distinct blocks, and alternating probes must not evict
-/// each other. Each entry holds a block index plus the cumulative counts
-/// decoded at every word boundary of that block (`prefix[w]` = block base
-/// counts + counts of the first `w` full words, filled lazily up to
-/// `decoded`). A cache hit ranks at most one partial word instead of
-/// re-scanning the block. Hit/lookup counters feed the `nvwa-telemetry`
-/// seed-cache metrics.
-///
-/// The cache is keyed by block index only, so it is valid for exactly one
-/// [`FmIndex`]: call [`OccCache::reset`] before reusing it against a
-/// different index.
-#[derive(Debug, Clone)]
-pub struct OccCache {
-    entries: [OccCacheEntry; 2],
-    /// Index of the most-recently-used entry (the other one is the
-    /// replacement victim).
-    mru: usize,
-    /// Lookups served from a cached block (no base-count refetch).
-    pub hits: u64,
-    /// Total lookups through the cache.
-    pub lookups: u64,
-}
-
-#[derive(Debug, Clone)]
-struct OccCacheEntry {
-    block_idx: usize,
-    /// Words of the cached block whose prefix counts are already decoded
-    /// (`prefix[w]` is valid for `w <= decoded`).
-    decoded: usize,
-    prefix: [[u64; 4]; WORDS_PER_BLOCK + 1],
-}
-
-impl OccCacheEntry {
-    fn empty() -> OccCacheEntry {
-        OccCacheEntry {
-            block_idx: usize::MAX,
-            decoded: 0,
-            prefix: [[0; 4]; WORDS_PER_BLOCK + 1],
-        }
-    }
-}
-
-impl Default for OccCache {
-    fn default() -> Self {
-        OccCache::new()
-    }
-}
-
-impl OccCache {
-    /// An empty cache (first lookup always misses).
-    pub fn new() -> OccCache {
-        OccCache {
-            entries: [OccCacheEntry::empty(), OccCacheEntry::empty()],
-            mru: 0,
-            hits: 0,
-            lookups: 0,
-        }
-    }
-
-    /// Invalidates the cached blocks (keeps the hit/lookup counters).
-    /// Required when the same scratch is pointed at a different index.
-    pub fn reset(&mut self) {
-        self.entries[0].block_idx = usize::MAX;
-        self.entries[1].block_idx = usize::MAX;
-    }
-
-    /// Clears the hit/lookup counters (e.g. after publishing them).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.lookups = 0;
+        Some(self.blocks[block_idx].code_at(within))
     }
 }
 
@@ -470,40 +367,6 @@ fn rank_in_words(words: &[u64; WORDS_PER_BLOCK], c: u8, count: usize) -> u64 {
         remaining -= lanes;
     }
     total
-}
-
-/// Counts occurrences of **all four** 2-bit codes among the first `count`
-/// codes packed in `words`, touching each word exactly once. Splits every
-/// word into its low/high bit planes and classifies all 32 lanes with three
-/// popcounts; code 0 falls out as `lanes - (c1 + c2 + c3)`.
-#[inline(always)]
-fn rank4_in_words(words: &[u64], count: usize) -> [u64; 4] {
-    debug_assert!(count <= words.len() * 32);
-    const LANES: u64 = 0x5555_5555_5555_5555;
-    let mut out = [0u64; 4];
-    let mut remaining = count;
-    for &w in words {
-        if remaining == 0 {
-            break;
-        }
-        let lanes = remaining.min(32);
-        let mask = if lanes == 32 {
-            LANES
-        } else {
-            LANES & ((1u64 << (lanes * 2)) - 1)
-        };
-        let lo = w & mask;
-        let hi = (w >> 1) & mask;
-        let n3 = (hi & lo).count_ones() as u64;
-        let n2 = (hi & !lo).count_ones() as u64;
-        let n1 = (!hi & lo).count_ones() as u64;
-        out[3] += n3;
-        out[2] += n2;
-        out[1] += n1;
-        out[0] += lanes as u64 - n1 - n2 - n3;
-        remaining -= lanes;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -589,85 +452,101 @@ mod tests {
         assert_eq!(trace.0, 2); // lo and hi boundaries
     }
 
+    /// The ranks `0..=seq_len` forward, backward, then `seq_len + 1`
+    /// pseudo-random ones: consecutive probes jump between blocks and words
+    /// in every direction.
+    fn adversarial_probes(fm: &FmIndex, seed: u64) -> Vec<u64> {
+        let n = fm.seq_len();
+        let mut probes: Vec<u64> = (0..=n).chain((0..=n).rev()).collect();
+        let mut state = seed.wrapping_mul(2) + 1;
+        for _ in 0..=n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            probes.push((state >> 33) % (n + 1));
+        }
+        probes
+    }
+
+    /// The first probe where `occ4` differs from four scans of the oracle
+    /// `occ`, which never reads the per-word counts.
+    fn first_occ4_mismatch(fm: &FmIndex, seed: u64) -> Option<u64> {
+        adversarial_probes(fm, seed).into_iter().find(|&i| {
+            let scan: [u64; 4] = std::array::from_fn(|c| fm.occ(c as u8, i, &mut NullTrace));
+            fm.occ4(i, &mut NullTrace) != scan
+        })
+    }
+
+    /// The lengths the rank tests cover: one block, one symbol either side
+    /// of a block boundary, two whole blocks (the multiples of 128 reach the
+    /// `within == OCC_INTERVAL` edge), last blocks that end on a word
+    /// boundary (160, 288: the final rank reads that word's count), five
+    /// blocks (513) and random lengths up to 300.
+    fn rank_test_lengths() -> Vec<usize> {
+        let mut lens = vec![1usize, 127, 128, 129, 160, 256, 288, 513];
+        let mut state = 0x0cc4u64;
+        lens.extend((0..20).map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            1 + (state >> 33) as usize % 300
+        }));
+        lens
+    }
+
     #[test]
-    fn occ4_matches_four_scalar_occ_calls() {
-        // Exercise block-interior, block-boundary, and end-of-text ranks,
-        // including a text length that is an exact OCC_INTERVAL multiple
-        // (the block_of boundary case).
-        for len in [1usize, 127, 128, 129, 256, 300, 513] {
-            let text = rand_codes(len, len as u64 + 11);
-            let fm = FmIndex::from_text(&text);
-            for i in 0..=fm.seq_len() {
-                let fast = fm.occ4(i, &mut NullTrace);
-                for c in 0..4u8 {
-                    assert_eq!(
-                        fast[c as usize],
-                        fm.occ(c, i, &mut NullTrace),
-                        "len {len} rank {i} code {c}"
-                    );
+    fn occ4_matches_the_scan_oracle_at_every_rank_in_any_order() {
+        for len in rank_test_lengths() {
+            let fm = FmIndex::from_text(&rand_codes(len, len as u64 + 11));
+            assert_eq!(first_occ4_mismatch(&fm, len as u64), None, "len {len}");
+        }
+    }
+
+    #[test]
+    fn a_per_word_count_off_by_one_fails_the_oracle_check() {
+        for len in [128usize, 129, 256, 300] {
+            let clean = FmIndex::from_text(&rand_codes(len, len as u64 + 11));
+            for b in 0..clean.blocks.len() {
+                let symbols = (len - b * OCC_INTERVAL).min(OCC_INTERVAL);
+                // `sub[w]` is read only by ranks at or past word `w`.
+                for w in (1..WORDS_PER_BLOCK).filter(|&w| 32 * w <= symbols) {
+                    for c in 0..4 {
+                        for planted in [1u8, u8::MAX] {
+                            let mut fm = clean.clone();
+                            let count = &mut fm.blocks[b].sub[w][c];
+                            *count = count.wrapping_add(planted);
+                            assert!(
+                                first_occ4_mismatch(&fm, 7).is_some(),
+                                "len {len}: block {b} word {w} code {c} {planted:+}"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn occ4_traces_one_block_per_position() {
-        let text = rand_codes(500, 3);
-        let fm = FmIndex::from_text(&text);
-        let mut count = CountTrace::default();
-        fm.occ4(137, &mut count);
-        assert_eq!(count.0, 1);
-        // The recorded address is the same block a scalar occ records.
-        let mut a = crate::trace::VecTrace::default();
-        let mut b = crate::trace::VecTrace::default();
-        fm.occ4(137, &mut a);
-        fm.occ(2, 137, &mut b);
-        assert_eq!(a.0, b.0);
-    }
-
-    #[test]
-    fn occ4_cached_matches_and_counts_hits() {
-        let text = rand_codes(700, 17);
-        let fm = FmIndex::from_text(&text);
-        let mut cache = OccCache::new();
-        for i in 0..=fm.seq_len() {
-            let fast = fm.occ4(i, &mut NullTrace);
-            let cached = fm.occ4_cached(i, &mut cache, &mut NullTrace);
-            assert_eq!(fast, cached, "rank {i}");
-        }
-        // Sequential ranks revisit each block OCC_INTERVAL times, so the
-        // overwhelming majority of lookups must hit.
-        assert_eq!(cache.lookups, fm.seq_len() + 1);
-        assert!(cache.hits >= cache.lookups - fm.occ_blocks() as u64 - 1);
-        // And random revisit order still agrees.
-        cache.reset();
-        let mut state = 0xdecafu64;
-        for _ in 0..500 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let i = (state >> 33) % (fm.seq_len() + 1);
-            assert_eq!(
-                fm.occ4(i, &mut NullTrace),
-                fm.occ4_cached(i, &mut cache, &mut NullTrace)
-            );
-        }
-    }
-
-    #[test]
-    fn occ4_cached_trace_is_identical_to_uncached() {
-        let text = rand_codes(512, 9); // exact multiple of OCC_INTERVAL
-        let fm = FmIndex::from_text(&text);
-        let mut cache = OccCache::new();
-        let mut with_cache = crate::trace::VecTrace::default();
-        let mut without = crate::trace::VecTrace::default();
+    fn occ4_and_lf_record_the_block_occ_records() {
+        let fm = FmIndex::from_text(&rand_codes(512, 9)); // exact multiple of OCC_INTERVAL
         let ranks = [0u64, 5, 5, 130, 131, 129, 400, 401, fm.seq_len()];
+        let mut rank = crate::trace::VecTrace::default();
+        let mut scan = crate::trace::VecTrace::default();
         for &i in &ranks {
-            fm.occ4_cached(i, &mut cache, &mut with_cache);
-            fm.occ4(i, &mut without);
+            fm.occ4(i, &mut rank);
+            fm.occ(0, i, &mut scan);
         }
-        assert_eq!(with_cache.0, without.0, "cache must be trace-invisible");
-        assert!(cache.hits > 0, "repeated ranks must hit");
+        assert_eq!(rank.0, scan.0, "the within == OCC_INTERVAL edge included");
+        // `lf` takes its code and rank from one block: the oracle's answer
+        // (`bwt_char`, then a scan) and its one recorded block.
+        for i in (0..fm.seq_len()).filter(|&i| i as usize != fm.primary()) {
+            let mut lf = crate::trace::VecTrace::default();
+            let mut scan = crate::trace::VecTrace::default();
+            let c = fm.bwt_char(i).expect("not the sentinel");
+            let want = fm.c_of(c) + fm.occ(c, i, &mut scan);
+            assert_eq!(fm.lf(i, &mut lf), Some(want), "rank {i}");
+            assert_eq!(lf.0, scan.0, "rank {i}");
+        }
     }
 
     #[test]

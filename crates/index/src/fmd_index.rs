@@ -7,7 +7,7 @@
 //! always have the same size, and a backward extension of one is a forward
 //! extension of the other. A bi-interval tracks both.
 
-use crate::fm_index::{FmIndex, OccCache};
+use crate::fm_index::FmIndex;
 use crate::trace::{MemAddr, NullTrace, TraceSink};
 
 /// A bidirectional suffix-array interval.
@@ -162,7 +162,7 @@ impl FmdIndex {
     }
 
     /// Assembles the four `cW` bi-intervals from the occ4 counts at the
-    /// interval boundaries (shared by the fast, scalar, and cached paths).
+    /// interval boundaries (shared by the fast and scalar paths).
     #[inline(always)]
     fn assemble_ext(&self, ik: BiInterval, tk: [u64; 4], tl: [u64; 4]) -> [BiInterval; 4] {
         let mut cnt = [0u64; 4];
@@ -190,6 +190,7 @@ impl FmdIndex {
     ///
     /// Two checkpoint-block reads are recorded on `trace` (interval start and
     /// end boundaries), matching the hardware cost of one extension step.
+    #[inline(always)]
     pub fn backward_ext_all<T: TraceSink>(&self, ik: BiInterval, trace: &mut T) -> [BiInterval; 4] {
         let tk = self.fm.occ4(ik.k, trace);
         let tl = self.fm.occ4(ik.k + ik.s, trace);
@@ -206,21 +207,6 @@ impl FmdIndex {
     ) -> [BiInterval; 4] {
         let tk = self.occ4_scalar(ik.k, trace);
         let tl = self.occ4_scalar(ik.k + ik.s, trace);
-        self.assemble_ext(ik, tk, tl)
-    }
-
-    /// [`FmdIndex::backward_ext_all`] through a per-search [`OccCache`].
-    /// Same results, same two recorded block accesses (the cache is
-    /// trace-invisible, see [`FmIndex::occ4_cached`]).
-    #[inline(always)]
-    pub fn backward_ext_all_cached<T: TraceSink>(
-        &self,
-        ik: BiInterval,
-        cache: &mut OccCache,
-        trace: &mut T,
-    ) -> [BiInterval; 4] {
-        let tk = self.fm.occ4_cached(ik.k, cache, trace);
-        let tl = self.fm.occ4_cached(ik.k + ik.s, cache, trace);
         self.assemble_ext(ik, tk, tl)
     }
 
@@ -542,49 +528,37 @@ mod tests {
     }
 
     #[test]
-    fn fast_scalar_and_cached_extensions_agree() {
+    fn fast_and_scalar_extensions_agree() {
         let forward = rand_codes(400, 31);
         let fmd = FmdIndex::from_forward(&forward);
-        let mut cache = OccCache::new();
         // Walk real patterns so the intervals exercised are reachable ones.
         for start in (0..forward.len() - 12).step_by(17) {
             let mut ik = fmd.base_interval(forward[start + 11]);
             for off in (0..11).rev() {
                 let fast = fmd.backward_ext_all(ik, &mut NullTrace);
                 let scalar = fmd.backward_ext_all_scalar(ik, &mut NullTrace);
-                let cached = fmd.backward_ext_all_cached(ik, &mut cache, &mut NullTrace);
                 assert_eq!(fast, scalar, "start {start} off {off}");
-                assert_eq!(fast, cached, "start {start} off {off}");
                 ik = fast[forward[start + off] as usize];
                 if ik.is_empty() {
                     break;
                 }
             }
         }
-        assert!(cache.hits > 0, "walks must revisit blocks");
     }
 
     #[test]
-    fn cached_extension_traces_two_block_reads() {
+    fn narrow_extension_traces_two_block_reads() {
         let forward = rand_codes(300, 9);
         let fmd = FmdIndex::from_forward(&forward);
-        let wide = fmd.base_interval(2);
-        let mut cache = OccCache::new();
-        let mut trace = CountTrace::default();
-        let _ = fmd.backward_ext_all_cached(wide, &mut cache, &mut trace);
-        assert_eq!(trace.0, 2);
         // A narrow interval (unique-ish pattern) has both boundaries in the
-        // same checkpoint block: the second read and every repeat must hit,
-        // while still recording both block reads.
+        // same checkpoint block: both block reads are still recorded.
         let narrow = fmd
             .search(&forward[40..52], &mut NullTrace)
             .expect("present pattern");
-        cache.reset_stats();
         let mut trace = CountTrace::default();
-        let _ = fmd.backward_ext_all_cached(narrow, &mut cache, &mut trace);
-        let _ = fmd.backward_ext_all_cached(narrow, &mut cache, &mut trace);
+        let _ = fmd.backward_ext_all(narrow, &mut trace);
+        let _ = fmd.backward_ext_all(narrow, &mut trace);
         assert_eq!(trace.0, 4);
-        assert!(cache.hits >= 3, "hits {} of {}", cache.hits, cache.lookups);
     }
 
     #[test]

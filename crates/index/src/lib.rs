@@ -31,7 +31,7 @@ pub mod smem;
 pub mod suffix_array;
 pub mod trace;
 
-pub use fm_index::{FmIndex, OccCache};
+pub use fm_index::FmIndex;
 pub use fmd_index::{BiInterval, FmdIndex, PrefixLut};
 pub use smem::{Smem, SmemConfig, SmemScratch};
 pub use trace::{CountTrace, MemAddr, NullTrace, TraceSink, VecTrace};

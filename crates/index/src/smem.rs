@@ -11,7 +11,6 @@
 //! [`TraceSink`], so running this algorithm *is* the seeding-unit workload of
 //! the accelerator model.
 
-use crate::fm_index::OccCache;
 use crate::fmd_index::{BiInterval, FmdIndex};
 use crate::trace::TraceSink;
 use crate::Isa;
@@ -73,17 +72,12 @@ impl Default for SmemConfig {
 }
 
 /// Reusable per-search scratch for the SMEM hot path: the survivor lists of
-/// the forward/backward sweeps, the re-seeding staging vectors, and the
-/// per-search [`OccCache`]. One instance per worker eliminates every
-/// per-read allocation of the seeding stage; results are bit-identical to
-/// the allocating API.
-///
-/// The embedded cache is keyed by occ-block index only, so a scratch must
-/// serve exactly one index at a time: call [`SmemScratch::reset_for_index`]
-/// before pointing it at a different [`FmdIndex`].
+/// the forward/backward sweeps and the re-seeding staging vectors. One
+/// instance per worker eliminates every per-read allocation of the seeding
+/// stage; results are bit-identical to the allocating API. It holds no
+/// per-index state, so one scratch may serve any number of indexes.
 #[derive(Debug, Clone, Default)]
 pub struct SmemScratch {
-    cache: OccCache,
     curr: Vec<(BiInterval, usize)>,
     prev: Vec<(BiInterval, usize)>,
     first_pass: Vec<Smem>,
@@ -94,23 +88,6 @@ impl SmemScratch {
     /// An empty scratch.
     pub fn new() -> SmemScratch {
         SmemScratch::default()
-    }
-
-    /// Invalidates the occ-block cache; required when the scratch is reused
-    /// against a different index.
-    pub fn reset_for_index(&mut self) {
-        self.cache.reset();
-    }
-
-    /// `(hits, lookups)` of the embedded occ-block cache since the last
-    /// [`SmemScratch::reset_cache_stats`].
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits, self.cache.lookups)
-    }
-
-    /// Clears the cache hit/lookup counters (after publishing them).
-    pub fn reset_cache_stats(&mut self) {
-        self.cache.reset_stats();
     }
 }
 
@@ -139,10 +116,9 @@ pub fn smem_next<T: TraceSink>(
 }
 
 /// [`smem_next`] with caller-provided scratch (zero allocations at steady
-/// state). Extension steps go through the per-search occ-block cache, and —
-/// only when `trace` discards addresses — the first `k` forward steps are
-/// served from the index's prefix LUT (see DESIGN.md §10). Output and, for
-/// recording sinks, the trace are bit-identical to [`smem_next`].
+/// state). Only when `trace` discards addresses are the first `k` forward
+/// steps served from the index's prefix LUT (see DESIGN.md §10). Output
+/// and, for recording sinks, the trace are bit-identical to [`smem_next`].
 ///
 /// # Panics
 ///
@@ -160,9 +136,7 @@ pub fn smem_next_with<T: TraceSink>(
     assert!(x < query.len(), "pivot out of range");
     let len = query.len();
     let min_intv = min_intv.max(1);
-    let SmemScratch {
-        cache, curr, prev, ..
-    } = scratch;
+    let SmemScratch { curr, prev, .. } = scratch;
     // The LUT is a fast-path-only structure: never consult it when the sink
     // observes addresses, or the SU memory trace would lose its first k
     // extension steps.
@@ -196,8 +170,7 @@ pub fn smem_next_with<T: TraceSink>(
             }
             // Forward-extending `W` is backward-extending `revcomp(W)` by
             // the complement base.
-            _ => fmd.backward_ext_all_cached(ik.swapped(), cache, trace)[(3 - query[i]) as usize]
-                .swapped(),
+            _ => fmd.backward_ext_all(ik.swapped(), trace)[(3 - query[i]) as usize].swapped(),
         };
         if ok.s != ik.s {
             curr.push((ik, ik_end));
@@ -226,7 +199,7 @@ pub fn smem_next_with<T: TraceSink>(
         for &(p, end) in prev.iter() {
             // Not a closure: one would be compiled outside the `popcnt` arm.
             let o = match c {
-                Some(cc) => fmd.backward_ext_all_cached(p, cache, trace)[cc as usize],
+                Some(cc) => fmd.backward_ext_all(p, trace)[cc as usize],
                 None => BiInterval { k: 0, l: 0, s: 0 },
             };
             if o.s < min_intv {
@@ -291,7 +264,7 @@ pub fn collect_smems_into<T: TraceSink>(
     trace: &mut T,
 ) {
     // One dispatch per read, both arms the same body: every helper down to
-    // `rank4_in_words` is `#[inline(always)]`, so its `count_ones()` compiles
+    // `OccBlock::rank4` is `#[inline(always)]`, so its `count_ones()` compiles
     // inside the feature-enabled function. One left out silently keeps SWAR.
     #[cfg(target_arch = "x86_64")]
     if Isa::host() >= Isa::Popcnt {
@@ -374,7 +347,7 @@ fn collect_smems_portable<T: TraceSink>(
 /// The pre-optimization seeding path, retained verbatim as the test
 /// oracle (the `sw::naive` pattern): scalar occ (four block scans
 /// per position through [`FmdIndex::backward_ext_all_scalar`]), fresh
-/// allocations per call, no cache, no LUT. Bit-identical output to the hot
+/// allocations per call, no LUT. Bit-identical output to the hot
 /// path — that equality is what the property tests pin down.
 pub mod oracle {
     use super::*;
@@ -691,10 +664,6 @@ mod tests {
                     assert_eq!(allocating, expected, "seed {seed} lut {build_lut}");
                     assert_eq!(out, expected, "seed {seed} lut {build_lut} (scratch)");
                 }
-                if build_lut {
-                    let (hits, lookups) = scratch.cache_stats();
-                    assert!(lookups > 0 && hits > 0, "cache must be exercised");
-                }
             }
         }
     }
@@ -710,8 +679,8 @@ mod tests {
         let plain = FmdIndex::from_forward(&forward);
         let mut want = VecTrace::default();
         let _ = collect_smems(&plain, &query, &config, &mut want);
-        // Scratch + cache + built LUT, but a recording sink: the LUT must be
-        // bypassed and the cache trace-invisible, so addresses match exactly.
+        // Scratch + built LUT, but a recording sink: the LUT must be
+        // bypassed, so addresses match exactly.
         let mut got = VecTrace::default();
         let mut scratch = SmemScratch::new();
         let mut out = Vec::new();

@@ -2,9 +2,9 @@
 //!
 //! Two families:
 //!
-//! * **occ substrate** — the single-pass [`FmIndex::occ4`] and the cached
-//!   [`FmIndex::occ4_cached`] must agree with four scalar
-//!   [`FmIndex::occ`] scans at every rank, on every random text.
+//! * **occ substrate** — the one-word rank [`FmIndex::occ4`] must agree
+//!   with four scalar [`FmIndex::occ`] scans at every rank, in any probe
+//!   order, on every random text.
 //! * **SMEM search** — the hot path ([`collect_smems`]) must be
 //!   bit-identical to the frozen pre-optimization
 //!   [`oracle::collect_smems`] in every configuration the pipeline uses:
@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use nvwa_index::fm_index::{FmIndex, OccCache};
+use nvwa_index::fm_index::FmIndex;
 use nvwa_index::fmd_index::FmdIndex;
 use nvwa_index::smem::{collect_smems, collect_smems_into, oracle, SmemConfig, SmemScratch};
 use nvwa_index::trace::{NullTrace, VecTrace};
@@ -35,31 +35,13 @@ fn loose_config() -> SmemConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `occ4` returns exactly what four scalar `occ` scans return, at
-    /// every rank boundary of the text (including 0 and seq_len).
+    /// `occ4` agrees with four scalar `occ` scans at every rank of the
+    /// text (including 0 and seq_len), under an adversarial probe order
+    /// (forward, backward, then pseudo-random).
     #[test]
-    fn occ4_matches_four_scalar_occ(text in codes(1, 300)) {
-        let fm = FmIndex::from_text(&text);
-        for i in 0..=fm.seq_len() {
-            let quad = fm.occ4(i, &mut NullTrace);
-            let scalar = [
-                fm.occ(0, i, &mut NullTrace),
-                fm.occ(1, i, &mut NullTrace),
-                fm.occ(2, i, &mut NullTrace),
-                fm.occ(3, i, &mut NullTrace),
-            ];
-            prop_assert_eq!(quad, scalar, "rank {}", i);
-        }
-    }
-
-    /// `occ4_cached` agrees with `occ4` under an adversarial probe order
-    /// (forward, backward, then pseudo-random), reusing one cache across
-    /// all probes.
-    #[test]
-    fn occ4_cached_matches_occ4_any_probe_order(text in codes(1, 300), seed in 0u64..1024) {
+    fn occ4_matches_occ_any_probe_order(text in codes(1, 300), seed in 0u64..1024) {
         let fm = FmIndex::from_text(&text);
         let n = fm.seq_len();
-        let mut cache = OccCache::new();
         let mut probes: Vec<u64> = (0..=n).collect();
         probes.extend((0..=n).rev());
         let mut state = seed.wrapping_mul(2) + 1;
@@ -68,13 +50,9 @@ proptest! {
             probes.push(state % (n + 1));
         }
         for &i in &probes {
-            prop_assert_eq!(
-                fm.occ4_cached(i, &mut cache, &mut NullTrace),
-                fm.occ4(i, &mut NullTrace),
-                "rank {}", i
-            );
+            let scalar: [u64; 4] = std::array::from_fn(|c| fm.occ(c as u8, i, &mut NullTrace));
+            prop_assert_eq!(fm.occ4(i, &mut NullTrace), scalar, "rank {}", i);
         }
-        prop_assert_eq!(cache.lookups, probes.len() as u64);
     }
 
     /// The SMEM hot path with the LUT enabled (no-trace sink) is
@@ -89,8 +67,8 @@ proptest! {
     }
 
     /// With an address-recording sink the LUT is bypassed (the trace must
-    /// keep every extension step) but the occ-block cache stays engaged —
-    /// the SMEMs are still bit-identical to the oracle.
+    /// keep every extension step) — the SMEMs are still bit-identical to
+    /// the oracle.
     #[test]
     fn smems_with_trace_match_oracle(forward in codes(8, 200), query in codes(4, 64)) {
         let mut fmd = FmdIndex::from_forward(&forward);
@@ -133,8 +111,8 @@ proptest! {
     }
 
     /// Scratch reuse across queries (the pipeline's steady state) never
-    /// changes the result: cache state left by one query must not leak
-    /// into the next.
+    /// changes the result: the survivor lists left by one query must not
+    /// leak into the next.
     #[test]
     fn smems_with_reused_scratch_match_fresh(forward in codes(8, 200),
                                              queries in proptest::collection::vec(codes(4, 48), 1..4)) {

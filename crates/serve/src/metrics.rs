@@ -98,8 +98,6 @@ names!(
         Quota = "serve.requests_quota",
         ShardsKilled = "serve.shards_killed",
         SimCycles = "serve.sim_cycles_total",
-        SeedCacheHits = "serve.seed_cache_hits",
-        SeedCacheLookups = "serve.seed_cache_lookups",
     }
 );
 
@@ -174,8 +172,7 @@ pub(crate) enum Event {
     Panic { seq: u64, worker: usize },
     /// Batch `seq`, taken at `taken`, finished executing on `worker` at
     /// `done`; recorded before its responses go out. Carries the
-    /// simulated cycles (hardware-in-the-loop) and the worker's seeding
-    /// occ-block cache `(hits, lookups)` since its previous batch.
+    /// simulated cycles (hardware-in-the-loop).
     BatchDone {
         seq: u64,
         worker: usize,
@@ -184,7 +181,6 @@ pub(crate) enum Event {
         taken: Instant,
         done: Instant,
         sim_cycles: Option<u64>,
-        seed_cache: (u64, u64),
     },
     /// One request answered on `(tenant, shard)`, any outcome; the
     /// chain's stage durations sum exactly to its end-to-end latency (see
@@ -483,15 +479,12 @@ impl ServeMetrics {
                 taken,
                 done,
                 sim_cycles,
-                seed_cache: (hits, lookups),
             } => {
                 m.flight
                     .record(t_us, K::BatchDone, seq, bin as u64, size as u64);
                 let exec = done.saturating_duration_since(taken);
                 m.observe(H::BatchExec, exec.as_micros() as u64);
                 m.inc(C::SimCycles, sim_cycles.unwrap_or(0));
-                m.inc(C::SeedCacheHits, hits);
-                m.inc(C::SeedCacheLookups, lookups);
                 if let Some(trace) = m.trace.as_mut() {
                     let (.., label) = mode_trace(class_of_bin(bin));
                     let name = format!("batch {label}bin{bin} n{size}");
@@ -946,15 +939,12 @@ mod tests {
                     taken: Instant::now(),
                     done: Instant::now() + std::time::Duration::from_micros(250),
                     sim_cycles: Some(777),
-                    seed_cache: (5, 9),
                 },
                 [
                     &ring("flight.batch_done")[..],
                     &[
                         ("serve.batch_exec_us.count", 1.0),
                         ("serve.sim_cycles_total", 777.0),
-                        ("serve.seed_cache_hits", 5.0),
-                        ("serve.seed_cache_lookups", 9.0),
                     ],
                 ]
                 .concat(),

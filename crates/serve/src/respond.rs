@@ -150,8 +150,6 @@ fn execute_batch(
     // no dangling batch_start except a panicked batch's.
     let answers = match result {
         Ok((answers, sim_cycles)) => {
-            let seed_cache = scratch.seed_cache_stats();
-            scratch.reset_seed_cache_stats();
             shared.metrics.record(Event::BatchDone {
                 seq,
                 worker,
@@ -160,7 +158,6 @@ fn execute_batch(
                 taken: batch.taken_at,
                 done: exec_done,
                 sim_cycles,
-                seed_cache,
             });
             answers
         }

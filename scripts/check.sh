@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, no hash set or over-aligned type on the simulator's
 # per-access path and no ordered or hashed map in its event loop,
-# lints, rustdoc links, the tier-1 build+test suite (and, in the release
-# binary, popcnt and the tile fill's vpmaxsd / vpmaxsw on ymm and zmm but
-# never on xmm), the serving suites again on one busy core, EXPERIMENTS.md's
-# quoted `nvwa repro --full` output (every figure and table) against the
-# binary, the telemetry artifact
-# checks, the benchmark smoke run, the serve smoke tests, the conformance
-# sweep and the per-crate line count. Run from the repository root:
+# lints, rustdoc links, the tier-1 build and every package's tests (and, in
+# the release binary, popcnt in the seeding twins and the tile fill's vpmaxsd
+# / vpmaxsw on ymm and zmm but never on xmm), the serving suites again on one
+# busy core, EXPERIMENTS.md's quoted `nvwa repro --full` output (every figure
+# and table) against the binary, the telemetry artifact checks, the
+# benchmark smoke run, the serve smoke tests, the conformance sweep and the
+# per-crate line count. Run from the repository root:
 # ./scripts/check.sh
 #
 # ARTIFACTS_DIR (optional): where generated artifacts land. Defaults to a
@@ -63,12 +63,27 @@ cargo build --release
 # The seeding hot path must carry hardware popcount on the plain build
 # settings: a helper dropped from the `#[inline(always)]` chain under
 # `collect_smems_into` would take its `count_ones()` back to the SWAR
-# sequence without failing any test (DESIGN.md §10).
+# sequence without failing any test (DESIGN.md §10). Counted inside every
+# instance of the two `popcnt` twins, so that popcounts elsewhere in the
+# binary cannot satisfy the check.
 if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
-    if [ "$(objdump -d target/release/nvwa | grep -c popcnt)" -eq 0 ]; then
-        echo "release nvwa contains no popcnt instruction" >&2
-        exit 1
-    fi
+    for sym in collect_smems_popcnt align_codes_popcnt; do
+        counts="$(objdump -d target/release/nvwa |
+            awk -v sym="$sym" '/^[0-9a-f]+ <.*>:$/ {
+                    inside = index($0, sym) > 0
+                    if (inside) { n++; count[n] = 0 }
+                }
+                inside && /\tpopcnt/ { count[n]++ }
+                END { for (i = 1; i <= n; i++) print count[i] }')"
+        if [ -z "$counts" ]; then
+            echo "release nvwa has no $sym" >&2
+            exit 1
+        fi
+        if echo "$counts" | grep -qx 0; then
+            echo "an instance of $sym has no popcnt: a rank fell out of the inline chain" >&2
+            exit 1
+        fi
+    done
     # Likewise the GACT tile kernel: each feature-enabled arm's loop must
     # have vectorised at both lane widths, `vpmaxsd` (i32 lanes) and
     # `vpmaxsw` (i16 lanes, every GACT tile) on ymm in the AVX2 arm and on
@@ -94,7 +109,11 @@ if [ "$(uname -m)" = x86_64 ] && command -v objdump >/dev/null; then
         fi
     done
 fi
-cargo test -q
+# Every package's tests: the root package's integration tests (tier-1) plus
+# the crates' unit tests and proptests (the occ rank against its scan oracle,
+# the dispatch twins, the simulator invariants), which `cargo test -q` at the
+# root does not run.
+cargo test --workspace -q
 
 # The two simulator goldens — the tiny Chrome trace and the simulated
 # statistics (also part of the suite above; run by name filter so a drift

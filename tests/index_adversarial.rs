@@ -1,15 +1,14 @@
-//! Adversarial-reference SMEM conformance (ISSUE 5 satellite): the seeding
-//! fast path — occ-block cache, prefix LUT, scratch reuse — pinned against
+//! Adversarial-reference SMEM conformance: the seeding fast path — the
+//! one-word occ rank, prefix LUT, scratch reuse — pinned against
 //! `smem::oracle` on references built to break it:
 //!
 //! * an all-A genome (every occ block saturated by one symbol, maximal
-//!   interval sizes, the occ-cache hit rate near 1),
+//!   interval sizes, every per-word count at its largest),
 //! * a period-2 repeat (`ACAC…`, two alternating symbols, SMEMs spanning
 //!   the whole reference),
 //! * a reference shorter than the prefix-LUT depth `k` (the LUT clamp
 //!   path), and
-//! * scratch reuse across *different* indexes (the documented
-//!   `reset_for_index` contract).
+//! * scratch reuse across *different* indexes, with no reset between them.
 //!
 //! Each case runs the full mode matrix of `testkit::diff::smem_divergence`:
 //! plain index, LUT index with the LUT engaged (`NullTrace`) and LUT index
@@ -43,8 +42,8 @@ fn lut_pair(reference: &[u8]) -> (FmdIndex, FmdIndex) {
 
 /// Runs every query through the full mode matrix, panicking with the
 /// testkit's divergence detail on the first disagreement. Scratches are
-/// reused across queries (per index), so the occ-block cache carries
-/// state from query to query exactly as the pipeline does.
+/// reused across queries (per index), so the survivor lists carry over
+/// from query to query exactly as the pipeline's do.
 fn assert_agree(reference: &[u8], queries: &[Vec<u8>], configs: &[SmemConfig]) {
     let (plain, lut) = lut_pair(reference);
     let mut s_plain = SmemScratch::new();
@@ -141,11 +140,10 @@ fn reference_shorter_than_lut_k_agrees_with_oracle() {
 }
 
 #[test]
-fn scratch_reuse_across_indexes_requires_only_reset() {
-    // The documented contract: one scratch may serve different indexes as
-    // long as `reset_for_index` is called between them. The occ-block
-    // cache is keyed by block index only, so two same-length references
-    // with different content are the adversarial pairing — stale blocks
+fn scratch_reuse_across_indexes_needs_no_reset() {
+    // One scratch may serve different indexes with no call between them: it
+    // holds no per-index state. Two same-length references with different
+    // content are the adversarial pairing — anything keyed by block index
     // would silently corrupt intervals.
     let mut p = Prng(0x5C2A);
     let ref_a = p.codes(800);
@@ -154,18 +152,18 @@ fn scratch_reuse_across_indexes_requires_only_reset() {
     let fmd_b = FmdIndex::from_forward(&ref_b);
     let config = lenient();
     let mut scratch = SmemScratch::new();
+    let mut smems = 0;
     for round in 0..3 {
         for (fmd, reference) in [(&fmd_a, &ref_a), (&fmd_b, &ref_b)] {
-            scratch.reset_for_index();
             let start = p.below((reference.len() - 101) as u64) as usize;
             let query = p.mutate(&reference[start..start + 101]);
             let mut got = Vec::new();
             collect_smems_into(fmd, &query, &config, &mut scratch, &mut got, &mut NullTrace);
             let want = oracle::collect_smems(fmd, &query, &config);
             assert_eq!(got, want, "round {round}: reused scratch diverged");
+            smems += got.len();
         }
     }
-    // The cache saw real traffic — the reuse test is not vacuous.
-    let (_hits, lookups) = scratch.cache_stats();
-    assert!(lookups > 0, "occ cache was never consulted");
+    // The queries found seeds: the reuse test is not vacuous.
+    assert!(smems > 0, "no query produced an SMEM");
 }
