@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use nvwa_genome::reads::Read;
 use nvwa_genome::reference::ReferenceGenome;
 use nvwa_index::fmd_index::{FmdIndex, PrefixLut};
 use nvwa_index::sampled_sa::SampledSa;
@@ -146,9 +145,8 @@ impl Default for AlignerConfig {
 /// Holds every buffer the per-read hot path would otherwise allocate fresh:
 /// the SMEM search scratch, the SMEM/seed vectors, the reverse-complement
 /// and candidate buffers, and the DP scratch used by chain extension. One
-/// instance per worker thread; reusing it across reads makes the
-/// steady-state pipeline allocation-free. Results are bit-identical to the
-/// allocating path.
+/// instance per worker thread; reusing it across batches makes the
+/// steady-state pipeline allocation-free. No per-read state outlives a read.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
     smem: SmemScratch,
@@ -256,21 +254,32 @@ pub struct AlignmentOutcome {
     pub profile: ReadProfile,
 }
 
+/// Whether [`SoftwareAligner::align_batch`] records the seeding trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedTrace {
+    /// Hardware-trace path: the k-mer prefix LUT is bypassed and every FM-index
+    /// and sampled-SA block read lands in the profile's `seeding_trace`.
+    Record,
+    /// Software fast path: the k-mer prefix LUT is used and nothing is recorded.
+    Skip,
+}
+
 /// The software seed-and-extend aligner.
 ///
 /// # Examples
 ///
 /// ```
 /// use nvwa_genome::{ReferenceGenome, ReferenceParams, ReadSimulator, ReadSimParams};
-/// use nvwa_align::pipeline::{ReferenceIndex, SoftwareAligner, AlignerConfig};
+/// use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SeedTrace, SoftwareAligner};
 ///
 /// let genome = ReferenceGenome::synthesize(&ReferenceParams::small_test(), 1);
 /// let index = ReferenceIndex::build(&genome, 32);
 /// let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-/// let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 2);
-/// let read = sim.simulate_read();
-/// let outcome = aligner.align_read(&read);
-/// assert!(outcome.alignment.is_some());
+/// let reads = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 2).simulate_reads(4);
+/// let mut out = Vec::new();
+/// let batch = reads.iter().map(|r| (r.id, r.seq.codes()));
+/// aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Skip, &mut out);
+/// assert!(out.len() == 4 && out[0].alignment.is_some());
 /// ```
 #[derive(Debug)]
 pub struct SoftwareAligner<'r> {
@@ -284,68 +293,59 @@ impl<'r> SoftwareAligner<'r> {
         SoftwareAligner { index, config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AlignerConfig {
-        &self.config
-    }
-
-    /// Aligns a simulated read (fresh scratch, hardware-trace mode).
-    pub fn align_read(&self, read: &Read) -> AlignmentOutcome {
-        self.align_codes(read.id, read.seq.codes())
-    }
-
-    /// Aligns a simulated read with caller-provided scratch, recording the
-    /// seeding memory-access trace (the simulator's workload input).
-    pub fn align_read_with(&self, read: &Read, scratch: &mut AlignScratch) -> AlignmentOutcome {
-        self.align_codes_with(read.id, read.seq.codes(), scratch)
-    }
-
-    /// Aligns raw 2-bit read codes (fresh scratch, hardware-trace mode).
-    pub fn align_codes(&self, read_id: u64, codes: &[u8]) -> AlignmentOutcome {
-        self.align_codes_with(read_id, codes, &mut AlignScratch::new())
-    }
-
-    /// Hardware-trace mode: aligns with caller-provided scratch and records
-    /// the seeding memory-access trace in the profile. The k-mer prefix LUT
-    /// is bypassed so every FM-index block read is observable.
-    pub fn align_codes_with(
+    /// Aligns each `(read id, codes)` of `reads` into `out` (cleared first),
+    /// in input order; a single read is a batch of one. `scratch` is buffer
+    /// space only, so an outcome does not depend on the batch around it, and
+    /// `trace` changes nothing but the profile's `seeding_trace`.
+    pub fn align_batch<'a>(
         &self,
-        read_id: u64,
-        codes: &[u8],
+        reads: impl IntoIterator<Item = (u64, &'a [u8])>,
         scratch: &mut AlignScratch,
+        trace: SeedTrace,
+        out: &mut Vec<AlignmentOutcome>,
+    ) {
+        out.clear();
+        for read in reads {
+            out.push(self.align_one(read, scratch, trace));
+        }
+    }
+
+    /// One read under [`SeedTrace::Skip`], through `align_batch`'s per-read
+    /// body, for the benchmark harness alone: ROADMAP item 1(a) deletes it.
+    #[doc(hidden)]
+    pub fn align_codes_fast(&self, id: u64, seq: &[u8], s: &mut AlignScratch) -> AlignmentOutcome {
+        self.align_one((id, seq), s, SeedTrace::Skip)
+    }
+
+    /// The per-read body [`SoftwareAligner::align_batch`] loops over.
+    #[inline]
+    fn align_one(
+        &self,
+        read: (u64, &[u8]),
+        scratch: &mut AlignScratch,
+        trace: SeedTrace,
     ) -> AlignmentOutcome {
+        if trace == SeedTrace::Skip {
+            return self.align_codes_inner(read, scratch, &mut NullTrace);
+        }
         let mut trace = VecTrace::default();
-        let mut outcome = self.align_codes_inner(read_id, codes, scratch, &mut trace);
+        let mut outcome = self.align_codes_inner(read, scratch, &mut trace);
         outcome.profile.seeding_trace = trace.0;
         outcome
     }
 
-    /// Software fast path: no trace is recorded, which enables the k-mer
-    /// prefix LUT. Alignments are bit-identical to
-    /// [`SoftwareAligner::align_codes_with`]; only the profile's
-    /// `seeding_trace` is empty.
-    pub fn align_codes_fast(
-        &self,
-        read_id: u64,
-        codes: &[u8],
-        scratch: &mut AlignScratch,
-    ) -> AlignmentOutcome {
-        self.align_codes_inner(read_id, codes, scratch, &mut NullTrace)
-    }
-
     fn align_codes_inner<T: TraceSink>(
         &self,
-        read_id: u64,
-        codes: &[u8],
+        read: (u64, &[u8]),
         scratch: &mut AlignScratch,
         trace: &mut T,
     ) -> AlignmentOutcome {
         #[cfg(target_arch = "x86_64")]
         if Isa::host() >= Isa::Popcnt {
             // SAFETY: the CPU reports `popcnt`, checked on the line above.
-            return unsafe { self.align_codes_popcnt(read_id, codes, scratch, trace) };
+            return unsafe { self.align_codes_popcnt(read, scratch, trace) };
         }
-        self.align_codes_portable(read_id, codes, scratch, trace)
+        self.align_codes_portable(read, scratch, trace)
     }
 
     /// The same body with `popcnt` on; `collect_smems_into` has the inlining rule.
@@ -353,19 +353,17 @@ impl<'r> SoftwareAligner<'r> {
     #[target_feature(enable = "popcnt")]
     fn align_codes_popcnt<T: TraceSink>(
         &self,
-        read_id: u64,
-        codes: &[u8],
+        read: (u64, &[u8]),
         scratch: &mut AlignScratch,
         trace: &mut T,
     ) -> AlignmentOutcome {
-        self.align_codes_portable(read_id, codes, scratch, trace)
+        self.align_codes_portable(read, scratch, trace)
     }
 
     #[inline(always)]
     fn align_codes_portable<T: TraceSink>(
         &self,
-        read_id: u64,
-        codes: &[u8],
+        (read_id, codes): (u64, &[u8]),
         scratch: &mut AlignScratch,
         trace: &mut T,
     ) -> AlignmentOutcome {
@@ -621,6 +619,18 @@ mod tests {
         (genome, index)
     }
 
+    /// One read aligned alone: a batch of one on a fresh scratch.
+    fn alone(
+        aligner: &SoftwareAligner,
+        id: u64,
+        codes: &[u8],
+        trace: SeedTrace,
+    ) -> AlignmentOutcome {
+        let mut out = Vec::new();
+        aligner.align_batch([(id, codes)], &mut AlignScratch::new(), trace, &mut out);
+        out.pop().expect("one outcome per read")
+    }
+
     #[test]
     fn exact_reads_align_to_origin_with_perfect_cigar() {
         let (genome, index) = test_setup();
@@ -635,7 +645,7 @@ mod tests {
         let mut mapped = 0;
         for _ in 0..40 {
             let read = sim.simulate_read();
-            let outcome = aligner.align_read(&read);
+            let outcome = alone(&aligner, read.id, read.seq.codes(), SeedTrace::Record);
             let Some(a) = outcome.alignment else { continue };
             mapped += 1;
             assert_eq!(
@@ -660,7 +670,7 @@ mod tests {
         let mut close = 0;
         let mut mapped = 0;
         for read in &reads {
-            let outcome = aligner.align_read(read);
+            let outcome = alone(&aligner, read.id, read.seq.codes(), SeedTrace::Record);
             if let Some(a) = outcome.alignment {
                 mapped += 1;
                 if (a.flat_pos as i64 - read.origin.flat_pos as i64).abs() <= 20 {
@@ -681,7 +691,7 @@ mod tests {
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
         let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 11);
         let read = sim.simulate_read();
-        let outcome = aligner.align_read(&read);
+        let outcome = alone(&aligner, read.id, read.seq.codes(), SeedTrace::Record);
         let p = &outcome.profile;
         assert!(
             p.seeding_trace.len() >= 100,
@@ -699,7 +709,7 @@ mod tests {
         let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 13);
         for _ in 0..20 {
             let read = sim.simulate_read();
-            let outcome = aligner.align_read(&read);
+            let outcome = alone(&aligner, read.id, read.seq.codes(), SeedTrace::Record);
             for t in &outcome.profile.hit_tasks {
                 assert!(t.hit_len() as usize <= read.seq.len());
                 assert!(t.read_pos.0 <= t.read_pos.1);
@@ -715,7 +725,7 @@ mod tests {
         // A read of pure AAAA…: the synthetic genome is GC-balanced random,
         // so a 101-A run cannot seed anywhere with min_seed_len 19.
         let codes = vec![0u8; 101];
-        let outcome = aligner.align_codes(999, &codes);
+        let outcome = alone(&aligner, 999, &codes, SeedTrace::Record);
         // Either unmapped or (if a long A-run exists) low score; require the
         // common case.
         if let Some(a) = outcome.alignment {
@@ -730,43 +740,48 @@ mod tests {
         let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 21);
         for _ in 0..20 {
             let read = sim.simulate_read();
-            if let Some(a) = aligner.align_read(&read).alignment {
+            let outcome = alone(&aligner, read.id, read.seq.codes(), SeedTrace::Record);
+            if let Some(a) = outcome.alignment {
                 // Query consumption can be less than the read (soft clips at
                 // the flanks) but never more.
                 assert!(a.cigar.query_len() <= read.seq.len());
                 assert!(a.cigar.target_len() > 0);
                 // The reported score is always the transcript's score.
-                assert_eq!(a.cigar.score(&aligner.config().scoring), a.score);
+                assert_eq!(a.cigar.score(&AlignerConfig::default().scoring), a.score);
             }
         }
     }
 
+    /// A 64-read batch on one reused scratch, under both trace values: each
+    /// outcome is that read aligned alone, and the fast path differs from
+    /// the traced one only in its empty seeding trace.
     #[test]
-    fn fast_path_and_scratch_reuse_are_bit_identical() {
+    fn a_batch_aligns_each_read_as_if_alone() {
         let (genome, index) = test_setup();
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-        let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 17);
+        let reads =
+            ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 17).simulate_reads(64);
+        let batch = || reads.iter().map(|r| (r.id, r.seq.codes()));
         let mut scratch = AlignScratch::new();
-        let mut traced_total = 0usize;
-        for _ in 0..25 {
-            let read = sim.simulate_read();
-            // Fresh-scratch traced path is the reference.
-            let reference = aligner.align_read(&read);
-            // Reused scratch, traced: everything identical including trace.
-            let reused = aligner.align_read_with(&read, &mut scratch);
-            assert_eq!(reused, reference, "read {}", read.id);
-            // Fast path (LUT, no trace): same alignment, same workload
-            // counts, empty seeding trace.
-            let fast = aligner.align_codes_fast(read.id, read.seq.codes(), &mut scratch);
-            assert_eq!(fast.alignment, reference.alignment, "read {}", read.id);
-            assert_eq!(fast.profile.smem_count, reference.profile.smem_count);
-            assert_eq!(fast.profile.located_hits, reference.profile.located_hits);
-            assert_eq!(fast.profile.hit_tasks, reference.profile.hit_tasks);
-            assert_eq!(fast.profile.dp_cells, reference.profile.dp_cells);
-            assert!(fast.profile.seeding_trace.is_empty());
-            traced_total += reference.profile.seeding_trace.len();
+        let (mut traced, mut fast) = (Vec::new(), Vec::new());
+        aligner.align_batch(batch(), &mut scratch, SeedTrace::Record, &mut traced);
+        aligner.align_batch(batch(), &mut scratch, SeedTrace::Skip, &mut fast);
+        assert_eq!((traced.len(), fast.len()), (64, 64));
+        for (r, read) in reads.iter().enumerate() {
+            let (id, codes) = (read.id, read.seq.codes());
+            let (want_traced, want_fast) = (
+                alone(&aligner, id, codes, SeedTrace::Record),
+                alone(&aligner, id, codes, SeedTrace::Skip),
+            );
+            assert_eq!(traced[r], want_traced, "read {r}");
+            assert_eq!(fast[r], want_fast, "read {r}");
+            let mut untraced = traced[r].clone();
+            untraced.profile.seeding_trace.clear();
+            assert_eq!(fast[r], untraced, "read {r}");
         }
-        assert!(traced_total > 0, "traced path must record block reads");
+        assert!(traced.iter().any(|o| !o.profile.seeding_trace.is_empty()));
+        aligner.align_batch([], &mut scratch, SeedTrace::Record, &mut traced);
+        assert!(traced.is_empty(), "an empty batch leaves `out` empty");
     }
 
     /// Each arm of `align_codes_inner` the host can run, traced and not, on
@@ -807,7 +822,7 @@ mod tests {
     fn align_at<T: TraceSink>(
         aligner: &SoftwareAligner,
         isa: Isa,
-        (id, codes): (u64, &[u8]),
+        read: (u64, &[u8]),
         scratch: &mut AlignScratch,
         trace: &mut T,
     ) -> AlignmentOutcome {
@@ -815,9 +830,9 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if isa >= Isa::Popcnt {
             // SAFETY: the CPU reports `popcnt`: `isa` is at most its level.
-            return unsafe { aligner.align_codes_popcnt(id, codes, scratch, trace) };
+            return unsafe { aligner.align_codes_popcnt(read, scratch, trace) };
         }
-        aligner.align_codes_portable(id, codes, scratch, trace)
+        aligner.align_codes_portable(read, scratch, trace)
     }
 
     #[test]

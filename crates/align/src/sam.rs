@@ -85,7 +85,9 @@ pub fn record(genome: &ReferenceGenome, read: &Read, alignment: Option<&Alignmen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
+    use crate::pipeline::{
+        AlignScratch, AlignerConfig, ReferenceIndex, SeedTrace, SoftwareAligner,
+    };
     use nvwa_genome::reads::{ReadSimParams, ReadSimulator};
     use nvwa_genome::reference::ReferenceParams;
 
@@ -117,7 +119,10 @@ mod tests {
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
         let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 3);
         let read = sim.simulate_read();
-        let a = aligner.align_read(&read).alignment.expect("mapped");
+        let mut out = Vec::new();
+        let batch = [(read.id, read.seq.codes())];
+        aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Record, &mut out);
+        let a = out[0].alignment.clone().expect("mapped");
         let line = record(&genome, &read, Some(&a));
         let fields: Vec<&str> = line.split('\t').collect();
         assert!(fields.len() >= 11, "{line}");

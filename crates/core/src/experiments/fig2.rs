@@ -15,6 +15,7 @@ use nvwa_genome::reads::{ReadSimParams, ReadSimulator};
 use nvwa_genome::reference::{ReferenceGenome, ReferenceParams};
 
 use crate::baselines::{CPU_CYCLES_PER_DP_CELL, CPU_CYCLES_PER_OCC_ACCESS, CPU_FREQ_GHZ};
+use crate::units::workload::align_traced;
 
 use super::Scale;
 
@@ -135,8 +136,7 @@ pub fn run(scale: Scale) -> Fig2 {
     // Read simulation stays sequential (one RNG stream); the alignments
     // are independent and run in parallel, in read order.
     let simulated = sim.simulate_reads(n_reads);
-    let reads = nvwa_sim::par::par_map(&simulated, |read| {
-        let outcome = aligner.align_read(read);
+    let reads = align_traced(&aligner, &simulated, |read, outcome| {
         let p = &outcome.profile;
         let seeding_cycles = p.seeding_trace.len() as f64 * CPU_CYCLES_PER_OCC_ACCESS;
         let extension_cycles = p.dp_cells as f64 * CPU_CYCLES_PER_DP_CELL;

@@ -16,7 +16,7 @@ use nvwa_genome::reads::Read;
 use nvwa_genome::reference::ReferenceGenome;
 
 use crate::config::NvwaConfig;
-use crate::units::workload::{build_workload, ReadWork};
+use crate::units::workload::{align_traced, build_workload, ReadWork};
 
 pub use report::SimReport;
 pub use simulator::{simulate, simulate_instrumented, SimOptions, SimRun};
@@ -63,16 +63,10 @@ impl NvwaSystem {
         let aligner = SoftwareAligner::new(&self.index, AlignerConfig::default());
         // Per-read alignment in parallel, read order preserved; the timing
         // simulation itself stays single-threaded (cycle-accuracy).
-        let outcomes = nvwa_sim::par::par_map(reads, |read| {
-            let outcome = aligner.align_read(read);
-            (ReadWork::from_outcome(read.id, &outcome), outcome.alignment)
+        let outcomes = align_traced(&aligner, reads, |r, o| {
+            (ReadWork::from_outcome(r.id, &o), o.alignment)
         });
-        let mut works = Vec::with_capacity(reads.len());
-        let mut alignments = Vec::with_capacity(reads.len());
-        for (work, alignment) in outcomes {
-            works.push(work);
-            alignments.push(alignment);
-        }
+        let (works, alignments): (Vec<_>, _) = outcomes.into_iter().unzip();
         (simulate(&self.config, &works), alignments)
     }
 

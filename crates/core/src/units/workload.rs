@@ -1,7 +1,7 @@
 //! Workload descriptors bridging the software pipeline and the hardware
 //! timing model.
 
-use nvwa_align::pipeline::{AlignScratch, AlignmentOutcome, SoftwareAligner};
+use nvwa_align::pipeline::{AlignScratch, AlignmentOutcome, SeedTrace, SoftwareAligner};
 use nvwa_genome::distribution::LengthHistogram;
 use nvwa_genome::reads::Read;
 use rand::rngs::StdRng;
@@ -46,20 +46,25 @@ impl ReadWork {
     }
 }
 
-/// Runs the software aligner over `reads` and collects the per-read
-/// hardware workloads (the faithful, execution-driven path).
-///
-/// Reads are independent (the aligner is shared immutably), so they are
-/// aligned in parallel via [`nvwa_sim::par::par_map_with`], each worker
-/// reusing one [`AlignScratch`] across its whole read stream (zero
-/// steady-state allocation); results land in read order, so the workload is
-/// identical at any thread count. This stays on the hardware-trace path —
-/// the simulator consumes the seeding memory-access trace, so the k-mer
-/// prefix LUT must not short-circuit it.
-pub fn build_workload(aligner: &SoftwareAligner<'_>, reads: &[Read]) -> Vec<ReadWork> {
-    nvwa_sim::par::par_map_with(reads, AlignScratch::new, |scratch, r| {
-        ReadWork::from_outcome(r.id, &aligner.align_read_with(r, scratch))
+/// Aligns `reads` under [`SeedTrace::Record`] (the simulator replays the
+/// seeding trace) in parallel, one [`AlignScratch`] per worker, and maps each
+/// read's outcome through `f`; results land in read order at any thread count.
+pub fn align_traced<R: Send>(
+    aligner: &SoftwareAligner<'_>,
+    reads: &[Read],
+    f: impl Fn(&Read, AlignmentOutcome) -> R + Sync,
+) -> Vec<R> {
+    let init = || (AlignScratch::new(), Vec::with_capacity(1));
+    nvwa_sim::par::par_map_with(reads, init, |(scratch, out), read| {
+        let batch = [(read.id, read.seq.codes())];
+        aligner.align_batch(batch, scratch, SeedTrace::Record, out);
+        f(read, out.pop().expect("one outcome per read"))
     })
+}
+
+/// The per-read hardware workloads of `reads` ([`align_traced`]).
+pub fn build_workload(aligner: &SoftwareAligner<'_>, reads: &[Read]) -> Vec<ReadWork> {
+    align_traced(aligner, reads, |r, o| ReadWork::from_outcome(r.id, &o))
 }
 
 /// Interval masses of the hit lengths in a workload, over the given

@@ -39,18 +39,6 @@ impl LengthHistogram {
         self.total += 1;
     }
 
-    /// Records `n` observations of `len`.
-    pub fn record_n(&mut self, len: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if len >= self.counts.len() {
-            self.counts.resize(len + 1, 0);
-        }
-        self.counts[len] += n;
-        self.total += n;
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.total
@@ -59,11 +47,6 @@ impl LengthHistogram {
     /// Whether the histogram is empty.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Number of observations of exactly `len`.
-    pub fn count_at(&self, len: usize) -> u64 {
-        self.counts.get(len).copied().unwrap_or(0)
     }
 
     /// Largest observed length, or `None` if empty.
@@ -186,11 +169,8 @@ mod tests {
         let mut h = LengthHistogram::new();
         h.record(5);
         h.record(5);
-        h.record_n(9, 3);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.count_at(5), 2);
-        assert_eq!(h.count_at(9), 3);
-        assert_eq!(h.count_at(1), 0);
+        h.record(9);
+        assert_eq!(h.count(), 3);
         assert_eq!(h.max(), Some(9));
     }
 
@@ -229,7 +209,6 @@ mod tests {
         let b: LengthHistogram = [2usize, 300].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.count(), 4);
-        assert_eq!(a.count_at(2), 2);
         assert_eq!(a.max(), Some(300));
     }
 

@@ -213,15 +213,6 @@ impl ReferenceGenome {
         };
         (idx, flat_pos - self.starts[idx])
     }
-
-    /// The flat start offset of chromosome `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn chromosome_start(&self, idx: usize) -> usize {
-        self.starts[idx]
-    }
 }
 
 /// Generates a random sequence with the given GC fraction.
@@ -312,7 +303,8 @@ mod tests {
         let g = ReferenceGenome::synthesize(&p, 5);
         for pos in [0usize, 1, 2999, 3000, 5999, 6000, 8999] {
             let (ci, off) = g.locate(pos);
-            assert_eq!(g.chromosome_start(ci) + off, pos);
+            let start: usize = g.chromosomes()[..ci].iter().map(|c| c.seq.len()).sum();
+            assert_eq!(start + off, pos);
             assert!(off < g.chromosomes()[ci].seq.len());
             // The base at the flat position equals the base in the chromosome.
             assert_eq!(g.flat().code(pos), g.chromosomes()[ci].seq.code(off));

@@ -1,9 +1,7 @@
 //! DNA sequences.
 //!
 //! [`DnaSeq`] stores one base per byte (2-bit code in the low bits) for fast
-//! random access by the aligner, and [`PackedSeq`] stores four bases per byte
-//! for the memory-resident reference image whose footprint the hardware
-//! models care about.
+//! random access by the aligner.
 
 use std::fmt;
 use std::ops::Index;
@@ -46,13 +44,6 @@ impl DnaSeq {
     pub fn from_codes(codes: Vec<u8>) -> DnaSeq {
         assert!(codes.iter().all(|&c| c < 4), "DnaSeq codes must be in 0..4");
         DnaSeq { codes }
-    }
-
-    /// Builds a sequence from bases.
-    pub fn from_bases(bases: &[Base]) -> DnaSeq {
-        DnaSeq {
-            codes: bases.iter().map(|b| b.code()).collect(),
-        }
     }
 
     /// The raw 2-bit codes, one per byte.
@@ -215,90 +206,6 @@ impl fmt::Display for ParseDnaError {
 
 impl std::error::Error for ParseDnaError {}
 
-/// A 2-bit packed DNA sequence: four bases per byte.
-///
-/// This is the representation the hardware keeps in HBM; its size in bytes
-/// feeds the memory-footprint side of the power/area model.
-///
-/// # Examples
-///
-/// ```
-/// use nvwa_genome::sequence::PackedSeq;
-/// use nvwa_genome::DnaSeq;
-/// let s: DnaSeq = "ACGTACG".parse().unwrap();
-/// let p = PackedSeq::from_seq(&s);
-/// assert_eq!(p.len(), 7);
-/// assert_eq!(p.unpack(), s);
-/// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-pub struct PackedSeq {
-    words: Vec<u8>,
-    len: usize,
-}
-
-impl PackedSeq {
-    /// Packs a [`DnaSeq`].
-    pub fn from_seq(seq: &DnaSeq) -> PackedSeq {
-        let mut words = vec![0u8; seq.len().div_ceil(4)];
-        for (i, &code) in seq.codes().iter().enumerate() {
-            words[i / 4] |= code << ((i % 4) * 2);
-        }
-        PackedSeq {
-            words,
-            len: seq.len(),
-        }
-    }
-
-    /// Number of bases.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the sequence is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Size of the packed image in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The 2-bit code at `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn code(&self, i: usize) -> u8 {
-        assert!(
-            i < self.len,
-            "PackedSeq index {i} out of bounds {}",
-            self.len
-        );
-        (self.words[i / 4] >> ((i % 4) * 2)) & 0b11
-    }
-
-    /// Unpacks into a [`DnaSeq`].
-    pub fn unpack(&self) -> DnaSeq {
-        DnaSeq::from_codes((0..self.len).map(|i| self.code(i)).collect())
-    }
-}
-
-impl fmt::Debug for PackedSeq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PackedSeq(len={}, bytes={})", self.len, self.words.len())
-    }
-}
-
-impl From<&DnaSeq> for PackedSeq {
-    fn from(seq: &DnaSeq) -> PackedSeq {
-        PackedSeq::from_seq(seq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,26 +261,6 @@ mod tests {
         let mut s: DnaSeq = [Base::A, Base::C].into_iter().collect();
         s.extend([Base::G, Base::T]);
         assert_eq!(s.to_string(), "ACGT");
-    }
-
-    #[test]
-    fn packed_round_trip_various_lengths() {
-        for len in [0usize, 1, 3, 4, 5, 8, 13, 64, 129] {
-            let codes: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
-            let s = DnaSeq::from_codes(codes);
-            let p = PackedSeq::from_seq(&s);
-            assert_eq!(p.len(), len);
-            assert_eq!(p.unpack(), s);
-            assert_eq!(p.byte_len(), len.div_ceil(4));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn packed_out_of_bounds_panics() {
-        let s: DnaSeq = "ACG".parse().unwrap();
-        let p = PackedSeq::from_seq(&s);
-        let _ = p.code(3);
     }
 
     #[test]

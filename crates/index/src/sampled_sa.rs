@@ -110,19 +110,18 @@ impl SampledSa {
     /// Panics if `rank` is out of range for `fm`.
     #[inline(always)]
     pub fn locate<T: TraceSink>(&self, fm: &FmIndex, rank: u64, trace: &mut T) -> u64 {
-        let mut i = rank;
-        let mut steps = 0u64;
-        loop {
-            if self.is_marked(i) {
-                let slot = self.sample_slot(i);
-                trace.record(MemAddr::sa_slot(slot as u64));
-                return self.samples[slot] as u64 + steps;
-            }
+        let (mut i, mut steps) = (rank, 0u64);
+        while !self.is_marked(i) {
+            // A correct index reaches a sample in under `rate` steps.
+            debug_assert!(steps < self.rate.into(), "no sample in {steps} LF steps");
             // LF never hits the sentinel here: SA[primary] == 0 and 0 % rate
             // == 0, so the sentinel rank is always marked.
             i = fm.lf(i, trace).expect("sentinel rank is always sampled");
             steps += 1;
         }
+        let slot = self.sample_slot(i);
+        trace.record(MemAddr::sa_slot(slot as u64));
+        self.samples[slot] as u64 + steps
     }
 }
 
@@ -154,6 +153,29 @@ mod tests {
                 assert_eq!(got, value as u64, "rank {rank} rate {rate}");
             }
         }
+    }
+
+    /// The samples of another text than the FM-index's: from a rank whose LF
+    /// walk meets none of them within `rate` steps, `locate` fails its step
+    /// bound in a debug build instead of walking on to a wrong position.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "no sample in 32 LF steps")]
+    fn samples_of_another_text_fail_the_step_bound() {
+        let rate = 32;
+        let fm = FmIndex::from_text(&rand_codes(333, 17));
+        let ssa = SampledSa::from_text(&rand_codes(333, 18), rate);
+        let misses = |mut i: u64| {
+            for _ in 0..rate {
+                match (ssa.is_marked(i), fm.lf(i, &mut NullTrace)) {
+                    (false, Some(next)) => i = next,
+                    _ => return false,
+                }
+            }
+            !ssa.is_marked(i)
+        };
+        let rank = (0..fm.seq_len()).find(|&r| misses(r)).unwrap();
+        ssa.locate(&fm, rank, &mut NullTrace);
     }
 
     /// `locate` as the aligner's `popcnt` arm compiles it.

@@ -14,7 +14,7 @@
 //!   the batch's simulated cycle count.
 
 use nvwa_align::pipeline::{
-    AlignScratch, AlignerConfig, Alignment, ReferenceIndex, SoftwareAligner,
+    AlignScratch, AlignerConfig, Alignment, ReferenceIndex, SeedTrace, SoftwareAligner,
 };
 use nvwa_core::config::NvwaConfig;
 use nvwa_core::system::simulate;
@@ -52,14 +52,14 @@ pub struct BatchOutcome {
 /// caller's (per-worker) scratch, so a long-lived worker allocates nothing
 /// per read at steady state.
 ///
-/// Reads inside a batch run sequentially — parallelism lives in the
-/// worker pool, one batch per worker — and each read is aligned exactly
-/// as the offline pipeline would align it.
+/// The batch is one [`SoftwareAligner::align_batch`] call — parallelism
+/// lives in the worker pool, one batch per worker — and each read is
+/// aligned exactly as the offline pipeline would align it.
 ///
-/// The software backend takes the fast path (k-mer prefix LUT + occ-block
-/// cache, no trace) — responses carry no seeding trace, so recording one
-/// would be pure overhead. Hardware-in-the-loop runs the trace-recording
-/// path: the replayed accelerator model consumes each read's FM-index
+/// The software backend takes the fast path ([`SeedTrace::Skip`]: the
+/// k-mer prefix LUT, no trace) — responses carry no seeding trace, so
+/// recording one would be pure overhead. Hardware-in-the-loop records the
+/// trace: the replayed accelerator model consumes each read's FM-index
 /// memory-access trace.
 pub fn execute_batch_with(
     index: &ReferenceIndex,
@@ -68,27 +68,23 @@ pub fn execute_batch_with(
     items: &[(u64, Vec<u8>)],
     scratch: &mut AlignScratch,
 ) -> BatchOutcome {
-    let aligner = SoftwareAligner::new(index, *aligner_config);
-    let mut results = Vec::with_capacity(items.len());
-    let mut works: Vec<ReadWork> = Vec::new();
-    let wants_sim = matches!(backend, BackendKind::HardwareInLoop(_));
-    for (id, codes) in items {
-        let outcome = if wants_sim {
-            let outcome = aligner.align_codes_with(*id, codes, scratch);
-            works.push(ReadWork::from_outcome(*id, &outcome));
-            outcome
-        } else {
-            aligner.align_codes_fast(*id, codes, scratch)
-        };
-        results.push((*id, outcome.alignment));
-    }
-    let sim_cycles = match backend {
-        BackendKind::Software => None,
-        BackendKind::HardwareInLoop(config) if !works.is_empty() => {
-            Some(simulate(config, &works).total_cycles)
-        }
-        BackendKind::HardwareInLoop(_) => Some(0),
+    let (trace, sim) = match backend {
+        BackendKind::Software => (SeedTrace::Skip, None),
+        BackendKind::HardwareInLoop(config) => (SeedTrace::Record, Some(config)),
     };
+    let mut out = Vec::with_capacity(items.len());
+    let batch = items.iter().map(|(id, codes)| (*id, codes.as_slice()));
+    SoftwareAligner::new(index, *aligner_config).align_batch(batch, scratch, trace, &mut out);
+    let ids = items.iter().map(|(id, _)| *id);
+    let sim_cycles = sim.map(|config| {
+        let works = ids.clone().zip(&out);
+        let works: Vec<_> = works.map(|(id, o)| ReadWork::from_outcome(id, o)).collect();
+        if works.is_empty() {
+            return 0;
+        }
+        simulate(config, &works).total_cycles
+    });
+    let results = ids.zip(out).map(|(id, o)| (id, o.alignment)).collect();
     BatchOutcome {
         results,
         sim_cycles,
@@ -119,10 +115,16 @@ mod tests {
         let scratch = &mut AlignScratch::new();
         let outcome = execute_batch_with(&index, &config, &BackendKind::Software, &items, scratch);
         assert!(outcome.sim_cycles.is_none());
-        let offline = SoftwareAligner::new(&index, config);
-        for (read, (id, alignment)) in reads.iter().zip(&outcome.results) {
+        let mut offline = Vec::new();
+        SoftwareAligner::new(&index, config).align_batch(
+            reads.iter().map(|r| (r.id, r.seq.codes())),
+            &mut AlignScratch::new(),
+            SeedTrace::Record,
+            &mut offline,
+        );
+        for ((read, (id, alignment)), want) in reads.iter().zip(&outcome.results).zip(&offline) {
             assert_eq!(*id, read.id);
-            assert_eq!(*alignment, offline.align_read(read).alignment);
+            assert_eq!(*alignment, want.alignment);
         }
     }
 

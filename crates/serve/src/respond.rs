@@ -28,9 +28,9 @@ fn ns_between(a: Instant, b: Instant) -> u64 {
 /// returns once the engine's dispatcher is closed and drained.
 pub(crate) fn worker_loop(shared: Arc<Shared>, engine_id: usize, worker: usize) {
     let engine = &shared.engines[engine_id];
-    // Per-worker alignment scratch: buffers (and the seeding occ-block
-    // cache) live for the worker's whole lifetime, so the steady-state
-    // batch path allocates nothing per read.
+    // Per-worker alignment scratch: its buffers live for the worker's
+    // whole lifetime, so the steady-state batch path allocates nothing per
+    // read.
     let mut scratch = AlignScratch::new();
     while let Some((batch, depth)) = engine.dispatcher.take() {
         answer_expired(&shared, engine, &batch);

@@ -187,15 +187,6 @@ impl Hbm {
     pub fn energy_joules(&self) -> f64 {
         self.bytes_transferred() as f64 * 8.0 * self.config.energy_pj_per_bit * 1e-12
     }
-
-    /// Bandwidth utilization over `total_cycles` (0.0–1.0).
-    pub fn bandwidth_utilization(&self, total_cycles: Cycle) -> f64 {
-        if total_cycles == 0 {
-            return 0.0;
-        }
-        self.bytes_transferred() as f64
-            / (self.config.bandwidth_bytes_per_cycle() * total_cycles as f64)
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +266,8 @@ mod tests {
         assert!(last >= 100 + 999 * 2);
         assert!(last <= 100 + 1000 * 2);
         let busy = last - 100;
-        assert!((hbm.bandwidth_utilization(busy) - 1.0).abs() < 0.01);
+        let peak = hbm.config().bandwidth_bytes_per_cycle() * busy as f64;
+        assert!((hbm.bytes_transferred() as f64 / peak - 1.0).abs() < 0.01);
     }
 
     #[test]

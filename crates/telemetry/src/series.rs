@@ -69,16 +69,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Per-bucket raw integrals.
-    pub fn bucket_integrals(&self) -> &[f64] {
-        &self.buckets
-    }
-
-    /// Sum of all bucket integrals (the series' total time integral).
-    pub fn total_integral(&self) -> f64 {
-        self.buckets.iter().sum()
-    }
-
     /// Number of buckets.
     pub fn len(&self) -> usize {
         self.buckets.len()
@@ -142,23 +132,22 @@ mod tests {
         // [9, 11): one cycle in bucket 0, one in bucket 1.
         let mut ts = TimeSeries::new(10);
         ts.add_span(9, 11, 1.0);
-        assert_eq!(ts.bucket_integrals(), &[1.0, 1.0]);
+        assert_eq!(ts.bucket_means(), vec![0.1, 0.1]);
     }
 
     #[test]
     fn single_cycle_at_bucket_start() {
         let mut ts = TimeSeries::new(10);
         ts.add_span(20, 21, 3.0);
-        assert_eq!(ts.bucket_integrals(), &[0.0, 0.0, 3.0]);
+        assert_eq!(ts.bucket_means(), vec![0.0, 0.0, 0.3]);
     }
 
     #[test]
     fn long_span_fills_middle_buckets() {
         let mut ts = TimeSeries::new(4);
         ts.add_span(2, 18, 1.0);
-        // Partial 2, full 4, full 4, full 4, partial 2.
-        assert_eq!(ts.bucket_integrals(), &[2.0, 4.0, 4.0, 4.0, 2.0]);
-        assert_eq!(ts.total_integral(), 16.0);
+        // Partial 2, full 4, full 4, full 4, partial 2 (of width 4).
+        assert_eq!(ts.bucket_means(), vec![0.5, 1.0, 1.0, 1.0, 0.5]);
     }
 
     #[test]
@@ -168,7 +157,7 @@ mod tests {
         let mut b = TimeSeries::new(10);
         b.add_span(5, 25, 1.0);
         a.merge(&b);
-        assert_eq!(a.bucket_integrals(), &[15.0, 10.0, 5.0]);
+        assert_eq!(a.bucket_means(), vec![1.5, 1.0, 0.5]);
     }
 
     #[test]

@@ -39,10 +39,11 @@ use nvwa_align::cigar::CigarOp;
 use nvwa_align::kernel::bitparallel_extend;
 use nvwa_align::myers::{banded_edit_extend, banded_edit_global, BandedEdit, MyersScratch};
 use nvwa_align::pipeline::{
-    AlignScratch, AlignerConfig, Alignment, ReferenceIndex, SoftwareAligner,
+    AlignScratch, AlignerConfig, AlignmentOutcome, ReferenceIndex, SeedTrace,
 };
 use nvwa_align::scoring::Scoring;
 use nvwa_align::sw::{self, DpScratch};
+use nvwa_align::SoftwareAligner;
 use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_index::fmd_index::{FmdIndex, PrefixLut};
 use nvwa_index::smem::{collect_smems_into, oracle, Smem, SmemConfig, SmemScratch};
@@ -662,57 +663,46 @@ fn describe(a: Option<WireAlignment>) -> String {
     }
 }
 
-/// Compares the three pipeline paths on one read: traced (LUT bypassed),
-/// fast (LUT engaged) and a fresh-scratch run. Alignments must be
-/// identical and the workload profiles must agree on every trace-invariant
-/// counter.
+/// Compares the three pipeline paths over a batch of `(read id, codes)`
+/// cases: traced ([`SeedTrace::Record`], LUT bypassed) and fast
+/// ([`SeedTrace::Skip`], LUT engaged) as whole batches over the reused
+/// `scratch`, and each read traced alone on a fresh scratch. Alignments
+/// must be identical and the workload profiles must agree on every
+/// trace-invariant counter; the first read that breaks either is reported.
 pub fn pipeline_divergence(
     aligner: &SoftwareAligner<'_>,
-    read_id: u64,
-    codes: &[u8],
+    cases: &[(u64, Vec<u8>)],
     scratch: &mut AlignScratch,
 ) -> Option<(&'static str, String)> {
-    let traced = aligner.align_codes_with(read_id, codes, scratch);
-    let fast = aligner.align_codes_fast(read_id, codes, scratch);
-    let fresh = aligner.align_codes(read_id, codes);
-    let show = |o: &Option<Alignment>| describe(o.as_ref().map(WireAlignment::from_alignment));
-    if traced.alignment != fast.alignment {
-        return Some((
-            "pipeline.traced_vs_fast",
-            format!(
-                "traced [{}] vs fast [{}]",
-                show(&traced.alignment),
-                show(&fast.alignment)
-            ),
-        ));
-    }
-    if fast.alignment != fresh.alignment {
-        return Some((
-            "pipeline.scratch_vs_fresh",
-            format!(
-                "reused scratch [{}] vs fresh [{}]",
-                show(&fast.alignment),
-                show(&fresh.alignment)
-            ),
-        ));
-    }
-    let profile_key = |o: &nvwa_align::pipeline::AlignmentOutcome| {
-        (
-            o.profile.smem_count,
-            o.profile.located_hits,
-            o.profile.hit_tasks.len(),
-            o.profile.dp_cells,
-        )
+    let batch = || cases.iter().map(|(id, codes)| (*id, codes.as_slice()));
+    let (mut traced, mut fast, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+    aligner.align_batch(batch(), scratch, SeedTrace::Record, &mut traced);
+    aligner.align_batch(batch(), scratch, SeedTrace::Skip, &mut fast);
+    let show =
+        |o: &AlignmentOutcome| describe(o.alignment.as_ref().map(WireAlignment::from_alignment));
+    let profile_key = |o: &AlignmentOutcome| {
+        let p = &o.profile;
+        (p.smem_count, p.located_hits, p.hit_tasks.len(), p.dp_cells)
     };
-    if profile_key(&traced) != profile_key(&fast) {
-        return Some((
-            "pipeline.profile_drift",
-            format!(
-                "traced profile {:?} vs fast {:?} (smems, hits, tasks, dp_cells)",
-                profile_key(&traced),
-                profile_key(&fast)
-            ),
-        ));
+    for (read, (traced, fast)) in batch().zip(traced.iter().zip(&fast)) {
+        let mut alone = AlignScratch::new();
+        aligner.align_batch([read], &mut alone, SeedTrace::Record, &mut fresh);
+        let divergence = if traced.alignment != fast.alignment {
+            let detail = format!("traced [{}] vs fast [{}]", show(traced), show(fast));
+            ("pipeline.traced_vs_fast", detail)
+        } else if fast.alignment != fresh[0].alignment {
+            let (f, fresh) = (show(fast), show(&fresh[0]));
+            let detail = format!("reused scratch [{f}] vs fresh [{fresh}]");
+            ("pipeline.scratch_vs_fresh", detail)
+        } else if profile_key(traced) != profile_key(fast) {
+            let (t, f) = (profile_key(traced), profile_key(fast));
+            let detail =
+                format!("traced profile {t:?} vs fast {f:?} (smems, hits, tasks, dp_cells)");
+            ("pipeline.profile_drift", detail)
+        } else {
+            continue;
+        };
+        return Some(divergence);
     }
     None
 }
@@ -728,11 +718,10 @@ impl Probe for PipelineProbe<'_> {
     type Case = (u64, Vec<u8>);
 
     fn divergence(&self, cases: &[(u64, Vec<u8>)]) -> FirstDivergence {
-        let mut scratch = AlignScratch::new();
-        Ok(cases.iter().find_map(|(id, codes)| {
-            let (check, detail) = pipeline_divergence(&self.aligner, *id, codes, &mut scratch)?;
+        let divergence = pipeline_divergence(&self.aligner, cases, &mut AlignScratch::new());
+        Ok(divergence.map(|(check, detail)| {
             let detail = format!("{detail} (reference: 8000 codes from seed {})", self.seed);
-            Some((check, detail))
+            (check, detail)
         }))
     }
 
@@ -815,17 +804,16 @@ impl Probe for ServeProbe {
             ));
         }
         let aligner = SoftwareAligner::new(&self.index, AlignerConfig::default());
-        let mut scratch = AlignScratch::new();
+        let batch = (0..).zip(reads.iter().map(|r| r.codes.as_slice()));
+        let mut out = Vec::new();
+        aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Skip, &mut out);
         // Walk ids in order so "first divergent read" is deterministic.
-        for id in 0..reads.len() as u64 {
+        for (id, AlignmentOutcome { alignment, .. }) in (0..).zip(&out) {
             let resp = report
                 .responses
                 .get(&id)
                 .ok_or_else(|| format!("response for read {id} missing despite ok count"))?;
-            let offline = aligner
-                .align_codes_fast(id, &reads[id as usize].codes, &mut scratch)
-                .alignment;
-            let offline = offline.as_ref().map(WireAlignment::from_alignment);
+            let offline = alignment.as_ref().map(WireAlignment::from_alignment);
             if resp.alignment != offline {
                 let (served, want) = (describe(resp.alignment.clone()), describe(offline));
                 let detail = format!("read {id}: served [{served}] vs offline [{want}]");

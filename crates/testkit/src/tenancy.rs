@@ -5,7 +5,10 @@
 
 use std::time::Duration;
 
-use nvwa_align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
+use nvwa_align::pipeline::{
+    AlignScratch, AlignerConfig, AlignmentOutcome, ReferenceIndex, SeedTrace,
+};
+use nvwa_align::SoftwareAligner;
 use nvwa_genome::species::Species;
 use nvwa_genome::{ReadSimParams, ReferenceGenome};
 use nvwa_serve::loadgen::{self, LoadReport, LoadgenConfig, TenantRead};
@@ -142,16 +145,17 @@ pub fn run_registry_family(seed: u64, reads_per_tenant: usize) -> Result<String,
     for ((species, genome), offset) in genomes.iter().zip(0u64..) {
         let index = ReferenceIndex::build(genome, 32);
         let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-        let mut scratch = AlignScratch::new();
-        for pair in 0..reads_per_tenant as u64 {
-            let id = pair * 2 + offset; // interleave order above
+        // This tenant's reads, interleaved in the order above.
+        let ids = (0..reads_per_tenant as u64).map(|pair| pair * 2 + offset);
+        let batch = ids.clone().map(|id| (id, &mixed[id as usize].codes[..]));
+        let mut out = Vec::new();
+        aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Skip, &mut out);
+        for (id, AlignmentOutcome { alignment, .. }) in ids.zip(&out) {
             let resp = report
                 .responses
                 .get(&id)
                 .ok_or_else(|| format!("registry: response {id} missing despite ok count"))?;
-            let codes = &mixed[id as usize].codes;
-            let offline = aligner.align_codes_fast(id, codes, &mut scratch).alignment;
-            if resp.alignment != offline.as_ref().map(WireAlignment::from_alignment) {
+            if resp.alignment != alignment.as_ref().map(WireAlignment::from_alignment) {
                 return Err(format!(
                     "registry: tenant {} read {id} diverges from the offline aligner",
                     species.key()

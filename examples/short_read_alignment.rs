@@ -6,7 +6,9 @@
 //! cargo run --release --example short_read_alignment
 //! ```
 
-use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
+use nvwa::align::pipeline::{
+    AlignScratch, AlignerConfig, ReferenceIndex, SeedTrace, SoftwareAligner,
+};
 use nvwa::core::config::{NvwaConfig, SchedulingConfig};
 use nvwa::core::system::simulate;
 use nvwa::core::units::workload::ReadWork;
@@ -28,11 +30,14 @@ fn main() {
     let reads = sim.simulate_reads(300);
     println!("FASTQ preview:\n{}", &reads_to_fastq(&reads[..2]));
 
-    // Align and print SAM-ish records for the first few reads.
+    // Align the batch on the hardware-trace path (the simulator replays
+    // the seeding trace), and print SAM-ish records for the first few reads.
     println!("read  flag  chrom  pos     mapq  cigar");
+    let mut out = Vec::new();
+    let batch = reads.iter().map(|r| (r.id, r.seq.codes()));
+    aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Record, &mut out);
     let mut works = Vec::new();
-    for read in &reads {
-        let outcome = aligner.align_read(read);
+    for (read, outcome) in reads.iter().zip(&out) {
         if let Some(a) = &outcome.alignment {
             let (chrom_idx, offset) = genome.locate(a.flat_pos as usize);
             if read.id < 8 {
@@ -47,7 +52,7 @@ fn main() {
                 );
             }
         }
-        works.push(ReadWork::from_outcome(read.id, &outcome));
+        works.push(ReadWork::from_outcome(read.id, outcome));
     }
 
     // Run the hardware ablations on exactly this workload.

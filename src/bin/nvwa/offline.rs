@@ -9,7 +9,7 @@ use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
 use nvwa::align::sam;
 use nvwa::core::config::NvwaConfig;
 use nvwa::core::system::{simulate_instrumented, SimOptions, SimRun};
-use nvwa::core::units::workload::{ReadWork, SyntheticWorkloadParams};
+use nvwa::core::units::workload::{align_traced, ReadWork, SyntheticWorkloadParams};
 use nvwa::genome::fasta;
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 use nvwa::index::Isa;
@@ -173,7 +173,7 @@ pub fn align(args: &Args) -> Result<(), ExitCode> {
     // Align in parallel (read order preserved), then assemble SAM and the
     // hardware workload sequentially from the ordered outcomes.
     let outcomes = phases.run("align reads", || {
-        nvwa::sim::par::par_map(&reads, |read| aligner.align_read(read))
+        align_traced(&aligner, &reads, |_, outcome| outcome)
     });
     let mut sam_text = sam::header(&genome);
     let mut works = Vec::with_capacity(reads.len());

@@ -1,14 +1,15 @@
 //! Heap-allocation budgets of the two offline hot paths and of the
 //! simulator: counts, not clocks.
 //!
-//! `align_codes_fast` with a warm [`AlignScratch`] still allocates — the
-//! returned profile and cigar, the chains, the cigars of each extension —
-//! and every one of those is a `malloc` on the per-read path. This test
-//! pins how many: it installs a counting `#[global_allocator]` (counting
-//! only the thread that asks, so the test harness's own threads do not
-//! leak in), aligns 2 000 `illumina_101` reads against a 30 kbp reference
-//! after a warm-up pass, and asserts the allocations of that pass stay
-//! within the figure measured when the test was written. The inputs are
+//! `align_batch` with a warm [`AlignScratch`] and a reused outcome vector
+//! still allocates — each read's profile and cigar, the chains, the cigars
+//! of each extension — and every one of those is a `malloc` on the per-read
+//! path. This test pins how many: it installs a counting
+//! `#[global_allocator]` (counting only the thread that asks, so the test
+//! harness's own threads do not leak in), aligns 2 000 `illumina_101` reads
+//! against a 30 kbp reference as one batch after a warm-up pass, and
+//! asserts the allocations of that pass stay within the figure measured
+//! when the test was written. The inputs are
 //! seeded, so the count repeats exactly; a change that adds a per-read
 //! `clone()` or a fresh `Vec` fails here instead of showing up as a few
 //! percent of `offline_short`. The long-read case does the same for
@@ -25,7 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
-use nvwa::align::pipeline::ReferenceIndex;
+use nvwa::align::pipeline::{ReferenceIndex, SeedTrace};
 use nvwa::align::{AlignScratch, AlignerConfig, SoftwareAligner};
 use nvwa::core::experiments::fig11;
 use nvwa::core::system::simulate;
@@ -121,26 +122,20 @@ fn warm_short_read_path_stays_within_its_allocation_budget() {
     let index = ReferenceIndex::build(&genome, 32);
     let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
     let reads = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 5).simulate_reads(READS);
-    let mut scratch = AlignScratch::new();
-    let pass = |scratch: &mut AlignScratch| {
-        reads
-            .iter()
-            .filter(|r| {
-                aligner
-                    .align_codes_fast(r.id, r.seq.codes(), scratch)
-                    .alignment
-                    .is_some()
-            })
-            .count()
+    let (mut scratch, mut out) = (AlignScratch::new(), Vec::new());
+    let mut pass = || {
+        let batch = reads.iter().map(|r| (r.id, r.seq.codes()));
+        aligner.align_batch(batch, &mut scratch, SeedTrace::Skip, &mut out);
+        out.iter().filter(|o| o.alignment.is_some()).count()
     };
-    let warm = pass(&mut scratch);
+    let warm = pass();
     start_counting();
-    let mapped = pass(&mut scratch);
+    let mapped = pass();
     let Counted { allocs, bytes, .. } = stop_counting();
     assert_eq!(mapped, warm, "a warm scratch must not change the answers");
     assert!(mapped * 10 >= reads.len() * 9, "only {mapped} reads mapped");
     eprintln!(
-        "align_codes_fast: {:.3} allocations, {:.0} bytes per read",
+        "align_batch: {:.3} allocations, {:.0} bytes per read",
         allocs as f64 / READS as f64,
         bytes as f64 / READS as f64
     );

@@ -6,10 +6,12 @@
 //! bit-identical to the software aligner's, and both recover simulated
 //! read origins.
 
-use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
+use nvwa::align::pipeline::{
+    AlignScratch, AlignerConfig, AlignmentOutcome, ReferenceIndex, SeedTrace, SoftwareAligner,
+};
 use nvwa::core::config::NvwaConfig;
 use nvwa::core::system::NvwaSystem;
-use nvwa::genome::reads::Strand;
+use nvwa::genome::reads::{Read, Strand};
 use nvwa::genome::{ReadSimParams, ReadSimulator, ReferenceGenome, ReferenceParams};
 
 fn genome() -> ReferenceGenome {
@@ -24,6 +26,14 @@ fn genome() -> ReferenceGenome {
     )
 }
 
+/// `reads` aligned as one batch on the traced path.
+fn align_all(aligner: &SoftwareAligner, reads: &[Read]) -> Vec<AlignmentOutcome> {
+    let mut out = Vec::new();
+    let batch = reads.iter().map(|r| (r.id, r.seq.codes()));
+    aligner.align_batch(batch, &mut AlignScratch::new(), SeedTrace::Record, &mut out);
+    out
+}
+
 #[test]
 fn accelerator_output_is_bit_identical_to_software() {
     let genome = genome();
@@ -34,9 +44,9 @@ fn accelerator_output_is_bit_identical_to_software() {
     let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 77);
     let reads = sim.simulate_reads(150);
     let (_, accel_alignments) = system.run_detailed(&reads);
-    for (read, accel) in reads.iter().zip(&accel_alignments) {
-        let sw = aligner.align_read(read).alignment;
-        assert_eq!(accel, &sw, "read {} diverged", read.id);
+    let sw = align_all(&aligner, &reads);
+    for ((read, accel), sw) in reads.iter().zip(&accel_alignments).zip(sw) {
+        assert_eq!(accel, &sw.alignment, "read {} diverged", read.id);
     }
 }
 
@@ -51,8 +61,8 @@ fn most_reads_map_to_their_simulated_origin() {
     let mut mapped = 0;
     let mut correct_pos = 0;
     let mut correct_strand = 0;
-    for read in &reads {
-        let Some(a) = aligner.align_read(read).alignment else {
+    for (read, outcome) in reads.iter().zip(align_all(&aligner, &reads)) {
+        let Some(a) = outcome.alignment else {
             continue;
         };
         mapped += 1;
@@ -81,8 +91,8 @@ fn alignment_scores_are_internally_consistent() {
     let config = AlignerConfig::default();
     let aligner = SoftwareAligner::new(&index, config);
     let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 31);
-    for read in sim.simulate_reads(100) {
-        if let Some(a) = aligner.align_read(&read).alignment {
+    for outcome in align_all(&aligner, &sim.simulate_reads(100)) {
+        if let Some(a) = outcome.alignment {
             // The reported score always equals the CIGAR's score.
             assert_eq!(a.cigar.score(&config.scoring), a.score);
             // A 101 bp read can never score above 101.
@@ -108,8 +118,8 @@ fn error_free_reads_score_perfectly() {
     let mut sim = ReadSimulator::new(&genome, params, 8);
     let mut perfect = 0;
     let reads = sim.simulate_reads(80);
-    for read in &reads {
-        if let Some(a) = aligner.align_read(read).alignment {
+    for outcome in align_all(&aligner, &reads) {
+        if let Some(a) = outcome.alignment {
             if a.score == 101 {
                 perfect += 1;
                 assert_eq!(a.cigar.to_string(), "101=");
@@ -125,8 +135,8 @@ fn workload_profiles_are_consistent_with_alignments() {
     let index = ReferenceIndex::build(&genome, 32);
     let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
     let mut sim = ReadSimulator::new(&genome, ReadSimParams::illumina_101(), 13);
-    for read in sim.simulate_reads(60) {
-        let outcome = aligner.align_read(&read);
+    let reads = sim.simulate_reads(60);
+    for (read, outcome) in reads.iter().zip(align_all(&aligner, &reads)) {
         let p = &outcome.profile;
         // Seeding always probes the index.
         assert!(!p.seeding_trace.is_empty());

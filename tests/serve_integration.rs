@@ -12,7 +12,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use nvwa::align::pipeline::{AlignerConfig, Alignment, ReferenceIndex, SoftwareAligner};
+use nvwa::align::pipeline::{
+    AlignScratch, AlignerConfig, Alignment, ReferenceIndex, SeedTrace, SoftwareAligner,
+};
 use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::{BackendKind, BatcherConfig, Request, Server, ServerConfig, Tenant};
@@ -38,10 +40,16 @@ fn fixture() -> &'static Fixture {
         let index = Arc::new(ReferenceIndex::build(&genome, 32));
         let sim = ReadSimParams::illumina_101();
         let reads = loadgen::generate_reads(&genome, sim, READ_SEED, CORPUS);
-        let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
+        let mut outcomes = Vec::new();
+        SoftwareAligner::new(&index, AlignerConfig::default()).align_batch(
+            (0..).zip(reads.iter().map(|r| r.codes.as_slice())),
+            &mut AlignScratch::new(),
+            SeedTrace::Record,
+            &mut outcomes,
+        );
         let offline = (0..)
-            .zip(&reads)
-            .map(|(id, read)| (id, aligner.align_codes(id, &read.codes).alignment))
+            .zip(outcomes)
+            .map(|(id, o)| (id, o.alignment))
             .collect();
         Fixture {
             index,

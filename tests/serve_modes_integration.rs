@@ -27,7 +27,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nvwa::align::long_read::{LongReadAligner, LongReadConfig, LongReadIndex};
-use nvwa::align::pipeline::{AlignerConfig, ReferenceIndex, SoftwareAligner};
+use nvwa::align::pipeline::{
+    AlignScratch, AlignerConfig, ReferenceIndex, SeedTrace, SoftwareAligner,
+};
 use nvwa::genome::species::Species;
 use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::index::minimizer::{minimizers, MinimizerParams};
@@ -279,7 +281,17 @@ fn mixed_modes_coexist_on_one_server() {
         "conservation across the mode mix: {report:?}"
     );
 
-    let short_aligner = SoftwareAligner::new(&index, AlignerConfig::default());
+    let mut short = Vec::new();
+    SoftwareAligner::new(&index, AlignerConfig::default()).align_batch(
+        (0..)
+            .zip(&reads)
+            .filter(|(_, r)| r.mode == Mode::Short)
+            .map(|(id, r)| (id, r.codes.as_slice())),
+        &mut AlignScratch::new(),
+        SeedTrace::Record,
+        &mut short,
+    );
+    let mut short = short.into_iter();
     let long_index = offline_long_index(&index);
     let long_aligner = LongReadAligner::new(&long_index, LongReadConfig::default());
     for (id, read) in reads.iter().enumerate() {
@@ -287,7 +299,7 @@ fn mixed_modes_coexist_on_one_server() {
         match read.mode {
             Mode::Short => {
                 assert!(resp.classify.is_none(), "read {id}: short carries no table");
-                let offline = short_aligner.align_codes(id as u64, &read.codes).alignment;
+                let offline = short.next().expect("one outcome per short read").alignment;
                 match (&resp.alignment, offline) {
                     (None, None) => {}
                     (Some(wire), Some(offline)) => {

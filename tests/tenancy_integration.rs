@@ -13,7 +13,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nvwa::align::pipeline::{AlignScratch, AlignerConfig, ReferenceIndex, SoftwareAligner};
+use nvwa::align::pipeline::{
+    AlignScratch, AlignerConfig, ReferenceIndex, SeedTrace, SoftwareAligner,
+};
 use nvwa::genome::species::Species;
 use nvwa::genome::{ReadSimParams, ReferenceGenome};
 use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
@@ -49,7 +51,7 @@ fn species_reads(species: Species, seed: u64, n: usize, mode: Mode) -> Vec<Tenan
 
 /// The differential at acceptance scale: 10k reads closed-loop over 8
 /// connections × window 32, every response checked read by read against
-/// `SoftwareAligner::align_codes_fast` run offline on the same index.
+/// the offline `SoftwareAligner::align_batch` fast path on the same index.
 /// Batch sizes are scheduling and deliberately excluded.
 #[test]
 fn reactor_answers_10k_reads_bit_identically_to_offline() {
@@ -79,17 +81,22 @@ fn reactor_answers_10k_reads_bit_identically_to_offline() {
     assert!(report.is_lossless(), "lost/duplicated responses");
     assert_eq!(report.total.ok, reads.len() as u64, "not all ok");
 
-    let aligner = SoftwareAligner::new(&index, AlignerConfig::default());
-    let mut scratch = AlignScratch::new();
-    for (id, read) in (0..).zip(&reads) {
+    let mut offline = Vec::new();
+    SoftwareAligner::new(&index, AlignerConfig::default()).align_batch(
+        (0..).zip(reads.iter().map(|r| r.codes.as_slice())),
+        &mut AlignScratch::new(),
+        SeedTrace::Skip,
+        &mut offline,
+    );
+    for (id, outcome) in (0..).zip(&offline) {
         let served = report.responses.get(&id).expect("response");
-        let offline = aligner
-            .align_codes_fast(id, &read.codes, &mut scratch)
-            .alignment;
         assert_eq!(served.status, Status::Ok, "read {id} status");
         assert_eq!(
             served.alignment,
-            offline.as_ref().map(WireAlignment::from_alignment),
+            outcome
+                .alignment
+                .as_ref()
+                .map(WireAlignment::from_alignment),
             "read {id} alignment"
         );
     }
